@@ -75,33 +75,6 @@ void Column::AppendNull() {
   null_words_[(size_ - 1) >> 6] |= uint64_t{1} << ((size_ - 1) & 63u);
 }
 
-Status Column::AppendValue(const Value& v) {
-  if (v.is_null()) {
-    AppendNull();
-    return Status::OK();
-  }
-  if (v.type() != type_) {
-    return Status::InvalidArgument(
-        std::string("cell type ") + ValueTypeName(v.type()) +
-        " does not match column type " + ValueTypeName(type_));
-  }
-  switch (type_) {
-    case ValueType::kDouble:
-      AppendDouble(v.double_value());
-      break;
-    case ValueType::kInt64:
-    case ValueType::kTimestamp:
-      AppendInt64(v.int64_value());
-      break;
-    case ValueType::kString:
-      AppendString(v.string_value());
-      break;
-    case ValueType::kNull:
-      break;
-  }
-  return Status::OK();
-}
-
 void Column::Reserve(size_t rows) {
   switch (type_) {
     case ValueType::kDouble:
@@ -123,74 +96,10 @@ void Column::Reserve(size_t rows) {
   }
 }
 
-Value Column::ValueAt(size_t i) const {
-  CDPIPE_CHECK(i < size_);
-  if (IsNull(i)) return Value::Null();
-  switch (type_) {
-    case ValueType::kDouble:
-      return Value::Double(doubles_[i]);
-    case ValueType::kInt64:
-      return Value::Int64(ints_[i]);
-    case ValueType::kTimestamp:
-      return Value::Timestamp(ints_[i]);
-    case ValueType::kString:
-      return Value::String(std::string(StringAt(i)));
-    case ValueType::kNull:
-      break;
-  }
-  return Value::Null();
-}
-
-Column Column::Filter(const std::vector<uint8_t>& keep) const {
-  CDPIPE_CHECK(keep.size() == size_);
-  Column out(type_);
-  out.borrowed_ = borrowed_;
-  for (size_t i = 0; i < size_; ++i) {
-    if (!keep[i]) continue;
-    if (IsNull(i)) {
-      out.AppendNull();
-      continue;
-    }
-    switch (type_) {
-      case ValueType::kDouble:
-        out.AppendDouble(doubles_[i]);
-        break;
-      case ValueType::kInt64:
-      case ValueType::kTimestamp:
-        out.AppendInt64(ints_[i]);
-        break;
-      case ValueType::kString:
-        if (borrowed_) {
-          out.AppendBorrowedString(views_[i]);
-        } else {
-          out.AppendString(StringAt(i));
-        }
-        break;
-      case ValueType::kNull:
-        ++out.size_;
-        break;
-    }
-  }
-  return out;
-}
-
 void Column::MarkNull(size_t i) {
   CDPIPE_CHECK(i < size_);
   EnsureBitmap();
   null_words_[i >> 6] |= uint64_t{1} << (i & 63u);
-}
-
-void Column::ClearNull(size_t i) {
-  CDPIPE_CHECK(i < size_);
-  if (null_words_.empty()) return;
-  null_words_[i >> 6] &= ~(uint64_t{1} << (i & 63u));
-}
-
-void Column::DropBitmapIfAllValid() {
-  for (uint64_t word : null_words_) {
-    if (word != 0) return;
-  }
-  null_words_.clear();
 }
 
 size_t Column::ByteSize() const {

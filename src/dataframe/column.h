@@ -11,21 +11,18 @@
 
 namespace cdpipe {
 
-/// One typed column of a relational batch.
+/// One typed column: the unit the spill codec (column_codec.h) encodes and
+/// decodes.
 ///
 /// Storage is contiguous per type — `double` and `int64`/timestamp cells
 /// live in plain vectors, string cells in an offset-indexed byte arena —
 /// with a packed null bitmap on the side (allocated only once the first
 /// null arrives, so the all-valid fast path costs one empty() check).
-/// Pipeline kernels read these vectors directly: no per-cell heap
-/// allocation, no variant dispatch in inner loops.
 ///
 /// String columns have a second, *borrowed* storage mode in which each cell
-/// is a `std::string_view` into memory owned by someone else (the raw
-/// chunk's records, for `Pipeline::WrapRaw`).  A borrowed column is only
-/// valid while its backing storage is alive; everything constructed from it
-/// by the pipeline copies the bytes it keeps, so borrowing never leaks past
-/// the transform call that created it.
+/// is a `std::string_view` into memory owned by someone else (a raw chunk's
+/// records, when the spill writer encodes them).  A borrowed column is only
+/// valid while its backing storage is alive.
 ///
 /// Null cells keep a placeholder in the typed storage (0 / 0.0 / empty
 /// string); the bitmap is authoritative.  Kernels must consult
@@ -65,18 +62,14 @@ class Column {
   void AppendBorrowedString(std::string_view v);
   /// Appends a null placeholder and sets the bitmap bit.
   void AppendNull();
-  /// Appends `v` (or null) with a type check against the column type.
-  Status AppendValue(const Value& v);
 
   void Reserve(size_t rows);
 
   // --- Direct typed access for kernels. ---
   /// Contiguous payload of a kDouble column (placeholders at null slots).
   const std::vector<double>& doubles() const { return doubles_; }
-  std::vector<double>& mutable_doubles() { return doubles_; }
   /// Contiguous payload of a kInt64/kTimestamp column.
   const std::vector<int64_t>& ints() const { return ints_; }
-  std::vector<int64_t>& mutable_ints() { return ints_; }
   /// String cell as a view (into the arena or the borrowed storage).
   std::string_view StringAt(size_t i) const {
     if (borrowed_) return views_[i];
@@ -84,20 +77,8 @@ class Column {
                                            offsets_[i + 1] - offsets_[i]);
   }
 
-  /// Cell as a Value (interop / tests; not for inner loops).
-  Value ValueAt(size_t i) const;
-
-  /// New column with the rows whose `keep[i]` is non-zero, in order.
-  /// Borrowed string cells stay borrowed (same backing storage).
-  Column Filter(const std::vector<uint8_t>& keep) const;
-
   /// Marks row `i` null in place (placeholder value is left as is).
   void MarkNull(size_t i);
-  /// Clears row i's null bit (after a kernel wrote a real value).
-  void ClearNull(size_t i);
-  /// Frees the bitmap when every bit is clear, restoring the all-valid fast
-  /// path for downstream kernels (e.g. after the imputer filled every null).
-  void DropBitmapIfAllValid();
 
   /// Owned heap footprint (typed storage + arena + offsets + bitmap).
   /// Borrowed views count the view table only — the bytes belong to the raw

@@ -1,5 +1,6 @@
 #include "src/io/serialization.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
@@ -209,6 +210,17 @@ Result<std::vector<std::pair<uint32_t, double>>> Deserializer::ReadPairs(
     out.emplace_back(static_cast<uint32_t>(index), value);
   }
   return out;
+}
+
+Result<int64_t> CountFromDouble(double value, const char* what) {
+  // 2^63 is the first double above every int64_t.
+  if (!(value >= 0.0) || value >= 9223372036854775808.0 ||
+      value != std::floor(value)) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " is not a valid count: " +
+                                   EncodeDouble(value));
+  }
+  return static_cast<int64_t>(value);
 }
 
 }  // namespace cdpipe

@@ -71,6 +71,12 @@ std::string EncodeDouble(double value);
 /// Parses a token produced by EncodeDouble (also accepts plain decimals).
 Result<double> DecodeDouble(const std::string& token);
 
+/// Converts a count that was serialized as a double back to int64_t.
+/// Rejects NaN, negative, non-integral and out-of-range values with
+/// InvalidArgument (casting those would be undefined behaviour); `what`
+/// names the field in the error.
+Result<int64_t> CountFromDouble(double value, const char* what);
+
 }  // namespace cdpipe
 
 #endif  // CDPIPE_IO_SERIALIZATION_H_

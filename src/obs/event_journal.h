@@ -30,7 +30,7 @@ enum class EventKind : uint8_t {
   kEvict,               ///< feature chunk evicted / raw chunk dropped
   kStall,               ///< watchdog: subsystem heartbeat went silent
   kRecover,             ///< watchdog: stalled subsystem beat again
-  kPlanCompile,         ///< fused transform plan (re)compiled for a pipeline
+  kPlanCompile,         ///< transform plan compiled for a pipeline
   kSnapshotPublish,     ///< serving snapshot epoch published
   kSnapshotSwap,        ///< serving snapshot replaced a previous epoch
   kSpill,               ///< raw chunk written to the disk tier

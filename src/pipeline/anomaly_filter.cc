@@ -4,49 +4,21 @@
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
-#include "src/dataframe/column_ops.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
 
 namespace {
 
-/// Tests one value against a rule's bounds.  Shared by the interpreted
-/// predicate and the fused kernel so both evaluate the exact same
-/// comparisons (NaN fails every bound and is dropped on both paths).
+/// Tests one value against a rule's bounds (NaN fails every bound).
 inline bool InRange(double d, const AnomalyFilter::Rule& rule) {
   const bool above = rule.min_exclusive ? d > rule.min : d >= rule.min;
   const bool below = rule.max_exclusive ? d < rule.max : d <= rule.max;
   return above && below;
 }
 
-/// Builds the interpreted-path predicate for a rule conjunction.  Each rule
-/// only ever clears keep bits, so evaluation order between rules does not
-/// matter.
-AnomalyFilter::Predicate MakeRulePredicate(
-    std::vector<AnomalyFilter::Rule> rules) {
-  return [rules = std::move(rules)](const TableData& table,
-                                    std::vector<uint8_t>* keep) -> Status {
-    for (const AnomalyFilter::Rule& rule : rules) {
-      CDPIPE_ASSIGN_OR_RETURN(size_t idx,
-                              table.schema()->FieldIndex(rule.column));
-      CDPIPE_ASSIGN_OR_RETURN(
-          NumericColumnView view,
-          NumericColumnView::Of(table.column(idx), rule.column));
-      const size_t rows = view.size();
-      for (size_t r = 0; r < rows; ++r) {
-        if ((*keep)[r] == 0) continue;
-        if (view.IsNull(r) || !InRange(view[r], rule)) (*keep)[r] = 0;
-      }
-    }
-    return Status::OK();
-  };
-}
-
-/// Fused kernel for a rule filter: flips keep bits on the shared table
-/// block instead of materializing a filtered table.  Downstream stages see
-/// the same surviving row set, in the same order, as the interpreted
-/// path's Filter().
+/// Transform kernel: flips keep bits on the shared table block instead of
+/// materializing a filtered table; downstream kernels read live rows only.
 class FilterTableStage final : public fusion::FusedStage {
  public:
   struct CompiledRule {
@@ -85,15 +57,8 @@ class FilterTableStage final : public fusion::FusedStage {
 
 }  // namespace
 
-AnomalyFilter::AnomalyFilter(std::string rule_name, Predicate keep)
-    : rule_name_(std::move(rule_name)), keep_(std::move(keep)) {
-  CDPIPE_CHECK(keep_ != nullptr);
-}
-
 AnomalyFilter::AnomalyFilter(std::string rule_name, std::vector<Rule> rules)
-    : rule_name_(std::move(rule_name)),
-      keep_(MakeRulePredicate(rules)),
-      rules_(std::move(rules)) {}
+    : rule_name_(std::move(rule_name)), rules_(std::move(rules)) {}
 
 std::unique_ptr<AnomalyFilter> AnomalyFilter::KeepInRange(
     const std::string& column, double min, double max) {
@@ -104,55 +69,13 @@ std::unique_ptr<AnomalyFilter> AnomalyFilter::KeepInRange(
       StrFormat("%s in [%g, %g]", column.c_str(), min, max), std::move(rules));
 }
 
-Result<DataBatch> AnomalyFilter::Transform(const DataBatch& batch) const {
-  const auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition("anomaly_filter expects a table batch");
-  }
-  std::vector<uint8_t> keep(table->num_rows(), 1);
-  CDPIPE_RETURN_NOT_OK(keep_(*table, &keep));
-  size_t kept = 0;
-  for (uint8_t k : keep) kept += k != 0;
-  const size_t dropped = table->num_rows() - kept;
-  dropped_.fetch_add(dropped, std::memory_order_relaxed);
-  if (dropped == 0) {
-    return DataBatch(*table);
-  }
-  return DataBatch(table->Filter(keep));
-}
-
-Result<DataBatch> AnomalyFilter::TransformOwned(DataBatch&& batch) const {
-  auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition("anomaly_filter expects a table batch");
-  }
-  std::vector<uint8_t> keep(table->num_rows(), 1);
-  CDPIPE_RETURN_NOT_OK(keep_(*table, &keep));
-  size_t kept = 0;
-  for (uint8_t k : keep) kept += k != 0;
-  const size_t dropped = table->num_rows() - kept;
-  dropped_.fetch_add(dropped, std::memory_order_relaxed);
-  if (dropped == 0) {
-    return std::move(batch);  // nothing to drop: pass the batch through
-  }
-  return DataBatch(table->Filter(keep));
-}
-
-Status AnomalyFilter::Fuse(fusion::PlanBuilder* plan) const {
-  if (rules_.empty()) {
-    // Custom predicates are opaque std::functions; only the declarative
-    // rule form compiles into a block kernel.
-    return Status::Unimplemented(
-        "anomaly_filter with a custom predicate cannot fuse");
-  }
+Status AnomalyFilter::Fuse(fusion::PlanBuilder* plan) {
   if (plan->repr() != fusion::PlanBuilder::Repr::kTable) {
     return Status::FailedPrecondition("anomaly_filter expects a table batch");
   }
   std::vector<FilterTableStage::CompiledRule> compiled;
   compiled.reserve(rules_.size());
   for (const Rule& rule : rules_) {
-    // Unknown or string columns decline fusion; the interpreted path owns
-    // reporting those errors with full pipeline context.
     CDPIPE_ASSIGN_OR_RETURN(size_t slot, plan->SlotOf(rule.column));
     if (plan->SlotDeclaredType(slot) == ValueType::kString) {
       return Status::FailedPrecondition("cannot filter non-numeric column " +
@@ -165,9 +88,7 @@ Status AnomalyFilter::Fuse(fusion::PlanBuilder* plan) const {
 }
 
 std::unique_ptr<PipelineComponent> AnomalyFilter::Clone() const {
-  auto out = rules_.empty()
-                 ? std::make_unique<AnomalyFilter>(rule_name_, keep_)
-                 : std::make_unique<AnomalyFilter>(rule_name_, rules_);
+  auto out = std::make_unique<AnomalyFilter>(rule_name_, rules_);
   out->dropped_.store(dropped_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
   return out;

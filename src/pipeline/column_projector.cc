@@ -12,58 +12,7 @@ ColumnProjector::ColumnProjector(std::vector<std::string> columns)
   CDPIPE_CHECK(!columns_.empty());
 }
 
-Result<DataBatch> ColumnProjector::Transform(const DataBatch& batch) const {
-  const auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "column_projector expects a table batch");
-  }
-  std::vector<size_t> indices(columns_.size());
-  std::vector<Field> fields(columns_.size());
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    CDPIPE_ASSIGN_OR_RETURN(indices[i],
-                            table->schema()->FieldIndex(columns_[i]));
-    fields[i] = table->schema()->field(indices[i]);
-  }
-  CDPIPE_ASSIGN_OR_RETURN(auto schema, Schema::Make(std::move(fields)));
-
-  // Column-at-a-time projection: whole columns are copied (or moved from an
-  // owned batch via TransformOwned); no per-cell work at all.
-  std::vector<Column> columns;
-  columns.reserve(indices.size());
-  for (size_t idx : indices) columns.push_back(table->column(idx));
-  CDPIPE_ASSIGN_OR_RETURN(
-      TableData out, TableData::Make(std::move(schema), std::move(columns)));
-  return DataBatch(std::move(out));
-}
-
-Result<DataBatch> ColumnProjector::TransformOwned(DataBatch&& batch) const {
-  auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "column_projector expects a table batch");
-  }
-  std::vector<size_t> indices(columns_.size());
-  std::vector<Field> fields(columns_.size());
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    CDPIPE_ASSIGN_OR_RETURN(indices[i],
-                            table->schema()->FieldIndex(columns_[i]));
-    fields[i] = table->schema()->field(indices[i]);
-  }
-  // Schema::Make rejects duplicate names above, so every index is distinct
-  // and the owned columns can be stolen outright.
-  CDPIPE_ASSIGN_OR_RETURN(auto schema, Schema::Make(std::move(fields)));
-  std::vector<Column> columns;
-  columns.reserve(indices.size());
-  for (size_t idx : indices) {
-    columns.push_back(std::move(table->mutable_column(idx)));
-  }
-  CDPIPE_ASSIGN_OR_RETURN(
-      TableData out, TableData::Make(std::move(schema), std::move(columns)));
-  return DataBatch(std::move(out));
-}
-
-Status ColumnProjector::Fuse(fusion::PlanBuilder* plan) const {
+Status ColumnProjector::Fuse(fusion::PlanBuilder* plan) {
   if (plan->repr() != fusion::PlanBuilder::Repr::kTable) {
     return Status::FailedPrecondition("column_projector expects a table batch");
   }

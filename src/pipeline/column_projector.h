@@ -20,10 +20,10 @@ class ColumnProjector : public PipelineComponent {
     return ComponentKind::kFeatureSelection;
   }
 
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Result<DataBatch> TransformOwned(DataBatch&& batch) const override;
-  Status Fuse(fusion::PlanBuilder* plan) const override;
+  Status Fuse(fusion::PlanBuilder* plan) override;
   std::unique_ptr<PipelineComponent> Clone() const override;
+
+  const std::vector<std::string>& columns() const { return columns_; }
 
  private:
   std::vector<std::string> columns_;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/dataframe/chunk.h"
 #include "src/io/serialization.h"
 
 namespace cdpipe {
@@ -29,16 +28,20 @@ const char* ComponentKindName(ComponentKind kind);
 
 /// A stage of a deployed machine learning pipeline.
 ///
-/// Per §4.3 of the paper, every component implements two methods:
+/// Per §4.3 of the paper, every component implements two operations, both
+/// as block kernels it contributes to the pipeline's compiled plan
+/// (src/pipeline/fusion/fusion.h):
 ///
-///  - `Update`: incrementally folds a batch into the component's internal
-///    statistics (the *online statistics computation* optimization).  Called
-///    exactly once per arriving training chunk, on the online path, before
-///    `Transform`.  Never called during re-materialization or inference.
-///  - `Transform`: applies the component using the current statistics.  Must
-///    not mutate statistics, so the same features are produced for training
-///    data and prediction queries (train/serve consistency) and evicted
-///    feature chunks can be re-materialized at any later time.
+///  - an *update kernel* (stateful components only): incrementally folds
+///    the component's input block into its statistics (the *online
+///    statistics computation* optimization).  Runs once per arriving
+///    training chunk, on the online path, before the transform kernel.
+///    Never runs during re-materialization or inference.
+///  - a *transform kernel*: applies the component using the current
+///    statistics, read when the block starts.  Never mutates statistics,
+///    so the same features are produced for training data and prediction
+///    queries (train/serve consistency) and evicted feature chunks can be
+///    re-materialized at any later time.
 ///
 /// Components whose statistics cannot be maintained incrementally (exact
 /// percentiles, PCA, ...) are outside the platform's contract (§3.1); the
@@ -59,39 +62,14 @@ class PipelineComponent {
   /// components that return false here.
   virtual bool supports_online_statistics() const { return true; }
 
-  /// Incrementally updates internal statistics from `batch`.
-  virtual Status Update(const DataBatch& batch) {
-    (void)batch;
-    return Status::OK();
-  }
-
-  /// Transforms `batch` using current statistics.  Must be const: the
-  /// platform calls this concurrently during proactive training.
-  virtual Result<DataBatch> Transform(const DataBatch& batch) const = 0;
-
-  /// Transform for a batch the caller no longer needs.  In-place components
-  /// (imputer, scaler) override this to mutate the batch instead of copying
-  /// it; the default delegates to `Transform`.  The pipeline drives every
-  /// stage through this entry point — intermediate batches are always owned
-  /// by the pipeline loop.  Overrides must produce output bit-identical to
-  /// `Transform` on the same input.
-  virtual Result<DataBatch> TransformOwned(DataBatch&& batch) const {
-    return Transform(batch);
-  }
-
-  /// Contributes this component's block kernel(s) to a fused plan under
-  /// construction (see src/pipeline/fusion/fusion.h).  Implementations
-  /// resolve columns, snapshot dispatch decisions, and append stages whose
-  /// output is bit-identical to `Transform` on the same rows.  Returning a
-  /// non-OK status — the default — declines fusion for the whole pipeline;
-  /// the caller then uses the interpreted loop, so declining is never an
-  /// execution error.  Configurations a kernel cannot express exactly
-  /// (wrong column types, unsupported options) must decline rather than
-  /// approximate: the interpreted path owns the error reporting.
-  virtual Status Fuse(fusion::PlanBuilder* plan) const {
-    (void)plan;
-    return Status::Unimplemented("component does not define a block kernel");
-  }
+  /// Contributes this component's kernels to a plan under construction:
+  /// resolves columns against the plan's schema and appends an update
+  /// kernel (stateful components) followed by a transform kernel.  The
+  /// plan keeps a pointer to the component; only the update kernel writes
+  /// through it.  A configuration the kernels cannot run (unknown or
+  /// non-numeric column, wrong input representation) is a pipeline error:
+  /// return it, and the transform fails with it.
+  virtual Status Fuse(fusion::PlanBuilder* plan) = 0;
 
   /// Discards all statistics, returning the component to its initial state.
   virtual void Reset() {}

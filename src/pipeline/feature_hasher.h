@@ -33,8 +33,7 @@ class FeatureHasher : public PipelineComponent {
     return ComponentKind::kFeatureExtraction;
   }
 
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Status Fuse(fusion::PlanBuilder* plan) const override;
+  Status Fuse(fusion::PlanBuilder* plan) override;
   std::unique_ptr<PipelineComponent> Clone() const override;
 
   uint32_t output_dim() const { return 1u << options_.bits; }

@@ -2,9 +2,11 @@
 
 #include <utility>
 
+#include "src/common/stopwatch.h"
 #include "src/common/string_util.h"
 #include "src/obs/event_journal.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/pipeline/component.h"
 
 namespace cdpipe {
@@ -26,6 +28,11 @@ uint64_t SchemaFingerprint(const Schema& schema) {
   return h;
 }
 
+uint64_t NextStatsSerial() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 void CountStagesElided(size_t n) {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
       "pipeline.stages_elided",
@@ -36,8 +43,8 @@ void CountStagesElided(size_t n) {
 namespace {
 
 /// Accounting stand-in for a component whose work was elided at compile
-/// time: replicates the interpreted loop's rows-scanned contribution and
-/// counts one elision per block, but touches no data.
+/// time: counts the rows the component would have scanned and one elision
+/// per block, but touches no data.
 class ElidedStage final : public FusedStage {
  public:
   ElidedStage(const char* label, PlanBuilder::Repr repr)
@@ -156,11 +163,15 @@ void PlanBuilder::BeginVec(uint32_t dim) {
 }
 
 void PlanBuilder::AddStage(std::unique_ptr<FusedStage> stage) {
-  stages_.push_back(std::move(stage));
+  stages_.push_back(Stage{std::move(stage), /*update=*/false});
+}
+
+void PlanBuilder::AddUpdateStage(std::unique_ptr<FusedStage> stage) {
+  stages_.push_back(Stage{std::move(stage), /*update=*/true});
 }
 
 void PlanBuilder::AddElidedStage(const char* label) {
-  stages_.push_back(std::make_unique<ElidedStage>(label, repr_));
+  AddStage(std::make_unique<ElidedStage>(label, repr_));
   ++compile_elided_;
 }
 
@@ -168,40 +179,60 @@ void PlanBuilder::AddElidedStage(const char* label) {
 // FusedPlan
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const FusedPlan> FusedPlan::Compile(
-    const std::vector<std::unique_ptr<PipelineComponent>>& components,
+Result<std::shared_ptr<const FusedPlan>> FusedPlan::Compile(
+    const std::vector<PipelineComponent*>& components,
     const Schema& entry_schema) {
   PlanBuilder builder(entry_schema);
-  for (const auto& component : components) {
-    if (!component->Fuse(&builder).ok()) return nullptr;
-  }
-  // The pipeline contract: the chain must end vectorized.  A chain that
-  // does not is an interpreted-path error (FinishBatch reports it with the
-  // full pipeline context), so decline rather than duplicate the message.
-  if (builder.repr() != PlanBuilder::Repr::kVec) return nullptr;
-  builder.AddStage(std::make_unique<EmitVecStage>());
-  static std::atomic<uint64_t> next_serial{1};
   auto plan = std::shared_ptr<FusedPlan>(new FusedPlan());
-  plan->serial_ = next_serial.fetch_add(1, std::memory_order_relaxed);
+  std::string chain;
+  for (PipelineComponent* component : components) {
+    CDPIPE_RETURN_NOT_OK(component->Fuse(&builder));
+    const std::string name = component->name();
+    chain += (chain.empty() ? "" : " -> ") + name;
+    plan->segments_.push_back(Segment{
+        name,
+        obs::MetricsRegistry::Global().GetHistogram(
+            "pipeline.component." + name + ".transform_seconds"),
+        builder.stages_.size()});
+  }
+  if (builder.repr() != PlanBuilder::Repr::kVec) {
+    return Status::FailedPrecondition(
+        "pipeline did not end in a vectorizing component (Pipeline[" + chain +
+        "] produced a table batch); append a FeatureHasher, OneHotEncoder, "
+        "or VectorAssembler");
+  }
+  builder.AddStage(std::make_unique<EmitVecStage>());
   plan->stages_ = std::move(builder.stages_);
   plan->stats_.fingerprint = SchemaFingerprint(entry_schema);
   plan->stats_.stages = plan->stages_.size();
   plan->stats_.compile_elided = builder.compile_elided_;
-  return plan;
+  return std::shared_ptr<const FusedPlan>(std::move(plan));
 }
 
 Status FusedPlan::Execute(const std::vector<std::string>& records,
                           size_t begin, size_t end, ExecScratch* scratch,
-                          FeatureData* out, size_t* rows_scanned) const {
+                          FeatureData* out, size_t* rows_scanned,
+                          bool update) const {
   ExecContext ctx;
   ctx.records = &records;
   ctx.begin = begin;
   ctx.end = end;
   ctx.scratch = scratch;
   ctx.out = out;
-  ctx.plan_serial = serial_;
-  for (const auto& stage : stages_) {
-    CDPIPE_RETURN_NOT_OK(stage->Run(ctx));
+  size_t s = 0;
+  Stopwatch watch;
+  for (const Segment& segment : segments_) {
+    {
+      CDPIPE_TRACE_SPAN(segment.name.c_str(), "pipeline");
+      for (; s < segment.end; ++s) {
+        if (stages_[s].update && !update) continue;
+        CDPIPE_RETURN_NOT_OK(stages_[s].kernel->Run(ctx));
+      }
+    }
+    segment.histogram->Observe(watch.Lap());
+  }
+  for (; s < stages_.size(); ++s) {
+    CDPIPE_RETURN_NOT_OK(stages_[s].kernel->Run(ctx));
   }
   CDPIPE_RETURN_NOT_OK(out->Validate());
   if (rows_scanned != nullptr) *rows_scanned += ctx.rows_scanned;
@@ -215,7 +246,7 @@ std::string FusedPlan::ToString() const {
                                   stats_.fingerprint));
   for (size_t i = 0; i < stages_.size(); ++i) {
     if (i > 0) out += " -> ";
-    out += stages_[i]->label();
+    out += stages_[i].kernel->label();
   }
   out += "}";
   return out;
@@ -247,15 +278,15 @@ void ScratchPool::Release(std::unique_ptr<ExecScratch> scratch) {
 // PlanCache
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const FusedPlan> PlanCache::GetOrCompile(
+Result<std::shared_ptr<const FusedPlan>> PlanCache::GetOrCompile(
     const std::vector<std::unique_ptr<PipelineComponent>>& components,
-    const Schema& entry_schema, uint64_t version) {
+    const Schema& entry_schema) {
   static obs::Counter* hit_counter = obs::MetricsRegistry::Global().GetCounter(
       "pipeline.plan_cache_hits", "Fused-plan cache hits");
   static obs::Counter* miss_counter =
       obs::MetricsRegistry::Global().GetCounter(
           "pipeline.plan_cache_misses",
-          "Fused-plan cache misses (compile or statistics invalidation)");
+          "Fused-plan cache misses (first use or structure change)");
   static obs::Counter* plan_counter =
       obs::MetricsRegistry::Global().GetCounter(
           "pipeline.fused_plans", "Fused plans compiled");
@@ -264,38 +295,32 @@ std::shared_ptr<const FusedPlan> PlanCache::GetOrCompile(
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(fingerprint);
-    if (it != entries_.end() && it->second.version == version) {
+    if (it != entries_.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       hit_counter->Increment();
-      return it->second.plan;
+      return it->second;
     }
   }
-  // Compile outside the lock: compilation only reads component state, which
-  // the caller keeps stable for the duration (the same contract concurrent
-  // Transform calls already rely on).  A concurrent duplicate compile is
-  // benign — last writer wins with an identical plan.
+  // Compile outside the lock: compilation only reads component
+  // configuration.  A concurrent duplicate compile is benign — last writer
+  // wins with an identical plan.
   misses_.fetch_add(1, std::memory_order_relaxed);
   miss_counter->Increment();
-  std::shared_ptr<const FusedPlan> plan =
-      FusedPlan::Compile(components, entry_schema);
-  if (plan != nullptr) {
-    compiles_.fetch_add(1, std::memory_order_relaxed);
-    plan_counter->Increment();
-    obs::EventJournal::Global().Append(
-        obs::EventKind::kPlanCompile,
-        StrFormat("fp=%016llx stages=%zu elided=%zu",
-                  static_cast<unsigned long long>(plan->stats().fingerprint),
-                  plan->stats().stages, plan->stats().compile_elided)
-            .c_str());
-  } else {
-    obs::EventJournal::Global().Append(
-        obs::EventKind::kPlanCompile,
-        StrFormat("fp=%016llx unfusable",
-                  static_cast<unsigned long long>(fingerprint))
-            .c_str());
-  }
+  std::vector<PipelineComponent*> chain;
+  chain.reserve(components.size());
+  for (const auto& component : components) chain.push_back(component.get());
+  CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const FusedPlan> plan,
+                          FusedPlan::Compile(chain, entry_schema));
+  compiles_.fetch_add(1, std::memory_order_relaxed);
+  plan_counter->Increment();
+  obs::EventJournal::Global().Append(
+      obs::EventKind::kPlanCompile,
+      StrFormat("fp=%016llx stages=%zu elided=%zu",
+                static_cast<unsigned long long>(plan->stats().fingerprint),
+                plan->stats().stages, plan->stats().compile_elided)
+          .c_str());
   std::lock_guard<std::mutex> lock(mu_);
-  entries_[fingerprint] = Entry{plan, version};
+  entries_[fingerprint] = plan;
   return plan;
 }
 

@@ -13,42 +13,54 @@
 
 #include "src/common/status.h"
 #include "src/dataframe/chunk.h"
+#include "src/dataframe/schema.h"
 
 namespace cdpipe {
 
 class PipelineComponent;
 
-/// Pipeline "compiler" (runtime specialization of the transform chain).
+namespace obs {
+class Histogram;
+}  // namespace obs
+
+/// Pipeline "compiler": the one execution path of every transform.
 ///
 /// Given a deployed pipeline and the schema of the chunks it will see, the
-/// planner asks every component to contribute a *block kernel* to a
+/// planner asks every component to contribute its *block kernels* to a
 /// FusedPlan: a short, pre-resolved program that takes a range of raw
-/// records straight to FeatureData without materializing a TableData /
-/// FeatureData between components.  Column dispatch (schema lookups, column
-/// type resolution, statistics snapshots, dictionary pointers) happens once
-/// at compile time instead of once per chunk per component; per-block state
-/// lives in reusable per-thread scratch buffers.
+/// records straight to FeatureData without materializing anything between
+/// components.  Column dispatch (schema lookups, column type resolution)
+/// happens once at compile time instead of once per chunk per component;
+/// per-block state lives in reusable per-thread scratch buffers.
 ///
-/// Fused output is bit-identical to the interpreted path by construction:
-/// every kernel either calls the exact same per-row helper the interpreted
-/// kernel calls (parsers, taxi feature arithmetic) or replicates the
-/// interpreted expression structure operation for operation (imputer,
-/// scaler, hasher, filters, sinks).  The transform-equivalence golden suite
-/// enforces this.
+/// Each component contributes a transform kernel, and each stateful
+/// component also an *update kernel* that folds the stage's input block
+/// into its statistics.  Update kernels run only on the online path
+/// (`Execute(..., update=true)`), immediately before the component's
+/// transform kernel, so the transform sees the statistics including the
+/// current block — the paper's online statistics computation (§3.1).
+/// Transform kernels read statistics when their block starts, never at
+/// compile time, so one plan per (entry schema, pipeline structure) serves
+/// the online path, re-materialization and serving alike.
 ///
-/// Planning is all-or-nothing: if any component declines to fuse (custom
-/// components, unsupported configurations), the caller falls back to the
-/// interpreted loop.  Plans are cached per (entry-schema fingerprint,
-/// pipeline state version) and invalidated whenever component statistics
-/// change (UpdateAndTransform / Reset / LoadState bump the version).
+/// Compilation is all-or-nothing and its errors are the pipeline's errors:
+/// a misconfigured component (unknown or non-numeric column, a kernel
+/// placed where its input representation does not exist) or a chain that
+/// does not end vectorized fails the transform with that status.
 namespace fusion {
 
 class PlanBuilder;
 
 /// Order-sensitive fingerprint of (field name, field type) pairs — the plan
-/// cache key component that captures "what shape of chunk does this plan
-/// expect".  FNV-1a, stable across processes.
+/// cache key that captures "what shape of chunk does this plan expect".
+/// FNV-1a, stable across processes.
 uint64_t SchemaFingerprint(const Schema& schema);
+
+/// A fresh process-unique statistics serial.  Components whose kernels
+/// memoize statistics-derived values take a new serial on every statistics
+/// change (update, reset, restore, clone); memos key on it, so a serial
+/// can never name two different statistics states.
+uint64_t NextStatsSerial();
 
 // ---------------------------------------------------------------------------
 // Execution-time block state (lives in per-thread ExecScratch, reused
@@ -56,8 +68,7 @@ uint64_t SchemaFingerprint(const Schema& schema);
 // ---------------------------------------------------------------------------
 
 /// One column of a table block: flat typed storage plus a per-row null
-/// byte mask.  The fused analogue of dataframe Column, without arenas or
-/// ownership — string cells borrow the raw records, which outlive the
+/// byte mask.  String cells borrow the raw records, which outlive the
 /// Transform call.
 struct BlockColumn {
   ValueType type = ValueType::kNull;
@@ -79,14 +90,13 @@ struct BlockColumn {
 
   bool IsNull(size_t r) const { return any_null && null[r] != 0; }
 
-  /// Numeric cell with the same widening NumericColumnView applies.
+  /// Numeric cell, integers widened with a static_cast.
   double NumericAt(size_t r) const {
     return type == ValueType::kDouble ? d[r] : static_cast<double>(i[r]);
   }
 
-  /// Widens an integer/timestamp column to double in place — the block
-  /// analogue of TableData::PromoteColumnToDouble (all rows convert, null
-  /// placeholders included).
+  /// Widens an integer/timestamp column to double in place (all rows
+  /// convert, null placeholders included).
   void PromoteToDouble() {
     if (type == ValueType::kDouble) return;
     d.resize(i.size());
@@ -97,8 +107,7 @@ struct BlockColumn {
 
 /// Table-state block: columns in plan-assigned physical slots plus a keep
 /// mask.  Filters mark rows dead instead of materializing a filtered copy;
-/// sinks emit live rows in ascending row order, which is exactly the order
-/// a materialized Filter() would have produced.
+/// every later kernel reads live rows only, in ascending row order.
 struct TableBlock {
   size_t num_rows = 0;
   size_t live_rows = 0;
@@ -126,12 +135,12 @@ struct VecBlock {
   size_t num_rows() const { return row_end.size(); }
 };
 
-/// Hash memo persisted across blocks, chunks, and plan recompiles: the
-/// bucket/sign of a raw feature index depends only on the hasher's
-/// immutable config, so the lazily filled array stays valid for the
-/// lifetime of the scratch.  One packed word per raw index — set flag,
-/// sign flag, bucket — so a lookup costs a single cache line, not three
-/// (the memo is far larger than L1/L2 and lookups are random).
+/// Hash memo persisted across blocks, chunks, and plans: the bucket/sign
+/// of a raw feature index depends only on the hasher's immutable config,
+/// so the lazily filled array stays valid for the lifetime of the scratch.
+/// One packed word per raw index — set flag, sign flag, bucket — so a
+/// lookup costs a single cache line, not three (the memo is far larger
+/// than L1/L2 and lookups are random).
 struct HasherMemo {
   static constexpr uint64_t kSet = uint64_t{1} << 63;
   static constexpr uint64_t kNegative = uint64_t{1} << 62;
@@ -148,31 +157,33 @@ struct HasherMemo {
   }
 };
 
-/// Per-(component, plan) lazily filled statistics memo — mean/σ per key.
-/// Unlike HasherMemo this caches *statistics-dependent* values, so it is
-/// keyed by the owning component and the plan serial: any statistics
-/// change produces a new plan (new serial) and implicitly invalidates it.
+/// Lazily filled memo of statistics-derived values (the scaler's σ and
+/// mean per key), valid for one statistics serial (NextStatsSerial).  On
+/// the online path statistics move every chunk, so rebinding to a new
+/// serial resets only the cells filled since the last bind — O(keys
+/// touched), never O(dim).
 struct StatsMemo {
-  /// One record per key so a lookup touches one cache line, not three.
-  struct Entry {
-    double mean = 0.0;
-    double sd = 0.0;
-    uint64_t seen = 0;
-  };
+  /// Marks an unfilled σ cell (σ is never negative).
+  static constexpr double kUnfilled = -1.0;
 
-  const void* owner = nullptr;
-  uint64_t plan_serial = 0;
-  std::vector<Entry> entries;
-  /// σ-only variant for scalers that never subtract the mean (the sparse
-  /// default): one double per dimension keeps the memo L1-sized at typical
-  /// hashed dims.  -1 marks an unfilled cell (σ is never negative).
+  uint64_t serial = 0;
   std::vector<double> sd;
+  /// Parallel to `sd`, sized only for scalers that subtract the mean.
+  std::vector<double> mean;
+  /// Keys filled under `serial`.
+  std::vector<uint32_t> filled;
 
-  bool Matches(const void* o, uint64_t serial, size_t dim) const {
-    return owner == o && plan_serial == serial && entries.size() == dim;
-  }
-  bool MatchesSd(const void* o, uint64_t serial, size_t dim) const {
-    return owner == o && plan_serial == serial && sd.size() == dim;
+  /// Makes every cell read as unfilled unless it was filled under
+  /// `new_serial` over the same `dim`.
+  void Bind(uint64_t new_serial, size_t dim) {
+    if (sd.size() != dim) {
+      sd.assign(dim, kUnfilled);
+      filled.clear();
+    } else if (serial != new_serial) {
+      for (const uint32_t key : filled) sd[key] = kUnfilled;
+      filled.clear();
+    }
+    serial = new_serial;
   }
 };
 
@@ -194,7 +205,6 @@ struct ExecScratch {
   /// hasher's dense path sums pairs in place; a third hit forces the
   /// sorted fallback).
   std::vector<uint32_t> collided;
-  std::vector<uint8_t> flags;
 };
 
 /// Everything a stage needs while processing one block.
@@ -204,10 +214,8 @@ struct ExecContext {
   size_t end = 0;
   ExecScratch* scratch = nullptr;
   FeatureData* out = nullptr;
-  /// Serial of the executing plan (see FusedPlan::serial).
-  uint64_t plan_serial = 0;
-  /// (row x component) scans, accumulated with the same multiplicities as
-  /// the interpreted loop so the cost model sees identical work counts.
+  /// (row x component) scans: every kernel, update or transform, counts
+  /// the rows it reads, so the online path scans stateful stages twice.
   size_t rows_scanned = 0;
   /// Stages that did provably no per-row work on this block.
   size_t stages_elided = 0;
@@ -215,8 +223,9 @@ struct ExecContext {
   size_t raw_rows() const { return end - begin; }
 };
 
-/// One compiled stage.  Immutable after compile; Run only mutates the
-/// per-thread state reachable through `ctx`.
+/// One compiled kernel.  Immutable after compile; Run mutates the
+/// per-thread state reachable through `ctx` and, for update kernels only,
+/// the owning component's statistics.
 class FusedStage {
  public:
   virtual ~FusedStage() = default;
@@ -224,15 +233,33 @@ class FusedStage {
   virtual Status Run(ExecContext& ctx) const = 0;
 };
 
+/// A stage whose Run is a callable — for kernels simplest written in place,
+/// such as update kernels that fold a block into their component's private
+/// statistics.
+template <typename Fn>
+class FnStage final : public FusedStage {
+ public:
+  FnStage(const char* label, Fn fn) : label_(label), fn_(std::move(fn)) {}
+  const char* label() const override { return label_; }
+  Status Run(ExecContext& ctx) const override { return fn_(ctx); }
+
+ private:
+  const char* label_;
+  Fn fn_;
+};
+
+template <typename Fn>
+std::unique_ptr<FusedStage> MakeStage(const char* label, Fn fn) {
+  return std::make_unique<FnStage<Fn>>(label, std::move(fn));
+}
+
 // ---------------------------------------------------------------------------
 // Compile-time planning
 // ---------------------------------------------------------------------------
 
 /// Builder each component's Fuse() contributes to.  Tracks the simulated
-/// batch representation (raw records -> table -> vector -> done) and the
-/// logical schema, so downstream components resolve columns at compile
-/// time.  A component that cannot express itself as a block kernel simply
-/// returns a non-OK status from Fuse(); the planner then abandons the plan.
+/// batch representation (raw records -> table -> vector) and the logical
+/// schema, so downstream components resolve columns at compile time.
 class PlanBuilder {
  public:
   enum class Repr { kRaw, kTable, kVec };
@@ -261,14 +288,23 @@ class PlanBuilder {
   void BeginVec(uint32_t dim);
   uint32_t vec_dim() const { return vec_dim_; }
 
+  /// Appends a transform kernel (runs on every path).
   void AddStage(std::unique_ptr<FusedStage> stage);
+  /// Appends an update kernel: runs on the online path only, and must come
+  /// before the transform kernel of the same component.
+  void AddUpdateStage(std::unique_ptr<FusedStage> stage);
   /// Accounting-only stage: counts its scan and one elision per block, does
-  /// no per-row work.  Used for provably no-op components (identity
-  /// projections, statistics-free scalers).
+  /// no per-row work.  Used for provably no-op components (projections,
+  /// imputers with nothing configured).
   void AddElidedStage(const char* label);
 
  private:
   friend class FusedPlan;
+
+  struct Stage {
+    std::unique_ptr<FusedStage> kernel;
+    bool update = false;
+  };
 
   const Schema* entry_schema_;
   Repr repr_ = Repr::kRaw;
@@ -279,12 +315,12 @@ class PlanBuilder {
   /// runtime promotions are tracked per block in BlockColumn::type).
   std::vector<ValueType> slot_types_;
   uint32_t vec_dim_ = 0;
-  std::vector<std::unique_ptr<FusedStage>> stages_;
+  std::vector<Stage> stages_;
   size_t compile_elided_ = 0;
 };
 
-/// A compiled, immutable, thread-safe execution plan for one pipeline and
-/// one entry schema at one statistics version.
+/// A compiled, immutable execution plan for one pipeline structure and one
+/// entry schema.  The plan borrows the components it was compiled from.
 class FusedPlan {
  public:
   struct Stats {
@@ -293,40 +329,45 @@ class FusedPlan {
     size_t compile_elided = 0;
   };
 
-  /// Compiles `components` against `entry_schema`.  Returns nullptr when
-  /// any component declines fusion or the chain does not end vectorized —
-  /// never an error; the caller falls back to the interpreted loop.
-  static std::shared_ptr<const FusedPlan> Compile(
-      const std::vector<std::unique_ptr<PipelineComponent>>& components,
+  /// Compiles `components` against `entry_schema`.  The components must
+  /// outlive the plan.  Fails with the offending component's status, or
+  /// FailedPrecondition when the chain does not end vectorized.
+  static Result<std::shared_ptr<const FusedPlan>> Compile(
+      const std::vector<PipelineComponent*>& components,
       const Schema& entry_schema);
 
   /// Processes records [begin, end) through every stage into `*out`.
-  /// `scratch` must be exclusively owned by the caller for the duration.
+  /// `update` selects the online path: update kernels run too, mutating
+  /// component statistics, so such a call must be exclusive with every
+  /// other Execute on the same components.  Transform-only calls may run
+  /// concurrently.  `scratch` must be exclusively owned by the caller.
+  /// Each component's kernels are timed into
+  /// pipeline.component.<name>.transform_seconds and traced as one span.
   Status Execute(const std::vector<std::string>& records, size_t begin,
                  size_t end, ExecScratch* scratch, FeatureData* out,
-                 size_t* rows_scanned) const;
+                 size_t* rows_scanned, bool update = false) const;
 
   const Stats& stats() const { return stats_; }
-
-  /// Process-unique, monotonically assigned at compile time.  Scratch
-  /// memos of statistics-dependent values key on this: a recompile (after
-  /// any statistics change) yields a new serial, never a reused one.
-  uint64_t serial() const { return serial_; }
 
   std::string ToString() const;
 
  private:
+  /// The stages of one component, [previous segment's end, end).
+  struct Segment {
+    std::string name;
+    obs::Histogram* histogram;
+    size_t end;
+  };
+
   FusedPlan() = default;
 
-  std::vector<std::unique_ptr<FusedStage>> stages_;
+  std::vector<PlanBuilder::Stage> stages_;
+  std::vector<Segment> segments_;
   Stats stats_;
-  uint64_t serial_ = 0;
 };
 
 /// Free list of ExecScratch buffers shared by the (few) concurrent
-/// transform shards of one pipeline.  Scratches survive plan recompiles —
-/// only configuration-keyed memos (hasher buckets) persist across plans,
-/// never statistics.
+/// transform shards of one pipeline.
 class ScratchPool {
  public:
   std::unique_ptr<ExecScratch> Acquire();
@@ -352,17 +393,16 @@ class ScratchLease {
   std::unique_ptr<ExecScratch> scratch_;
 };
 
-/// Plan cache keyed by entry-schema fingerprint, validated against the
-/// pipeline's statistics version.  Unfusable outcomes are cached too, so a
-/// pipeline with a custom component does not re-attempt compilation every
-/// chunk.  Thread-safe: Transform runs concurrently on engine workers.
+/// Plan cache keyed by entry-schema fingerprint.  Plans do not depend on
+/// statistics, so an entry stays valid until the pipeline's structure
+/// changes (the owner then calls Clear).  Compile failures are returned,
+/// not cached.  Thread-safe: Transform runs concurrently on engine workers.
 class PlanCache {
  public:
-  /// The cached plan for (entry schema, version), compiling on miss or
-  /// version change.  nullptr when the pipeline cannot be fused.
-  std::shared_ptr<const FusedPlan> GetOrCompile(
+  /// The cached plan for `entry_schema`, compiling on a miss.
+  Result<std::shared_ptr<const FusedPlan>> GetOrCompile(
       const std::vector<std::unique_ptr<PipelineComponent>>& components,
-      const Schema& entry_schema, uint64_t version);
+      const Schema& entry_schema);
 
   void Clear();
 
@@ -376,13 +416,8 @@ class PlanCache {
   }
 
  private:
-  struct Entry {
-    std::shared_ptr<const FusedPlan> plan;  // nullptr => known unfusable
-    uint64_t version = 0;
-  };
-
   mutable std::mutex mu_;
-  std::unordered_map<uint64_t, Entry> entries_;
+  std::unordered_map<uint64_t, std::shared_ptr<const FusedPlan>> entries_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> compiles_{0};

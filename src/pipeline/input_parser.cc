@@ -12,21 +12,6 @@
 namespace cdpipe {
 namespace {
 
-/// Extracts the single "raw" string column the parser consumes.
-Result<const TableData*> ExpectRawTable(const DataBatch& batch) {
-  const auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "input_parser expects a table batch (is it the first component?)");
-  }
-  if (table->schema() == nullptr || table->schema()->num_fields() != 1 ||
-      table->schema()->field(0).type != ValueType::kString) {
-    return Status::FailedPrecondition(
-        "input_parser expects a single string column");
-  }
-  return table;
-}
-
 /// Single-pass scan of one well-formed libsvm record ("label idx:val ...").
 /// Returns false on anything unusual (tabs, signed indices, malformed
 /// tokens) *without* a verdict — the caller re-parses the row with the
@@ -73,10 +58,8 @@ bool ScanLibSvmRow(std::string_view line, uint32_t feature_dim,
   return true;
 }
 
-/// Fused libsvm parse: raw records straight into the vector block.  Rows
-/// come from the exact per-row kernel the interpreted path runs; the only
-/// difference is where the collapsed entries land (the flat block instead
-/// of a SparseVector each).
+/// Libsvm parse: raw records straight into the vector block, each row's
+/// entries collapsed (sorted, duplicates summed) as SparseVector would.
 class LibSvmParseStage final : public fusion::FusedStage {
  public:
   explicit LibSvmParseStage(const InputParser* parser) : parser_(parser) {}
@@ -127,8 +110,8 @@ class LibSvmParseStage final : public fusion::FusedStage {
   const InputParser* parser_;
 };
 
-/// Fused CSV parse: raw records into block columns (flat typed vectors with
-/// byte null masks; string cells borrow the raw records).
+/// CSV parse: raw records into block columns (flat typed vectors with byte
+/// null masks; string cells borrow the raw records).
 class CsvParseStage final : public fusion::FusedStage {
  public:
   explicit CsvParseStage(const InputParser* parser) : parser_(parser) {}
@@ -198,12 +181,6 @@ InputParser::InputParser(Options options) : options_(std::move(options)) {
   }
 }
 
-Result<DataBatch> InputParser::Transform(const DataBatch& batch) const {
-  CDPIPE_ASSIGN_OR_RETURN(const TableData* table, ExpectRawTable(batch));
-  if (options_.format == Format::kLibSvm) return TransformLibSvm(*table);
-  return TransformCsv(*table);
-}
-
 Result<InputParser::RowVerdict> InputParser::ParseLibSvmRecord(
     std::string_view line, std::vector<std::pair<uint32_t, double>>* entries,
     double* label, std::vector<std::string_view>* tokens) const {
@@ -265,33 +242,6 @@ Result<InputParser::RowVerdict> InputParser::ParseLibSvmRecord(
   return RowVerdict::kOk;
 }
 
-Result<DataBatch> InputParser::TransformLibSvm(const TableData& table) const {
-  const Column& raw = table.column(0);
-  const size_t num_rows = table.num_rows();
-
-  FeatureData out;
-  out.dim = options_.feature_dim;
-  out.features.reserve(num_rows);
-  out.labels.reserve(num_rows);
-
-  // Per-batch scratch reused across rows: the token views of the current
-  // line and its (index, value) entries.
-  std::vector<std::string_view> tokens;
-  std::vector<std::pair<uint32_t, double>> entries;
-
-  for (size_t r = 0; r < num_rows; ++r) {
-    const std::string_view line = raw.StringAt(r);
-    double label = 0.0;
-    CDPIPE_ASSIGN_OR_RETURN(RowVerdict verdict,
-                            ParseLibSvmRecord(line, &entries, &label, &tokens));
-    if (verdict == RowVerdict::kMalformed) continue;
-    out.features.push_back(
-        SparseVector::FromUnsortedInto(options_.feature_dim, &entries));
-    out.labels.push_back(label);
-  }
-  return DataBatch(std::move(out));
-}
-
 Result<InputParser::RowVerdict> InputParser::ParseCsvRecord(
     std::string_view line, std::vector<std::string_view>* fields,
     std::vector<CsvCell>* cells) const {
@@ -345,62 +295,14 @@ Result<InputParser::RowVerdict> InputParser::ParseCsvRecord(
   return RowVerdict::kOk;
 }
 
-Result<DataBatch> InputParser::TransformCsv(const TableData& table) const {
-  const Schema& schema = *options_.csv_schema;
-  const Column& raw = table.column(0);
-  const size_t num_rows = table.num_rows();
-  const size_t num_fields = schema.num_fields();
-
-  TableData out(options_.csv_schema);
-  out.ReserveRows(num_rows);
-
-  // Per-batch scratch: field views of the current line and its parsed
-  // cells, appended to the output columns only once the record is known to
-  // be well-formed.
-  std::vector<std::string_view> fields;
-  std::vector<CsvCell> cells(num_fields);
-
-  for (size_t r = 0; r < num_rows; ++r) {
-    const std::string_view line = raw.StringAt(r);
-    CDPIPE_ASSIGN_OR_RETURN(RowVerdict verdict,
-                            ParseCsvRecord(line, &fields, &cells));
-    if (verdict == RowVerdict::kMalformed) continue;
-    for (size_t i = 0; i < num_fields; ++i) {
-      Column& column = out.mutable_column(i);
-      const CsvCell& cell = cells[i];
-      if (cell.null) {
-        column.AppendNull();
-        continue;
-      }
-      switch (schema.field(i).type) {
-        case ValueType::kDouble:
-          column.AppendDouble(cell.d);
-          break;
-        case ValueType::kInt64:
-        case ValueType::kTimestamp:
-          column.AppendInt64(cell.i);
-          break;
-        case ValueType::kString:
-          column.AppendString(cell.s);
-          break;
-        case ValueType::kNull:
-          break;
-      }
-    }
-    CDPIPE_CHECK(out.CommitAppendedRow());
-  }
-  return DataBatch(std::move(out));
-}
-
-Status InputParser::Fuse(fusion::PlanBuilder* plan) const {
-  // The fused chain replays WrapRaw's contract straight off the raw
-  // records, so the parser must sit at the raw entry and the entry schema
-  // must be the single "raw" string column.
+Status InputParser::Fuse(fusion::PlanBuilder* plan) {
+  // The parser reads the raw records themselves, so it must sit at the
+  // raw entry and the entry schema must be the single "raw" string column.
   const Schema& entry = plan->entry_schema();
   if (plan->repr() != fusion::PlanBuilder::Repr::kRaw ||
       entry.num_fields() != 1 || entry.field(0).type != ValueType::kString) {
     return Status::FailedPrecondition(
-        "input_parser fuses only at the raw entry");
+        "input_parser expects raw records (is it the first component?)");
   }
   if (options_.format == Format::kLibSvm) {
     plan->BeginVec(options_.feature_dim);

@@ -6,20 +6,21 @@
 #include <string>
 #include <vector>
 
+#include "src/dataframe/schema.h"
 #include "src/pipeline/component.h"
 
 namespace cdpipe {
 
-/// Parses raw text records (the single-"raw"-column table produced by
-/// `Pipeline::WrapRaw`) into typed data.  Two formats cover the paper's
+/// Parses raw text records (one chunk record each) into typed data; must be
+/// the first component of a pipeline.  Two formats cover the paper's
 /// pipelines:
 ///
 ///  - **LibSvm**: `"<label> <index>:<value> <index>:<value> ..."` — the URL
-///    dataset's representation.  Produces FeatureData directly (labels are
-///    mapped to ±1 for classifiers).  A value spelled `nan` is parsed as a
-///    missing value, to be filled by the MissingValueImputer.
+///    dataset's representation.  Produces vectorized rows directly (labels
+///    are mapped to ±1 for classifiers).  A value spelled `nan` is parsed as
+///    a missing value, to be filled by the MissingValueImputer.
 ///  - **Csv**: delimiter-separated fields parsed against a target schema —
-///    the Taxi dataset's representation.  Produces TableData.
+///    the Taxi dataset's representation.  Produces table rows.
 ///
 /// Malformed records are dropped (and counted) unless `strict` is set, in
 /// which case parsing fails with InvalidArgument.  Dropping is the right
@@ -48,8 +49,7 @@ class InputParser : public PipelineComponent {
     return ComponentKind::kDataTransformation;
   }
 
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Status Fuse(fusion::PlanBuilder* plan) const override;
+  Status Fuse(fusion::PlanBuilder* plan) override;
   std::unique_ptr<PipelineComponent> Clone() const override;
 
   const Options& options() const { return options_; }
@@ -71,27 +71,23 @@ class InputParser : public PipelineComponent {
     std::string_view s;
   };
 
-  /// Per-row libsvm kernel shared by the interpreted batch path and the
-  /// fused block stage (one compiled body, so outputs are bit-identical):
-  /// parses `line` into uncollapsed (index, value) entries plus the
-  /// (possibly binarized) label, using `*tokens` as reusable scratch.
+  /// Per-row libsvm kernel of the parse stage: parses `line` into
+  /// uncollapsed (index, value) entries plus the (possibly binarized)
+  /// label, using `*tokens` as reusable scratch.
   /// Counts a malformed record and returns kMalformed — or InvalidArgument
   /// in strict mode.  Indices are validated against feature_dim.
   Result<RowVerdict> ParseLibSvmRecord(
       std::string_view line, std::vector<std::pair<uint32_t, double>>* entries,
       double* label, std::vector<std::string_view>* tokens) const;
 
-  /// Per-row CSV kernel, same sharing contract: splits `line` on the
-  /// delimiter into `*fields` and parses each against the csv schema into
-  /// `*cells` (which must be presized to the schema's field count).
+  /// Per-row CSV kernel of the parse stage: splits `line` on the delimiter
+  /// into `*fields` and parses each against the csv schema into `*cells`
+  /// (which must be presized to the schema's field count).
   Result<RowVerdict> ParseCsvRecord(std::string_view line,
                                     std::vector<std::string_view>* fields,
                                     std::vector<CsvCell>* cells) const;
 
  private:
-  Result<DataBatch> TransformLibSvm(const TableData& table) const;
-  Result<DataBatch> TransformCsv(const TableData& table) const;
-
   Options options_;
   mutable std::atomic<size_t> malformed_{0};
 };

@@ -6,15 +6,14 @@
 #include <vector>
 
 #include "src/common/string_util.h"
-#include "src/dataframe/column_ops.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
 
 namespace {
 
-/// Fused feature-mode kernel: replaces NaN entries in the vector block in
-/// place.  The parser records which rows contain a NaN (`nan_rows`); the
+/// Feature-mode transform kernel: replaces NaN entries in the vector block
+/// in place.  The parser records which rows contain a NaN (`nan_rows`); the
 /// fill scan touches only those rows, and a block with none — the
 /// overwhelmingly common case — is skipped entirely and counted as a
 /// runtime elision.
@@ -51,20 +50,14 @@ class ImputeVecStage final : public fusion::FusedStage {
   const MissingValueImputer* imputer_;
 };
 
-/// Fused table-mode kernel.  Fill values are snapshotted at plan-compile
-/// time: any statistics change bumps the pipeline state version, which
-/// invalidates the plan, so the snapshot is exactly what the interpreted
-/// path would read.  Columns with no nulls in the block are skipped; a
-/// block where every configured column is clean counts as an elision.
+/// Table-mode transform kernel.  Fill values are read when the block
+/// starts.  Columns with no nulls in the block are skipped; a block where
+/// every configured column is clean counts as an elision.
 class ImputeTableStage final : public fusion::FusedStage {
  public:
-  struct Fill {
-    size_t slot;
-    double value;
-  };
-
-  explicit ImputeTableStage(std::vector<Fill> fills)
-      : fills_(std::move(fills)) {}
+  ImputeTableStage(const MissingValueImputer* imputer,
+                   std::vector<size_t> slots)
+      : imputer_(imputer), slots_(std::move(slots)) {}
 
   const char* label() const override { return "missing_value_imputer"; }
 
@@ -72,13 +65,16 @@ class ImputeTableStage final : public fusion::FusedStage {
     fusion::TableBlock& table = ctx.scratch->table;
     ctx.rows_scanned += table.live_rows;
     bool did_work = false;
-    for (const Fill& fill : fills_) {
-      fusion::BlockColumn& col = table.cols[fill.slot];
+    for (size_t c = 0; c < slots_.size(); ++c) {
+      fusion::BlockColumn& col = table.cols[slots_[c]];
       if (!col.any_null) continue;
       did_work = true;
+      // The fill value is fractional in general, so integer columns widen.
+      const double fill =
+          imputer_->MeanForDimension(static_cast<uint32_t>(c));
       col.PromoteToDouble();
       for (size_t r = 0; r < col.null.size(); ++r) {
-        if (col.null[r]) col.d[r] = fill.value;
+        if (col.null[r]) col.d[r] = fill;
       }
       col.any_null = false;
     }
@@ -87,7 +83,8 @@ class ImputeTableStage final : public fusion::FusedStage {
   }
 
  private:
-  std::vector<Fill> fills_;
+  const MissingValueImputer* imputer_;
+  std::vector<size_t> slots_;
 };
 
 }  // namespace
@@ -95,133 +92,57 @@ class ImputeTableStage final : public fusion::FusedStage {
 MissingValueImputer::MissingValueImputer(Options options)
     : options_(std::move(options)) {}
 
-Status MissingValueImputer::Update(const DataBatch& batch) {
-  if (const auto* features = std::get_if<FeatureData>(&batch)) {
-    for (const SparseVector& x : features->features) {
-      const auto& idx = x.indices();
-      const auto& val = x.values();
-      for (size_t k = 0; k < idx.size(); ++k) {
-        if (std::isnan(val[k])) continue;
-        RunningMean& rm = stats_[idx[k]];
-        rm.count += 1;
-        rm.sum += val[k];
-      }
-    }
-    return Status::OK();
-  }
-  const auto& table = std::get<TableData>(batch);
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(size_t col,
-                            table.schema()->FieldIndex(options_.columns[c]));
-    const Column& column = table.column(col);
-    Result<NumericColumnView> view = NumericColumnView::Of(column, "");
-    if (!view.ok()) {
-      return Status::FailedPrecondition("cannot impute non-numeric column " +
-                                        options_.columns[c]);
-    }
-    RunningMean& rm = stats_[static_cast<uint32_t>(c)];
-    const size_t rows = column.size();
-    if (!column.has_nulls()) {
-      for (size_t r = 0; r < rows; ++r) rm.sum += (*view)[r];
-      rm.count += static_cast<int64_t>(rows);
-    } else {
-      for (size_t r = 0; r < rows; ++r) {
-        if (view->IsNull(r)) continue;
-        rm.count += 1;
-        rm.sum += (*view)[r];
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Result<DataBatch> MissingValueImputer::Transform(const DataBatch& batch) const {
-  if (const auto* features = std::get_if<FeatureData>(&batch)) {
-    FeatureData out = *features;
-    ImputeFeatures(&out);
-    return DataBatch(std::move(out));
-  }
-  TableData out = std::get<TableData>(batch);
-  CDPIPE_RETURN_NOT_OK(ImputeTable(&out));
-  return DataBatch(std::move(out));
-}
-
-Result<DataBatch> MissingValueImputer::TransformOwned(DataBatch&& batch) const {
-  if (auto* features = std::get_if<FeatureData>(&batch)) {
-    ImputeFeatures(features);
-    return std::move(batch);
-  }
-  CDPIPE_RETURN_NOT_OK(ImputeTable(&std::get<TableData>(batch)));
-  return std::move(batch);
-}
-
-Status MissingValueImputer::Fuse(fusion::PlanBuilder* plan) const {
+Status MissingValueImputer::Fuse(fusion::PlanBuilder* plan) {
   using Repr = fusion::PlanBuilder::Repr;
   if (plan->repr() == Repr::kVec) {
+    plan->AddUpdateStage(fusion::MakeStage(
+        "missing_value_imputer.update", [this](fusion::ExecContext& ctx) {
+          const fusion::VecBlock& vec = ctx.scratch->vec;
+          ctx.rows_scanned += vec.num_rows();
+          for (const auto& [index, value] : vec.entries) {
+            if (std::isnan(value)) continue;
+            RunningMean& rm = stats_[index];
+            rm.count += 1;
+            rm.sum += value;
+          }
+          return Status::OK();
+        }));
     plan->AddStage(std::make_unique<ImputeVecStage>(this));
     return Status::OK();
   }
   if (plan->repr() != Repr::kTable) {
     return Status::FailedPrecondition(
-        "imputer fuses only over a table or vectorized block");
+        "missing_value_imputer expects a table or vectorized batch");
   }
-  if (options_.columns.empty()) {
-    plan->AddElidedStage("missing_value_imputer");
-    return Status::OK();
-  }
-  std::vector<ImputeTableStage::Fill> fills;
-  fills.reserve(options_.columns.size());
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    // Unknown or non-numeric columns decline fusion; the interpreted path
-    // owns reporting those errors with full pipeline context.
-    CDPIPE_ASSIGN_OR_RETURN(size_t slot, plan->SlotOf(options_.columns[c]));
+  std::vector<size_t> slots;
+  slots.reserve(options_.columns.size());
+  for (const std::string& column : options_.columns) {
+    CDPIPE_ASSIGN_OR_RETURN(size_t slot, plan->SlotOf(column));
     if (plan->SlotDeclaredType(slot) == ValueType::kString) {
       return Status::FailedPrecondition("cannot impute non-numeric column " +
-                                        options_.columns[c]);
+                                        column);
     }
-    auto it = stats_.find(static_cast<uint32_t>(c));
-    const double fill = it != stats_.end()
-                            ? it->second.Mean(options_.default_value)
-                            : options_.default_value;
-    fills.push_back(ImputeTableStage::Fill{slot, fill});
+    slots.push_back(slot);
   }
-  plan->AddStage(std::make_unique<ImputeTableStage>(std::move(fills)));
-  return Status::OK();
-}
-
-void MissingValueImputer::ImputeFeatures(FeatureData* features) const {
-  for (SparseVector& x : features->features) {
-    x.TransformValues([this](uint32_t index, double value) {
-      return std::isnan(value) ? MeanForDimension(index) : value;
-    });
-  }
-}
-
-Status MissingValueImputer::ImputeTable(TableData* table) const {
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(size_t col,
-                            table->schema()->FieldIndex(options_.columns[c]));
-    auto it = stats_.find(static_cast<uint32_t>(c));
-    const double fill = it != stats_.end()
-                            ? it->second.Mean(options_.default_value)
-                            : options_.default_value;
-    Column& column = table->mutable_column(col);
-    if (!column.has_nulls()) continue;
-    // The fill value is fractional in general, so integer columns widen to
-    // double first (same numeric result as the row path's Value::Double
-    // cells feeding AsDouble downstream).
-    if (column.type() != ValueType::kDouble) {
-      CDPIPE_RETURN_NOT_OK(table->PromoteColumnToDouble(col));
-    }
-    Column& target = table->mutable_column(col);
-    std::vector<double>& cells = target.mutable_doubles();
-    for (size_t r = 0; r < cells.size(); ++r) {
-      if (target.IsNull(r)) {
-        cells[r] = fill;
-        target.ClearNull(r);
-      }
-    }
-    target.DropBitmapIfAllValid();
+  plan->AddUpdateStage(fusion::MakeStage(
+      "missing_value_imputer.update", [this, slots](fusion::ExecContext& ctx) {
+        const fusion::TableBlock& table = ctx.scratch->table;
+        ctx.rows_scanned += table.live_rows;
+        for (size_t c = 0; c < slots.size(); ++c) {
+          const fusion::BlockColumn& col = table.cols[slots[c]];
+          RunningMean& rm = stats_[static_cast<uint32_t>(c)];
+          for (size_t r = 0; r < table.num_rows; ++r) {
+            if (table.keep[r] == 0 || col.IsNull(r)) continue;
+            rm.count += 1;
+            rm.sum += col.NumericAt(r);
+          }
+        }
+        return Status::OK();
+      }));
+  if (slots.empty()) {
+    plan->AddElidedStage("missing_value_imputer");
+  } else {
+    plan->AddStage(std::make_unique<ImputeTableStage>(this, std::move(slots)));
   }
   return Status::OK();
 }
@@ -266,10 +187,13 @@ Status MissingValueImputer::LoadState(Deserializer* in) {
   if (dims.size() != counts.size() || dims.size() != sums.size()) {
     return Status::InvalidArgument("imputer state arrays misaligned");
   }
-  stats_.clear();
+  std::unordered_map<uint32_t, RunningMean> stats;
   for (size_t i = 0; i < dims.size(); ++i) {
-    stats_[dims[i]] = RunningMean{static_cast<int64_t>(counts[i]), sums[i]};
+    CDPIPE_ASSIGN_OR_RETURN(int64_t count,
+                            CountFromDouble(counts[i], "imputer count"));
+    stats[dims[i]] = RunningMean{count, sums[i]};
   }
+  stats_ = std::move(stats);
   return Status::OK();
 }
 

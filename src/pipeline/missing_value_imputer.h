@@ -15,9 +15,9 @@ namespace cdpipe {
 /// for table batches (null cells).
 ///
 /// The mean is an incrementally maintainable statistic, so this component
-/// participates in online statistics computation (§3.1): `Update` folds each
-/// arriving chunk into per-dimension (count, sum) accumulators and
-/// `Transform` reads them without rescanning history.
+/// participates in online statistics computation (§3.1): its update kernel
+/// folds each arriving chunk into per-dimension (count, sum) accumulators
+/// and its transform kernel reads them without rescanning history.
 class MissingValueImputer : public PipelineComponent {
  public:
   struct Options {
@@ -36,15 +36,14 @@ class MissingValueImputer : public PipelineComponent {
   }
   bool is_stateful() const override { return true; }
 
-  Status Update(const DataBatch& batch) override;
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Result<DataBatch> TransformOwned(DataBatch&& batch) const override;
-  Status Fuse(fusion::PlanBuilder* plan) const override;
+  Status Fuse(fusion::PlanBuilder* plan) override;
   void Reset() override;
   std::unique_ptr<PipelineComponent> Clone() const override;
   std::string DescribeState() const override;
   Status SaveState(Serializer* out) const override;
   Status LoadState(Deserializer* in) override;
+
+  const Options& options() const { return options_; }
 
   /// Current imputation value for a feature dimension / column index.
   double MeanForDimension(uint32_t dim) const;
@@ -57,11 +56,6 @@ class MissingValueImputer : public PipelineComponent {
       return count > 0 ? sum / static_cast<double>(count) : fallback;
     }
   };
-
-  /// Shared kernel for Transform/TransformOwned: fills nulls in `*table`
-  /// in place, widening integer columns to double first.
-  Status ImputeTable(TableData* table) const;
-  void ImputeFeatures(FeatureData* features) const;
 
   Options options_;
   /// Feature mode: keyed by feature index.  Table mode: keyed by the index

@@ -8,20 +8,16 @@
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
-#include "src/dataframe/column_ops.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
 
 namespace {
 
-/// Fused vectorizing kernel.  Column slots are compile-resolved; dictionary
-/// lookups stay at runtime through the encoder (the dictionaries are
-/// component state, so any change invalidates the plan holding this
-/// kernel).  Per row the emit order is numeric columns in configured order
-/// then one categorical entry per block, which is strictly ascending — the
-/// same order the interpreted path hands to FromUnsortedInto, where the
-/// sort is a no-op.
+/// Vectorizing transform kernel.  Column slots are compile-resolved;
+/// dictionary lookups happen per cell through the encoder.  Per row the
+/// emit order is numeric columns in configured order then one categorical
+/// entry per block, which is strictly ascending, so rows need no sort.
 class OneHotVecStage final : public fusion::FusedStage {
  public:
   struct CatSlot {
@@ -113,35 +109,6 @@ OneHotEncoder::OneHotEncoder(Options options) : options_(std::move(options)) {
   dictionaries_.resize(options_.categorical_columns.size());
 }
 
-Status OneHotEncoder::Update(const DataBatch& batch) {
-  const auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "one_hot_encoder expects a table batch");
-  }
-  for (size_t c = 0; c < options_.categorical_columns.size(); ++c) {
-    const CategoricalColumn& col = options_.categorical_columns[c];
-    CDPIPE_ASSIGN_OR_RETURN(size_t idx, table->schema()->FieldIndex(col.name));
-    const Column& column = table->column(idx);
-    auto& dict = dictionaries_[c];
-    const size_t rows = column.size();
-    for (size_t r = 0; r < rows; ++r) {
-      if (column.IsNull(r)) continue;
-      if (column.type() != ValueType::kString) {
-        return Status::FailedPrecondition("categorical column " + col.name +
-                                          " must be a string column");
-      }
-      if (dict.size() < col.max_cardinality) {
-        const std::string_view value = column.StringAt(r);
-        if (dict.find(value) == dict.end()) {
-          dict.emplace(std::string(value), static_cast<uint32_t>(dict.size()));
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
-
 uint32_t OneHotEncoder::SlotOf(size_t c, std::string_view value) const {
   const auto& dict = dictionaries_[c];
   auto it = dict.find(value);
@@ -152,84 +119,13 @@ uint32_t OneHotEncoder::SlotOf(size_t c, std::string_view value) const {
   return static_cast<uint32_t>(std::hash<std::string_view>{}(value) % capacity);
 }
 
-Result<DataBatch> OneHotEncoder::Transform(const DataBatch& batch) const {
-  const auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "one_hot_encoder expects a table batch");
-  }
-  // Resolve all column positions once per batch.
-  std::vector<const Column*> numeric_cols(options_.numeric_columns.size());
-  std::vector<NumericColumnView> numeric_views;
-  numeric_views.reserve(options_.numeric_columns.size());
-  for (size_t i = 0; i < options_.numeric_columns.size(); ++i) {
-    CDPIPE_ASSIGN_OR_RETURN(
-        size_t idx, table->schema()->FieldIndex(options_.numeric_columns[i]));
-    numeric_cols[i] = &table->column(idx);
-    CDPIPE_ASSIGN_OR_RETURN(
-        NumericColumnView view,
-        NumericColumnView::Of(*numeric_cols[i], options_.numeric_columns[i]));
-    numeric_views.push_back(view);
-  }
-  std::vector<const Column*> cat_cols(options_.categorical_columns.size());
-  for (size_t c = 0; c < options_.categorical_columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(
-        size_t idx,
-        table->schema()->FieldIndex(options_.categorical_columns[c].name));
-    cat_cols[c] = &table->column(idx);
-  }
-  CDPIPE_ASSIGN_OR_RETURN(size_t label_idx,
-                          table->schema()->FieldIndex(options_.label_column));
-  CDPIPE_ASSIGN_OR_RETURN(
-      NumericColumnView labels,
-      NumericColumnView::Of(table->column(label_idx), options_.label_column));
-
-  const size_t num_rows = table->num_rows();
-  FeatureData out;
-  out.dim = output_dim_;
-  out.features.reserve(num_rows);
-  out.labels.reserve(num_rows);
-  std::vector<std::pair<uint32_t, double>> entries;
-  entries.reserve(numeric_views.size() + cat_cols.size());
-  for (size_t r = 0; r < num_rows; ++r) {
-    if (labels.IsNull(r)) {
-      return Status::FailedPrecondition("cannot widen null to double: " +
-                                        options_.label_column);
-    }
-    const double label = labels[r];
-    entries.clear();
-    for (size_t i = 0; i < numeric_views.size(); ++i) {
-      if (numeric_views[i].IsNull(r)) continue;  // treated as 0 (impute upstream)
-      const double d = numeric_views[i][r];
-      if (d != 0.0) entries.emplace_back(static_cast<uint32_t>(i), d);
-    }
-    for (size_t c = 0; c < cat_cols.size(); ++c) {
-      const Column& column = *cat_cols[c];
-      if (column.IsNull(r)) continue;
-      if (column.type() != ValueType::kString) {
-        return Status::FailedPrecondition(
-            "categorical column " + options_.categorical_columns[c].name +
-            " must be a string column");
-      }
-      entries.emplace_back(block_offsets_[c] + SlotOf(c, column.StringAt(r)),
-                           1.0);
-    }
-    out.features.push_back(
-        SparseVector::FromUnsortedInto(output_dim_, &entries));
-    out.labels.push_back(label);
-  }
-  return DataBatch(std::move(out));
-}
-
-Status OneHotEncoder::Fuse(fusion::PlanBuilder* plan) const {
+Status OneHotEncoder::Fuse(fusion::PlanBuilder* plan) {
   if (plan->repr() != fusion::PlanBuilder::Repr::kTable) {
     return Status::FailedPrecondition("one_hot_encoder expects a table batch");
   }
   std::vector<size_t> numeric;
   numeric.reserve(options_.numeric_columns.size());
   for (const std::string& column : options_.numeric_columns) {
-    // Unknown or string columns decline fusion; the interpreted path owns
-    // reporting those errors with full pipeline context.
     CDPIPE_ASSIGN_OR_RETURN(size_t slot, plan->SlotOf(column));
     if (plan->SlotDeclaredType(slot) == ValueType::kString) {
       return Status::FailedPrecondition("cannot encode non-numeric column " +
@@ -251,6 +147,32 @@ Status OneHotEncoder::Fuse(fusion::PlanBuilder* plan) const {
     return Status::FailedPrecondition("cannot encode non-numeric column " +
                                       options_.label_column);
   }
+  std::vector<size_t> cat_slots;
+  for (const OneHotVecStage::CatSlot& cat : cats) cat_slots.push_back(cat.slot);
+  plan->AddUpdateStage(fusion::MakeStage(
+      "one_hot_encoder.update", [this, cat_slots](fusion::ExecContext& ctx) {
+        const fusion::TableBlock& table = ctx.scratch->table;
+        ctx.rows_scanned += table.live_rows;
+        for (size_t c = 0; c < cat_slots.size(); ++c) {
+          const CategoricalColumn& spec = options_.categorical_columns[c];
+          const fusion::BlockColumn& col = table.cols[cat_slots[c]];
+          Dictionary& dict = dictionaries_[c];
+          for (size_t r = 0; r < table.num_rows; ++r) {
+            if (table.keep[r] == 0 || col.IsNull(r)) continue;
+            if (col.type != ValueType::kString) {
+              return Status::FailedPrecondition(
+                  "categorical column " + spec.name +
+                  " must be a string column");
+            }
+            if (dict.size() < spec.max_cardinality &&
+                dict.find(col.s[r]) == dict.end()) {
+              dict.emplace(std::string(col.s[r]),
+                           static_cast<uint32_t>(dict.size()));
+            }
+          }
+        }
+        return Status::OK();
+      }));
   plan->AddStage(std::make_unique<OneHotVecStage>(
       this, std::move(numeric), std::move(cats), label_slot,
       options_.label_column, output_dim_));
@@ -294,16 +216,42 @@ Status OneHotEncoder::LoadState(Deserializer* in) {
     return Status::InvalidArgument(
         "one-hot checkpoint has a different number of categorical columns");
   }
-  for (auto& dict : dictionaries_) {
-    dict.clear();
+  // Slots index into the fixed-size one-hot block, so a restored dictionary
+  // must be a permutation of [0, size) with size within capacity; anything
+  // else would emit feature indices outside the column's block.
+  std::vector<Dictionary> dictionaries(dictionaries_.size());
+  for (size_t c = 0; c < dictionaries.size(); ++c) {
+    const CategoricalColumn& spec = options_.categorical_columns[c];
     CDPIPE_ASSIGN_OR_RETURN(int64_t size, in->ReadInt("onehot.dict_size"));
+    if (size < 0 || size > static_cast<int64_t>(spec.max_cardinality)) {
+      return Status::InvalidArgument(StrFormat(
+          "one-hot dictionary for %s has %lld entries, capacity is %u",
+          spec.name.c_str(), static_cast<long long>(size),
+          spec.max_cardinality));
+    }
+    std::vector<uint8_t> used(static_cast<size_t>(size), 0);
     for (int64_t i = 0; i < size; ++i) {
       CDPIPE_ASSIGN_OR_RETURN(std::string value,
                               in->ReadString("onehot.value"));
       CDPIPE_ASSIGN_OR_RETURN(int64_t slot, in->ReadInt("onehot.slot"));
-      dict.emplace(std::move(value), static_cast<uint32_t>(slot));
+      if (slot < 0 || slot >= size) {
+        return Status::InvalidArgument(StrFormat(
+            "one-hot slot %lld for %s is outside [0, %lld)",
+            static_cast<long long>(slot), spec.name.c_str(),
+            static_cast<long long>(size)));
+      }
+      if (used[static_cast<size_t>(slot)] != 0 ||
+          !dictionaries[c]
+               .emplace(std::move(value), static_cast<uint32_t>(slot))
+               .second) {
+        return Status::InvalidArgument(
+            "one-hot dictionary for " + spec.name +
+            " repeats a slot or a value");
+      }
+      used[static_cast<size_t>(slot)] = 1;
     }
   }
+  dictionaries_ = std::move(dictionaries);
   return Status::OK();
 }
 

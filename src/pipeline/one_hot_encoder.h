@@ -47,9 +47,7 @@ class OneHotEncoder : public PipelineComponent {
   }
   bool is_stateful() const override { return true; }
 
-  Status Update(const DataBatch& batch) override;
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Status Fuse(fusion::PlanBuilder* plan) const override;
+  Status Fuse(fusion::PlanBuilder* plan) override;
   void Reset() override;
   std::unique_ptr<PipelineComponent> Clone() const override;
   std::string DescribeState() const override;
@@ -63,10 +61,9 @@ class OneHotEncoder : public PipelineComponent {
 
   /// Index of `value` within column c's block: dictionary slot when known,
   /// hashed slot when the value is unknown or the dictionary is full.
-  /// Public because the fused kernel resolves slots through the same
-  /// lookup (dictionaries are state, so the plan holding the kernel is
-  /// invalidated whenever they change).
   uint32_t SlotOf(size_t c, std::string_view value) const;
+
+  const Options& options() const { return options_; }
 
  private:
   /// Transparent hash so arena-backed `string_view` cells can probe the

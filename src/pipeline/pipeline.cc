@@ -1,22 +1,13 @@
 #include "src/pipeline/pipeline.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <utility>
 
-#include "src/common/stopwatch.h"
 #include "src/engine/execution_engine.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace cdpipe {
 namespace {
-
-obs::Histogram* ComponentHistogram(const std::string& component_name) {
-  return obs::MetricsRegistry::Global().GetHistogram(
-      "pipeline.component." + component_name + ".transform_seconds");
-}
 
 /// Rows per transform shard / maximum shard fan-out for the parallel pure
 /// path.  As with the gradient shards in linear_model.cc, the shard count
@@ -38,49 +29,12 @@ const std::shared_ptr<const Schema>& RawSchema() {
   return kRawSchema;
 }
 
-/// CDPIPE_EXEC_MODE overrides the execution mode at every call site:
-/// "interpreted" is the kill switch for the fused path, "fused" forces even
-/// the serial Transform overload through the fused plan (CI runs the fault
-/// suite this way).  Read once; unrecognized values are ignored.
-enum class ExecModeOverride { kNone, kInterpreted, kFused };
-
-ExecModeOverride GetExecModeOverride() {
-  static const ExecModeOverride kOverride = [] {
-    const char* env = std::getenv("CDPIPE_EXEC_MODE");
-    if (env == nullptr) return ExecModeOverride::kNone;
-    if (std::strcmp(env, "interpreted") == 0) {
-      return ExecModeOverride::kInterpreted;
-    }
-    if (std::strcmp(env, "fused") == 0) return ExecModeOverride::kFused;
-    return ExecModeOverride::kNone;
-  }();
-  return kOverride;
-}
-
-/// The pipeline contract: the final batch must be vectorized features.
-Result<FeatureData> FinishBatch(DataBatch batch, const std::string& context) {
-  if (auto* features = std::get_if<FeatureData>(&batch)) {
-    CDPIPE_RETURN_NOT_OK(features->Validate());
-    return std::move(*features);
-  }
-  return Status::FailedPrecondition(
-      "pipeline did not end in a vectorizing component (" + context +
-      " produced a table batch); append a FeatureHasher, OneHotEncoder, or "
-      "VectorAssembler");
-}
-
-void CountScan(size_t* rows_scanned, const DataBatch& batch) {
-  if (rows_scanned != nullptr) *rows_scanned += BatchNumRows(batch);
-}
-
 struct ShardOutput {
   FeatureData features;
   size_t scanned = 0;
 };
 
 /// Fixed-order merge: concatenates shard outputs in ascending shard order.
-/// Shared by the interpreted and fused sharded paths so both produce the
-/// exact same concatenation.
 Result<FeatureData> MergeShardOutputs(std::vector<ShardOutput> shards,
                                       size_t* rows_scanned) {
   FeatureData merged;
@@ -114,91 +68,54 @@ Status Pipeline::AddComponent(std::unique_ptr<PipelineComponent> component) {
         "' keeps statistics that cannot be computed incrementally; the "
         "platform does not support such components (paper, section 3.1)");
   }
-  component_histograms_.push_back(ComponentHistogram(component->name()));
-  component_names_.push_back(component->name());
   components_.push_back(std::move(component));
-  // Structure changed: any cached plan is for a different pipeline.
   state_version_.fetch_add(1, std::memory_order_acq_rel);
+  // Structure changed: any cached plan is for a different pipeline.
+  plan_cache_->Clear();
   return Status::OK();
 }
 
-TableData Pipeline::WrapRaw(const RawChunk& chunk) {
-  Column raw(ValueType::kString);
-  for (const std::string& record : chunk.records) {
-    raw.AppendBorrowedString(record);
+Result<std::shared_ptr<const fusion::FusedPlan>> Pipeline::Plan() const {
+  if (plan_cache_ == nullptr) {
+    return Status::FailedPrecondition("pipeline was moved from");
   }
-  std::vector<Column> columns;
-  columns.push_back(std::move(raw));
-  return std::move(TableData::Make(RawSchema(), std::move(columns)))
-      .ValueOrDie();
+  return plan_cache_->GetOrCompile(components_, *RawSchema());
 }
 
-std::vector<Pipeline::StageRef> Pipeline::TransformStages() const {
-  std::vector<StageRef> stages;
-  stages.reserve(components_.size());
-  for (size_t i = 0; i < components_.size(); ++i) {
-    stages.push_back(StageRef{components_[i].get(), component_histograms_[i],
-                              component_names_[i].c_str()});
-  }
-  return stages;
+Result<FeatureData> Pipeline::ExecuteSerial(const fusion::FusedPlan& plan,
+                                            const RawChunk& chunk,
+                                            size_t* rows_scanned,
+                                            bool update) const {
+  FeatureData out;
+  fusion::ScratchLease lease(scratch_pool_.get());
+  CDPIPE_RETURN_NOT_OK(plan.Execute(chunk.records, 0, chunk.records.size(),
+                                    lease.get(), &out, rows_scanned, update));
+  return out;
 }
 
 Result<FeatureData> Pipeline::UpdateAndTransform(const RawChunk& chunk,
                                                  size_t* rows_scanned) {
-  // Invalidate cached fused plans before the first statistic moves.
+  // Advance the version before the first statistic moves.
   state_version_.fetch_add(1, std::memory_order_acq_rel);
-  const std::vector<StageRef> stages = TransformStages();
-  DataBatch batch = WrapRaw(chunk);
-  for (const StageRef& stage : stages) {
-    CDPIPE_TRACE_SPAN(stage.name, "pipeline");
-    Stopwatch watch;
-    if (stage.component->is_stateful()) {
-      CountScan(rows_scanned, batch);  // the statistics-update scan
-      CDPIPE_RETURN_NOT_OK(stage.component->Update(batch));
-    }
-    CountScan(rows_scanned, batch);  // the transform scan
-    CDPIPE_ASSIGN_OR_RETURN(batch,
-                            stage.component->TransformOwned(std::move(batch)));
-    stage.histogram->Observe(watch.ElapsedSeconds());
-  }
-  return FinishBatch(std::move(batch), ToString());
+  CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const fusion::FusedPlan> plan,
+                          Plan());
+  // One block: every update kernel must see the whole chunk before the
+  // transform kernel after it runs, so the online path never shards.
+  return ExecuteSerial(*plan, chunk, rows_scanned, /*update=*/true);
 }
 
-Result<FeatureData> Pipeline::RunTransform(const std::vector<StageRef>& stages,
-                                           DataBatch batch,
-                                           size_t* rows_scanned) const {
-  for (const StageRef& stage : stages) {
-    CDPIPE_TRACE_SPAN(stage.name, "pipeline");
-    Stopwatch watch;
-    CountScan(rows_scanned, batch);
-    CDPIPE_ASSIGN_OR_RETURN(batch,
-                            stage.component->TransformOwned(std::move(batch)));
-    stage.histogram->Observe(watch.ElapsedSeconds());
-  }
-  return FinishBatch(std::move(batch), ToString());
-}
-
-std::shared_ptr<const fusion::FusedPlan> Pipeline::FusedPlanForTransform()
-    const {
-  if (plan_cache_ == nullptr) return nullptr;  // moved-from shell
-  return plan_cache_->GetOrCompile(components_, *RawSchema(),
-                                   state_version());
-}
-
-Result<FeatureData> Pipeline::TransformFused(const RawChunk& chunk,
-                                             ExecutionEngine* engine,
-                                             const fusion::FusedPlan& plan,
-                                             size_t* rows_scanned) const {
-  CDPIPE_TRACE_SPAN("pipeline.fused_transform", "pipeline");
+Result<FeatureData> Pipeline::Transform(const RawChunk& chunk,
+                                        ExecutionEngine* engine,
+                                        size_t* rows_scanned) const {
+  CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const fusion::FusedPlan> plan,
+                          Plan());
   const size_t rows = chunk.records.size();
   const size_t num_shards = NumTransformShards(rows);
   if (engine == nullptr || engine->num_threads() <= 1 || num_shards <= 1) {
-    FeatureData out;
-    fusion::ScratchLease lease(scratch_pool_.get());
-    CDPIPE_RETURN_NOT_OK(plan.Execute(chunk.records, 0, rows, lease.get(),
-                                      &out, rows_scanned));
-    return out;
+    return ExecuteSerial(*plan, chunk, rows_scanned, /*update=*/false);
   }
+  // Shard boundaries depend on the row count only: the first `remainder`
+  // shards take one extra row.
   const size_t base = rows / num_shards;
   const size_t remainder = rows % num_shards;
   std::vector<ShardOutput> shards(num_shards);
@@ -210,109 +127,40 @@ Result<FeatureData> Pipeline::TransformFused(const RawChunk& chunk,
         out.scanned = 0;  // overwritten wholesale: the task is
         out.features = FeatureData{};  // retry-idempotent
         fusion::ScratchLease lease(scratch_pool_.get());
-        return plan.Execute(chunk.records, begin, end, lease.get(),
-                            &out.features, &out.scanned);
-      }));
-  return MergeShardOutputs(std::move(shards), rows_scanned);
-}
-
-Result<FeatureData> Pipeline::Transform(const RawChunk& chunk,
-                                        size_t* rows_scanned) const {
-  if (GetExecModeOverride() == ExecModeOverride::kFused) {
-    if (std::shared_ptr<const fusion::FusedPlan> plan =
-            FusedPlanForTransform()) {
-      return TransformFused(chunk, nullptr, *plan, rows_scanned);
-    }
-  }
-  return RunTransform(TransformStages(), WrapRaw(chunk), rows_scanned);
-}
-
-Result<FeatureData> Pipeline::Transform(const RawChunk& chunk,
-                                        ExecutionEngine* engine,
-                                        size_t* rows_scanned,
-                                        ExecMode mode) const {
-  switch (GetExecModeOverride()) {
-    case ExecModeOverride::kInterpreted:
-      mode = ExecMode::kInterpreted;
-      break;
-    case ExecModeOverride::kFused:
-      mode = ExecMode::kFused;
-      break;
-    case ExecModeOverride::kNone:
-      break;
-  }
-  if (mode == ExecMode::kFused) {
-    if (std::shared_ptr<const fusion::FusedPlan> plan =
-            FusedPlanForTransform()) {
-      return TransformFused(chunk, engine, *plan, rows_scanned);
-    }
-  }
-  const size_t rows = chunk.records.size();
-  const size_t num_shards = NumTransformShards(rows);
-  const std::vector<StageRef> stages = TransformStages();
-  if (engine == nullptr || engine->num_threads() <= 1 || num_shards <= 1) {
-    return RunTransform(stages, WrapRaw(chunk), rows_scanned);
-  }
-  // Shard boundaries depend on the row count only: the first `remainder`
-  // shards take one extra row.
-  const size_t base = rows / num_shards;
-  const size_t remainder = rows % num_shards;
-  std::vector<ShardOutput> shards(num_shards);
-  CDPIPE_RETURN_NOT_OK(
-      engine->ParallelFor(num_shards, [&](size_t s) -> Status {
-        const size_t begin = s * base + std::min(s, remainder);
-        const size_t end = begin + base + (s < remainder ? 1 : 0);
-        Column raw(ValueType::kString);
-        for (size_t r = begin; r < end; ++r) {
-          raw.AppendBorrowedString(chunk.records[r]);
-        }
-        std::vector<Column> columns;
-        columns.push_back(std::move(raw));
-        CDPIPE_ASSIGN_OR_RETURN(
-            TableData table, TableData::Make(RawSchema(), std::move(columns)));
-        ShardOutput& out = shards[s];
-        out.scanned = 0;  // overwritten wholesale: the task is retry-idempotent
-        CDPIPE_ASSIGN_OR_RETURN(
-            out.features,
-            RunTransform(stages, DataBatch(std::move(table)), &out.scanned));
-        return Status::OK();
+        return plan->Execute(chunk.records, begin, end, lease.get(),
+                             &out.features, &out.scanned);
       }));
   return MergeShardOutputs(std::move(shards), rows_scanned);
 }
 
 Result<FeatureData> Pipeline::TransformRecomputingStatistics(
     const RawChunk& chunk, size_t* rows_scanned) const {
-  const std::vector<StageRef> stages = TransformStages();
-  DataBatch batch = WrapRaw(chunk);
-  for (const StageRef& stage : stages) {
-    CDPIPE_TRACE_SPAN(stage.name, "pipeline");
-    Stopwatch watch;
-    if (stage.component->is_stateful()) {
-      // Without online statistics computation the platform has to rescan the
-      // chunk to rebuild the component's statistics before transforming.
-      std::unique_ptr<PipelineComponent> scratch = stage.component->Clone();
-      scratch->Reset();
-      CountScan(rows_scanned, batch);  // the recomputation scan
-      CDPIPE_RETURN_NOT_OK(scratch->Update(batch));
-      CountScan(rows_scanned, batch);
-      CDPIPE_ASSIGN_OR_RETURN(batch,
-                              scratch->TransformOwned(std::move(batch)));
+  // Without online statistics computation the platform rescans the chunk
+  // to rebuild each stateful component's statistics before transforming.
+  // The plan is bound to fresh clones of the stateful components (the
+  // deployed statistics stay untouched) and to the deployed stateless ones
+  // (their dropped / malformed counters keep counting), then run online.
+  std::vector<std::unique_ptr<PipelineComponent>> scratch;
+  std::vector<PipelineComponent*> bound;
+  bound.reserve(components_.size());
+  for (const auto& component : components_) {
+    if (component->is_stateful()) {
+      scratch.push_back(component->Clone());
+      scratch.back()->Reset();
+      bound.push_back(scratch.back().get());
     } else {
-      CountScan(rows_scanned, batch);
-      CDPIPE_ASSIGN_OR_RETURN(batch,
-                              stage.component->TransformOwned(std::move(batch)));
+      bound.push_back(component.get());
     }
-    stage.histogram->Observe(watch.ElapsedSeconds());
   }
-  return FinishBatch(std::move(batch), ToString());
+  CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const fusion::FusedPlan> plan,
+                          fusion::FusedPlan::Compile(bound, *RawSchema()));
+  return ExecuteSerial(*plan, chunk, rows_scanned, /*update=*/true);
 }
 
 std::unique_ptr<Pipeline> Pipeline::Clone() const {
   auto out = std::make_unique<Pipeline>();
-  for (size_t i = 0; i < components_.size(); ++i) {
-    out->component_histograms_.push_back(component_histograms_[i]);
-    out->component_names_.push_back(component_names_[i]);
-    out->components_.push_back(components_[i]->Clone());
+  for (const auto& component : components_) {
+    out->components_.push_back(component->Clone());
   }
   return out;
 }
@@ -333,8 +181,8 @@ Status Pipeline::SaveState(Serializer* out) const {
 }
 
 Status Pipeline::LoadState(Deserializer* in) {
-  // Invalidate cached fused plans before any component statistic is
-  // replaced (a partially applied load must not reuse old plans either).
+  // Advance the version before any component statistic is replaced (a
+  // partially applied load must not pass for the previous state either).
   state_version_.fetch_add(1, std::memory_order_acq_rel);
   CDPIPE_ASSIGN_OR_RETURN(int64_t count,
                           in->ReadInt("pipeline.num_components"));

@@ -16,28 +16,6 @@ namespace cdpipe {
 
 class ExecutionEngine;
 
-namespace obs {
-class Histogram;
-}  // namespace obs
-
-/// How the pure transform path executes the component chain.
-///
-///  - `kInterpreted`: the classic loop — every component's batch kernel in
-///    sequence, materializing a TableData/FeatureData between stages.
-///  - `kFused`: a per-schema compiled block plan (src/pipeline/fusion) that
-///    chains column kernels through per-thread scratch without intermediate
-///    materialization.  Output is bit-identical to kInterpreted; pipelines
-///    containing components that do not implement `Fuse` silently fall back
-///    to the interpreted loop.
-///
-/// The CDPIPE_EXEC_MODE environment variable (read once) overrides every
-/// call site: "interpreted" is the kill switch, "fused" additionally routes
-/// the serial Transform overload through the fused plan.
-enum class ExecMode {
-  kInterpreted,
-  kFused,
-};
-
 /// An ordered sequence of pipeline components ending in a vectorizing stage,
 /// i.e. the full preprocessing part of a deployed ML pipeline.  The model is
 /// deliberately *not* part of this class — it is attached by the
@@ -45,11 +23,12 @@ enum class ExecMode {
 /// touching preprocessing.
 ///
 /// The pipeline owns its components.  Statistics live inside the components;
-/// the two entry points mirror the paper's two data paths:
+/// the two entry points mirror the paper's two data paths, and both run the
+/// same compiled block plan (src/pipeline/fusion/fusion.h):
 ///
 ///  - `UpdateAndTransform` — the online path for arriving training chunks:
-///    every component first folds the batch into its statistics, then
-///    transforms it (online statistics computation, §3.1).
+///    every component first folds its input block into its statistics,
+///    then transforms it (online statistics computation, §3.1).
 ///  - `Transform` — the pure path for prediction queries and for
 ///    re-materializing evicted feature chunks (§3.2): statistics are only
 ///    read, never written, so replayed historical data cannot skew them.
@@ -63,16 +42,12 @@ class Pipeline {
   // plan cache and scratch pool move by pointer.
   Pipeline(Pipeline&& other) noexcept
       : components_(std::move(other.components_)),
-        component_histograms_(std::move(other.component_histograms_)),
-        component_names_(std::move(other.component_names_)),
         state_version_(
             other.state_version_.load(std::memory_order_relaxed)),
         plan_cache_(std::move(other.plan_cache_)),
         scratch_pool_(std::move(other.scratch_pool_)) {}
   Pipeline& operator=(Pipeline&& other) noexcept {
     components_ = std::move(other.components_);
-    component_histograms_ = std::move(other.component_histograms_);
-    component_names_ = std::move(other.component_names_);
     state_version_.store(other.state_version_.load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
     plan_cache_ = std::move(other.plan_cache_);
@@ -88,41 +63,24 @@ class Pipeline {
   size_t num_components() const { return components_.size(); }
   const PipelineComponent& component(size_t i) const { return *components_[i]; }
 
-  /// Wraps a raw chunk into the pipeline's entry representation: a table
-  /// with a single string column named "raw".  The table BORROWS every
-  /// record (zero-copy string views), so it is only valid while `chunk` is
-  /// alive and unmodified; the parser copies whatever it keeps.
-  static TableData WrapRaw(const RawChunk& chunk);
-  /// Borrowing from a temporary would dangle immediately.
-  static TableData WrapRaw(RawChunk&&) = delete;
-
-  /// Online path: Update then Transform through every component.  Output
-  /// must be FeatureData (the pipeline must end in a vectorizing stage).
-  /// `rows_scanned`, when non-null, accumulates the number of (row ×
-  /// component) scans performed, for cost accounting.  Always interpreted:
-  /// statistics mutate mid-chain, so no fused plan can be valid, and this
-  /// call advances the statistics version that invalidates cached plans.
+  /// Online path: every component's update kernel then transform kernel,
+  /// over the whole chunk as one block.  Output is FeatureData (the
+  /// pipeline must end in a vectorizing stage).  `rows_scanned`, when
+  /// non-null, accumulates the number of (row × component) scans performed,
+  /// for cost accounting: two per stateful component, one otherwise.
   Result<FeatureData> UpdateAndTransform(const RawChunk& chunk,
                                          size_t* rows_scanned = nullptr);
 
-  /// Pure path: Transform only.  Used for prediction queries and dynamic
-  /// re-materialization.
+  /// Pure path: transform kernels only.  Used for prediction queries and
+  /// dynamic re-materialization.  With a multi-threaded `engine` the chunk
+  /// is split into row-range shards whose count is a function of the row
+  /// count ONLY (mirroring the sharded gradient path in linear_model.cc),
+  /// and the per-shard outputs are concatenated in shard order — the result
+  /// is bit-identical to the serial call for any engine thread count.  Must
+  /// not be called from inside an engine task (the pool does not nest).
   Result<FeatureData> Transform(const RawChunk& chunk,
+                                ExecutionEngine* engine = nullptr,
                                 size_t* rows_scanned = nullptr) const;
-
-  /// Pure path, parallelized across row ranges of `chunk` on `engine`.
-  /// Statistics are frozen on this path and every component transforms rows
-  /// independently, so the chunk is split into shards whose count is a
-  /// function of the row count ONLY (mirroring the sharded gradient path in
-  /// linear_model.cc) and the per-shard outputs are concatenated in shard
-  /// order — the result is bit-identical to the serial overload for any
-  /// engine thread count AND either execution mode.  Must not be called
-  /// from inside an engine task (the pool does not nest).  Falls back to
-  /// the serial overload for small chunks or a single-threaded engine, and
-  /// to the interpreted loop when the pipeline cannot be fused.
-  Result<FeatureData> Transform(const RawChunk& chunk, ExecutionEngine* engine,
-                                size_t* rows_scanned = nullptr,
-                                ExecMode mode = ExecMode::kFused) const;
 
   /// The NoOptimization baseline (§5.4): processes the chunk as if online
   /// statistics computation did not exist — each stateful component's
@@ -147,57 +105,26 @@ class Pipeline {
   Status LoadState(Deserializer* in);
 
   /// Statistics version: advanced before anything that may mutate component
-  /// state (online updates, reset, checkpoint restore).  Fused plans are
-  /// compiled against a version and never reused across a bump, so a plan
-  /// can never apply stale statistics.
+  /// state (online updates, reset, checkpoint restore).  Snapshot
+  /// publishers compare it to decide whether a frozen copy is still exact.
   uint64_t state_version() const {
     return state_version_.load(std::memory_order_acquire);
   }
 
-  /// Fused-plan cache introspection (tests, reports).  Never null on a
-  /// live pipeline.
+  /// Plan-cache introspection (tests, reports).  Never null on a live
+  /// pipeline.
   const fusion::PlanCache* plan_cache() const { return plan_cache_.get(); }
 
  private:
-  /// One interpreted stage with dispatch pre-resolved: the component, its
-  /// latency histogram, and its display name materialized once per
-  /// Transform call instead of once per component per shard.
-  struct StageRef {
-    PipelineComponent* component;
-    obs::Histogram* histogram;
-    const char* name;
-  };
+  /// The compiled plan for this pipeline's structure (cached).
+  Result<std::shared_ptr<const fusion::FusedPlan>> Plan() const;
 
-  /// Pre-resolves per-stage dispatch for one (possibly sharded) call.  The
-  /// borrowed name pointers stay valid for the duration of the call.
-  std::vector<StageRef> TransformStages() const;
-
-  /// Statistics-frozen transform of an already-wrapped batch: drives every
-  /// component through TransformOwned.  Shared by the serial and sharded
-  /// pure paths.
-  Result<FeatureData> RunTransform(const std::vector<StageRef>& stages,
-                                   DataBatch batch,
-                                   size_t* rows_scanned) const;
-
-  /// The fused plan for the current statistics version, or nullptr when
-  /// the pipeline cannot be fused (then callers use the interpreted loop).
-  std::shared_ptr<const fusion::FusedPlan> FusedPlanForTransform() const;
-
-  /// Executes a compiled plan over the chunk, serial or engine-sharded with
-  /// the same shard function and merge order as the interpreted path.
-  Result<FeatureData> TransformFused(const RawChunk& chunk,
-                                     ExecutionEngine* engine,
-                                     const fusion::FusedPlan& plan,
-                                     size_t* rows_scanned) const;
+  /// Runs `plan` over the whole chunk as one block.
+  Result<FeatureData> ExecuteSerial(const fusion::FusedPlan& plan,
+                                    const RawChunk& chunk,
+                                    size_t* rows_scanned, bool update) const;
 
   std::vector<std::unique_ptr<PipelineComponent>> components_;
-  /// Parallel to components_: per-component transform-latency histograms
-  /// ("pipeline.component.<Name>.transform_seconds") in the global metrics
-  /// registry.  Components of the same name share one histogram.
-  std::vector<obs::Histogram*> component_histograms_;
-  /// Parallel to components_: names materialized once at AddComponent time
-  /// so per-call stage resolution never re-allocates them.
-  std::vector<std::string> component_names_;
   std::atomic<uint64_t> state_version_{0};
   std::unique_ptr<fusion::PlanCache> plan_cache_ =
       std::make_unique<fusion::PlanCache>();

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/common/string_util.h"
-#include "src/dataframe/column_ops.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
@@ -15,11 +14,10 @@ namespace {
 
 constexpr double kMinStdDev = StandardScaler::kMinStdDev;
 
-/// Fused feature-mode kernel.  The (mean, σ) memo lives in the per-thread
-/// scratch, keyed by (scaler, plan serial): it persists across blocks for
-/// the lifetime of one plan — statistics changes recompile the plan with a
-/// fresh serial, which invalidates it.  Arithmetic is exactly the
-/// interpreted path's, so outputs are bit-identical.
+/// Feature-mode transform kernel.  σ (and the mean, when subtracted) per
+/// key is memoized in the per-thread scratch for the scaler's current
+/// statistics serial, so each key costs one lookup + sqrt per statistics
+/// state rather than one per entry.
 class ScaleVecStage final : public fusion::FusedStage {
  public:
   ScaleVecStage(const StandardScaler* scaler, bool with_mean)
@@ -30,52 +28,47 @@ class ScaleVecStage final : public fusion::FusedStage {
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::VecBlock& vec = ctx.scratch->vec;
     ctx.rows_scanned += vec.num_rows();
+    if (!scaler_->has_moments()) {
+      ++ctx.stages_elided;
+      return Status::OK();
+    }
     const uint32_t dim = vec.dim;
-    if (dim <= (1u << 20)) {
-      fusion::StatsMemo& memo = ctx.scratch->scaler_memo;
-      if (!with_mean_) {
-        // σ-only memo: 8 bytes per dimension keeps the random lookups
-        // L1-resident at typical hashed dims (σ alone decides the scale
-        // when the mean is not subtracted).
-        if (!memo.MatchesSd(scaler_, ctx.plan_serial, dim)) {
-          memo.owner = scaler_;
-          memo.plan_serial = ctx.plan_serial;
-          memo.entries.clear();
-          memo.sd.assign(dim, -1.0);
-        }
-        for (auto& entry : vec.entries) {
-          double sd = memo.sd[entry.first];
-          if (sd < 0.0) {
-            sd = scaler_->StdDevOf(entry.first);
-            memo.sd[entry.first] = sd;
-          }
-          if (sd > kMinStdDev) entry.second = entry.second / sd;
-        }
-        return Status::OK();
-      }
-      if (!memo.Matches(scaler_, ctx.plan_serial, dim)) {
-        memo.owner = scaler_;
-        memo.plan_serial = ctx.plan_serial;
-        memo.sd.clear();
-        memo.entries.assign(dim, fusion::StatsMemo::Entry{});
-      }
+    if (dim > (1u << 20)) {
       for (auto& entry : vec.entries) {
-        fusion::StatsMemo::Entry& m = memo.entries[entry.first];
-        if (!m.seen) {
-          m.seen = 1;
-          m.mean = scaler_->MeanOf(entry.first);
-          m.sd = scaler_->StdDevOf(entry.first);
-        }
-        const double centered = entry.second - m.mean;
-        entry.second = m.sd > kMinStdDev ? centered / m.sd : centered;
+        const double sd = scaler_->StdDevOf(entry.first);
+        const double centered =
+            with_mean_ ? entry.second - scaler_->MeanOf(entry.first)
+                       : entry.second;
+        entry.second = sd > kMinStdDev ? centered / sd : centered;
       }
       return Status::OK();
     }
+    fusion::StatsMemo& memo = ctx.scratch->scaler_memo;
+    memo.Bind(scaler_->stats_serial(), dim);
+    if (!with_mean_) {
+      // σ alone decides the scale: 8 bytes per key keeps the random
+      // lookups cache-resident at typical hashed dims.
+      for (auto& entry : vec.entries) {
+        double sd = memo.sd[entry.first];
+        if (sd == fusion::StatsMemo::kUnfilled) {
+          sd = scaler_->StdDevOf(entry.first);
+          memo.sd[entry.first] = sd;
+          memo.filled.push_back(entry.first);
+        }
+        if (sd > kMinStdDev) entry.second = entry.second / sd;
+      }
+      return Status::OK();
+    }
+    if (memo.mean.size() != dim) memo.mean.resize(dim);
     for (auto& entry : vec.entries) {
-      const double sd = scaler_->StdDevOf(entry.first);
-      const double centered =
-          with_mean_ ? entry.second - scaler_->MeanOf(entry.first)
-                     : entry.second;
+      double sd = memo.sd[entry.first];
+      if (sd == fusion::StatsMemo::kUnfilled) {
+        sd = scaler_->StdDevOf(entry.first);
+        memo.sd[entry.first] = sd;
+        memo.mean[entry.first] = scaler_->MeanOf(entry.first);
+        memo.filled.push_back(entry.first);
+      }
+      const double centered = entry.second - memo.mean[entry.first];
       entry.second = sd > kMinStdDev ? centered / sd : centered;
     }
     return Status::OK();
@@ -86,48 +79,59 @@ class ScaleVecStage final : public fusion::FusedStage {
   bool with_mean_;
 };
 
-/// Fused table-mode kernel.  (mean, σ) per configured column are
-/// snapshotted at plan-compile time — valid for the plan's lifetime by the
-/// same invalidation argument as above.  Division stays per-cell and dead
-/// (filtered) rows are scaled harmlessly: their cells are never read.
+/// Table-mode transform kernel: (x - μ) / σ per configured column.  μ and
+/// σ per column are memoized for the scaler's statistics serial, as in the
+/// feature-mode kernel (blocks are as small as a 60-row chunk, where the
+/// map lookups behind MeanOf/StdDevOf would be a visible share).  Division
+/// stays per-cell and dead (filtered) rows are scaled harmlessly: their
+/// cells are never read.
 class ScaleTableStage final : public fusion::FusedStage {
  public:
-  struct ColScale {
-    size_t slot;
-    double mean;
-    double sd;
-  };
-
-  explicit ScaleTableStage(std::vector<ColScale> cols)
-      : cols_(std::move(cols)) {}
+  ScaleTableStage(const StandardScaler* scaler, std::vector<size_t> slots)
+      : scaler_(scaler), slots_(std::move(slots)) {}
 
   const char* label() const override { return "standard_scaler"; }
 
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::TableBlock& table = ctx.scratch->table;
     ctx.rows_scanned += table.live_rows;
-    for (const ColScale& cs : cols_) {
-      fusion::BlockColumn& col = table.cols[cs.slot];
+    if (!scaler_->has_moments()) {
+      ++ctx.stages_elided;
+      return Status::OK();
+    }
+    fusion::StatsMemo& memo = ctx.scratch->scaler_memo;
+    memo.Bind(scaler_->stats_serial(), slots_.size());
+    if (memo.mean.size() != slots_.size()) memo.mean.resize(slots_.size());
+    for (size_t c = 0; c < slots_.size(); ++c) {
+      if (memo.sd[c] == fusion::StatsMemo::kUnfilled) {
+        const uint32_t key = static_cast<uint32_t>(c);
+        memo.sd[c] = scaler_->StdDevOf(key);
+        memo.mean[c] = scaler_->MeanOf(key);
+        memo.filled.push_back(key);
+      }
+      const double mean = memo.mean[c];
+      const double sd = memo.sd[c];
+      fusion::BlockColumn& col = table.cols[slots_[c]];
       col.PromoteToDouble();
       const size_t rows = col.d.size();
-      if (cs.sd > kMinStdDev) {
+      if (sd > kMinStdDev) {
         if (!col.any_null) {
           for (size_t r = 0; r < rows; ++r) {
-            col.d[r] = (col.d[r] - cs.mean) / cs.sd;
+            col.d[r] = (col.d[r] - mean) / sd;
           }
         } else {
           for (size_t r = 0; r < rows; ++r) {
             if (col.null[r]) continue;
-            col.d[r] = (col.d[r] - cs.mean) / cs.sd;
+            col.d[r] = (col.d[r] - mean) / sd;
           }
         }
       } else {
         if (!col.any_null) {
-          for (size_t r = 0; r < rows; ++r) col.d[r] = col.d[r] - cs.mean;
+          for (size_t r = 0; r < rows; ++r) col.d[r] = col.d[r] - mean;
         } else {
           for (size_t r = 0; r < rows; ++r) {
             if (col.null[r]) continue;
-            col.d[r] = col.d[r] - cs.mean;
+            col.d[r] = col.d[r] - mean;
           }
         }
       }
@@ -136,63 +140,15 @@ class ScaleTableStage final : public fusion::FusedStage {
   }
 
  private:
-  std::vector<ColScale> cols_;
+  const StandardScaler* scaler_;
+  std::vector<size_t> slots_;
 };
 
 }  // namespace
 
 StandardScaler::StandardScaler(Options options)
-    : options_(std::move(options)) {}
-
-Status StandardScaler::Update(const DataBatch& batch) {
-  if (const auto* features = std::get_if<FeatureData>(&batch)) {
-    total_rows_ += static_cast<int64_t>(features->num_rows());
-    for (const SparseVector& x : features->features) {
-      const auto& idx = x.indices();
-      const auto& val = x.values();
-      for (size_t k = 0; k < idx.size(); ++k) {
-        if (std::isnan(val[k])) continue;  // imputation happens upstream
-        Moments& m = stats_[idx[k]];
-        m.sum += val[k];
-        m.sum_squares += val[k] * val[k];
-      }
-    }
-    return Status::OK();
-  }
-  const auto& table = std::get<TableData>(batch);
-  table_mode_seen_ = true;
-  total_rows_ += static_cast<int64_t>(table.num_rows());
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(size_t col,
-                            table.schema()->FieldIndex(options_.columns[c]));
-    const Column& column = table.column(col);
-    Result<NumericColumnView> view = NumericColumnView::Of(column, "");
-    if (!view.ok()) {
-      return Status::FailedPrecondition("cannot scale non-numeric column " +
-                                        options_.columns[c]);
-    }
-    Moments& m = stats_[static_cast<uint32_t>(c)];
-    int64_t& count = column_counts_[static_cast<uint32_t>(c)];
-    const size_t rows = column.size();
-    if (!column.has_nulls()) {
-      for (size_t r = 0; r < rows; ++r) {
-        const double d = (*view)[r];
-        m.sum += d;
-        m.sum_squares += d * d;
-      }
-      count += static_cast<int64_t>(rows);
-    } else {
-      for (size_t r = 0; r < rows; ++r) {
-        if (view->IsNull(r)) continue;
-        const double d = (*view)[r];
-        m.sum += d;
-        m.sum_squares += d * d;
-        ++count;
-      }
-    }
-  }
-  return Status::OK();
-}
+    : options_(std::move(options)),
+      stats_serial_(fusion::NextStatsSerial()) {}
 
 double StandardScaler::MeanOf(uint32_t key) const {
   auto it = stats_.find(key);
@@ -225,138 +181,65 @@ double StandardScaler::StdDevOf(uint32_t key) const {
   return std::sqrt(VarianceOf(key));
 }
 
-Result<DataBatch> StandardScaler::Transform(const DataBatch& batch) const {
-  if (const auto* features = std::get_if<FeatureData>(&batch)) {
-    FeatureData out = *features;
-    ScaleFeatures(&out);
-    return DataBatch(std::move(out));
-  }
-  TableData out = std::get<TableData>(batch);
-  CDPIPE_RETURN_NOT_OK(ScaleTable(&out));
-  return DataBatch(std::move(out));
-}
-
-Result<DataBatch> StandardScaler::TransformOwned(DataBatch&& batch) const {
-  if (auto* features = std::get_if<FeatureData>(&batch)) {
-    ScaleFeatures(features);
-    return std::move(batch);
-  }
-  CDPIPE_RETURN_NOT_OK(ScaleTable(&std::get<TableData>(batch)));
-  return std::move(batch);
-}
-
-Status StandardScaler::Fuse(fusion::PlanBuilder* plan) const {
+Status StandardScaler::Fuse(fusion::PlanBuilder* plan) {
   using Repr = fusion::PlanBuilder::Repr;
-  // With no moments accumulated yet, MeanOf/StdDevOf return 0.0 for every
-  // key: centered = x - 0.0 ≡ x bitwise (including -0.0 and NaN) and σ=0
-  // skips the division, so the whole stage is an identity and is elided.
-  // (In table mode the interpreted path still widens integer columns to
-  // double; downstream fused stages read cells numerically, so the final
-  // feature output is unaffected.)
   if (plan->repr() == Repr::kVec) {
-    if (stats_.empty()) {
-      plan->AddElidedStage("standard_scaler");
-    } else {
-      plan->AddStage(std::make_unique<ScaleVecStage>(this, options_.with_mean));
-    }
+    plan->AddUpdateStage(fusion::MakeStage(
+        "standard_scaler.update", [this](fusion::ExecContext& ctx) {
+          const fusion::VecBlock& vec = ctx.scratch->vec;
+          ctx.rows_scanned += vec.num_rows();
+          total_rows_ += static_cast<int64_t>(vec.num_rows());
+          for (const auto& [index, value] : vec.entries) {
+            if (std::isnan(value)) continue;  // imputation happens upstream
+            Moments& m = stats_[index];
+            m.sum += value;
+            m.sum_squares += value * value;
+          }
+          stats_serial_ = fusion::NextStatsSerial();
+          return Status::OK();
+        }));
+    plan->AddStage(std::make_unique<ScaleVecStage>(this, options_.with_mean));
     return Status::OK();
   }
   if (plan->repr() != Repr::kTable) {
     return Status::FailedPrecondition(
-        "scaler fuses only over a table or vectorized block");
+        "standard_scaler expects a table or vectorized batch");
   }
-  if (options_.columns.empty() || stats_.empty()) {
-    plan->AddElidedStage("standard_scaler");
-    return Status::OK();
-  }
-  std::vector<ScaleTableStage::ColScale> cols;
-  cols.reserve(options_.columns.size());
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    // Unknown or non-numeric columns decline fusion; the interpreted path
-    // owns reporting those errors with full pipeline context.
-    CDPIPE_ASSIGN_OR_RETURN(size_t slot, plan->SlotOf(options_.columns[c]));
+  std::vector<size_t> slots;
+  slots.reserve(options_.columns.size());
+  for (const std::string& column : options_.columns) {
+    CDPIPE_ASSIGN_OR_RETURN(size_t slot, plan->SlotOf(column));
     if (plan->SlotDeclaredType(slot) == ValueType::kString) {
       return Status::FailedPrecondition("cannot scale non-numeric column " +
-                                        options_.columns[c]);
+                                        column);
     }
-    const uint32_t key = static_cast<uint32_t>(c);
-    cols.push_back(ScaleTableStage::ColScale{slot, MeanOf(key), StdDevOf(key)});
+    slots.push_back(slot);
   }
-  plan->AddStage(std::make_unique<ScaleTableStage>(std::move(cols)));
-  return Status::OK();
-}
-
-void StandardScaler::ScaleFeatures(FeatureData* features) const {
-  const uint32_t dim = features->dim;
-  size_t total_nnz = 0;
-  for (const SparseVector& x : features->features) total_nnz += x.nnz();
-  // Per-batch memo of (mean, stddev) per feature index: indices repeat
-  // heavily across rows, and the per-value map lookups plus sqrt dominate
-  // the scaling cost.  The per-value arithmetic is unchanged, so outputs
-  // are bit-identical to the unmemoized path.
-  if (dim <= (1u << 20) && total_nnz >= dim / 16) {
-    std::vector<uint8_t> seen(dim, 0);
-    std::unique_ptr<double[]> mean(new double[dim]);
-    std::unique_ptr<double[]> sd(new double[dim]);
-    for (SparseVector& x : features->features) {
-      x.TransformValues([&](uint32_t index, double value) {
-        if (!seen[index]) {
-          seen[index] = 1;
-          mean[index] = options_.with_mean ? MeanOf(index) : 0.0;
-          sd[index] = StdDevOf(index);
+  plan->AddUpdateStage(fusion::MakeStage(
+      "standard_scaler.update", [this, slots](fusion::ExecContext& ctx) {
+        const fusion::TableBlock& table = ctx.scratch->table;
+        ctx.rows_scanned += table.live_rows;
+        table_mode_seen_ = true;
+        total_rows_ += static_cast<int64_t>(table.live_rows);
+        for (size_t c = 0; c < slots.size(); ++c) {
+          const fusion::BlockColumn& col = table.cols[slots[c]];
+          Moments& m = stats_[static_cast<uint32_t>(c)];
+          int64_t& count = column_counts_[static_cast<uint32_t>(c)];
+          for (size_t r = 0; r < table.num_rows; ++r) {
+            if (table.keep[r] == 0 || col.IsNull(r)) continue;
+            const double d = col.NumericAt(r);
+            m.sum += d;
+            m.sum_squares += d * d;
+            ++count;
+          }
         }
-        const double centered =
-            options_.with_mean ? value - mean[index] : value;
-        return sd[index] > kMinStdDev ? centered / sd[index] : centered;
-      });
-    }
-    return;
-  }
-  for (SparseVector& x : features->features) {
-    x.TransformValues([this](uint32_t index, double value) {
-      const double sd = StdDevOf(index);
-      const double centered = options_.with_mean ? value - MeanOf(index) : value;
-      return sd > kMinStdDev ? centered / sd : centered;
-    });
-  }
-}
-
-Status StandardScaler::ScaleTable(TableData* table) const {
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(size_t col,
-                            table->schema()->FieldIndex(options_.columns[c]));
-    const uint32_t key = static_cast<uint32_t>(c);
-    const double mean = MeanOf(key);
-    const double sd = StdDevOf(key);
-    // Scaled cells are fractional, so integer columns widen to double —
-    // the same static_cast the row path applied through Value::AsDouble.
-    if (table->column(col).type() != ValueType::kDouble) {
-      CDPIPE_RETURN_NOT_OK(table->PromoteColumnToDouble(col));
-    }
-    Column& column = table->mutable_column(col);
-    std::vector<double>& cells = column.mutable_doubles();
-    const size_t rows = cells.size();
-    // Division is kept per-cell ((d - mean) / sd, not a precomputed
-    // reciprocal) so results are bit-identical to the row path.
-    if (sd > kMinStdDev) {
-      if (!column.has_nulls()) {
-        for (size_t r = 0; r < rows; ++r) cells[r] = (cells[r] - mean) / sd;
-      } else {
-        for (size_t r = 0; r < rows; ++r) {
-          if (column.IsNull(r)) continue;
-          cells[r] = (cells[r] - mean) / sd;
-        }
-      }
-    } else {
-      if (!column.has_nulls()) {
-        for (size_t r = 0; r < rows; ++r) cells[r] = cells[r] - mean;
-      } else {
-        for (size_t r = 0; r < rows; ++r) {
-          if (column.IsNull(r)) continue;
-          cells[r] = cells[r] - mean;
-        }
-      }
-    }
+        stats_serial_ = fusion::NextStatsSerial();
+        return Status::OK();
+      }));
+  if (slots.empty()) {
+    plan->AddElidedStage("standard_scaler");
+  } else {
+    plan->AddStage(std::make_unique<ScaleTableStage>(this, std::move(slots)));
   }
   return Status::OK();
 }
@@ -366,6 +249,7 @@ void StandardScaler::Reset() {
   column_counts_.clear();
   total_rows_ = 0;
   table_mode_seen_ = false;
+  stats_serial_ = fusion::NextStatsSerial();
 }
 
 std::unique_ptr<PipelineComponent> StandardScaler::Clone() const {
@@ -405,10 +289,9 @@ Status StandardScaler::SaveState(Serializer* out) const {
 }
 
 Status StandardScaler::LoadState(Deserializer* in) {
-  CDPIPE_ASSIGN_OR_RETURN(total_rows_, in->ReadInt("scaler.total_rows"));
+  CDPIPE_ASSIGN_OR_RETURN(int64_t total_rows, in->ReadInt("scaler.total_rows"));
   CDPIPE_ASSIGN_OR_RETURN(int64_t table_mode,
                           in->ReadInt("scaler.table_mode"));
-  table_mode_seen_ = table_mode != 0;
   CDPIPE_ASSIGN_OR_RETURN(auto keys, in->ReadUint32Vector("scaler.keys"));
   CDPIPE_ASSIGN_OR_RETURN(auto sums, in->ReadDoubleVector("scaler.sums"));
   CDPIPE_ASSIGN_OR_RETURN(auto sum_squares,
@@ -416,15 +299,24 @@ Status StandardScaler::LoadState(Deserializer* in) {
   if (keys.size() != sums.size() || keys.size() != sum_squares.size()) {
     return Status::InvalidArgument("scaler state arrays misaligned");
   }
-  stats_.clear();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    stats_[keys[i]] = Moments{sums[i], sum_squares[i]};
+  if (total_rows < 0) {
+    return Status::InvalidArgument("scaler row count is negative");
   }
   CDPIPE_ASSIGN_OR_RETURN(auto counts, in->ReadPairs("scaler.column_counts"));
-  column_counts_.clear();
-  for (const auto& [key, count] : counts) {
-    column_counts_[key] = static_cast<int64_t>(count);
+  std::unordered_map<uint32_t, Moments> stats;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    stats[keys[i]] = Moments{sums[i], sum_squares[i]};
   }
+  std::unordered_map<uint32_t, int64_t> column_counts;
+  for (const auto& [key, count] : counts) {
+    CDPIPE_ASSIGN_OR_RETURN(column_counts[key],
+                            CountFromDouble(count, "scaler column count"));
+  }
+  total_rows_ = total_rows;
+  table_mode_seen_ = table_mode != 0;
+  stats_ = std::move(stats);
+  column_counts_ = std::move(column_counts);
+  stats_serial_ = fusion::NextStatsSerial();
   return Status::OK();
 }
 

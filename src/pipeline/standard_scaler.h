@@ -14,7 +14,7 @@ namespace cdpipe {
 /// deviation — the paper's canonical example of online statistics
 /// computation (§3.1).
 ///
-/// Two operating modes, chosen by the batch representation:
+/// Two operating modes, chosen by the representation of the scaler's input:
 ///
 ///  - **Feature mode** (sparse vectors): per-dimension moments are
 ///    accumulated counting implicit zeros (sum and sum-of-squares over
@@ -36,7 +36,6 @@ class StandardScaler : public PipelineComponent {
   };
 
   /// Dimensions with σ below this pass through undivided (see class doc).
-  /// Public so the fused block kernel applies the exact same comparison.
   static constexpr double kMinStdDev = 1e-12;
 
   StandardScaler() : StandardScaler(Options()) {}
@@ -48,10 +47,7 @@ class StandardScaler : public PipelineComponent {
   }
   bool is_stateful() const override { return true; }
 
-  Status Update(const DataBatch& batch) override;
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Result<DataBatch> TransformOwned(DataBatch&& batch) const override;
-  Status Fuse(fusion::PlanBuilder* plan) const override;
+  Status Fuse(fusion::PlanBuilder* plan) override;
   void Reset() override;
   std::unique_ptr<PipelineComponent> Clone() const override;
   std::string DescribeState() const override;
@@ -63,6 +59,14 @@ class StandardScaler : public PipelineComponent {
   double MeanOf(uint32_t key) const;
   double StdDevOf(uint32_t key) const;
   int64_t ObservationCount() const { return total_rows_; }
+  /// False until some moment has been accumulated: every key then reads
+  /// mean 0 and σ 0, and the transform is the identity.
+  bool has_moments() const { return !stats_.empty(); }
+  /// Changes with every statistics change (fusion::NextStatsSerial); the
+  /// transform kernel's σ memo is keyed on it.
+  uint64_t stats_serial() const { return stats_serial_; }
+
+  const Options& options() const { return options_; }
 
  private:
   struct Moments {
@@ -72,11 +76,6 @@ class StandardScaler : public PipelineComponent {
 
   double VarianceOf(uint32_t key) const;
 
-  /// Shared kernel for Transform/TransformOwned: scales the configured
-  /// columns of `*table` in place, widening integer columns to double first.
-  Status ScaleTable(TableData* table) const;
-  void ScaleFeatures(FeatureData* features) const;
-
   Options options_;
   /// Total rows seen (feature mode denominators include implicit zeros;
   /// table mode tracks per-column counts separately in `column_counts_`).
@@ -84,6 +83,7 @@ class StandardScaler : public PipelineComponent {
   std::unordered_map<uint32_t, Moments> stats_;
   std::unordered_map<uint32_t, int64_t> column_counts_;
   bool table_mode_seen_ = false;
+  uint64_t stats_serial_;
 };
 
 }  // namespace cdpipe

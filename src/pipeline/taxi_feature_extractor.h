@@ -28,9 +28,8 @@ struct TaxiDerivedRow {
   double log_duration;
 };
 
-/// Computes the derived features for one trip.  Deliberately out-of-line:
-/// the interpreted and fused execution paths both call this single
-/// definition, so the two modes produce bit-identical doubles.
+/// Computes the derived features for one trip (the transform kernel's
+/// per-row arithmetic).
 TaxiDerivedRow DeriveTaxiRow(int64_t pickup_seconds, int64_t dropoff_seconds,
                              double pickup_lat, double pickup_lon,
                              double dropoff_lat, double dropoff_lon);
@@ -72,9 +71,10 @@ class TaxiFeatureExtractor : public PipelineComponent {
     return ComponentKind::kFeatureExtraction;
   }
 
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Status Fuse(fusion::PlanBuilder* plan) const override;
+  Status Fuse(fusion::PlanBuilder* plan) override;
   std::unique_ptr<PipelineComponent> Clone() const override;
+
+  const Options& options() const { return options_; }
 
  private:
   Options options_;

@@ -29,9 +29,10 @@ class VectorAssembler : public PipelineComponent {
     return ComponentKind::kFeatureSelection;
   }
 
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Status Fuse(fusion::PlanBuilder* plan) const override;
+  Status Fuse(fusion::PlanBuilder* plan) override;
   std::unique_ptr<PipelineComponent> Clone() const override;
+
+  const Options& options() const { return options_; }
 
   uint32_t output_dim() const {
     return static_cast<uint32_t>(options_.feature_columns.size()) +

@@ -5,29 +5,20 @@
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
-#include "src/dataframe/column_ops.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
 
 namespace {
 
-/// Fused kernel.  The per-column mean and |x - mean| limit are snapshotted
-/// at plan-compile time: any statistics change bumps the pipeline state
-/// version, which invalidates the plan, so the snapshot is exactly what the
-/// interpreted KeepMask would have computed.  Uncalibrated and constant
-/// columns are dropped from the snapshot at compile (they never vote).
+/// Transform kernel.  The per-column mean and |x - mean| limit are read
+/// when the block starts; uncalibrated and constant columns never vote,
+/// and a block where no column votes counts as an elision.
 class ZScoreTableStage final : public fusion::FusedStage {
  public:
-  struct ColLimit {
-    size_t slot;
-    double mean;
-    double limit;
-  };
-
   ZScoreTableStage(const ZScoreAnomalyDetector* detector,
-                   std::vector<ColLimit> cols)
-      : detector_(detector), cols_(std::move(cols)) {}
+                   std::vector<size_t> slots)
+      : detector_(detector), slots_(std::move(slots)) {}
 
   const char* label() const override { return "zscore_anomaly_detector"; }
 
@@ -35,25 +26,31 @@ class ZScoreTableStage final : public fusion::FusedStage {
     fusion::TableBlock& table = ctx.scratch->table;
     ctx.rows_scanned += table.live_rows;
     size_t dropped = 0;
-    for (const ColLimit& cl : cols_) {
-      const fusion::BlockColumn& col = table.cols[cl.slot];
+    bool voted = false;
+    for (size_t c = 0; c < slots_.size(); ++c) {
+      const double limit = detector_->LimitOf(c);
+      if (limit < 0.0) continue;
+      voted = true;
+      const double mean = detector_->MeanOf(c);
+      const fusion::BlockColumn& col = table.cols[slots_[c]];
       for (size_t r = 0; r < table.num_rows; ++r) {
         if (table.keep[r] == 0) continue;
         if (col.IsNull(r)) continue;  // null never votes to drop
-        if (std::abs(col.NumericAt(r) - cl.mean) > cl.limit) {
+        if (std::abs(col.NumericAt(r) - mean) > limit) {
           table.keep[r] = 0;
           --table.live_rows;
           ++dropped;
         }
       }
     }
+    if (!voted) ++ctx.stages_elided;
     if (dropped > 0) detector_->RecordDropped(dropped);
     return Status::OK();
   }
 
  private:
   const ZScoreAnomalyDetector* detector_;
-  std::vector<ColLimit> cols_;
+  std::vector<size_t> slots_;
 };
 
 }  // namespace
@@ -64,128 +61,45 @@ ZScoreAnomalyDetector::ZScoreAnomalyDetector(Options options)
   CDPIPE_CHECK_GT(options_.threshold, 0.0);
 }
 
-Status ZScoreAnomalyDetector::Update(const DataBatch& batch) {
-  const auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "zscore_anomaly_detector expects a table batch");
-  }
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(size_t col,
-                            table->schema()->FieldIndex(options_.columns[c]));
-    const Column& column = table->column(col);
-    Result<NumericColumnView> view = NumericColumnView::Of(column, "");
-    if (!view.ok()) {
-      return Status::FailedPrecondition(
-          "cannot compute z-scores for non-numeric column " +
-          options_.columns[c]);
-    }
-    Welford& w = stats_[c];
-    const size_t rows = column.size();
-    if (!column.has_nulls()) {
-      for (size_t r = 0; r < rows; ++r) w.Add((*view)[r]);
-    } else {
-      for (size_t r = 0; r < rows; ++r) {
-        if (view->IsNull(r)) continue;
-        w.Add((*view)[r]);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Result<DataBatch> ZScoreAnomalyDetector::Transform(
-    const DataBatch& batch) const {
-  const auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "zscore_anomaly_detector expects a table batch");
-  }
-  CDPIPE_ASSIGN_OR_RETURN(std::vector<uint8_t> keep, KeepMask(*table));
-  size_t kept = 0;
-  for (uint8_t k : keep) kept += k != 0;
-  dropped_.fetch_add(table->num_rows() - kept, std::memory_order_relaxed);
-  if (kept == table->num_rows()) {
-    return DataBatch(*table);
-  }
-  return DataBatch(table->Filter(keep));
-}
-
-Result<DataBatch> ZScoreAnomalyDetector::TransformOwned(
-    DataBatch&& batch) const {
-  auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "zscore_anomaly_detector expects a table batch");
-  }
-  CDPIPE_ASSIGN_OR_RETURN(std::vector<uint8_t> keep, KeepMask(*table));
-  size_t kept = 0;
-  for (uint8_t k : keep) kept += k != 0;
-  dropped_.fetch_add(table->num_rows() - kept, std::memory_order_relaxed);
-  if (kept == table->num_rows()) {
-    return std::move(batch);
-  }
-  return DataBatch(table->Filter(keep));
-}
-
-Status ZScoreAnomalyDetector::Fuse(fusion::PlanBuilder* plan) const {
+Status ZScoreAnomalyDetector::Fuse(fusion::PlanBuilder* plan) {
   if (plan->repr() != fusion::PlanBuilder::Repr::kTable) {
     return Status::FailedPrecondition(
         "zscore_anomaly_detector expects a table batch");
   }
-  std::vector<ZScoreTableStage::ColLimit> cols;
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    // Unknown or string columns decline fusion; the interpreted path owns
-    // reporting those errors with full pipeline context.
-    CDPIPE_ASSIGN_OR_RETURN(size_t slot, plan->SlotOf(options_.columns[c]));
+  std::vector<size_t> slots;
+  slots.reserve(options_.columns.size());
+  for (const std::string& column : options_.columns) {
+    CDPIPE_ASSIGN_OR_RETURN(size_t slot, plan->SlotOf(column));
     if (plan->SlotDeclaredType(slot) == ValueType::kString) {
       return Status::FailedPrecondition(
-          "cannot compute z-scores for non-numeric column " +
-          options_.columns[c]);
+          "cannot compute z-scores for non-numeric column " + column);
     }
-    const Welford& w = stats_[c];
-    if (w.count < options_.min_observations) continue;  // not calibrated
-    const double sd = std::sqrt(w.Variance());
-    if (sd <= 0.0) continue;  // constant column: nothing is anomalous
-    cols.push_back(
-        ZScoreTableStage::ColLimit{slot, w.mean, options_.threshold * sd});
+    slots.push_back(slot);
   }
-  if (cols.empty()) {
-    // No column is calibrated yet: provably a no-op on every row.
-    plan->AddElidedStage("zscore_anomaly_detector");
-    return Status::OK();
-  }
-  plan->AddStage(std::make_unique<ZScoreTableStage>(this, std::move(cols)));
+  plan->AddUpdateStage(fusion::MakeStage(
+      "zscore_anomaly_detector.update",
+      [this, slots](fusion::ExecContext& ctx) {
+        const fusion::TableBlock& table = ctx.scratch->table;
+        ctx.rows_scanned += table.live_rows;
+        for (size_t c = 0; c < slots.size(); ++c) {
+          const fusion::BlockColumn& col = table.cols[slots[c]];
+          for (size_t r = 0; r < table.num_rows; ++r) {
+            if (table.keep[r] == 0 || col.IsNull(r)) continue;
+            stats_[c].Add(col.NumericAt(r));
+          }
+        }
+        return Status::OK();
+      }));
+  plan->AddStage(std::make_unique<ZScoreTableStage>(this, std::move(slots)));
   return Status::OK();
 }
 
-Result<std::vector<uint8_t>> ZScoreAnomalyDetector::KeepMask(
-    const TableData& table) const {
-  std::vector<size_t> column_indices(options_.columns.size());
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(
-        column_indices[c], table.schema()->FieldIndex(options_.columns[c]));
-  }
-  // Column-major anomaly mask: each calibrated column flags its outliers
-  // over the contiguous cells; a row survives when no column flagged it.
-  const size_t num_rows = table.num_rows();
-  std::vector<uint8_t> keep(num_rows, 1);
-  for (size_t c = 0; c < column_indices.size(); ++c) {
-    const Welford& w = stats_[c];
-    if (w.count < options_.min_observations) continue;  // not calibrated
-    const Column& column = table.column(column_indices[c]);
-    CDPIPE_ASSIGN_OR_RETURN(
-        NumericColumnView view,
-        NumericColumnView::Of(column, options_.columns[c]));
-    const double sd = std::sqrt(w.Variance());
-    if (sd <= 0.0) continue;  // constant column: nothing is anomalous
-    const double limit = options_.threshold * sd;
-    for (size_t r = 0; r < num_rows; ++r) {
-      if (view.IsNull(r)) continue;
-      if (std::abs(view[r] - w.mean) > limit) keep[r] = 0;
-    }
-  }
-  return keep;
+double ZScoreAnomalyDetector::LimitOf(size_t column) const {
+  const Welford& w = stats_[column];
+  if (w.count < options_.min_observations) return -1.0;  // not calibrated
+  const double sd = std::sqrt(w.Variance());
+  if (sd <= 0.0) return -1.0;  // constant column: nothing is anomalous
+  return options_.threshold * sd;
 }
 
 void ZScoreAnomalyDetector::Reset() {
@@ -242,11 +156,14 @@ Status ZScoreAnomalyDetector::LoadState(Deserializer* in) {
       m2s.size() != stats_.size()) {
     return Status::InvalidArgument("z-score state arrays misaligned");
   }
-  for (size_t c = 0; c < stats_.size(); ++c) {
-    stats_[c].count = static_cast<int64_t>(counts[c]);
-    stats_[c].mean = means[c];
-    stats_[c].m2 = m2s[c];
+  std::vector<Welford> stats(stats_.size());
+  for (size_t c = 0; c < stats.size(); ++c) {
+    CDPIPE_ASSIGN_OR_RETURN(stats[c].count,
+                            CountFromDouble(counts[c], "z-score count"));
+    stats[c].mean = means[c];
+    stats[c].m2 = m2s[c];
   }
+  stats_ = std::move(stats);
   return Status::OK();
 }
 

@@ -38,10 +38,7 @@ class ZScoreAnomalyDetector : public PipelineComponent {
   }
   bool is_stateful() const override { return true; }
 
-  Status Update(const DataBatch& batch) override;
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Result<DataBatch> TransformOwned(DataBatch&& batch) const override;
-  Status Fuse(fusion::PlanBuilder* plan) const override;
+  Status Fuse(fusion::PlanBuilder* plan) override;
   void Reset() override;
   std::unique_ptr<PipelineComponent> Clone() const override;
   std::string DescribeState() const override;
@@ -56,11 +53,16 @@ class ZScoreAnomalyDetector : public PipelineComponent {
   size_t num_dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }
-  /// Adds to the dropped-row counter.  Fused kernels report their drops
-  /// here so the counter stays in step with the interpreted path.
+  /// Adds to the dropped-row counter (the transform kernel's drops).
   void RecordDropped(size_t n) const {
     dropped_.fetch_add(n, std::memory_order_relaxed);
   }
+  /// The |x - mean| limit beyond which column c votes to drop a row, or a
+  /// negative value while the column does not vote (fewer than
+  /// min_observations values seen, or zero variance).
+  double LimitOf(size_t column) const;
+
+  const Options& options() const { return options_; }
 
  private:
   struct Welford {
@@ -78,10 +80,6 @@ class ZScoreAnomalyDetector : public PipelineComponent {
       return count > 1 ? m2 / static_cast<double>(count) : 0.0;
     }
   };
-
-  /// Column-major outlier mask (1 = keep); shared by Transform and
-  /// TransformOwned.
-  Result<std::vector<uint8_t>> KeepMask(const TableData& table) const;
 
   Options options_;
   std::vector<Welford> stats_;  ///< parallel to options_.columns

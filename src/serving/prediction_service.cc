@@ -206,8 +206,8 @@ Result<PredictionService::Response> PredictionService::ServeOne(
       return Status::Unavailable("serving: no snapshot published yet");
     }
     size_t rows_scanned = 0;
-    Result<FeatureData> features = snapshot->pipeline->Transform(
-        chunk, nullptr, &rows_scanned, options_.exec_mode);
+    Result<FeatureData> features =
+        snapshot->pipeline->Transform(chunk, nullptr, &rows_scanned);
     if (!features.ok()) return features.status();
     Response response;
     response.epoch = snapshot->epoch;

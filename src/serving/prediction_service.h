@@ -51,9 +51,6 @@ class PredictionService {
     /// of the ingest queue's block-with-timeout policy.  Negative = block
     /// until a slot frees (the legacy closed-loop behavior).
     double admission_timeout_seconds = -1.0;
-    /// Execution mode for the snapshot transform (fused and interpreted
-    /// are bit-identical; fused is the production default).
-    ExecMode exec_mode = ExecMode::kFused;
     /// Correlation deployment id stamped on request spans/journal entries.
     uint32_t deployment_id = 0;
   };

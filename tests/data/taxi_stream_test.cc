@@ -6,6 +6,7 @@
 
 #include "src/common/string_util.h"
 #include "src/pipeline/input_parser.h"
+#include "tests/testing/kernel_test_util.h"
 
 namespace cdpipe {
 namespace {
@@ -32,21 +33,21 @@ TEST(TaxiStreamTest, ChunkShapeAndHourlyTimestamps) {
 TEST(TaxiStreamTest, RecordsParseAgainstRawSchema) {
   TaxiStreamGenerator generator(SmallConfig());
   RawChunk chunk = generator.NextChunk();
-  InputParser::Options options;
-  options.format = InputParser::Format::kCsv;
-  options.csv_schema = TaxiRawSchema();
-  options.strict = true;
-  InputParser parser(options);
-  auto result = parser.Transform(Pipeline::WrapRaw(chunk));
+  // Feature i of each row is the i-th assembled column.
+  testing::KernelHarness harness = testing::KernelHarness::Csv(
+      TaxiRawSchema(), nullptr,
+      {"pickup_datetime", "dropoff_datetime", "passenger_count"},
+      "passenger_count");
+  auto result = harness.Transform(chunk.records);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const auto& table = std::get<TableData>(*result);
-  ASSERT_EQ(table.num_rows(), 100u);
+  ASSERT_EQ(result->num_rows(), 100u);
+  EXPECT_EQ(harness.parser().num_malformed(), 0u);
   // Pickup before dropoff for every trip.
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    EXPECT_LE(table.column(0).ints()[r], table.column(1).ints()[r]);
-    const int64_t passengers = table.column(6).ints()[r];
-    EXPECT_GE(passengers, 1);
-    EXPECT_LE(passengers, 6);
+  for (const SparseVector& row : result->features) {
+    EXPECT_LE(row.Get(0), row.Get(1));
+    const double passengers = row.Get(2);
+    EXPECT_GE(passengers, 1.0);
+    EXPECT_LE(passengers, 6.0);
   }
 }
 

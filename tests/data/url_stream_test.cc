@@ -39,11 +39,12 @@ TEST(UrlStreamTest, RecordsParseAsLibSvm) {
   InputParser::Options options;
   options.feature_dim = SmallConfig().feature_dim;
   options.strict = true;  // every generated record must parse
-  InputParser parser(options);
-  RawChunk wrapped = chunk;
-  auto result = parser.Transform(Pipeline::WrapRaw(wrapped));
+  Pipeline pipeline;
+  ASSERT_TRUE(
+      pipeline.AddComponent(std::make_unique<InputParser>(options)).ok());
+  auto result = pipeline.Transform(chunk);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const auto& features = std::get<FeatureData>(*result);
+  const FeatureData& features = *result;
   EXPECT_EQ(features.num_rows(), 50u);
   for (double label : features.labels) {
     EXPECT_TRUE(label == 1.0 || label == -1.0);

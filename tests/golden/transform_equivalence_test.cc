@@ -1,11 +1,10 @@
-// Transform-equivalence suite: the columnar batch path must reproduce the
+// Transform-equivalence suite: the compiled block plan must reproduce the
 // committed goldens — generated by the seed row-at-a-time implementation —
 // bit for bit, on every fixture, for both pipeline entry points
-// (UpdateAndTransform chunk by chunk, then frozen-statistics Transform),
-// for the engine-sharded Transform across thread counts {1, 4}, and for
-// BOTH execution modes: the interpreted loop and the fused per-schema
-// block plan must agree with the goldens (and hence with each other) bit
-// for bit.
+// (UpdateAndTransform chunk by chunk, then frozen-statistics Transform)
+// and for the engine-sharded Transform across thread counts {1, 4}.  The
+// row-at-a-time spec (tests/spec) is held to the same goldens, which makes
+// it the reference the plan is checked against everywhere else.
 //
 // Regenerate the goldens with cdpipe_golden_generator ONLY when a fixture
 // is deliberately changed, never to paper over an output difference.
@@ -20,6 +19,7 @@
 
 #include "src/engine/execution_engine.h"
 #include "tests/golden/golden_pipelines.h"
+#include "tests/spec/pipeline_spec.h"
 
 namespace cdpipe {
 namespace golden {
@@ -104,84 +104,73 @@ TEST_P(TransformEquivalenceTest, MatchesSeedGoldens) {
     }
 
     // Re-materialization path: statistics frozen after the last chunk; the
-    // engine-sharded overload must concatenate shard outputs into exactly
-    // the serial (and seed row-path) result for any thread count.
+    // engine-sharded call must concatenate shard outputs into exactly the
+    // serial (and seed row-path) result for any thread count.
     for (size_t i = 0; i < c.chunks.size(); ++i) {
       FeatureData data =
-          engine == nullptr
-              ? std::move(c.pipeline->Transform(c.chunks[i])).ValueOrDie()
-              : std::move(c.pipeline->Transform(c.chunks[i], engine.get()))
-                    .ValueOrDie();
+          std::move(c.pipeline->Transform(c.chunks[i], engine.get()))
+              .ValueOrDie();
       ExpectFeatureDataBitEqual(golden.frozen[i], data,
                                 c.name + " frozen chunk " + std::to_string(i));
     }
 
-    // Both execution modes, requested explicitly through the mode-aware
-    // overload (engine == nullptr exercises the serial fused path).
-    for (ExecMode mode : {ExecMode::kInterpreted, ExecMode::kFused}) {
-      const std::string mode_name =
-          mode == ExecMode::kFused ? "fused" : "interpreted";
-      for (size_t i = 0; i < c.chunks.size(); ++i) {
-        FeatureData data = std::move(c.pipeline->Transform(
-                                         c.chunks[i], engine.get(),
-                                         /*rows_scanned=*/nullptr, mode))
-                               .ValueOrDie();
-        ExpectFeatureDataBitEqual(golden.frozen[i], data,
-                                  c.name + " " + mode_name + " chunk " +
-                                      std::to_string(i));
-      }
-    }
-    // Every fixture chain is fusable, so the explicit kFused passes above
-    // must have gone through a compiled plan, not a silent fallback.
-    EXPECT_GT(c.pipeline->plan_cache()->compiles(), 0u) << c.name;
+    // One plan, compiled on first use, served the online and pure paths.
+    EXPECT_EQ(c.pipeline->plan_cache()->compiles(), 1u) << c.name;
   }
 }
 
-// Statistics changes mid-stream must invalidate cached plans: a fused
-// Transform after an UpdateAndTransform may not reuse the stale plan, and
-// its output must stay bit-identical to the interpreted loop on the same
-// (new) statistics.
-TEST(PlanInvalidationTest, UpdateMidStreamRecompilesAndStaysBitIdentical) {
+// The row-at-a-time spec reproduces the seed goldens hexfloat-exact on
+// both entry points — the check that makes it a trustworthy reference.
+TEST(SpecGoldenTest, MatchesSeedGoldens) {
   for (GoldenCase& c : AllGoldenCases()) {
     SCOPED_TRACE("case " + c.name);
-    uint64_t compiles_before = 0;
+    const GoldenOutputs golden = ReadGoldenOutputs(c.name, c.chunks.size());
+    spec::SpecPipeline reference =
+        std::move(spec::SpecPipeline::Of(*c.pipeline)).ValueOrDie();
     for (size_t i = 0; i < c.chunks.size(); ++i) {
-      // Fold statistics in (bumps the state version, invalidating any plan
-      // compiled for the previous version)...
+      ExpectFeatureDataBitEqual(
+          golden.online[i],
+          std::move(reference.UpdateAndTransform(c.chunks[i])).ValueOrDie(),
+          c.name + " online chunk " + std::to_string(i));
+    }
+    for (size_t i = 0; i < c.chunks.size(); ++i) {
+      ExpectFeatureDataBitEqual(
+          golden.frozen[i],
+          std::move(reference.Transform(c.chunks[i])).ValueOrDie(),
+          c.name + " frozen chunk " + std::to_string(i));
+    }
+  }
+}
+
+// Plans do not depend on statistics: a Transform after each
+// UpdateAndTransform reuses the one compiled plan, reads the new
+// statistics, and stays bit-identical to the spec on the same statistics.
+TEST(PlanReuseTest, UpdateMidStreamReusesPlanAndStaysBitIdentical) {
+  for (GoldenCase& c : AllGoldenCases()) {
+    SCOPED_TRACE("case " + c.name);
+    spec::SpecPipeline reference =
+        std::move(spec::SpecPipeline::Of(*c.pipeline)).ValueOrDie();
+    for (size_t i = 0; i < c.chunks.size(); ++i) {
       ASSERT_TRUE(c.pipeline->UpdateAndTransform(c.chunks[i]).ok());
-      // ...then transform the same chunk in both modes against the new
-      // statistics.
-      FeatureData interpreted =
-          std::move(c.pipeline->Transform(c.chunks[i], nullptr,
-                                          /*rows_scanned=*/nullptr,
-                                          ExecMode::kInterpreted))
-              .ValueOrDie();
-      FeatureData fused =
-          std::move(c.pipeline->Transform(c.chunks[i], nullptr,
-                                          /*rows_scanned=*/nullptr,
-                                          ExecMode::kFused))
-              .ValueOrDie();
-      ExpectFeatureDataBitEqual(interpreted, fused,
-                                c.name + " after update " + std::to_string(i));
-      const uint64_t compiles = c.pipeline->plan_cache()->compiles();
-      EXPECT_GT(compiles, compiles_before)
-          << c.name << ": stale plan reused after statistics update " << i;
-      compiles_before = compiles;
-      // A second fused call on unchanged statistics must hit the cache.
+      ASSERT_TRUE(reference.UpdateAndTransform(c.chunks[i]).ok());
       const uint64_t hits_before = c.pipeline->plan_cache()->hits();
-      ASSERT_TRUE(c.pipeline
-                      ->Transform(c.chunks[i], nullptr,
-                                  /*rows_scanned=*/nullptr, ExecMode::kFused)
-                      .ok());
+      FeatureData plan =
+          std::move(c.pipeline->Transform(c.chunks[i])).ValueOrDie();
+      ExpectFeatureDataBitEqual(
+          std::move(reference.Transform(c.chunks[i])).ValueOrDie(), plan,
+          c.name + " after update " + std::to_string(i));
       EXPECT_GT(c.pipeline->plan_cache()->hits(), hits_before) << c.name;
+      EXPECT_EQ(c.pipeline->plan_cache()->compiles(), 1u)
+          << c.name << ": statistics update " << i << " forced a recompile";
     }
   }
 }
 
 // The golden fixtures are 150 rows — one shard.  This test runs chunks
 // large enough to split across engine shards (rows/256 shards) and checks
-// the sharded fused path concatenates into exactly the serial interpreted
-// result, on both streaming workloads.
+// that the sharded plan concatenates into exactly the serial result of the
+// row-at-a-time spec (the serial interpreter every path is held to), on
+// both streaming workloads.
 TEST(ShardedFusedEquivalenceTest, MatchesSerialInterpreted) {
   ExecutionEngine engine(4);
   std::vector<GoldenCase> cases;
@@ -214,28 +203,23 @@ TEST(ShardedFusedEquivalenceTest, MatchesSerialInterpreted) {
   }
   for (GoldenCase& c : cases) {
     SCOPED_TRACE("case " + c.name);
-    // Calibrate statistics on the first chunk, then compare modes on both.
+    spec::SpecPipeline reference =
+        std::move(spec::SpecPipeline::Of(*c.pipeline)).ValueOrDie();
+    // Calibrate statistics on the first chunk, then compare on both.
     ASSERT_TRUE(c.pipeline->UpdateAndTransform(c.chunks[0]).ok());
+    ASSERT_TRUE(reference.UpdateAndTransform(c.chunks[0]).ok());
     for (size_t i = 0; i < c.chunks.size(); ++i) {
-      FeatureData interpreted =
-          std::move(c.pipeline->Transform(c.chunks[i], nullptr,
-                                          /*rows_scanned=*/nullptr,
-                                          ExecMode::kInterpreted))
-              .ValueOrDie();
+      const FeatureData expected =
+          std::move(reference.Transform(c.chunks[i])).ValueOrDie();
       for (ExecutionEngine* eng : {static_cast<ExecutionEngine*>(nullptr),
                                    &engine}) {
-        FeatureData fused = std::move(c.pipeline->Transform(
-                                          c.chunks[i], eng,
-                                          /*rows_scanned=*/nullptr,
-                                          ExecMode::kFused))
-                                .ValueOrDie();
         ExpectFeatureDataBitEqual(
-            interpreted, fused,
+            expected,
+            std::move(c.pipeline->Transform(c.chunks[i], eng)).ValueOrDie(),
             c.name + (eng == nullptr ? " serial" : " sharded") + " chunk " +
                 std::to_string(i));
       }
     }
-    EXPECT_GT(c.pipeline->plan_cache()->compiles(), 0u) << c.name;
   }
 }
 

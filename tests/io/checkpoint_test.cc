@@ -13,6 +13,7 @@
 #include "src/io/serialization.h"
 #include "src/ml/prequential.h"
 #include "src/pipeline/one_hot_encoder.h"
+#include "tests/testing/kernel_test_util.h"
 
 namespace cdpipe {
 namespace {
@@ -203,12 +204,9 @@ TEST(OneHotCheckpointTest, DictionaryRoundTrip) {
   auto schema = std::move(Schema::Make({Field{"color", ValueType::kString},
                                         Field{"label", ValueType::kDouble}}))
                     .ValueOrDie();
-  TableData table(schema);
-  for (const char* color : {"red", "green", "blue"}) {
-    ASSERT_TRUE(
-        table.AppendRow({Value::String(color), Value::Double(1.0)}).ok());
-  }
-  ASSERT_TRUE(encoder.Update(DataBatch(table)).ok());
+  const std::vector<std::string> records = {"red,1", "green,1", "blue,1"};
+  ASSERT_TRUE(
+      testing::KernelHarness::Csv(schema, &encoder).Update(records).ok());
 
   std::ostringstream os;
   Serializer out(&os);
@@ -220,13 +218,12 @@ TEST(OneHotCheckpointTest, DictionaryRoundTrip) {
   ASSERT_TRUE(restored.LoadState(&in).ok());
   EXPECT_EQ(restored.CardinalityOf(0), 3u);
 
-  auto a = encoder.Transform(DataBatch(table));
-  auto b = restored.Transform(DataBatch(table));
+  auto a = testing::KernelHarness::Csv(schema, &encoder).Transform(records);
+  auto b = testing::KernelHarness::Csv(schema, &restored).Transform(records);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (size_t r = 0; r < 3; ++r) {
-    EXPECT_TRUE(std::get<FeatureData>(*a).features[r] ==
-                std::get<FeatureData>(*b).features[r]);
+    EXPECT_TRUE(a->features[r] == b->features[r]);
   }
 }
 

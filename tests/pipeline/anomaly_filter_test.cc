@@ -2,89 +2,80 @@
 
 #include <gtest/gtest.h>
 
-#include "tests/testing/table_test_util.h"
+#include "src/common/string_util.h"
+#include "src/pipeline/feature_hasher.h"
+#include "tests/testing/kernel_test_util.h"
 
 namespace cdpipe {
 namespace {
 
-TableData MakeTable(std::vector<double> values) {
-  auto schema =
-      std::move(Schema::Make({Field{"v", ValueType::kDouble}})).ValueOrDie();
-  std::vector<Row> rows;
-  for (double v : values) rows.push_back({Value::Double(v)});
-  return testing::TableFromRows(schema, rows);
+using testing::KernelHarness;
+
+std::shared_ptr<const Schema> VLabelSchema() {
+  return std::move(Schema::Make({Field{"v", ValueType::kDouble},
+                                 Field{"label", ValueType::kDouble}}))
+      .ValueOrDie();
+}
+
+std::vector<std::string> Records(const std::vector<double>& values) {
+  std::vector<std::string> out;
+  for (double v : values) out.push_back(StrFormat("%.17g,0", v));
+  return out;
+}
+
+KernelHarness Harness(AnomalyFilter* filter) {
+  return KernelHarness::Csv(VLabelSchema(), filter, {"v"});
 }
 
 TEST(AnomalyFilterTest, KeepInRangeFilters) {
   auto filter = AnomalyFilter::KeepInRange("v", 0.0, 10.0);
-  auto result = filter->Transform(DataBatch(MakeTable({-1, 0, 5, 10, 11})));
-  ASSERT_TRUE(result.ok());
-  const auto& out = std::get<TableData>(*result);
-  ASSERT_EQ(out.num_rows(), 3u);
-  EXPECT_DOUBLE_EQ(out.ValueAt(0, 0).double_value(), 0.0);
-  EXPECT_DOUBLE_EQ(out.ValueAt(2, 0).double_value(), 10.0);
+  auto result = Harness(filter.get()).Transform(Records({-1, 0, 5, 10, 11}));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->num_rows(), 3u);
+  EXPECT_DOUBLE_EQ(result->features[0].Get(0), 0.0);
+  EXPECT_DOUBLE_EQ(result->features[2].Get(0), 10.0);
   EXPECT_EQ(filter->num_dropped(), 2u);
 }
 
 TEST(AnomalyFilterTest, NullCellsDroppedByRangeFilter) {
   auto filter = AnomalyFilter::KeepInRange("v", 0.0, 10.0);
-  TableData table = MakeTable({5});
-  ASSERT_TRUE(table.AppendRow({Value::Null()}).ok());
-  auto result = filter->Transform(DataBatch(table));
+  auto result = Harness(filter.get()).Transform({"5,0", ",0"});
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<TableData>(*result).num_rows(), 1u);
-}
-
-TEST(AnomalyFilterTest, CustomPredicate) {
-  AnomalyFilter filter(
-      "odd-only",
-      [](const TableData& table, std::vector<uint8_t>* keep) -> Status {
-        for (size_t r = 0; r < table.num_rows(); ++r) {
-          const double v = table.column(0).doubles()[r];
-          (*keep)[r] = static_cast<int64_t>(v) % 2 == 1;
-        }
-        return Status::OK();
-      });
-  auto result = filter.Transform(DataBatch(MakeTable({1, 2, 3, 4, 5})));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<TableData>(*result).num_rows(), 3u);
-  EXPECT_EQ(filter.name(), "anomaly_filter(odd-only)");
-}
-
-TEST(AnomalyFilterTest, PredicateErrorPropagates) {
-  AnomalyFilter filter(
-      "boom", [](const TableData&, std::vector<uint8_t>*) -> Status {
-        return Status::Internal("boom");
-      });
-  EXPECT_FALSE(filter.Transform(DataBatch(MakeTable({1}))).ok());
+  EXPECT_EQ(result->num_rows(), 1u);
 }
 
 TEST(AnomalyFilterTest, MissingColumnErrors) {
   auto filter = AnomalyFilter::KeepInRange("zzz", 0.0, 1.0);
-  EXPECT_FALSE(filter->Transform(DataBatch(MakeTable({1}))).ok());
+  EXPECT_FALSE(Harness(filter.get()).Transform(Records({1})).ok());
 }
 
 TEST(AnomalyFilterTest, RejectsFeatureBatch) {
+  // Placed after a vectorized stage there is no table to filter.
   auto filter = AnomalyFilter::KeepInRange("v", 0.0, 1.0);
-  EXPECT_FALSE(filter->Transform(DataBatch(FeatureData{})).ok());
+  KernelHarness harness = KernelHarness::LibSvm(filter.get(), 8);
+  const Status status = harness.Transform({"1 0:1"}).status();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(AnomalyFilterTest, EmptyTablePassesThrough) {
   auto filter = AnomalyFilter::KeepInRange("v", 0.0, 1.0);
-  auto result = filter->Transform(DataBatch(MakeTable({})));
+  auto result = Harness(filter.get()).Transform({});
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<TableData>(*result).num_rows(), 0u);
+  EXPECT_EQ(result->num_rows(), 0u);
 }
 
 TEST(AnomalyFilterTest, CloneCarriesPredicateAndCounter) {
   auto filter = AnomalyFilter::KeepInRange("v", 0.0, 1.0);
-  ASSERT_TRUE(filter->Transform(DataBatch(MakeTable({5}))).ok());
+  ASSERT_TRUE(Harness(filter.get()).Transform(Records({5})).ok());
   auto clone = filter->Clone();
   auto* cloned = static_cast<AnomalyFilter*>(clone.get());
   EXPECT_EQ(cloned->num_dropped(), 1u);
-  auto result = cloned->Transform(DataBatch(MakeTable({0.5})));
+  EXPECT_EQ(cloned->name(), filter->name());
+  auto result = Harness(cloned).Transform(Records({0.5, 7}));
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<TableData>(*result).num_rows(), 1u);
+  EXPECT_EQ(result->num_rows(), 1u);
+  EXPECT_EQ(cloned->num_dropped(), 2u);
+  EXPECT_EQ(filter->num_dropped(), 1u);
 }
 
 TEST(AnomalyFilterTest, StatelessContract) {

@@ -2,48 +2,65 @@
 
 #include <gtest/gtest.h>
 
-#include "tests/testing/table_test_util.h"
+#include "src/pipeline/fusion/fusion.h"
+#include "tests/testing/kernel_test_util.h"
 
 namespace cdpipe {
 namespace {
 
-TableData MakeTable() {
-  auto schema = std::move(Schema::Make({Field{"a", ValueType::kDouble},
-                                        Field{"b", ValueType::kString},
-                                        Field{"c", ValueType::kInt64}}))
-                    .ValueOrDie();
-  return testing::TableFromRows(
-      schema, {{Value::Double(1.0), Value::String("x"), Value::Int64(7)},
-               {Value::Double(2.0), Value::String("y"), Value::Int64(8)}});
+using testing::KernelHarness;
+
+std::shared_ptr<const Schema> TestSchema() {
+  return std::move(Schema::Make({Field{"a", ValueType::kDouble},
+                                 Field{"b", ValueType::kString},
+                                 Field{"c", ValueType::kInt64}}))
+      .ValueOrDie();
 }
+
+const std::vector<std::string> kRecords = {"1.0,x,7", "2.0,y,8"};
 
 TEST(ColumnProjectorTest, SelectsAndReorders) {
   ColumnProjector projector({"c", "a"});
-  auto result = projector.Transform(DataBatch(MakeTable()));
-  ASSERT_TRUE(result.ok());
-  const auto& out = std::get<TableData>(*result);
-  EXPECT_EQ(out.schema()->num_fields(), 2u);
-  EXPECT_EQ(out.schema()->field(0).name, "c");
-  EXPECT_EQ(out.schema()->field(1).name, "a");
-  EXPECT_EQ(out.ValueAt(0, 0).int64_value(), 7);
-  EXPECT_DOUBLE_EQ(out.ValueAt(1, 1).double_value(), 2.0);
+  // The projection rewires the plan's logical schema...
+  const std::shared_ptr<const Schema> schema = TestSchema();
+  fusion::PlanBuilder builder(*schema);
+  ASSERT_TRUE(builder.BeginTable(schema).ok());
+  ASSERT_TRUE(projector.Fuse(&builder).ok());
+  ASSERT_EQ(builder.schema().num_fields(), 2u);
+  EXPECT_EQ(builder.schema().field(0).name, "c");
+  EXPECT_EQ(builder.schema().field(1).name, "a");
+  // ...and the projected columns carry their values downstream.
+  auto result =
+      KernelHarness::Csv(TestSchema(), &projector, {"c"}, "a").Transform(
+          kRecords);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_DOUBLE_EQ(result->features[0].Get(0), 7.0);
+  EXPECT_DOUBLE_EQ(result->labels[1], 2.0);
 }
 
 TEST(ColumnProjectorTest, MissingColumnErrors) {
   ColumnProjector projector({"nope"});
-  EXPECT_FALSE(projector.Transform(DataBatch(MakeTable())).ok());
+  EXPECT_EQ(KernelHarness::Csv(TestSchema(), &projector, {"a"}, "a")
+                .Transform(kRecords)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 TEST(ColumnProjectorTest, RejectsFeatureBatch) {
   ColumnProjector projector({"a"});
-  EXPECT_FALSE(projector.Transform(DataBatch(FeatureData{})).ok());
+  EXPECT_EQ(
+      KernelHarness::LibSvm(&projector, 4).Transform({"1 0:1"}).status().code(),
+      StatusCode::kFailedPrecondition);
 }
 
 TEST(ColumnProjectorTest, PreservesRowCount) {
-  ColumnProjector projector({"b"});
-  auto result = projector.Transform(DataBatch(MakeTable()));
+  ColumnProjector projector({"a", "b"});
+  auto result =
+      KernelHarness::Csv(TestSchema(), &projector, {"a"}, "a").Transform(
+          kRecords);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<TableData>(*result).num_rows(), 2u);
+  EXPECT_EQ(result->num_rows(), 2u);
 }
 
 TEST(ColumnProjectorTest, ContractAndClone) {
@@ -51,9 +68,15 @@ TEST(ColumnProjectorTest, ContractAndClone) {
   EXPECT_FALSE(projector.is_stateful());
   EXPECT_EQ(projector.kind(), ComponentKind::kFeatureSelection);
   auto clone = projector.Clone();
-  auto result = clone->Transform(DataBatch(MakeTable()));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<TableData>(*result).schema()->num_fields(), 1u);
+  // The clone projects away everything but "a".
+  EXPECT_EQ(KernelHarness::Csv(TestSchema(), clone.get(), {"c"}, "a")
+                .Transform(kRecords)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(KernelHarness::Csv(TestSchema(), clone.get(), {"a"}, "a")
+                  .Transform(kRecords)
+                  .ok());
 }
 
 }  // namespace

@@ -5,18 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/kernel_test_util.h"
+
 namespace cdpipe {
 namespace {
 
-FeatureData MakeFeatures(
-    std::vector<std::vector<std::pair<uint32_t, double>>> rows, uint32_t dim) {
-  FeatureData out;
-  out.dim = dim;
-  for (auto& row : rows) {
-    out.features.push_back(SparseVector::FromUnsorted(dim, std::move(row)));
-    out.labels.push_back(1.0);
-  }
-  return out;
+using testing::KernelHarness;
+
+/// Hashes libsvm `records` (raw feature dim `dim`).
+Result<FeatureData> Hash(FeatureHasher* hasher,
+                         const std::vector<std::string>& records,
+                         uint32_t dim) {
+  return KernelHarness::LibSvm(hasher, dim).Transform(records);
 }
 
 TEST(FeatureHasherTest, OutputDimIsPowerOfTwo) {
@@ -65,10 +65,9 @@ TEST(FeatureHasherTest, TransformPreservesValueMagnitude) {
   options.bits = 12;
   options.signed_hash = false;
   FeatureHasher hasher(options);
-  auto result =
-      hasher.Transform(MakeFeatures({{{123456, 2.5}}}, 1u << 20));
+  auto result = Hash(&hasher, {"1 123456:2.5"}, 1u << 20);
   ASSERT_TRUE(result.ok());
-  const auto& out = std::get<FeatureData>(*result);
+  const FeatureData& out = *result;
   EXPECT_EQ(out.dim, 4096u);
   ASSERT_EQ(out.features[0].nnz(), 1u);
   EXPECT_DOUBLE_EQ(out.features[0].values()[0], 2.5);
@@ -80,9 +79,9 @@ TEST(FeatureHasherTest, SignedHashAppliesSign) {
   options.bits = 12;
   options.signed_hash = true;
   FeatureHasher hasher(options);
-  auto result = hasher.Transform(MakeFeatures({{{77, 2.0}}}, 1000));
+  auto result = Hash(&hasher, {"1 77:2.0"}, 1000);
   ASSERT_TRUE(result.ok());
-  const auto& out = std::get<FeatureData>(*result);
+  const FeatureData& out = *result;
   EXPECT_DOUBLE_EQ(out.features[0].values()[0], 2.0 * hasher.SignOf(77));
 }
 
@@ -91,10 +90,9 @@ TEST(FeatureHasherTest, CollidingIndicesAccumulate) {
   options.bits = 1;  // only 2 buckets: collisions guaranteed
   options.signed_hash = false;
   FeatureHasher hasher(options);
-  auto result = hasher.Transform(
-      MakeFeatures({{{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}}}, 100));
+  auto result = Hash(&hasher, {"1 0:1.0 1:1.0 2:1.0 3:1.0"}, 100);
   ASSERT_TRUE(result.ok());
-  const auto& out = std::get<FeatureData>(*result);
+  const FeatureData& out = *result;
   double total = 0.0;
   for (double v : out.features[0].values()) total += v;
   EXPECT_DOUBLE_EQ(total, 4.0);  // all mass preserved
@@ -103,12 +101,9 @@ TEST(FeatureHasherTest, CollidingIndicesAccumulate) {
 
 TEST(FeatureHasherTest, LabelsPassThrough) {
   FeatureHasher hasher;
-  FeatureData in = MakeFeatures({{{1, 1.0}}, {{2, 1.0}}}, 100);
-  in.labels = {1.0, -1.0};
-  auto result = hasher.Transform(DataBatch(std::move(in)));
+  auto result = Hash(&hasher, {"1 1:1.0", "-1 2:1.0"}, 100);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<FeatureData>(*result).labels,
-            (std::vector<double>{1.0, -1.0}));
+  EXPECT_EQ(result->labels, (std::vector<double>{1.0, -1.0}));
 }
 
 TEST(FeatureHasherTest, BucketsSpreadAcrossRange) {
@@ -122,9 +117,12 @@ TEST(FeatureHasherTest, BucketsSpreadAcrossRange) {
 }
 
 TEST(FeatureHasherTest, RejectsTableBatch) {
+  // Placed right after a CSV parser there are no sparse rows to hash.
   FeatureHasher hasher;
-  TableData table(std::move(Schema::Make({})).ValueOrDie());
-  EXPECT_FALSE(hasher.Transform(DataBatch(table)).ok());
+  auto schema =
+      std::move(Schema::Make({Field{"x", ValueType::kDouble}})).ValueOrDie();
+  EXPECT_EQ(KernelHarness::Csv(schema, &hasher).Transform({"1"}).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(FeatureHasherTest, StatelessContract) {

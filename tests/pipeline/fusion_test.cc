@@ -12,24 +12,24 @@
 #include "src/common/logging.h"
 #include "src/data/taxi_stream.h"
 #include "src/data/url_stream.h"
-#include "src/dataframe/column_ops.h"
 #include "src/io/serialization.h"
 #include "src/obs/metrics.h"
 #include "src/pipeline/anomaly_filter.h"
 #include "src/pipeline/column_projector.h"
+#include "src/pipeline/feature_hasher.h"
 #include "src/pipeline/input_parser.h"
 #include "src/pipeline/pipeline.h"
 #include "src/pipeline/vector_assembler.h"
 #include "src/pipeline/zscore_anomaly_detector.h"
+#include "tests/spec/pipeline_spec.h"
 
-// Unit coverage for the fusion planner itself: plan-cache hit/miss/
-// invalidation accounting, negative caching of unfusable pipelines,
-// compile-time elision, and the cost-accounting / dropped-counter parity
-// between the fused and interpreted execution paths.  Bitwise output
-// equivalence at scale lives in tests/golden/transform_equivalence_test.cc;
-// the CDPIPE_EXEC_MODE override is read once per process, so it is
-// exercised end to end by the CI fault-suite run with the variable set,
-// not here.
+// Unit coverage for the planner itself: plan-cache hit/miss accounting,
+// compile errors, compile-time elision, per-component timing, and the
+// cost-accounting / dropped-counter parity with the interpreted
+// component-at-a-time contract as the row-at-a-time spec (tests/spec)
+// states it.  Bitwise output equivalence at scale lives in
+// tests/golden/transform_equivalence_test.cc and
+// tests/spec/spec_differential_test.cc.
 
 namespace cdpipe {
 namespace {
@@ -46,12 +46,6 @@ std::unique_ptr<Pipeline> SmallUrlPipeline() {
   config.raw_dim = 1000;
   config.hash_bits = 6;
   return MakeUrlPipeline(config);
-}
-
-Result<FeatureData> TransformWith(Pipeline* pipeline, const RawChunk& chunk,
-                                  ExecMode mode) {
-  return pipeline->Transform(chunk, /*engine=*/nullptr,
-                             /*rows_scanned=*/nullptr, mode);
 }
 
 bool BitEqual(const FeatureData& a, const FeatureData& b) {
@@ -98,148 +92,105 @@ TEST(SchemaFingerprintTest, SensitiveToNameTypeAndOrder) {
 TEST(PlanCacheTest, MissCompileThenHit) {
   auto pipeline = SmallUrlPipeline();
   RawChunk chunk = MakeChunk(0, {"+1 3:1.0 17:2.0", "-1 5:0.5 7:1.0"});
-  ASSERT_TRUE(pipeline->UpdateAndTransform(chunk).ok());
-
   const fusion::PlanCache* cache = pipeline->plan_cache();
+  // The online path compiles the plan on first use...
+  ASSERT_TRUE(pipeline->UpdateAndTransform(chunk).ok());
   EXPECT_EQ(cache->hits(), 0u);
-  ASSERT_TRUE(TransformWith(pipeline.get(), chunk, ExecMode::kFused).ok());
   EXPECT_EQ(cache->misses(), 1u);
   EXPECT_EQ(cache->compiles(), 1u);
 
-  // Unchanged statistics: the second fused call reuses the plan.
-  ASSERT_TRUE(TransformWith(pipeline.get(), chunk, ExecMode::kFused).ok());
-  EXPECT_EQ(cache->hits(), 1u);
+  // ...and the pure path reuses it, statistics changes notwithstanding.
+  ASSERT_TRUE(pipeline->Transform(chunk).ok());
+  ASSERT_TRUE(pipeline->UpdateAndTransform(chunk).ok());
+  ASSERT_TRUE(pipeline->Transform(chunk).ok());
+  EXPECT_EQ(cache->hits(), 3u);
   EXPECT_EQ(cache->compiles(), 1u);
-
-  // An interpreted call never consults the cache.
-  ASSERT_TRUE(
-      TransformWith(pipeline.get(), chunk, ExecMode::kInterpreted).ok());
-  EXPECT_EQ(cache->hits(), 1u);
-  EXPECT_EQ(cache->misses(), 1u);
 }
 
-TEST(PlanCacheTest, ResetInvalidatesCachedPlan) {
+TEST(PlanCacheTest, ResetKeepsPlanAndReadsFreshStatistics) {
   auto pipeline = SmallUrlPipeline();
-  RawChunk chunk = MakeChunk(0, {"+1 3:1.0", "-1 5:2.0"});
+  auto fresh = SmallUrlPipeline();
+  RawChunk chunk = MakeChunk(0, {"+1 3:1.0", "-1 5:2.0", "+1 3:nan"});
   ASSERT_TRUE(pipeline->UpdateAndTransform(chunk).ok());
-  ASSERT_TRUE(TransformWith(pipeline.get(), chunk, ExecMode::kFused).ok());
   const uint64_t version_before = pipeline->state_version();
-  const uint64_t compiles_before = pipeline->plan_cache()->compiles();
 
   pipeline->Reset();
   EXPECT_GT(pipeline->state_version(), version_before);
-  ASSERT_TRUE(TransformWith(pipeline.get(), chunk, ExecMode::kFused).ok());
-  EXPECT_GT(pipeline->plan_cache()->compiles(), compiles_before)
-      << "stale plan survived Reset";
+  // Kernels read statistics when a block starts, so the cached plan sees
+  // the reset statistics: the output equals a never-trained pipeline's.
+  FeatureData after = std::move(pipeline->Transform(chunk)).ValueOrDie();
+  EXPECT_TRUE(
+      BitEqual(std::move(fresh->Transform(chunk)).ValueOrDie(), after));
+  EXPECT_EQ(pipeline->plan_cache()->compiles(), 1u);
 }
 
-TEST(PlanCacheTest, LoadStateInvalidatesCachedPlan) {
+TEST(PlanCacheTest, LoadStateKeepsPlanAndReadsRestoredStatistics) {
   auto pipeline = SmallUrlPipeline();
-  RawChunk chunk = MakeChunk(0, {"+1 3:1.0", "-1 5:2.0"});
+  RawChunk chunk = MakeChunk(0, {"+1 3:1.0", "-1 5:2.0", "+1 3:nan"});
   ASSERT_TRUE(pipeline->UpdateAndTransform(chunk).ok());
+  const FeatureData before = std::move(pipeline->Transform(chunk)).ValueOrDie();
 
   std::stringstream state;
   Serializer out(&state);
   ASSERT_TRUE(pipeline->SaveState(&out).ok());
-
-  ASSERT_TRUE(TransformWith(pipeline.get(), chunk, ExecMode::kFused).ok());
-  const uint64_t compiles_before = pipeline->plan_cache()->compiles();
-
-  // Restoring statistics — even identical ones — must recompile: the plan
-  // snapshot cannot be proven equal to the restored state.
+  // Move the statistics on, then restore the saved ones.
+  ASSERT_TRUE(
+      pipeline->UpdateAndTransform(MakeChunk(1, {"+1 3:50", "-1 5:-9"})).ok());
+  ASSERT_FALSE(
+      BitEqual(before, std::move(pipeline->Transform(chunk)).ValueOrDie()));
   Deserializer in(&state);
   ASSERT_TRUE(pipeline->LoadState(&in).ok());
-  FeatureData fused =
-      std::move(TransformWith(pipeline.get(), chunk, ExecMode::kFused))
-          .ValueOrDie();
-  EXPECT_GT(pipeline->plan_cache()->compiles(), compiles_before)
-      << "stale plan survived LoadState";
-  FeatureData interpreted =
-      std::move(TransformWith(pipeline.get(), chunk, ExecMode::kInterpreted))
-          .ValueOrDie();
-  EXPECT_TRUE(BitEqual(interpreted, fused));
+  EXPECT_TRUE(
+      BitEqual(before, std::move(pipeline->Transform(chunk)).ValueOrDie()));
+  EXPECT_EQ(pipeline->plan_cache()->compiles(), 1u);
 }
 
-TEST(PlanCacheTest, UnfusablePipelineIsNegativeCached) {
-  // A custom-predicate AnomalyFilter cannot contribute a block kernel, so
-  // the whole pipeline must fall back to the interpreted loop — once; the
-  // unfusable verdict is cached, not re-derived per chunk.
+TEST(PlanCacheTest, CompileErrorsAreReturnedNotCached) {
+  // A misconfigured component fails the transform with its own status,
+  // on every call — nothing falls back and nothing is cached.
   auto schema = std::move(Schema::Make({Field{"x", ValueType::kDouble},
                                         Field{"label", ValueType::kDouble}}))
                     .ValueOrDie();
-  auto make_pipeline = [&](bool custom_predicate) {
-    auto pipeline = std::make_unique<Pipeline>();
-    InputParser::Options parser;
-    parser.format = InputParser::Format::kCsv;
-    parser.csv_schema = schema;
-    CDPIPE_CHECK(
-        pipeline->AddComponent(std::make_unique<InputParser>(parser)).ok());
-    if (custom_predicate) {
-      CDPIPE_CHECK(pipeline
-                       ->AddComponent(std::make_unique<AnomalyFilter>(
-                           "custom", [](const TableData& table,
-                                        std::vector<uint8_t>* keep) -> Status {
-                             CDPIPE_ASSIGN_OR_RETURN(
-                                 size_t x, table.schema()->FieldIndex("x"));
-                             CDPIPE_ASSIGN_OR_RETURN(
-                                 auto view,
-                                 NumericColumnView::Of(table.column(x),
-                                                       "custom filter"));
-                             for (size_t r = 0; r < table.num_rows(); ++r) {
-                               if ((*keep)[r] != 0 && !view.IsNull(r) &&
-                                   view[r] < 0.0) {
-                                 (*keep)[r] = 0;
-                               }
-                             }
-                             return Status::OK();
-                           }))
-                       .ok());
-    } else {
-      std::vector<AnomalyFilter::Rule> rules;
-      AnomalyFilter::Rule rule;
-      rule.column = "x";
-      rule.min = 0.0;
-      rules.push_back(rule);
-      CDPIPE_CHECK(pipeline
-                       ->AddComponent(std::make_unique<AnomalyFilter>(
-                           "custom", std::move(rules)))
-                       .ok());
-    }
-    VectorAssembler::Options assembler;
-    assembler.feature_columns = {"x"};
-    assembler.label_column = "label";
-    CDPIPE_CHECK(
-        pipeline->AddComponent(std::make_unique<VectorAssembler>(assembler))
-            .ok());
-    return pipeline;
-  };
+  Pipeline pipeline;
+  InputParser::Options parser;
+  parser.format = InputParser::Format::kCsv;
+  parser.csv_schema = schema;
+  ASSERT_TRUE(
+      pipeline.AddComponent(std::make_unique<InputParser>(parser)).ok());
+  ASSERT_TRUE(
+      pipeline.AddComponent(AnomalyFilter::KeepInRange("missing", 0.0, 1.0))
+          .ok());
+  VectorAssembler::Options assembler;
+  assembler.feature_columns = {"x"};
+  assembler.label_column = "label";
+  ASSERT_TRUE(
+      pipeline.AddComponent(std::make_unique<VectorAssembler>(assembler)).ok());
 
-  RawChunk chunk = MakeChunk(0, {"1.5,1.0", "-2.0,0.0", "3.25,1.0"});
-  auto custom = make_pipeline(/*custom_predicate=*/true);
-  auto declarative = make_pipeline(/*custom_predicate=*/false);
+  RawChunk chunk = MakeChunk(0, {"1.5,1.0"});
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(pipeline.Transform(chunk).status().code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(pipeline.UpdateAndTransform(chunk).status().code(),
+              StatusCode::kNotFound);
+  }
+  EXPECT_EQ(pipeline.plan_cache()->compiles(), 0u);
+  EXPECT_EQ(pipeline.plan_cache()->misses(), 4u);
+}
 
-  FeatureData fallback =
-      std::move(TransformWith(custom.get(), chunk, ExecMode::kFused))
-          .ValueOrDie();
-  EXPECT_EQ(custom->plan_cache()->misses(), 1u);
-  EXPECT_EQ(custom->plan_cache()->compiles(), 0u);
-  // Second fused request hits the cached unfusable verdict.
-  ASSERT_TRUE(TransformWith(custom.get(), chunk, ExecMode::kFused).ok());
-  EXPECT_EQ(custom->plan_cache()->hits(), 1u);
-  EXPECT_EQ(custom->plan_cache()->misses(), 1u);
-
-  // The fallback output equals both the interpreted loop and the fused
-  // output of the equivalent declarative-rule pipeline.
-  FeatureData interpreted =
-      std::move(TransformWith(custom.get(), chunk, ExecMode::kInterpreted))
-          .ValueOrDie();
-  FeatureData fused_rules =
-      std::move(TransformWith(declarative.get(), chunk, ExecMode::kFused))
-          .ValueOrDie();
-  EXPECT_EQ(declarative->plan_cache()->compiles(), 1u);
-  EXPECT_TRUE(BitEqual(interpreted, fallback));
-  EXPECT_TRUE(BitEqual(interpreted, fused_rules));
-  EXPECT_EQ(fallback.num_rows(), 2u);
+TEST(PlanCacheTest, AddComponentDropsCachedPlan) {
+  Pipeline pipeline;
+  InputParser::Options parser;
+  parser.feature_dim = 100;
+  ASSERT_TRUE(
+      pipeline.AddComponent(std::make_unique<InputParser>(parser)).ok());
+  RawChunk chunk = MakeChunk(0, {"+1 3:1.0 17:2.0"});
+  EXPECT_EQ(std::move(pipeline.Transform(chunk)).ValueOrDie().dim, 100u);
+  FeatureHasher::Options hasher;
+  hasher.bits = 4;
+  ASSERT_TRUE(
+      pipeline.AddComponent(std::make_unique<FeatureHasher>(hasher)).ok());
+  EXPECT_EQ(std::move(pipeline.Transform(chunk)).ValueOrDie().dim, 16u);
+  EXPECT_EQ(pipeline.plan_cache()->compiles(), 2u);
 }
 
 TEST(FusedPlanTest, CompileElidesProjectionAndExecutes) {
@@ -247,23 +198,22 @@ TEST(FusedPlanTest, CompileElidesProjectionAndExecutes) {
                                         Field{"junk", ValueType::kString},
                                         Field{"label", ValueType::kDouble}}))
                     .ValueOrDie();
-  std::vector<std::unique_ptr<PipelineComponent>> components;
-  InputParser::Options parser;
-  parser.format = InputParser::Format::kCsv;
-  parser.csv_schema = schema;
-  components.push_back(std::make_unique<InputParser>(parser));
-  components.push_back(std::make_unique<ColumnProjector>(
-      std::vector<std::string>{"x", "label"}));
-  VectorAssembler::Options assembler;
-  assembler.feature_columns = {"x"};
-  assembler.label_column = "label";
-  components.push_back(std::make_unique<VectorAssembler>(assembler));
+  InputParser::Options parser_options;
+  parser_options.format = InputParser::Format::kCsv;
+  parser_options.csv_schema = schema;
+  InputParser parser(parser_options);
+  ColumnProjector projector(std::vector<std::string>{"x", "label"});
+  VectorAssembler::Options assembler_options;
+  assembler_options.feature_columns = {"x"};
+  assembler_options.label_column = "label";
+  VectorAssembler assembler(assembler_options);
 
   auto entry = std::move(Schema::Make({Field{"raw", ValueType::kString}}))
                    .ValueOrDie();
   std::shared_ptr<const fusion::FusedPlan> plan =
-      fusion::FusedPlan::Compile(components, *entry);
-  ASSERT_NE(plan, nullptr);
+      std::move(fusion::FusedPlan::Compile({&parser, &projector, &assembler},
+                                           *entry))
+          .ValueOrDie();
   // The projector contributes no runtime stage, only a compile-time
   // remapping: it must be accounted as elided at compile time.
   EXPECT_GE(plan->stats().compile_elided, 1u);
@@ -280,85 +230,77 @@ TEST(FusedPlanTest, CompileElidesProjectionAndExecutes) {
   EXPECT_EQ(out.dim, 1u);
   EXPECT_DOUBLE_EQ(out.labels[0], 1.0);
   EXPECT_DOUBLE_EQ(out.features[0].values()[0], 2.5);
-  // parser(1) + projector(1) + assembler(1) per row, same multiplicities as
-  // the interpreted loop.
+  // parser(1) + projector(1) + assembler(1) per row.
   EXPECT_EQ(rows_scanned, 6u);
 }
 
 TEST(FusedPlanTest, DeclinesChainWithoutVectorizingSink) {
   auto schema = std::move(Schema::Make({Field{"x", ValueType::kDouble}}))
                     .ValueOrDie();
-  std::vector<std::unique_ptr<PipelineComponent>> components;
-  InputParser::Options parser;
-  parser.format = InputParser::Format::kCsv;
-  parser.csv_schema = schema;
-  components.push_back(std::make_unique<InputParser>(parser));
+  InputParser::Options options;
+  options.format = InputParser::Format::kCsv;
+  options.csv_schema = schema;
+  InputParser parser(options);
   auto entry = std::move(Schema::Make({Field{"raw", ValueType::kString}}))
                    .ValueOrDie();
-  EXPECT_EQ(fusion::FusedPlan::Compile(components, *entry), nullptr);
+  const Status status = fusion::FusedPlan::Compile({&parser}, *entry).status();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("vectorizing"), std::string::npos);
 }
 
+// "Interpreted" below is the component-at-a-time contract as the
+// row-at-a-time spec states it: rows_scanned counts every component's scan
+// of its input, twice for a stateful component on the online path.
 TEST(FusionParityTest, RowsScannedMatchesInterpreted) {
   auto pipeline = SmallUrlPipeline();
+  spec::SpecPipeline reference =
+      std::move(spec::SpecPipeline::Of(*pipeline)).ValueOrDie();
   RawChunk chunk =
-      MakeChunk(0, {"+1 3:1.0 17:2.0", "-1 5:nan 7:1.0", "+1 9:4.0"});
-  ASSERT_TRUE(pipeline->UpdateAndTransform(chunk).ok());
+      MakeChunk(0, {"+1 3:1.0 17:2.0", "-1 5:nan 7:1.0", "+1 9:4.0", "bad"});
 
-  size_t interpreted_scans = 0;
-  size_t fused_scans = 0;
-  ASSERT_TRUE(pipeline
-                  ->Transform(chunk, nullptr, &interpreted_scans,
-                              ExecMode::kInterpreted)
-                  .ok());
-  ASSERT_TRUE(
-      pipeline->Transform(chunk, nullptr, &fused_scans, ExecMode::kFused)
-          .ok());
-  EXPECT_GT(interpreted_scans, 0u);
-  EXPECT_EQ(interpreted_scans, fused_scans)
-      << "cost accounting diverged between execution modes";
+  size_t plan_scans = 0;
+  size_t spec_scans = 0;
+  ASSERT_TRUE(pipeline->UpdateAndTransform(chunk, &plan_scans).ok());
+  ASSERT_TRUE(reference.UpdateAndTransform(chunk, &spec_scans).ok());
+  // 4 raw rows parsed, 3 survive: 4 + 3 * (2 + 2 + 1).
+  EXPECT_EQ(plan_scans, 19u);
+  EXPECT_EQ(plan_scans, spec_scans);
+
+  plan_scans = 0;
+  spec_scans = 0;
+  ASSERT_TRUE(pipeline->Transform(chunk, nullptr, &plan_scans).ok());
+  ASSERT_TRUE(reference.Transform(chunk, &spec_scans).ok());
+  EXPECT_EQ(plan_scans, 4u + 3u * 3u);
+  EXPECT_EQ(plan_scans, spec_scans);
 }
 
 TEST(FusionParityTest, DroppedCountersMatchInterpreted) {
-  // Two identical taxi pipelines fed identical chunks, one per execution
-  // mode: the anomaly filter's dropped counter must agree — the fused
-  // kernels report drops through the same component counters.
-  auto interpreted = MakeTaxiPipeline();
-  auto fused = MakeTaxiPipeline();
+  // The filter kernels report drops through the components' counters, in
+  // step with the spec's per-stage counts.
+  auto pipeline = MakeTaxiPipeline();
+  spec::SpecPipeline reference =
+      std::move(spec::SpecPipeline::Of(*pipeline)).ValueOrDie();
   TaxiStreamGenerator::Config stream;
   stream.records_per_chunk = 256;
   stream.anomaly_prob = 0.2;
   stream.seed = 41;
   std::vector<RawChunk> chunks = TaxiStreamGenerator(stream).Generate(2);
 
-  ASSERT_TRUE(interpreted->UpdateAndTransform(chunks[0]).ok());
-  ASSERT_TRUE(fused->UpdateAndTransform(chunks[0]).ok());
-
-  auto filter_drops = [](const Pipeline& p) {
-    for (size_t i = 0; i < p.num_components(); ++i) {
-      if (const auto* filter =
-              dynamic_cast<const AnomalyFilter*>(&p.component(i))) {
-        return filter->num_dropped();
-      }
+  ASSERT_TRUE(pipeline->UpdateAndTransform(chunks[0]).ok());
+  ASSERT_TRUE(reference.UpdateAndTransform(chunks[0]).ok());
+  FeatureData a = std::move(pipeline->Transform(chunks[1])).ValueOrDie();
+  FeatureData b = std::move(reference.Transform(chunks[1])).ValueOrDie();
+  EXPECT_TRUE(BitEqual(b, a));
+  size_t filter_drops = 0;
+  for (size_t i = 0; i < pipeline->num_components(); ++i) {
+    EXPECT_EQ(spec::CounterOf(pipeline->component(i)),
+              reference.stage(i).dropped)
+        << pipeline->component(i).name();
+    if (dynamic_cast<const AnomalyFilter*>(&pipeline->component(i))) {
+      filter_drops += spec::CounterOf(pipeline->component(i));
     }
-    ADD_FAILURE() << "taxi pipeline has no AnomalyFilter";
-    return size_t{0};
-  };
-  const size_t interp_before = filter_drops(*interpreted);
-  const size_t fused_before = filter_drops(*fused);
-  ASSERT_EQ(interp_before, fused_before);
-
-  FeatureData a = std::move(TransformWith(interpreted.get(), chunks[1],
-                                          ExecMode::kInterpreted))
-                      .ValueOrDie();
-  FeatureData b =
-      std::move(TransformWith(fused.get(), chunks[1], ExecMode::kFused))
-          .ValueOrDie();
-  EXPECT_TRUE(BitEqual(a, b));
-  EXPECT_GT(fused->plan_cache()->compiles(), 0u);
-  EXPECT_EQ(filter_drops(*interpreted) - interp_before,
-            filter_drops(*fused) - fused_before)
-      << "fused filter kernel under- or over-counted drops";
-  EXPECT_GT(filter_drops(*fused), fused_before)
+  }
+  EXPECT_GT(filter_drops, 0u)
       << "fixture produced no anomalies; raise anomaly_prob";
 }
 
@@ -366,79 +308,89 @@ TEST(FusionParityTest, ZScoreDropsAndElisionMatchInterpreted) {
   auto schema = std::move(Schema::Make({Field{"x", ValueType::kDouble},
                                         Field{"label", ValueType::kDouble}}))
                     .ValueOrDie();
-  auto make_pipeline = [&] {
-    auto pipeline = std::make_unique<Pipeline>();
-    InputParser::Options parser;
-    parser.format = InputParser::Format::kCsv;
-    parser.csv_schema = schema;
-    CDPIPE_CHECK(
-        pipeline->AddComponent(std::make_unique<InputParser>(parser)).ok());
-    ZScoreAnomalyDetector::Options zscore;
-    zscore.columns = {"x"};
-    zscore.threshold = 2.0;
-    zscore.min_observations = 4;
-    CDPIPE_CHECK(pipeline
-                     ->AddComponent(
-                         std::make_unique<ZScoreAnomalyDetector>(zscore))
-                     .ok());
-    VectorAssembler::Options assembler;
-    assembler.feature_columns = {"x"};
-    assembler.label_column = "label";
-    CDPIPE_CHECK(
-        pipeline->AddComponent(std::make_unique<VectorAssembler>(assembler))
-            .ok());
-    return pipeline;
-  };
-  auto zscore_drops = [](const Pipeline& p) {
-    for (size_t i = 0; i < p.num_components(); ++i) {
-      if (const auto* z = dynamic_cast<const ZScoreAnomalyDetector*>(
-              &p.component(i))) {
-        return z->num_dropped();
-      }
-    }
-    ADD_FAILURE() << "pipeline has no ZScoreAnomalyDetector";
-    return size_t{0};
-  };
-
-  auto interpreted = make_pipeline();
-  auto fused = make_pipeline();
+  auto pipeline = std::make_unique<Pipeline>();
+  InputParser::Options parser;
+  parser.format = InputParser::Format::kCsv;
+  parser.csv_schema = schema;
+  ASSERT_TRUE(
+      pipeline->AddComponent(std::make_unique<InputParser>(parser)).ok());
+  ZScoreAnomalyDetector::Options zscore;
+  zscore.columns = {"x"};
+  zscore.threshold = 2.0;
+  zscore.min_observations = 4;
+  ASSERT_TRUE(pipeline
+                  ->AddComponent(
+                      std::make_unique<ZScoreAnomalyDetector>(zscore))
+                  .ok());
+  VectorAssembler::Options assembler;
+  assembler.feature_columns = {"x"};
+  assembler.label_column = "label";
+  ASSERT_TRUE(
+      pipeline->AddComponent(std::make_unique<VectorAssembler>(assembler))
+          .ok());
+  spec::SpecPipeline reference =
+      std::move(spec::SpecPipeline::Of(*pipeline)).ValueOrDie();
+  const auto& detector =
+      dynamic_cast<const ZScoreAnomalyDetector&>(pipeline->component(1));
   RawChunk probe = MakeChunk(1, {"1.5,1.0", "100.0,0.0", "2.5,1.0"});
 
-  // Below min_observations the detector is statistics-free: the fused plan
-  // compiles it to an elided stage and drops nothing — same as interpreted.
+  // Below min_observations the detector does no per-row work: the block
+  // counts as elided and nothing is dropped.
   obs::Counter* elided = obs::MetricsRegistry::Global().GetCounter(
       "pipeline.stages_elided", "");
   const int64_t elided_before = elided->Value();
-  FeatureData cold_a =
-      std::move(TransformWith(interpreted.get(), probe,
-                              ExecMode::kInterpreted))
-          .ValueOrDie();
-  FeatureData cold_b =
-      std::move(TransformWith(fused.get(), probe, ExecMode::kFused))
-          .ValueOrDie();
-  EXPECT_TRUE(BitEqual(cold_a, cold_b));
-  EXPECT_EQ(cold_b.num_rows(), 3u);
-  EXPECT_EQ(zscore_drops(*fused), 0u);
+  FeatureData cold = std::move(pipeline->Transform(probe)).ValueOrDie();
+  EXPECT_TRUE(
+      BitEqual(std::move(reference.Transform(probe)).ValueOrDie(), cold));
+  EXPECT_EQ(cold.num_rows(), 3u);
+  EXPECT_EQ(detector.num_dropped(), 0u);
   EXPECT_GT(elided->Value(), elided_before)
-      << "statistics-free detector was not elided from the fused plan";
+      << "statistics-free detector was not elided";
 
-  // Warm both up past min_observations, then the outlier must be dropped
-  // identically (and the recompile must pick up the new statistics).
+  // Warmed up past min_observations, the same plan drops the outlier.
   RawChunk warmup =
       MakeChunk(0, {"1.0,1.0", "2.0,0.0", "1.5,1.0", "2.5,0.0", "1.75,1.0"});
-  ASSERT_TRUE(interpreted->UpdateAndTransform(warmup).ok());
-  ASSERT_TRUE(fused->UpdateAndTransform(warmup).ok());
-  FeatureData warm_a =
-      std::move(TransformWith(interpreted.get(), probe,
-                              ExecMode::kInterpreted))
-          .ValueOrDie();
-  FeatureData warm_b =
-      std::move(TransformWith(fused.get(), probe, ExecMode::kFused))
-          .ValueOrDie();
-  EXPECT_TRUE(BitEqual(warm_a, warm_b));
-  EXPECT_EQ(warm_b.num_rows(), 2u);
-  EXPECT_EQ(zscore_drops(*interpreted), zscore_drops(*fused));
-  EXPECT_EQ(zscore_drops(*fused), 1u);
+  ASSERT_TRUE(pipeline->UpdateAndTransform(warmup).ok());
+  ASSERT_TRUE(reference.UpdateAndTransform(warmup).ok());
+  FeatureData warm = std::move(pipeline->Transform(probe)).ValueOrDie();
+  EXPECT_TRUE(
+      BitEqual(std::move(reference.Transform(probe)).ValueOrDie(), warm));
+  EXPECT_EQ(warm.num_rows(), 2u);
+  EXPECT_EQ(detector.num_dropped(), reference.stage(1).dropped);
+  EXPECT_EQ(detector.num_dropped(), 1u);
+  EXPECT_EQ(pipeline->plan_cache()->compiles(), 1u);
+}
+
+TEST(FusionTimingTest, EveryPathRecordsPerComponentTransformSeconds) {
+  // The per-component histograms are fed by the plan's execute loop, so
+  // the online path, re-materialization and serving all record them.
+  auto pipeline = SmallUrlPipeline();
+  RawChunk chunk = MakeChunk(0, {"+1 3:1.0", "-1 5:2.0"});
+  obs::Histogram* hasher = obs::MetricsRegistry::Global().GetHistogram(
+      "pipeline.component.feature_hasher.transform_seconds");
+  uint64_t before = hasher->TotalCount();
+  ASSERT_TRUE(pipeline->UpdateAndTransform(chunk).ok());
+  EXPECT_EQ(hasher->TotalCount(), before + 1);
+  before = hasher->TotalCount();
+  ASSERT_TRUE(pipeline->Transform(chunk).ok());
+  EXPECT_EQ(hasher->TotalCount(), before + 1);
+}
+
+TEST(StatsMemoTest, RebindResetsOnlyFilledCells) {
+  fusion::StatsMemo memo;
+  memo.Bind(/*serial=*/1, /*dim=*/8);
+  memo.sd[3] = 2.0;
+  memo.filled.push_back(3);
+  memo.sd[5] = 4.0;  // written without being recorded: must survive
+  memo.Bind(1, 8);   // same serial: cells stay valid
+  EXPECT_EQ(memo.sd[3], 2.0);
+  memo.Bind(2, 8);  // new statistics: only recorded cells reset
+  EXPECT_EQ(memo.sd[3], fusion::StatsMemo::kUnfilled);
+  EXPECT_EQ(memo.sd[5], 4.0);
+  EXPECT_TRUE(memo.filled.empty());
+  memo.Bind(2, 16);  // new dim: everything resets
+  EXPECT_EQ(memo.sd.size(), 16u);
+  EXPECT_EQ(memo.sd[5], fusion::StatsMemo::kUnfilled);
 }
 
 }  // namespace

@@ -1,110 +1,94 @@
 #include "src/pipeline/missing_value_imputer.h"
 
 #include <cmath>
-#include <limits>
 
 #include <gtest/gtest.h>
 
-#include "tests/testing/table_test_util.h"
+#include "tests/testing/kernel_test_util.h"
 
 namespace cdpipe {
 namespace {
 
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+using testing::KernelHarness;
 
-FeatureData MakeFeatures(std::vector<std::vector<std::pair<uint32_t, double>>>
-                             rows,
-                         uint32_t dim = 8) {
-  FeatureData out;
-  out.dim = dim;
-  for (auto& row : rows) {
-    out.features.push_back(SparseVector::FromUnsorted(dim, std::move(row)));
-    out.labels.push_back(1.0);
-  }
-  return out;
+FeatureData Checked(Result<FeatureData> result) {
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return std::move(result).ValueOrDie();
 }
 
 TEST(ImputerFeatureModeTest, ReplacesNanWithRunningMean) {
   MissingValueImputer imputer;
-  DataBatch batch = MakeFeatures({{{0, 2.0}}, {{0, 4.0}}});
-  ASSERT_TRUE(imputer.Update(batch).ok());
+  KernelHarness harness = KernelHarness::LibSvm(&imputer, 8);
+  Checked(harness.Update({"1 0:2.0", "1 0:4.0"}));
   EXPECT_DOUBLE_EQ(imputer.MeanForDimension(0), 3.0);
 
-  DataBatch with_missing = MakeFeatures({{{0, kNan}, {1, 5.0}}});
-  auto result = imputer.Transform(with_missing);
-  ASSERT_TRUE(result.ok());
-  const auto& features = std::get<FeatureData>(*result);
-  EXPECT_DOUBLE_EQ(features.features[0].Get(0), 3.0);
-  EXPECT_DOUBLE_EQ(features.features[0].Get(1), 5.0);
+  FeatureData out = Checked(harness.Transform({"1 0:nan 1:5.0"}));
+  EXPECT_DOUBLE_EQ(out.features[0].Get(0), 3.0);
+  EXPECT_DOUBLE_EQ(out.features[0].Get(1), 5.0);
 }
 
 TEST(ImputerFeatureModeTest, UnseenDimensionUsesDefault) {
   MissingValueImputer::Options options;
   options.default_value = -9.0;
   MissingValueImputer imputer(options);
-  DataBatch with_missing = MakeFeatures({{{2, kNan}}});
-  auto result = imputer.Transform(with_missing);
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(std::get<FeatureData>(*result).features[0].Get(2), -9.0);
+  KernelHarness harness = KernelHarness::LibSvm(&imputer, 8);
+  FeatureData out = Checked(harness.Transform({"1 2:nan"}));
+  EXPECT_DOUBLE_EQ(out.features[0].Get(2), -9.0);
 }
 
 TEST(ImputerFeatureModeTest, UpdateSkipsNan) {
   MissingValueImputer imputer;
-  DataBatch batch = MakeFeatures({{{0, kNan}}, {{0, 6.0}}});
-  ASSERT_TRUE(imputer.Update(batch).ok());
+  KernelHarness harness = KernelHarness::LibSvm(&imputer, 8);
+  Checked(harness.Update({"1 0:nan", "1 0:6.0"}));
   EXPECT_DOUBLE_EQ(imputer.MeanForDimension(0), 6.0);  // nan not counted
 }
 
 TEST(ImputerFeatureModeTest, IncrementalMeanMatchesBatchMean) {
   MissingValueImputer incremental;
   MissingValueImputer batch;
-  DataBatch part1 = MakeFeatures({{{0, 1.0}}, {{0, 2.0}}});
-  DataBatch part2 = MakeFeatures({{{0, 6.0}}});
-  DataBatch all = MakeFeatures({{{0, 1.0}}, {{0, 2.0}}, {{0, 6.0}}});
-  ASSERT_TRUE(incremental.Update(part1).ok());
-  ASSERT_TRUE(incremental.Update(part2).ok());
-  ASSERT_TRUE(batch.Update(all).ok());
+  KernelHarness inc = KernelHarness::LibSvm(&incremental, 8);
+  KernelHarness all = KernelHarness::LibSvm(&batch, 8);
+  Checked(inc.Update({"1 0:1.0", "1 0:2.0"}));
+  Checked(inc.Update({"1 0:6.0"}));
+  Checked(all.Update({"1 0:1.0", "1 0:2.0", "1 0:6.0"}));
   EXPECT_DOUBLE_EQ(incremental.MeanForDimension(0),
                    batch.MeanForDimension(0));
+}
+
+std::shared_ptr<const Schema> XyLabelSchema() {
+  return std::move(Schema::Make({Field{"x", ValueType::kDouble},
+                                 Field{"y", ValueType::kDouble},
+                                 Field{"label", ValueType::kDouble}}))
+      .ValueOrDie();
 }
 
 TEST(ImputerTableModeTest, FillsNullCells) {
   MissingValueImputer::Options options;
   options.columns = {"x"};
   MissingValueImputer imputer(options);
+  KernelHarness harness =
+      KernelHarness::Csv(XyLabelSchema(), &imputer, {"x", "y"});
+  Checked(harness.Update({"2.0,1.0,0", "6.0,,0"}));
 
-  auto schema = std::move(Schema::Make({Field{"x", ValueType::kDouble},
-                                        Field{"y", ValueType::kDouble}}))
-                    .ValueOrDie();
-  TableData table = testing::TableFromRows(
-      schema, {{Value::Double(2.0), Value::Double(1.0)},
-               {Value::Double(6.0), Value::Null()}});
-  DataBatch batch = table;
-  ASSERT_TRUE(imputer.Update(batch).ok());
-
-  TableData query = table;
-  ASSERT_TRUE(query.AppendRow({Value::Null(), Value::Null()}).ok());
-  auto result = imputer.Transform(DataBatch(query));
-  ASSERT_TRUE(result.ok());
-  const auto& out = std::get<TableData>(*result);
-  EXPECT_DOUBLE_EQ(out.ValueAt(2, 0).double_value(), 4.0);  // imputed mean
-  EXPECT_TRUE(out.ValueAt(2, 1).is_null());  // y not configured: untouched
+  FeatureData out = Checked(harness.Transform({"2.0,1.0,0", ",,0"}));
+  ASSERT_EQ(out.num_rows(), 2u);
+  EXPECT_DOUBLE_EQ(out.features[1].Get(0), 4.0);  // imputed mean
+  // y is not configured: the null cell stays null (absent feature).
+  EXPECT_EQ(out.features[1].nnz(), 1u);
 }
 
 TEST(ImputerTableModeTest, MissingColumnErrors) {
   MissingValueImputer::Options options;
   options.columns = {"zzz"};
   MissingValueImputer imputer(options);
-  auto schema =
-      std::move(Schema::Make({Field{"x", ValueType::kDouble}})).ValueOrDie();
-  TableData table =
-      testing::TableFromRows(schema, {{Value::Double(1.0)}});
-  EXPECT_FALSE(imputer.Update(DataBatch(table)).ok());
+  KernelHarness harness = KernelHarness::Csv(XyLabelSchema(), &imputer, {"x"});
+  EXPECT_FALSE(harness.Update({"1.0,1.0,0"}).ok());
 }
 
 TEST(ImputerTest, ResetClearsStatistics) {
   MissingValueImputer imputer;
-  ASSERT_TRUE(imputer.Update(MakeFeatures({{{0, 10.0}}})).ok());
+  KernelHarness harness = KernelHarness::LibSvm(&imputer, 8);
+  Checked(harness.Update({"1 0:10.0"}));
   EXPECT_DOUBLE_EQ(imputer.MeanForDimension(0), 10.0);
   imputer.Reset();
   EXPECT_DOUBLE_EQ(imputer.MeanForDimension(0), 0.0);
@@ -112,12 +96,12 @@ TEST(ImputerTest, ResetClearsStatistics) {
 
 TEST(ImputerTest, CloneCopiesStatistics) {
   MissingValueImputer imputer;
-  ASSERT_TRUE(imputer.Update(MakeFeatures({{{3, 8.0}}})).ok());
+  Checked(KernelHarness::LibSvm(&imputer, 8).Update({"1 3:8.0"}));
   auto clone = imputer.Clone();
   auto* cloned = static_cast<MissingValueImputer*>(clone.get());
   EXPECT_DOUBLE_EQ(cloned->MeanForDimension(3), 8.0);
   // Statistics are independent after cloning.
-  ASSERT_TRUE(cloned->Update(MakeFeatures({{{3, 0.0}}})).ok());
+  Checked(KernelHarness::LibSvm(cloned, 8).Update({"1 3:0.0"}));
   EXPECT_DOUBLE_EQ(imputer.MeanForDimension(3), 8.0);
   EXPECT_DOUBLE_EQ(cloned->MeanForDimension(3), 4.0);
 }

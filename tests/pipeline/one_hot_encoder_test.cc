@@ -2,26 +2,18 @@
 
 #include <gtest/gtest.h>
 
-#include "tests/testing/table_test_util.h"
+#include "tests/testing/kernel_test_util.h"
 
 namespace cdpipe {
 namespace {
+
+using testing::KernelHarness;
 
 std::shared_ptr<const Schema> EncoderSchema() {
   return std::move(Schema::Make({Field{"amount", ValueType::kDouble},
                                  Field{"color", ValueType::kString},
                                  Field{"label", ValueType::kDouble}}))
       .ValueOrDie();
-}
-
-TableData MakeTable(
-    std::vector<std::tuple<double, std::string, double>> rows) {
-  std::vector<Row> out;
-  for (const auto& [amount, color, label] : rows) {
-    out.push_back(
-        {Value::Double(amount), Value::String(color), Value::Double(label)});
-  }
-  return testing::TableFromRows(EncoderSchema(), out);
 }
 
 OneHotEncoder::Options BaseOptions(uint32_t max_cardinality = 4) {
@@ -32,6 +24,15 @@ OneHotEncoder::Options BaseOptions(uint32_t max_cardinality = 4) {
   return options;
 }
 
+KernelHarness Harness(OneHotEncoder* encoder) {
+  return KernelHarness::Csv(EncoderSchema(), encoder);
+}
+
+FeatureData Checked(Result<FeatureData> result) {
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return std::move(result).ValueOrDie();
+}
+
 TEST(OneHotEncoderTest, OutputDimIsNumericPlusBlocks) {
   OneHotEncoder encoder(BaseOptions(8));
   EXPECT_EQ(encoder.output_dim(), 9u);
@@ -39,13 +40,8 @@ TEST(OneHotEncoderTest, OutputDimIsNumericPlusBlocks) {
 
 TEST(OneHotEncoderTest, EncodesKnownCategories) {
   OneHotEncoder encoder(BaseOptions());
-  DataBatch batch = MakeTable({{1.5, "red", 1.0}, {2.0, "blue", -1.0}});
-  ASSERT_TRUE(encoder.Update(batch).ok());
+  FeatureData out = Checked(Harness(&encoder).Update({"1.5,red,1", "2.0,blue,-1"}));
   EXPECT_EQ(encoder.CardinalityOf(0), 2u);
-
-  auto result = encoder.Transform(batch);
-  ASSERT_TRUE(result.ok());
-  const auto& out = std::get<FeatureData>(*result);
   ASSERT_EQ(out.num_rows(), 2u);
   EXPECT_EQ(out.dim, 5u);  // 1 numeric + block of 4
   // Row 0: amount at index 0, "red" (first seen -> slot 0) at index 1.
@@ -59,23 +55,18 @@ TEST(OneHotEncoderTest, EncodesKnownCategories) {
 
 TEST(OneHotEncoderTest, OutputIsSparseOneNonzeroPerCategorical) {
   OneHotEncoder encoder(BaseOptions(1000));
-  DataBatch batch = MakeTable({{1.0, "a", 0.0}});
-  ASSERT_TRUE(encoder.Update(batch).ok());
-  auto result = encoder.Transform(batch);
-  ASSERT_TRUE(result.ok());
+  FeatureData out = Checked(Harness(&encoder).Update({"1.0,a,0"}));
   // 1 numeric + 1 one-hot nonzero despite a 1000-wide block (the O(p)
   // guarantee of §3.2.1).
-  EXPECT_EQ(std::get<FeatureData>(*result).features[0].nnz(), 2u);
+  EXPECT_EQ(out.features[0].nnz(), 2u);
 }
 
 TEST(OneHotEncoderTest, UnknownValueHashesIntoBlock) {
   OneHotEncoder encoder(BaseOptions(4));
-  DataBatch training = MakeTable({{1.0, "red", 0.0}});
-  ASSERT_TRUE(encoder.Update(training).ok());
+  KernelHarness harness = Harness(&encoder);
+  Checked(harness.Update({"1.0,red,0"}));
   // "violet" was never folded in; it must still land inside the block.
-  auto result = encoder.Transform(MakeTable({{1.0, "violet", 0.0}}));
-  ASSERT_TRUE(result.ok());
-  const auto& out = std::get<FeatureData>(*result);
+  FeatureData out = Checked(harness.Transform({"1.0,violet,0"}));
   ASSERT_EQ(out.features[0].nnz(), 2u);
   const uint32_t slot = out.features[0].indices()[1];
   EXPECT_GE(slot, 1u);
@@ -84,45 +75,37 @@ TEST(OneHotEncoderTest, UnknownValueHashesIntoBlock) {
 
 TEST(OneHotEncoderTest, DictionaryCapacityRespected) {
   OneHotEncoder encoder(BaseOptions(2));
-  DataBatch batch = MakeTable(
-      {{1, "a", 0}, {1, "b", 0}, {1, "c", 0}, {1, "d", 0}});
-  ASSERT_TRUE(encoder.Update(batch).ok());
+  Checked(Harness(&encoder).Update({"1,a,0", "1,b,0", "1,c,0", "1,d,0"}));
   EXPECT_EQ(encoder.CardinalityOf(0), 2u);  // capped at max_cardinality
 }
 
 TEST(OneHotEncoderTest, IncrementalDictionaryGrowsAcrossUpdates) {
   OneHotEncoder encoder(BaseOptions(8));
-  ASSERT_TRUE(encoder.Update(MakeTable({{1, "a", 0}})).ok());
+  KernelHarness harness = Harness(&encoder);
+  Checked(harness.Update({"1,a,0"}));
   EXPECT_EQ(encoder.CardinalityOf(0), 1u);
-  ASSERT_TRUE(encoder.Update(MakeTable({{1, "b", 0}})).ok());
+  Checked(harness.Update({"1,b,0"}));
   EXPECT_EQ(encoder.CardinalityOf(0), 2u);
   // Re-seeing "a" does not grow the dictionary.
-  ASSERT_TRUE(encoder.Update(MakeTable({{1, "a", 0}})).ok());
+  Checked(harness.Update({"1,a,0"}));
   EXPECT_EQ(encoder.CardinalityOf(0), 2u);
 }
 
 TEST(OneHotEncoderTest, StableIndicesAcrossDictionaryGrowth) {
   OneHotEncoder encoder(BaseOptions(8));
-  ASSERT_TRUE(encoder.Update(MakeTable({{1, "a", 0}})).ok());
-  auto before = encoder.Transform(MakeTable({{1, "a", 0}}));
-  ASSERT_TRUE(before.ok());
+  KernelHarness harness = Harness(&encoder);
+  Checked(harness.Update({"1,a,0"}));
   const uint32_t slot_before =
-      std::get<FeatureData>(*before).features[0].indices()[1];
-  ASSERT_TRUE(encoder.Update(MakeTable({{1, "b", 0}, {1, "c", 0}})).ok());
-  auto after = encoder.Transform(MakeTable({{1, "a", 0}}));
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(std::get<FeatureData>(*after).features[0].indices()[1],
+      Checked(harness.Transform({"1,a,0"})).features[0].indices()[1];
+  Checked(harness.Update({"1,b,0", "1,c,0"}));
+  EXPECT_EQ(Checked(harness.Transform({"1,a,0"})).features[0].indices()[1],
             slot_before);
 }
 
 TEST(OneHotEncoderTest, NullCategoricalSkipped) {
   OneHotEncoder encoder(BaseOptions());
-  TableData table = testing::TableFromRows(
-      EncoderSchema(),
-      {{Value::Double(2.0), Value::Null(), Value::Double(1)}});
-  auto result = encoder.Transform(DataBatch(table));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<FeatureData>(*result).features[0].nnz(), 1u);
+  FeatureData out = Checked(Harness(&encoder).Transform({"2.0,,1"}));
+  EXPECT_EQ(out.features[0].nnz(), 1u);
 }
 
 TEST(OneHotEncoderTest, NonStringCategoricalErrors) {
@@ -131,14 +114,16 @@ TEST(OneHotEncoderTest, NonStringCategoricalErrors) {
   options.categorical_columns = {{"amount", 4}};  // amount is a double column
   options.label_column = "label";
   OneHotEncoder encoder(options);
-  DataBatch batch = MakeTable({{1.0, "x", 0.0}});
-  EXPECT_FALSE(encoder.Update(batch).ok());
-  EXPECT_FALSE(encoder.Transform(batch).ok());
+  KernelHarness harness = Harness(&encoder);
+  EXPECT_EQ(harness.Update({"1.0,x,0"}).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(harness.Transform({"1.0,x,0"}).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(OneHotEncoderTest, ResetAndClone) {
   OneHotEncoder encoder(BaseOptions());
-  ASSERT_TRUE(encoder.Update(MakeTable({{1, "a", 0}})).ok());
+  Checked(Harness(&encoder).Update({"1,a,0"}));
   auto clone = encoder.Clone();
   EXPECT_EQ(static_cast<OneHotEncoder*>(clone.get())->CardinalityOf(0), 1u);
   encoder.Reset();

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "src/common/string_util.h"
-#include "tests/testing/table_test_util.h"
+#include "tests/testing/kernel_test_util.h"
 
 namespace cdpipe {
 namespace {
 
-std::shared_ptr<const Schema> RawSchema() {
+using testing::KernelHarness;
+
+std::shared_ptr<const Schema> TripSchema() {
   return std::move(Schema::Make({
                        Field{"pickup_datetime", ValueType::kTimestamp},
                        Field{"dropoff_datetime", ValueType::kTimestamp},
@@ -18,16 +20,27 @@ std::shared_ptr<const Schema> RawSchema() {
                        Field{"pickup_lat", ValueType::kDouble},
                        Field{"dropoff_lon", ValueType::kDouble},
                        Field{"dropoff_lat", ValueType::kDouble},
+                       Field{"label", ValueType::kDouble},
                    }))
       .ValueOrDie();
 }
 
-Row MakeTrip(const std::string& pickup, const std::string& dropoff,
-             double plon, double plat, double dlon, double dlat) {
-  return {Value::Timestamp(std::move(ParseDateTime(pickup)).ValueOrDie()),
-          Value::Timestamp(std::move(ParseDateTime(dropoff)).ValueOrDie()),
-          Value::Double(plon), Value::Double(plat), Value::Double(dlon),
-          Value::Double(dlat)};
+std::string MakeTrip(const std::string& pickup, const std::string& dropoff,
+                     double plon, double plat, double dlon, double dlat) {
+  return StrFormat("%s,%s,%.17g,%.17g,%.17g,%.17g,0", pickup.c_str(),
+                   dropoff.c_str(), plon, plat, dlon, dlat);
+}
+
+const std::vector<std::string> kDerived = {
+    "duration_s", "haversine_km", "bearing",     "hour_of_day",
+    "hour_sin",   "hour_cos",     "day_of_week", "log_duration"};
+
+/// Runs the extractor with an assembler over the eight derived columns, so
+/// feature i of each output row is kDerived[i].
+Result<FeatureData> Extract(TaxiFeatureExtractor* extractor,
+                            const std::vector<std::string>& records) {
+  return KernelHarness::Csv(TripSchema(), extractor, kDerived)
+      .Transform(records);
 }
 
 TEST(HaversineTest, KnownDistances) {
@@ -60,70 +73,59 @@ TEST(BearingTest, AlwaysInRange) {
 TEST(TaxiFeatureExtractorTest, ComputesAllDerivedColumns) {
   TaxiFeatureExtractor extractor;
   // Wednesday 2015-01-07, 08:30 pickup, 20-minute trip.
-  TableData table = testing::TableFromRows(
-      RawSchema(), {MakeTrip("2015-01-07 08:30:00", "2015-01-07 08:50:00",
-                             -73.97, 40.75, -73.98, 40.78)});
-  auto result = extractor.Transform(DataBatch(table));
+  auto result =
+      Extract(&extractor, {MakeTrip("2015-01-07 08:30:00",
+                                    "2015-01-07 08:50:00", -73.97, 40.75,
+                                    -73.98, 40.78)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const auto& out = std::get<TableData>(*result);
-  ASSERT_EQ(out.num_rows(), 1u);
-  const Schema& schema = *out.schema();
-
-  auto value_of = [&](const std::string& name) {
-    return out.ValueAt(0, std::move(schema.FieldIndex(name)).ValueOrDie())
-        .double_value();
-  };
-  EXPECT_DOUBLE_EQ(value_of("duration_s"), 1200.0);
-  EXPECT_NEAR(value_of("haversine_km"),
-              HaversineKm(40.75, -73.97, 40.78, -73.98), 1e-9);
-  EXPECT_NEAR(value_of("bearing"),
-              BearingDegrees(40.75, -73.97, 40.78, -73.98), 1e-9);
-  EXPECT_DOUBLE_EQ(value_of("hour_of_day"), 8.0);
-  EXPECT_DOUBLE_EQ(value_of("day_of_week"), 2.0);  // Wednesday
-  EXPECT_NEAR(value_of("log_duration"), std::log1p(1200.0), 1e-12);
+  ASSERT_EQ(result->num_rows(), 1u);
+  const SparseVector& row = result->features[0];
+  EXPECT_DOUBLE_EQ(row.Get(0), 1200.0);
+  EXPECT_NEAR(row.Get(1), HaversineKm(40.75, -73.97, 40.78, -73.98), 1e-9);
+  EXPECT_NEAR(row.Get(2), BearingDegrees(40.75, -73.97, 40.78, -73.98),
+              1e-9);
+  EXPECT_DOUBLE_EQ(row.Get(3), 8.0);
+  EXPECT_DOUBLE_EQ(row.Get(6), 2.0);  // Wednesday
+  EXPECT_NEAR(row.Get(7), std::log1p(1200.0), 1e-12);
 }
 
 TEST(TaxiFeatureExtractorTest, WeekdayAcrossWeek) {
   TaxiFeatureExtractor extractor;
   // 2015-01-05 is a Monday; sweep seven consecutive days.
-  std::vector<Row> rows;
+  std::vector<std::string> records;
   for (int d = 0; d < 7; ++d) {
-    rows.push_back(
-        MakeTrip(StrFormat("2015-01-%02d 12:00:00", 5 + d),
-                 StrFormat("2015-01-%02d 12:10:00", 5 + d), -73.97, 40.75,
-                 -73.98, 40.76));
+    records.push_back(MakeTrip(StrFormat("2015-01-%02d 12:00:00", 5 + d),
+                               StrFormat("2015-01-%02d 12:10:00", 5 + d),
+                               -73.97, 40.75, -73.98, 40.76));
   }
-  TableData table = testing::TableFromRows(RawSchema(), rows);
-  auto result = extractor.Transform(DataBatch(table));
+  auto result = Extract(&extractor, records);
   ASSERT_TRUE(result.ok());
-  const auto& out = std::get<TableData>(*result);
-  const size_t dow =
-      std::move(out.schema()->FieldIndex("day_of_week")).ValueOrDie();
+  ASSERT_EQ(result->num_rows(), 7u);
   for (int d = 0; d < 7; ++d) {
-    EXPECT_DOUBLE_EQ(out.ValueAt(d, dow).double_value(), d);
+    EXPECT_DOUBLE_EQ(result->features[d].Get(6), d);
   }
 }
 
 TEST(TaxiFeatureExtractorTest, DropsRowsWithMissingEndpoints) {
   TaxiFeatureExtractor extractor;
-  Row complete = MakeTrip("2015-01-07 08:30:00", "2015-01-07 08:50:00",
-                          -73.97, 40.75, -73.98, 40.78);
-  Row incomplete = complete;
-  incomplete[2] = Value::Null();
-  TableData table =
-      testing::TableFromRows(RawSchema(), {complete, incomplete});
-  auto result = extractor.Transform(DataBatch(table));
+  const std::string complete = MakeTrip(
+      "2015-01-07 08:30:00", "2015-01-07 08:50:00", -73.97, 40.75, -73.98,
+      40.78);
+  const std::string incomplete =
+      "2015-01-07 08:30:00,2015-01-07 08:50:00,,40.75,-73.98,40.78,0";
+  auto result = Extract(&extractor, {complete, incomplete});
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<TableData>(*result).num_rows(), 1u);
+  EXPECT_EQ(result->num_rows(), 1u);
 }
 
 TEST(TaxiFeatureExtractorTest, MissingColumnErrors) {
   TaxiFeatureExtractor extractor;
-  auto schema =
-      std::move(Schema::Make({Field{"x", ValueType::kDouble}})).ValueOrDie();
-  TableData table =
-      testing::TableFromRows(schema, {{Value::Double(1.0)}});
-  EXPECT_FALSE(extractor.Transform(DataBatch(table)).ok());
+  auto schema = std::move(Schema::Make({Field{"x", ValueType::kDouble},
+                                        Field{"label", ValueType::kDouble}}))
+                    .ValueOrDie();
+  auto result =
+      KernelHarness::Csv(schema, &extractor, {"x"}).Transform({"1.0,0"});
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
 TEST(TaxiFeatureExtractorTest, StatelessContract) {

@@ -1,28 +1,19 @@
 #include "src/pipeline/vector_assembler.h"
 
-#include <array>
-
 #include <gtest/gtest.h>
 
-#include "tests/testing/table_test_util.h"
+#include "tests/testing/kernel_test_util.h"
 
 namespace cdpipe {
 namespace {
+
+using testing::KernelHarness;
 
 std::shared_ptr<const Schema> ThreeColumnSchema() {
   return std::move(Schema::Make({Field{"a", ValueType::kDouble},
                                  Field{"b", ValueType::kDouble},
                                  Field{"y", ValueType::kDouble}}))
       .ValueOrDie();
-}
-
-TableData MakeTable(std::vector<std::array<double, 3>> rows) {
-  std::vector<Row> out;
-  for (const auto& r : rows) {
-    out.push_back(
-        {Value::Double(r[0]), Value::Double(r[1]), Value::Double(r[2])});
-  }
-  return testing::TableFromRows(ThreeColumnSchema(), out);
 }
 
 VectorAssembler::Options BaseOptions(bool intercept = false) {
@@ -33,46 +24,42 @@ VectorAssembler::Options BaseOptions(bool intercept = false) {
   return options;
 }
 
+Result<FeatureData> Assemble(VectorAssembler* assembler,
+                             const std::vector<std::string>& records) {
+  return KernelHarness::Csv(ThreeColumnSchema(), assembler).Transform(records);
+}
+
 TEST(VectorAssemblerTest, PacksColumnsInOrder) {
   VectorAssembler assembler(BaseOptions());
-  auto result = assembler.Transform(DataBatch(MakeTable({{1, 2, 3}})));
+  auto result = Assemble(&assembler, {"1,2,3"});
   ASSERT_TRUE(result.ok());
-  const auto& out = std::get<FeatureData>(*result);
-  EXPECT_EQ(out.dim, 2u);
-  EXPECT_DOUBLE_EQ(out.features[0].Get(0), 1.0);
-  EXPECT_DOUBLE_EQ(out.features[0].Get(1), 2.0);
-  EXPECT_DOUBLE_EQ(out.labels[0], 3.0);
+  EXPECT_EQ(result->dim, 2u);
+  EXPECT_DOUBLE_EQ(result->features[0].Get(0), 1.0);
+  EXPECT_DOUBLE_EQ(result->features[0].Get(1), 2.0);
+  EXPECT_DOUBLE_EQ(result->labels[0], 3.0);
 }
 
 TEST(VectorAssemblerTest, InterceptAppendsConstantOne) {
   VectorAssembler assembler(BaseOptions(/*intercept=*/true));
   EXPECT_EQ(assembler.output_dim(), 3u);
-  auto result = assembler.Transform(DataBatch(MakeTable({{0, 0, 5}})));
+  auto result = Assemble(&assembler, {"0,0,5"});
   ASSERT_TRUE(result.ok());
-  const auto& out = std::get<FeatureData>(*result);
-  EXPECT_DOUBLE_EQ(out.features[0].Get(2), 1.0);
+  EXPECT_DOUBLE_EQ(result->features[0].Get(2), 1.0);
   // zero-valued features are not stored.
-  EXPECT_EQ(out.features[0].nnz(), 1u);
+  EXPECT_EQ(result->features[0].nnz(), 1u);
 }
 
 TEST(VectorAssemblerTest, NullFeatureBecomesZero) {
   VectorAssembler assembler(BaseOptions());
-  TableData table = testing::TableFromRows(
-      ThreeColumnSchema(),
-      {{Value::Null(), Value::Double(2), Value::Double(1)}});
-  auto result = assembler.Transform(DataBatch(table));
+  auto result = Assemble(&assembler, {",2,1"});
   ASSERT_TRUE(result.ok());
-  const auto& out = std::get<FeatureData>(*result);
-  EXPECT_DOUBLE_EQ(out.features[0].Get(0), 0.0);
-  EXPECT_DOUBLE_EQ(out.features[0].Get(1), 2.0);
+  EXPECT_DOUBLE_EQ(result->features[0].Get(0), 0.0);
+  EXPECT_DOUBLE_EQ(result->features[0].Get(1), 2.0);
 }
 
 TEST(VectorAssemblerTest, NullLabelErrors) {
   VectorAssembler assembler(BaseOptions());
-  TableData table = testing::TableFromRows(
-      ThreeColumnSchema(),
-      {{Value::Double(1), Value::Double(2), Value::Null()}});
-  EXPECT_FALSE(assembler.Transform(DataBatch(table)).ok());
+  EXPECT_FALSE(Assemble(&assembler, {"1,2,"}).ok());
 }
 
 TEST(VectorAssemblerTest, MissingColumnErrors) {
@@ -80,19 +67,25 @@ TEST(VectorAssemblerTest, MissingColumnErrors) {
   options.feature_columns = {"nope"};
   options.label_column = "y";
   VectorAssembler assembler(options);
-  EXPECT_FALSE(assembler.Transform(DataBatch(MakeTable({{1, 2, 3}}))).ok());
+  EXPECT_EQ(Assemble(&assembler, {"1,2,3"}).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(VectorAssemblerTest, RejectsFeatureBatch) {
+  // Placed after a vectorized stage there is no table to assemble.
   VectorAssembler assembler(BaseOptions());
-  EXPECT_FALSE(assembler.Transform(DataBatch(FeatureData{})).ok());
+  EXPECT_EQ(KernelHarness::LibSvm(&assembler, 4)
+                .Transform({"1 0:1"})
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(VectorAssemblerTest, EmptyTableGivesEmptyFeatures) {
   VectorAssembler assembler(BaseOptions());
-  auto result = assembler.Transform(DataBatch(MakeTable({})));
+  auto result = Assemble(&assembler, {});
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<FeatureData>(*result).num_rows(), 0u);
+  EXPECT_EQ(result->num_rows(), 0u);
 }
 
 TEST(VectorAssemblerTest, ContractAndClone) {

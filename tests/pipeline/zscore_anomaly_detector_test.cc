@@ -5,20 +5,25 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/common/string_util.h"
 #include "src/io/serialization.h"
-#include "tests/testing/table_test_util.h"
+#include "tests/testing/kernel_test_util.h"
 
 namespace cdpipe {
 namespace {
 
-std::shared_ptr<const Schema> OneColumnSchema() {
-  return std::move(Schema::Make({Field{"x", ValueType::kDouble}})).ValueOrDie();
+using testing::KernelHarness;
+
+std::shared_ptr<const Schema> XLabelSchema() {
+  return std::move(Schema::Make({Field{"x", ValueType::kDouble},
+                                 Field{"label", ValueType::kDouble}}))
+      .ValueOrDie();
 }
 
-TableData MakeTable(std::vector<double> values) {
-  std::vector<Row> rows;
-  for (double v : values) rows.push_back({Value::Double(v)});
-  return testing::TableFromRows(OneColumnSchema(), rows);
+std::vector<std::string> Records(const std::vector<double>& values) {
+  std::vector<std::string> out;
+  for (double v : values) out.push_back(StrFormat("%.17g,0", v));
+  return out;
 }
 
 ZScoreAnomalyDetector::Options BaseOptions(double threshold = 3.0,
@@ -30,19 +35,30 @@ ZScoreAnomalyDetector::Options BaseOptions(double threshold = 3.0,
   return options;
 }
 
-TableData GaussianTable(Rng* rng, size_t n, double mean, double sd) {
+std::vector<std::string> Gaussian(Rng* rng, size_t n, double mean,
+                                  double sd) {
   std::vector<double> values;
   for (size_t i = 0; i < n; ++i) values.push_back(rng->NextGaussian(mean, sd));
-  return MakeTable(std::move(values));
+  return Records(values);
+}
+
+KernelHarness Harness(ZScoreAnomalyDetector* detector) {
+  return KernelHarness::Csv(XLabelSchema(), detector, {"x"});
+}
+
+/// Rows surviving the detector's transform kernel.
+size_t Kept(KernelHarness* harness, const std::vector<std::string>& records) {
+  auto result = harness->Transform(records);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? result->num_rows() : 0;
 }
 
 TEST(ZScoreDetectorTest, LearnsMomentsIncrementally) {
   Rng rng(1);
   ZScoreAnomalyDetector detector(BaseOptions());
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 500, 10.0, 2.0)))
-                  .ok());
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 500, 10.0, 2.0)))
-                  .ok());
+  KernelHarness harness = Harness(&detector);
+  ASSERT_TRUE(harness.Update(Gaussian(&rng, 500, 10.0, 2.0)).ok());
+  ASSERT_TRUE(harness.Update(Gaussian(&rng, 500, 10.0, 2.0)).ok());
   EXPECT_EQ(detector.CountOf(0), 1000);
   EXPECT_NEAR(detector.MeanOf(0), 10.0, 0.3);
   EXPECT_NEAR(detector.StdDevOf(0), 2.0, 0.3);
@@ -51,45 +67,35 @@ TEST(ZScoreDetectorTest, LearnsMomentsIncrementally) {
 TEST(ZScoreDetectorTest, DropsOutliersKeepsInliers) {
   Rng rng(2);
   ZScoreAnomalyDetector detector(BaseOptions(/*threshold=*/3.0));
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 1000, 0.0, 1.0)))
-                  .ok());
-  auto result = detector.Transform(
-      DataBatch(MakeTable({0.0, 1.5, -2.0, 50.0, -40.0, 0.5})));
-  ASSERT_TRUE(result.ok());
-  const auto& out = std::get<TableData>(*result);
-  EXPECT_EQ(out.num_rows(), 4u);  // 50 and -40 dropped
-  EXPECT_EQ(detector.num_dropped(), 2u);
+  KernelHarness harness = Harness(&detector);
+  ASSERT_TRUE(harness.Update(Gaussian(&rng, 1000, 0.0, 1.0)).ok());
+  const size_t dropped_before = detector.num_dropped();
+  EXPECT_EQ(Kept(&harness, Records({0.0, 1.5, -2.0, 50.0, -40.0, 0.5})),
+            4u);  // 50 and -40 dropped
+  EXPECT_EQ(detector.num_dropped() - dropped_before, 2u);
 }
 
 TEST(ZScoreDetectorTest, ColdDetectorDropsNothing) {
   ZScoreAnomalyDetector detector(BaseOptions(3.0, /*min_observations=*/100));
-  ASSERT_TRUE(detector.Update(DataBatch(MakeTable({1, 2, 3}))).ok());
+  KernelHarness harness = Harness(&detector);
+  ASSERT_TRUE(harness.Update(Records({1, 2, 3})).ok());
   // Only 3 observations < 100: even a wild value passes.
-  auto result = detector.Transform(DataBatch(MakeTable({1e9})));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<TableData>(*result).num_rows(), 1u);
+  EXPECT_EQ(Kept(&harness, Records({1e9})), 1u);
 }
 
 TEST(ZScoreDetectorTest, ConstantColumnDropsNothing) {
   ZScoreAnomalyDetector detector(BaseOptions(3.0, 5));
-  ASSERT_TRUE(detector.Update(
-                      DataBatch(MakeTable({7, 7, 7, 7, 7, 7, 7, 7})))
-                  .ok());
-  auto result = detector.Transform(DataBatch(MakeTable({7, 7})));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<TableData>(*result).num_rows(), 2u);
+  KernelHarness harness = Harness(&detector);
+  ASSERT_TRUE(harness.Update(Records({7, 7, 7, 7, 7, 7, 7, 7})).ok());
+  EXPECT_EQ(Kept(&harness, Records({7, 7})), 2u);
 }
 
 TEST(ZScoreDetectorTest, NullCellsNeverVote) {
   Rng rng(3);
   ZScoreAnomalyDetector detector(BaseOptions(3.0, 10));
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 100, 0.0, 1.0)))
-                  .ok());
-  TableData table = testing::TableFromRows(OneColumnSchema(),
-                                           {{Value::Null()}});
-  auto result = detector.Transform(DataBatch(table));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<TableData>(*result).num_rows(), 1u);
+  KernelHarness harness = Harness(&detector);
+  ASSERT_TRUE(harness.Update(Gaussian(&rng, 100, 0.0, 1.0)).ok());
+  EXPECT_EQ(Kept(&harness, {",0"}), 1u);
 }
 
 TEST(ZScoreDetectorTest, FalsePositiveRateBounded) {
@@ -97,12 +103,9 @@ TEST(ZScoreDetectorTest, FalsePositiveRateBounded) {
   // be tiny (P(|z| > 4) ≈ 6e-5).
   Rng rng(4);
   ZScoreAnomalyDetector detector(BaseOptions(/*threshold=*/4.0, 100));
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 2000, 5.0, 3.0)))
-                  .ok());
-  auto result =
-      detector.Transform(DataBatch(GaussianTable(&rng, 5000, 5.0, 3.0)));
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(std::get<TableData>(*result).num_rows(), 4990u);
+  KernelHarness harness = Harness(&detector);
+  ASSERT_TRUE(harness.Update(Gaussian(&rng, 2000, 5.0, 3.0)).ok());
+  EXPECT_GE(Kept(&harness, Gaussian(&rng, 5000, 5.0, 3.0)), 4990u);
 }
 
 TEST(ZScoreDetectorTest, CatchesInjectedAnomalies) {
@@ -110,36 +113,33 @@ TEST(ZScoreDetectorTest, CatchesInjectedAnomalies) {
   // removed while inliers survive.
   Rng rng(5);
   ZScoreAnomalyDetector detector(BaseOptions(4.0, 100));
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 2000, 0.0, 1.0)))
-                  .ok());
-  TableData mixed = GaussianTable(&rng, 100, 0.0, 1.0);
+  KernelHarness harness = Harness(&detector);
+  ASSERT_TRUE(harness.Update(Gaussian(&rng, 2000, 0.0, 1.0)).ok());
+  std::vector<std::string> mixed = Gaussian(&rng, 100, 0.0, 1.0);
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(
-        mixed
-            .AppendRow({Value::Double(rng.NextBernoulli(0.5) ? 15.0 : -15.0)})
-            .ok());
+    mixed.push_back(rng.NextBernoulli(0.5) ? "15,0" : "-15,0");
   }
-  auto result = detector.Transform(DataBatch(mixed));
-  ASSERT_TRUE(result.ok());
-  const size_t kept = std::get<TableData>(*result).num_rows();
+  const size_t kept = Kept(&harness, mixed);
   EXPECT_GE(kept, 98u);   // inliers survive
   EXPECT_LE(kept, 102u);  // anomalies removed
 }
 
 TEST(ZScoreDetectorTest, RejectsNonNumericColumn) {
   ZScoreAnomalyDetector detector(BaseOptions());
-  auto schema =
-      std::move(Schema::Make({Field{"x", ValueType::kString}})).ValueOrDie();
-  TableData table =
-      testing::TableFromRows(schema, {{Value::String("abc")}});
-  EXPECT_FALSE(detector.Update(DataBatch(table)).ok());
+  auto schema = std::move(Schema::Make({Field{"x", ValueType::kString},
+                                        Field{"label", ValueType::kDouble}}))
+                    .ValueOrDie();
+  EXPECT_EQ(KernelHarness::Csv(schema, &detector, {"label"})
+                .Update({"abc,0"})
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(ZScoreDetectorTest, CheckpointRoundTrip) {
   Rng rng(6);
   ZScoreAnomalyDetector detector(BaseOptions(3.0, 10));
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 200, 2.0, 0.5)))
-                  .ok());
+  ASSERT_TRUE(Harness(&detector).Update(Gaussian(&rng, 200, 2.0, 0.5)).ok());
   std::ostringstream os;
   Serializer out(&os);
   ASSERT_TRUE(detector.SaveState(&out).ok());
@@ -156,8 +156,7 @@ TEST(ZScoreDetectorTest, CheckpointRoundTrip) {
 TEST(ZScoreDetectorTest, ResetAndCloneAndContract) {
   Rng rng(7);
   ZScoreAnomalyDetector detector(BaseOptions());
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 100, 0.0, 1.0)))
-                  .ok());
+  ASSERT_TRUE(Harness(&detector).Update(Gaussian(&rng, 100, 0.0, 1.0)).ok());
   auto clone = detector.Clone();
   EXPECT_EQ(static_cast<ZScoreAnomalyDetector*>(clone.get())->CountOf(0),
             100);

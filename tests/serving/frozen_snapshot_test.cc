@@ -79,14 +79,16 @@ TEST(FrozenSnapshotTest, SnapshotOwnsItsPlanCacheAndScratchPool) {
   SnapshotPublisher publisher;
   publisher.PublishFrom(*fixture.pipeline, *fixture.model);
   std::shared_ptr<const ModelSnapshot> snapshot = publisher.Acquire();
-  // A fused plan compiled for the snapshot must live in the snapshot's own
-  // cache — a shared cache would let a live-side invalidation (statistics
-  // bump) race a serving-side execution.
+  // A plan compiled for the snapshot must live in the snapshot's own cache:
+  // plans point at the components they were compiled from, so a shared
+  // cache would run the live pipeline's components (and statistics) on
+  // behalf of the frozen snapshot.
   EXPECT_NE(snapshot->pipeline->plan_cache(), fixture.pipeline->plan_cache());
-  // Exercise the snapshot's fused path to actually populate its cache.
-  ASSERT_FALSE(SerialScores(*snapshot->pipeline, *snapshot->model,
-                            fixture.probe, ExecMode::kFused)
-                   .empty());
+  // Exercise the snapshot's plan to actually populate its cache.
+  ASSERT_FALSE(
+      SerialScores(*snapshot->pipeline, *snapshot->model, fixture.probe)
+          .empty());
+  EXPECT_EQ(snapshot->pipeline->plan_cache()->compiles(), 1u);
 }
 
 TEST(FrozenSnapshotTest, SharedPipelineEpochsStayIndependentOfLiveModel) {

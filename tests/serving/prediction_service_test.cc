@@ -80,26 +80,6 @@ TEST(PredictionServiceTest, QueuedPredictionMatchesSerialReference) {
   service.Stop();
 }
 
-TEST(PredictionServiceTest, InterpretedAndFusedModesAgree) {
-  ServingFixture fixture = MakeServingFixture();
-  SnapshotPublisher publisher;
-  publisher.PublishFrom(*fixture.pipeline, *fixture.model);
-
-  PredictionService::Options interpreted_options;
-  interpreted_options.exec_mode = ExecMode::kInterpreted;
-  PredictionService fused(&publisher, PredictionService::Options{});
-  PredictionService interpreted(&publisher, interpreted_options);
-  SnapshotReader fused_reader(&publisher);
-  SnapshotReader interpreted_reader(&publisher);
-  Result<PredictionService::Response> a =
-      fused.PredictWith(&fused_reader, fixture.probe);
-  Result<PredictionService::Response> b =
-      interpreted.PredictWith(&interpreted_reader, fixture.probe);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->scores, b->scores);
-}
-
 TEST(PredictionServiceTest, SingleRecordPredictionMatchesBatchRow) {
   ServingFixture fixture = MakeServingFixture();
   SnapshotPublisher publisher;

@@ -2,7 +2,9 @@
 // prequential evaluate step through the PredictionService must be
 // BIT-IDENTICAL to the in-loop evaluate path — same quality curve row by
 // row, same final deployed state (hexfloat-exact checkpoint fingerprint) —
-// at engine threads {1, 4} and under both serving execution modes.
+// at engine threads {1, 4} and under both statistics modes (online
+// statistics, and the NoOptimization baseline that recomputes them), with
+// a feature cache small enough that proactive steps re-materialize.
 //
 // Why this holds: in serve-eval mode the deployment publishes the snapshot
 // after the chunk's statistics update and before its online SGD step.  A
@@ -13,6 +15,7 @@
 
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -59,12 +62,17 @@ struct RunResult {
 /// One full InitialTrain + Run of the continuous strategy.  When `service`
 /// configuration is supplied, the serving tier is attached with
 /// serve-evaluation routing.
-RunResult RunOnce(size_t engine_threads, bool serve_eval,
-                  ExecMode serving_mode) {
+/// The two ways re-materialization obtains statistics (§5.4).
+enum class StatisticsMode { kOnline, kRecompute };
+
+RunResult RunOnce(size_t engine_threads, StatisticsMode mode,
+                  bool serve_eval) {
   Deployment::Options options;
   options.eval_window = 300;
   options.seed = 7;
   options.engine_threads = engine_threads;
+  options.online_statistics = mode == StatisticsMode::kOnline;
+  options.store.max_materialized_chunks = 3;
   ContinuousDeployment::ContinuousOptions continuous;
   continuous.proactive_every_chunks = 3;
   continuous.sample_chunks = 4;
@@ -79,7 +87,6 @@ RunResult RunOnce(size_t engine_threads, bool serve_eval,
 
   serving::SnapshotPublisher publisher;
   serving::PredictionService::Options service_options;
-  service_options.exec_mode = serving_mode;
   service_options.deployment_id = deployment.deployment_id();
   serving::PredictionService service(&publisher, service_options);
   if (serve_eval) {
@@ -127,16 +134,17 @@ void ExpectBitIdenticalQuality(const RunResult& baseline,
 }
 
 class ServeThenTrainTest
-    : public ::testing::TestWithParam<std::tuple<size_t, ExecMode>> {};
+    : public ::testing::TestWithParam<std::tuple<size_t, StatisticsMode>> {};
 
 TEST_P(ServeThenTrainTest, ServedEvaluationIsBitIdenticalToInLoop) {
   const size_t engine_threads = std::get<0>(GetParam());
-  const ExecMode serving_mode = std::get<1>(GetParam());
+  const StatisticsMode mode = std::get<1>(GetParam());
 
   const RunResult baseline =
-      RunOnce(engine_threads, /*serve_eval=*/false, serving_mode);
-  const RunResult served =
-      RunOnce(engine_threads, /*serve_eval=*/true, serving_mode);
+      RunOnce(engine_threads, mode, /*serve_eval=*/false);
+  const RunResult served = RunOnce(engine_threads, mode, /*serve_eval=*/true);
+  // The small feature cache made proactive steps re-materialize.
+  EXPECT_GT(served.report.cost.WorkIn(CostPhase::kMaterialization), 0);
 
   ExpectBitIdenticalQuality(baseline, served);
   // Every chunk was evaluated through the service, nothing fell back, and
@@ -156,8 +164,8 @@ TEST_P(ServeThenTrainTest, ServedEvaluationIsBitIdenticalToInLoop) {
 INSTANTIATE_TEST_SUITE_P(
     ThreadsAndModes, ServeThenTrainTest,
     ::testing::Combine(::testing::Values<size_t>(1, 4),
-                       ::testing::Values(ExecMode::kFused,
-                                         ExecMode::kInterpreted)));
+                       ::testing::Values(StatisticsMode::kOnline,
+                                         StatisticsMode::kRecompute)));
 
 }  // namespace
 }  // namespace cdpipe

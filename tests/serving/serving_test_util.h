@@ -63,11 +63,8 @@ inline ServingFixture MakeServingFixture(size_t num_chunks = 8) {
 /// service computes against a snapshot of the same state.
 inline std::vector<double> SerialScores(const Pipeline& pipeline,
                                         const LinearModel& model,
-                                        const RawChunk& probe,
-                                        ExecMode mode = ExecMode::kFused) {
-  size_t rows_scanned = 0;
-  FeatureData features =
-      pipeline.Transform(probe, nullptr, &rows_scanned, mode).ValueOrDie();
+                                        const RawChunk& probe) {
+  FeatureData features = pipeline.Transform(probe).ValueOrDie();
   std::vector<double> scores;
   model.PredictBatch(features, &scores);
   return scores;
