@@ -211,12 +211,7 @@ void RunDataset(const std::string& dataset, const std::string& dir,
 
 struct DeploymentRow {
   std::string budget;       ///< "ram" or a fraction of stream raw bytes
-  double total_mu = 0.0;
-  double memory_mu = 0.0;
-  double disk_mu = 0.0;
-  int64_t chunks_spilled = 0;
-  double prefetch_hit_rate = 0.0;
-  double compression_ratio = 0.0;
+  ChunkStore::Counters storage;
   double seconds = 0.0;
   double final_error = 0.0;
 };
@@ -258,20 +253,16 @@ void RunDeploymentSweep(const std::string& dir, double scale,
         RunDeployment(scenario, StrategyKind::kContinuous, overrides);
     DeploymentRow row;
     row.budget = point.label;
-    row.total_mu = report.storage.EmpiricalMu();
-    row.memory_mu = report.memory_mu;
-    row.disk_mu = report.disk_mu;
-    row.chunks_spilled = report.chunks_spilled;
-    row.prefetch_hit_rate = report.prefetch_hit_rate;
-    row.compression_ratio = report.spill_compression_ratio;
+    row.storage = report.storage;
     row.seconds = watch.ElapsedSeconds();
     row.final_error = report.final_error;
     std::printf(
         "url    budget=%-4s  mu=%.3f (mem %.3f + disk %.3f)  spilled=%-4lld "
         "prefetch=%.2f  %.2fs  err=%.4f\n",
-        row.budget.c_str(), row.total_mu, row.memory_mu, row.disk_mu,
-        static_cast<long long>(row.chunks_spilled), row.prefetch_hit_rate,
-        row.seconds, row.final_error);
+        row.budget.c_str(), row.storage.EmpiricalMu(),
+        row.storage.MemoryMu(), row.storage.DiskMu(),
+        static_cast<long long>(row.storage.chunks_spilled),
+        row.storage.PrefetchHitRate(), row.seconds, row.final_error);
     rows->push_back(row);
   }
 }
@@ -336,9 +327,11 @@ int Main(int argc, char** argv) {
           "\"disk_mu\": %.4f, \"chunks_spilled\": %lld, "
           "\"prefetch_hit_rate\": %.4f, \"compression_ratio\": %.4f, "
           "\"seconds\": %.3f, \"final_error\": %.6f}%s\n",
-          row.budget.c_str(), row.total_mu, row.memory_mu, row.disk_mu,
-          static_cast<long long>(row.chunks_spilled), row.prefetch_hit_rate,
-          row.compression_ratio, row.seconds, row.final_error,
+          row.budget.c_str(), row.storage.EmpiricalMu(),
+          row.storage.MemoryMu(), row.storage.DiskMu(),
+          static_cast<long long>(row.storage.chunks_spilled),
+          row.storage.PrefetchHitRate(), row.storage.SpillCompressionRatio(),
+          row.seconds, row.final_error,
           i + 1 < deployment_rows.size() ? "," : "");
     }
     out << "  ]\n}\n";

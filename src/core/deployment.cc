@@ -440,15 +440,6 @@ Result<DeploymentReport> Deployment::RunImpl(
   report.cost = cost_;
   report.storage = data_manager_.store().counters();
   report.empirical_mu = report.storage.EmpiricalMu();
-  report.memory_mu = report.storage.MemoryMu();
-  report.disk_mu = report.storage.DiskMu();
-  report.prefetch_hit_rate = report.storage.PrefetchHitRate();
-  report.spill_compression_ratio = report.storage.SpillCompressionRatio();
-  report.chunks_spilled = report.storage.chunks_spilled;
-  report.disk_loads = report.storage.disk_loads;
-  report.prefetch_hits = report.storage.prefetch_hits;
-  report.spill_failures = report.storage.spill_failures;
-  report.spill_corrupt_detected = report.storage.spill_corrupt_detected;
   report.chunks_processed = static_cast<int64_t>(state.processed);
   report.initial_training_epochs = initial_training_epochs_;
   report.metrics = obs::MetricsSnapshot::Delta(

@@ -45,12 +45,13 @@ std::string DeploymentReport::Summary() const {
       static_cast<long long>(proactive_iterations), average_proactive_seconds,
       static_cast<long long>(retrainings), empirical_mu,
       static_cast<long long>(chunks_processed));
-  if (chunks_spilled > 0) {
+  if (storage.chunks_spilled > 0) {
     out += StrFormat(
         ", spilled=%lld (ratio %.2f), mu_mem=%.3f mu_disk=%.3f, "
         "prefetch_hit_rate=%.2f",
-        static_cast<long long>(chunks_spilled), spill_compression_ratio,
-        memory_mu, disk_mu, prefetch_hit_rate);
+        static_cast<long long>(storage.chunks_spilled),
+        storage.SpillCompressionRatio(), storage.MemoryMu(), storage.DiskMu(),
+        storage.PrefetchHitRate());
   }
   if (ingest_offered > 0) {
     out += StrFormat(

@@ -37,6 +37,9 @@ struct DeploymentReport {
   int64_t total_work = 0;
 
   CostModel cost;
+  /// The chunk store's counters at the end of the run.  The disk tier's
+  /// figures (spills, loads, per-tier μ, prefetch hit rate, compression
+  /// ratio) are read from here; all are zero without a disk tier.
   ChunkStore::Counters storage;
   /// Per-run delta of the global metrics registry (counters and histogram
   /// buckets recorded during this Run; gauges hold end-of-run values).
@@ -98,20 +101,6 @@ struct DeploymentReport {
   /// Options::publish_staleness_bound_chunks).
   int64_t publish_skipped_overload = 0;
   int64_t max_snapshot_staleness_chunks = 0;
-
-  /// Two-tier storage accounting (all zero without a disk tier): μ split by
-  /// the tier the sampled chunk's raw bytes occupied, the prefetcher's
-  /// share of disk loads, and the spill codec's compressed-to-raw ratio.
-  /// The raw counts live in `storage`.
-  double memory_mu = 0.0;
-  double disk_mu = 0.0;
-  double prefetch_hit_rate = 0.0;
-  double spill_compression_ratio = 0.0;
-  int64_t chunks_spilled = 0;
-  int64_t disk_loads = 0;
-  int64_t prefetch_hits = 0;
-  int64_t spill_failures = 0;
-  int64_t spill_corrupt_detected = 0;
 
   /// Serializes the curve as CSV with a header row.
   std::string CurveToCsv() const;

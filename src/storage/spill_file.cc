@@ -3,18 +3,45 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <utility>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "src/common/string_util.h"
-#include "src/dataframe/column_codec.h"
 #include "src/testing/fault_injector.h"
 
 namespace cdpipe {
 namespace {
 
-constexpr char kMagic[] = "CDSPILL1";
-constexpr size_t kMagicSize = 8;
+constexpr std::string_view kMagic("CDSPILL1", 8);
 constexpr size_t kTrailerSize = 8;
+/// Column count 1, then the string type byte: a spill file is one string
+/// column of records.
+constexpr std::string_view kColumnPrefix("\x01\x04", 2);
+constexpr std::string_view kNoNulls("\x00", 1);
+
+/// Record encodings, ordered by preference on equal size.
+enum class Mode : uint8_t {
+  kRaw = 0,     ///< varint lengths + concatenated bytes
+  kDict = 1,    ///< distinct records (first-occurrence order) + codes
+  kTokens = 2,  ///< space-separated tokens dictionary-coded per record
+};
+
+void PutVarint(uint64_t v, std::string* out) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+uint64_t ZigZagEncode(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+int64_t ZigZagDecode(uint64_t v) {
+  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
+}
 
 void PutFixed64(uint64_t v, std::string* out) {
   char bytes[8];
@@ -31,25 +58,285 @@ uint64_t GetFixed64(const char* bytes) {
   return v;
 }
 
-Status Corrupt(const std::string& path, const char* what) {
-  return Status::InvalidArgument("spill file " + path + ": " + what);
+/// Splits `s` on single spaces.  Returns false when the record cannot be
+/// reproduced as `join(' ', tokens)` — leading/trailing/double spaces.
+bool TokenizeExact(std::string_view s, std::vector<std::string_view>* out) {
+  out->clear();
+  if (s.empty()) return true;
+  size_t start = 0;
+  while (true) {
+    const size_t space = s.find(' ', start);
+    const std::string_view token =
+        space == std::string_view::npos ? s.substr(start)
+                                        : s.substr(start, space - start);
+    if (token.empty()) return false;  // leading, trailing, or double space
+    out->push_back(token);
+    if (space == std::string_view::npos) return true;
+    start = space + 1;
+  }
+}
+
+/// Distinct values in first-occurrence order; the code of a value is its
+/// slot.
+class Dictionary {
+ public:
+  uint64_t Intern(std::string_view value) {
+    auto [it, inserted] = index_.emplace(value, entries_.size());
+    if (inserted) entries_.push_back(value);
+    return it->second;
+  }
+
+  /// Entry count, then each entry as varint length + bytes.
+  void AppendTo(std::string* out) const {
+    PutVarint(entries_.size(), out);
+    for (const std::string_view e : entries_) {
+      PutVarint(e.size(), out);
+      out->append(e);
+    }
+  }
+
+ private:
+  std::unordered_map<std::string_view, uint64_t> index_;
+  std::vector<std::string_view> entries_;
+};
+
+/// Appends the mode byte and payload of the smallest eligible encoding.
+void EncodeRecords(const std::vector<std::string>& records, std::string* out) {
+  std::string raw;
+  {
+    size_t total = 0;
+    for (const std::string& r : records) {
+      PutVarint(r.size(), &raw);
+      total += r.size();
+    }
+    raw.reserve(raw.size() + total);
+    for (const std::string& r : records) raw.append(r);
+  }
+
+  std::string dict;
+  {
+    Dictionary dictionary;
+    std::vector<uint64_t> codes;
+    codes.reserve(records.size());
+    for (const std::string& r : records) {
+      codes.push_back(dictionary.Intern(r));
+    }
+    dictionary.AppendTo(&dict);
+    for (const uint64_t c : codes) PutVarint(c, &dict);
+  }
+
+  std::string tokens;
+  bool tokens_ok = true;
+  {
+    Dictionary dictionary;
+    std::vector<std::vector<uint64_t>> record_codes(records.size());
+    std::vector<std::string_view> scratch;
+    for (size_t i = 0; i < records.size(); ++i) {
+      if (!TokenizeExact(records[i], &scratch)) {
+        tokens_ok = false;
+        break;
+      }
+      record_codes[i].reserve(scratch.size());
+      for (const std::string_view t : scratch) {
+        record_codes[i].push_back(dictionary.Intern(t));
+      }
+    }
+    if (tokens_ok) {
+      dictionary.AppendTo(&tokens);
+      for (const std::vector<uint64_t>& codes : record_codes) {
+        PutVarint(codes.size(), &tokens);
+        for (const uint64_t c : codes) PutVarint(c, &tokens);
+      }
+    }
+  }
+
+  Mode mode = Mode::kRaw;
+  const std::string* payload = &raw;
+  if (dict.size() < payload->size()) {
+    mode = Mode::kDict;
+    payload = &dict;
+  }
+  if (tokens_ok && tokens.size() < payload->size()) {
+    mode = Mode::kTokens;
+    payload = &tokens;
+  }
+  out->push_back(static_cast<char>(mode));
+  out->append(*payload);
+}
+
+/// Bounds-checked cursor over a checksum-verified payload: a read that
+/// would pass the end fails instead.
+class Cursor {
+ public:
+  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
+
+  size_t remaining() const { return bytes_.size() - offset_; }
+
+  bool Byte(uint8_t* out) {
+    if (offset_ >= bytes_.size()) return false;
+    *out = static_cast<uint8_t>(bytes_[offset_++]);
+    return true;
+  }
+
+  /// Consumes exactly `expected`.
+  bool Literal(std::string_view expected) {
+    if (bytes_.substr(offset_, expected.size()) != expected) return false;
+    offset_ += expected.size();
+    return true;
+  }
+
+  /// LEB128; fails on truncation or an encoding longer than ten bytes.
+  bool Varint(uint64_t* out) {
+    uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      uint8_t byte = 0;
+      if (!Byte(&byte)) return false;
+      v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) {
+        *out = v;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// The next `len` bytes.  Each length is checked against what remains,
+  /// so no sum of lengths can wrap past the bound.
+  bool Bytes(uint64_t len, std::string_view* out) {
+    if (len > remaining()) return false;
+    *out = bytes_.substr(offset_, len);
+    offset_ += len;
+    return true;
+  }
+
+ private:
+  std::string_view bytes_;
+  size_t offset_ = 0;
+};
+
+/// Reads a dictionary written by `Dictionary::AppendTo`; the entries view
+/// the payload.  Returns what is wrong, or nullptr.
+const char* ReadDictionary(Cursor* in, std::vector<std::string_view>* out) {
+  uint64_t num_entries = 0;
+  if (!in->Varint(&num_entries)) return "truncated dictionary size";
+  // Every entry costs at least its length byte.
+  if (num_entries > in->remaining()) return "dictionary too large";
+  out->reserve(num_entries);
+  for (uint64_t e = 0; e < num_entries; ++e) {
+    uint64_t len = 0;
+    std::string_view entry;
+    if (!in->Varint(&len) || !in->Bytes(len, &entry)) {
+      return "truncated dictionary entry";
+    }
+    out->push_back(entry);
+  }
+  return nullptr;
+}
+
+/// Decodes the mode byte and `rows` records.  Returns what is wrong, or
+/// nullptr.
+const char* DecodeRecords(Cursor* in, size_t rows,
+                          std::vector<std::string>* records) {
+  uint8_t mode = 0;
+  if (!in->Byte(&mode)) return "missing record mode";
+  records->reserve(rows);
+  switch (static_cast<Mode>(mode)) {
+    case Mode::kRaw: {
+      std::vector<uint64_t> lengths(rows);
+      for (uint64_t& len : lengths) {
+        if (!in->Varint(&len)) return "truncated record length";
+      }
+      for (const uint64_t len : lengths) {
+        std::string_view record;
+        if (!in->Bytes(len, &record)) return "truncated record bytes";
+        records->emplace_back(record);
+      }
+      return nullptr;
+    }
+    case Mode::kDict: {
+      std::vector<std::string_view> entries;
+      if (const char* error = ReadDictionary(in, &entries)) return error;
+      for (size_t i = 0; i < rows; ++i) {
+        uint64_t code = 0;
+        if (!in->Varint(&code) || code >= entries.size()) {
+          return "bad dictionary code";
+        }
+        records->emplace_back(entries[code]);
+      }
+      return nullptr;
+    }
+    case Mode::kTokens: {
+      std::vector<std::string_view> tokens;
+      if (const char* error = ReadDictionary(in, &tokens)) return error;
+      // Joined in a reused buffer, so each record is allocated once at its
+      // final size.
+      std::string record;
+      for (size_t i = 0; i < rows; ++i) {
+        uint64_t num_tokens = 0;
+        if (!in->Varint(&num_tokens)) return "truncated token count";
+        record.clear();
+        for (uint64_t t = 0; t < num_tokens; ++t) {
+          uint64_t code = 0;
+          if (!in->Varint(&code) || code >= tokens.size()) {
+            return "bad token code";
+          }
+          if (t > 0) record.push_back(' ');
+          record.append(tokens[code]);
+        }
+        records->push_back(record);
+      }
+      return nullptr;
+    }
+  }
+  return "unknown record mode";
+}
+
+/// Verifies a whole file image and decodes it into `*chunk`.  Returns what
+/// is wrong, or nullptr.
+const char* DecodeFile(std::string_view file, ChunkId expected_id,
+                       RawChunk* chunk) {
+  if (file.size() < kMagic.size() + kTrailerSize) return "truncated header";
+  const std::string_view payload = file.substr(0, file.size() - kTrailerSize);
+  if (Fnv1a64(payload) != GetFixed64(file.data() + payload.size())) {
+    return "checksum mismatch (truncated or corrupt)";
+  }
+  Cursor in(payload);
+  if (!in.Literal(kMagic)) return "bad magic";
+  uint64_t id_zz = 0, time_zz = 0, rows = 0;
+  if (!in.Varint(&id_zz) || !in.Varint(&time_zz)) {
+    return "truncated chunk header";
+  }
+  if (ZigZagDecode(id_zz) != expected_id) return "chunk id mismatch";
+  if (!in.Literal(kColumnPrefix)) return "not a one-string-column spill";
+  if (!in.Varint(&rows)) return "truncated record count";
+  if (!in.Literal(kNoNulls)) return "bad null flag";
+  // Every record costs at least one payload byte in every mode; a larger
+  // count is a corrupt header, rejected before any allocation.
+  if (rows > in.remaining()) return "implausible record count";
+  chunk->id = expected_id;
+  chunk->event_time_seconds = ZigZagDecode(time_zz);
+  if (const char* error =
+          DecodeRecords(&in, static_cast<size_t>(rows), &chunk->records)) {
+    return error;
+  }
+  if (in.remaining() != 0) return "trailing bytes after records";
+  return nullptr;
 }
 
 }  // namespace
 
-Result<SpillFileInfo> WriteSpillFile(const std::string& path,
-                                     int64_t chunk_id,
-                                     int64_t event_time_seconds,
-                                     const std::vector<Column>& columns) {
+Result<SpillFileInfo> WriteRawChunkSpill(const std::string& path,
+                                         const RawChunk& chunk) {
   CDPIPE_FAULT_POINT("spill.write");
 
   // Serialize fully in memory so the trailer covers the whole payload.
-  std::string payload;
-  payload.append(kMagic, kMagicSize);
-  PutVarint64(ZigZagEncode(chunk_id), &payload);
-  PutVarint64(ZigZagEncode(event_time_seconds), &payload);
-  PutVarint64(columns.size(), &payload);
-  for (const Column& col : columns) EncodeColumn(col, &payload);
+  std::string payload(kMagic);
+  PutVarint(ZigZagEncode(chunk.id), &payload);
+  PutVarint(ZigZagEncode(chunk.event_time_seconds), &payload);
+  payload.append(kColumnPrefix);
+  PutVarint(chunk.records.size(), &payload);
+  payload.append(kNoNulls);
+  EncodeRecords(chunk.records, &payload);
   PutFixed64(Fnv1a64(payload), &payload);
 
   const std::string tmp = path + ".tmp";
@@ -73,7 +360,8 @@ Result<SpillFileInfo> WriteSpillFile(const std::string& path,
   return info;
 }
 
-Result<SpillContents> ReadSpillFile(const std::string& path) {
+Result<RawChunk> ReadRawChunkSpill(const std::string& path,
+                                   ChunkId expected_id) {
   CDPIPE_FAULT_POINT("spill.read");
 
   std::string contents;
@@ -88,80 +376,15 @@ Result<SpillContents> ReadSpillFile(const std::string& path) {
     contents = slurp.str();
   }
   // Corruption injection: flip one payload bit in the read buffer so the
-  // checksum verification below has to catch it — one trigger is exactly
-  // one detection, which the CI corruption gate counts on.
+  // checksum verification has to catch it — one trigger is exactly one
+  // detection, which the CI corruption gate counts on.
   if (CDPIPE_FAULT_TRIGGERED("spill.corrupt") && !contents.empty()) {
     contents[contents.size() / 2] ^= 0x01;
   }
 
-  if (contents.empty()) return Corrupt(path, "empty");
-  if (contents.size() < kMagicSize + kTrailerSize) {
-    return Corrupt(path, "truncated header");
-  }
-  const std::string_view payload(contents.data(),
-                                 contents.size() - kTrailerSize);
-  const uint64_t expected =
-      GetFixed64(contents.data() + contents.size() - kTrailerSize);
-  if (Fnv1a64(payload) != expected) {
-    return Corrupt(path, "checksum mismatch (truncated or corrupt)");
-  }
-  if (payload.substr(0, kMagicSize) != std::string_view(kMagic, kMagicSize)) {
-    return Corrupt(path, "bad magic");
-  }
-
-  size_t offset = kMagicSize;
-  uint64_t id_zz = 0, time_zz = 0, num_columns = 0;
-  if (!GetVarint64(payload, &offset, &id_zz) ||
-      !GetVarint64(payload, &offset, &time_zz) ||
-      !GetVarint64(payload, &offset, &num_columns)) {
-    return Corrupt(path, "truncated chunk header");
-  }
-  if (num_columns > payload.size()) {
-    return Corrupt(path, "implausible column count");
-  }
-  SpillContents out;
-  out.chunk_id = ZigZagDecode(id_zz);
-  out.event_time_seconds = ZigZagDecode(time_zz);
-  out.columns.reserve(num_columns);
-  for (uint64_t c = 0; c < num_columns; ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(Column col, DecodeColumn(payload, &offset));
-    out.columns.push_back(std::move(col));
-  }
-  if (offset != payload.size()) {
-    return Corrupt(path, "trailing bytes after last column");
-  }
-  return out;
-}
-
-Result<SpillFileInfo> WriteRawChunkSpill(const std::string& path,
-                                         const RawChunk& chunk) {
-  Column records(ValueType::kString);
-  records.Reserve(chunk.records.size());
-  for (const std::string& record : chunk.records) {
-    records.AppendBorrowedString(record);
-  }
-  std::vector<Column> columns;
-  columns.push_back(std::move(records));
-  return WriteSpillFile(path, chunk.id, chunk.event_time_seconds, columns);
-}
-
-Result<RawChunk> ReadRawChunkSpill(const std::string& path,
-                                   ChunkId expected_id) {
-  CDPIPE_ASSIGN_OR_RETURN(SpillContents contents, ReadSpillFile(path));
-  if (contents.chunk_id != expected_id) {
-    return Corrupt(path, "chunk id mismatch");
-  }
-  if (contents.columns.size() != 1 ||
-      contents.columns[0].type() != ValueType::kString) {
-    return Corrupt(path, "not a raw-chunk spill");
-  }
-  const Column& records = contents.columns[0];
   RawChunk chunk;
-  chunk.id = contents.chunk_id;
-  chunk.event_time_seconds = contents.event_time_seconds;
-  chunk.records.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    chunk.records.emplace_back(records.StringAt(i));
+  if (const char* error = DecodeFile(contents, expected_id, &chunk)) {
+    return Status::InvalidArgument("spill file " + path + ": " + error);
   }
   return chunk;
 }

@@ -3,35 +3,50 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/dataframe/chunk.h"
-#include "src/dataframe/column.h"
 
 namespace cdpipe {
 
-/// Per-chunk spill files for the chunk store's disk tier.
+/// Per-chunk spill files for the chunk store's disk tier: one file holds
+/// one raw chunk, and reading it back reproduces the records byte for byte.
 ///
-/// Format (all integers varint-coded unless noted):
+/// Format (varints are LEB128; the id and event time are zigzag-coded):
 ///
 ///   "CDSPILL1"            8-byte magic
 ///   chunk_id              zigzag varint
 ///   event_time_seconds    zigzag varint
-///   num_columns           varint
-///   columns               column_codec encodings, back to back
+///   0x01 0x04             fixed: one column, of string type
+///   num_records           varint
+///   0x00                  fixed: no null bitmap
+///   mode                  1 byte: 0 raw, 1 dictionary, 2 tokenized
+///   records               the mode's payload (below)
 ///   checksum              8-byte little-endian FNV-1a over everything above
+///
+/// Record modes.  The writer encodes every eligible mode and keeps the
+/// smallest; on equal size the lower mode byte wins.
+///  - raw: one varint length per record, then the concatenated bytes;
+///  - dictionary: a varint entry count, the distinct records in
+///    first-occurrence order (varint length + bytes each), then one varint
+///    code per record;
+///  - tokenized: the same dictionary over space-separated tokens, then per
+///    record a varint token count and that many varint codes.  Eligible
+///    only when every record equals `join(' ', tokens)` — no leading,
+///    trailing or double spaces.
+/// `SpillFileFormatTest` pins one file per mode byte for byte.
 ///
 /// Writes serialize fully in memory, land in `<path>.tmp`, and commit with
 /// an atomic rename — a crashed writer leaves either the old file or none,
-/// never a torn one (the PR 3 checkpoint idiom).  Reads verify the checksum
-/// against the raw bytes before decoding a single column.
+/// never a torn one.  Reads verify the checksum against the raw bytes
+/// before decoding anything.
 ///
 /// Error taxonomy: `kIoError` for open/write/rename failures (the chunk
 /// store degrades to keep-in-memory), `kInvalidArgument` for anything wrong
 /// with the bytes themselves — bad magic, truncation, checksum mismatch,
-/// column decode failure — which the store treats as corruption and answers
-/// with drop-chunk accounting.
+/// a header other than the fixed prefix, a malformed record payload,
+/// trailing bytes, a chunk id other than the expected one — which the store
+/// treats as corruption and answers with drop-chunk accounting.
 ///
 /// Fault sites: `spill.write` (fails/throws a write), `spill.read`
 /// (fails/throws a read), `spill.corrupt` (flips a payload bit in the read
@@ -41,25 +56,11 @@ struct SpillFileInfo {
   int64_t bytes_written = 0;  ///< final file size, checksum included
 };
 
-struct SpillContents {
-  int64_t chunk_id = 0;
-  int64_t event_time_seconds = 0;
-  std::vector<Column> columns;
-};
-
-/// Writes `columns` as a spill file at `path` (atomic tmp+rename).
-Result<SpillFileInfo> WriteSpillFile(const std::string& path,
-                                     int64_t chunk_id,
-                                     int64_t event_time_seconds,
-                                     const std::vector<Column>& columns);
-
-/// Reads and fully verifies a spill file.
-Result<SpillContents> ReadSpillFile(const std::string& path);
-
-/// Convenience wrappers for the raw-chunk tier: a RawChunk spills as a
-/// single string column of its records (bit-exact round trip — no parsing).
+/// Writes `chunk` as a spill file at `path` (atomic tmp+rename).
 Result<SpillFileInfo> WriteRawChunkSpill(const std::string& path,
                                          const RawChunk& chunk);
+
+/// Reads and fully verifies the spill file of chunk `expected_id`.
 Result<RawChunk> ReadRawChunkSpill(const std::string& path,
                                    ChunkId expected_id);
 

@@ -4,34 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/dataframe/column.h"
-
 namespace cdpipe {
 namespace {
-
-TEST(ColumnTest, ByteSizeCountsNullBitmapWords) {
-  Column column(ValueType::kDouble);
-  column.AppendDouble(1.0);
-  const size_t before = column.ByteSize();
-  column.AppendNull();
-  // The second row adds its placeholder double plus the lazily allocated
-  // bitmap word (one uint64 covers the first 64 rows).
-  EXPECT_EQ(column.ByteSize(), before + sizeof(double) + sizeof(uint64_t));
-}
-
-TEST(ColumnTest, ByteSizeOfBorrowedColumnExcludesPayload) {
-  const std::string record(1000, 'x');
-  Column borrowed(ValueType::kString);
-  borrowed.AppendBorrowedString(record);
-
-  Column owned(ValueType::kString);
-  owned.AppendString(record);
-
-  // The borrowed column accounts only its view table — the kilobyte of
-  // payload belongs to the raw chunk.  The owned column pays the arena.
-  EXPECT_EQ(borrowed.ByteSize(), sizeof(std::string_view));
-  EXPECT_GE(owned.ByteSize(), record.size());
-}
 
 TEST(FeatureDataTest, ValidatePasses) {
   FeatureData data;

@@ -89,8 +89,8 @@ TEST_F(SpillScenarioTest, SpillingIsBitIdenticalToRamOnlySingleThread) {
   const ScenarioResult control = RunScenario(ram_only);
   const ScenarioResult spilled = RunScenario(SpillScenario(7, 1));
   ExpectBitIdentical(control, spilled);
-  EXPECT_GT(spilled.report.chunks_spilled, 0);
-  EXPECT_EQ(control.report.chunks_spilled, 0);
+  EXPECT_GT(spilled.report.storage.chunks_spilled, 0);
+  EXPECT_EQ(control.report.storage.chunks_spilled, 0);
 }
 
 TEST_F(SpillScenarioTest, SpillingIsBitIdenticalToRamOnlyFourThreads) {
@@ -100,7 +100,7 @@ TEST_F(SpillScenarioTest, SpillingIsBitIdenticalToRamOnlyFourThreads) {
   const ScenarioResult control = RunScenario(ram_only);
   const ScenarioResult spilled = RunScenario(SpillScenario(7, 4));
   ExpectBitIdentical(control, spilled);
-  EXPECT_GT(spilled.report.chunks_spilled, 0);
+  EXPECT_GT(spilled.report.storage.chunks_spilled, 0);
 }
 
 TEST_F(SpillScenarioTest, ThreadCountInvarianceWithSpilling) {
@@ -117,20 +117,20 @@ TEST_F(SpillScenarioTest, QuarterBudgetRunReportsDiskTierActivity) {
   // misses at zero), prefetch hit rate reported.
   const ScenarioResult result = RunScenario(SpillScenario(3, 1));
   ASSERT_TRUE(result.ok()) << result.status.ToString();
-  EXPECT_GT(result.report.chunks_spilled, 0);
-  EXPECT_GT(result.report.disk_mu, 0.0);
-  EXPECT_GT(result.report.memory_mu, 0.0);
+  EXPECT_GT(result.report.storage.chunks_spilled, 0);
+  EXPECT_GT(result.report.storage.DiskMu(), 0.0);
+  EXPECT_GT(result.report.storage.MemoryMu(), 0.0);
   EXPECT_DOUBLE_EQ(
-      result.report.memory_mu + result.report.disk_mu,
+      result.report.storage.MemoryMu() + result.report.storage.DiskMu(),
       result.report.storage.EmpiricalMu());
   EXPECT_EQ(result.report.storage.sample_misses, 0);
   EXPECT_EQ(result.report.storage.spilled_chunks_dropped, 0);
-  EXPECT_EQ(result.report.spill_corrupt_detected, 0);
-  EXPECT_GE(result.report.prefetch_hit_rate, 0.0);
-  EXPECT_LE(result.report.prefetch_hit_rate, 1.0);
-  EXPECT_GT(result.report.spill_compression_ratio, 0.0);
+  EXPECT_EQ(result.report.storage.spill_corrupt_detected, 0);
+  EXPECT_GE(result.report.storage.PrefetchHitRate(), 0.0);
+  EXPECT_LE(result.report.storage.PrefetchHitRate(), 1.0);
+  EXPECT_GT(result.report.storage.SpillCompressionRatio(), 0.0);
   // The budget actually bit: most of the log lives on disk.
-  EXPECT_GE(result.report.chunks_spilled,
+  EXPECT_GE(result.report.storage.chunks_spilled,
             static_cast<int64_t>(result.report.chunks_processed) / 2);
 }
 
@@ -142,8 +142,9 @@ TEST_F(SpillScenarioTest, SpillWriteFailureDegradesToKeepInMemory) {
   scenario.faults = {{"spill.write", FaultRule::EveryN(2)}};
   const ScenarioResult result = RunScenario(scenario);
   ASSERT_TRUE(result.ok()) << result.status.ToString();
-  EXPECT_GT(result.report.spill_failures, 0);
-  EXPECT_GT(result.report.chunks_spilled, 0);  // the other half succeeded
+  EXPECT_GT(result.report.storage.spill_failures, 0);
+  // The other half succeeded.
+  EXPECT_GT(result.report.storage.chunks_spilled, 0);
   EXPECT_EQ(result.report.storage.spilled_chunks_dropped, 0);
   // Degrading never loses data, so the numerics stay bit-identical to the
   // unfaulted spill run.
@@ -161,15 +162,15 @@ TEST_F(SpillScenarioTest, CorruptSpillFilesAreDroppedWithExactAccounting) {
   scenario.faults = {{"spill.corrupt", FaultRule::EveryN(4)}};
   const ScenarioResult result = RunScenario(scenario);
   ASSERT_TRUE(result.ok()) << result.status.ToString();
-  EXPECT_GT(result.report.spill_corrupt_detected, 0);
-  EXPECT_EQ(result.report.spill_corrupt_detected,
+  EXPECT_GT(result.report.storage.spill_corrupt_detected, 0);
+  EXPECT_EQ(result.report.storage.spill_corrupt_detected,
             result.report.faults_injected);
   // A detection only becomes a drop when the corrupt load is consumed; a
   // corrupted *prefetch* whose slot goes stale is detected but the file —
   // which the fault never touched — reads fine next time.
   EXPECT_GT(result.report.storage.spilled_chunks_dropped, 0);
   EXPECT_LE(result.report.storage.spilled_chunks_dropped,
-            result.report.spill_corrupt_detected);
+            result.report.storage.spill_corrupt_detected);
   EXPECT_EQ(result.report.chunks_processed, 24);
 }
 
@@ -187,7 +188,7 @@ TEST_F(SpillScenarioTest, ThrowingPrefetchReadIsContained) {
   EXPECT_EQ(result.report.chunks_processed, 24);
   // Chunks were never dropped: read failures keep them live for retry.
   EXPECT_EQ(result.report.storage.spilled_chunks_dropped, 0);
-  EXPECT_EQ(result.report.spill_corrupt_detected, 0);
+  EXPECT_EQ(result.report.storage.spill_corrupt_detected, 0);
 }
 
 TEST_F(SpillScenarioTest, BoundedMaterializationSpillRunCompletes) {

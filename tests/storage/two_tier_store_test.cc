@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/string_util.h"
 #include "src/obs/metrics.h"
 #include "src/sampling/mu_theory.h"
 #include "src/sampling/sampler.h"
@@ -264,6 +265,38 @@ TEST_F(TwoTierStoreTest, CorruptSpillFileIsDetectedAndChunkDropped) {
   // Exactly as many detections as injected corruptions.
   EXPECT_EQ(counters.spill_corrupt_detected,
             testing::FaultInjector::Global().StatsFor("spill.corrupt").triggers);
+}
+
+TEST_F(TwoTierStoreTest, OverflowingSpillLengthsAreCorruptionNotRetry) {
+  ChunkStore store(SpillOptions(2));
+  for (ChunkId id = 0; id < 5; ++id) {
+    ASSERT_TRUE(store.PutRaw(MakeRaw(id)).ok());
+  }
+  // Replace chunk 0's file with a checksum-valid one whose two raw-mode
+  // record lengths (64 and 2^64 - 60) wrap to a sum of 4.
+  const std::string path = (dir_ / "chunk_0.spill").string();
+  ASSERT_TRUE(fs::exists(path));
+  std::string bytes("CDSPILL1"
+                    "\x00\x00"          // id 0, event time 0
+                    "\x01\x04\x02\x00"  // one string column, 2 rows, no nulls
+                    "\x00"              // raw mode
+                    "\x40"              // 64
+                    "\xc4\xff\xff\xff\xff\xff\xff\xff\xff\x01"  // 2^64 - 60
+                    "xxxxxxxx",
+                    34);
+  const uint64_t sum = Fnv1a64(bytes);
+  for (int i = 0; i < 8; ++i) {
+    bytes.push_back(static_cast<char>(sum >> (8 * i)));
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  // Corrupt bytes are dropped once, not retried on every access.
+  EXPECT_EQ(store.FetchRaw(0), nullptr);
+  EXPECT_EQ(store.counters().spill_corrupt_detected, 1);
+  EXPECT_EQ(store.counters().spilled_chunks_dropped, 1);
+  EXPECT_FALSE(store.Contains(0));
 }
 
 TEST_F(TwoTierStoreTest, ReadFailureKeepsChunkLiveForRetry) {
