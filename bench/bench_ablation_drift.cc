@@ -142,8 +142,8 @@ int main(int argc, char** argv) {
                             .windowed_error;
     std::printf("%-28s %10.4f %13.4f %13.4f %11lld %8lld\n", config.label,
                 report.final_error, at10, at30,
-                static_cast<long long>(report.proactive_iterations),
-                static_cast<long long>(report.drift_events));
+                static_cast<long long>(report.proactive_iterations()),
+                static_cast<long long>(report.drift_events()));
   }
   return 0;
 }

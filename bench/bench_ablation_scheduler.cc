@@ -108,7 +108,7 @@ void RunEventTimeComparison(const Scenario& scenario) {
     DeploymentReport report = std::move(result).ValueOrDie();
     PrintSummaryRow(label, report);
     std::printf("      proactive iterations: %lld\n",
-                static_cast<long long>(report.proactive_iterations));
+                static_cast<long long>(report.proactive_iterations()));
   };
 
   for (double interval_chunks : {2.0, 5.0, 10.0}) {

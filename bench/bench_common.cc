@@ -282,8 +282,8 @@ void PrintSummaryRow(const std::string& label,
                      const DeploymentReport& report) {
   std::printf(
       "  %-28s final=%.5f avg=%.5f cost=%8.2fs work=%12lld mu=%.3f\n",
-      label.c_str(), report.final_error, report.average_error,
-      report.total_seconds, static_cast<long long>(report.total_work),
+      label.c_str(), report.final_error, report.average_error(),
+      report.total_seconds(), static_cast<long long>(report.total_work),
       report.empirical_mu);
 }
 
@@ -294,7 +294,7 @@ void PrintStageBreakdown(const DeploymentReport& report) {
     line += StrFormat(" %s=%.3fs", CostPhaseName(phase),
                       report.cost.SecondsIn(phase));
   }
-  line += StrFormat(" total=%.3fs", report.total_seconds);
+  line += StrFormat(" total=%.3fs", report.total_seconds());
   std::printf("%s\n", line.c_str());
 }
 
@@ -305,19 +305,19 @@ std::string ReportToJson(const std::string& label,
   out += StrFormat("\"strategy\":\"%s\",", report.strategy.c_str());
   out += StrFormat("\"metric\":\"%s\",", report.metric_name.c_str());
   out += StrFormat("\"final_error\":%.9g,", report.final_error);
-  out += StrFormat("\"average_error\":%.9g,", report.average_error);
-  out += StrFormat("\"total_seconds\":%.9g,", report.total_seconds);
+  out += StrFormat("\"average_error\":%.9g,", report.average_error());
+  out += StrFormat("\"total_seconds\":%.9g,", report.total_seconds());
   out += StrFormat("\"total_work\":%lld,",
                    static_cast<long long>(report.total_work));
   out += StrFormat("\"empirical_mu\":%.9g,", report.empirical_mu);
   out += StrFormat("\"chunks_processed\":%lld,",
                    static_cast<long long>(report.chunks_processed));
   out += StrFormat("\"proactive_iterations\":%lld,",
-                   static_cast<long long>(report.proactive_iterations));
+                   static_cast<long long>(report.proactive_iterations()));
   out += StrFormat("\"retrainings\":%lld,",
                    static_cast<long long>(report.retrainings));
   out += StrFormat("\"drift_events\":%lld,",
-                   static_cast<long long>(report.drift_events));
+                   static_cast<long long>(report.drift_events()));
   out += "\"stage_seconds\":{";
   for (size_t i = 0; i < static_cast<size_t>(CostPhase::kNumPhases); ++i) {
     const CostPhase phase = static_cast<CostPhase>(i);

@@ -75,7 +75,7 @@ void RunScenario(const Scenario& scenario, const std::string& json_out) {
       "  cost ratio periodical/continuous: %.2fx (work), %.2fx (seconds)\n",
       static_cast<double>(periodical.total_work) /
           static_cast<double>(continuous.total_work),
-      periodical.total_seconds / continuous.total_seconds);
+      periodical.total_seconds() / continuous.total_seconds());
   std::printf(
       "  quality delta continuous vs online:     %+.5f\n"
       "  quality delta continuous vs periodical: %+.5f\n",

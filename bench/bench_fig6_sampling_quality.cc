@@ -42,8 +42,8 @@ void RunScenario(const Scenario& scenario) {
   std::printf(
       "  time-based improvement over window-based: %+.5f\n"
       "  time-based improvement over uniform:      %+.5f\n",
-      reports[1].average_error - reports[0].average_error,
-      reports[2].average_error - reports[0].average_error);
+      reports[1].average_error() - reports[0].average_error(),
+      reports[2].average_error() - reports[0].average_error());
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ void RunScenario(const Scenario& scenario) {
           rate >= 1.0 ? SIZE_MAX : static_cast<size_t>(total_chunks * rate);
       DeploymentReport report =
           RunDeployment(scenario, StrategyKind::kContinuous, overrides);
-      std::printf(" %5.2fs|%4.2fM", report.total_seconds,
+      std::printf(" %5.2fs|%4.2fM", report.total_seconds(),
                   static_cast<double>(report.total_work) / 1e6);
       if (rate >= 1.0) cost_at_full = static_cast<double>(report.total_work);
     }
@@ -58,7 +58,7 @@ void RunScenario(const Scenario& scenario) {
   DeploymentReport report =
       RunDeployment(scenario, StrategyKind::kContinuous, no_opt);
   std::printf("  %-14s %5.2fs|%4.2fM  (time-based sampling)\n",
-              "NoOptimization", report.total_seconds,
+              "NoOptimization", report.total_seconds(),
               static_cast<double>(report.total_work) / 1e6);
   if (cost_at_full > 0.0) {
     std::printf(

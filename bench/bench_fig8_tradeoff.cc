@@ -28,16 +28,16 @@ void RunScenario(const Scenario& scenario) {
   for (int i = 0; i < 3; ++i) {
     reports[i] = RunDeployment(scenario, kinds[i]);
     std::printf("  %-12s %14.5f %12.2f %16lld\n", StrategyName(kinds[i]),
-                reports[i].average_error, reports[i].total_seconds,
+                reports[i].average_error(), reports[i].total_seconds(),
                 static_cast<long long>(reports[i].total_work));
   }
   std::printf(
       "  -> continuous achieves %.5f avg error at %.1f%% of periodical's "
       "work (quality delta vs periodical: %+.5f)\n",
-      reports[2].average_error,
+      reports[2].average_error(),
       100.0 * static_cast<double>(reports[2].total_work) /
           static_cast<double>(reports[1].total_work),
-      reports[1].average_error - reports[2].average_error);
+      reports[1].average_error() - reports[2].average_error());
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ void RunScenario(const Scenario& scenario) {
   DeploymentReport periodical =
       RunDeployment(scenario, StrategyKind::kPeriodical);
 
-  const double avg_proactive = continuous.average_proactive_seconds;
+  const double avg_proactive = continuous.average_proactive_seconds();
   const double avg_retrain =
       periodical.retrainings > 0
           ? (periodical.cost.SecondsIn(CostPhase::kRetraining) +
@@ -31,7 +31,7 @@ void RunScenario(const Scenario& scenario) {
                 static_cast<double>(periodical.retrainings)
           : 0.0;
   std::printf("  proactive iterations: %lld, avg latency: %.4fs\n",
-              static_cast<long long>(continuous.proactive_iterations),
+              static_cast<long long>(continuous.proactive_iterations()),
               avg_proactive);
   std::printf("  full retrainings:     %lld, avg latency: %.4fs\n",
               static_cast<long long>(periodical.retrainings), avg_retrain);

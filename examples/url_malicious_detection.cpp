@@ -133,9 +133,9 @@ int main(int argc, char** argv) {
               "cost(s)", "work(rows)", "updates");
   for (const StrategyResult& result : results) {
     std::printf("%-12s %16.5f %14.2f %14lld %12lld\n", result.label.c_str(),
-                result.report.final_error, result.report.total_seconds,
+                result.report.final_error, result.report.total_seconds(),
                 static_cast<long long>(result.report.total_work),
-                static_cast<long long>(result.report.proactive_iterations +
+                static_cast<long long>(result.report.proactive_iterations() +
                                        result.report.retrainings));
   }
   std::printf(

@@ -146,7 +146,6 @@ AdmissionController::Decision AdmissionController::Offer(
       case AdmissionPolicy::kShedOldest: {
         const ChunkId victim = queue_.front().chunk.id;
         queue_.pop_front();
-        counters_.shed += 1;
         counters_.shed_oldest += 1;
         metrics.shed->Increment();
         obs::EventJournal::Global().Append(
@@ -161,7 +160,6 @@ AdmissionController::Decision AdmissionController::Offer(
       case AdmissionPolicy::kDegrade: {
         // kDegrade softens pressure but the capacity stays a hard memory
         // bound: a full queue sheds the arrival.
-        counters_.shed += 1;
         counters_.shed_newest += 1;
         metrics.shed->Increment();
         obs::EventJournal::Global().Append(
@@ -203,7 +201,6 @@ AdmissionController::Decision AdmissionController::Offer(
 
 void AdmissionController::ShedBlocked(ChunkId id) {
   counters_.offered += 1;
-  counters_.shed += 1;
   counters_.shed_timeout += 1;
   const AdmissionMetrics& metrics = AdmissionMetrics::Get();
   metrics.offered->Increment();

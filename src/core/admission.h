@@ -84,12 +84,14 @@ class AdmissionController {
     int64_t offered = 0;          ///< chunks presented for admission
     int64_t admitted = 0;         ///< chunks that entered the queue
     int64_t degraded_admits = 0;  ///< admitted flagged skip-materialization
-    int64_t shed = 0;             ///< chunks dropped (all reasons)
     int64_t shed_oldest = 0;      ///< queued chunks displaced by newer ones
     int64_t shed_newest = 0;      ///< arrivals dropped at a full queue
     int64_t shed_timeout = 0;     ///< arrivals dropped after a block timeout
     int64_t pressure_changes = 0; ///< load-state transitions
     int64_t peak_queue_depth = 0; ///< high watermark of the queue depth
+
+    /// Chunks dropped, all reasons.
+    int64_t shed() const { return shed_oldest + shed_newest + shed_timeout; }
   };
 
   enum class Decision : uint8_t {

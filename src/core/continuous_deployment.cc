@@ -43,7 +43,6 @@ Status ContinuousDeployment::AfterChunk(size_t stream_index,
         continuous_options_.drift_detector->Observe(
             outcome.mean_error_signal);
     if (state == DriftState::kDrift) {
-      ++drift_events_;
       obs::MetricsRegistry::Global()
           .GetCounter("deployment.drift_events")
           ->Increment();
@@ -95,7 +94,7 @@ Status ContinuousDeployment::AfterChunk(size_t stream_index,
   if (continuous_options_.scheduler != nullptr) {
     continuous_options_.scheduler->OnTrainingCompleted(
         static_cast<double>(chunk.event_time_seconds),
-        trainer_.stats().last_duration_seconds);
+        trainer_.last_duration_seconds());
   } else {
     // Static schedule: the next proactive sample is exactly
     // `proactive_every_chunks` chunks away and the rng state it will see is
@@ -133,12 +132,6 @@ Status ContinuousDeployment::RunDriftBurst() {
   }
   pipeline_manager().PublishSnapshot();
   return Status::OK();
-}
-
-void ContinuousDeployment::FillReport(DeploymentReport* report) const {
-  report->proactive_iterations = trainer_.stats().iterations;
-  report->average_proactive_seconds = trainer_.stats().AverageDurationSeconds();
-  report->drift_events = drift_events_;
 }
 
 }  // namespace cdpipe

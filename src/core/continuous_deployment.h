@@ -46,15 +46,9 @@ class ContinuousDeployment final : public Deployment {
                        std::unique_ptr<Optimizer> optimizer,
                        std::unique_ptr<Metric> metric);
 
-  const ProactiveTrainer::Stats& proactive_stats() const {
-    return trainer_.stats();
-  }
-  int64_t drift_events() const { return drift_events_; }
-
  protected:
   Status AfterChunk(size_t stream_index, const RawChunk& chunk,
                     const ChunkOutcome& outcome) override;
-  void FillReport(DeploymentReport* report) const override;
 
  private:
   bool ProactiveDue(size_t stream_index, const RawChunk& chunk);
@@ -62,7 +56,6 @@ class ContinuousDeployment final : public Deployment {
 
   ContinuousOptions continuous_options_;
   ProactiveTrainer trainer_;
-  int64_t drift_events_ = 0;
 };
 
 }  // namespace cdpipe

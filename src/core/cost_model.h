@@ -62,12 +62,18 @@ class CostModel {
 
   std::string ToString() const;
 
-  /// RAII timer: adds the elapsed wall time to `phase` on destruction.
+  /// RAII timer: adds the elapsed wall time to `phase` on destruction.  A
+  /// null `model` makes it a no-op, so callers with an optional cost model
+  /// time unconditionally.
   class ScopedTimer {
    public:
     ScopedTimer(CostModel* model, CostPhase phase)
         : model_(model), phase_(phase) {}
-    ~ScopedTimer() { model_->AddSeconds(phase_, watch_.ElapsedSeconds()); }
+    ~ScopedTimer() {
+      if (model_ != nullptr) {
+        model_->AddSeconds(phase_, watch_.ElapsedSeconds());
+      }
+    }
 
     ScopedTimer(const ScopedTimer&) = delete;
     ScopedTimer& operator=(const ScopedTimer&) = delete;

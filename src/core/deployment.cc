@@ -88,10 +88,8 @@ Status Deployment::InitialTrain(const std::vector<RawChunk>& bootstrap,
   transformed.reserve(bootstrap.size());
   for (const RawChunk& chunk : bootstrap) {
     CDPIPE_RETURN_NOT_OK(data_manager_.IngestChunk(chunk));
-    CDPIPE_ASSIGN_OR_RETURN(
-        FeatureChunk features,
-        pipeline_manager_->OnlineStep(chunk, /*evaluator=*/nullptr,
-                                      /*online_learn=*/false));
+    CDPIPE_ASSIGN_OR_RETURN(FeatureChunk features,
+                            pipeline_manager_->PreprocessChunk(chunk));
     transformed.push_back(std::move(features));
   }
   std::vector<const FeatureData*> parts;
@@ -99,11 +97,11 @@ Status Deployment::InitialTrain(const std::vector<RawChunk>& bootstrap,
   for (const FeatureChunk& chunk : transformed) parts.push_back(&chunk.data);
 
   BatchTrainer trainer(train_options);
-  CDPIPE_ASSIGN_OR_RETURN(
-      BatchTrainer::Stats stats,
-      trainer.Train(parts, pipeline_manager_->mutable_model(),
-                    pipeline_manager_->mutable_optimizer(), &rng_, &engine_));
-  initial_training_epochs_ = stats.epochs_run;
+  CDPIPE_RETURN_NOT_OK(
+      trainer
+          .Train(parts, pipeline_manager_->mutable_model(),
+                 pipeline_manager_->mutable_optimizer(), &rng_, &engine_)
+          .status());
 
   // The bootstrap chunks become historical data available for sampling.
   for (FeatureChunk& chunk : transformed) {
@@ -133,10 +131,6 @@ void Deployment::AttachServing(serving::SnapshotPublisher* publisher,
 Result<FeatureChunk> Deployment::RunOnlinePath(
     const RawChunk& chunk, PrequentialEvaluator* evaluator,
     bool gate_publish) {
-  if (serving_publisher_ == nullptr) {
-    return pipeline_manager_->OnlineStep(chunk, evaluator,
-                                         options_.online_learning);
-  }
   // Serve-then-train: update statistics and transform, publish the
   // resulting (statistics, pre-SGD model) pair as a snapshot, evaluate the
   // chunk against that snapshot — through the prediction service when
@@ -144,7 +138,8 @@ Result<FeatureChunk> Deployment::RunOnlinePath(
   // this exact point is what makes the served evaluation bit-identical to
   // the in-loop one: a pure Transform after UpdateAndTransform of the same
   // chunk reproduces its features exactly, and the snapshot model is the
-  // same pre-update model OnlineStep evaluates with.
+  // same pre-update model the in-loop evaluate uses.  Without a publisher
+  // the publish is a no-op and this is the plain online step.
   CDPIPE_TRACE_SPAN("pipeline.online_step", "pipeline");
   CDPIPE_ASSIGN_OR_RETURN(FeatureChunk features,
                           pipeline_manager_->PreprocessChunk(chunk));
@@ -192,15 +187,9 @@ struct Deployment::RunState {
   PrequentialEvaluator* evaluator = nullptr;
   DeploymentReport* report = nullptr;
   obs::Heartbeat* heartbeat = nullptr;
-  double sum_cumulative_error = 0.0;
   int64_t previous_event_time = 0;
-  /// Chunks fully processed so far — the stream_index AfterChunk sees.
-  size_t processed = 0;
   /// Chunks processed since a snapshot epoch was last published.
   size_t chunks_since_publish = 0;
-  int64_t max_staleness_chunks = 0;
-  int64_t publish_skipped_overload = 0;
-  int64_t degraded_admit_skips = 0;
 };
 
 Status Deployment::ProcessStreamChunk(RunState* state, const RawChunk& chunk,
@@ -274,7 +263,6 @@ Status Deployment::ProcessStreamChunk(RunState* state, const RawChunk& chunk,
     // kDegrade admission under pressure: the raw chunk is stored, but its
     // feature materialization is skipped to shed work — dynamic
     // materialization rebuilds it if proactive training ever samples it.
-    state->degraded_admit_skips += 1;
     obs::EventJournal::Global().Append(obs::EventKind::kDegrade,
                                        "degraded_admit_skip_materialize");
   }
@@ -292,11 +280,14 @@ Status Deployment::ProcessStreamChunk(RunState* state, const RawChunk& chunk,
   state->previous_event_time = chunk.event_time_seconds;
   const uint64_t epoch_before_chunk =
       serving_publisher_ != nullptr ? serving_publisher_->epoch() : 0;
-  CDPIPE_RETURN_NOT_OK(AfterChunk(state->processed, *stored, outcome));
+  // The curve has one row per fully processed chunk, so its length is the
+  // run-relative index of this chunk.
+  const size_t stream_index = state->report->curve.size();
+  CDPIPE_RETURN_NOT_OK(AfterChunk(stream_index, *stored, outcome));
   if (serving_publisher_ != nullptr &&
       serving_publisher_->epoch() == epoch_before_chunk) {
     if (gate_publish) {
-      state->publish_skipped_overload += 1;
+      state->report->publish_skipped_overload += 1;
     } else {
       // The strategy hook did not publish (no proactive/retraining step
       // this chunk): expose the post-online-SGD model before the next
@@ -311,24 +302,22 @@ Status Deployment::ProcessStreamChunk(RunState* state, const RawChunk& chunk,
     // `chunks_since_publish + 1` chunks old.
     if (gate_publish) {
       state->chunks_since_publish += 1;
-      state->max_staleness_chunks =
-          std::max(state->max_staleness_chunks,
-                   static_cast<int64_t>(state->chunks_since_publish));
+      int64_t& max_staleness = state->report->max_snapshot_staleness_chunks;
+      max_staleness = std::max(
+          max_staleness, static_cast<int64_t>(state->chunks_since_publish));
     } else {
       state->chunks_since_publish = 0;
     }
   }
 
   DeploymentReport::PointRow row;
-  row.chunk_index = static_cast<int64_t>(state->processed);
+  row.chunk_index = static_cast<int64_t>(stream_index);
   row.observations = evaluator.Count();
   row.cumulative_error = evaluator.CumulativeValue();
   row.windowed_error = evaluator.WindowedValue();
   row.cumulative_seconds = cost_.TotalSeconds();
   row.cumulative_work = cost_.TotalWork();
   state->report->curve.push_back(row);
-  state->sum_cumulative_error += row.cumulative_error;
-  state->processed += 1;
   DeploymentMetrics::Get().chunks_processed->Increment();
   DeploymentMetrics::Get().chunk_seconds->Observe(
       chunk_watch.ElapsedSeconds());
@@ -430,56 +419,34 @@ Result<DeploymentReport> Deployment::RunImpl(
   active_admission_ = nullptr;
   if (!replay_status.ok()) return replay_status;
 
-  report.final_error = evaluator.CumulativeValue();
-  report.average_error =
-      state.processed == 0 ? 0.0
-                           : state.sum_cumulative_error /
-                                 static_cast<double>(state.processed);
-  report.total_seconds = cost_.TotalSeconds();
-  report.total_work = cost_.TotalWork();
   report.cost = cost_;
   report.storage = data_manager_.store().counters();
-  report.empirical_mu = report.storage.EmpiricalMu();
-  report.chunks_processed = static_cast<int64_t>(state.processed);
-  report.initial_training_epochs = initial_training_epochs_;
+  if (admission != nullptr) {
+    report.ingest = admission->counters();
+    // The admission accounting identities: every offered chunk was admitted
+    // or shed on arrival, and every admitted chunk was processed unless a
+    // newer arrival displaced it from the queue.
+    const AdmissionController::Counters& ingest = report.ingest;
+    CDPIPE_CHECK_EQ(ingest.offered,
+                    ingest.admitted + ingest.shed_newest + ingest.shed_timeout);
+    CDPIPE_CHECK_EQ(static_cast<int64_t>(report.curve.size()),
+                    ingest.admitted - ingest.shed_oldest);
+  }
   report.metrics = obs::MetricsSnapshot::Delta(
       metrics_before, obs::MetricsRegistry::Global().Snapshot());
-  report.faults_injected = report.metrics.CounterValueOr("fault.injected", 0);
-  report.retry_attempts = report.metrics.CounterValueOr("retry.attempts", 0);
-  report.retries_exhausted =
-      report.metrics.CounterValueOr("retry.exhausted", 0);
-  report.degraded_events =
-      report.metrics.CounterValueOr("deployment.degraded", 0) +
-      report.metrics.CounterValueOr("proactive.chunks_skipped", 0) +
-      report.metrics.CounterValueOr("proactive.iterations_degraded", 0);
-  report.proactive_chunks_skipped =
-      report.metrics.CounterValueOr("proactive.chunks_skipped", 0);
-  report.serving_requests = report.metrics.CounterValueOr("serving.requests", 0);
-  report.serving_errors = report.metrics.CounterValueOr("serving.errors", 0);
-  report.serving_stale_reads =
-      report.metrics.CounterValueOr("serving.stale_reads", 0);
-  report.snapshot_publishes =
-      report.metrics.CounterValueOr("serving.publishes", 0);
-  report.serving_eval_fallbacks =
-      report.metrics.CounterValueOr("serving.eval_fallbacks", 0);
-  report.serving_shed = report.metrics.CounterValueOr("serving.shed", 0);
-  report.proactive_deferred =
-      report.metrics.CounterValueOr("proactive.iterations_deferred", 0);
-  report.publish_skipped_overload = state.publish_skipped_overload;
-  report.max_snapshot_staleness_chunks = state.max_staleness_chunks;
-  if (admission != nullptr) {
-    const AdmissionController::Counters& ingest = admission->counters();
-    report.ingest_offered = ingest.offered;
-    report.ingest_admitted = ingest.admitted;
-    report.ingest_degraded_admits = ingest.degraded_admits;
-    report.ingest_shed = ingest.shed;
-    report.ingest_shed_oldest = ingest.shed_oldest;
-    report.ingest_shed_newest = ingest.shed_newest;
-    report.ingest_shed_timeout = ingest.shed_timeout;
-    report.ingest_pressure_changes = ingest.pressure_changes;
-    report.ingest_peak_queue_depth = ingest.peak_queue_depth;
-  }
-  FillReport(&report);
+
+  // The plain copies DeploymentReport keeps for field readers.
+  report.final_error =
+      report.curve.empty() ? 0.0 : report.curve.back().cumulative_error;
+  report.total_work = report.cost.TotalWork();
+  report.empirical_mu = report.storage.EmpiricalMu();
+  report.chunks_processed = static_cast<int64_t>(report.curve.size());
+  const obs::MetricsSnapshot& m = report.metrics;
+  report.retrainings = m.CounterValueOr("deployment.retrainings", 0);
+  report.degraded_events = m.CounterValueOr("deployment.degraded", 0) +
+                           m.CounterValueOr("proactive.chunks_skipped", 0) +
+                           m.CounterValueOr("proactive.iterations_degraded", 0);
+  report.serving_stale_reads = m.CounterValueOr("serving.stale_reads", 0);
   return report;
 }
 

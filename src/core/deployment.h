@@ -104,7 +104,9 @@ class Deployment {
   /// attachment — per-chunk republishes are gated by
   /// `publish_staleness_bound_chunks`.  When the queue never fills the
   /// replay is bit-identical to `Run` on the same stream.  `admission` is
-  /// borrowed for the duration of the call.
+  /// borrowed for the duration of the call and must be fresh: its counters
+  /// become the report's `ingest`, and the admission accounting identities
+  /// are checked against this replay before it returns.
   Result<DeploymentReport> RunShaped(const std::vector<RawChunk>& stream,
                                      AdmissionController* admission);
 
@@ -155,9 +157,6 @@ class Deployment {
   virtual Status AfterChunk(size_t stream_index, const RawChunk& chunk,
                             const ChunkOutcome& outcome) = 0;
 
-  /// Lets strategies contribute their counters to the final report.
-  virtual void FillReport(DeploymentReport* report) const { (void)report; }
-
   PipelineManager& pipeline_manager() { return *pipeline_manager_; }
   DataManager& data_manager() { return data_manager_; }
   ExecutionEngine& engine() { return engine_; }
@@ -183,11 +182,12 @@ class Deployment {
   /// Mutable per-replay bookkeeping threaded through ProcessStreamChunk.
   struct RunState;
 
-  /// The per-chunk online path: OnlineStep when no serving tier is
-  /// attached, otherwise the phased serve-then-train flow (preprocess →
-  /// publish → evaluate via the service → online SGD).  `gate_publish`
-  /// suppresses the mid-chunk snapshot publish (overload gating) — the
-  /// serve-eval path then answers from the last published epoch.
+  /// The per-chunk online path, one flow with or without a serving tier:
+  /// preprocess → publish (a no-op without a publisher) → evaluate, via
+  /// the prediction service when serve-eval is routed → online SGD.
+  /// `gate_publish` suppresses the mid-chunk snapshot publish (overload
+  /// gating) — the serve-eval path then answers from the last published
+  /// epoch.
   Result<FeatureChunk> RunOnlinePath(const RawChunk& chunk,
                                      PrequentialEvaluator* evaluator,
                                      bool gate_publish);
@@ -213,7 +213,6 @@ class Deployment {
   std::unique_ptr<PipelineManager> pipeline_manager_;
   std::unique_ptr<Metric> metric_prototype_;
   Rng rng_;
-  int64_t initial_training_epochs_ = 0;
 
   // Serving attachment (all borrowed; see AttachServing).
   serving::SnapshotPublisher* serving_publisher_ = nullptr;

@@ -116,22 +116,15 @@ Status PeriodicalDeployment::Retrain() {
         BatchTrainer::Stats stats,
         trainer.Train(parts, model.get(), optimizer.get(), &rng(), &engine()));
     cost().AddWork(CostPhase::kRetraining, stats.examples_visited);
-    retrain_epochs_total_ += stats.epochs_run;
   }
 
   pipeline_manager().Redeploy(std::move(model), std::move(optimizer));
-  ++retrainings_;
   obs::MetricsRegistry::Global()
       .GetCounter("deployment.retrainings")
       ->Increment();
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kTrainStep,
-      obs::CorrelationScope::WithEntity(retrainings_), "retrain");
+  // Correlated with the chunk whose arrival made the retraining due.
+  obs::EventJournal::Global().Append(obs::EventKind::kTrainStep, "retrain");
   return Status::OK();
-}
-
-void PeriodicalDeployment::FillReport(DeploymentReport* report) const {
-  report->retrainings = retrainings_;
 }
 
 }  // namespace cdpipe

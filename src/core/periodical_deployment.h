@@ -49,19 +49,14 @@ class PeriodicalDeployment final : public Deployment {
                        std::unique_ptr<Optimizer> optimizer,
                        std::unique_ptr<Metric> metric);
 
-  int64_t retrainings() const { return retrainings_; }
-
  protected:
   Status AfterChunk(size_t stream_index, const RawChunk& chunk,
                     const ChunkOutcome& outcome) override;
-  void FillReport(DeploymentReport* report) const override;
 
  private:
   Status Retrain();
 
   PeriodicalOptions periodical_options_;
-  int64_t retrainings_ = 0;
-  int64_t retrain_epochs_total_ = 0;
   double smoothed_error_ = 0.0;
   bool smoothed_error_initialized_ = false;
   int64_t last_retrain_chunk_ = -1;

@@ -128,7 +128,6 @@ Status ProactiveTrainer::RunIteration(const DataManager::SampleSet& sample) {
             "fallback");
       } else {
         if (!options_.degrade_on_failure) return fallback;
-        ++stats_.chunks_skipped;
         metrics.chunks_skipped->Increment();
         obs::EventJournal::Global().Append(
             obs::EventKind::kDegrade,
@@ -147,7 +146,6 @@ Status ProactiveTrainer::RunIteration(const DataManager::SampleSet& sample) {
   }
   int64_t rematerialized = 0;
   for (size_t i = 0; i < num_remat; ++i) rematerialized += rebuilt_ok[i];
-  stats_.chunks_rematerialized += rematerialized;
   metrics.chunks_rematerialized->Add(rematerialized);
 
   std::vector<const FeatureData*> parts;
@@ -179,7 +177,6 @@ Status ProactiveTrainer::RunIteration(const DataManager::SampleSet& sample) {
         });
     if (!step.ok()) {
       if (!options_.degrade_on_failure || !IsRetryable(step)) return step;
-      ++stats_.iterations_degraded;
       metrics.iterations_degraded->Increment();
       obs::EventJournal::Global().Append(obs::EventKind::kDegrade,
                                          "sgd_step_skipped");
@@ -187,27 +184,23 @@ Status ProactiveTrainer::RunIteration(const DataManager::SampleSet& sample) {
                              "exhausted retries: "
                           << step.ToString();
     } else {
-      // Entity = the step's sequence number within this trainer.
+      // Correlated with the caller's scope: in a deployment, the chunk whose
+      // arrival made this step due.
       obs::EventJournal::Global().Append(
           obs::EventKind::kTrainStep,
-          obs::CorrelationId{base_corr.deployment, stats_.iterations + 1},
           StrFormat("rows=%zu", batch.num_rows()).c_str());
     }
     metrics.sgd_step_seconds->Observe(sgd_watch.ElapsedSeconds());
   }
 
-  ++stats_.iterations;
-  stats_.rows_trained += static_cast<int64_t>(batch.num_rows());
-  stats_.last_duration_seconds = watch.ElapsedSeconds();
-  stats_.total_duration_seconds += stats_.last_duration_seconds;
+  last_duration_seconds_ = watch.ElapsedSeconds();
   metrics.iterations->Increment();
   metrics.rows_trained->Add(static_cast<int64_t>(batch.num_rows()));
-  metrics.iteration_seconds->Observe(stats_.last_duration_seconds);
+  metrics.iteration_seconds->Observe(last_duration_seconds_);
   return Status::OK();
 }
 
 void ProactiveTrainer::RecordDeferred(LoadState state) {
-  ++stats_.iterations_deferred;
   TrainerMetrics::Get().iterations_deferred->Increment();
   obs::EventJournal::Global().Append(
       obs::EventKind::kDegrade,

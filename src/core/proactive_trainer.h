@@ -35,28 +35,6 @@ class ProactiveTrainer {
     bool degrade_on_failure = true;
   };
 
-  struct Stats {
-    int64_t iterations = 0;
-    int64_t rows_trained = 0;
-    int64_t chunks_rematerialized = 0;
-    /// Sampled chunks dropped from their iteration after re-materialization
-    /// failed beyond recovery (degraded mode only).
-    int64_t chunks_skipped = 0;
-    /// Iterations whose SGD step was abandoned after retries.
-    int64_t iterations_degraded = 0;
-    /// Iterations that came due while the ingest load state was not normal
-    /// and were deferred (overload gating — shed optional work first).
-    int64_t iterations_deferred = 0;
-    double last_duration_seconds = 0.0;
-    double total_duration_seconds = 0.0;
-
-    double AverageDurationSeconds() const {
-      return iterations > 0 ? total_duration_seconds /
-                                  static_cast<double>(iterations)
-                            : 0.0;
-    }
-  };
-
   ProactiveTrainer(PipelineManager* pipeline_manager, ExecutionEngine* engine);
   ProactiveTrainer(PipelineManager* pipeline_manager, ExecutionEngine* engine,
                    Options options);
@@ -68,13 +46,16 @@ class ProactiveTrainer {
   /// (`proactive.iterations_deferred`; journaled as a kDegrade event).
   void RecordDeferred(LoadState state);
 
-  const Stats& stats() const { return stats_; }
+  /// Wall-clock seconds of the latest iteration (the dynamic scheduler's
+  /// training-time input).  Counts and latency distributions live in the
+  /// `proactive.*` metrics.
+  double last_duration_seconds() const { return last_duration_seconds_; }
 
  private:
   PipelineManager* pipeline_manager_;
   ExecutionEngine* engine_;
   Options options_;
-  Stats stats_;
+  double last_duration_seconds_ = 0.0;
 };
 
 }  // namespace cdpipe

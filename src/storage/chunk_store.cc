@@ -206,8 +206,7 @@ const RawChunk* ChunkStore::FetchRaw(ChunkId id) {
   }
 
   Result<RawChunk> loaded = [&]() -> Result<RawChunk> {
-    std::optional<CostModel::ScopedTimer> scoped;
-    if (cost_ != nullptr) scoped.emplace(cost_, CostPhase::kDiskLoad);
+    CostModel::ScopedTimer timer(cost_, CostPhase::kDiskLoad);
     // A throwing read (injected fault, filesystem surprise) degrades like
     // any other read failure instead of unwinding the deployment loop.
     try {
@@ -326,8 +325,7 @@ void ChunkStore::PrefetchLoad(ChunkId id, const std::string& path) {
   // A throwing fault rule on spill.read must not escape: an abandoned
   // kLoading slot would deadlock the consumer.
   try {
-    std::optional<CostModel::ScopedTimer> scoped;
-    if (cost_ != nullptr) scoped.emplace(cost_, CostPhase::kDiskLoad);
+    CostModel::ScopedTimer timer(cost_, CostPhase::kDiskLoad);
     Result<RawChunk> loaded = ReadRawChunkSpill(path, id);
     if (loaded.ok()) {
       chunk = std::make_unique<RawChunk>(std::move(loaded).value());
@@ -423,8 +421,7 @@ bool ChunkStore::SpillChunk(ChunkId id) {
                                      options_.spill_dir.c_str(),
                                      static_cast<long long>(id));
   Result<SpillFileInfo> written = [&]() -> Result<SpillFileInfo> {
-    std::optional<CostModel::ScopedTimer> scoped;
-    if (cost_ != nullptr) scoped.emplace(cost_, CostPhase::kSpill);
+    CostModel::ScopedTimer timer(cost_, CostPhase::kSpill);
     return WriteRawChunkSpill(path, raw_it->second);
   }();
   if (!written.ok()) {

@@ -47,7 +47,7 @@ TEST(AdmissionControllerTest, AdmitsFifoAndTracksVirtualCompletionTimes) {
   EXPECT_TRUE(admission.empty());
   EXPECT_EQ(admission.counters().offered, 4);
   EXPECT_EQ(admission.counters().admitted, 4);
-  EXPECT_EQ(admission.counters().shed, 0);
+  EXPECT_EQ(admission.counters().shed(), 0);
   EXPECT_EQ(admission.counters().peak_queue_depth, 4);
 }
 
@@ -94,7 +94,7 @@ TEST(AdmissionControllerTest, ShedOldestDisplacesQueueHead) {
   EXPECT_EQ(admission.Pop().chunk.id, 3);
   EXPECT_EQ(admission.counters().offered, 3);
   EXPECT_EQ(admission.counters().admitted, 3);
-  EXPECT_EQ(admission.counters().shed, 1);
+  EXPECT_EQ(admission.counters().shed(), 1);
   EXPECT_EQ(admission.counters().shed_oldest, 1);
   // chunks processed == admitted - shed_oldest.
   EXPECT_EQ(admission.counters().admitted - admission.counters().shed_oldest,
@@ -194,7 +194,7 @@ TEST(AdmissionControllerTest, ShedBlockedAccountsTimeoutSheds) {
   Offer(&admission, 2, 0.0);
   admission.ShedBlocked(3);
   EXPECT_EQ(admission.counters().offered, 3);
-  EXPECT_EQ(admission.counters().shed, 1);
+  EXPECT_EQ(admission.counters().shed(), 1);
   EXPECT_EQ(admission.counters().shed_timeout, 1);
   EXPECT_EQ(admission.counters().offered,
             admission.counters().admitted + admission.counters().shed_newest +

@@ -54,6 +54,12 @@ TEST(CostModelTest, ScopedTimerAddsElapsed) {
   EXPECT_LT(cost.SecondsIn(CostPhase::kMaterialization), 5.0);
 }
 
+TEST(CostModelTest, ScopedTimerWithoutModelIsNoOp) {
+  // Call sites whose cost model is optional time unconditionally.
+  { CostModel::ScopedTimer timer(nullptr, CostPhase::kSpill); }
+  SUCCEED();
+}
+
 TEST(CostModelTest, ToStringMentionsNonEmptyPhases) {
   CostModel cost;
   cost.AddSeconds(CostPhase::kRetraining, 1.0);

@@ -16,6 +16,7 @@
 #include "src/scheduler/scheduler.h"
 #include "src/core/periodical_deployment.h"
 #include "src/data/url_stream.h"
+#include "src/drift/drift_detector.h"
 
 namespace cdpipe {
 namespace {
@@ -107,7 +108,7 @@ TEST_F(DeploymentIntegrationTest, OnlineDeploymentRuns) {
   EXPECT_EQ(report.strategy, "online");
   EXPECT_EQ(report.chunks_processed, static_cast<int64_t>(kStreamChunks));
   EXPECT_EQ(report.curve.size(), kStreamChunks);
-  EXPECT_EQ(report.proactive_iterations, 0);
+  EXPECT_EQ(report.proactive_iterations(), 0);
   EXPECT_EQ(report.retrainings, 0);
   // Online visits each arriving point exactly once for training.
   EXPECT_EQ(report.cost.WorkIn(CostPhase::kOnlineTraining),
@@ -127,10 +128,10 @@ TEST_F(DeploymentIntegrationTest, ContinuousDeploymentRunsProactively) {
                                   std::move(p.metric));
   DeploymentReport report = RunStrategy(&deployment, bootstrap_, stream_);
   EXPECT_EQ(report.strategy, "continuous");
-  EXPECT_EQ(report.proactive_iterations,
+  EXPECT_EQ(report.proactive_iterations(),
             static_cast<int64_t>(kStreamChunks / 5));
   EXPECT_GT(report.cost.WorkIn(CostPhase::kProactiveTraining), 0);
-  EXPECT_GT(report.average_proactive_seconds, 0.0);
+  EXPECT_GT(report.average_proactive_seconds(), 0.0);
   // Everything stays materialized with unbounded storage: μ = 1.
   EXPECT_DOUBLE_EQ(report.empirical_mu, 1.0);
   EXPECT_LT(report.final_error, 0.4);
@@ -258,7 +259,7 @@ TEST_F(DeploymentIntegrationTest, BoundedRawStorageKeepsRunning) {
   EXPECT_EQ(report.chunks_processed, static_cast<int64_t>(kStreamChunks));
   EXPECT_EQ(std::as_const(deployment).data_manager().store().num_raw(), 15u);
   EXPECT_GT(report.storage.raw_dropped, 0);
-  EXPECT_GT(report.proactive_iterations, 0);
+  EXPECT_GT(report.proactive_iterations(), 0);
 }
 
 TEST_F(DeploymentIntegrationTest, DynamicSchedulerDrivesProactiveTraining) {
@@ -279,8 +280,8 @@ TEST_F(DeploymentIntegrationTest, DynamicSchedulerDrivesProactiveTraining) {
                                   std::move(p.optimizer),
                                   std::move(p.metric));
   DeploymentReport report = RunStrategy(&deployment, bootstrap_, stream_);
-  EXPECT_GT(report.proactive_iterations, 0);
-  EXPECT_LE(report.proactive_iterations,
+  EXPECT_GT(report.proactive_iterations(), 0);
+  EXPECT_LE(report.proactive_iterations(),
             static_cast<int64_t>(kStreamChunks));
 }
 
@@ -366,6 +367,67 @@ TEST_F(DeploymentIntegrationTest, NoOptimizationCostsMoreThanOptimized) {
   // re-materialized chunk is transformed with the *current* statistics —
   // an intentional property of dynamic materialization (§3.2).
   EXPECT_NEAR(no_cache.final_error, optimized.final_error, 0.05);
+}
+
+TEST_F(DeploymentIntegrationTest, EachRunReportsOnlyItsOwnCounts) {
+  // Two Runs on one deployment: the second report must count the second
+  // run only, exactly as that run's own metrics delta does — not the
+  // deployment's lifetime totals.
+  constexpr size_t kRunChunks = 12;
+  constexpr size_t kBurstIterations = 2;
+  const std::vector<std::vector<RawChunk>> runs = {
+      {stream_.begin(), stream_.begin() + kRunChunks},
+      {stream_.begin() + kRunChunks, stream_.begin() + 2 * kRunChunks}};
+
+  Pieces pc = MakePieces();
+  ContinuousDeployment::ContinuousOptions continuous_options;
+  continuous_options.proactive_every_chunks = 3;
+  continuous_options.sample_chunks = 8;
+  // A hair-trigger detector: any chunk whose error rises above the mean
+  // since the last alarm fires, so both runs see drift.
+  PageHinkleyDetector::Options detector;
+  detector.delta = 0.0;
+  detector.lambda = 1e-6;
+  detector.burn_in = 0;
+  continuous_options.drift_detector =
+      std::make_unique<PageHinkleyDetector>(detector);
+  continuous_options.drift_burst_iterations = kBurstIterations;
+  ContinuousDeployment continuous(
+      BaseOptions(), std::move(continuous_options), std::move(pc.pipeline),
+      std::move(pc.model), std::move(pc.optimizer), std::move(pc.metric));
+  ASSERT_TRUE(continuous.InitialTrain(bootstrap_, InitialTrainOptions()).ok());
+  for (const std::vector<RawChunk>& run : runs) {
+    Result<DeploymentReport> report = continuous.Run(run);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->proactive_iterations(),
+              report->metrics.CounterValueOr("proactive.iterations", 0));
+    EXPECT_EQ(report->drift_events(),
+              report->metrics.CounterValueOr("deployment.drift_events", 0));
+    EXPECT_GT(report->drift_events(), 0);
+    // One scheduled step every 3 chunks plus each drift's burst.
+    EXPECT_EQ(report->proactive_iterations(),
+              static_cast<int64_t>(kRunChunks / 3 +
+                                   kBurstIterations * report->drift_events()));
+  }
+
+  Pieces pp = MakePieces();
+  Deployment::Options periodical_base = BaseOptions();
+  periodical_base.store.max_materialized_chunks = 0;
+  PeriodicalDeployment::PeriodicalOptions periodical_options;
+  periodical_options.retrain_every_chunks = 4;
+  periodical_options.retrain = InitialTrainOptions();
+  PeriodicalDeployment periodical(
+      std::move(periodical_base), std::move(periodical_options),
+      std::move(pp.pipeline), std::move(pp.model), std::move(pp.optimizer),
+      std::move(pp.metric));
+  ASSERT_TRUE(periodical.InitialTrain(bootstrap_, InitialTrainOptions()).ok());
+  for (const std::vector<RawChunk>& run : runs) {
+    Result<DeploymentReport> report = periodical.Run(run);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->retrainings,
+              report->metrics.CounterValueOr("deployment.retrainings", 0));
+    EXPECT_EQ(report->retrainings, static_cast<int64_t>(kRunChunks / 4));
+  }
 }
 
 TEST_F(DeploymentIntegrationTest, DeterministicAcrossRuns) {

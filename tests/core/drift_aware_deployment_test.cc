@@ -98,21 +98,21 @@ RunResult RunContinuous(bool with_detector, uint64_t seed) {
 
 TEST(DriftAwareDeploymentTest, DetectsAbruptDrift) {
   RunResult result = RunContinuous(/*with_detector=*/true, 31);
-  EXPECT_GE(result.report.drift_events, 1);
-  EXPECT_LE(result.report.drift_events, 10);  // not a false-alarm storm
+  EXPECT_GE(result.report.drift_events(), 1);
+  EXPECT_LE(result.report.drift_events(), 10);  // not a false-alarm storm
 }
 
 TEST(DriftAwareDeploymentTest, NoDetectorMeansNoEvents) {
   RunResult result = RunContinuous(/*with_detector=*/false, 31);
-  EXPECT_EQ(result.report.drift_events, 0);
+  EXPECT_EQ(result.report.drift_events(), 0);
 }
 
 TEST(DriftAwareDeploymentTest, BurstTrainingImprovesRecovery) {
   RunResult plain = RunContinuous(/*with_detector=*/false, 31);
   RunResult aware = RunContinuous(/*with_detector=*/true, 31);
   // The drift-aware run trains more (burst iterations)...
-  EXPECT_GT(aware.report.proactive_iterations,
-            plain.report.proactive_iterations);
+  EXPECT_GT(aware.report.proactive_iterations(),
+            plain.report.proactive_iterations());
   // ...and its post-drift windowed error must not be worse.
   EXPECT_LE(aware.report.curve.back().windowed_error,
             plain.report.curve.back().windowed_error + 1e-9);
@@ -149,7 +149,8 @@ TEST(DriftAwareDeploymentTest, StationaryStreamStaysQuiet) {
                   .ok());
   auto report = deployment.Run(stream);
   ASSERT_TRUE(report.ok());
-  EXPECT_LE(report->drift_events, 1) << "false-alarm storm on stationary data";
+  EXPECT_LE(report->drift_events(), 1)
+      << "false-alarm storm on stationary data";
 }
 
 }  // namespace

@@ -140,7 +140,7 @@ TEST(FailureInjectionTest, ProactiveTrainingSurvivesSparseHistory) {
   auto report = deployment->Run(stream);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->curve.back().observations, 0);
-  EXPECT_EQ(report->proactive_iterations, 4);  // every 3 chunks
+  EXPECT_EQ(report->proactive_iterations(), 4);  // every 3 chunks
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include "src/core/proactive_trainer.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "src/core/report.h"
 #include "src/data/url_stream.h"
+#include "src/obs/metrics.h"
 #include "tests/testing/feature_data_test_util.h"
 
 namespace cdpipe {
@@ -74,6 +78,20 @@ class ProactiveTrainerTest : public ::testing::Test {
     return std::move(manager_->Rematerialize(chunk)).ValueOrDie();
   }
 
+  /// The trainer's counts live in the global registry: read them as the
+  /// delta since the fixture was built, the way a deployment report does.
+  DeploymentReport MetricsSinceStart() const {
+    DeploymentReport view;
+    view.metrics = obs::MetricsSnapshot::Delta(
+        before_, obs::MetricsRegistry::Global().Snapshot());
+    return view;
+  }
+  int64_t CounterSinceStart(const std::string& name) const {
+    return MetricsSinceStart().metrics.CounterValueOr(name, 0);
+  }
+
+  const obs::MetricsSnapshot before_ =
+      obs::MetricsRegistry::Global().Snapshot();
   CostModel cost_;
   ExecutionEngine engine_;
   std::unique_ptr<PipelineManager> manager_;
@@ -87,11 +105,11 @@ TEST_F(ProactiveTrainerTest, IterationOverMaterializedSample) {
   sample.materialized = {&features};
 
   ASSERT_TRUE(trainer.RunIteration(sample).ok());
-  EXPECT_EQ(trainer.stats().iterations, 1);
-  EXPECT_EQ(trainer.stats().rows_trained, 2);
-  EXPECT_EQ(trainer.stats().chunks_rematerialized, 0);
+  EXPECT_EQ(MetricsSinceStart().proactive_iterations(), 1);
+  EXPECT_EQ(CounterSinceStart("proactive.rows_trained"), 2);
+  EXPECT_EQ(CounterSinceStart("proactive.chunks_rematerialized"), 0);
   EXPECT_EQ(manager_->optimizer().step_count(), 1);
-  EXPECT_GT(trainer.stats().last_duration_seconds, 0.0);
+  EXPECT_GT(trainer.last_duration_seconds(), 0.0);
 }
 
 TEST_F(ProactiveTrainerTest, IterationRematerializesEvictedChunks) {
@@ -104,8 +122,8 @@ TEST_F(ProactiveTrainerTest, IterationRematerializesEvictedChunks) {
   sample.to_rematerialize = {&raw1};
 
   ASSERT_TRUE(trainer.RunIteration(sample).ok());
-  EXPECT_EQ(trainer.stats().chunks_rematerialized, 1);
-  EXPECT_EQ(trainer.stats().rows_trained, 4);
+  EXPECT_EQ(CounterSinceStart("proactive.chunks_rematerialized"), 1);
+  EXPECT_EQ(CounterSinceStart("proactive.rows_trained"), 4);
   EXPECT_GT(cost_.WorkIn(CostPhase::kMaterialization), 0);
   EXPECT_GT(cost_.WorkIn(CostPhase::kProactiveTraining), 0);
 }
@@ -122,15 +140,15 @@ TEST_F(ProactiveTrainerTest, EachIterationIsOneSgdStep) {
     ASSERT_TRUE(trainer.RunIteration(sample).ok());
     EXPECT_EQ(manager_->optimizer().step_count(), i);
   }
-  EXPECT_EQ(trainer.stats().iterations, 5);
-  EXPECT_GT(trainer.stats().AverageDurationSeconds(), 0.0);
+  EXPECT_EQ(MetricsSinceStart().proactive_iterations(), 5);
+  EXPECT_GT(MetricsSinceStart().average_proactive_seconds(), 0.0);
 }
 
 TEST_F(ProactiveTrainerTest, EmptySampleIsNoOp) {
   ProactiveTrainer trainer(manager_.get(), &engine_);
   DataManager::SampleSet sample;
   ASSERT_TRUE(trainer.RunIteration(sample).ok());
-  EXPECT_EQ(trainer.stats().iterations, 1);
+  EXPECT_EQ(MetricsSinceStart().proactive_iterations(), 1);
   EXPECT_EQ(manager_->optimizer().step_count(), 0);
 }
 

@@ -68,7 +68,7 @@ TEST(ReportTest, SampledCurveExactCount) {
 
 TEST(ReportTest, SummaryMentionsStrategyAndMetric) {
   DeploymentReport report = MakeReport(4);
-  report.proactive_iterations = 7;
+  report.metrics.counters.push_back({"proactive.iterations", 7, ""});
   const std::string summary = report.Summary();
   EXPECT_NE(summary.find("test-strategy"), std::string::npos);
   EXPECT_NE(summary.find("misclassification"), std::string::npos);

@@ -25,9 +25,9 @@ Scenario BaseScenario(size_t threads) {
 void ExpectIdenticalReports(const DeploymentReport& a,
                             const DeploymentReport& b) {
   EXPECT_EQ(a.final_error, b.final_error);
-  EXPECT_EQ(a.average_error, b.average_error);
+  EXPECT_EQ(a.average_error(), b.average_error());
   EXPECT_EQ(a.chunks_processed, b.chunks_processed);
-  EXPECT_EQ(a.proactive_iterations, b.proactive_iterations);
+  EXPECT_EQ(a.proactive_iterations(), b.proactive_iterations());
   EXPECT_EQ(a.storage.raw_inserted, b.storage.raw_inserted);
   EXPECT_EQ(a.storage.memory_hits, b.storage.memory_hits);
   EXPECT_EQ(a.storage.disk_hits, b.storage.disk_hits);
@@ -91,8 +91,8 @@ TEST(DeterminismTest, FaultFreeScriptedRunMatchesAcrossThreadCounts) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.report.faults_injected, 0);
-  EXPECT_EQ(b.report.faults_injected, 0);
+  EXPECT_EQ(a.report.faults_injected(), 0);
+  EXPECT_EQ(b.report.faults_injected(), 0);
 }
 
 }  // namespace

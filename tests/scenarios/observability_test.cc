@@ -127,7 +127,7 @@ TEST(ObservabilityScenarioTest, WatchdogCatchesInjectedEngineStall) {
 
   const ScenarioResult result = RunScenario(scenario);
   ASSERT_TRUE(result.ok()) << result.status.ToString();
-  EXPECT_GT(result.report.faults_injected, 0)
+  EXPECT_GT(result.report.faults_injected(), 0)
       << "the slow-task site never fired; the stall was not exercised";
 
   // The watchdog must have seen the engine go busy-but-silent mid-run.

@@ -35,8 +35,8 @@ TEST(ScenarioTest, FaultFreeControlIsBitIdenticalToUninstrumented) {
   EXPECT_EQ(baseline.report.final_error, inert.report.final_error);
   EXPECT_EQ(baseline.report.curve.back().observations,
             inert.report.curve.back().observations);
-  EXPECT_EQ(inert.report.faults_injected, 0);
-  EXPECT_EQ(inert.report.retry_attempts, 0);
+  EXPECT_EQ(inert.report.faults_injected(), 0);
+  EXPECT_EQ(inert.report.retry_attempts(), 0);
   EXPECT_EQ(inert.report.degraded_events, 0);
 }
 
@@ -53,11 +53,11 @@ TEST(ScenarioTest, FlakyEngineCompletesWithFaultAccounting) {
   ASSERT_TRUE(result.ok()) << result.status.ToString();
   EXPECT_EQ(result.report.chunks_processed,
             static_cast<int64_t>(Scenario{}.num_chunks));
-  EXPECT_GT(result.report.faults_injected, 0);
+  EXPECT_GT(result.report.faults_injected(), 0);
   // Transient task faults are absorbed by the engine's retry policy (and,
   // past exhaustion, by the trainer's serial fallback) — never an abort.
-  EXPECT_GT(result.report.retry_attempts, 0);
-  EXPECT_GT(result.report.proactive_iterations, 0);
+  EXPECT_GT(result.report.retry_attempts(), 0);
+  EXPECT_GT(result.report.proactive_iterations(), 0);
 }
 
 TEST(ScenarioTest, ThrowingTasksAreContained) {
@@ -74,7 +74,7 @@ TEST(ScenarioTest, ThrowingTasksAreContained) {
   // Exceptions become Internal (non-retryable); the serial fallback
   // recomputes the affected chunks and the run completes.
   ASSERT_TRUE(result.ok()) << result.status.ToString();
-  EXPECT_GE(result.report.faults_injected, 3);
+  EXPECT_GE(result.report.faults_injected(), 3);
 }
 
 TEST(ScenarioTest, EvictHeavyCompletesWithHonestMuAccounting) {
@@ -87,7 +87,7 @@ TEST(ScenarioTest, EvictHeavyCompletesWithHonestMuAccounting) {
 
   const ScenarioResult result = RunScenario(scenario);
   ASSERT_TRUE(result.ok()) << result.status.ToString();
-  EXPECT_GT(result.report.faults_injected, 0);
+  EXPECT_GT(result.report.faults_injected(), 0);
   // Forced evictions surface as sample misses and re-materializations.
   EXPECT_GT(result.report.storage.sample_misses, 0);
   EXPECT_LT(result.report.empirical_mu, 1.0);
@@ -95,7 +95,7 @@ TEST(ScenarioTest, EvictHeavyCompletesWithHonestMuAccounting) {
       result.report.metrics.CounterValueOr("proactive.chunks_rematerialized",
                                            0),
       0);
-  EXPECT_EQ(result.report.proactive_chunks_skipped, 0);  // all recovered
+  EXPECT_EQ(result.report.proactive_chunks_skipped(), 0);  // all recovered
 }
 
 TEST(ScenarioTest, IngestHiccupRecoversViaRetry) {
@@ -109,9 +109,9 @@ TEST(ScenarioTest, IngestHiccupRecoversViaRetry) {
   ASSERT_TRUE(result.ok()) << result.status.ToString();
   // Two injected failures, both absorbed by retries: every chunk lands in
   // the store and nothing degrades.
-  EXPECT_EQ(result.report.faults_injected, 2);
-  EXPECT_GE(result.report.retry_attempts, 2);
-  EXPECT_EQ(result.report.retries_exhausted, 0);
+  EXPECT_EQ(result.report.faults_injected(), 2);
+  EXPECT_GE(result.report.retry_attempts(), 2);
+  EXPECT_EQ(result.report.retries_exhausted(), 0);
   EXPECT_EQ(result.report.degraded_events, 0);
   EXPECT_EQ(result.report.storage.raw_inserted,
             static_cast<int64_t>(Scenario{}.num_chunks));
@@ -128,7 +128,7 @@ TEST(ScenarioTest, PersistentIngestFailureDegradesInsteadOfAborting) {
 
   const ScenarioResult result = RunScenario(scenario);
   ASSERT_TRUE(result.ok()) << result.status.ToString();
-  EXPECT_GT(result.report.retries_exhausted, 0);
+  EXPECT_GT(result.report.retries_exhausted(), 0);
   EXPECT_GT(result.report.degraded_events, 0);
   // Quality curve stayed continuous: every chunk contributed observations.
   EXPECT_EQ(result.report.chunks_processed,
@@ -156,7 +156,7 @@ TEST(ScenarioTest, StoreFeaturesFailureLeavesChunkRecoverable) {
       0);
   // Unmaterialized chunks are recovered on demand by dynamic
   // materialization when proactive training samples them.
-  EXPECT_GT(result.report.proactive_iterations, 0);
+  EXPECT_GT(result.report.proactive_iterations(), 0);
 }
 
 TEST(ScenarioTest, SlowTasksPerturbSchedulingNotResults) {
@@ -181,7 +181,7 @@ TEST(ScenarioTest, SlowTasksPerturbSchedulingNotResults) {
   // Injected latency reorders worker scheduling but must not change a
   // single bit of the result (slot-indexed writes, fixed-order merges).
   EXPECT_EQ(fast.fingerprint, delayed.fingerprint);
-  EXPECT_GT(delayed.report.faults_injected, 0);
+  EXPECT_GT(delayed.report.faults_injected(), 0);
 }
 
 TEST(ScenarioTest, ShortReadsShrinkTheStreamNotTheRun) {

@@ -45,11 +45,11 @@ TEST(ServingScenarioTest, ServeEvalFaultFreeBitIdenticalToInLoop) {
   // the deployed state or the quality curve.
   EXPECT_EQ(result.fingerprint, baseline.fingerprint);
   EXPECT_EQ(result.report.final_error, baseline.report.final_error);
-  EXPECT_EQ(result.report.serving_requests,
+  EXPECT_EQ(result.report.serving_requests(),
             static_cast<int64_t>(served.num_chunks));
-  EXPECT_EQ(result.report.serving_eval_fallbacks, 0);
+  EXPECT_EQ(result.report.serving_eval_fallbacks(), 0);
   EXPECT_EQ(result.report.serving_stale_reads, 0);
-  EXPECT_GT(result.report.snapshot_publishes, 0);
+  EXPECT_GT(result.report.snapshot_publishes(), 0);
 }
 
 TEST(ServingScenarioTest, ServeEvalFaultOnRequestFallsBackAndDegrades) {
@@ -63,8 +63,8 @@ TEST(ServingScenarioTest, ServeEvalFaultOnRequestFallsBackAndDegrades) {
   scenario.faults = {{"serving.request", FaultRule::FirstN(2)}};
   const ScenarioResult result = RunScenario(scenario);
   ASSERT_TRUE(result.ok()) << result.status.ToString();
-  EXPECT_EQ(result.report.serving_eval_fallbacks, 2);
-  EXPECT_EQ(result.report.serving_errors, 2);
+  EXPECT_EQ(result.report.serving_eval_fallbacks(), 2);
+  EXPECT_EQ(result.report.serving_errors(), 2);
   EXPECT_GE(result.report.degraded_events, 2);
   EXPECT_EQ(result.report.serving_stale_reads, 0);
 
@@ -168,9 +168,9 @@ TEST(ServingScenarioTest, SwapUnderLoadWithSlowEngineTasks) {
   ASSERT_TRUE(run_status.ok()) << run_status.ToString();
   EXPECT_EQ(violations.load(), 0);
   EXPECT_GT(ok_requests.load(), 0u);
-  EXPECT_GT(report.faults_injected, 0) << "slow-task site never fired";
+  EXPECT_GT(report.faults_injected(), 0) << "slow-task site never fired";
   EXPECT_EQ(report.serving_stale_reads, 0);
-  EXPECT_GT(report.snapshot_publishes, 0);
+  EXPECT_GT(report.snapshot_publishes(), 0);
   // Requests can straddle the report's metrics window (some complete after
   // Run cuts it), so accounting is asserted on the service itself.
   EXPECT_GE(service.requests_served(), ok_requests.load());

@@ -67,7 +67,7 @@ void ExpectBitIdentical(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.report.final_error, b.report.final_error);
   EXPECT_EQ(a.report.chunks_processed, b.report.chunks_processed);
-  EXPECT_EQ(a.report.proactive_iterations, b.report.proactive_iterations);
+  EXPECT_EQ(a.report.proactive_iterations(), b.report.proactive_iterations());
   // Either-tier sampling totals match: the tier split moves hits between
   // memory and disk but never changes what was sampled.
   EXPECT_EQ(a.report.storage.SampleHits(), b.report.storage.SampleHits());
@@ -164,7 +164,7 @@ TEST_F(SpillScenarioTest, CorruptSpillFilesAreDroppedWithExactAccounting) {
   ASSERT_TRUE(result.ok()) << result.status.ToString();
   EXPECT_GT(result.report.storage.spill_corrupt_detected, 0);
   EXPECT_EQ(result.report.storage.spill_corrupt_detected,
-            result.report.faults_injected);
+            result.report.faults_injected());
   // A detection only becomes a drop when the corrupt load is consumed; a
   // corrupted *prefetch* whose slot goes stale is detected but the file —
   // which the fault never touched — reads fine next time.

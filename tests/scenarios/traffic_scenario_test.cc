@@ -34,18 +34,17 @@ Scenario SustainedDegradeScenario() {
   return scenario;
 }
 
+/// RunShaped checks these identities itself before returning; the test
+/// states them independently of that check.
 void ExpectAdmissionIdentities(const DeploymentReport& report) {
   // Every offered chunk is accounted for exactly once.
-  EXPECT_EQ(report.ingest_offered,
-            report.ingest_admitted + report.ingest_shed_newest +
-                report.ingest_shed_timeout);
-  EXPECT_EQ(report.ingest_shed, report.ingest_shed_oldest +
-                                    report.ingest_shed_newest +
-                                    report.ingest_shed_timeout);
+  EXPECT_EQ(report.ingest.offered,
+            report.ingest.admitted + report.ingest.shed_newest +
+                report.ingest.shed_timeout);
   // Admitted chunks either reach the training loop or are displaced by a
   // later arrival (shed-oldest) — nothing is silently lost.
   EXPECT_EQ(report.chunks_processed,
-            report.ingest_admitted - report.ingest_shed_oldest);
+            report.ingest.admitted - report.ingest.shed_oldest);
 }
 
 TEST(TrafficScenarioTest, UniformShapeWithHeadroomIsBitIdenticalToRun) {
@@ -75,15 +74,15 @@ TEST(TrafficScenarioTest, UniformShapeWithHeadroomIsBitIdenticalToRun) {
   EXPECT_EQ(baseline.report.chunks_processed,
             control.report.chunks_processed);
 
-  EXPECT_EQ(control.report.ingest_offered,
+  EXPECT_EQ(control.report.ingest.offered,
             static_cast<int64_t>(Scenario{}.num_chunks));
-  EXPECT_EQ(control.report.ingest_admitted, control.report.ingest_offered);
-  EXPECT_EQ(control.report.ingest_shed, 0);
-  EXPECT_EQ(control.report.ingest_degraded_admits, 0);
+  EXPECT_EQ(control.report.ingest.admitted, control.report.ingest.offered);
+  EXPECT_EQ(control.report.ingest.shed(), 0);
+  EXPECT_EQ(control.report.ingest.degraded_admits, 0);
   EXPECT_EQ(control.report.publish_skipped_overload, 0);
   EXPECT_EQ(control.report.max_snapshot_staleness_chunks, 0);
-  EXPECT_EQ(control.report.proactive_deferred, 0);
-  EXPECT_EQ(control.report.ingest_peak_queue_depth, 1);
+  EXPECT_EQ(control.report.proactive_deferred(), 0);
+  EXPECT_EQ(control.report.ingest.peak_queue_depth, 1);
   ExpectAdmissionIdentities(control.report);
 }
 
@@ -106,11 +105,11 @@ TEST(TrafficScenarioTest, FlashCrowdShedsExactlyAndReplaysAcrossThreads) {
   // Each burst overwhelms the 3-deep queue; the sheds land on exact chunk
   // positions decided purely by virtual time.  (Hand-simulated: 6 of the
   // 24 arrivals are shed.)
-  EXPECT_EQ(serial.report.ingest_shed, 6);
-  EXPECT_EQ(serial.report.ingest_shed_newest, 6);
-  EXPECT_EQ(serial.report.ingest_admitted, 18);
+  EXPECT_EQ(serial.report.ingest.shed(), 6);
+  EXPECT_EQ(serial.report.ingest.shed_newest, 6);
+  EXPECT_EQ(serial.report.ingest.admitted, 18);
   EXPECT_EQ(serial.report.chunks_processed, 18);
-  EXPECT_LE(serial.report.ingest_peak_queue_depth,
+  EXPECT_LE(serial.report.ingest.peak_queue_depth,
             static_cast<int64_t>(scenario.admission.queue_capacity));
   ExpectAdmissionIdentities(serial.report);
 
@@ -121,12 +120,12 @@ TEST(TrafficScenarioTest, FlashCrowdShedsExactlyAndReplaysAcrossThreads) {
   pooled.engine_threads = 4;
   const ScenarioResult threaded = RunScenario(pooled);
   ASSERT_TRUE(threaded.ok()) << threaded.status.ToString();
-  EXPECT_EQ(threaded.report.ingest_shed, serial.report.ingest_shed);
-  EXPECT_EQ(threaded.report.ingest_admitted, serial.report.ingest_admitted);
-  EXPECT_EQ(threaded.report.ingest_degraded_admits,
-            serial.report.ingest_degraded_admits);
-  EXPECT_EQ(threaded.report.ingest_pressure_changes,
-            serial.report.ingest_pressure_changes);
+  EXPECT_EQ(threaded.report.ingest.shed(), serial.report.ingest.shed());
+  EXPECT_EQ(threaded.report.ingest.admitted, serial.report.ingest.admitted);
+  EXPECT_EQ(threaded.report.ingest.degraded_admits,
+            serial.report.ingest.degraded_admits);
+  EXPECT_EQ(threaded.report.ingest.pressure_changes,
+            serial.report.ingest.pressure_changes);
   EXPECT_EQ(threaded.fingerprint, serial.fingerprint);
 }
 
@@ -138,10 +137,10 @@ TEST(TrafficScenarioTest, SustainedOverloadDegradesWithinStalenessBound) {
   // Under 1.5x sustained service overload the degrade policy keeps
   // admitting (flagged) instead of stalling, and capacity stays a hard
   // memory bound.
-  EXPECT_GT(result.report.ingest_degraded_admits, 0);
-  EXPECT_GT(result.report.ingest_shed_newest, 0);
-  EXPECT_EQ(result.report.ingest_shed_oldest, 0);
-  EXPECT_EQ(result.report.ingest_peak_queue_depth,
+  EXPECT_GT(result.report.ingest.degraded_admits, 0);
+  EXPECT_GT(result.report.ingest.shed_newest, 0);
+  EXPECT_EQ(result.report.ingest.shed_oldest, 0);
+  EXPECT_EQ(result.report.ingest.peak_queue_depth,
             static_cast<int64_t>(scenario.admission.queue_capacity));
   ExpectAdmissionIdentities(result.report);
 
@@ -153,10 +152,10 @@ TEST(TrafficScenarioTest, SustainedOverloadDegradesWithinStalenessBound) {
             static_cast<int64_t>(scenario.publish_staleness_bound_chunks));
 
   // Proactive training yields while the ingest queue is hot.
-  EXPECT_GT(result.report.proactive_deferred, 0);
+  EXPECT_GT(result.report.proactive_deferred(), 0);
   EXPECT_EQ(result.report.metrics.CounterValueOr(
                 "proactive.iterations_deferred", 0),
-            result.report.proactive_deferred);
+            result.report.proactive_deferred());
 }
 
 TEST(TrafficScenarioTest, DiurnalSwingEntersAndLeavesOverload) {
@@ -179,17 +178,17 @@ TEST(TrafficScenarioTest, DiurnalSwingEntersAndLeavesOverload) {
   // The daily peak drives the queue over the high watermark; the trough
   // drains it back under the low one — at least one full
   // normal -> overloaded -> normal round trip, i.e. >= 2 transitions.
-  EXPECT_GE(result.report.ingest_pressure_changes, 2);
-  EXPECT_LE(result.report.ingest_peak_queue_depth,
+  EXPECT_GE(result.report.ingest.pressure_changes, 2);
+  EXPECT_LE(result.report.ingest.peak_queue_depth,
             static_cast<int64_t>(scenario.admission.queue_capacity));
   ExpectAdmissionIdentities(result.report);
 
   // A second replay is exact, transition counts included.
   const ScenarioResult replay = RunScenario(scenario);
   ASSERT_TRUE(replay.ok()) << replay.status.ToString();
-  EXPECT_EQ(replay.report.ingest_pressure_changes,
-            result.report.ingest_pressure_changes);
-  EXPECT_EQ(replay.report.ingest_shed, result.report.ingest_shed);
+  EXPECT_EQ(replay.report.ingest.pressure_changes,
+            result.report.ingest.pressure_changes);
+  EXPECT_EQ(replay.report.ingest.shed(), result.report.ingest.shed());
   EXPECT_EQ(replay.fingerprint, result.fingerprint);
 }
 
@@ -209,7 +208,7 @@ TEST(TrafficScenarioTest, BlockPolicyTradesLatencyForCompleteness) {
   // the (virtual) reader instead of dropping data.
   const ScenarioResult patient = RunScenario(scenario);
   ASSERT_TRUE(patient.ok()) << patient.status.ToString();
-  EXPECT_EQ(patient.report.ingest_shed, 0);
+  EXPECT_EQ(patient.report.ingest.shed(), 0);
   EXPECT_EQ(patient.report.chunks_processed,
             static_cast<int64_t>(Scenario{}.num_chunks));
   ExpectAdmissionIdentities(patient.report);
@@ -223,14 +222,14 @@ TEST(TrafficScenarioTest, BlockPolicyTradesLatencyForCompleteness) {
   const ScenarioResult second = RunScenario(impatient);
   ASSERT_TRUE(first.ok()) << first.status.ToString();
   ASSERT_TRUE(second.ok()) << second.status.ToString();
-  EXPECT_GT(first.report.ingest_shed_timeout, 0);
-  EXPECT_EQ(first.report.ingest_shed, first.report.ingest_shed_timeout);
+  EXPECT_GT(first.report.ingest.shed_timeout, 0);
+  EXPECT_EQ(first.report.ingest.shed(), first.report.ingest.shed_timeout);
   EXPECT_EQ(first.report.chunks_processed,
             static_cast<int64_t>(Scenario{}.num_chunks) -
-                first.report.ingest_shed_timeout);
+                first.report.ingest.shed_timeout);
   ExpectAdmissionIdentities(first.report);
-  EXPECT_EQ(second.report.ingest_shed_timeout,
-            first.report.ingest_shed_timeout);
+  EXPECT_EQ(second.report.ingest.shed_timeout,
+            first.report.ingest.shed_timeout);
   EXPECT_EQ(second.fingerprint, first.fingerprint);
 }
 
@@ -250,17 +249,17 @@ TEST(TrafficScenarioTest, AbsorbedFaultsDoNotPerturbAdmissionDecisions) {
   ASSERT_TRUE(a.ok()) << a.status.ToString();
   ASSERT_TRUE(b.ok()) << b.status.ToString();
 
-  EXPECT_EQ(b.report.faults_injected, 2);
-  EXPECT_GE(b.report.retry_attempts, 2);
-  EXPECT_EQ(b.report.retries_exhausted, 0);
+  EXPECT_EQ(b.report.faults_injected(), 2);
+  EXPECT_GE(b.report.retry_attempts(), 2);
+  EXPECT_EQ(b.report.retries_exhausted(), 0);
 
-  EXPECT_EQ(b.report.ingest_offered, a.report.ingest_offered);
-  EXPECT_EQ(b.report.ingest_admitted, a.report.ingest_admitted);
-  EXPECT_EQ(b.report.ingest_shed, a.report.ingest_shed);
-  EXPECT_EQ(b.report.ingest_shed_newest, a.report.ingest_shed_newest);
-  EXPECT_EQ(b.report.ingest_degraded_admits, a.report.ingest_degraded_admits);
-  EXPECT_EQ(b.report.ingest_pressure_changes,
-            a.report.ingest_pressure_changes);
+  EXPECT_EQ(b.report.ingest.offered, a.report.ingest.offered);
+  EXPECT_EQ(b.report.ingest.admitted, a.report.ingest.admitted);
+  EXPECT_EQ(b.report.ingest.shed(), a.report.ingest.shed());
+  EXPECT_EQ(b.report.ingest.shed_newest, a.report.ingest.shed_newest);
+  EXPECT_EQ(b.report.ingest.degraded_admits, a.report.ingest.degraded_admits);
+  EXPECT_EQ(b.report.ingest.pressure_changes,
+            a.report.ingest.pressure_changes);
   EXPECT_EQ(b.report.max_snapshot_staleness_chunks,
             a.report.max_snapshot_staleness_chunks);
   // Absorbed faults leave the numerics bit-identical too.
@@ -288,13 +287,13 @@ TEST(TrafficScenarioTest, ExhaustedRetriesDegradeWithoutMovingShedCounts) {
   ASSERT_TRUE(a.ok()) << a.status.ToString();
   ASSERT_TRUE(b.ok()) << b.status.ToString();
 
-  EXPECT_GT(b.report.retries_exhausted, 0);
+  EXPECT_GT(b.report.retries_exhausted(), 0);
   EXPECT_GT(b.report.degraded_events, 0);
 
-  EXPECT_EQ(b.report.ingest_offered, a.report.ingest_offered);
-  EXPECT_EQ(b.report.ingest_admitted, a.report.ingest_admitted);
-  EXPECT_EQ(b.report.ingest_shed, a.report.ingest_shed);
-  EXPECT_EQ(b.report.ingest_degraded_admits, a.report.ingest_degraded_admits);
+  EXPECT_EQ(b.report.ingest.offered, a.report.ingest.offered);
+  EXPECT_EQ(b.report.ingest.admitted, a.report.ingest.admitted);
+  EXPECT_EQ(b.report.ingest.shed(), a.report.ingest.shed());
+  EXPECT_EQ(b.report.ingest.degraded_admits, a.report.ingest.degraded_admits);
   EXPECT_EQ(b.report.chunks_processed, a.report.chunks_processed);
   ExpectAdmissionIdentities(b.report);
 }
@@ -314,12 +313,12 @@ TEST(TrafficScenarioTest, ShedOldestPrefersFreshDataUnderBacklog) {
   ASSERT_TRUE(result.ok()) << result.status.ToString();
 
   // Every arrival is admitted — the queue head (stalest backlog) pays.
-  EXPECT_EQ(result.report.ingest_admitted,
+  EXPECT_EQ(result.report.ingest.admitted,
             static_cast<int64_t>(Scenario{}.num_chunks));
-  EXPECT_GT(result.report.ingest_shed_oldest, 0);
-  EXPECT_EQ(result.report.ingest_shed_newest, 0);
+  EXPECT_GT(result.report.ingest.shed_oldest, 0);
+  EXPECT_EQ(result.report.ingest.shed_newest, 0);
   EXPECT_EQ(result.report.chunks_processed,
-            result.report.ingest_admitted - result.report.ingest_shed_oldest);
+            result.report.ingest.admitted - result.report.ingest.shed_oldest);
   ExpectAdmissionIdentities(result.report);
 }
 

@@ -149,16 +149,16 @@ TEST_P(ServeThenTrainTest, ServedEvaluationIsBitIdenticalToInLoop) {
   ExpectBitIdenticalQuality(baseline, served);
   // Every chunk was evaluated through the service, nothing fell back, and
   // the swap protocol held.
-  EXPECT_EQ(served.report.serving_requests,
+  EXPECT_EQ(served.report.serving_requests(),
             static_cast<int64_t>(kStreamChunks));
-  EXPECT_EQ(served.report.serving_eval_fallbacks, 0);
-  EXPECT_EQ(served.report.serving_errors, 0);
+  EXPECT_EQ(served.report.serving_eval_fallbacks(), 0);
+  EXPECT_EQ(served.report.serving_errors(), 0);
   EXPECT_EQ(served.report.serving_stale_reads, 0);
   // Publish cadence: one at Run start, one mid-chunk per chunk, plus the
   // end-of-chunk / post-proactive publishes — at least two per chunk.
-  EXPECT_GE(served.report.snapshot_publishes,
+  EXPECT_GE(served.report.snapshot_publishes(),
             static_cast<int64_t>(2 * kStreamChunks));
-  EXPECT_EQ(baseline.report.serving_requests, 0);
+  EXPECT_EQ(baseline.report.serving_requests(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
