@@ -2,7 +2,7 @@
 //
 // Measures rows/sec and ns/row of mini-batch SGD over a synthetic sparse
 // sample (nominal dims grow across chunks, like real proactive samples
-// whose one-hot dictionaries grew between materializations) along four
+// whose one-hot dictionaries grew between materializations) along three
 // paths:
 //
 //   seed_copy     — replica of the pre-rework implementation: every
@@ -10,14 +10,11 @@
 //                   SparseVector copies, FromSorted re-validation for dim
 //                   widening) and gradients accumulated in a hash map then
 //                   sorted.  The "before" baseline.
-//   copy_serial   — mini-batch materialization kept, but feeding the new
-//                   deterministic dense-scratch kernel (isolates the
-//                   data-movement cost from the kernel win)
 //   view_serial   — zero-copy BatchView mini-batches, serial gradient
 //   view_sharded  — BatchView mini-batches, gradient sharded across an
 //                   ExecutionEngine thread pool
 //
-// The last three paths produce bit-identical model parameters at any
+// The two view paths produce bit-identical model parameters at any
 // configuration (asserted below).  The seed replica is bit-identical to
 // them whenever mini-batches stay single-shard (< 512 rows), which a
 // separate small equivalence run asserts.
@@ -237,7 +234,7 @@ PathResult RunSeedPath(const Config& config,
 }
 
 PathResult RunPath(const std::string& label, const Config& config,
-                   const std::vector<FeatureData>& chunks, bool legacy_copy,
+                   const std::vector<FeatureData>& chunks,
                    ExecutionEngine* engine) {
   std::vector<const FeatureData*> parts;
   parts.reserve(chunks.size());
@@ -248,10 +245,7 @@ PathResult RunPath(const std::string& label, const Config& config,
   BatchTrainer trainer(BatchTrainer::Options{
       .max_epochs = config.epochs,
       .batch_size = config.batch_size,
-      .tolerance = 0.0,  // run every epoch: fixed work per path
-      .shuffle = true,
-      .compute_final_loss = false,
-      .use_legacy_copy_path = legacy_copy});
+      .tolerance = 0.0});  // run every epoch: fixed work per path
 
   Rng rng(config.seed + 1);  // same shuffle sequence for every path
   Stopwatch watch;
@@ -305,16 +299,12 @@ int Main(int argc, char** argv) {
 
   ExecutionEngine sharded_engine(config.threads);
   PathResult seed_copy = RunSeedPath(config, chunks);
-  PathResult copy_serial =
-      RunPath("copy_serial", config, chunks, /*legacy_copy=*/true, nullptr);
-  PathResult view_serial =
-      RunPath("view_serial", config, chunks, /*legacy_copy=*/false, nullptr);
-  PathResult view_sharded = RunPath("view_sharded", config, chunks,
-                                    /*legacy_copy=*/false, &sharded_engine);
+  PathResult view_serial = RunPath("view_serial", config, chunks, nullptr);
+  PathResult view_sharded =
+      RunPath("view_sharded", config, chunks, &sharded_engine);
 
-  // The three reworked paths shuffle with the same seed and feed the same
+  // Both view paths shuffle with the same seed and feed the same
   // deterministic gradient kernel: diverging parameters mean a bug.
-  CheckEquivalence(copy_serial, view_serial);
   CheckEquivalence(view_serial, view_sharded);
 
   // The seed replica sums each coordinate in one pass, so it is
@@ -330,7 +320,7 @@ int Main(int argc, char** argv) {
                 small.rows, small.batch_size);
     PathResult small_seed = RunSeedPath(small, small_chunks);
     PathResult small_view =
-        RunPath("view_serial", small, small_chunks, false, nullptr);
+        RunPath("view_serial", small, small_chunks, nullptr);
     CheckEquivalence(small_seed, small_view);
   }
 
@@ -339,11 +329,8 @@ int Main(int argc, char** argv) {
                ? r.rows_per_sec / seed_copy.rows_per_sec
                : 0.0;
   };
-  const double speedup_copy_kernel = speedup(copy_serial);
   const double speedup_view = speedup(view_serial);
   const double speedup_sharded = speedup(view_sharded);
-  std::printf("  copy_serial  vs seed_copy: %.2fx rows/sec (kernel only)\n",
-              speedup_copy_kernel);
   std::printf("  view_serial  vs seed_copy: %.2fx rows/sec\n", speedup_view);
   std::printf("  view_sharded vs seed_copy: %.2fx rows/sec\n",
               speedup_sharded);
@@ -364,14 +351,12 @@ int Main(int argc, char** argv) {
         config.batch_size, config.threads, config.epochs,
         static_cast<unsigned long long>(config.seed));
     out << "\"results\":[" << ResultJson(seed_copy) << ","
-        << ResultJson(copy_serial) << "," << ResultJson(view_serial) << ","
-        << ResultJson(view_sharded) << "],";
+        << ResultJson(view_serial) << "," << ResultJson(view_sharded) << "],";
     out << StrFormat(
-        "\"speedup_copy_kernel_vs_seed\":%.9g,"
         "\"speedup_view_serial_vs_seed\":%.9g,"
         "\"speedup_view_sharded_vs_seed\":%.9g,"
         "\"parameters_identical\":true}",
-        speedup_copy_kernel, speedup_view, speedup_sharded);
+        speedup_view, speedup_sharded);
     out << "\n";
     if (!out.good()) {
       std::fprintf(stderr, "failed writing '%s'\n", json_out.c_str());

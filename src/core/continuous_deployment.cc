@@ -16,10 +16,7 @@ ContinuousDeployment::ContinuousDeployment(
     std::unique_ptr<Optimizer> optimizer, std::unique_ptr<Metric> metric)
     : Deployment("continuous", std::move(options), std::move(pipeline),
                  std::move(model), std::move(optimizer), std::move(metric)),
-      continuous_options_(std::move(continuous_options)),
-      trainer_(&pipeline_manager(), &engine(),
-               ProactiveTrainer::Options{this->options().retry,
-                                         this->options().degrade_on_failure}) {
+      continuous_options_(std::move(continuous_options)) {
   CDPIPE_CHECK_GT(continuous_options_.proactive_every_chunks, 0u);
   CDPIPE_CHECK_GT(continuous_options_.sample_chunks, 0u);
 }
@@ -55,7 +52,7 @@ Status ContinuousDeployment::AfterChunk(size_t stream_index,
         // Overload gating: a drift burst is the most expensive optional
         // work there is — shed it first and keep draining the backlog.
         // The detector stays reset so it can re-fire once load recovers.
-        trainer_.RecordDeferred(load_state());
+        trainer().RecordDeferred(load_state());
       }
       continuous_options_.drift_detector->Reset();
     }
@@ -77,7 +74,7 @@ Status ContinuousDeployment::AfterChunk(size_t stream_index,
   // running, the backlog drains first, and the next due iteration trains
   // as usual once load returns to normal.
   if (load_state() != LoadState::kNormal) {
-    trainer_.RecordDeferred(load_state());
+    trainer().RecordDeferred(load_state());
     return Status::OK();
   }
 
@@ -86,7 +83,7 @@ Status ContinuousDeployment::AfterChunk(size_t stream_index,
       DataManager::SampleSet sample,
       data_manager().SampleForTraining(continuous_options_.sample_chunks,
                                        &rng()));
-  CDPIPE_RETURN_NOT_OK(trainer_.RunIteration(sample));
+  CDPIPE_RETURN_NOT_OK(trainer().RunIteration(sample));
   // A proactive step changed the deployed model: publish a fresh serving
   // epoch immediately (no-op when no serving tier is attached).
   pipeline_manager().PublishSnapshot();
@@ -94,7 +91,7 @@ Status ContinuousDeployment::AfterChunk(size_t stream_index,
   if (continuous_options_.scheduler != nullptr) {
     continuous_options_.scheduler->OnTrainingCompleted(
         static_cast<double>(chunk.event_time_seconds),
-        trainer_.last_duration_seconds());
+        trainer().last_duration_seconds());
   } else {
     // Static schedule: the next proactive sample is exactly
     // `proactive_every_chunks` chunks away and the rng state it will see is
@@ -114,21 +111,9 @@ Status ContinuousDeployment::RunDriftBurst() {
   // Sample only from the freshest chunks — they reflect the new concept.
   WindowSampler window(continuous_options_.drift_window_chunks);
   for (size_t i = 0; i < continuous_options_.drift_burst_iterations; ++i) {
-    const std::vector<ChunkId> live = data_manager().store().LiveIds();
-    const std::vector<ChunkId> picked = window.Sample(
-        live, continuous_options_.sample_chunks, &rng());
-    DataManager::SampleSet sample;
-    for (ChunkId id : picked) {
-      data_manager().mutable_store().RecordSampleAccess(id);
-      if (const FeatureChunk* features =
-              data_manager().store().GetFeatures(id)) {
-        sample.materialized.push_back(features);
-      } else if (const RawChunk* raw =
-                     data_manager().mutable_store().FetchRaw(id)) {
-        sample.to_rematerialize.push_back(raw);
-      }
-    }
-    CDPIPE_RETURN_NOT_OK(trainer_.RunIteration(sample));
+    CDPIPE_RETURN_NOT_OK(trainer().RunIteration(data_manager().Resolve(
+        window.Sample(data_manager().store().LiveIds(),
+                      continuous_options_.sample_chunks, &rng()))));
   }
   pipeline_manager().PublishSnapshot();
   return Status::OK();

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/core/deployment.h"
-#include "src/core/proactive_trainer.h"
 #include "src/drift/drift_detector.h"
 #include "src/sampling/sampler.h"
 #include "src/scheduler/scheduler.h"
@@ -55,7 +54,6 @@ class ContinuousDeployment final : public Deployment {
   Status RunDriftBurst();
 
   ContinuousOptions continuous_options_;
-  ProactiveTrainer trainer_;
 };
 
 }  // namespace cdpipe

@@ -69,8 +69,11 @@ Result<DataManager::SampleSet> DataManager::SampleForTraining(
   if (store_.num_raw() == 0) {
     return Status::FailedPrecondition("no chunks available to sample");
   }
-  const std::vector<ChunkId> live = store_.LiveIds();
-  const std::vector<ChunkId> picked = sampler_->Sample(live, sample_size, rng);
+  return Resolve(sampler_->Sample(store_.LiveIds(), sample_size, rng));
+}
+
+DataManager::SampleSet DataManager::Resolve(
+    const std::vector<ChunkId>& picked) {
   SampleSet out;
   out.materialized.reserve(picked.size());
   obs::EventJournal& journal = obs::EventJournal::Global();
@@ -90,9 +93,8 @@ Result<DataManager::SampleSet> DataManager::SampleForTraining(
     } else {
       const RawChunk* raw = store_.FetchRaw(id);
       if (raw == nullptr) {
-        if (!store_.spilling_enabled()) {
-          CDPIPE_CHECK(raw != nullptr) << "sampler returned a dead chunk id";
-        }
+        CDPIPE_CHECK(store_.spilling_enabled())
+            << "picked chunk " << id << " has no raw bytes";
         // Disk tier degraded under us (corrupt file dropped, read failure):
         // train on one chunk fewer rather than fail the sample.
         journal.Append(obs::EventKind::kDegrade,

@@ -49,11 +49,18 @@ class DataManager {
   /// Stores a transformed feature chunk (workflow step 2).
   Status StoreFeatures(FeatureChunk chunk);
 
-  /// Workflow steps 3-4: samples `sample_size` chunks using the configured
-  /// strategy and splits them by materialization status.  Records hit/miss
-  /// counters for the μ accounting.  Pointers remain valid until the next
-  /// mutation of the store.
+  /// Workflow steps 3-4: draws `sample_size` chunks with the configured
+  /// strategy and resolves them (`Resolve`).  Fails only on an empty store.
   Result<SampleSet> SampleForTraining(size_t sample_size, Rng* rng);
+
+  /// Workflow step 4 for every training step — a proactive sample, a drift
+  /// burst's window, a retrain's whole history: splits `picked` by
+  /// materialization status.  Each pick is one sample access for the μ
+  /// accounting and journals a materialize_hit or materialize_miss, and the
+  /// call journals one sample event.  A pick whose raw bytes are gone (the
+  /// disk tier degraded) is dropped with a `sample_chunk_unavailable`
+  /// degrade.  Pointers remain valid until the next mutation of the store.
+  SampleSet Resolve(const std::vector<ChunkId>& picked);
 
   const ChunkStore& store() const { return store_; }
   ChunkStore& mutable_store() { return store_; }

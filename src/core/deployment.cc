@@ -61,6 +61,9 @@ Deployment::Deployment(std::string strategy_name, Options options,
       pipeline_manager_(std::make_unique<PipelineManager>(
           std::move(pipeline), std::move(model), std::move(optimizer), &cost_,
           PipelineManager::Options{options_.online_statistics})),
+      trainer_(pipeline_manager_.get(), &engine_,
+               ProactiveTrainer::Options{options_.retry,
+                                         options_.degrade_on_failure}),
       metric_prototype_(std::move(metric)),
       rng_(options_.seed) {
   CDPIPE_CHECK(metric_prototype_ != nullptr);

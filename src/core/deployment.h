@@ -12,6 +12,7 @@
 #include "src/core/cost_model.h"
 #include "src/core/data_manager.h"
 #include "src/core/pipeline_manager.h"
+#include "src/core/proactive_trainer.h"
 #include "src/core/report.h"
 #include "src/engine/execution_engine.h"
 #include "src/ml/metrics.h"
@@ -35,6 +36,14 @@ namespace cdpipe {
 ///   4. the strategy hook runs (nothing / proactive training / periodic
 ///      full retraining),
 ///   5. quality and cost are snapshotted into the report curve.
+///
+/// A strategy is a trigger in `AfterChunk` plus a selection and a step, and
+/// every step takes one path: the selected chunk ids go through
+/// `DataManager::Resolve`, then `ProactiveTrainer::Rebuild` rebuilds the
+/// evicted ones, then the step runs under `ProactiveTrainer::RunStep`.
+/// Continuous selects a sampler draw and steps one SGD iteration; a drift
+/// burst selects `WindowSampler` draws; a periodical retrain selects the
+/// whole live history and steps one BatchTrainer pass.
 class Deployment {
  public:
   struct Options {
@@ -159,6 +168,7 @@ class Deployment {
 
   PipelineManager& pipeline_manager() { return *pipeline_manager_; }
   DataManager& data_manager() { return data_manager_; }
+  ProactiveTrainer& trainer() { return trainer_; }
   ExecutionEngine& engine() { return engine_; }
   CostModel& cost() { return cost_; }
   Rng& rng() { return rng_; }
@@ -211,6 +221,7 @@ class Deployment {
   DataManager data_manager_;
   ExecutionEngine engine_;
   std::unique_ptr<PipelineManager> pipeline_manager_;
+  ProactiveTrainer trainer_;
   std::unique_ptr<Metric> metric_prototype_;
   Rng rng_;
 

@@ -3,9 +3,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
-#include "src/core/proactive_trainer.h"
-#include "src/obs/correlation.h"
 #include "src/obs/event_journal.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -58,73 +55,55 @@ Status PeriodicalDeployment::AfterChunk(size_t stream_index,
 
 Status PeriodicalDeployment::Retrain() {
   CDPIPE_TRACE_SPAN("deployment.retrain", "deployment");
-  // Full retraining: preprocess the *entire* available history.  Chunks that
+  // Full retraining: train on the *entire* available history.  Chunks that
   // happen to be materialized are reused; in the authentic periodical
   // configuration (max_materialized_chunks = 0) everything is re-transformed
   // from raw data — the dominant cost the paper attributes to this strategy.
-  const std::vector<ChunkId> live = data_manager().store().LiveIds();
+  // FetchRaw (in Resolve) pins disk-tier chunks until the next ingest, long
+  // enough for the pass below.
+  const DataManager::SampleSet history =
+      data_manager().Resolve(data_manager().store().LiveIds());
   std::vector<FeatureChunk> rebuilt;
-  std::vector<const FeatureData*> parts;
-  parts.reserve(live.size());
-
-  std::vector<const RawChunk*> to_transform;
-  for (ChunkId id : live) {
-    if (const FeatureChunk* features = data_manager().store().GetFeatures(id)) {
-      parts.push_back(&features->data);
-    } else {
-      // FetchRaw pins disk-tier chunks until the next ingest — long enough
-      // for the retraining pass below.  A null here means the disk tier
-      // degraded (corrupt file dropped, read failure): retrain on the rest.
-      const RawChunk* raw = data_manager().mutable_store().FetchRaw(id);
-      if (raw == nullptr) {
-        CDPIPE_CHECK(data_manager().store().spilling_enabled())
-            << "live chunk " << id << " has no raw bytes";
-        obs::EventJournal::Global().Append(
-            obs::EventKind::kDegrade, obs::CorrelationScope::WithEntity(id),
-            "retrain_chunk_unavailable");
-        continue;
-      }
-      to_transform.push_back(raw);
-    }
-  }
-  rebuilt.resize(to_transform.size());
-  CDPIPE_RETURN_NOT_OK(
-      engine().ParallelFor(to_transform.size(), [&](size_t i) -> Status {
-        CDPIPE_ASSIGN_OR_RETURN(
-            rebuilt[i], pipeline_manager().Rematerialize(*to_transform[i]));
-        return Status::OK();
-      }));
-  for (const FeatureChunk& chunk : rebuilt) parts.push_back(&chunk.data);
+  CDPIPE_ASSIGN_OR_RETURN(const std::vector<const FeatureData*> parts,
+                          trainer().Rebuild(history, &rebuilt));
   if (parts.empty()) return Status::OK();
 
-  // Warm start (TFX): clone the deployed model + optimizer state.
-  // Cold start: fresh weights, reset adaptation state.
-  std::unique_ptr<LinearModel> model;
-  std::unique_ptr<Optimizer> optimizer =
-      pipeline_manager().optimizer().Clone();
-  if (periodical_options_.warm_start) {
-    model = std::make_unique<LinearModel>(pipeline_manager().model());
-  } else {
-    model = std::make_unique<LinearModel>(pipeline_manager().model().options());
-    optimizer->Reset();
-  }
-
-  {
-    CostModel::ScopedTimer timer(&cost(), CostPhase::kRetraining);
-    BatchTrainer trainer(periodical_options_.retrain);
-    CDPIPE_ASSIGN_OR_RETURN(
-        BatchTrainer::Stats stats,
-        trainer.Train(parts, model.get(), optimizer.get(), &rng(), &engine()));
-    cost().AddWork(CostPhase::kRetraining, stats.examples_visited);
-  }
-
-  pipeline_manager().Redeploy(std::move(model), std::move(optimizer));
-  obs::MetricsRegistry::Global()
-      .GetCounter("deployment.retrainings")
-      ->Increment();
-  // Correlated with the chunk whose arrival made the retraining due.
-  obs::EventJournal::Global().Append(obs::EventKind::kTrainStep, "retrain");
-  return Status::OK();
+  // Each attempt trains fresh clones of the deployed state on a copy of the
+  // rng, so a failed pass leaves the deployment untouched; only a
+  // successful pass is redeployed and commits the rng.
+  return trainer().RunStep("deployment.retrain", "retrain_skipped",
+                           [&]() -> Status {
+    // Warm start (TFX): clone the deployed model + optimizer state.
+    // Cold start: fresh weights, reset adaptation state.
+    std::unique_ptr<LinearModel> model;
+    std::unique_ptr<Optimizer> optimizer =
+        pipeline_manager().optimizer().Clone();
+    if (periodical_options_.warm_start) {
+      model = std::make_unique<LinearModel>(pipeline_manager().model());
+    } else {
+      model =
+          std::make_unique<LinearModel>(pipeline_manager().model().options());
+      optimizer->Reset();
+    }
+    Rng pass_rng = rng();
+    {
+      CostModel::ScopedTimer timer(&cost(), CostPhase::kRetraining);
+      CDPIPE_ASSIGN_OR_RETURN(
+          BatchTrainer::Stats stats,
+          BatchTrainer(periodical_options_.retrain)
+              .Train(parts, model.get(), optimizer.get(), &pass_rng,
+                     &engine()));
+      cost().AddWork(CostPhase::kRetraining, stats.examples_visited);
+    }
+    rng() = pass_rng;
+    pipeline_manager().Redeploy(std::move(model), std::move(optimizer));
+    obs::MetricsRegistry::Global()
+        .GetCounter("deployment.retrainings")
+        ->Increment();
+    // Correlated with the chunk whose arrival made the retraining due.
+    obs::EventJournal::Global().Append(obs::EventKind::kTrainStep, "retrain");
+    return Status::OK();
+  });
 }
 
 }  // namespace cdpipe

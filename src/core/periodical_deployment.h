@@ -21,6 +21,12 @@ namespace cdpipe {
 /// preprocess the entire history again (feature chunks are not materialized
 /// in the classic periodical platform; configure `store.max_materialized_
 /// chunks = 0` to reproduce that) and then iterate SGD to convergence.
+///
+/// A retrain takes the shared training path with the whole live history as
+/// its selection, so it re-materializes, retries and degrades like a
+/// proactive step: an unrecoverable chunk is left out of the pass, and a
+/// pass that keeps failing transiently is skipped (the deployed model
+/// stays) instead of aborting the run.
 class PeriodicalDeployment final : public Deployment {
  public:
   struct PeriodicalOptions {

@@ -121,15 +121,6 @@ Result<FeatureData> PipelineManager::TransformForInference(
   return features;
 }
 
-Status PipelineManager::TrainStep(const FeatureData& batch, CostPhase phase) {
-  CDPIPE_TRACE_SPAN("pipeline.train_step", "ml");
-  CostModel::ScopedTimer timer(cost_, phase);
-  model_->EnsureDim(batch.dim);
-  CDPIPE_RETURN_NOT_OK(model_->Update(batch, optimizer_.get()));
-  cost_->AddWork(phase, static_cast<int64_t>(batch.num_rows()));
-  return Status::OK();
-}
-
 Status PipelineManager::TrainStep(const BatchView& batch, CostPhase phase,
                                   ExecutionEngine* engine) {
   CDPIPE_TRACE_SPAN("pipeline.train_step", "ml");

@@ -90,13 +90,10 @@ class PipelineManager {
   Result<FeatureData> TransformForInference(
       const RawChunk& queries, ExecutionEngine* engine = nullptr) const;
 
-  /// One proactive / retraining mini-batch SGD iteration over `batch`
-  /// (cost recorded under `phase`).
-  Status TrainStep(const FeatureData& batch, CostPhase phase);
-
-  /// Zero-copy variant over borrowed rows: no merged FeatureData is ever
-  /// materialized.  When `engine` is non-null the gradient accumulation is
-  /// sharded across its workers (bit-identical to the serial result).
+  /// One proactive mini-batch SGD iteration over borrowed rows (cost
+  /// recorded under `phase`): no merged FeatureData is ever materialized.
+  /// When `engine` is non-null the gradient accumulation is sharded across
+  /// its workers (bit-identical to the serial result).
   Status TrainStep(const BatchView& batch, CostPhase phase,
                    ExecutionEngine* engine = nullptr);
 

@@ -70,92 +70,12 @@ Status ProactiveTrainer::RunIteration(const DataManager::SampleSet& sample) {
   static obs::Heartbeat* heartbeat =
       obs::HealthRegistry::Global().GetHeartbeat("trainer");
   obs::Heartbeat::WorkScope work(heartbeat);
-  // Engine workers do not inherit the caller's thread-local correlation;
-  // capture it here so the fan-out tasks can re-establish it per chunk.
-  const obs::CorrelationId base_corr = obs::CorrelationScope::Current();
   const TrainerMetrics& metrics = TrainerMetrics::Get();
   Stopwatch watch;
 
-  // Dynamic materialization: rebuild the evicted chunks in the sample.
-  // Each chunk writes only its own slot, so failed chunks are identified
-  // after the fan-out and handled individually instead of aborting the
-  // whole iteration on the first error.
-  const size_t num_remat = sample.to_rematerialize.size();
-  std::vector<FeatureChunk> rebuilt(num_remat);
-  std::vector<char> rebuilt_ok(num_remat, 0);
-  {
-    CDPIPE_TRACE_SPAN("proactive.rematerialize", "training");
-    Stopwatch remat_watch;
-    const Status engine_status =
-        engine_->ParallelFor(num_remat, [&](size_t i) -> Status {
-          obs::CorrelationScope scope(base_corr.deployment,
-                                      sample.to_rematerialize[i]->id);
-          CDPIPE_ASSIGN_OR_RETURN(
-              rebuilt[i],
-              pipeline_manager_->Rematerialize(*sample.to_rematerialize[i]));
-          rebuilt_ok[i] = 1;
-          obs::EventJournal::Global().Append(obs::EventKind::kRecompute);
-          return Status::OK();
-        });
-    if (!engine_status.ok() && !options_.degrade_on_failure) {
-      return engine_status;
-    }
-    // Degradation, step 1: chunks that failed in the fan-out (including
-    // tasks the engine's retry policy gave up on) get one fallback
-    // recomputation from the raw chunk on the caller's thread.  The engine
-    // pool is drained at this point, so the fallback may shard the
-    // transform across it (the fan-out tasks above must not: the pool does
-    // not nest).  Step 2: chunks that still fail are dropped from this
-    // iteration with a recorded warning — a smaller sample is strictly
-    // better than an aborted deployment run.
-    for (size_t i = 0; i < num_remat; ++i) {
-      if (rebuilt_ok[i]) continue;
-      const Status fallback = RetryWithBackoff(
-          options_.retry, "proactive.rematerialize_fallback",
-          [&]() -> Status {
-            Result<FeatureChunk> chunk = pipeline_manager_->Rematerialize(
-                *sample.to_rematerialize[i], engine_);
-            if (!chunk.ok()) return chunk.status();
-            rebuilt[i] = std::move(chunk).value();
-            rebuilt_ok[i] = 1;
-            return Status::OK();
-          });
-      if (fallback.ok()) {
-        obs::EventJournal::Global().Append(
-            obs::EventKind::kRecompute,
-            obs::CorrelationId{base_corr.deployment,
-                               sample.to_rematerialize[i]->id},
-            "fallback");
-      } else {
-        if (!options_.degrade_on_failure) return fallback;
-        metrics.chunks_skipped->Increment();
-        obs::EventJournal::Global().Append(
-            obs::EventKind::kDegrade,
-            obs::CorrelationId{base_corr.deployment,
-                               sample.to_rematerialize[i]->id},
-            "chunk_skipped");
-        CDPIPE_LOG(Warning)
-            << "proactive training: dropping chunk "
-            << sample.to_rematerialize[i]->id
-            << " after failed re-materialization: " << fallback.ToString();
-      }
-    }
-    if (num_remat > 0) {
-      metrics.rematerialize_seconds->Observe(remat_watch.ElapsedSeconds());
-    }
-  }
-  int64_t rematerialized = 0;
-  for (size_t i = 0; i < num_remat; ++i) rematerialized += rebuilt_ok[i];
-  metrics.chunks_rematerialized->Add(rematerialized);
-
-  std::vector<const FeatureData*> parts;
-  parts.reserve(sample.materialized.size() + num_remat);
-  for (const FeatureChunk* chunk : sample.materialized) {
-    parts.push_back(&chunk->data);
-  }
-  for (size_t i = 0; i < num_remat; ++i) {
-    if (rebuilt_ok[i]) parts.push_back(&rebuilt[i].data);
-  }
+  std::vector<FeatureChunk> rebuilt;
+  CDPIPE_ASSIGN_OR_RETURN(const std::vector<const FeatureData*> parts,
+                          Rebuild(sample, &rebuilt));
 
   // Zero-copy SGD step: the sampled chunks are trained on in place through
   // a BatchView — no merged FeatureData, no per-row copies, and mixed
@@ -167,29 +87,20 @@ Status ProactiveTrainer::RunIteration(const DataManager::SampleSet& sample) {
   if (!batch.empty()) {
     CDPIPE_TRACE_SPAN("proactive.sgd_step", "training");
     Stopwatch sgd_watch;
-    // The train step is safe to re-run after a failure: the gradient is
-    // recomputed from scratch and only applied to the model at the very
-    // end, so a failed attempt leaves the weights untouched.
-    const Status step = RetryWithBackoff(
-        options_.retry, "proactive.train_step", [&]() -> Status {
-          return pipeline_manager_->TrainStep(
-              batch, CostPhase::kProactiveTraining, engine_);
-        });
-    if (!step.ok()) {
-      if (!options_.degrade_on_failure || !IsRetryable(step)) return step;
-      metrics.iterations_degraded->Increment();
-      obs::EventJournal::Global().Append(obs::EventKind::kDegrade,
-                                         "sgd_step_skipped");
-      CDPIPE_LOG(Warning) << "proactive training: skipping SGD step after "
-                             "exhausted retries: "
-                          << step.ToString();
-    } else {
-      // Correlated with the caller's scope: in a deployment, the chunk whose
-      // arrival made this step due.
-      obs::EventJournal::Global().Append(
-          obs::EventKind::kTrainStep,
-          StrFormat("rows=%zu", batch.num_rows()).c_str());
-    }
+    // The gradient is recomputed from scratch and only applied to the
+    // model at the very end, so a failed attempt leaves the weights
+    // untouched.
+    CDPIPE_RETURN_NOT_OK(RunStep(
+        "proactive.train_step", "sgd_step_skipped", [&]() -> Status {
+          CDPIPE_RETURN_NOT_OK(pipeline_manager_->TrainStep(
+              batch, CostPhase::kProactiveTraining, engine_));
+          // Correlated with the caller's scope: in a deployment, the chunk
+          // whose arrival made this step due.
+          obs::EventJournal::Global().Append(
+              obs::EventKind::kTrainStep,
+              StrFormat("rows=%zu", batch.num_rows()).c_str());
+          return Status::OK();
+        }));
     metrics.sgd_step_seconds->Observe(sgd_watch.ElapsedSeconds());
   }
 
@@ -197,6 +108,102 @@ Status ProactiveTrainer::RunIteration(const DataManager::SampleSet& sample) {
   metrics.iterations->Increment();
   metrics.rows_trained->Add(static_cast<int64_t>(batch.num_rows()));
   metrics.iteration_seconds->Observe(last_duration_seconds_);
+  return Status::OK();
+}
+
+Result<std::vector<const FeatureData*>> ProactiveTrainer::Rebuild(
+    const DataManager::SampleSet& sample,
+    std::vector<FeatureChunk>* rebuilt) {
+  CDPIPE_TRACE_SPAN("proactive.rematerialize", "training");
+  // Engine workers do not inherit the caller's thread-local correlation;
+  // capture it here so the fan-out tasks can re-establish it per chunk.
+  const obs::CorrelationId base_corr = obs::CorrelationScope::Current();
+  const TrainerMetrics& metrics = TrainerMetrics::Get();
+  Stopwatch remat_watch;
+
+  // Each chunk writes only its own slot, so failed chunks are identified
+  // after the fan-out and handled individually instead of aborting the
+  // whole step on the first error.
+  const size_t num_remat = sample.to_rematerialize.size();
+  rebuilt->assign(num_remat, FeatureChunk{});
+  std::vector<char> rebuilt_ok(num_remat, 0);
+  const Status engine_status =
+      engine_->ParallelFor(num_remat, [&](size_t i) -> Status {
+        obs::CorrelationScope scope(base_corr.deployment,
+                                    sample.to_rematerialize[i]->id);
+        CDPIPE_ASSIGN_OR_RETURN(
+            (*rebuilt)[i],
+            pipeline_manager_->Rematerialize(*sample.to_rematerialize[i]));
+        rebuilt_ok[i] = 1;
+        obs::EventJournal::Global().Append(obs::EventKind::kRecompute);
+        return Status::OK();
+      });
+  if (!engine_status.ok() && !options_.degrade_on_failure) {
+    return engine_status;
+  }
+  // Degradation, step 1: chunks that failed in the fan-out (including
+  // tasks the engine's retry policy gave up on) get one fallback
+  // recomputation from the raw chunk on the caller's thread.  The engine
+  // pool is drained at this point, so the fallback may shard the transform
+  // across it (the fan-out tasks above must not: the pool does not nest).
+  // Step 2: chunks that still fail are dropped from this step with a
+  // recorded warning — a smaller sample is strictly better than an aborted
+  // deployment run.
+  for (size_t i = 0; i < num_remat; ++i) {
+    if (rebuilt_ok[i]) continue;
+    const obs::CorrelationId chunk_corr{base_corr.deployment,
+                                        sample.to_rematerialize[i]->id};
+    const Status fallback = RetryWithBackoff(
+        options_.retry, "proactive.rematerialize_fallback", [&]() -> Status {
+          Result<FeatureChunk> chunk = pipeline_manager_->Rematerialize(
+              *sample.to_rematerialize[i], engine_);
+          if (!chunk.ok()) return chunk.status();
+          (*rebuilt)[i] = std::move(chunk).value();
+          rebuilt_ok[i] = 1;
+          return Status::OK();
+        });
+    if (fallback.ok()) {
+      obs::EventJournal::Global().Append(obs::EventKind::kRecompute,
+                                         chunk_corr, "fallback");
+    } else {
+      if (!options_.degrade_on_failure) return fallback;
+      metrics.chunks_skipped->Increment();
+      obs::EventJournal::Global().Append(obs::EventKind::kDegrade, chunk_corr,
+                                         "chunk_skipped");
+      CDPIPE_LOG(Warning) << "training: dropping chunk " << chunk_corr.entity
+                          << " after failed re-materialization: "
+                          << fallback.ToString();
+    }
+  }
+  if (num_remat > 0) {
+    metrics.rematerialize_seconds->Observe(remat_watch.ElapsedSeconds());
+  }
+
+  std::vector<const FeatureData*> parts;
+  parts.reserve(sample.materialized.size() + num_remat);
+  for (const FeatureChunk* chunk : sample.materialized) {
+    parts.push_back(&chunk->data);
+  }
+  int64_t rematerialized = 0;
+  for (size_t i = 0; i < num_remat; ++i) {
+    if (!rebuilt_ok[i]) continue;
+    parts.push_back(&(*rebuilt)[i].data);
+    ++rematerialized;
+  }
+  metrics.chunks_rematerialized->Add(rematerialized);
+  return parts;
+}
+
+Status ProactiveTrainer::RunStep(const char* op_name,
+                                 const char* skipped_detail,
+                                 const std::function<Status()>& step) {
+  const Status status = RetryWithBackoff(options_.retry, op_name, step);
+  if (status.ok()) return status;
+  if (!options_.degrade_on_failure || !IsRetryable(status)) return status;
+  TrainerMetrics::Get().iterations_degraded->Increment();
+  obs::EventJournal::Global().Append(obs::EventKind::kDegrade, skipped_detail);
+  CDPIPE_LOG(Warning) << "training: skipping " << op_name
+                      << " after exhausted retries: " << status.ToString();
   return Status::OK();
 }
 

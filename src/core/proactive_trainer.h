@@ -1,6 +1,7 @@
 #ifndef CDPIPE_CORE_PROACTIVE_TRAINER_H_
 #define CDPIPE_CORE_PROACTIVE_TRAINER_H_
 
+#include <functional>
 #include <vector>
 
 #include "src/common/retry.h"
@@ -12,11 +13,14 @@
 
 namespace cdpipe {
 
-/// Executes proactive training (paper §3.3 / §4.4): each invocation is
-/// exactly one iteration of mini-batch SGD over a sample of the historical
-/// data.  Evicted chunks in the sample are first re-materialized through
-/// the deployed pipeline (dynamic materialization, §3.2) — in parallel when
-/// the execution engine has more than one thread.
+/// The one training path of every deployment strategy (paper §3.3 / §4.4).
+/// A strategy selects chunks, `DataManager::Resolve` splits them into
+/// materialized and evicted ones, and this trainer rebuilds the evicted
+/// ones (dynamic materialization, §3.2) — in parallel when the execution
+/// engine has more than one thread — and runs the strategy's step over the
+/// result under one retry-and-degrade contract.  The proactive step
+/// (`RunIteration`) is exactly one iteration of mini-batch SGD; the
+/// periodical step is a full BatchTrainer pass (PeriodicalDeployment).
 ///
 /// Because the optimizer carries all cross-iteration state (model weights,
 /// learning-rate adaptation), iterations are conditionally independent and
@@ -24,14 +28,15 @@ namespace cdpipe {
 class ProactiveTrainer {
  public:
   struct Options {
-    /// Applied to the serial re-materialization fallback and to the SGD
-    /// step (the engine applies its own policy to parallel tasks).
+    /// Applied to the serial re-materialization fallback and to the
+    /// training step (the engine applies its own policy to parallel tasks).
     RetryPolicy retry;
-    /// Graceful degradation: when a sampled chunk cannot be
-    /// re-materialized even after retries and a serial fallback, skip it
-    /// with a recorded warning (`proactive.chunks_skipped`) instead of
-    /// aborting the run; likewise a train step that keeps failing
-    /// transiently skips the iteration.  Disabled, any failure propagates.
+    /// Graceful degradation: when a chunk cannot be re-materialized even
+    /// after retries and a serial fallback, skip it with a recorded warning
+    /// (`proactive.chunks_skipped`) instead of aborting the run; likewise a
+    /// training step that keeps failing transiently is skipped
+    /// (`proactive.iterations_degraded`).  Disabled, any failure
+    /// propagates.
     bool degrade_on_failure = true;
   };
 
@@ -39,8 +44,31 @@ class ProactiveTrainer {
   ProactiveTrainer(PipelineManager* pipeline_manager, ExecutionEngine* engine,
                    Options options);
 
-  /// One proactive iteration over an already-drawn sample.
+  /// One proactive iteration over a resolved sample: `Rebuild`, then one
+  /// mini-batch SGD step over the whole sample (`RunStep`).
   Status RunIteration(const DataManager::SampleSet& sample);
+
+  /// The only code that rebuilds evicted chunks for training.  Fans the
+  /// sample's evicted chunks out over the engine, each task under its
+  /// chunk's correlation id and journaling a `recompute`; a chunk that
+  /// fails there gets one serial fallback, and one that still fails is
+  /// dropped with a `chunk_skipped` degrade.  Returns the training chunks:
+  /// the sample's materialized ones followed by the rebuilt ones, each in
+  /// sample order.  The rebuilt chunks are stored in `*rebuilt`, which must
+  /// outlive the returned pointers.
+  Result<std::vector<const FeatureData*>> Rebuild(
+      const DataManager::SampleSet& sample,
+      std::vector<FeatureChunk>* rebuilt);
+
+  /// Runs one training step under the retry policy.  `step` must be safe to
+  /// re-run after a failure: it may commit state only once it succeeds.
+  /// When a transient failure outlasts the retries and the trainer
+  /// degrades, the step is skipped — counted in
+  /// `proactive.iterations_degraded` and journaled as a kDegrade with
+  /// `skipped_detail` — and OK is returned; otherwise the failure
+  /// propagates.
+  Status RunStep(const char* op_name, const char* skipped_detail,
+                 const std::function<Status()>& step);
 
   /// Records an iteration that came due but was deferred by overload gating
   /// (`proactive.iterations_deferred`; journaled as a kDegrade event).

@@ -145,21 +145,6 @@ void LinearModel::EnsureDim(uint32_t dim) {
   if (dim > weights_.dim()) weights_.Resize(dim);
 }
 
-Status LinearModel::ComputeGradient(const FeatureData& batch,
-                                    std::vector<GradEntry>* grad,
-                                    double* bias_grad) const {
-  grad->clear();
-  *bias_grad = 0.0;
-  if (batch.num_rows() == 0) return Status::OK();
-  CDPIPE_RETURN_NOT_OK(batch.Validate());
-  std::vector<BatchView::RowRef> rows;
-  rows.reserve(batch.num_rows());
-  for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-    rows.push_back(BatchView::RowRef{&batch, r});
-  }
-  return ComputeGradient(BatchView(batch.dim, rows), grad, bias_grad);
-}
-
 Status LinearModel::ComputeGradient(const BatchView& batch,
                                     std::vector<GradEntry>* grad,
                                     double* bias_grad,
@@ -277,19 +262,6 @@ Status LinearModel::Update(const BatchView& batch, Optimizer* optimizer,
   CDPIPE_RETURN_NOT_OK(ComputeGradient(batch, &grad, &bias_grad, engine));
   ApplyGradient(grad, bias_grad, optimizer);
   return Status::OK();
-}
-
-Result<double> LinearModel::AverageLoss(const FeatureData& batch) const {
-  if (batch.num_rows() == 0) {
-    return Status::InvalidArgument("cannot compute loss of an empty batch");
-  }
-  double total = 0.0;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    total += EvalLoss(options_.loss, Predict(batch.features[r]),
-                      batch.labels[r])
-                 .loss;
-  }
-  return total / static_cast<double>(batch.num_rows());
 }
 
 Status LinearModel::SaveState(Serializer* out) const {

@@ -80,16 +80,13 @@ class LinearModel {
                 ExecutionEngine* engine = nullptr);
 
   /// Computes the averaged regularized gradient over `batch` without
-  /// applying it (used by tests and by distributed-style partial-gradient
-  /// aggregation).  Output entries are sorted by index.
-  Status ComputeGradient(const FeatureData& batch, std::vector<GradEntry>* grad,
-                         double* bias_grad) const;
-
-  /// Sharded zero-copy gradient.  Rows are partitioned into shards whose
-  /// count depends only on the row count — never on `engine` or its thread
-  /// count — and per-shard partial sums are merged in fixed shard order, so
-  /// the floating-point result is deterministic and identical whether the
-  /// shards run serially (engine == nullptr) or on any number of workers.
+  /// applying it.  Output entries are sorted by index.  Rows are partitioned
+  /// into `clamp(rows/256, 1, 64)` shards — a count that depends only on the
+  /// row count, never on `engine` or its thread count — and per-shard
+  /// partial sums are merged in ascending shard order, so the floating-point
+  /// result is deterministic and identical whether the shards run serially
+  /// (engine == nullptr) or on any number of workers.  tests/spec holds the
+  /// row-at-a-time reference this kernel must equal bit for bit.
   Status ComputeGradient(const BatchView& batch, std::vector<GradEntry>* grad,
                          double* bias_grad,
                          ExecutionEngine* engine = nullptr) const;
@@ -97,9 +94,6 @@ class LinearModel {
   /// Applies an externally computed gradient through `optimizer`.
   void ApplyGradient(const std::vector<GradEntry>& grad, double bias_grad,
                      Optimizer* optimizer);
-
-  /// Mean unregularized loss over `batch`.
-  Result<double> AverageLoss(const FeatureData& batch) const;
 
   uint32_t dim() const { return static_cast<uint32_t>(weights_.dim()); }
   const DenseVector& weights() const { return weights_; }

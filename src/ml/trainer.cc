@@ -35,33 +35,11 @@ Result<BatchTrainer::Stats> BatchTrainer::Train(
   DenseVector previous = model->weights();
   double previous_bias = model->bias();
   for (int epoch = 0; epoch < options_.max_epochs; ++epoch) {
-    if (options_.shuffle) rng->Shuffle(&index);
+    rng->Shuffle(&index);
     for (size_t start = 0; start < index.size(); start += batch_size) {
       const size_t end = std::min(start + batch_size, index.size());
-      if (options_.use_legacy_copy_path) {
-        // Baseline: materialize the mini-batch (copying every row and
-        // widening mixed nominal dims).  Same gradient kernel as the view
-        // path, so the trained parameters are bit-identical.
-        FeatureData batch;
-        batch.dim = max_dim;
-        batch.features.reserve(end - start);
-        batch.labels.reserve(end - start);
-        for (size_t i = start; i < end; ++i) {
-          const BatchView::RowRef& ref = index[i];
-          const SparseVector& x = ref.chunk->features[ref.row];
-          if (x.dim() != max_dim) {
-            CDPIPE_ASSIGN_OR_RETURN(SparseVector widened, x.WithDim(max_dim));
-            batch.features.push_back(std::move(widened));
-          } else {
-            batch.features.push_back(x);
-          }
-          batch.labels.push_back(ref.chunk->labels[ref.row]);
-        }
-        CDPIPE_RETURN_NOT_OK(model->Update(batch, optimizer));
-      } else {
-        const BatchView batch(max_dim, index.data() + start, end - start);
-        CDPIPE_RETURN_NOT_OK(model->Update(batch, optimizer, engine));
-      }
+      const BatchView batch(max_dim, index.data() + start, end - start);
+      CDPIPE_RETURN_NOT_OK(model->Update(batch, optimizer, engine));
       ++stats.sgd_iterations;
       stats.examples_visited += static_cast<int64_t>(end - start);
     }
@@ -80,23 +58,6 @@ Result<BatchTrainer::Stats> BatchTrainer::Train(
       stats.converged = true;
       break;
     }
-  }
-
-  if (options_.compute_final_loss) {
-    // Full-dataset loss scan (diagnostic only, opt-in: one extra pass over
-    // every row of every chunk).
-    double total = 0.0;
-    int64_t n = 0;
-    for (const FeatureData* chunk : chunks) {
-      for (size_t r = 0; r < chunk->num_rows(); ++r) {
-        total += EvalLoss(model->options().loss,
-                          model->Predict(chunk->features[r]),
-                          chunk->labels[r])
-                     .loss;
-        ++n;
-      }
-    }
-    stats.final_loss = n > 0 ? total / static_cast<double>(n) : 0.0;
   }
   return stats;
 }

@@ -33,16 +33,6 @@ class BatchTrainer {
     /// Stop when ||w_t - w_{t-1}|| / max(1, ||w_{t-1}||) < tolerance after
     /// an epoch.
     double tolerance = 1e-4;
-    bool shuffle = true;
-    /// Re-scan the full dataset after training to fill Stats::final_loss.
-    /// Purely diagnostic and costs one extra pass over every row of every
-    /// chunk, so it is opt-in (off by default).
-    bool compute_final_loss = false;
-    /// Materialize each mini-batch as a copied FeatureData instead of a
-    /// BatchView.  Kept only as the baseline for the equivalence tests and
-    /// bench_sgd_throughput; produces bit-identical results to the view
-    /// path (both feed the same gradient kernel).
-    bool use_legacy_copy_path = false;
   };
 
   struct Stats {
@@ -50,8 +40,6 @@ class BatchTrainer {
     int64_t sgd_iterations = 0;
     int64_t examples_visited = 0;
     bool converged = false;
-    /// Mean loss over all rows; 0.0 unless Options::compute_final_loss.
-    double final_loss = 0.0;
   };
 
   explicit BatchTrainer(Options options) : options_(options) {}

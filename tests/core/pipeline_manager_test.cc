@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/data/url_stream.h"
+#include "tests/testing/feature_data_test_util.h"
 
 namespace cdpipe {
 namespace {
@@ -107,8 +108,11 @@ TEST(PipelineManagerTest, TrainStepUpdatesModel) {
       MakeChunk(0, {"+1 3:1.0", "-1 7:1.0"}));
   ASSERT_TRUE(features.ok());
   const double weight_norm_before = manager->model().weights().L2Norm();
-  ASSERT_TRUE(
-      manager->TrainStep(*features, CostPhase::kProactiveTraining).ok());
+  ASSERT_TRUE(manager
+                  ->TrainStep(BatchView(features->dim,
+                                        testing::RowsOf(*features)),
+                              CostPhase::kProactiveTraining)
+                  .ok());
   EXPECT_NE(manager->model().weights().L2Norm(), weight_norm_before);
   EXPECT_GT(cost.WorkIn(CostPhase::kProactiveTraining), 0);
 }

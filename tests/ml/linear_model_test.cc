@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "tests/spec/gradient_spec.h"
+#include "tests/testing/feature_data_test_util.h"
 
 namespace cdpipe {
 namespace {
+
 
 FeatureData MakeBatch(
     std::vector<std::pair<std::vector<std::pair<uint32_t, double>>, double>>
@@ -20,6 +23,13 @@ FeatureData MakeBatch(
     out.labels.push_back(label);
   }
   return out;
+}
+
+/// The kernel's gradient over a view of every row of `batch`.
+Status GradientOf(const LinearModel& model, const FeatureData& batch,
+                  std::vector<GradEntry>* grad, double* bias_grad) {
+  return model.ComputeGradient(
+      BatchView(batch.dim, testing::RowsOf(batch)), grad, bias_grad);
 }
 
 LinearModel::Options RegressionOptions(uint32_t dim, double l2 = 0.0) {
@@ -67,7 +77,7 @@ TEST(LinearModelTest, GradientOfSquaredLoss) {
   FeatureData batch = MakeBatch({{{{0, 1.0}, {1, 2.0}}, 3.0}}, 2);
   std::vector<GradEntry> grad;
   double bias_grad = 0.0;
-  ASSERT_TRUE(model.ComputeGradient(batch, &grad, &bias_grad).ok());
+  ASSERT_TRUE(GradientOf(model, batch, &grad, &bias_grad).ok());
   ASSERT_EQ(grad.size(), 2u);
   EXPECT_EQ(grad[0].index, 0u);
   EXPECT_DOUBLE_EQ(grad[0].value, -3.0);
@@ -81,7 +91,7 @@ TEST(LinearModelTest, GradientAveragesOverBatch) {
       MakeBatch({{{{0, 1.0}}, 2.0}, {{{0, 1.0}}, 4.0}}, 1);
   std::vector<GradEntry> grad;
   double bias_grad = 0.0;
-  ASSERT_TRUE(model.ComputeGradient(batch, &grad, &bias_grad).ok());
+  ASSERT_TRUE(GradientOf(model, batch, &grad, &bias_grad).ok());
   ASSERT_EQ(grad.size(), 1u);
   EXPECT_DOUBLE_EQ(grad[0].value, -3.0);  // mean of (-2, -4)
   EXPECT_DOUBLE_EQ(bias_grad, -3.0);
@@ -94,7 +104,7 @@ TEST(LinearModelTest, L2RegularizationAddsLambdaW) {
   FeatureData batch = MakeBatch({{{{0, 1.0}}, 2.0}}, 1);
   std::vector<GradEntry> grad;
   double bias_grad = 0.0;
-  ASSERT_TRUE(model.ComputeGradient(batch, &grad, &bias_grad).ok());
+  ASSERT_TRUE(GradientOf(model, batch, &grad, &bias_grad).ok());
   ASSERT_EQ(grad.size(), 1u);
   EXPECT_DOUBLE_EQ(grad[0].value, 1.0);  // 0 + 0.5 * 2
 }
@@ -108,7 +118,7 @@ TEST(LinearModelTest, ZeroLossExamplesContributeNothing) {
   FeatureData batch = MakeBatch({{{{0, 1.0}}, 1.0}}, 1);
   std::vector<GradEntry> grad;
   double bias_grad = 0.0;
-  ASSERT_TRUE(model.ComputeGradient(batch, &grad, &bias_grad).ok());
+  ASSERT_TRUE(GradientOf(model, batch, &grad, &bias_grad).ok());
   EXPECT_TRUE(grad.empty());
   EXPECT_DOUBLE_EQ(bias_grad, 0.0);
 }
@@ -136,10 +146,10 @@ TEST(LinearModelTest, AverageLoss) {
   FeatureData batch =
       MakeBatch({{{{0, 1.0}}, 1.0}, {{{0, 1.0}}, 3.0}}, 1);
   // w = 0 -> losses 0.5 and 4.5 -> mean 2.5.
-  EXPECT_DOUBLE_EQ(std::move(model.AverageLoss(batch)).ValueOrDie(), 2.5);
+  EXPECT_DOUBLE_EQ(*spec::MeanLoss(model, batch), 2.5);
   FeatureData empty;
   empty.dim = 1;
-  EXPECT_FALSE(model.AverageLoss(empty).ok());
+  EXPECT_FALSE(spec::MeanLoss(model, empty).ok());
 }
 
 TEST(LinearModelTest, NoBiasModelKeepsBiasZero) {
@@ -216,7 +226,7 @@ TEST(LinearModelTest, DimMismatchFailsPrecondition) {
   FeatureData batch = MakeBatch({{{{5, 1.0}}, 1.0}}, 6);
   std::vector<GradEntry> grad;
   double bias_grad = 0.0;
-  Status status = model.ComputeGradient(batch, &grad, &bias_grad);
+  Status status = GradientOf(model, batch, &grad, &bias_grad);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }

@@ -10,6 +10,7 @@
 #include "src/ml/linear_model.h"
 #include "src/ml/loss.h"
 #include "src/ml/trainer.h"
+#include "tests/spec/gradient_spec.h"
 
 namespace cdpipe {
 namespace {
@@ -77,7 +78,7 @@ TEST(LogisticRegressionTest, LogisticLossDecreasesDuringTraining) {
   FeatureData train = MakeSeparableData(&rng, 500);
   LinearModel model(LinearModel::Options{.loss = LossKind::kLogistic,
                                          .initial_dim = 2});
-  const double loss_before = std::move(model.AverageLoss(train)).ValueOrDie();
+  const double loss_before = *spec::MeanLoss(model, train);
   EXPECT_NEAR(loss_before, std::log(2.0), 1e-9);  // untrained: log 2
 
   auto optimizer = MakeOptimizer(OptimizerOptions{
@@ -85,7 +86,7 @@ TEST(LogisticRegressionTest, LogisticLossDecreasesDuringTraining) {
   BatchTrainer trainer(BatchTrainer::Options{.max_epochs = 30,
                                              .batch_size = 64});
   ASSERT_TRUE(trainer.Train({&train}, &model, optimizer.get(), &rng).ok());
-  const double loss_after = std::move(model.AverageLoss(train)).ValueOrDie();
+  const double loss_after = *spec::MeanLoss(model, train);
   EXPECT_LT(loss_after, loss_before / 2.0);
 }
 

@@ -1,8 +1,10 @@
-// Equivalence suite for the zero-copy training path: the BatchView-based
-// sharded trainer must produce *bit-identical* weights and bias to the
-// legacy copy path.  Both paths feed the same deterministic gradient
-// kernel — shard count depends only on the row count and shard partials
-// merge in fixed shard order — so any divergence is a bug, not roundoff.
+// Equivalence suite for the training path.  BatchTrainer runs must
+// produce *bit-identical* weights and bias whether the gradient shards run
+// serially or on an engine, the view path must match a per-step merged copy
+// through the online path's FeatureData update, and the kernel must equal
+// the row-at-a-time reference gradient (tests/spec/gradient_spec.h).  The
+// shard count depends only on the row count and shard partials merge in
+// fixed shard order, so any divergence is a bug, not roundoff.
 
 #include <memory>
 #include <vector>
@@ -10,36 +12,17 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/core/proactive_trainer.h"
 #include "src/engine/execution_engine.h"
 #include "src/ml/batch_view.h"
 #include "src/ml/trainer.h"
 #include "src/sampling/sampler.h"
+#include "tests/spec/gradient_spec.h"
 #include "tests/testing/feature_data_test_util.h"
 
 namespace cdpipe {
 namespace {
 
-// Sparse chunk with `rows` rows of ~`nnz` entries; every `empty_every`-th
-// row has nnz=0.  Labels in {-1, +1}.
-FeatureData MakeChunk(uint32_t dim, size_t rows, size_t nnz, uint64_t seed,
-                      size_t empty_every = 0) {
-  Rng rng(seed);
-  FeatureData chunk;
-  chunk.dim = dim;
-  for (size_t r = 0; r < rows; ++r) {
-    std::vector<std::pair<uint32_t, double>> entries;
-    if (empty_every == 0 || (r + 1) % empty_every != 0) {
-      for (size_t k = 0; k < nnz; ++k) {
-        entries.push_back(
-            {static_cast<uint32_t>(rng.NextUint64() % dim), rng.NextGaussian()});
-      }
-    }
-    chunk.features.push_back(SparseVector::FromUnsorted(dim, std::move(entries)));
-    chunk.labels.push_back(rng.NextUint64() % 2 == 0 ? 1.0 : -1.0);
-  }
-  return chunk;
-}
+using ::cdpipe::testing::RandomSparseChunk;
 
 struct TrainedParams {
   std::vector<double> weights;
@@ -47,17 +30,13 @@ struct TrainedParams {
 };
 
 TrainedParams TrainOnce(const std::vector<const FeatureData*>& parts,
-                        LossKind loss, bool legacy_copy,
+                        LossKind loss, size_t batch_size,
                         ExecutionEngine* engine) {
   LinearModel model(LinearModel::Options{.loss = loss, .l2_reg = 1e-3});
   auto optimizer = MakeOptimizer(
       OptimizerOptions{.kind = OptimizerKind::kAdam, .learning_rate = 0.02});
   BatchTrainer trainer(BatchTrainer::Options{
-      .max_epochs = 4,
-      .batch_size = 100,
-      .tolerance = 0.0,
-      .shuffle = true,
-      .use_legacy_copy_path = legacy_copy});
+      .max_epochs = 4, .batch_size = batch_size, .tolerance = 0.0});
   Rng rng(7);
   auto stats = trainer.Train(parts, &model, optimizer.get(), &rng, engine);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
@@ -78,23 +57,20 @@ void ExpectBitIdentical(const TrainedParams& a, const TrainedParams& b) {
 class TrainPathEquivalenceTest
     : public ::testing::TestWithParam<LossKind> {};
 
-TEST_P(TrainPathEquivalenceTest, ShardedViewMatchesLegacyCopyOnMixedDims) {
-  // Mixed nominal dims (a grown one-hot dictionary), empty rows, and enough
-  // rows (> 256) that the gradient kernel actually shards.
-  FeatureData a = MakeChunk(40, 300, 5, 1, /*empty_every=*/7);
-  FeatureData b = MakeChunk(64, 300, 5, 2);
-  FeatureData c = MakeChunk(64, 57, 5, 3, /*empty_every=*/3);
+TEST_P(TrainPathEquivalenceTest, ShardedViewMatchesSerialViewOnMixedDims) {
+  // Mixed nominal dims (a grown one-hot dictionary), empty rows, and
+  // mini-batches of 600 rows so the gradient kernel actually shards.
+  FeatureData a = RandomSparseChunk(40, 300, 5, 1, /*empty_every=*/7);
+  FeatureData b = RandomSparseChunk(64, 300, 5, 2);
+  FeatureData c = RandomSparseChunk(64, 57, 5, 3, /*empty_every=*/3);
   std::vector<const FeatureData*> parts = {&a, &b, &c};
 
   ExecutionEngine engine(4);
-  TrainedParams legacy = TrainOnce(parts, GetParam(), /*legacy=*/true, nullptr);
-  TrainedParams view_serial =
-      TrainOnce(parts, GetParam(), /*legacy=*/false, nullptr);
-  TrainedParams view_sharded =
-      TrainOnce(parts, GetParam(), /*legacy=*/false, &engine);
-
-  ExpectBitIdentical(legacy, view_serial);
-  ExpectBitIdentical(legacy, view_sharded);
+  for (size_t batch_size : {size_t{100}, size_t{600}}) {
+    SCOPED_TRACE(batch_size);
+    ExpectBitIdentical(TrainOnce(parts, GetParam(), batch_size, nullptr),
+                       TrainOnce(parts, GetParam(), batch_size, &engine));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Losses, TrainPathEquivalenceTest,
@@ -113,8 +89,8 @@ TEST_P(SamplerDrivenEquivalenceTest, IterationsMatchMergedCopyPath) {
   std::vector<ChunkId> ids;
   for (uint64_t c = 0; c < 12; ++c) {
     // Dims grow over time like a real one-hot dictionary.
-    chunks.push_back(MakeChunk(32 + 4 * static_cast<uint32_t>(c), 80, 4,
-                               100 + c, /*empty_every=*/11));
+    chunks.push_back(RandomSparseChunk(32 + 4 * static_cast<uint32_t>(c), 80,
+                                       4, 100 + c, /*empty_every=*/11));
     ids.push_back(static_cast<ChunkId>(c));
   }
   std::unique_ptr<Sampler> sampler =
@@ -165,7 +141,7 @@ INSTANTIATE_TEST_SUITE_P(Samplers, SamplerDrivenEquivalenceTest,
 
 TEST(ShardedGradientTest, MatchesSerialGradientBitwise) {
   // Direct kernel check at a row count that produces several shards.
-  FeatureData chunk = MakeChunk(128, 2000, 8, 9, /*empty_every=*/13);
+  FeatureData chunk = RandomSparseChunk(128, 2000, 8, 9, /*empty_every=*/13);
   std::vector<const FeatureData*> parts = {&chunk};
   uint32_t dim = 0;
   auto rows = BatchView::CollectRows(parts, &dim);
@@ -192,7 +168,9 @@ TEST(ShardedGradientTest, MatchesSerialGradientBitwise) {
 }
 
 TEST(ShardedGradientTest, ViewGradientMatchesFeatureDataGradient) {
-  FeatureData chunk = MakeChunk(64, 120, 6, 11);
+  // The kernel over a view of the chunk equals the row-at-a-time reference
+  // over the chunk's FeatureData rows.
+  FeatureData chunk = RandomSparseChunk(64, 120, 6, 11);
   std::vector<const FeatureData*> parts = {&chunk};
   uint32_t dim = 0;
   auto rows = BatchView::CollectRows(parts, &dim);
@@ -200,19 +178,19 @@ TEST(ShardedGradientTest, ViewGradientMatchesFeatureDataGradient) {
 
   LinearModel model(
       LinearModel::Options{.loss = LossKind::kLogistic, .initial_dim = 64});
-  std::vector<GradEntry> legacy_grad, view_grad;
-  double legacy_bias = 0.0, view_bias = 0.0;
-  ASSERT_TRUE(model.ComputeGradient(chunk, &legacy_grad, &legacy_bias).ok());
+  const spec::Gradient reference = spec::ReferenceGradient(model, parts);
+  std::vector<GradEntry> view_grad;
+  double view_bias = 0.0;
   ASSERT_TRUE(model
                   .ComputeGradient(BatchView(dim, *rows), &view_grad,
                                    &view_bias, nullptr)
                   .ok());
-  ASSERT_EQ(legacy_grad.size(), view_grad.size());
-  for (size_t i = 0; i < legacy_grad.size(); ++i) {
-    EXPECT_EQ(legacy_grad[i].index, view_grad[i].index);
-    EXPECT_EQ(legacy_grad[i].value, view_grad[i].value);
+  ASSERT_EQ(reference.entries.size(), view_grad.size());
+  for (size_t i = 0; i < reference.entries.size(); ++i) {
+    EXPECT_EQ(reference.entries[i].index, view_grad[i].index);
+    EXPECT_EQ(reference.entries[i].value, view_grad[i].value);
   }
-  EXPECT_EQ(legacy_bias, view_bias);
+  EXPECT_EQ(reference.bias, view_bias);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "tests/spec/gradient_spec.h"
 
 namespace cdpipe {
 namespace {
@@ -32,32 +33,15 @@ TEST(BatchTrainerTest, FitsLinearRegression) {
                                             .learning_rate = 0.05});
   BatchTrainer trainer(BatchTrainer::Options{.max_epochs = 200,
                                              .batch_size = 50,
-                                             .tolerance = 1e-6,
-                                             .compute_final_loss = true});
+                                             .tolerance = 1e-6});
   auto stats = trainer.Train({&data}, &model, opt.get(), &rng);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_NEAR(model.weights()[0], 3.0, 0.05);
   EXPECT_NEAR(model.weights()[1], -1.0, 0.05);
   EXPECT_NEAR(model.bias(), 0.5, 0.05);
-  EXPECT_LT(stats->final_loss, 0.01);
+  EXPECT_LT(*spec::MeanLoss(model, data), 0.01);
   EXPECT_GT(stats->sgd_iterations, 0);
   EXPECT_GT(stats->examples_visited, 0);
-}
-
-TEST(BatchTrainerTest, FinalLossScanIsOptIn) {
-  Rng rng(5);
-  FeatureData data = MakeLinearData(&rng, 100);
-  LinearModel model(LinearModel::Options{.loss = LossKind::kSquared,
-                                         .initial_dim = 2});
-  auto opt = MakeOptimizer(OptimizerOptions{.kind = OptimizerKind::kAdam,
-                                            .learning_rate = 0.05});
-  // Default options: no full-dataset loss pass at end of Train.
-  BatchTrainer trainer(BatchTrainer::Options{.max_epochs = 5,
-                                             .batch_size = 20,
-                                             .tolerance = 0.0});
-  auto stats = trainer.Train({&data}, &model, opt.get(), &rng);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->final_loss, 0.0);
 }
 
 TEST(BatchTrainerTest, FullBatchModeUsesOneIterationPerEpoch) {

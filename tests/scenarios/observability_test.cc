@@ -33,12 +33,16 @@ std::vector<JournalEvent> EventsOfKind(const std::vector<JournalEvent>& all,
   return out;
 }
 
-TEST(ObservabilityScenarioTest, JournalTellsACausallyOrderedChunkStory) {
+/// Runs `strategy` with a 4-chunk feature cache (forcing materialize
+/// misses) and checks that the journal tells each chunk's story in causal
+/// order under one correlation id.
+void ExpectCausallyOrderedChunkStory(ScenarioStrategy strategy) {
   EventJournal& journal = EventJournal::Global();
   journal.Clear();
 
   Scenario scenario;
   scenario.name = "journal-causality";
+  scenario.strategy = strategy;
   scenario.store.max_materialized_chunks = 4;  // force materialize misses
   const ScenarioResult result = RunScenario(scenario);
   ASSERT_TRUE(result.ok()) << result.status.ToString();
@@ -107,6 +111,26 @@ TEST(ObservabilityScenarioTest, JournalTellsACausallyOrderedChunkStory) {
   }
   journal.Clear();
 }
+
+TEST(ObservabilityScenarioTest, JournalTellsACausallyOrderedChunkStory) {
+  ExpectCausallyOrderedChunkStory(ScenarioStrategy::kContinuous);
+}
+
+/// Retrains and drift bursts resolve and rebuild through the same path, so
+/// they journal the same story.
+class StrategyObservabilityTest
+    : public ::testing::TestWithParam<ScenarioStrategy> {};
+
+TEST_P(StrategyObservabilityTest, JournalTellsACausallyOrderedChunkStory) {
+  ExpectCausallyOrderedChunkStory(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, StrategyObservabilityTest,
+    ::testing::Values(ScenarioStrategy::kPeriodical, ScenarioStrategy::kDrift),
+    [](const ::testing::TestParamInfo<ScenarioStrategy>& info) {
+      return std::string(ScenarioStrategyName(info.param));
+    });
 
 TEST(ObservabilityScenarioTest, WatchdogCatchesInjectedEngineStall) {
   EventJournal& journal = EventJournal::Global();

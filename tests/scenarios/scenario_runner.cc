@@ -4,6 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "src/core/continuous_deployment.h"
+#include "src/core/periodical_deployment.h"
 #include "src/data/url_stream.h"
 #include "src/io/checkpoint.h"
 #include "src/serving/prediction_service.h"
@@ -33,8 +35,19 @@ std::vector<RawChunk> MakeScenarioStream(size_t num_chunks) {
   return generator.Generate(num_chunks);
 }
 
-std::unique_ptr<ContinuousDeployment> MakeScenarioDeployment(
-    const Scenario& scenario) {
+const char* ScenarioStrategyName(ScenarioStrategy strategy) {
+  switch (strategy) {
+    case ScenarioStrategy::kContinuous:
+      return "Continuous";
+    case ScenarioStrategy::kDrift:
+      return "Drift";
+    case ScenarioStrategy::kPeriodical:
+      return "Periodical";
+  }
+  return "?";
+}
+
+std::unique_ptr<Deployment> MakeScenarioDeployment(const Scenario& scenario) {
   Deployment::Options options;
   options.seed = scenario.seed;
   options.store = scenario.store;
@@ -43,24 +56,39 @@ std::unique_ptr<ContinuousDeployment> MakeScenarioDeployment(
   options.degrade_on_failure = scenario.degrade_on_failure;
   options.publish_staleness_bound_chunks =
       scenario.publish_staleness_bound_chunks;
+  const UrlPipelineConfig config = PipeConfig();
+  auto model = std::make_unique<LinearModel>(MakeUrlModelOptions(config));
+  auto optimizer = MakeOptimizer(
+      OptimizerOptions{.kind = OptimizerKind::kAdam, .learning_rate = 0.01});
+  if (scenario.strategy == ScenarioStrategy::kPeriodical) {
+    PeriodicalDeployment::PeriodicalOptions periodical;
+    periodical.retrain_every_chunks = scenario.retrain_every_chunks;
+    periodical.retrain = BatchTrainer::Options{
+        .max_epochs = 5, .batch_size = 0, .tolerance = 1e-4};
+    return std::make_unique<PeriodicalDeployment>(
+        std::move(options), std::move(periodical), MakeUrlPipeline(config),
+        std::move(model), std::move(optimizer),
+        std::make_unique<MisclassificationRate>());
+  }
   ContinuousDeployment::ContinuousOptions continuous;
   continuous.proactive_every_chunks = scenario.proactive_every_chunks;
   continuous.sample_chunks = scenario.sample_chunks;
-  const UrlPipelineConfig config = PipeConfig();
+  if (scenario.strategy == ScenarioStrategy::kDrift) {
+    continuous.drift_detector = std::make_unique<PageHinkleyDetector>(
+        PageHinkleyDetector::Options{
+            .delta = 0.0, .lambda = 0.05, .burn_in = 3});
+  }
   return std::make_unique<ContinuousDeployment>(
       std::move(options), std::move(continuous), MakeUrlPipeline(config),
-      std::make_unique<LinearModel>(MakeUrlModelOptions(config)),
-      MakeOptimizer(OptimizerOptions{.kind = OptimizerKind::kAdam,
-                                     .learning_rate = 0.01}),
+      std::move(model), std::move(optimizer),
       std::make_unique<MisclassificationRate>());
 }
 
 ScenarioResult RunScenario(const Scenario& scenario) {
   ScenarioResult result;
 
-  std::unique_ptr<ContinuousDeployment> deployment_ptr =
-      MakeScenarioDeployment(scenario);
-  ContinuousDeployment& deployment = *deployment_ptr;
+  std::unique_ptr<Deployment> deployment_ptr = MakeScenarioDeployment(scenario);
+  Deployment& deployment = *deployment_ptr;
 
   serving::SnapshotPublisher publisher;
   serving::PredictionService::Options service_options;

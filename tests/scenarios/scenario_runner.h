@@ -7,13 +7,31 @@
 
 #include "src/common/retry.h"
 #include "src/core/admission.h"
-#include "src/core/continuous_deployment.h"
+#include "src/core/deployment.h"
 #include "src/core/report.h"
 #include "src/data/traffic_shape.h"
 #include "src/testing/fault_injector.h"
 
 namespace cdpipe {
 namespace testing {
+
+/// The deployment a scenario builds.  All three train through the one
+/// training path (DataManager::Resolve → ProactiveTrainer), so the fault
+/// table applies to each.
+enum class ScenarioStrategy {
+  /// Continuous: a proactive SGD step every `proactive_every_chunks`.
+  kContinuous,
+  /// Continuous plus a Page-Hinkley detector (δ = 0, λ = 0.05, burn-in 3)
+  /// that fires on the scenario stream; each drift runs a burst of
+  /// window-sampled SGD steps.
+  kDrift,
+  /// Periodical: a full-batch retrain over the whole live history every
+  /// `retrain_every_chunks`.  The last retrain of the default 24-chunk run
+  /// covers 576 rows, two gradient shards.
+  kPeriodical,
+};
+
+const char* ScenarioStrategyName(ScenarioStrategy strategy);
 
 /// One end-to-end deployment run under a seeded fault script.  Every knob
 /// is deterministic: the stream generator, the deployment seed, and every
@@ -28,6 +46,7 @@ struct Scenario {
   /// baseline the control is compared against.
   bool arm_injector = true;
 
+  ScenarioStrategy strategy = ScenarioStrategy::kContinuous;
   size_t num_chunks = 24;
   size_t engine_threads = 1;
   ChunkStore::Options store;
@@ -36,6 +55,7 @@ struct Scenario {
   uint64_t seed = 3;
   size_t proactive_every_chunks = 3;
   size_t sample_chunks = 5;
+  size_t retrain_every_chunks = 6;  ///< periodical only
 
   /// Serving tier: when true a SnapshotPublisher + started PredictionService
   /// are attached for the whole run; with `serve_evaluation` the prequential
@@ -67,10 +87,10 @@ struct ScenarioResult {
   bool ok() const { return status.ok(); }
 };
 
-/// Builds the canonical URL-stream continuous deployment, arms the
-/// scenario's fault script, replays `num_chunks` chunks, and captures the
-/// report plus the final-state fingerprint.  The script is disarmed before
-/// returning, whatever happens.
+/// Builds the scenario's URL-stream deployment, arms the scenario's fault
+/// script, replays `num_chunks` chunks, and captures the report plus the
+/// final-state fingerprint.  The script is disarmed before returning,
+/// whatever happens.
 ScenarioResult RunScenario(const Scenario& scenario);
 
 /// The canonical scenario stream (URL generator, fixed seeds) — exposed so
@@ -78,9 +98,8 @@ ScenarioResult RunScenario(const Scenario& scenario);
 /// deployment thread while hammering the prediction front-end.
 std::vector<RawChunk> MakeScenarioStream(size_t num_chunks);
 
-/// The canonical scenario deployment, unarmed and not yet run.
-std::unique_ptr<ContinuousDeployment> MakeScenarioDeployment(
-    const Scenario& scenario);
+/// The scenario's deployment, unarmed and not yet run.
+std::unique_ptr<Deployment> MakeScenarioDeployment(const Scenario& scenario);
 
 }  // namespace testing
 }  // namespace cdpipe

@@ -96,8 +96,7 @@ TEST(ServingScenarioTest, SwapUnderLoadWithSlowEngineTasks) {
   slow.delay_seconds = 0.01;
   scenario.faults = {{"engine.slow_task", slow}};
 
-  std::unique_ptr<ContinuousDeployment> deployment =
-      MakeScenarioDeployment(scenario);
+  std::unique_ptr<Deployment> deployment = MakeScenarioDeployment(scenario);
   serving::SnapshotPublisher publisher;
   serving::PredictionService::Options service_options;
   service_options.num_threads = scenario.serving_threads;
@@ -261,8 +260,7 @@ TEST(ServingScenarioTest, CheckpointRestoreMidServe) {
 
 TEST(ServingScenarioTest, WedgedRequestLoopFlipsReadyz) {
   Scenario scenario;
-  std::unique_ptr<ContinuousDeployment> deployment =
-      MakeScenarioDeployment(scenario);
+  std::unique_ptr<Deployment> deployment = MakeScenarioDeployment(scenario);
   serving::SnapshotPublisher publisher;
   serving::PredictionService::Options service_options;
   service_options.num_threads = 1;

@@ -2,13 +2,49 @@
 #define CDPIPE_TESTS_TESTING_FEATURE_DATA_TEST_UTIL_H_
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/common/rng.h"
 #include "src/dataframe/chunk.h"
+#include "src/ml/batch_view.h"
 
 namespace cdpipe {
 namespace testing {
+
+/// Seeded sparse chunk of nominal dim `dim` with `rows` rows of `nnz` draws
+/// each (duplicate indices merge); every `empty_every`-th row has no
+/// entries.  Labels in {-1, +1}.
+inline FeatureData RandomSparseChunk(uint32_t dim, size_t rows, size_t nnz,
+                                     uint64_t seed, size_t empty_every = 0) {
+  Rng rng(seed);
+  FeatureData chunk;
+  chunk.dim = dim;
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<std::pair<uint32_t, double>> entries;
+    if (empty_every == 0 || (r + 1) % empty_every != 0) {
+      for (size_t k = 0; k < nnz; ++k) {
+        entries.push_back(
+            {static_cast<uint32_t>(rng.NextUint64() % dim), rng.NextGaussian()});
+      }
+    }
+    chunk.features.push_back(SparseVector::FromUnsorted(dim, std::move(entries)));
+    chunk.labels.push_back(rng.NextUint64() % 2 == 0 ? 1.0 : -1.0);
+  }
+  return chunk;
+}
+
+/// References to every row of `data`, in order: the backing array of a
+/// BatchView over it (keep it alive as long as the view).
+inline std::vector<BatchView::RowRef> RowsOf(const FeatureData& data) {
+  std::vector<BatchView::RowRef> rows;
+  rows.reserve(data.num_rows());
+  for (uint32_t r = 0; r < data.num_rows(); ++r) {
+    rows.push_back(BatchView::RowRef{&data, r});
+  }
+  return rows;
+}
 
 /// Merges feature chunks (possibly with different nominal dims, e.g. when a
 /// one-hot dictionary grew between materializations) into one training
