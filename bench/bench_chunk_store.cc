@@ -7,20 +7,21 @@
 //       [--min_seconds=0.3] [--label=two_tier] [--json_out=path]
 //       [--spill_dir=path]    (default: a fresh temp dir, removed on exit)
 //
-// Compare against the committed BENCH_chunk_store.json baseline.  The
-// interesting figures: MB/s through the spill encoder, the sync-load
-// latency the trainer pays on a prefetch miss, the staged-load latency when
-// the prefetcher got there first, and bytes-on-disk / bytes-in-memory.
+// --deployment=1 [--scale=0.15] adds a whole-deployment memory-budget sweep.
+// Compare against the committed BENCH_chunk_store.json baseline with
+// bench/compare.py; rows are <dataset>/<metric> and
+// deployment/<budget>/<metric>.  The interesting figures: MB/s through the
+// spill encoder, the sync-load latency the trainer pays on a prefetch miss,
+// the staged-load latency when the prefetcher got there first, and
+// bytes-on-disk / bytes-in-memory.
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/common/stopwatch.h"
-#include "src/common/string_util.h"
 #include "src/data/taxi_stream.h"
 #include "src/data/url_stream.h"
 #include "src/engine/execution_engine.h"
@@ -33,13 +34,6 @@ namespace bench {
 namespace {
 
 namespace fs = std::filesystem;
-
-struct StoreBenchResult {
-  std::string name;
-  std::string dataset;
-  double value = 0.0;
-  std::string unit;
-};
 
 std::vector<RawChunk> MakeStream(const std::string& dataset, size_t chunks,
                                  size_t records_per_chunk) {
@@ -73,7 +67,7 @@ RawChunk WithId(const RawChunk& chunk, ChunkId id) {
 
 void RunDataset(const std::string& dataset, const std::string& dir,
                 size_t num_chunks, size_t records_per_chunk,
-                double min_seconds, std::vector<StoreBenchResult>* results) {
+                double min_seconds, ResultSet* results) {
   const std::vector<RawChunk> stream =
       MakeStream(dataset, num_chunks, records_per_chunk);
   const size_t raw_bytes = StreamBytes(stream);
@@ -108,9 +102,9 @@ void RunDataset(const std::string& dataset, const std::string& dir,
       static_cast<double>(spilled_bytes) / (1024.0 * 1024.0) / spill_seconds;
   std::printf("%-6s spill throughput       %10.1f MB/s  (ratio %.3f)\n",
               dataset.c_str(), spill_mb_s, compression_ratio);
-  results->push_back({"spill_throughput", dataset, spill_mb_s, "MB/s"});
-  results->push_back(
-      {"spill_compression_ratio", dataset, compression_ratio, "x"});
+  results->AddReported(dataset + "/spill_throughput", spill_mb_s, "MB/s");
+  results->AddReported(dataset + "/spill_compression_ratio",
+                       compression_ratio, "x");
 
   // --- Load latency: sync (prefetch miss) vs staged (prefetch hit). ---
   {
@@ -179,15 +173,12 @@ void RunDataset(const std::string& dataset, const std::string& dir,
         "%-6s disk-load latency      %10.1f us sync  %8.1f us staged  "
         "(prefetch hit rate %.2f)\n",
         dataset.c_str(), sync_us, staged_us, counters.PrefetchHitRate());
-    results->push_back({"sync_load_latency", dataset, sync_us, "us"});
-    results->push_back({"staged_load_latency", dataset, staged_us, "us"});
-    results->push_back(
-        {"prefetch_hit_rate", dataset, counters.PrefetchHitRate(), "frac"});
-    results->push_back(
-        {"disk_bytes_per_chunk", dataset,
-         static_cast<double>(store.DiskBytes()) /
-             static_cast<double>(store.num_spilled()),
-         "bytes"});
+    results->AddReported(dataset + "/sync_load_latency", sync_us, "us");
+    results->AddReported(dataset + "/staged_load_latency", staged_us, "us");
+    results->AddReported(dataset + "/prefetch_hit_rate",
+                         counters.PrefetchHitRate(), "frac");
+    results->AddReported(dataset + "/disk_bytes_per_chunk",
+                         store.DiskBytes() / store.num_spilled(), "bytes");
   }
 
   // --- Pure codec round trip, no filesystem: encode+decode MB/s. ---
@@ -205,16 +196,9 @@ void RunDataset(const std::string& dataset, const std::string& dir,
                         watch.ElapsedSeconds();
     std::printf("%-6s write+read round trip  %10.1f MB/s\n", dataset.c_str(),
                 mb_s);
-    results->push_back({"round_trip_throughput", dataset, mb_s, "MB/s"});
+    results->AddReported(dataset + "/round_trip_throughput", mb_s, "MB/s");
   }
 }
-
-struct DeploymentRow {
-  std::string budget;       ///< "ram" or a fraction of stream raw bytes
-  ChunkStore::Counters storage;
-  double seconds = 0.0;
-  double final_error = 0.0;
-};
 
 /// Runs the URL continuous deployment with the raw log forced (mostly)
 /// onto disk at decreasing memory budgets.  The interesting claims: the
@@ -222,7 +206,7 @@ struct DeploymentRow {
 /// does — and the wall-clock overhead of the disk tier stays small
 /// because the prefetcher stages the sampler's picks.
 void RunDeploymentSweep(const std::string& dir, double scale,
-                        std::vector<DeploymentRow>* rows) {
+                        ResultSet* results) {
   const UrlScenario scenario(scale);
   size_t raw_bytes = 0;
   for (const RawChunk& chunk : scenario.GenerateBootstrap()) {
@@ -234,9 +218,13 @@ void RunDeploymentSweep(const std::string& dir, double scale,
 
   struct Point {
     const char* label;
+    const char* key;
     size_t divisor;  ///< 0 = RAM-only
   };
-  const Point points[] = {{"ram", 0}, {"1/2", 2}, {"1/4", 4}, {"1/8", 8}};
+  const Point points[] = {{"ram", "ram", 0},
+                          {"1/2", "half", 2},
+                          {"1/4", "quarter", 4},
+                          {"1/8", "eighth", 8}};
   for (const Point& point : points) {
     RunOverrides overrides;
     // Bounded materialization keeps the feature cache from absorbing every
@@ -251,19 +239,26 @@ void RunDeploymentSweep(const std::string& dir, double scale,
     Stopwatch watch;
     const DeploymentReport report =
         RunDeployment(scenario, StrategyKind::kContinuous, overrides);
-    DeploymentRow row;
-    row.budget = point.label;
-    row.storage = report.storage;
-    row.seconds = watch.ElapsedSeconds();
-    row.final_error = report.final_error;
+    const double seconds = watch.ElapsedSeconds();
+    const ChunkStore::Counters& storage = report.storage;
     std::printf(
         "url    budget=%-4s  mu=%.3f (mem %.3f + disk %.3f)  spilled=%-4lld "
         "prefetch=%.2f  %.2fs  err=%.4f\n",
-        row.budget.c_str(), row.storage.EmpiricalMu(),
-        row.storage.MemoryMu(), row.storage.DiskMu(),
-        static_cast<long long>(row.storage.chunks_spilled),
-        row.storage.PrefetchHitRate(), row.seconds, row.final_error);
-    rows->push_back(row);
+        point.label, storage.EmpiricalMu(), storage.MemoryMu(),
+        storage.DiskMu(), static_cast<long long>(storage.chunks_spilled),
+        storage.PrefetchHitRate(), seconds, report.final_error);
+    const std::string prefix = std::string("deployment/") + point.key;
+    results->AddReported(prefix + "/total_mu", storage.EmpiricalMu(), "ratio");
+    results->AddReported(prefix + "/memory_mu", storage.MemoryMu(), "ratio");
+    results->AddReported(prefix + "/disk_mu", storage.DiskMu(), "ratio");
+    results->AddReported(prefix + "/chunks_spilled",
+                         storage.chunks_spilled, "count");
+    results->AddReported(prefix + "/prefetch_hit_rate",
+                         storage.PrefetchHitRate(), "frac");
+    results->AddReported(prefix + "/compression_ratio",
+                         storage.SpillCompressionRatio(), "x");
+    results->AddReported(prefix + "/seconds", seconds, "s");
+    results->AddReported(prefix + "/final_error", report.final_error, "error");
   }
 }
 
@@ -287,60 +282,20 @@ int Main(int argc, char** argv) {
   std::printf(
       "chunk store bench (label=%s, chunks=%zu, records_per_chunk=%zu)\n",
       label.c_str(), num_chunks, records_per_chunk);
-  std::vector<StoreBenchResult> results;
+  ResultSet results;
+  results.bench = "chunk_store";
+  results.label = label;
+  results.config = {{"chunks", num_chunks},
+                    {"records_per_chunk", records_per_chunk}};
   RunDataset("url", dir, num_chunks, records_per_chunk, min_seconds,
              &results);
   RunDataset("taxi", dir, num_chunks, records_per_chunk, min_seconds,
              &results);
-
   // Whole-deployment budget sweep (opt-in: it runs full training loops).
-  std::vector<DeploymentRow> deployment_rows;
   if (flags.GetInt("deployment", 0) != 0) {
-    RunDeploymentSweep(dir, flags.GetDouble("scale", 0.15),
-                       &deployment_rows);
+    RunDeploymentSweep(dir, flags.GetDouble("scale", 0.15), &results);
   }
-
-  if (!json_out.empty()) {
-    std::ofstream out(json_out, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot open '%s' for writing\n", json_out.c_str());
-      return 1;
-    }
-    out << "{\n  \"bench\": \"chunk_store\",\n";
-    out << StrFormat("  \"label\": \"%s\",\n", label.c_str());
-    out << StrFormat("  \"chunks\": %zu,\n", num_chunks);
-    out << StrFormat("  \"records_per_chunk\": %zu,\n", records_per_chunk);
-    out << "  \"results\": [\n";
-    for (size_t i = 0; i < results.size(); ++i) {
-      out << StrFormat(
-          "    {\"name\": \"%s\", \"dataset\": \"%s\", \"value\": %.3f, "
-          "\"unit\": \"%s\"}%s\n",
-          results[i].name.c_str(), results[i].dataset.c_str(),
-          results[i].value, results[i].unit.c_str(),
-          i + 1 < results.size() ? "," : "");
-    }
-    out << "  ],\n  \"deployment\": [\n";
-    for (size_t i = 0; i < deployment_rows.size(); ++i) {
-      const DeploymentRow& row = deployment_rows[i];
-      out << StrFormat(
-          "    {\"budget\": \"%s\", \"total_mu\": %.4f, \"memory_mu\": %.4f, "
-          "\"disk_mu\": %.4f, \"chunks_spilled\": %lld, "
-          "\"prefetch_hit_rate\": %.4f, \"compression_ratio\": %.4f, "
-          "\"seconds\": %.3f, \"final_error\": %.6f}%s\n",
-          row.budget.c_str(), row.storage.EmpiricalMu(),
-          row.storage.MemoryMu(), row.storage.DiskMu(),
-          static_cast<long long>(row.storage.chunks_spilled),
-          row.storage.PrefetchHitRate(), row.storage.SpillCompressionRatio(),
-          row.seconds, row.final_error,
-          i + 1 < deployment_rows.size() ? "," : "");
-    }
-    out << "  ]\n}\n";
-    if (!out.good()) {
-      std::fprintf(stderr, "failed writing '%s'\n", json_out.c_str());
-      return 1;
-    }
-    std::printf("wrote JSON report: %s\n", json_out.c_str());
-  }
+  if (!json_out.empty()) WriteResultsJson(json_out, results);
 
   if (own_dir) {
     std::error_code ec;

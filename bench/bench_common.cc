@@ -1,11 +1,11 @@
 #include "bench/bench_common.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
 #include "src/common/string_util.h"
-#include "src/obs/exporters.h"
 
 namespace cdpipe {
 namespace bench {
@@ -17,7 +17,9 @@ Flags::Flags(int argc, char** argv) {
     arg = arg.substr(2);
     const size_t eq = arg.find('=');
     if (eq == std::string::npos) {
-      values_[arg] = "1";
+      // Assigning a std::string, not "1", sidesteps a GCC 12 -Wrestrict
+      // false positive in basic_string::operator=(const char*).
+      values_[arg] = std::string("1");
     } else {
       values_[arg.substr(0, eq)] = arg.substr(eq + 1);
     }
@@ -204,13 +206,14 @@ DeploymentReport RunDeployment(const Scenario& scenario, StrategyKind kind,
   options.seed = scenario.seed();
 
   OptimizerOptions optimizer_options = scenario.DefaultOptimizer();
-  if (overrides.tweak_optimizer) {
-    optimizer_options = overrides.tweak_optimizer(optimizer_options);
+  if (overrides.optimizer_kind) {
+    optimizer_options.kind = *overrides.optimizer_kind;
   }
   std::unique_ptr<LinearModel> model = scenario.MakeModel();
-  if (overrides.tweak_model) {
-    model = std::make_unique<LinearModel>(
-        overrides.tweak_model(model->options()));
+  if (overrides.l2_reg) {
+    LinearModel::Options model_options = model->options();
+    model_options.l2_reg = *overrides.l2_reg;
+    model = std::make_unique<LinearModel>(model_options);
   }
 
   std::unique_ptr<Deployment> deployment;
@@ -227,8 +230,8 @@ DeploymentReport RunDeployment(const Scenario& scenario, StrategyKind kind,
       periodical.retrain_every_chunks = scenario.retrain_every_chunks();
       periodical.warm_start = overrides.warm_start;
       periodical.retrain = scenario.RetrainOptions();
-      if (overrides.tweak_retrain) {
-        periodical.retrain = overrides.tweak_retrain(periodical.retrain);
+      if (overrides.retrain_tolerance) {
+        periodical.retrain.tolerance = *overrides.retrain_tolerance;
       }
       deployment = std::make_unique<PeriodicalDeployment>(
           std::move(options), std::move(periodical), scenario.MakePipeline(),
@@ -247,126 +250,60 @@ DeploymentReport RunDeployment(const Scenario& scenario, StrategyKind kind,
       break;
     }
   }
+  return TrainAndRun(deployment.get(), scenario.GenerateBootstrap(),
+                     scenario.InitialTrainOptions(), scenario.GenerateStream());
+}
 
-  Status init = deployment->InitialTrain(scenario.GenerateBootstrap(),
-                                         scenario.InitialTrainOptions());
+DeploymentReport TrainAndRun(Deployment* deployment,
+                             const std::vector<RawChunk>& bootstrap,
+                             const BatchTrainer::Options& initial_train,
+                             const std::vector<RawChunk>& stream) {
+  Status init = deployment->InitialTrain(bootstrap, initial_train);
   if (!init.ok()) {
     std::fprintf(stderr, "initial training failed: %s\n",
                  init.ToString().c_str());
     std::exit(1);
   }
-  auto report = deployment->Run(scenario.GenerateStream());
+  auto report = deployment->Run(stream);
   if (!report.ok()) {
     std::fprintf(stderr, "deployment failed: %s\n",
                  report.status().ToString().c_str());
     std::exit(1);
   }
-  DeploymentReport result = std::move(report).ValueOrDie();
-  PrintStageBreakdown(result);
-  return result;
+  return std::move(report).ValueOrDie();
 }
 
-void PrintCurve(const DeploymentReport& report, size_t points) {
-  std::printf("  %10s %12s %12s %12s %14s\n", "chunk", "observations",
-              "cum_error", "win_error", "cum_work");
-  for (const auto& row : report.SampledCurve(points)) {
-    std::printf("  %10lld %12lld %12.5f %12.5f %14lld\n",
-                static_cast<long long>(row.chunk_index),
-                static_cast<long long>(row.observations),
-                row.cumulative_error, row.windowed_error,
-                static_cast<long long>(row.cumulative_work));
+void WriteResultsJson(const std::string& path, const ResultSet& results) {
+  std::string out = StrFormat("{\n  \"bench\": \"%s\",\n  \"label\": \"%s\",\n",
+                              results.bench.c_str(), results.label.c_str());
+  out += "  \"config\": {";
+  for (size_t i = 0; i < results.config.size(); ++i) {
+    out += StrFormat("%s\"%s\": %.17g", i > 0 ? ", " : "",
+                     results.config[i].first.c_str(),
+                     results.config[i].second);
   }
-}
-
-void PrintSummaryRow(const std::string& label,
-                     const DeploymentReport& report) {
-  std::printf(
-      "  %-28s final=%.5f avg=%.5f cost=%8.2fs work=%12lld mu=%.3f\n",
-      label.c_str(), report.final_error, report.average_error(),
-      report.total_seconds(), static_cast<long long>(report.total_work),
-      report.empirical_mu);
-}
-
-void PrintStageBreakdown(const DeploymentReport& report) {
-  std::string line = StrFormat("  [%s] stages:", report.strategy.c_str());
-  for (size_t i = 0; i < static_cast<size_t>(CostPhase::kNumPhases); ++i) {
-    const CostPhase phase = static_cast<CostPhase>(i);
-    line += StrFormat(" %s=%.3fs", CostPhaseName(phase),
-                      report.cost.SecondsIn(phase));
+  out += "},\n  \"rows\": [\n";
+  for (size_t i = 0; i < results.rows.size(); ++i) {
+    const ResultRow& row = results.rows[i];
+    if (!std::isfinite(row.value)) {
+      std::fprintf(stderr, "result row '%s' is not finite\n",
+                   row.name.c_str());
+      std::exit(1);
+    }
+    out += StrFormat(
+        "    {\"name\": \"%s\", \"value\": %.17g, \"unit\": \"%s\", "
+        "\"exact\": %s}%s\n",
+        row.name.c_str(), row.value, row.unit.c_str(),
+        row.exact ? "true" : "false", i + 1 < results.rows.size() ? "," : "");
   }
-  line += StrFormat(" total=%.3fs", report.total_seconds());
-  std::printf("%s\n", line.c_str());
-}
-
-std::string ReportToJson(const std::string& label,
-                         const DeploymentReport& report) {
-  std::string out = "{";
-  out += StrFormat("\"label\":\"%s\",", label.c_str());
-  out += StrFormat("\"strategy\":\"%s\",", report.strategy.c_str());
-  out += StrFormat("\"metric\":\"%s\",", report.metric_name.c_str());
-  out += StrFormat("\"final_error\":%.9g,", report.final_error);
-  out += StrFormat("\"average_error\":%.9g,", report.average_error());
-  out += StrFormat("\"total_seconds\":%.9g,", report.total_seconds());
-  out += StrFormat("\"total_work\":%lld,",
-                   static_cast<long long>(report.total_work));
-  out += StrFormat("\"empirical_mu\":%.9g,", report.empirical_mu);
-  out += StrFormat("\"chunks_processed\":%lld,",
-                   static_cast<long long>(report.chunks_processed));
-  out += StrFormat("\"proactive_iterations\":%lld,",
-                   static_cast<long long>(report.proactive_iterations()));
-  out += StrFormat("\"retrainings\":%lld,",
-                   static_cast<long long>(report.retrainings));
-  out += StrFormat("\"drift_events\":%lld,",
-                   static_cast<long long>(report.drift_events()));
-  out += "\"stage_seconds\":{";
-  for (size_t i = 0; i < static_cast<size_t>(CostPhase::kNumPhases); ++i) {
-    const CostPhase phase = static_cast<CostPhase>(i);
-    if (i > 0) out += ",";
-    out += StrFormat("\"%s\":%.9g", CostPhaseName(phase),
-                     report.cost.SecondsIn(phase));
-  }
-  out += "},";
-  // Examples processed per wall-clock second in each training-path stage
-  // (work units are rows, so this is rows/sec; 0 when a stage never ran).
-  out += "\"stage_examples_per_second\":{";
-  for (size_t i = 0; i < static_cast<size_t>(CostPhase::kNumPhases); ++i) {
-    const CostPhase phase = static_cast<CostPhase>(i);
-    const double seconds = report.cost.SecondsIn(phase);
-    const double rate =
-        seconds > 0.0
-            ? static_cast<double>(report.cost.WorkIn(phase)) / seconds
-            : 0.0;
-    if (i > 0) out += ",";
-    out += StrFormat("\"%s\":%.9g", CostPhaseName(phase), rate);
-  }
-  out += "},";
-  // Per-run delta of the global metrics registry (counters/histograms; see
-  // src/obs/exporters.h for the schema).
-  out += "\"metrics\":" + obs::ToJson(report.metrics);
-  out += "}";
-  return out;
-}
-
-void WriteReportsJson(
-    const std::string& path,
-    const std::vector<std::pair<std::string, const DeploymentReport*>>&
-        reports) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\"reports\":[";
-  for (size_t i = 0; i < reports.size(); ++i) {
-    if (i > 0) out << ",";
-    out << ReportToJson(reports[i].first, *reports[i].second);
-  }
-  out << "]}\n";
-  if (!out.good()) {
+  out += "  ]\n}\n";
+  std::ofstream file(path, std::ios::trunc);
+  file << out;
+  if (!file.good()) {
     std::fprintf(stderr, "failed writing '%s'\n", path.c_str());
     std::exit(1);
   }
-  std::printf("  wrote JSON report: %s\n", path.c_str());
+  std::printf("wrote JSON results: %s\n", path.c_str());
 }
 
 }  // namespace bench

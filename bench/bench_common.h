@@ -1,9 +1,9 @@
 #ifndef CDPIPE_BENCH_BENCH_COMMON_H_
 #define CDPIPE_BENCH_BENCH_COMMON_H_
 
-#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -123,7 +123,8 @@ enum class StrategyKind { kOnline, kPeriodical, kContinuous };
 const char* StrategyName(StrategyKind kind);
 
 /// Extra knobs a specific experiment overrides on top of the scenario
-/// defaults.
+/// defaults.  Two runs with equal overrides on one scenario are the same
+/// run.
 struct RunOverrides {
   SamplerKind sampler = SamplerKind::kTime;
   size_t sampler_window = 0;  ///< 0 = half the stream, set at run time
@@ -133,9 +134,13 @@ struct RunOverrides {
   std::string spill_dir;
   bool online_statistics = true;
   bool warm_start = true;
-  std::function<OptimizerOptions(OptimizerOptions)> tweak_optimizer;
-  std::function<LinearModel::Options(LinearModel::Options)> tweak_model;
-  std::function<BatchTrainer::Options(BatchTrainer::Options)> tweak_retrain;
+  /// When set, replace the scenario's optimizer kind, the model's L2
+  /// regularization and the periodical retrain's convergence tolerance.
+  std::optional<OptimizerKind> optimizer_kind;
+  std::optional<double> l2_reg;
+  std::optional<double> retrain_tolerance;
+
+  bool operator==(const RunOverrides&) const = default;
 };
 
 /// Builds the strategy, runs initial training + the deployment stream, and
@@ -143,29 +148,47 @@ struct RunOverrides {
 DeploymentReport RunDeployment(const Scenario& scenario, StrategyKind kind,
                                const RunOverrides& overrides = {});
 
-/// Pretty-prints a downsampled quality/cost curve.
-void PrintCurve(const DeploymentReport& report, size_t points = 12);
+/// Initial training on `bootstrap`, then `deployment->Run(stream)`.
+/// Aborts on error (benchmark binaries).
+DeploymentReport TrainAndRun(Deployment* deployment,
+                             const std::vector<RawChunk>& bootstrap,
+                             const BatchTrainer::Options& initial_train,
+                             const std::vector<RawChunk>& stream);
 
-/// Prints a one-line summary row: strategy, final error, avg error, cost.
-void PrintSummaryRow(const std::string& label,
-                     const DeploymentReport& report);
+/// One value in the result-row schema every bench binary writes with
+/// --json_out and bench/compare.py reads.  `name` is a '/'-separated key,
+/// unique within a file (e.g. "fig4/url/continuous/total_work").  An exact
+/// row is deterministic at fixed flags and seed (work units, errors, μ,
+/// counts) and must equal its baseline; the others (seconds, rates,
+/// latencies) are reported against it.
+struct ResultRow {
+  std::string name;
+  double value = 0.0;
+  std::string unit;
+  bool exact = false;
+};
 
-/// Prints the one-line per-phase wall-clock breakdown of a run, e.g.
-///   [continuous] preprocessing=1.23s online_training=0.45s ...
-void PrintStageBreakdown(const DeploymentReport& report);
+/// One bench run's rows plus the settings they were measured at.
+struct ResultSet {
+  std::string bench;
+  std::string label;
+  std::vector<std::pair<std::string, double>> config;
+  std::vector<ResultRow> rows;
 
-/// Serializes a report (summary counters, per-phase cost in seconds and in
-/// examples/sec per training stage, and the per-run metrics-registry
-/// snapshot from src/obs) as a JSON object.
-std::string ReportToJson(const std::string& label,
-                         const DeploymentReport& report);
+  void AddExact(std::string name, double value, std::string unit) {
+    rows.push_back({std::move(name), value, std::move(unit), true});
+  }
+  void AddReported(std::string name, double value, std::string unit) {
+    rows.push_back({std::move(name), value, std::move(unit), false});
+  }
+};
 
-/// Writes `{"reports":[...]}` for a set of labeled reports to `path`.
-/// Aborts on I/O failure (benchmark binaries).
-void WriteReportsJson(
-    const std::string& path,
-    const std::vector<std::pair<std::string, const DeploymentReport*>>&
-        reports);
+/// Writes `results` to `path` as
+///   {"bench":..., "label":..., "config":{...}, "rows":[{"name":...,
+///    "value":..., "unit":..., "exact":...}, ...]}
+/// with 17 significant digits, so exact values round-trip.  Aborts on a
+/// non-finite value or an I/O failure (benchmark binaries).
+void WriteResultsJson(const std::string& path, const ResultSet& results);
 
 }  // namespace bench
 }  // namespace cdpipe

@@ -6,20 +6,20 @@
 // and pipeline.rematerialize_*), which runs the same plan on every path.
 //
 // Hand-rolled timing loop (Stopwatch + calibrated repetition counts)
-// instead of google-benchmark so the binary emits the JSON schema of the
-// committed BENCH_components.json baseline:
+// instead of google-benchmark so the binary emits the result-row JSON of
+// the committed BENCH_components.json baseline:
 //
 //   bench_component_throughput [--min_seconds=0.5] [--label=columnar]
 //       [--json_out=path] [--obs=0]
 //
-// Rows are keyed (name, batch_rows); compare against BENCH_components.json
-// for the x-factor per row.  `--obs=1` runs the identical suite with the
+// Rows are named <benchmark>/<batch_rows>/rows_per_second;
+// `python3 bench/compare.py RUN.json --baseline BENCH_components.json`
+// prints the x-factor per row.  `--obs=1` runs the identical suite with the
 // whole observability plane live (event journal, watchdog, HTTP obs server
 // on an ephemeral port) — diff the two labels to measure the plane's
 // overhead on hot transform loops.
 
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,7 +28,6 @@
 
 #include "bench/bench_common.h"
 #include "src/common/stopwatch.h"
-#include "src/common/string_util.h"
 #include "src/obs/event_journal.h"
 #include "src/obs/health.h"
 #include "src/obs/obs_server.h"
@@ -37,18 +36,12 @@ namespace cdpipe {
 namespace bench {
 namespace {
 
-struct BenchResult {
-  std::string name;
-  size_t batch_rows = 0;
-  double rows_per_second = 0.0;
-};
-
 /// Times `body` (one call = one pass over `batch_rows` rows): repeats until
-/// `min_seconds` of accumulated runtime, after a warm-up pass, and returns
+/// `min_seconds` of accumulated runtime, after a warm-up pass, and adds the
 /// rows/second.
-BenchResult TimeRowsPerSecond(const std::string& name, size_t batch_rows,
-                              double min_seconds,
-                              const std::function<void()>& body) {
+void TimeRowsPerSecond(const std::string& name, size_t batch_rows,
+                       double min_seconds, const std::function<void()>& body,
+                       ResultSet* results) {
   body();  // warm-up (touches lazy caches, faults pages)
   size_t iterations = 0;
   Stopwatch watch;
@@ -56,18 +49,16 @@ BenchResult TimeRowsPerSecond(const std::string& name, size_t batch_rows,
     body();
     ++iterations;
   } while (watch.ElapsedSeconds() < min_seconds);
-  const double seconds = watch.ElapsedSeconds();
-  BenchResult result;
-  result.name = name;
-  result.batch_rows = batch_rows;
-  result.rows_per_second =
-      static_cast<double>(iterations * batch_rows) / seconds;
+  const double rows_per_second =
+      static_cast<double>(iterations * batch_rows) / watch.ElapsedSeconds();
   std::printf("%-28s rows=%-5zu  %12.0f rows/s  (%zu iters)\n",
-              name.c_str(), batch_rows, result.rows_per_second, iterations);
-  return result;
+              name.c_str(), batch_rows, rows_per_second, iterations);
+  results->AddReported(
+      name + "/" + std::to_string(batch_rows) + "/rows_per_second",
+      rows_per_second, "rows/s");
 }
 
-void RunSuite(double min_seconds, std::vector<BenchResult>* results) {
+void RunSuite(double min_seconds, ResultSet* results) {
   const std::vector<size_t> batch_sizes = {64, 512};
 
   for (size_t rows : batch_sizes) {
@@ -82,9 +73,8 @@ void RunSuite(double min_seconds, std::vector<BenchResult>* results) {
     UrlStreamGenerator generator(stream_config);
     const RawChunk chunk = generator.NextChunk();
     (void)pipeline->UpdateAndTransform(chunk);
-    results->push_back(TimeRowsPerSecond(
-        "FullUrlPipelineTransform", rows, min_seconds,
-        [&] { (void)pipeline->Transform(chunk); }));
+    TimeRowsPerSecond("FullUrlPipelineTransform", rows, min_seconds,
+                      [&] { (void)pipeline->Transform(chunk); }, results);
   }
 
   for (size_t rows : batch_sizes) {
@@ -94,9 +84,8 @@ void RunSuite(double min_seconds, std::vector<BenchResult>* results) {
     TaxiStreamGenerator generator(stream_config);
     const RawChunk chunk = generator.NextChunk();
     (void)pipeline->UpdateAndTransform(chunk);
-    results->push_back(TimeRowsPerSecond(
-        "FullTaxiPipelineTransform", rows, min_seconds,
-        [&] { (void)pipeline->Transform(chunk); }));
+    TimeRowsPerSecond("FullTaxiPipelineTransform", rows, min_seconds,
+                      [&] { (void)pipeline->Transform(chunk); }, results);
   }
 }
 
@@ -137,32 +126,11 @@ int Main(int argc, char** argv) {
 
   std::printf("component throughput (label=%s, min_seconds=%.2f, obs=%d)\n",
               label.c_str(), min_seconds, obs_on ? 1 : 0);
-  std::vector<BenchResult> results;
+  ResultSet results;
+  results.bench = "component_throughput";
+  results.label = label;
   RunSuite(min_seconds, &results);
-
-  if (!json_out.empty()) {
-    std::ofstream out(json_out, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot open '%s' for writing\n", json_out.c_str());
-      return 1;
-    }
-    out << "{\n  \"bench\": \"component_throughput\",\n";
-    out << StrFormat("  \"label\": \"%s\",\n", label.c_str());
-    out << "  \"results\": [\n";
-    for (size_t i = 0; i < results.size(); ++i) {
-      out << StrFormat(
-          "    {\"name\": \"%s\", \"batch_rows\": %zu, "
-          "\"rows_per_second\": %.1f}%s\n",
-          results[i].name.c_str(), results[i].batch_rows,
-          results[i].rows_per_second, i + 1 < results.size() ? "," : "");
-    }
-    out << "  ]\n}\n";
-    if (!out.good()) {
-      std::fprintf(stderr, "failed writing '%s'\n", json_out.c_str());
-      return 1;
-    }
-    std::printf("wrote JSON report: %s\n", json_out.c_str());
-  }
+  if (!json_out.empty()) WriteResultsJson(json_out, results);
   if (server != nullptr) server->Stop();
   if (watchdog != nullptr) watchdog->Stop();
   return 0;

@@ -16,7 +16,8 @@
 //   --batch=16         rows per prediction request
 //   --scale=0.2        stream scale for the background trainer
 //   --seed=42
-//   --json_out=path    machine-readable results (one JSON object)
+//   --json_out=path    result rows readers_<n>/train_<on|off>/<metric> and
+//                      snapshot/<counter> (bench_common.h schema)
 //   --port_file=path   start the obs server, write its port, and keep
 //                      serving for --serve_seconds after the run (smoke
 //                      tests curl /metrics and /readyz meanwhile)
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/common/string_util.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs_server.h"
@@ -179,20 +181,6 @@ void PrintRow(const RunConfig& config, const LatencyStats& stats) {
   std::fflush(stdout);
 }
 
-void AppendJson(std::string* json, const RunConfig& config,
-                const LatencyStats& stats, bool first) {
-  char buffer[512];
-  std::snprintf(buffer, sizeof(buffer),
-                "%s{\"readers\":%d,\"train\":%s,\"requests\":%zu,"
-                "\"throughput_rps\":%.1f,\"mean_us\":%.2f,\"p50_us\":%.2f,"
-                "\"p99_us\":%.2f,\"p999_us\":%.2f}",
-                first ? "" : ",", config.readers,
-                config.train ? "true" : "false", stats.requests,
-                stats.throughput_rps, stats.mean_us, stats.p50_us,
-                stats.p99_us, stats.p999_us);
-  *json += buffer;
-}
-
 }  // namespace
 }  // namespace bench
 }  // namespace cdpipe
@@ -279,7 +267,8 @@ int main(int argc, char** argv) {
       "  readers  training   requests  throughput   mean_us    p50_us"
       "    p99_us   p999_us\n");
 
-  std::string json = "{\"runs\":[";
+  ResultSet results;
+  results.bench = "serving_latency";
   std::vector<RunConfig> grid;
   if (sweep) {
     for (int readers : {1, 4, 8}) {
@@ -294,12 +283,18 @@ int main(int argc, char** argv) {
     grid.push_back(base);
   }
 
-  bool first = true;
   for (const RunConfig& config : grid) {
     const LatencyStats stats = MeasureOnce(&deployment, stream, probe, config);
     PrintRow(config, stats);
-    AppendJson(&json, config, stats, first);
-    first = false;
+    const std::string prefix = StrFormat("readers_%d/train_%s/", config.readers,
+                                         config.train ? "on" : "off");
+    results.AddReported(prefix + "requests", stats.requests, "count");
+    results.AddReported(prefix + "throughput_rps",
+                        stats.throughput_rps, "req/s");
+    results.AddReported(prefix + "mean_us", stats.mean_us, "us");
+    results.AddReported(prefix + "p50_us", stats.p50_us, "us");
+    results.AddReported(prefix + "p99_us", stats.p99_us, "us");
+    results.AddReported(prefix + "p999_us", stats.p999_us, "us");
   }
 
   const obs::MetricsSnapshot metrics = obs::MetricsRegistry::Global().Snapshot();
@@ -308,22 +303,10 @@ int main(int argc, char** argv) {
   const long long publishes = metrics.CounterValueOr("serving.publishes", 0);
   std::printf("  snapshot publishes: %lld, stale_reads: %lld, torn_reads: %lld\n",
               publishes, stale, torn);
-  char tail[256];
-  std::snprintf(tail, sizeof(tail),
-                "],\"snapshot_publishes\":%lld,\"stale_reads\":%lld,"
-                "\"torn_reads\":%lld}",
-                publishes, stale, torn);
-  json += tail;
-
-  if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
-  }
+  results.AddReported("snapshot/publishes", publishes, "count");
+  results.AddExact("snapshot/stale_reads", stale, "count");
+  results.AddExact("snapshot/torn_reads", torn, "count");
+  if (!json_out.empty()) WriteResultsJson(json_out, results);
 
   if (server != nullptr) {
     std::printf("serving obs endpoints for %.1fs...\n", serve_seconds);

@@ -1,23 +1,16 @@
-// SGD training-path throughput: before/after the zero-copy rework.
+// SGD training-path throughput: rows/sec and ns/row of mini-batch SGD over
+// a synthetic sparse sample (nominal dims grow across chunks, like real
+// proactive samples whose one-hot dictionaries grew between
+// materializations) along the two training paths:
 //
-// Measures rows/sec and ns/row of mini-batch SGD over a synthetic sparse
-// sample (nominal dims grow across chunks, like real proactive samples
-// whose one-hot dictionaries grew between materializations) along three
-// paths:
-//
-//   seed_copy     — replica of the pre-rework implementation: every
-//                   mini-batch materialized as a FeatureData (per-row
-//                   SparseVector copies, FromSorted re-validation for dim
-//                   widening) and gradients accumulated in a hash map then
-//                   sorted.  The "before" baseline.
 //   view_serial   — zero-copy BatchView mini-batches, serial gradient
 //   view_sharded  — BatchView mini-batches, gradient sharded across an
 //                   ExecutionEngine thread pool
 //
-// The two view paths produce bit-identical model parameters at any
-// configuration (asserted below).  The seed replica is bit-identical to
-// them whenever mini-batches stay single-shard (< 512 rows), which a
-// separate small equivalence run asserts.
+// The two paths must produce bit-identical model parameters at any
+// configuration; the binary exits nonzero if they diverge.  The kernel's
+// correctness reference is the row-at-a-time gradient in
+// tests/spec/gradient_spec.h.
 //
 //   bench_sgd_throughput [--rows=120000] [--chunk_rows=500] [--dim=4096]
 //       [--nnz=16] [--batch_size=512] [--threads=4] [--epochs=2]
@@ -25,15 +18,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
-#include "src/common/string_util.h"
 #include "src/engine/execution_engine.h"
 #include "src/ml/trainer.h"
 
@@ -55,8 +45,7 @@ struct Config {
 // Synthetic sparse chunks whose nominal dim grows monotonically from dim/2
 // to dim across the stream, like a one-hot dictionary discovering new
 // categories over a deployment: in a sampled training batch every chunk
-// but the newest is narrower than the batch dim, so the copy path pays
-// the row-widening reallocation real proactive samples incur.
+// but the newest is narrower than the batch dim.
 std::vector<FeatureData> MakeChunks(const Config& config) {
   Rng rng(config.seed);
   std::vector<FeatureData> chunks;
@@ -97,92 +86,6 @@ struct PathResult {
   double bias = 0.0;
 };
 
-// ---------------------------------------------------------------------------
-// Faithful replica of the pre-rework implementation (the "before" of this
-// benchmark), built on the public model API: per-mini-batch FeatureData
-// materialization with FromSorted re-validation for widening, hash-map
-// gradient accumulation, and a final comparator sort.
-// ---------------------------------------------------------------------------
-
-Status SeedKernelUpdate(LinearModel* model, const FeatureData& batch,
-                        Optimizer* optimizer) {
-  if (batch.num_rows() == 0) return Status::OK();
-  CDPIPE_RETURN_NOT_OK(batch.Validate());
-  model->EnsureDim(batch.dim);
-  const double inv_n = 1.0 / static_cast<double>(batch.num_rows());
-  std::unordered_map<uint32_t, double> accum;
-  accum.reserve(batch.num_rows() * 4);
-  double bias_accum = 0.0;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    const SparseVector& x = batch.features[r];
-    const LossGrad lg =
-        EvalLoss(model->options().loss, model->Predict(x), batch.labels[r]);
-    const auto& idx = x.indices();
-    const auto& val = x.values();
-    for (size_t k = 0; k < idx.size(); ++k) {
-      accum[idx[k]] += lg.dloss_dpred * val[k];
-    }
-    bias_accum += lg.dloss_dpred;
-  }
-  std::vector<GradEntry> grad;
-  grad.reserve(accum.size());
-  const double l2 = model->options().l2_reg;
-  for (const auto& [index, g] : accum) {
-    double value = g * inv_n;
-    if (l2 > 0.0) value += l2 * model->weights()[index];
-    if (value != 0.0) grad.push_back(GradEntry{index, value});
-  }
-  std::sort(grad.begin(), grad.end(),
-            [](const GradEntry& a, const GradEntry& b) {
-              return a.index < b.index;
-            });
-  const double bias_grad =
-      model->options().fit_bias ? bias_accum * inv_n : 0.0;
-  model->ApplyGradient(grad, bias_grad, optimizer);
-  return Status::OK();
-}
-
-Status SeedTrain(const std::vector<const FeatureData*>& chunks,
-                 size_t batch_size, int epochs, LinearModel* model,
-                 Optimizer* optimizer, Rng* rng, int64_t* rows_visited) {
-  uint32_t max_dim = 0;
-  std::vector<std::pair<uint32_t, uint32_t>> index;
-  for (uint32_t c = 0; c < chunks.size(); ++c) {
-    CDPIPE_RETURN_NOT_OK(chunks[c]->Validate());
-    max_dim = std::max(max_dim, chunks[c]->dim);
-    for (uint32_t r = 0; r < chunks[c]->num_rows(); ++r) {
-      index.emplace_back(c, r);
-    }
-  }
-  model->EnsureDim(max_dim);
-  for (int epoch = 0; epoch < epochs; ++epoch) {
-    rng->Shuffle(&index);  // same permutation as the RowRef index
-    for (size_t start = 0; start < index.size(); start += batch_size) {
-      const size_t end = std::min(start + batch_size, index.size());
-      FeatureData batch;
-      batch.dim = max_dim;
-      batch.features.reserve(end - start);
-      batch.labels.reserve(end - start);
-      for (size_t i = start; i < end; ++i) {
-        const auto [c, r] = index[i];
-        SparseVector x = chunks[c]->features[r];
-        if (x.dim() != max_dim) {
-          auto widened = SparseVector::FromSorted(
-              max_dim, std::vector<uint32_t>(x.indices()),
-              std::vector<double>(x.values()));
-          if (!widened.ok()) return widened.status();
-          x = std::move(widened).value();
-        }
-        batch.features.push_back(std::move(x));
-        batch.labels.push_back(chunks[c]->labels[r]);
-      }
-      CDPIPE_RETURN_NOT_OK(SeedKernelUpdate(model, batch, optimizer));
-      *rows_visited += static_cast<int64_t>(end - start);
-    }
-  }
-  return Status::OK();
-}
-
 PathResult FinishResult(const std::string& label, double seconds,
                         int64_t rows_visited, const LinearModel& model) {
   PathResult result;
@@ -211,26 +114,6 @@ LinearModel MakeModel(const Config& config) {
 std::unique_ptr<Optimizer> MakeBenchOptimizer() {
   return MakeOptimizer(
       OptimizerOptions{.kind = OptimizerKind::kAdam, .learning_rate = 0.01});
-}
-
-PathResult RunSeedPath(const Config& config,
-                       const std::vector<FeatureData>& chunks) {
-  std::vector<const FeatureData*> parts;
-  parts.reserve(chunks.size());
-  for (const FeatureData& chunk : chunks) parts.push_back(&chunk);
-  LinearModel model = MakeModel(config);
-  auto optimizer = MakeBenchOptimizer();
-  Rng rng(config.seed + 1);  // same shuffle sequence as every other path
-  int64_t rows_visited = 0;
-  Stopwatch watch;
-  Status status = SeedTrain(parts, config.batch_size, config.epochs, &model,
-                            optimizer.get(), &rng, &rows_visited);
-  const double seconds = watch.ElapsedSeconds();
-  if (!status.ok()) {
-    std::fprintf(stderr, "seed_copy failed: %s\n", status.ToString().c_str());
-    std::exit(1);
-  }
-  return FinishResult("seed_copy", seconds, rows_visited, model);
 }
 
 PathResult RunPath(const std::string& label, const Config& config,
@@ -268,14 +151,6 @@ void CheckEquivalence(const PathResult& a, const PathResult& b) {
   }
 }
 
-std::string ResultJson(const PathResult& r) {
-  return StrFormat(
-      "{\"label\":\"%s\",\"seconds\":%.9g,\"rows_visited\":%lld,"
-      "\"rows_per_sec\":%.9g,\"ns_per_row\":%.9g}",
-      r.label.c_str(), r.seconds, static_cast<long long>(r.rows_visited),
-      r.rows_per_sec, r.ns_per_row);
-}
-
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -298,71 +173,35 @@ int Main(int argc, char** argv) {
   const std::vector<FeatureData> chunks = MakeChunks(config);
 
   ExecutionEngine sharded_engine(config.threads);
-  PathResult seed_copy = RunSeedPath(config, chunks);
   PathResult view_serial = RunPath("view_serial", config, chunks, nullptr);
   PathResult view_sharded =
       RunPath("view_sharded", config, chunks, &sharded_engine);
 
-  // Both view paths shuffle with the same seed and feed the same
-  // deterministic gradient kernel: diverging parameters mean a bug.
+  // Both paths shuffle with the same seed and feed the same deterministic
+  // gradient kernel: diverging parameters mean a bug.
   CheckEquivalence(view_serial, view_sharded);
-
-  // The seed replica sums each coordinate in one pass, so it is
-  // bit-identical to the reworked kernel only while batches stay
-  // single-shard (< 512 rows); prove that on a small config.
-  {
-    Config small = config;
-    small.rows = std::min<size_t>(config.rows, 10000);
-    small.batch_size = 256;
-    small.epochs = 1;
-    const std::vector<FeatureData> small_chunks = MakeChunks(small);
-    std::printf("  single-shard equivalence run (%zu rows, batch %zu):\n",
-                small.rows, small.batch_size);
-    PathResult small_seed = RunSeedPath(small, small_chunks);
-    PathResult small_view =
-        RunPath("view_serial", small, small_chunks, nullptr);
-    CheckEquivalence(small_seed, small_view);
-  }
-
-  auto speedup = [&](const PathResult& r) {
-    return seed_copy.seconds > 0.0 && r.seconds > 0.0
-               ? r.rows_per_sec / seed_copy.rows_per_sec
-               : 0.0;
-  };
-  const double speedup_view = speedup(view_serial);
-  const double speedup_sharded = speedup(view_sharded);
-  std::printf("  view_serial  vs seed_copy: %.2fx rows/sec\n", speedup_view);
-  std::printf("  view_sharded vs seed_copy: %.2fx rows/sec\n",
-              speedup_sharded);
-  std::printf("  equivalence: identical parameters across all paths\n");
+  std::printf("  equivalence: identical parameters on both paths\n");
 
   const std::string json_out = flags.GetString("json_out", "");
   if (!json_out.empty()) {
-    std::ofstream out(json_out, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot open '%s' for writing\n", json_out.c_str());
-      return 1;
+    ResultSet results;
+    results.bench = "sgd_throughput";
+    results.config = {{"rows", config.rows},
+                      {"chunk_rows", config.chunk_rows},
+                      {"dim", config.dim},
+                      {"nnz", config.nnz},
+                      {"batch_size", config.batch_size},
+                      {"threads", config.threads},
+                      {"epochs", config.epochs},
+                      {"seed", config.seed}};
+    for (const PathResult* r : {&view_serial, &view_sharded}) {
+      results.AddReported(r->label + "/seconds", r->seconds, "s");
+      results.AddExact(r->label + "/rows_visited", r->rows_visited, "rows");
+      results.AddReported(r->label + "/rows_per_sec",
+                          r->rows_per_sec, "rows/s");
+      results.AddReported(r->label + "/ns_per_row", r->ns_per_row, "ns");
     }
-    out << "{\"benchmark\":\"sgd_throughput\",";
-    out << StrFormat(
-        "\"config\":{\"rows\":%zu,\"chunk_rows\":%zu,\"dim\":%u,\"nnz\":%zu,"
-        "\"batch_size\":%zu,\"threads\":%zu,\"epochs\":%d,\"seed\":%llu},",
-        config.rows, config.chunk_rows, config.dim, config.nnz,
-        config.batch_size, config.threads, config.epochs,
-        static_cast<unsigned long long>(config.seed));
-    out << "\"results\":[" << ResultJson(seed_copy) << ","
-        << ResultJson(view_serial) << "," << ResultJson(view_sharded) << "],";
-    out << StrFormat(
-        "\"speedup_view_serial_vs_seed\":%.9g,"
-        "\"speedup_view_sharded_vs_seed\":%.9g,"
-        "\"parameters_identical\":true}",
-        speedup_view, speedup_sharded);
-    out << "\n";
-    if (!out.good()) {
-      std::fprintf(stderr, "failed writing '%s'\n", json_out.c_str());
-      return 1;
-    }
-    std::printf("  wrote JSON report: %s\n", json_out.c_str());
+    WriteResultsJson(json_out, results);
   }
   return 0;
 }
