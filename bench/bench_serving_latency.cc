@@ -18,9 +18,10 @@
 //   --seed=42
 //   --json_out=path    result rows readers_<n>/train_<on|off>/<metric> and
 //                      snapshot/<counter> (bench_common.h schema)
-//   --port_file=path   start the obs server, write its port, and keep
-//                      serving for --serve_seconds after the run (smoke
-//                      tests curl /metrics and /readyz meanwhile)
+//   --port_file=path   start the obs server, write its port once the first
+//                      measurement has served requests, and keep serving
+//                      for --serve_seconds after the run (smoke tests curl
+//                      /metrics and /readyz as soon as the file appears)
 //   --serve_seconds=5
 
 #include <algorithm>
@@ -222,11 +223,6 @@ int main(int argc, char** argv) {
     }
     std::printf("obs server listening on http://127.0.0.1:%u\n",
                 server->port());
-    std::FILE* f = std::fopen(port_file.c_str(), "w");
-    if (f != nullptr) {
-      std::fprintf(f, "%u\n", server->port());
-      std::fclose(f);
-    }
   }
 
   UrlScenario scenario(scale, seed);
@@ -286,6 +282,14 @@ int main(int argc, char** argv) {
   for (const RunConfig& config : grid) {
     const LatencyStats stats = MeasureOnce(&deployment, stream, probe, config);
     PrintRow(config, stats);
+    if (server != nullptr && &config == &grid.front()) {
+      // Only now do the serving.* metrics exist and carry requests.
+      std::FILE* f = std::fopen(port_file.c_str(), "w");
+      if (f != nullptr) {
+        std::fprintf(f, "%u\n", server->port());
+        std::fclose(f);
+      }
+    }
     const std::string prefix = StrFormat("readers_%d/train_%s/", config.readers,
                                          config.train ? "on" : "off");
     results.AddReported(prefix + "requests", stats.requests, "count");

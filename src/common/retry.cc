@@ -4,30 +4,9 @@
 #include <chrono>
 #include <thread>
 
-#include "src/common/logging.h"
-#include "src/obs/event_journal.h"
-#include "src/obs/metrics.h"
+#include "src/obs/decision.h"
 
 namespace cdpipe {
-namespace {
-
-struct RetryMetrics {
-  obs::Counter* attempts;
-  obs::Counter* exhausted;
-
-  static const RetryMetrics& Get() {
-    static const RetryMetrics metrics = [] {
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      RetryMetrics m;
-      m.attempts = registry.GetCounter("retry.attempts");
-      m.exhausted = registry.GetCounter("retry.exhausted");
-      return m;
-    }();
-    return metrics;
-  }
-};
-
-}  // namespace
 
 bool IsRetryable(const Status& status) {
   return status.code() == StatusCode::kUnavailable ||
@@ -43,11 +22,7 @@ Status RetryWithBackoff(const RetryPolicy& policy, const char* op_name,
     status = op();
     if (status.ok() || !IsRetryable(status)) return status;
     if (attempt == max_attempts) break;
-    CDPIPE_LOG(Warning) << op_name << " attempt " << attempt << "/"
-                        << max_attempts << " failed transiently ("
-                        << status.ToString() << "), retrying";
-    RetryMetrics::Get().attempts->Increment();
-    obs::EventJournal::Global().Append(obs::EventKind::kRetry, op_name);
+    obs::Record(obs::Decision::kRetry, op_name, status);
     if (backoff > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(
           std::min(backoff, policy.max_backoff_seconds)));
@@ -58,9 +33,7 @@ Status RetryWithBackoff(const RetryPolicy& policy, const char* op_name,
                          policy.max_backoff_seconds);
     }
   }
-  RetryMetrics::Get().exhausted->Increment();
-  CDPIPE_LOG(Error) << op_name << " failed after " << max_attempts
-                    << " attempts: " << status.ToString();
+  obs::Record(obs::Decision::kRetryExhausted, op_name, status);
   return status;
 }
 

@@ -42,9 +42,10 @@ bool IsRetryable(const Status& status);
 /// partial state behind (the call sites in this codebase either write into
 /// a slot that is wholly overwritten on success, or fail before mutating).
 ///
-/// Metrics: every re-execution increments `retry.attempts`; an operation
-/// that still fails after the final attempt increments `retry.exhausted`.
-/// `op_name` labels the retry-warning log lines.
+/// Each re-execution is a `retry` decision (`retry.attempts`, a warning);
+/// an operation that still fails after the final attempt is a
+/// `retry_exhausted` one (`retry.exhausted`, an error).  `op_name` is their
+/// journal detail.
 Status RetryWithBackoff(const RetryPolicy& policy, const char* op_name,
                         const std::function<Status()>& op);
 

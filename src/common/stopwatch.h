@@ -19,16 +19,6 @@ class Stopwatch {
     return std::chrono::duration<double>(now - start_).count();
   }
 
-  /// Seconds elapsed since construction or the last Restart()/Lap(), and
-  /// restarts at that same instant: back-to-back intervals with one clock
-  /// read each.
-  double Lap() {
-    const auto now = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(now - start_).count();
-    start_ = now;
-    return seconds;
-  }
-
   int64_t ElapsedMicros() const {
     const auto now = std::chrono::steady_clock::now();
     return std::chrono::duration_cast<std::chrono::microseconds>(now - start_)

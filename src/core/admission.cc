@@ -5,7 +5,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
-#include "src/obs/event_journal.h"
+#include "src/obs/decision.h"
 #include "src/obs/metrics.h"
 
 namespace cdpipe {
@@ -13,10 +13,7 @@ namespace {
 
 struct AdmissionMetrics {
   obs::Counter* offered;
-  obs::Counter* admitted;
   obs::Counter* degraded_admits;
-  obs::Counter* shed;
-  obs::Counter* pressure_changes;
   obs::Gauge* queue_depth;
   obs::Gauge* queue_high_watermark;
   obs::Gauge* load_state;
@@ -27,15 +24,9 @@ struct AdmissionMetrics {
       AdmissionMetrics m;
       m.offered = registry.GetCounter("ingest.offered",
                                       "Chunks presented for admission");
-      m.admitted = registry.GetCounter("ingest.admitted",
-                                       "Chunks admitted into the ingest queue");
       m.degraded_admits = registry.GetCounter(
           "ingest.degraded_admits",
           "Chunks admitted under pressure with materialization skipped");
-      m.shed = registry.GetCounter("ingest.shed",
-                                   "Chunks dropped by admission control");
-      m.pressure_changes = registry.GetCounter(
-          "ingest.pressure_changes", "Ingest load-state transitions");
       m.queue_depth =
           registry.GetGauge("ingest.queue_depth", "Queued ingest chunks");
       m.queue_high_watermark = registry.GetGauge(
@@ -147,12 +138,9 @@ AdmissionController::Decision AdmissionController::Offer(
         const ChunkId victim = queue_.front().chunk.id;
         queue_.pop_front();
         counters_.shed_oldest += 1;
-        metrics.shed->Increment();
-        obs::EventJournal::Global().Append(
-            obs::EventKind::kShed,
-            StrFormat("reason=oldest id=%lld depth=%zu",
-                      static_cast<long long>(victim), queue_.size())
-                .c_str());
+        obs::Record(obs::Decision::kShedOldest,
+                    StrFormat("id=%lld depth=%zu",
+                              static_cast<long long>(victim), queue_.size()));
         decision = Decision::kAdmittedReplacedOldest;
         break;
       }
@@ -161,12 +149,10 @@ AdmissionController::Decision AdmissionController::Offer(
         // kDegrade softens pressure but the capacity stays a hard memory
         // bound: a full queue sheds the arrival.
         counters_.shed_newest += 1;
-        metrics.shed->Increment();
-        obs::EventJournal::Global().Append(
-            obs::EventKind::kShed,
-            StrFormat("reason=newest id=%lld depth=%zu",
-                      static_cast<long long>(chunk->id), queue_.size())
-                .c_str());
+        obs::Record(obs::Decision::kShedNewest,
+                    StrFormat("id=%lld depth=%zu",
+                              static_cast<long long>(chunk->id),
+                              queue_.size()));
         return Decision::kShed;
       }
       case AdmissionPolicy::kBlock:
@@ -183,18 +169,16 @@ AdmissionController::Decision AdmissionController::Offer(
   queue_.push_back(std::move(entry));
 
   counters_.admitted += 1;
-  metrics.admitted->Increment();
   if (queue_.back().degraded) {
     counters_.degraded_admits += 1;
     metrics.degraded_admits->Increment();
     if (decision == Decision::kAdmitted) decision = Decision::kAdmittedDegraded;
   }
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kAdmit,
-      StrFormat("id=%lld depth=%zu state=%s%s", static_cast<long long>(id),
-                queue_.size(), LoadStateName(state_),
-                queue_.back().degraded ? " degraded" : "")
-          .c_str());
+  obs::Record(obs::Decision::kAdmit,
+              StrFormat("id=%lld depth=%zu state=%s%s",
+                        static_cast<long long>(id), queue_.size(),
+                        LoadStateName(state_),
+                        queue_.back().degraded ? " degraded" : ""));
   UpdateStateAndGauges();
   return decision;
 }
@@ -202,14 +186,10 @@ AdmissionController::Decision AdmissionController::Offer(
 void AdmissionController::ShedBlocked(ChunkId id) {
   counters_.offered += 1;
   counters_.shed_timeout += 1;
-  const AdmissionMetrics& metrics = AdmissionMetrics::Get();
-  metrics.offered->Increment();
-  metrics.shed->Increment();
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kShed,
-      StrFormat("reason=timeout id=%lld depth=%zu",
-                static_cast<long long>(id), queue_.size())
-          .c_str());
+  AdmissionMetrics::Get().offered->Increment();
+  obs::Record(obs::Decision::kShedTimeout,
+              StrFormat("id=%lld depth=%zu", static_cast<long long>(id),
+                        queue_.size()));
 }
 
 void AdmissionController::UpdateStateAndGauges() {
@@ -228,14 +208,9 @@ void AdmissionController::UpdateStateAndGauges() {
   const AdmissionMetrics& metrics = AdmissionMetrics::Get();
   if (next != state_) {
     counters_.pressure_changes += 1;
-    metrics.pressure_changes->Increment();
-    obs::EventJournal::Global().Append(
-        obs::EventKind::kPressureChange,
-        StrFormat("%s->%s depth=%zu", LoadStateName(state_),
-                  LoadStateName(next), depth)
-            .c_str());
-    CDPIPE_LOG(Info) << "admission: load state " << LoadStateName(state_)
-                     << " -> " << LoadStateName(next) << " at depth " << depth;
+    obs::Record(obs::Decision::kPressureChange,
+                StrFormat("%s->%s depth=%zu", LoadStateName(state_),
+                          LoadStateName(next), depth));
     state_ = next;
   }
   counters_.peak_queue_depth =

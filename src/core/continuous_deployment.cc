@@ -4,8 +4,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
-#include "src/obs/event_journal.h"
-#include "src/obs/metrics.h"
+#include "src/obs/decision.h"
 #include "src/obs/trace.h"
 
 namespace cdpipe {
@@ -40,19 +39,16 @@ Status ContinuousDeployment::AfterChunk(size_t stream_index,
         continuous_options_.drift_detector->Observe(
             outcome.mean_error_signal);
     if (state == DriftState::kDrift) {
-      obs::MetricsRegistry::Global()
-          .GetCounter("deployment.drift_events")
-          ->Increment();
-      obs::EventJournal::Global().Append(
-          obs::EventKind::kDriftTrigger,
-          StrFormat("error=%.4f", outcome.mean_error_signal).c_str());
+      obs::Record(obs::Decision::kDriftTrigger,
+                  StrFormat("error=%.4f", outcome.mean_error_signal));
       if (load_state() == LoadState::kNormal) {
         CDPIPE_RETURN_NOT_OK(RunDriftBurst());
       } else {
         // Overload gating: a drift burst is the most expensive optional
         // work there is — shed it first and keep draining the backlog.
         // The detector stays reset so it can re-fire once load recovers.
-        trainer().RecordDeferred(load_state());
+        obs::Record(obs::Decision::kProactiveDeferred,
+                    StrFormat("state=%s", LoadStateName(load_state())));
       }
       continuous_options_.drift_detector->Reset();
     }
@@ -74,11 +70,12 @@ Status ContinuousDeployment::AfterChunk(size_t stream_index,
   // running, the backlog drains first, and the next due iteration trains
   // as usual once load returns to normal.
   if (load_state() != LoadState::kNormal) {
-    trainer().RecordDeferred(load_state());
+    obs::Record(obs::Decision::kProactiveDeferred,
+                StrFormat("state=%s", LoadStateName(load_state())));
     return Status::OK();
   }
 
-  CDPIPE_TRACE_SPAN("deployment.proactive", "deployment");
+  obs::Phase phase("core.proactive");
   CDPIPE_ASSIGN_OR_RETURN(
       DataManager::SampleSet sample,
       data_manager().SampleForTraining(continuous_options_.sample_chunks,
@@ -107,7 +104,7 @@ Status ContinuousDeployment::AfterChunk(size_t stream_index,
 }
 
 Status ContinuousDeployment::RunDriftBurst() {
-  CDPIPE_TRACE_SPAN("deployment.drift_burst", "deployment");
+  obs::Phase phase("core.drift_burst");
   // Sample only from the freshest chunks — they reflect the new concept.
   WindowSampler window(continuous_options_.drift_window_chunks);
   for (size_t i = 0; i < continuous_options_.drift_burst_iterations; ++i) {

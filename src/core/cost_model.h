@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <string>
 
-#include "src/common/stopwatch.h"
+#include "src/obs/trace.h"
 
 namespace cdpipe {
 
@@ -62,26 +62,23 @@ class CostModel {
 
   std::string ToString() const;
 
-  /// RAII timer: adds the elapsed wall time to `phase` on destruction.  A
-  /// null `model` makes it a no-op, so callers with an optional cost model
-  /// time unconditionally.
-  class ScopedTimer {
+  /// RAII timer: an obs::Phase named `name` (null: no span) whose seconds
+  /// are added to `phase` on destruction.  A null `model` leaves only the
+  /// span, so callers with an optional cost model time unconditionally.
+  class ScopedTimer : public obs::Phase {
    public:
-    ScopedTimer(CostModel* model, CostPhase phase)
-        : model_(model), phase_(phase) {}
+    ScopedTimer(CostModel* model, CostPhase phase, const char* name = nullptr)
+        : obs::Phase(name, /*histogram=*/nullptr, model != nullptr),
+          model_(model),
+          phase_(phase) {}
     ~ScopedTimer() {
-      if (model_ != nullptr) {
-        model_->AddSeconds(phase_, watch_.ElapsedSeconds());
-      }
+      const double seconds = Stop();
+      if (model_ != nullptr) model_->AddSeconds(phase_, seconds);
     }
-
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
 
    private:
     CostModel* model_;
     CostPhase phase_;
-    Stopwatch watch_;
   };
 
  private:

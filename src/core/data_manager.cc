@@ -5,7 +5,7 @@
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
 #include "src/obs/correlation.h"
-#include "src/obs/event_journal.h"
+#include "src/obs/decision.h"
 #include "src/obs/health.h"
 #include "src/storage/prefetcher.h"
 #include "src/testing/fault_injector.h"
@@ -49,13 +49,9 @@ Status DataManager::IngestChunk(RawChunk chunk) {
   // (e.g. transiently faulted) PutRaw must leave the manager unchanged so
   // the same chunk can be retried.
   const ChunkId id = chunk.id;
-  const size_t records = chunk.records.size();
   obs::Heartbeat::WorkScope work(IngestHeartbeat());
   CDPIPE_RETURN_NOT_OK(store_.PutRaw(std::move(chunk)));
   next_id_ = id + 1;
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kIngest, obs::CorrelationScope::WithEntity(id),
-      StrFormat("records=%zu", records).c_str());
   return Status::OK();
 }
 
@@ -76,7 +72,6 @@ DataManager::SampleSet DataManager::Resolve(
     const std::vector<ChunkId>& picked) {
   SampleSet out;
   out.materialized.reserve(picked.size());
-  obs::EventJournal& journal = obs::EventJournal::Global();
   for (ChunkId id : picked) {
     // Evict-heavy fault scenario: memory pressure evicts the sampled
     // chunk's features right before the access, forcing the
@@ -88,8 +83,8 @@ DataManager::SampleSet DataManager::Resolve(
     store_.RecordSampleAccess(id);
     if (const FeatureChunk* features = store_.GetFeatures(id)) {
       out.materialized.push_back(features);
-      journal.Append(obs::EventKind::kMaterializeHit,
-                     obs::CorrelationScope::WithEntity(id));
+      obs::Record(obs::Decision::kMaterializeHit,
+                  obs::CorrelationScope::WithEntity(id));
     } else {
       const RawChunk* raw = store_.FetchRaw(id);
       if (raw == nullptr) {
@@ -97,20 +92,18 @@ DataManager::SampleSet DataManager::Resolve(
             << "picked chunk " << id << " has no raw bytes";
         // Disk tier degraded under us (corrupt file dropped, read failure):
         // train on one chunk fewer rather than fail the sample.
-        journal.Append(obs::EventKind::kDegrade,
-                       obs::CorrelationScope::WithEntity(id),
-                       "sample_chunk_unavailable");
+        obs::Record(obs::Decision::kSampleChunkUnavailable,
+                    obs::CorrelationScope::WithEntity(id));
         continue;
       }
       out.to_rematerialize.push_back(raw);
-      journal.Append(obs::EventKind::kMaterializeMiss,
-                     obs::CorrelationScope::WithEntity(id));
+      obs::Record(obs::Decision::kMaterializeMiss,
+                  obs::CorrelationScope::WithEntity(id));
     }
   }
-  journal.Append(obs::EventKind::kSample,
-                 StrFormat("hits=%zu misses=%zu", out.materialized.size(),
-                           out.to_rematerialize.size())
-                     .c_str());
+  obs::Record(obs::Decision::kSample,
+              StrFormat("hits=%zu misses=%zu", out.materialized.size(),
+                        out.to_rematerialize.size()));
   return out;
 }
 

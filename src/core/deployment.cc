@@ -5,9 +5,8 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
 #include "src/obs/correlation.h"
-#include "src/obs/event_journal.h"
+#include "src/obs/decision.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -19,10 +18,6 @@ std::atomic<uint32_t> next_deployment_id{1};
 
 struct DeploymentMetrics {
   obs::Counter* chunks_processed;
-  obs::Counter* degraded;
-  obs::Counter* store_features_failed;
-  obs::Counter* ingest_failed;
-  obs::Counter* serving_eval_fallbacks;
   obs::Histogram* chunk_seconds;
 
   static const DeploymentMetrics& Get() {
@@ -30,13 +25,6 @@ struct DeploymentMetrics {
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
       DeploymentMetrics m;
       m.chunks_processed = registry.GetCounter("deployment.chunks_processed");
-      m.degraded = registry.GetCounter("deployment.degraded");
-      m.store_features_failed =
-          registry.GetCounter("deployment.store_features_failed");
-      m.ingest_failed = registry.GetCounter("deployment.ingest_failed");
-      m.serving_eval_fallbacks = registry.GetCounter(
-          "serving.eval_fallbacks",
-          "Serve-eval requests that fell back to the in-loop evaluate");
       m.chunk_seconds = registry.GetHistogram("deployment.chunk_seconds");
       return m;
     }();
@@ -143,7 +131,6 @@ Result<FeatureChunk> Deployment::RunOnlinePath(
   // chunk reproduces its features exactly, and the snapshot model is the
   // same pre-update model the in-loop evaluate uses.  Without a publisher
   // the publish is a no-op and this is the plain online step.
-  CDPIPE_TRACE_SPAN("pipeline.online_step", "pipeline");
   CDPIPE_ASSIGN_OR_RETURN(FeatureChunk features,
                           pipeline_manager_->PreprocessChunk(chunk));
   // Overload gating: keep serving from the previously published epoch
@@ -167,13 +154,7 @@ Result<FeatureChunk> Deployment::RunOnlinePath(
       // A failed request (injected fault, stopped service) must not poke a
       // hole in the quality curve: fall back to the in-loop evaluate,
       // which observes the exact same (score, label) sequence.
-      DeploymentMetrics::Get().serving_eval_fallbacks->Increment();
-      DeploymentMetrics::Get().degraded->Increment();
-      obs::EventJournal::Global().Append(obs::EventKind::kDegrade,
-                                         "serving_eval_fallback");
-      CDPIPE_LOG(Warning) << "deployment: serve-eval request for chunk "
-                          << chunk.id << " failed, using in-loop evaluate: "
-                          << response.status().ToString();
+      obs::Record(obs::Decision::kServeEvalFallback, {}, response.status());
     }
   }
   if (!evaluated && evaluator != nullptr) {
@@ -199,8 +180,7 @@ Status Deployment::ProcessStreamChunk(RunState* state, const RawChunk& chunk,
                                       bool degraded_admit) {
   obs::CorrelationScope chunk_scope(deployment_id_, chunk.id);
   obs::Heartbeat::WorkScope work(state->heartbeat);
-  CDPIPE_TRACE_SPAN("deployment.chunk", "deployment");
-  Stopwatch chunk_watch;
+  obs::Phase phase("core.chunk", DeploymentMetrics::Get().chunk_seconds);
   // Overload publish gate: while the ingest queue is overloaded, skip this
   // chunk's snapshot publishes — unless that would push the served model
   // past the staleness bound K (a republish is forced every K-th chunk).
@@ -225,13 +205,7 @@ Status Deployment::ProcessStreamChunk(RunState* state, const RawChunk& chunk,
     stored = data_manager_.store().GetRaw(chunk.id);
     CDPIPE_CHECK(stored != nullptr);
   } else if (options_.degrade_on_failure && IsRetryable(ingest_status)) {
-    DeploymentMetrics::Get().ingest_failed->Increment();
-    DeploymentMetrics::Get().degraded->Increment();
-    obs::EventJournal::Global().Append(obs::EventKind::kDegrade,
-                                       "ingest_failed");
-    CDPIPE_LOG(Warning) << "deployment: processing chunk " << chunk.id
-                        << " without storage after failed ingest: "
-                        << ingest_status.ToString();
+    obs::Record(obs::Decision::kIngestFailed, {}, ingest_status);
     stored = &chunk;
   } else {
     return ingest_status;
@@ -254,20 +228,13 @@ Status Deployment::ProcessStreamChunk(RunState* state, const RawChunk& chunk,
       if (!options_.degrade_on_failure || !IsRetryable(store_status)) {
         return store_status;
       }
-      DeploymentMetrics::Get().store_features_failed->Increment();
-      DeploymentMetrics::Get().degraded->Increment();
-      obs::EventJournal::Global().Append(obs::EventKind::kDegrade,
-                                         "store_features_failed");
-      CDPIPE_LOG(Warning) << "deployment: chunk " << chunk.id
-                          << " left unmaterialized: "
-                          << store_status.ToString();
+      obs::Record(obs::Decision::kStoreFeaturesFailed, {}, store_status);
     }
   } else if (ingest_status.ok() && degraded_admit) {
     // kDegrade admission under pressure: the raw chunk is stored, but its
     // feature materialization is skipped to shed work — dynamic
     // materialization rebuilds it if proactive training ever samples it.
-    obs::EventJournal::Global().Append(obs::EventKind::kDegrade,
-                                       "degraded_admit_skip_materialize");
+    obs::Record(obs::Decision::kDegradedAdmit);
   }
 
   ChunkOutcome outcome;
@@ -322,8 +289,6 @@ Status Deployment::ProcessStreamChunk(RunState* state, const RawChunk& chunk,
   row.cumulative_work = cost_.TotalWork();
   state->report->curve.push_back(row);
   DeploymentMetrics::Get().chunks_processed->Increment();
-  DeploymentMetrics::Get().chunk_seconds->Observe(
-      chunk_watch.ElapsedSeconds());
   return Status::OK();
 }
 
@@ -340,7 +305,7 @@ Result<DeploymentReport> Deployment::RunShaped(
 Result<DeploymentReport> Deployment::RunImpl(
     const std::vector<RawChunk>& stream, AdmissionController* admission) {
   obs::CorrelationScope run_scope(deployment_id_, /*entity=*/-1);
-  CDPIPE_TRACE_SPAN("deployment.run", "deployment");
+  obs::Phase phase("core.run");
   obs::Heartbeat* heartbeat =
       obs::HealthRegistry::Global().GetHeartbeat("deployment");
   const obs::MetricsSnapshot metrics_before =
@@ -446,9 +411,12 @@ Result<DeploymentReport> Deployment::RunImpl(
   report.chunks_processed = static_cast<int64_t>(report.curve.size());
   const obs::MetricsSnapshot& m = report.metrics;
   report.retrainings = m.CounterValueOr("deployment.retrainings", 0);
-  report.degraded_events = m.CounterValueOr("deployment.degraded", 0) +
-                           m.CounterValueOr("proactive.chunks_skipped", 0) +
-                           m.CounterValueOr("proactive.iterations_degraded", 0);
+  report.degraded_events =
+      m.CounterValueOr("deployment.ingest_failed", 0) +
+      m.CounterValueOr("deployment.store_features_failed", 0) +
+      m.CounterValueOr("serving.eval_fallbacks", 0) +
+      m.CounterValueOr("training.chunks_skipped", 0) +
+      m.CounterValueOr("training.iterations_degraded", 0);
   report.serving_stale_reads = m.CounterValueOr("serving.stale_reads", 0);
   return report;
 }

@@ -68,9 +68,10 @@ class Deployment {
     /// Graceful degradation: keep the run alive when a transient failure
     /// survives its retries — an unstorable feature chunk stays
     /// unmaterialized, an unrecoverable sampled chunk is skipped — with a
-    /// recorded warning and a `deployment.degraded` metric.  Logic errors
-    /// (duplicate ids, schema mismatches) still abort.  Disabled, every
-    /// failure propagates, matching the pre-robustness behavior.
+    /// recorded warning, counted in `DeploymentReport::degraded_events`.
+    /// Logic errors (duplicate ids, schema mismatches) still abort.
+    /// Disabled, every failure propagates, matching the pre-robustness
+    /// behavior.
     bool degrade_on_failure = true;
     /// Staleness bound K for overload publish gating: while the ingest
     /// admission controller reports kOverloaded, per-chunk snapshot

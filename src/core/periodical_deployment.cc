@@ -3,8 +3,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/obs/event_journal.h"
-#include "src/obs/metrics.h"
+#include "src/obs/decision.h"
 #include "src/obs/trace.h"
 
 namespace cdpipe {
@@ -54,7 +53,7 @@ Status PeriodicalDeployment::AfterChunk(size_t stream_index,
 }
 
 Status PeriodicalDeployment::Retrain() {
-  CDPIPE_TRACE_SPAN("deployment.retrain", "deployment");
+  obs::Phase phase("core.retrain");
   // Full retraining: train on the *entire* available history.  Chunks that
   // happen to be materialized are reused; in the authentic periodical
   // configuration (max_materialized_chunks = 0) everything is re-transformed
@@ -71,7 +70,7 @@ Status PeriodicalDeployment::Retrain() {
   // Each attempt trains fresh clones of the deployed state on a copy of the
   // rng, so a failed pass leaves the deployment untouched; only a
   // successful pass is redeployed and commits the rng.
-  return trainer().RunStep("deployment.retrain", "retrain_skipped",
+  return trainer().RunStep("deployment.retrain", obs::Decision::kRetrainSkipped,
                            [&]() -> Status {
     // Warm start (TFX): clone the deployed model + optimizer state.
     // Cold start: fresh weights, reset adaptation state.
@@ -87,7 +86,8 @@ Status PeriodicalDeployment::Retrain() {
     }
     Rng pass_rng = rng();
     {
-      CostModel::ScopedTimer timer(&cost(), CostPhase::kRetraining);
+      CostModel::ScopedTimer timer(&cost(), CostPhase::kRetraining,
+                                   "ml.retrain");
       CDPIPE_ASSIGN_OR_RETURN(
           BatchTrainer::Stats stats,
           BatchTrainer(periodical_options_.retrain)
@@ -97,11 +97,8 @@ Status PeriodicalDeployment::Retrain() {
     }
     rng() = pass_rng;
     pipeline_manager().Redeploy(std::move(model), std::move(optimizer));
-    obs::MetricsRegistry::Global()
-        .GetCounter("deployment.retrainings")
-        ->Increment();
     // Correlated with the chunk whose arrival made the retraining due.
-    obs::EventJournal::Global().Append(obs::EventKind::kTrainStep, "retrain");
+    obs::Record(obs::Decision::kRetrain);
     return Status::OK();
   });
 }

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/obs/trace.h"
 #include "src/testing/fault_injector.h"
 
 namespace cdpipe {
@@ -26,7 +25,6 @@ PipelineManager::PipelineManager(std::unique_ptr<Pipeline> pipeline,
 Result<FeatureChunk> PipelineManager::OnlineStep(
     const RawChunk& chunk, PrequentialEvaluator* evaluator,
     bool online_learn) {
-  CDPIPE_TRACE_SPAN("pipeline.online_step", "pipeline");
   CDPIPE_ASSIGN_OR_RETURN(FeatureChunk out, PreprocessChunk(chunk));
   if (evaluator != nullptr) {
     EvaluateFeatures(out.data, evaluator);
@@ -41,8 +39,8 @@ Result<FeatureChunk> PipelineManager::PreprocessChunk(const RawChunk& chunk) {
   // Online statistics computation + transform.
   FeatureData features;
   {
-    CDPIPE_TRACE_SPAN("pipeline.preprocess", "pipeline");
-    CostModel::ScopedTimer timer(cost_, CostPhase::kPreprocessing);
+    CostModel::ScopedTimer timer(cost_, CostPhase::kPreprocessing,
+                                 "pipeline.preprocess");
     size_t rows_scanned = 0;
     // The online path always folds statistics in — the NoOptimization
     // baseline (§5.4) differs on the *reuse* side: Rematerialize below
@@ -64,8 +62,7 @@ void PipelineManager::EvaluateFeatures(const FeatureData& features,
                                        PrequentialEvaluator* evaluator) {
   if (evaluator == nullptr) return;
   // Prequential evaluation with the pre-update model.
-  CDPIPE_TRACE_SPAN("pipeline.predict", "ml");
-  CostModel::ScopedTimer timer(cost_, CostPhase::kPrediction);
+  CostModel::ScopedTimer timer(cost_, CostPhase::kPrediction, "ml.evaluate");
   for (size_t r = 0; r < features.num_rows(); ++r) {
     evaluator->Observe(model_->Predict(features.features[r]),
                        features.labels[r]);
@@ -77,8 +74,8 @@ void PipelineManager::EvaluateFeatures(const FeatureData& features,
 Status PipelineManager::OnlineUpdate(const FeatureData& features) {
   // Online learning: one SGD update over the chunk.
   if (features.num_rows() == 0) return Status::OK();
-  CDPIPE_TRACE_SPAN("pipeline.online_sgd", "ml");
-  CostModel::ScopedTimer timer(cost_, CostPhase::kOnlineTraining);
+  CostModel::ScopedTimer timer(cost_, CostPhase::kOnlineTraining,
+                               "ml.online_update");
   model_->EnsureDim(features.dim);
   CDPIPE_RETURN_NOT_OK(model_->Update(features, optimizer_.get()));
   cost_->AddWork(CostPhase::kOnlineTraining,
@@ -93,9 +90,9 @@ uint64_t PipelineManager::PublishSnapshot() {
 
 Result<FeatureChunk> PipelineManager::Rematerialize(
     const RawChunk& chunk, ExecutionEngine* engine) const {
-  CDPIPE_TRACE_SPAN("chunk_store.rematerialize", "storage");
+  CostModel::ScopedTimer timer(cost_, CostPhase::kMaterialization,
+                               "pipeline.rematerialize_chunk");
   CDPIPE_FAULT_POINT("pipeline.rematerialize");
-  CostModel::ScopedTimer timer(cost_, CostPhase::kMaterialization);
   size_t rows_scanned = 0;
   Result<FeatureData> features =
       options_.online_statistics
@@ -123,8 +120,7 @@ Result<FeatureData> PipelineManager::TransformForInference(
 
 Status PipelineManager::TrainStep(const BatchView& batch, CostPhase phase,
                                   ExecutionEngine* engine) {
-  CDPIPE_TRACE_SPAN("pipeline.train_step", "ml");
-  CostModel::ScopedTimer timer(cost_, phase);
+  CostModel::ScopedTimer timer(cost_, phase, "ml.train_step");
   model_->EnsureDim(batch.dim());
   CDPIPE_RETURN_NOT_OK(model_->Update(batch, optimizer_.get(), engine));
   cost_->AddWork(phase, static_cast<int64_t>(batch.num_rows()));

@@ -3,10 +3,9 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
 #include "src/common/string_util.h"
 #include "src/obs/correlation.h"
-#include "src/obs/event_journal.h"
+#include "src/obs/decision.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -16,10 +15,6 @@ namespace {
 
 struct TrainerMetrics {
   obs::Counter* iterations;
-  obs::Counter* chunks_rematerialized;
-  obs::Counter* chunks_skipped;
-  obs::Counter* iterations_degraded;
-  obs::Counter* iterations_deferred;
   obs::Counter* rows_trained;
   obs::Histogram* iteration_seconds;
   obs::Histogram* rematerialize_seconds;
@@ -30,14 +25,6 @@ struct TrainerMetrics {
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
       TrainerMetrics m;
       m.iterations = registry.GetCounter("proactive.iterations");
-      m.chunks_rematerialized =
-          registry.GetCounter("proactive.chunks_rematerialized");
-      m.chunks_skipped = registry.GetCounter("proactive.chunks_skipped");
-      m.iterations_degraded =
-          registry.GetCounter("proactive.iterations_degraded");
-      m.iterations_deferred = registry.GetCounter(
-          "proactive.iterations_deferred",
-          "Proactive iterations deferred while the ingest queue was loaded");
       m.rows_trained = registry.GetCounter("proactive.rows_trained");
       m.iteration_seconds =
           registry.GetHistogram("proactive.iteration_seconds");
@@ -66,12 +53,11 @@ ProactiveTrainer::ProactiveTrainer(PipelineManager* pipeline_manager,
 }
 
 Status ProactiveTrainer::RunIteration(const DataManager::SampleSet& sample) {
-  CDPIPE_TRACE_SPAN("proactive.iteration", "training");
   static obs::Heartbeat* heartbeat =
       obs::HealthRegistry::Global().GetHeartbeat("trainer");
   obs::Heartbeat::WorkScope work(heartbeat);
   const TrainerMetrics& metrics = TrainerMetrics::Get();
-  Stopwatch watch;
+  obs::Phase iteration("core.iteration", metrics.iteration_seconds);
 
   std::vector<FeatureChunk> rebuilt;
   CDPIPE_ASSIGN_OR_RETURN(const std::vector<const FeatureData*> parts,
@@ -85,46 +71,43 @@ Status ProactiveTrainer::RunIteration(const DataManager::SampleSet& sample) {
                           BatchView::CollectRows(parts, &dim));
   const BatchView batch(dim, rows);
   if (!batch.empty()) {
-    CDPIPE_TRACE_SPAN("proactive.sgd_step", "training");
-    Stopwatch sgd_watch;
+    obs::Phase step("core.sgd_step", metrics.sgd_step_seconds);
     // The gradient is recomputed from scratch and only applied to the
     // model at the very end, so a failed attempt leaves the weights
     // untouched.
     CDPIPE_RETURN_NOT_OK(RunStep(
-        "proactive.train_step", "sgd_step_skipped", [&]() -> Status {
+        "proactive.train_step", obs::Decision::kSgdStepSkipped,
+        [&]() -> Status {
           CDPIPE_RETURN_NOT_OK(pipeline_manager_->TrainStep(
               batch, CostPhase::kProactiveTraining, engine_));
           // Correlated with the caller's scope: in a deployment, the chunk
           // whose arrival made this step due.
-          obs::EventJournal::Global().Append(
-              obs::EventKind::kTrainStep,
-              StrFormat("rows=%zu", batch.num_rows()).c_str());
+          obs::Record(obs::Decision::kTrainStep,
+                      StrFormat("rows=%zu", batch.num_rows()));
+          metrics.rows_trained->Add(static_cast<int64_t>(batch.num_rows()));
           return Status::OK();
         }));
-    metrics.sgd_step_seconds->Observe(sgd_watch.ElapsedSeconds());
   }
 
-  last_duration_seconds_ = watch.ElapsedSeconds();
   metrics.iterations->Increment();
-  metrics.rows_trained->Add(static_cast<int64_t>(batch.num_rows()));
-  metrics.iteration_seconds->Observe(last_duration_seconds_);
+  last_duration_seconds_ = iteration.Stop();
   return Status::OK();
 }
 
 Result<std::vector<const FeatureData*>> ProactiveTrainer::Rebuild(
     const DataManager::SampleSet& sample,
     std::vector<FeatureChunk>* rebuilt) {
-  CDPIPE_TRACE_SPAN("proactive.rematerialize", "training");
+  const size_t num_remat = sample.to_rematerialize.size();
+  obs::Phase phase("pipeline.rematerialize",
+                   num_remat > 0 ? TrainerMetrics::Get().rematerialize_seconds
+                                 : nullptr);
   // Engine workers do not inherit the caller's thread-local correlation;
   // capture it here so the fan-out tasks can re-establish it per chunk.
   const obs::CorrelationId base_corr = obs::CorrelationScope::Current();
-  const TrainerMetrics& metrics = TrainerMetrics::Get();
-  Stopwatch remat_watch;
 
   // Each chunk writes only its own slot, so failed chunks are identified
   // after the fan-out and handled individually instead of aborting the
   // whole step on the first error.
-  const size_t num_remat = sample.to_rematerialize.size();
   rebuilt->assign(num_remat, FeatureChunk{});
   std::vector<char> rebuilt_ok(num_remat, 0);
   const Status engine_status =
@@ -135,7 +118,7 @@ Result<std::vector<const FeatureData*>> ProactiveTrainer::Rebuild(
             (*rebuilt)[i],
             pipeline_manager_->Rematerialize(*sample.to_rematerialize[i]));
         rebuilt_ok[i] = 1;
-        obs::EventJournal::Global().Append(obs::EventKind::kRecompute);
+        obs::Record(obs::Decision::kRecompute);
         return Status::OK();
       });
   if (!engine_status.ok() && !options_.degrade_on_failure) {
@@ -163,20 +146,11 @@ Result<std::vector<const FeatureData*>> ProactiveTrainer::Rebuild(
           return Status::OK();
         });
     if (fallback.ok()) {
-      obs::EventJournal::Global().Append(obs::EventKind::kRecompute,
-                                         chunk_corr, "fallback");
+      obs::Record(obs::Decision::kRecomputeFallback, chunk_corr);
     } else {
       if (!options_.degrade_on_failure) return fallback;
-      metrics.chunks_skipped->Increment();
-      obs::EventJournal::Global().Append(obs::EventKind::kDegrade, chunk_corr,
-                                         "chunk_skipped");
-      CDPIPE_LOG(Warning) << "training: dropping chunk " << chunk_corr.entity
-                          << " after failed re-materialization: "
-                          << fallback.ToString();
+      obs::Record(obs::Decision::kChunkSkipped, chunk_corr, {}, fallback);
     }
-  }
-  if (num_remat > 0) {
-    metrics.rematerialize_seconds->Observe(remat_watch.ElapsedSeconds());
   }
 
   std::vector<const FeatureData*> parts;
@@ -184,36 +158,19 @@ Result<std::vector<const FeatureData*>> ProactiveTrainer::Rebuild(
   for (const FeatureChunk* chunk : sample.materialized) {
     parts.push_back(&chunk->data);
   }
-  int64_t rematerialized = 0;
   for (size_t i = 0; i < num_remat; ++i) {
-    if (!rebuilt_ok[i]) continue;
-    parts.push_back(&(*rebuilt)[i].data);
-    ++rematerialized;
+    if (rebuilt_ok[i]) parts.push_back(&(*rebuilt)[i].data);
   }
-  metrics.chunks_rematerialized->Add(rematerialized);
   return parts;
 }
 
-Status ProactiveTrainer::RunStep(const char* op_name,
-                                 const char* skipped_detail,
+Status ProactiveTrainer::RunStep(const char* op_name, obs::Decision skipped,
                                  const std::function<Status()>& step) {
   const Status status = RetryWithBackoff(options_.retry, op_name, step);
   if (status.ok()) return status;
   if (!options_.degrade_on_failure || !IsRetryable(status)) return status;
-  TrainerMetrics::Get().iterations_degraded->Increment();
-  obs::EventJournal::Global().Append(obs::EventKind::kDegrade, skipped_detail);
-  CDPIPE_LOG(Warning) << "training: skipping " << op_name
-                      << " after exhausted retries: " << status.ToString();
+  obs::Record(skipped, {}, status);
   return Status::OK();
-}
-
-void ProactiveTrainer::RecordDeferred(LoadState state) {
-  TrainerMetrics::Get().iterations_deferred->Increment();
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kDegrade,
-      StrFormat("proactive_deferred state=%s", LoadStateName(state)).c_str());
-  CDPIPE_LOG(Info) << "proactive training: iteration deferred, ingest "
-                   << LoadStateName(state);
 }
 
 }  // namespace cdpipe

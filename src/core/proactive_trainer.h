@@ -6,10 +6,10 @@
 
 #include "src/common/retry.h"
 #include "src/common/status.h"
-#include "src/core/admission.h"
 #include "src/core/data_manager.h"
 #include "src/core/pipeline_manager.h"
 #include "src/engine/execution_engine.h"
+#include "src/obs/decision.h"
 
 namespace cdpipe {
 
@@ -33,9 +33,9 @@ class ProactiveTrainer {
     RetryPolicy retry;
     /// Graceful degradation: when a chunk cannot be re-materialized even
     /// after retries and a serial fallback, skip it with a recorded warning
-    /// (`proactive.chunks_skipped`) instead of aborting the run; likewise a
+    /// (`training.chunks_skipped`) instead of aborting the run; likewise a
     /// training step that keeps failing transiently is skipped
-    /// (`proactive.iterations_degraded`).  Disabled, any failure
+    /// (`training.iterations_degraded`).  Disabled, any failure
     /// propagates.
     bool degrade_on_failure = true;
   };
@@ -46,6 +46,9 @@ class ProactiveTrainer {
 
   /// One proactive iteration over a resolved sample: `Rebuild`, then one
   /// mini-batch SGD step over the whole sample (`RunStep`).
+  /// `proactive.iterations` counts every iteration run, empty and skipped
+  /// ones included; `proactive.rows_trained` counts the rows of applied
+  /// steps only.
   Status RunIteration(const DataManager::SampleSet& sample);
 
   /// The only code that rebuilds evicted chunks for training.  Fans the
@@ -63,16 +66,11 @@ class ProactiveTrainer {
   /// Runs one training step under the retry policy.  `step` must be safe to
   /// re-run after a failure: it may commit state only once it succeeds.
   /// When a transient failure outlasts the retries and the trainer
-  /// degrades, the step is skipped — counted in
-  /// `proactive.iterations_degraded` and journaled as a kDegrade with
-  /// `skipped_detail` — and OK is returned; otherwise the failure
-  /// propagates.
-  Status RunStep(const char* op_name, const char* skipped_detail,
+  /// degrades, the step is skipped — recorded as the `skipped` decision
+  /// (counted in `training.iterations_degraded`) — and OK is returned;
+  /// otherwise the failure propagates.
+  Status RunStep(const char* op_name, obs::Decision skipped,
                  const std::function<Status()>& step);
-
-  /// Records an iteration that came due but was deferred by overload gating
-  /// (`proactive.iterations_deferred`; journaled as a kDegrade event).
-  void RecordDeferred(LoadState state);
 
   /// Wall-clock seconds of the latest iteration (the dynamic scheduler's
   /// training-time input).  Counts and latency distributions live in the

@@ -64,8 +64,8 @@ struct DeploymentReport {
   /// `storage`, `chunks_processed` is the curve length, and the rest are
   /// `metrics` counters.  `degraded_events` sums the degradation
   /// counters: chunks processed without storage or left unmaterialized,
-  /// serve-eval fallbacks, sampled chunks dropped from a proactive
-  /// iteration, and skipped proactive SGD steps.
+  /// serve-eval fallbacks, sampled chunks dropped from any training step,
+  /// and skipped training steps.
   double final_error = 0.0;
   int64_t total_work = 0;
   double empirical_mu = 0.0;
@@ -90,7 +90,7 @@ struct DeploymentReport {
   }
   /// Robustness: fired fault-injection sites, transient retries, operations
   /// whose retries were exhausted, and sampled chunks dropped from their
-  /// proactive iteration.  All zero in a healthy, uninstrumented run.
+  /// training step.  All zero in a healthy, uninstrumented run.
   int64_t faults_injected() const {
     return metrics.CounterValueOr("fault.injected", 0);
   }
@@ -100,8 +100,8 @@ struct DeploymentReport {
   int64_t retries_exhausted() const {
     return metrics.CounterValueOr("retry.exhausted", 0);
   }
-  int64_t proactive_chunks_skipped() const {
-    return metrics.CounterValueOr("proactive.chunks_skipped", 0);
+  int64_t training_chunks_skipped() const {
+    return metrics.CounterValueOr("training.chunks_skipped", 0);
   }
   /// Proactive iterations deferred because the ingest load state was not
   /// normal when they came due.

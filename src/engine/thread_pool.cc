@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -85,8 +84,7 @@ void ThreadPool::WorkerLoop() {
         static_cast<double>(obs::Tracer::NowMicros() - task.enqueue_us) *
         1e-6);
     {
-      CDPIPE_TRACE_SPAN("thread_pool.task", "engine");
-      Stopwatch watch;
+      obs::Phase phase("thread_pool.task", metrics.task_seconds);
       // Last-resort guard: a task that lets an exception escape must not
       // take down the worker thread (and with it the process).  Callers
       // that need the failure reported convert exceptions to Status
@@ -101,7 +99,6 @@ void ThreadPool::WorkerLoop() {
         metrics.task_exceptions->Increment();
         CDPIPE_LOG(Error) << "thread-pool task threw a non-std exception";
       }
-      metrics.task_seconds->Observe(watch.ElapsedSeconds());
     }
     metrics.tasks_executed->Increment();
     {

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "src/io/serialization.h"
-#include "src/obs/event_journal.h"
+#include "src/obs/decision.h"
 #include "src/testing/fault_injector.h"
 
 namespace cdpipe {
@@ -47,7 +47,7 @@ Status SaveCheckpoint(const PipelineManager& manager, std::ostream* os) {
   Serializer trailer(os);
   trailer.WriteInt("checksum", Fnv1a(payload));
   if (!trailer.ok()) return Status::IoError("checkpoint write failed");
-  obs::EventJournal::Global().Append(obs::EventKind::kCheckpoint, "save");
+  obs::Record(obs::Decision::kCheckpointSave);
   return Status::OK();
 }
 
@@ -120,7 +120,7 @@ Status LoadCheckpoint(std::istream* is, PipelineManager* manager) {
   CDPIPE_RETURN_NOT_OK(optimizer->LoadState(&in));
   manager->Restore(std::move(pipeline), std::move(model),
                    std::move(optimizer));
-  obs::EventJournal::Global().Append(obs::EventKind::kCheckpoint, "load");
+  obs::Record(obs::Decision::kCheckpointLoad);
   return Status::OK();
 }
 

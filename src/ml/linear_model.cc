@@ -3,10 +3,10 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
 #include "src/common/string_util.h"
 #include "src/engine/execution_engine.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 
 namespace cdpipe {
 namespace {
@@ -199,7 +199,7 @@ Status LinearModel::ComputeGradient(const BatchView& batch,
   // A single shard needs no merge pass (re-adding into zeroed scratch is
   // the identity), so its entries are taken as-is — same values bit for
   // bit.
-  Stopwatch merge_watch;
+  obs::Phase merge("ml.grad_merge", metrics.grad_merge_seconds);
   std::vector<GradEntry> merged_entries;
   double bias_accum = 0.0;
   if (num_shards == 1) {
@@ -223,7 +223,6 @@ Status LinearModel::ComputeGradient(const BatchView& batch,
     if (value != 0.0) grad->push_back(GradEntry{entry.index, value});
   }
   *bias_grad = options_.fit_bias ? bias_accum * inv_n : 0.0;
-  metrics.grad_merge_seconds->Observe(merge_watch.ElapsedSeconds());
   return Status::OK();
 }
 

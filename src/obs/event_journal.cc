@@ -109,6 +109,8 @@ const char* EventKindName(EventKind kind) {
       return "shed";
     case EventKind::kPressureChange:
       return "pressure_change";
+    case EventKind::kRetryExhausted:
+      return "retry_exhausted";
   }
   return "unknown";
 }
@@ -139,16 +141,6 @@ EventJournal& EventJournal::Global() {
 void EventJournal::Append(EventKind kind, CorrelationId corr,
                           const char* detail) {
   if (!enabled()) return;
-  AppendImpl(kind, corr, detail);
-}
-
-void EventJournal::Append(EventKind kind, const char* detail) {
-  if (!enabled()) return;
-  AppendImpl(kind, CorrelationScope::Current(), detail);
-}
-
-void EventJournal::AppendImpl(EventKind kind, CorrelationId corr,
-                              const char* detail) {
   thread_local std::vector<ProducerState> producers;
   ProducerState* state = nullptr;
   for (ProducerState& candidate : producers) {

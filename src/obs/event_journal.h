@@ -39,6 +39,8 @@ enum class EventKind : uint8_t {
   kAdmit,               ///< chunk admitted into a bounded ingest queue
   kShed,                ///< chunk dropped by admission control (detail: why)
   kPressureChange,      ///< ingest load state transitioned (detail: from->to)
+  kRetryExhausted,      ///< transient failure outlasted its retries (detail:
+                        ///< op name)
 };
 
 /// Stable lowercase identifier ("ingest", "materialize_hit", ...).
@@ -96,12 +98,9 @@ class EventJournal {
   void Enable() { enabled_.store(true, std::memory_order_relaxed); }
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
 
-  /// Appends one event with an explicit correlation id.  `detail` is
-  /// truncated to the fixed event storage.
+  /// Appends one event.  `detail` is truncated to the fixed event storage.
+  /// Production code appends through obs::Record (decision.h).
   void Append(EventKind kind, CorrelationId corr, const char* detail = "");
-
-  /// Appends with the calling thread's current CorrelationScope.
-  void Append(EventKind kind, const char* detail = "");
 
   /// The newest `max_events` published events, oldest first.  Events being
   /// overwritten concurrently are skipped, so the result is a consistent
@@ -137,8 +136,6 @@ class EventJournal {
     std::atomic<uint64_t> published{0};
     JournalEvent event;  ///< written/read only while `guard` is held
   };
-
-  void AppendImpl(EventKind kind, CorrelationId corr, const char* detail);
 
   std::atomic<bool> enabled_{true};
   const size_t capacity_;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
-#include "src/common/logging.h"
 #include "src/common/string_util.h"
+#include "src/obs/decision.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -12,23 +12,10 @@ namespace cdpipe {
 namespace obs {
 namespace {
 
-struct WatchdogMetrics {
-  Counter* stalls;
-  Counter* recoveries;
-  Gauge* ready;
-
-  static const WatchdogMetrics& Get() {
-    static const WatchdogMetrics metrics = [] {
-      MetricsRegistry& registry = MetricsRegistry::Global();
-      WatchdogMetrics m;
-      m.stalls = registry.GetCounter("obs.stalls");
-      m.recoveries = registry.GetCounter("obs.recoveries");
-      m.ready = registry.GetGauge("obs.ready");
-      return m;
-    }();
-    return metrics;
-  }
-};
+Gauge* ReadyGauge() {
+  static Gauge* gauge = MetricsRegistry::Global().GetGauge("obs.ready");
+  return gauge;
+}
 
 }  // namespace
 
@@ -130,7 +117,7 @@ Watchdog::Watchdog() : Watchdog(Options()) {}
 Watchdog::Watchdog(Options options) : options_(options) {
   if (options_.health == nullptr) options_.health = &HealthRegistry::Global();
   if (options_.journal == nullptr) options_.journal = &EventJournal::Global();
-  WatchdogMetrics::Get().ready->Set(1.0);
+  ReadyGauge()->Set(1.0);
 }
 
 Watchdog::~Watchdog() { Stop(); }
@@ -174,27 +161,18 @@ void Watchdog::PollOnce() {
     if (subsystem.stalled && !was_stalled) {
       stalled_.insert(subsystem.name);
       stall_events_.fetch_add(1, std::memory_order_relaxed);
-      WatchdogMetrics::Get().stalls->Increment();
-      options_.journal->Append(EventKind::kStall, CorrelationId{},
-                               subsystem.name.c_str());
-      CDPIPE_LOG(Warning) << "watchdog: subsystem '" << subsystem.name
-                          << "' stalled (busy=" << subsystem.busy
-                          << ", silent for " << subsystem.age_seconds
-                          << "s, deadline "
-                          << options_.stall_deadline_seconds << "s)";
+      Record(*options_.journal, Decision::kStall, CorrelationId{},
+             subsystem.name);
     } else if (!subsystem.stalled && was_stalled) {
       stalled_.erase(subsystem.name);
       recover_events_.fetch_add(1, std::memory_order_relaxed);
-      WatchdogMetrics::Get().recoveries->Increment();
-      options_.journal->Append(EventKind::kRecover, CorrelationId{},
-                               subsystem.name.c_str());
-      CDPIPE_LOG(Info) << "watchdog: subsystem '" << subsystem.name
-                       << "' recovered";
+      Record(*options_.journal, Decision::kRecover, CorrelationId{},
+             subsystem.name);
     }
   }
   const bool ready = stalled_.empty();
   ready_.store(ready, std::memory_order_relaxed);
-  WatchdogMetrics::Get().ready->Set(ready ? 1.0 : 0.0);
+  ReadyGauge()->Set(ready ? 1.0 : 0.0);
 }
 
 }  // namespace obs

@@ -116,10 +116,10 @@ std::string NotReadyReason(const std::vector<SubsystemHealth>& subsystems,
                            bool ingest_overloaded);
 
 /// Background stall detector.  Polls the health registry; when a busy
-/// subsystem goes silent past the deadline it flips readiness, emits an
-/// `obs.stall` journal event (detail: the subsystem name), increments the
-/// `obs.stalls` counter, and logs a warning.  When the subsystem beats
-/// again readiness is restored and an `obs.recover` event is emitted.
+/// subsystem goes silent past the deadline it flips readiness and records
+/// the `stall` decision (journal detail: the subsystem name; `obs.stalls`;
+/// a warning).  When the subsystem beats again readiness is restored and
+/// `recover` is recorded.
 class Watchdog {
  public:
   struct Options {

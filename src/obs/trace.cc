@@ -44,6 +44,7 @@ std::string JsonEscape(const char* s) {
 }  // namespace
 
 Tracer::Tracer() {
+  NowMicros();  // fixes the epoch before any span can start
   if (const char* env = std::getenv("CDPIPE_TRACE");
       env != nullptr && env[0] != '\0') {
     dump_path_ = env;
@@ -78,10 +79,13 @@ Tracer& Tracer::Global() {
 }
 
 int64_t Tracer::NowMicros() {
+  return ToMicros(std::chrono::steady_clock::now());
+}
+
+int64_t Tracer::ToMicros(std::chrono::steady_clock::time_point time) {
   static const std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch)
+  return std::chrono::duration_cast<std::chrono::microseconds>(time - epoch)
       .count();
 }
 
@@ -98,9 +102,8 @@ Tracer::ThreadBuffer* Tracer::BufferForThisThread() {
   return buffer;
 }
 
-void Tracer::RecordComplete(const char* name, const char* category,
-                            int64_t start_us, int64_t duration_us,
-                            CorrelationId corr) {
+void Tracer::RecordComplete(const char* name, int64_t start_us,
+                            int64_t duration_us, CorrelationId corr) {
   ThreadBuffer* buffer = BufferForThisThread();
   std::lock_guard<std::mutex> lock(buffer->mu);
   TraceEvent* slot;
@@ -121,7 +124,6 @@ void Tracer::RecordComplete(const char* name, const char* category,
     TraceDroppedCounter()->Increment();
   }
   CopyName(slot->name, sizeof(slot->name), name);
-  CopyName(slot->category, sizeof(slot->category), category);
   slot->start_us = start_us;
   slot->duration_us = duration_us;
   slot->deployment = corr.deployment;
@@ -157,12 +159,14 @@ std::string Tracer::ToChromeTraceJson() const {
   std::string out = "{\"traceEvents\":[";
   for (size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i].second;
+    const std::string category(e.name, std::strcspn(e.name, "."));
     if (i > 0) out += ',';
     out += StrFormat(
         "{\"ph\":\"X\",\"pid\":1,\"tid\":%u,\"name\":\"%s\",\"cat\":\"%s\","
         "\"ts\":%lld,\"dur\":%lld",
         events[i].first, JsonEscape(e.name).c_str(),
-        JsonEscape(e.category).c_str(), static_cast<long long>(e.start_us),
+        JsonEscape(category.c_str()).c_str(),
+        static_cast<long long>(e.start_us),
         static_cast<long long>(e.duration_us));
     if (e.deployment != 0 || e.entity >= 0) {
       out += StrFormat(",\"args\":{\"deployment\":%u,\"entity\":%lld}",
@@ -231,6 +235,20 @@ void Tracer::Clear() {
 
 void Tracer::SetRingCapacityForNewThreads(size_t capacity) {
   ring_capacity_.store(capacity, std::memory_order_relaxed);
+}
+
+double Phase::End() {
+  running_ = false;
+  const std::chrono::steady_clock::time_point end =
+      std::chrono::steady_clock::now();
+  const double seconds = std::chrono::duration<double>(end - start_).count();
+  if (histogram_ != nullptr) histogram_->Observe(seconds);
+  if (traced_) {
+    const int64_t start_us = Tracer::ToMicros(start_);
+    Tracer::Global().RecordComplete(name_, start_us,
+                                    Tracer::ToMicros(end) - start_us, corr_);
+  }
+  return seconds;
 }
 
 }  // namespace obs

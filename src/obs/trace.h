@@ -2,6 +2,7 @@
 #define CDPIPE_OBS_TRACE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -10,6 +11,7 @@
 
 #include "src/common/status.h"
 #include "src/obs/correlation.h"
+#include "src/obs/metrics.h"
 
 namespace cdpipe {
 namespace obs {
@@ -19,7 +21,6 @@ namespace obs {
 /// allocates.
 struct TraceEvent {
   char name[64];
-  char category[16];
   int64_t start_us = 0;     ///< microseconds since tracer epoch
   int64_t duration_us = 0;
   /// Correlation captured from the recording thread's CorrelationScope;
@@ -47,15 +48,17 @@ class Tracer {
 
   /// Microseconds since the tracer epoch (first use), steady clock.
   static int64_t NowMicros();
+  /// `time` on the NowMicros timebase.
+  static int64_t ToMicros(std::chrono::steady_clock::time_point time);
 
   /// Appends a completed span to the calling thread's ring buffer.  When the
   /// ring is full the oldest events are overwritten (counted as dropped and
   /// reflected in the `obs.trace_dropped` counter).
-  void RecordComplete(const char* name, const char* category,
-                      int64_t start_us, int64_t duration_us,
+  void RecordComplete(const char* name, int64_t start_us, int64_t duration_us,
                       CorrelationId corr = CorrelationId{});
 
-  /// Chrome trace format: {"traceEvents":[{"ph":"X",...},...]}.
+  /// Chrome trace format: {"traceEvents":[{"ph":"X",...},...]}.  A span's
+  /// "cat" is its name up to the first '.'.
   std::string ToChromeTraceJson() const;
   Status WriteChromeTrace(const std::string& path) const;
 
@@ -105,57 +108,50 @@ class Tracer {
   std::string dump_path_;
 };
 
-/// RAII span: records [construction, destruction) into the global tracer.
-/// When tracing is disabled the constructor is one atomic load and the
-/// destructor a branch — cheap enough for per-chunk and per-component use.
-class ScopedSpan {
+/// One timed scope: [construction, Stop() or destruction).  From one pair
+/// of clock reads it records a span named `name` into the global tracer
+/// (when tracing is on) and observes the phase's seconds into `histogram`
+/// (when given).  With tracing off and no histogram the whole cost is one
+/// relaxed atomic load, cheap enough for per-chunk and per-component use.
+/// The span carries the thread's CorrelationScope.  `name` must outlive
+/// the phase; a null name records no span.  A phase that ends through an
+/// error return is recorded like any other.
+class Phase {
  public:
-  explicit ScopedSpan(const char* name, const char* category = "cdpipe")
-      : active_(Tracer::Global().enabled()), name_(name), category_(category) {
-    if (active_) {
-      corr_ = CorrelationScope::Current();
-      start_us_ = Tracer::NowMicros();
-    }
-  }
+  explicit Phase(const char* name, Histogram* histogram = nullptr)
+      : Phase(name, histogram, /*timed=*/false) {}
 
-  /// Dynamic-name variant (e.g. a pipeline component's name).  The string is
-  /// only copied when tracing is enabled.
-  explicit ScopedSpan(const std::string& name,
-                      const char* category = "cdpipe")
-      : active_(Tracer::Global().enabled()), category_(category) {
-    if (active_) {
-      owned_name_ = name;
-      name_ = owned_name_.c_str();
-      corr_ = CorrelationScope::Current();
-      start_us_ = Tracer::NowMicros();
-    }
-  }
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
 
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  ~Phase() { Stop(); }
 
-  ~ScopedSpan() {
-    if (active_) {
-      Tracer::Global().RecordComplete(name_, category_, start_us_,
-                                      Tracer::NowMicros() - start_us_, corr_);
-    }
+  /// Ends the phase now and returns its seconds; 0 when nothing timed it
+  /// (tracing off, no histogram) or when it already ended.
+  double Stop() { return running_ ? End() : 0.0; }
+
+ protected:
+  /// `timed` reads the clock even when neither the tracer nor a histogram
+  /// needs it, for a caller that consumes Stop()'s seconds.
+  Phase(const char* name, Histogram* histogram, bool timed)
+      : name_(name),
+        histogram_(histogram),
+        traced_(name != nullptr && Tracer::Global().enabled()),
+        running_(traced_ || histogram != nullptr || timed) {
+    if (traced_) corr_ = CorrelationScope::Current();
+    if (running_) start_ = std::chrono::steady_clock::now();
   }
 
  private:
-  bool active_;
-  const char* name_ = "";
-  const char* category_;
-  int64_t start_us_ = 0;
-  CorrelationId corr_;
-  std::string owned_name_;
-};
+  double End();
 
-#define CDPIPE_SPAN_CONCAT_IMPL_(a, b) a##b
-#define CDPIPE_SPAN_CONCAT_(a, b) CDPIPE_SPAN_CONCAT_IMPL_(a, b)
-/// Declares a scoped span covering the rest of the enclosing block.
-#define CDPIPE_TRACE_SPAN(...) \
-  ::cdpipe::obs::ScopedSpan CDPIPE_SPAN_CONCAT_(cdpipe_span_, \
-                                                __COUNTER__)(__VA_ARGS__)
+  const char* name_;
+  Histogram* histogram_;
+  bool traced_;
+  bool running_;
+  std::chrono::steady_clock::time_point start_;
+  CorrelationId corr_;
+};
 
 }  // namespace obs
 }  // namespace cdpipe

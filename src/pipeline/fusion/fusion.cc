@@ -2,9 +2,8 @@
 
 #include <utility>
 
-#include "src/common/stopwatch.h"
 #include "src/common/string_util.h"
-#include "src/obs/event_journal.h"
+#include "src/obs/decision.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/pipeline/component.h"
@@ -189,10 +188,11 @@ Result<std::shared_ptr<const FusedPlan>> FusedPlan::Compile(
     CDPIPE_RETURN_NOT_OK(component->Fuse(&builder));
     const std::string name = component->name();
     chain += (chain.empty() ? "" : " -> ") + name;
+    const std::string phase = "pipeline.component." + name;
     plan->segments_.push_back(Segment{
-        name,
+        phase,
         obs::MetricsRegistry::Global().GetHistogram(
-            "pipeline.component." + name + ".transform_seconds"),
+            phase + ".transform_seconds"),
         builder.stages_.size()});
   }
   if (builder.repr() != PlanBuilder::Repr::kVec) {
@@ -220,16 +220,12 @@ Status FusedPlan::Execute(const std::vector<std::string>& records,
   ctx.scratch = scratch;
   ctx.out = out;
   size_t s = 0;
-  Stopwatch watch;
   for (const Segment& segment : segments_) {
-    {
-      CDPIPE_TRACE_SPAN(segment.name.c_str(), "pipeline");
-      for (; s < segment.end; ++s) {
-        if (stages_[s].update && !update) continue;
-        CDPIPE_RETURN_NOT_OK(stages_[s].kernel->Run(ctx));
-      }
+    obs::Phase phase(segment.name.c_str(), segment.histogram);
+    for (; s < segment.end; ++s) {
+      if (stages_[s].update && !update) continue;
+      CDPIPE_RETURN_NOT_OK(stages_[s].kernel->Run(ctx));
     }
-    segment.histogram->Observe(watch.Lap());
   }
   for (; s < stages_.size(); ++s) {
     CDPIPE_RETURN_NOT_OK(stages_[s].kernel->Run(ctx));
@@ -287,9 +283,6 @@ Result<std::shared_ptr<const FusedPlan>> PlanCache::GetOrCompile(
       obs::MetricsRegistry::Global().GetCounter(
           "pipeline.plan_cache_misses",
           "Fused-plan cache misses (first use or structure change)");
-  static obs::Counter* plan_counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "pipeline.fused_plans", "Fused plans compiled");
 
   const uint64_t fingerprint = SchemaFingerprint(entry_schema);
   {
@@ -312,13 +305,11 @@ Result<std::shared_ptr<const FusedPlan>> PlanCache::GetOrCompile(
   CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const FusedPlan> plan,
                           FusedPlan::Compile(chain, entry_schema));
   compiles_.fetch_add(1, std::memory_order_relaxed);
-  plan_counter->Increment();
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kPlanCompile,
-      StrFormat("fp=%016llx stages=%zu elided=%zu",
-                static_cast<unsigned long long>(plan->stats().fingerprint),
-                plan->stats().stages, plan->stats().compile_elided)
-          .c_str());
+  obs::Record(obs::Decision::kPlanCompile,
+              StrFormat("fp=%016llx stages=%zu elided=%zu",
+                        static_cast<unsigned long long>(
+                            plan->stats().fingerprint),
+                        plan->stats().stages, plan->stats().compile_elided));
   std::lock_guard<std::mutex> lock(mu_);
   entries_[fingerprint] = plan;
   return plan;

@@ -341,8 +341,8 @@ class FusedPlan {
   /// component statistics, so such a call must be exclusive with every
   /// other Execute on the same components.  Transform-only calls may run
   /// concurrently.  `scratch` must be exclusively owned by the caller.
-  /// Each component's kernels are timed into
-  /// pipeline.component.<name>.transform_seconds and traced as one span.
+  /// Each component's kernels are one obs::Phase, pipeline.component.<name>,
+  /// timed into its transform_seconds histogram.
   Status Execute(const std::vector<std::string>& records, size_t begin,
                  size_t end, ExecScratch* scratch, FeatureData* out,
                  size_t* rows_scanned, bool update = false) const;
@@ -354,7 +354,7 @@ class FusedPlan {
  private:
   /// The stages of one component, [previous segment's end, end).
   struct Segment {
-    std::string name;
+    std::string name;  ///< phase name: pipeline.component.<component>
     obs::Histogram* histogram;
     size_t end;
   };

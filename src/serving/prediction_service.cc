@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "src/obs/correlation.h"
-#include "src/obs/event_journal.h"
+#include "src/obs/decision.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -20,7 +20,6 @@ struct ServingMetrics {
   obs::Counter* requests;
   obs::Counter* records;
   obs::Counter* errors;
-  obs::Counter* shed;
   obs::Histogram* latency;
   obs::Gauge* queue_depth;
   obs::Gauge* queue_high_watermark;
@@ -36,9 +35,6 @@ ServingMetrics& Metrics() {
                                       "Rows scored by the serving tier");
     out.errors = registry.GetCounter(
         "serving.errors", "Prediction requests answered with an error");
-    out.shed = registry.GetCounter(
-        "serving.shed",
-        "Prediction requests dropped at a full queue (admission timeout)");
     out.latency = registry.GetHistogram("serving.latency_seconds", {},
                                         "Per-request serving latency");
     out.queue_depth =
@@ -131,12 +127,10 @@ Result<PredictionService::Response> PredictionService::Predict(
       // Same shed vocabulary as the ingest queue: `serving.shed` counts
       // requests dropped instead of queued, journaled as a kShed event.
       requests_shed_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().shed->Increment();
       lock.unlock();
-      obs::EventJournal::Global().Append(
-          obs::EventKind::kShed,
-          obs::CorrelationId{options_.deployment_id, pending->request_id},
-          "reason=serving_timeout");
+      obs::Record(
+          obs::Decision::kServingShed,
+          obs::CorrelationId{options_.deployment_id, pending->request_id});
       return Status::Unavailable("prediction request shed: queue full");
     }
     if (stopping_) {
@@ -196,8 +190,8 @@ void PredictionService::WorkerLoop() {
 Result<PredictionService::Response> PredictionService::ServeOne(
     SnapshotReader* reader, const RawChunk& chunk, int64_t request_id) const {
   obs::CorrelationScope corr(options_.deployment_id, request_id);
-  CDPIPE_TRACE_SPAN("serving.request", "serving");
-  const int64_t start_us = obs::Tracer::NowMicros();
+  ServingMetrics& metrics = Metrics();
+  obs::Phase phase("serving.request", metrics.latency);
   Result<Response> result = [&]() -> Result<Response> {
     CDPIPE_FAULT_DELAY("serving.slow_request");
     CDPIPE_FAULT_POINT("serving.request");
@@ -221,12 +215,9 @@ Result<PredictionService::Response> PredictionService::ServeOne(
     response.rows_dropped = chunk.num_rows() - response.scores.size();
     return response;
   }();
-  const double latency =
-      static_cast<double>(obs::Tracer::NowMicros() - start_us) * 1e-6;
+  const double latency = phase.Stop();
   requests_served_.fetch_add(1, std::memory_order_relaxed);
-  ServingMetrics& metrics = Metrics();
   metrics.requests->Increment();
-  metrics.latency->Observe(latency);
   if (result.ok()) {
     result->latency_seconds = latency;
     metrics.records->Add(static_cast<int64_t>(result->scores.size()));

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "src/common/string_util.h"
-#include "src/obs/event_journal.h"
+#include "src/obs/decision.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -11,12 +11,6 @@ namespace cdpipe {
 namespace serving {
 
 namespace {
-
-obs::Counter* PublishCounter() {
-  static obs::Counter* c = obs::MetricsRegistry::Global().GetCounter(
-      "serving.publishes", "Serving snapshot epochs published");
-  return c;
-}
 
 obs::Gauge* EpochGauge() {
   static obs::Gauge* g = obs::MetricsRegistry::Global().GetGauge(
@@ -52,7 +46,6 @@ SnapshotPublisher::SnapshotPublisher() {
   // Touch the serving metrics so they exist (at zero) from construction:
   // the CI smoke gate asserts on serving.stale_reads before any reader has
   // ever had a chance to increment it.
-  PublishCounter();
   EpochGauge();
   PipelineReusedCounter();
   StaleReadCounter();
@@ -98,19 +91,15 @@ uint64_t SnapshotPublisher::Publish(std::shared_ptr<ModelSnapshot> snapshot) {
     // is guaranteed to find (at least) that snapshot behind the lock.
     epoch_.store(epoch, std::memory_order_release);
   }
-  PublishCounter()->Increment();
   EpochGauge()->Set(static_cast<double>(epoch));
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kSnapshotPublish,
-      StrFormat("epoch=%llu version=%llu",
-                static_cast<unsigned long long>(epoch),
-                static_cast<unsigned long long>(version))
-          .c_str());
+  obs::Record(obs::Decision::kSnapshotPublish,
+              StrFormat("epoch=%llu version=%llu",
+                        static_cast<unsigned long long>(epoch),
+                        static_cast<unsigned long long>(version)));
   if (swapped) {
-    obs::EventJournal::Global().Append(
-        obs::EventKind::kSnapshotSwap,
-        StrFormat("epoch=%llu", static_cast<unsigned long long>(epoch))
-            .c_str());
+    obs::Record(obs::Decision::kSnapshotSwap,
+                StrFormat("epoch=%llu",
+                          static_cast<unsigned long long>(epoch)));
   }
   return epoch;
 }

@@ -8,7 +8,7 @@
 #include "src/common/string_util.h"
 #include "src/core/cost_model.h"
 #include "src/obs/correlation.h"
-#include "src/obs/event_journal.h"
+#include "src/obs/decision.h"
 #include "src/obs/metrics.h"
 #include "src/storage/spill_file.h"
 #include "src/testing/fault_injector.h"
@@ -20,19 +20,10 @@ namespace {
 /// the global metrics aggregate over all stores in the process, gauges
 /// reflect the most recent writer.
 struct StoreMetrics {
-  obs::Counter* raw_inserted;
-  obs::Counter* raw_dropped;
   obs::Counter* features_inserted;
   obs::Counter* features_rematerialized;
-  obs::Counter* evictions;
-  obs::Counter* sample_hits;  ///< either tier (the pre-split metric)
   obs::Counter* memory_hits;
   obs::Counter* disk_hits;
-  obs::Counter* sample_misses;
-  obs::Counter* chunks_spilled;
-  obs::Counter* spill_failures;
-  obs::Counter* disk_loads;
-  obs::Counter* prefetch_hits;
   obs::Counter* spill_corrupt;
   obs::Gauge* num_raw;
   obs::Gauge* num_materialized;
@@ -46,21 +37,12 @@ struct StoreMetrics {
     static const StoreMetrics metrics = [] {
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
       StoreMetrics m;
-      m.raw_inserted = registry.GetCounter("chunk_store.raw_inserted");
-      m.raw_dropped = registry.GetCounter("chunk_store.raw_dropped");
       m.features_inserted =
           registry.GetCounter("chunk_store.features_inserted");
       m.features_rematerialized =
           registry.GetCounter("chunk_store.features_rematerialized");
-      m.evictions = registry.GetCounter("chunk_store.evictions");
-      m.sample_hits = registry.GetCounter("chunk_store.sample_hits");
       m.memory_hits = registry.GetCounter("chunk_store.memory_hits");
       m.disk_hits = registry.GetCounter("chunk_store.disk_hits");
-      m.sample_misses = registry.GetCounter("chunk_store.sample_misses");
-      m.chunks_spilled = registry.GetCounter("chunk_store.chunks_spilled");
-      m.spill_failures = registry.GetCounter("chunk_store.spill_failures");
-      m.disk_loads = registry.GetCounter("chunk_store.disk_loads");
-      m.prefetch_hits = registry.GetCounter("chunk_store.prefetch_hits");
       m.spill_corrupt =
           registry.GetCounter("chunk_store.spill_corrupt_detected");
       m.num_raw = registry.GetGauge("chunk_store.num_raw");
@@ -97,17 +79,20 @@ Status ChunkStore::PutRaw(RawChunk chunk) {
         std::to_string(chunk.id) + " after " +
         std::to_string(raw_order_.back()));
   }
+  const ChunkId id = chunk.id;
+  const size_t records = chunk.records.size();
   raw_bytes_ += chunk.ByteSize();
-  raw_order_.push_back(chunk.id);
-  memory_order_.push_back(chunk.id);
-  raw_.emplace(chunk.id, std::move(chunk));
+  raw_order_.push_back(id);
+  memory_order_.push_back(id);
+  raw_.emplace(id, std::move(chunk));
   ++counters_.raw_inserted;
-  StoreMetrics::Get().raw_inserted->Increment();
   if (options_.max_raw_chunks > 0) {
     while (raw_order_.size() > options_.max_raw_chunks) DropOldestRaw();
   }
   if (spilling_enabled()) MaybeSpillOverBudget();
   UpdateResidencyGauges();
+  obs::Record(obs::Decision::kIngest, obs::CorrelationScope::WithEntity(id),
+              StrFormat("records=%zu", records));
   return Status::OK();
 }
 
@@ -184,19 +169,14 @@ const RawChunk* ChunkStore::FetchRaw(ChunkId id) {
       if (slot.state == PrefetchSlot::State::kReady) {
         pinned_.push_back(std::move(slot.chunk));
         ++counters_.prefetch_hits;
-        StoreMetrics::Get().prefetch_hits->Increment();
-        obs::EventJournal::Global().Append(
-            obs::EventKind::kPrefetchHit,
-            obs::CorrelationScope::WithEntity(id));
+        obs::Record(obs::Decision::kPrefetchHit,
+                    obs::CorrelationScope::WithEntity(id));
         return pinned_.back().get();
       }
       // The worker already observed (and counted) the corruption; drop the
       // chunk without a pointless second read.
       if (slot.corrupt) {
-        DropSpilledChunk(id);
-        obs::EventJournal::Global().Append(
-            obs::EventKind::kDegrade, obs::CorrelationScope::WithEntity(id),
-            "spill_corrupt_dropped");
+        DropSpilledChunk(id, slot.status);
         UpdateResidencyGauges();
         return nullptr;
       }
@@ -206,7 +186,8 @@ const RawChunk* ChunkStore::FetchRaw(ChunkId id) {
   }
 
   Result<RawChunk> loaded = [&]() -> Result<RawChunk> {
-    CostModel::ScopedTimer timer(cost_, CostPhase::kDiskLoad);
+    CostModel::ScopedTimer timer(cost_, CostPhase::kDiskLoad,
+                                 "storage.disk_load");
     // A throwing read (injected fault, filesystem surprise) degrades like
     // any other read failure instead of unwinding the deployment loop.
     try {
@@ -218,9 +199,8 @@ const RawChunk* ChunkStore::FetchRaw(ChunkId id) {
   if (loaded.ok()) {
     pinned_.push_back(std::make_unique<RawChunk>(std::move(loaded).value()));
     ++counters_.disk_loads;
-    StoreMetrics::Get().disk_loads->Increment();
-    obs::EventJournal::Global().Append(
-        obs::EventKind::kDiskLoad, obs::CorrelationScope::WithEntity(id));
+    obs::Record(obs::Decision::kDiskLoad,
+                obs::CorrelationScope::WithEntity(id));
     return pinned_.back().get();
   }
   if (loaded.status().code() == StatusCode::kInvalidArgument) {
@@ -228,18 +208,14 @@ const RawChunk* ChunkStore::FetchRaw(ChunkId id) {
     // entirely (recompute-from-nothing) so the sampler stops seeing it.
     corrupt_detected_.fetch_add(1, std::memory_order_relaxed);
     StoreMetrics::Get().spill_corrupt->Increment();
-    DropSpilledChunk(id);
-    obs::EventJournal::Global().Append(
-        obs::EventKind::kDegrade, obs::CorrelationScope::WithEntity(id),
-        "spill_corrupt_dropped");
+    DropSpilledChunk(id, loaded.status());
     UpdateResidencyGauges();
     return nullptr;
   }
   // Open/read failure: keep the chunk live and let the caller degrade —
   // a later access retries the disk.
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kDegrade, obs::CorrelationScope::WithEntity(id),
-      "spill_read_failed");
+  obs::Record(obs::Decision::kSpillReadFailed,
+              obs::CorrelationScope::WithEntity(id));
   return nullptr;
 }
 
@@ -258,10 +234,8 @@ bool ChunkStore::Evict(ChunkId id) {
   CDPIPE_CHECK(pos != materialized_order_.end());
   materialized_order_.erase(pos);
   ++counters_.evictions;
-  StoreMetrics::Get().evictions->Increment();
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kEvict, obs::CorrelationScope::WithEntity(id),
-      "features");
+  obs::Record(obs::Decision::kEvictFeatures,
+              obs::CorrelationScope::WithEntity(id));
   UpdateResidencyGauges();
   return true;
 }
@@ -275,10 +249,8 @@ void ChunkStore::RecordSampleAccess(ChunkId id) {
       ++counters_.memory_hits;
       StoreMetrics::Get().memory_hits->Increment();
     }
-    StoreMetrics::Get().sample_hits->Increment();
   } else {
     ++counters_.sample_misses;
-    StoreMetrics::Get().sample_misses->Increment();
   }
   StoreMetrics::Get().empirical_mu->Set(counters().EmpiricalMu());
 }
@@ -325,7 +297,8 @@ void ChunkStore::PrefetchLoad(ChunkId id, const std::string& path) {
   // A throwing fault rule on spill.read must not escape: an abandoned
   // kLoading slot would deadlock the consumer.
   try {
-    CostModel::ScopedTimer timer(cost_, CostPhase::kDiskLoad);
+    CostModel::ScopedTimer timer(cost_, CostPhase::kDiskLoad,
+                                 "storage.disk_load");
     Result<RawChunk> loaded = ReadRawChunkSpill(path, id);
     if (loaded.ok()) {
       chunk = std::make_unique<RawChunk>(std::move(loaded).value());
@@ -372,10 +345,8 @@ void ChunkStore::EvictOldestMaterialized() {
   // chunk survive implicitly (the raw chunk is still in the log).
   features_.erase(it);
   ++counters_.evictions;
-  StoreMetrics::Get().evictions->Increment();
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kEvict, obs::CorrelationScope::WithEntity(victim),
-      "features_lru");
+  obs::Record(obs::Decision::kEvictFeaturesLru,
+              obs::CorrelationScope::WithEntity(victim));
 }
 
 void ChunkStore::DropOldestRaw() {
@@ -398,10 +369,8 @@ void ChunkStore::DropOldestRaw() {
     spilled_.erase(spill_it);
   }
   ++counters_.raw_dropped;
-  StoreMetrics::Get().raw_dropped->Increment();
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kEvict, obs::CorrelationScope::WithEntity(victim),
-      "raw");
+  obs::Record(obs::Decision::kEvictRaw,
+              obs::CorrelationScope::WithEntity(victim));
   RemoveFeaturesFor(victim);
 }
 
@@ -421,17 +390,15 @@ bool ChunkStore::SpillChunk(ChunkId id) {
                                      options_.spill_dir.c_str(),
                                      static_cast<long long>(id));
   Result<SpillFileInfo> written = [&]() -> Result<SpillFileInfo> {
-    CostModel::ScopedTimer timer(cost_, CostPhase::kSpill);
+    CostModel::ScopedTimer timer(cost_, CostPhase::kSpill, "storage.spill");
     return WriteRawChunkSpill(path, raw_it->second);
   }();
   if (!written.ok()) {
     // Degrade to keep-in-memory: the budget stays exceeded until a later
     // insert retries the spill.
     ++counters_.spill_failures;
-    StoreMetrics::Get().spill_failures->Increment();
-    obs::EventJournal::Global().Append(
-        obs::EventKind::kDegrade, obs::CorrelationScope::WithEntity(id),
-        "spill_write_failed");
+    obs::Record(obs::Decision::kSpillWriteFailed,
+                obs::CorrelationScope::WithEntity(id));
     return false;
   }
   const size_t chunk_bytes = raw_it->second.ByteSize();
@@ -448,13 +415,11 @@ bool ChunkStore::SpillChunk(ChunkId id) {
   ++counters_.chunks_spilled;
   counters_.spill_bytes_written += written->bytes_written;
   counters_.spill_raw_bytes += static_cast<int64_t>(chunk_bytes);
-  StoreMetrics::Get().chunks_spilled->Increment();
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kSpill, obs::CorrelationScope::WithEntity(id));
+  obs::Record(obs::Decision::kSpill, obs::CorrelationScope::WithEntity(id));
   return true;
 }
 
-void ChunkStore::DropSpilledChunk(ChunkId id) {
+void ChunkStore::DropSpilledChunk(ChunkId id, const Status& cause) {
   auto spill_it = spilled_.find(id);
   CDPIPE_CHECK(spill_it != spilled_.end());
   disk_bytes_ -= static_cast<size_t>(spill_it->second.file_bytes);
@@ -464,9 +429,9 @@ void ChunkStore::DropSpilledChunk(ChunkId id) {
   CDPIPE_CHECK(pos != raw_order_.end());
   raw_order_.erase(pos);
   ++counters_.spilled_chunks_dropped;
-  obs::EventJournal::Global().Append(
-      obs::EventKind::kEvict, obs::CorrelationScope::WithEntity(id),
-      "raw_corrupt");
+  const obs::CorrelationId corr = obs::CorrelationScope::WithEntity(id);
+  obs::Record(obs::Decision::kEvictRawCorrupt, corr);
+  obs::Record(obs::Decision::kSpillCorruptDropped, corr, {}, cause);
   RemoveFeaturesFor(id);
 }
 

@@ -259,7 +259,8 @@ class ChunkStore {
   /// false on write failure (the chunk stays in memory).
   bool SpillChunk(ChunkId id);
   /// Removes a corrupt spilled chunk entirely: file, log entry, features.
-  void DropSpilledChunk(ChunkId id);
+  /// `cause` is the decode failure the drop is logged with.
+  void DropSpilledChunk(ChunkId id, const Status& cause);
   void RemoveFeaturesFor(ChunkId id);
   /// Mirrors residency (counts/bytes) into the global metrics gauges.
   void UpdateResidencyGauges() const;

@@ -60,6 +60,29 @@ TEST(CostModelTest, ScopedTimerWithoutModelIsNoOp) {
   SUCCEED();
 }
 
+TEST(CostModelTest, NamedScopedTimerIsOnePhaseForSpanAndCost) {
+  // One line times both: the span named after the call and the cost
+  // phase's seconds, from the same clock reads.
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.Enable();
+  CostModel cost;
+  {
+    CostModel::ScopedTimer timer(&cost, CostPhase::kPreprocessing,
+                                 "pipeline.preprocess");
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  { CostModel::ScopedTimer untraced(&cost, CostPhase::kPrediction); }
+  tracer.Disable();
+  EXPECT_GT(cost.SecondsIn(CostPhase::kPreprocessing), 0.004);
+  EXPECT_GT(cost.SecondsIn(CostPhase::kPrediction), 0.0);
+  EXPECT_EQ(tracer.NumBufferedEvents(), 1u);
+  EXPECT_NE(tracer.ToChromeTraceJson().find(
+                "\"name\":\"pipeline.preprocess\",\"cat\":\"pipeline\""),
+            std::string::npos);
+  tracer.Clear();
+}
+
 TEST(CostModelTest, ToStringMentionsNonEmptyPhases) {
   CostModel cost;
   cost.AddSeconds(CostPhase::kRetraining, 1.0);

@@ -107,7 +107,7 @@ TEST_F(ProactiveTrainerTest, IterationOverMaterializedSample) {
   ASSERT_TRUE(trainer.RunIteration(sample).ok());
   EXPECT_EQ(MetricsSinceStart().proactive_iterations(), 1);
   EXPECT_EQ(CounterSinceStart("proactive.rows_trained"), 2);
-  EXPECT_EQ(CounterSinceStart("proactive.chunks_rematerialized"), 0);
+  EXPECT_EQ(CounterSinceStart("training.chunks_rematerialized"), 0);
   EXPECT_EQ(manager_->optimizer().step_count(), 1);
   EXPECT_GT(trainer.last_duration_seconds(), 0.0);
 }
@@ -122,7 +122,7 @@ TEST_F(ProactiveTrainerTest, IterationRematerializesEvictedChunks) {
   sample.to_rematerialize = {&raw1};
 
   ASSERT_TRUE(trainer.RunIteration(sample).ok());
-  EXPECT_EQ(CounterSinceStart("proactive.chunks_rematerialized"), 1);
+  EXPECT_EQ(CounterSinceStart("training.chunks_rematerialized"), 1);
   EXPECT_EQ(CounterSinceStart("proactive.rows_trained"), 4);
   EXPECT_GT(cost_.WorkIn(CostPhase::kMaterialization), 0);
   EXPECT_GT(cost_.WorkIn(CostPhase::kProactiveTraining), 0);

@@ -9,6 +9,7 @@
 
 #include "gtest/gtest.h"
 #include "src/obs/correlation.h"
+#include "src/obs/decision.h"
 
 namespace cdpipe {
 namespace obs {
@@ -64,25 +65,34 @@ TEST(EventJournalTest, AppendAndTailRoundTrip) {
 }
 
 TEST(EventJournalTest, PicksUpCorrelationScope) {
+  // A decision recorded under a scope carries the scope's ids, and its
+  // journal detail is the declared one followed by the record's `why`.
   EventJournal journal(16);
   {
     CorrelationScope scope(3, 33);
-    journal.Append(EventKind::kTrainStep, "rows=64");
+    Record(journal, Decision::kTrainStep, CorrelationScope::Current(),
+           "rows=64");
+    Record(journal, Decision::kProactiveDeferred, CorrelationScope::Current(),
+           "state=overloaded");
   }
-  journal.Append(EventKind::kStall, "engine");
+  Record(journal, Decision::kStall, CorrelationScope::Current(), "engine");
   const std::vector<JournalEvent> tail = journal.Tail(10);
-  ASSERT_EQ(tail.size(), 2u);
+  ASSERT_EQ(tail.size(), 3u);
   EXPECT_EQ(tail[0].corr, (CorrelationId{3, 33}));
-  EXPECT_TRUE(tail[1].corr.empty());
+  EXPECT_STREQ(tail[0].detail, "rows=64");
+  EXPECT_EQ(tail[1].kind, EventKind::kDegrade);
+  EXPECT_STREQ(tail[1].detail, "proactive_deferred state=overloaded");
+  EXPECT_TRUE(tail[2].corr.empty());
+  EXPECT_STREQ(tail[2].detail, "engine");
 }
 
 TEST(EventJournalTest, DisableSuppressesAppends) {
   EventJournal journal(16);
   journal.Disable();
-  journal.Append(EventKind::kIngest, "while-disabled");
+  journal.Append(EventKind::kIngest, CorrelationId{}, "while-disabled");
   EXPECT_EQ(journal.TotalAppended(), 0u);
   journal.Enable();
-  journal.Append(EventKind::kIngest, "while-enabled");
+  journal.Append(EventKind::kIngest, CorrelationId{}, "while-enabled");
   EXPECT_EQ(journal.TotalAppended(), 1u);
 }
 
@@ -105,7 +115,7 @@ TEST(EventJournalTest, WrapDropsOldestWithExactAccounting) {
 TEST(EventJournalTest, TruncatesLongDetail) {
   EventJournal journal(4);
   const std::string long_detail(200, 'd');
-  journal.Append(EventKind::kIngest, long_detail.c_str());
+  journal.Append(EventKind::kIngest, CorrelationId{}, long_detail.c_str());
   const std::vector<JournalEvent> tail = journal.Tail(1);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(std::strlen(tail[0].detail), sizeof(tail[0].detail) - 1);
@@ -127,12 +137,14 @@ TEST(EventJournalTest, TailToJsonShape) {
 
 TEST(EventJournalTest, ClearResetsState) {
   EventJournal journal(4);
-  for (int i = 0; i < 6; ++i) journal.Append(EventKind::kEvict, "");
+  for (int i = 0; i < 6; ++i) {
+    journal.Append(EventKind::kEvict, CorrelationId{}, "");
+  }
   journal.Clear();
   EXPECT_EQ(journal.TotalAppended(), 0u);
   EXPECT_EQ(journal.TotalDropped(), 0u);
   EXPECT_TRUE(journal.Tail(10).empty());
-  journal.Append(EventKind::kIngest, "fresh");
+  journal.Append(EventKind::kIngest, CorrelationId{}, "fresh");
   EXPECT_EQ(journal.Tail(10).size(), 1u);
 }
 
@@ -200,7 +212,7 @@ TEST(EventJournalTest, MultiProducerWrapKeepsAccountingExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&journal] {
       for (int i = 0; i < kPerThread; ++i) {
-        journal.Append(EventKind::kEvict, "wrap");
+        journal.Append(EventKind::kEvict, CorrelationId{}, "wrap");
       }
     });
   }
@@ -255,7 +267,7 @@ TEST(EventJournalTest, SustainedMultiProducerOverloadHasNoSeqGaps) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&journal] {
       for (int i = 0; i < kPerThread; ++i) {
-        journal.Append(EventKind::kIngest, "mp-overload");
+        journal.Append(EventKind::kIngest, CorrelationId{}, "mp-overload");
       }
     });
   }

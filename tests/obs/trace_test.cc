@@ -31,9 +31,11 @@ class TraceTest : public ::testing::Test {
 };
 
 TEST_F(TraceTest, DisabledSpansRecordNothing) {
+  const std::string dynamic_name = "test.also-invisible";
   {
-    CDPIPE_TRACE_SPAN("invisible", "test");
-    ScopedSpan dynamic(std::string("also-invisible"), "test");
+    Phase fixed("test.invisible");
+    Phase dynamic(dynamic_name.c_str());
+    EXPECT_EQ(fixed.Stop(), 0.0) << "nothing timed an untraced phase";
   }
   EXPECT_EQ(Tracer::Global().NumBufferedEvents(), 0u);
   EXPECT_EQ(Tracer::Global().ToChromeTraceJson().find("invisible"),
@@ -47,7 +49,7 @@ TEST_F(TraceTest, DisabledSpanCostStaysNanoseconds) {
   constexpr int kIterations = 1000000;
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < kIterations; ++i) {
-    CDPIPE_TRACE_SPAN("hot", "bench");
+    Phase phase("bench.hot");
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   const double nanos_per_span =
@@ -61,11 +63,12 @@ TEST_F(TraceTest, DisabledSpanCostStaysNanoseconds) {
 
 TEST_F(TraceTest, RecordsNestedSpans) {
   Tracer::Global().Enable();
+  const std::string dynamic_name = "test.dynamic-name";
   {
-    CDPIPE_TRACE_SPAN("outer", "test");
+    Phase outer("test.outer");
     {
-      CDPIPE_TRACE_SPAN("inner", "test");
-      ScopedSpan dynamic(std::string("dynamic-name"), "test");
+      Phase inner("test.inner");
+      Phase dynamic(dynamic_name.c_str());
     }
   }
   Tracer::Global().Disable();
@@ -73,18 +76,20 @@ TEST_F(TraceTest, RecordsNestedSpans) {
 
   const std::string json = Tracer::Global().ToChromeTraceJson();
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"inner\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"dynamic-name\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"test.outer\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"test.inner\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"test.dynamic-name\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"test\""), std::string::npos);
 }
 
 TEST_F(TraceTest, EscapesAndTruncatesNames) {
   Tracer::Global().Enable();
+  const std::string quoted = "with \"quotes\" and \\slash";
+  const std::string long_name(200, 'x');
   {
-    ScopedSpan quoted(std::string("with \"quotes\" and \\slash"), "test");
-    ScopedSpan long_name(std::string(200, 'x'), "test");
+    Phase quoted_phase(quoted.c_str());
+    Phase long_phase(long_name.c_str());
   }
   Tracer::Global().Disable();
   const std::string json = Tracer::Global().ToChromeTraceJson();
@@ -104,7 +109,7 @@ TEST_F(TraceTest, ConcurrentSpansFromManyThreads) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([] {
       for (int i = 0; i < kSpansPerThread; ++i) {
-        CDPIPE_TRACE_SPAN("worker", "test");
+        Phase phase("test.worker");
       }
     });
   }
@@ -122,8 +127,7 @@ TEST_F(TraceTest, RingWrapsKeepingNewestEvents) {
   std::thread recorder([] {
     for (int i = 0; i < 10; ++i) {
       Tracer::Global().RecordComplete(("event" + std::to_string(i)).c_str(),
-                                      "test", /*start_us=*/i,
-                                      /*duration_us=*/1);
+                                      /*start_us=*/i, /*duration_us=*/1);
     }
   });
   recorder.join();
@@ -144,7 +148,7 @@ TEST_F(TraceTest, RingWrapsKeepingNewestEvents) {
 TEST_F(TraceTest, WriteChromeTraceProducesLoadableFile) {
   Tracer::Global().Enable();
   {
-    CDPIPE_TRACE_SPAN("on-disk", "test");
+    Phase phase("on-disk");
   }
   Tracer::Global().Disable();
 
@@ -176,7 +180,7 @@ TEST_F(TraceTest, WriteChromeTraceFailsOnBadPath) {
 TEST_F(TraceTest, ClearDropsBufferedEvents) {
   Tracer::Global().Enable();
   {
-    CDPIPE_TRACE_SPAN("gone", "test");
+    Phase phase("gone");
   }
   Tracer::Global().Disable();
   ASSERT_GE(Tracer::Global().NumBufferedEvents(), 1u);
@@ -196,10 +200,10 @@ TEST_F(TraceTest, SpansCaptureCorrelationScope) {
   Tracer::Global().Enable();
   {
     CorrelationScope scope(1, 42);
-    CDPIPE_TRACE_SPAN("correlated", "test");
+    Phase phase("correlated");
   }
   {
-    CDPIPE_TRACE_SPAN("uncorrelated", "test");
+    Phase phase("uncorrelated");
   }
   Tracer::Global().Disable();
   const std::string json = Tracer::Global().ToChromeTraceJson();
@@ -217,6 +221,40 @@ TEST_F(TraceTest, SpansCaptureCorrelationScope) {
   (void)next_event;
 }
 
+TEST_F(TraceTest, PhaseCategoryIsTheNamePrefix) {
+  Tracer::Global().Enable();
+  {
+    Phase layered("core.chunk");
+    Phase flat("flat");
+  }
+  Tracer::Global().Disable();
+  const std::string json = Tracer::Global().ToChromeTraceJson();
+  EXPECT_NE(json.find("\"name\":\"core.chunk\",\"cat\":\"core\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"flat\",\"cat\":\"flat\""),
+            std::string::npos)
+      << json;
+}
+
+TEST_F(TraceTest, PhaseObservesItsHistogramOnceFromOneTiming) {
+  // Tracing stays off: a histogram alone makes the phase read the clock,
+  // and Stop() ends it for good — the destructor adds nothing.
+  Histogram histogram(Histogram::DefaultLatencyBoundsSeconds());
+  double seconds = 0.0;
+  {
+    Phase phase("test.timed", &histogram);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    seconds = phase.Stop();
+    EXPECT_EQ(phase.Stop(), 0.0);
+  }
+  EXPECT_GE(seconds, 0.002);
+  const HistogramSnapshot snapshot = histogram.Snapshot();
+  EXPECT_EQ(snapshot.total_count, 1u);
+  EXPECT_EQ(snapshot.sum, seconds);
+  EXPECT_EQ(Tracer::Global().NumBufferedEvents(), 0u);
+}
+
 TEST_F(TraceTest, DropsFeedTheTraceDroppedCounter) {
   obs::Counter* dropped =
       MetricsRegistry::Global().GetCounter("obs.trace_dropped");
@@ -225,7 +263,7 @@ TEST_F(TraceTest, DropsFeedTheTraceDroppedCounter) {
   Tracer::Global().Enable();
   std::thread recorder([] {
     for (int i = 0; i < 7; ++i) {
-      Tracer::Global().RecordComplete("drop-me", "test", i, 1);
+      Tracer::Global().RecordComplete("drop-me", i, 1);
     }
   });
   recorder.join();

@@ -92,10 +92,10 @@ TEST(ScenarioTest, EvictHeavyCompletesWithHonestMuAccounting) {
   EXPECT_GT(result.report.storage.sample_misses, 0);
   EXPECT_LT(result.report.empirical_mu, 1.0);
   EXPECT_GT(
-      result.report.metrics.CounterValueOr("proactive.chunks_rematerialized",
+      result.report.metrics.CounterValueOr("training.chunks_rematerialized",
                                            0),
       0);
-  EXPECT_EQ(result.report.proactive_chunks_skipped(), 0);  // all recovered
+  EXPECT_EQ(result.report.training_chunks_skipped(), 0);  // all recovered
 }
 
 TEST(ScenarioTest, IngestHiccupRecoversViaRetry) {

@@ -117,7 +117,7 @@ TEST_P(StrategyScenarioTest, FaultFreeRunTrainsThroughTheSharedPath) {
   EXPECT_EQ(clean.report.degraded_events, 0);
   EXPECT_GT(clean.report.storage.sample_misses, 0);
   EXPECT_GT(clean.report.metrics.CounterValueOr(
-                "proactive.chunks_rematerialized", 0),
+                "training.chunks_rematerialized", 0),
             0);
   if (GetParam() == ScenarioStrategy::kPeriodical) {
     EXPECT_EQ(clean.report.retrainings, 4);
@@ -177,7 +177,7 @@ TEST_P(StrategyScenarioTest, EvictHeavyCompletesWithHonestMuAccounting) {
   EXPECT_GT(result.report.faults_injected(), 0);
   EXPECT_GT(result.report.storage.sample_misses,
             clean.report.storage.sample_misses);
-  EXPECT_EQ(result.report.proactive_chunks_skipped(), 0);
+  EXPECT_EQ(result.report.training_chunks_skipped(), 0);
   ExpectSameSchedule(clean, result);
 }
 
@@ -188,10 +188,10 @@ TEST_P(StrategyScenarioTest, PermanentRematerializationOutageDegrades) {
       Probe({{"pipeline.rematerialize", FaultRule::Probability(1.0, 5)}}));
   ASSERT_TRUE(result.ok()) << result.status.ToString();
   EXPECT_EQ(result.report.chunks_processed, 24);
-  EXPECT_GT(result.report.proactive_chunks_skipped(), 0);
+  EXPECT_GT(result.report.training_chunks_skipped(), 0);
   EXPECT_GT(result.report.degraded_events, 0);
   EXPECT_EQ(result.report.metrics.CounterValueOr(
-                "proactive.chunks_rematerialized", 0),
+                "training.chunks_rematerialized", 0),
             0);
 }
 
@@ -227,13 +227,28 @@ TEST_P(StrategyScenarioTest, RangeTaskOutageSkipsTheShardedStepOnly) {
   ASSERT_TRUE(result.ok()) << result.status.ToString();
   EXPECT_EQ(result.report.retries_exhausted(), 1);
   EXPECT_EQ(result.report.metrics.CounterValueOr(
-                "proactive.iterations_degraded", 0),
+                "training.iterations_degraded", 0),
             1);
   EXPECT_EQ(result.report.degraded_events, 1);
   EXPECT_EQ(result.report.chunks_processed, clean.report.chunks_processed);
   if (GetParam() == ScenarioStrategy::kPeriodical) {
     EXPECT_EQ(result.report.retrainings, clean.report.retrainings - 1);
   }
+  // The skipped step trained no rows: `proactive.rows_trained` counts the
+  // applied steps only, exactly the rows their train_step events journal.
+  int64_t journaled_rows = 0;
+  for (const JournalEvent& e :
+       EventJournal::Global().Tail(EventJournal::Global().capacity())) {
+    if (e.kind == EventKind::kTrainStep &&
+        std::string(e.detail).rfind("rows=", 0) == 0) {
+      journaled_rows += std::stoll(e.detail + 5);
+    }
+  }
+  if (GetParam() == ScenarioStrategy::kDrift) {
+    EXPECT_GT(journaled_rows, 0);
+  }
+  EXPECT_EQ(result.report.metrics.CounterValueOr("proactive.rows_trained", 0),
+            journaled_rows);
 }
 
 TEST_P(StrategyScenarioTest, StrictModePropagatesARematerializationFault) {
