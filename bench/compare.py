@@ -12,7 +12,9 @@ Both files hold the result rows every bench binary writes with --json_out
 
 With --baseline, the run must have exactly the baseline's row names, and
 each row the baseline marks exact must equal its baseline value.  The other
-rows are printed with their ratio to the baseline.
+rows are printed with their ratio to the baseline.  A baseline file may
+hold a JSON list of such result sets, oldest first (a trajectory such as
+BENCH_deployment.json); the run is compared against the last one.
 
 Each --check is a Python comparison over row values, e.g.
     'fig4/url/continuous/final_error <= fig4/url/periodical/final_error'
@@ -35,7 +37,10 @@ NAME = re.compile(r"[A-Za-z_*][\w.*]*(?:/[\w.*]+)+")
 
 def load_rows(path):
     with open(path) as f:
-        return {row["name"]: row for row in json.load(f)["rows"]}
+        results = json.load(f)
+    if isinstance(results, list):
+        results = results[-1]
+    return {row["name"]: row for row in results["rows"]}
 
 
 def compare(run, base):

@@ -1,6 +1,5 @@
 #include "src/pipeline/missing_value_imputer.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -161,10 +160,7 @@ std::string MissingValueImputer::DescribeState() const {
 
 Status MissingValueImputer::SaveState(Serializer* out) const {
   // Deterministic order: sort by dimension.
-  std::vector<std::pair<uint32_t, RunningMean>> sorted(stats_.begin(),
-                                                       stats_.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::vector<std::pair<uint32_t, RunningMean>> sorted = stats_.Sorted();
   std::vector<uint32_t> dims;
   std::vector<double> counts;
   std::vector<double> sums;
@@ -187,7 +183,7 @@ Status MissingValueImputer::LoadState(Deserializer* in) {
   if (dims.size() != counts.size() || dims.size() != sums.size()) {
     return Status::InvalidArgument("imputer state arrays misaligned");
   }
-  std::unordered_map<uint32_t, RunningMean> stats;
+  FlatKeyMap<RunningMean> stats;
   for (size_t i = 0; i < dims.size(); ++i) {
     CDPIPE_ASSIGN_OR_RETURN(int64_t count,
                             CountFromDouble(counts[i], "imputer count"));
@@ -198,9 +194,9 @@ Status MissingValueImputer::LoadState(Deserializer* in) {
 }
 
 double MissingValueImputer::MeanForDimension(uint32_t dim) const {
-  auto it = stats_.find(dim);
-  if (it == stats_.end()) return options_.default_value;
-  return it->second.Mean(options_.default_value);
+  const RunningMean* rm = stats_.find(dim);
+  if (rm == nullptr) return options_.default_value;
+  return rm->Mean(options_.default_value);
 }
 
 }  // namespace cdpipe

@@ -3,10 +3,10 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/pipeline/component.h"
+#include "src/pipeline/flat_key_map.h"
 
 namespace cdpipe {
 
@@ -60,7 +60,7 @@ class MissingValueImputer : public PipelineComponent {
   Options options_;
   /// Feature mode: keyed by feature index.  Table mode: keyed by the index
   /// of the column within `options_.columns`.
-  std::unordered_map<uint32_t, RunningMean> stats_;
+  FlatKeyMap<RunningMean> stats_;
 };
 
 }  // namespace cdpipe

@@ -69,7 +69,7 @@ Status Pipeline::AddComponent(std::unique_ptr<PipelineComponent> component) {
         "platform does not support such components (paper, section 3.1)");
   }
   components_.push_back(std::move(component));
-  state_version_.fetch_add(1, std::memory_order_acq_rel);
+  AdvanceStateVersion();
   // Structure changed: any cached plan is for a different pipeline.
   plan_cache_->Clear();
   return Status::OK();
@@ -96,7 +96,7 @@ Result<FeatureData> Pipeline::ExecuteSerial(const fusion::FusedPlan& plan,
 Result<FeatureData> Pipeline::UpdateAndTransform(const RawChunk& chunk,
                                                  size_t* rows_scanned) {
   // Advance the version before the first statistic moves.
-  state_version_.fetch_add(1, std::memory_order_acq_rel);
+  AdvanceStateVersion();
   CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const fusion::FusedPlan> plan,
                           Plan());
   // One block: every update kernel must see the whole chunk before the
@@ -162,11 +162,12 @@ std::unique_ptr<Pipeline> Pipeline::Clone() const {
   for (const auto& component : components_) {
     out->components_.push_back(component->Clone());
   }
+  out->scratch_pool_ = scratch_pool_;
   return out;
 }
 
 void Pipeline::Reset() {
-  state_version_.fetch_add(1, std::memory_order_acq_rel);
+  AdvanceStateVersion();
   for (const auto& component : components_) component->Reset();
 }
 
@@ -183,7 +184,7 @@ Status Pipeline::SaveState(Serializer* out) const {
 Status Pipeline::LoadState(Deserializer* in) {
   // Advance the version before any component statistic is replaced (a
   // partially applied load must not pass for the previous state either).
-  state_version_.fetch_add(1, std::memory_order_acq_rel);
+  AdvanceStateVersion();
   CDPIPE_ASSIGN_OR_RETURN(int64_t count,
                           in->ReadInt("pipeline.num_components"));
   if (count != static_cast<int64_t>(components_.size())) {

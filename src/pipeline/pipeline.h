@@ -90,7 +90,13 @@ class Pipeline {
   Result<FeatureData> TransformRecomputingStatistics(
       const RawChunk& chunk, size_t* rows_scanned = nullptr) const;
 
-  /// Deep copy of the pipeline including component statistics (warm start).
+  /// Deep copy of the pipeline including component statistics (warm
+  /// start).  The clone compiles its own plans (plans borrow components)
+  /// but shares this pipeline's scratch pool, so its first transform runs
+  /// on warm buffers: a scratch holds only per-block buffers and memos
+  /// that validate themselves (the hasher memo keys on the hasher's
+  /// config, the scaler memo on a process-unique statistics serial), so
+  /// nothing one pipeline leaves in a scratch can be read by another.
   std::unique_ptr<Pipeline> Clone() const;
 
   /// Resets the statistics of every component.
@@ -104,9 +110,12 @@ class Pipeline {
   Status SaveState(Serializer* out) const;
   Status LoadState(Deserializer* in);
 
-  /// Statistics version: advanced before anything that may mutate component
-  /// state (online updates, reset, checkpoint restore).  Snapshot
-  /// publishers compare it to decide whether a frozen copy is still exact.
+  /// Statistics version: a process-unique value (fusion::NextStatsSerial)
+  /// redrawn before anything that may mutate component state (online
+  /// updates, reset, checkpoint restore) and drawn afresh by every
+  /// construction and clone.  Equal versions therefore mean the same
+  /// pipeline in the same state; snapshot publishers compare it to decide
+  /// whether a frozen copy is still exact.
   uint64_t state_version() const {
     return state_version_.load(std::memory_order_acquire);
   }
@@ -124,12 +133,18 @@ class Pipeline {
                                     const RawChunk& chunk,
                                     size_t* rows_scanned, bool update) const;
 
+  /// Draws a fresh state version, before any statistic moves.
+  void AdvanceStateVersion() {
+    state_version_.store(fusion::NextStatsSerial(), std::memory_order_release);
+  }
+
   std::vector<std::unique_ptr<PipelineComponent>> components_;
-  std::atomic<uint64_t> state_version_{0};
+  std::atomic<uint64_t> state_version_{fusion::NextStatsSerial()};
   std::unique_ptr<fusion::PlanCache> plan_cache_ =
       std::make_unique<fusion::PlanCache>();
-  std::unique_ptr<fusion::ScratchPool> scratch_pool_ =
-      std::make_unique<fusion::ScratchPool>();
+  /// Shared by this pipeline and every Clone() made from it (see Clone).
+  std::shared_ptr<fusion::ScratchPool> scratch_pool_ =
+      std::make_shared<fusion::ScratchPool>();
 };
 
 }  // namespace cdpipe

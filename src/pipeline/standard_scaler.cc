@@ -1,6 +1,5 @@
 #include "src/pipeline/standard_scaler.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -151,30 +150,27 @@ StandardScaler::StandardScaler(Options options)
       stats_serial_(fusion::NextStatsSerial()) {}
 
 double StandardScaler::MeanOf(uint32_t key) const {
-  auto it = stats_.find(key);
-  if (it == stats_.end()) return 0.0;
-  int64_t n = total_rows_;
-  if (table_mode_seen_) {
-    auto cit = column_counts_.find(key);
-    n = cit != column_counts_.end() ? cit->second : 0;
-  }
+  const Moments* m = stats_.find(key);
+  if (m == nullptr) return 0.0;
+  const int64_t n = RowsOf(key);
   if (n <= 0) return 0.0;
-  return it->second.sum / static_cast<double>(n);
+  return m->sum / static_cast<double>(n);
 }
 
 double StandardScaler::VarianceOf(uint32_t key) const {
-  auto it = stats_.find(key);
-  if (it == stats_.end()) return 0.0;
-  int64_t n = total_rows_;
-  if (table_mode_seen_) {
-    auto cit = column_counts_.find(key);
-    n = cit != column_counts_.end() ? cit->second : 0;
-  }
+  const Moments* m = stats_.find(key);
+  if (m == nullptr) return 0.0;
+  const int64_t n = RowsOf(key);
   if (n <= 0) return 0.0;
-  const double mean = it->second.sum / static_cast<double>(n);
-  const double var =
-      it->second.sum_squares / static_cast<double>(n) - mean * mean;
+  const double mean = m->sum / static_cast<double>(n);
+  const double var = m->sum_squares / static_cast<double>(n) - mean * mean;
   return var > 0.0 ? var : 0.0;
+}
+
+int64_t StandardScaler::RowsOf(uint32_t key) const {
+  if (!table_mode_seen_) return total_rows_;
+  const int64_t* count = column_counts_.find(key);
+  return count != nullptr ? *count : 0;
 }
 
 double StandardScaler::StdDevOf(uint32_t key) const {
@@ -264,14 +260,10 @@ std::unique_ptr<PipelineComponent> StandardScaler::Clone() const {
 Status StandardScaler::SaveState(Serializer* out) const {
   out->WriteInt("scaler.total_rows", total_rows_);
   out->WriteInt("scaler.table_mode", table_mode_seen_ ? 1 : 0);
-  std::vector<std::pair<uint32_t, Moments>> sorted(stats_.begin(),
-                                                   stats_.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<uint32_t> keys;
   std::vector<double> sums;
   std::vector<double> sum_squares;
-  for (const auto& [key, m] : sorted) {
+  for (const auto& [key, m] : stats_.Sorted()) {
     keys.push_back(key);
     sums.push_back(m.sum);
     sum_squares.push_back(m.sum_squares);
@@ -280,10 +272,9 @@ Status StandardScaler::SaveState(Serializer* out) const {
   out->WriteDoubleVector("scaler.sums", sums);
   out->WriteDoubleVector("scaler.sum_squares", sum_squares);
   std::vector<std::pair<uint32_t, double>> counts;
-  for (const auto& [key, count] : column_counts_) {
+  for (const auto& [key, count] : column_counts_.Sorted()) {
     counts.emplace_back(key, static_cast<double>(count));
   }
-  std::sort(counts.begin(), counts.end());
   out->WritePairs("scaler.column_counts", counts);
   return Status::OK();
 }
@@ -303,11 +294,11 @@ Status StandardScaler::LoadState(Deserializer* in) {
     return Status::InvalidArgument("scaler row count is negative");
   }
   CDPIPE_ASSIGN_OR_RETURN(auto counts, in->ReadPairs("scaler.column_counts"));
-  std::unordered_map<uint32_t, Moments> stats;
+  FlatKeyMap<Moments> stats;
   for (size_t i = 0; i < keys.size(); ++i) {
     stats[keys[i]] = Moments{sums[i], sum_squares[i]};
   }
-  std::unordered_map<uint32_t, int64_t> column_counts;
+  FlatKeyMap<int64_t> column_counts;
   for (const auto& [key, count] : counts) {
     CDPIPE_ASSIGN_OR_RETURN(column_counts[key],
                             CountFromDouble(count, "scaler column count"));

@@ -3,10 +3,10 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/pipeline/component.h"
+#include "src/pipeline/flat_key_map.h"
 
 namespace cdpipe {
 
@@ -75,13 +75,16 @@ class StandardScaler : public PipelineComponent {
   };
 
   double VarianceOf(uint32_t key) const;
+  /// The row count behind `key`'s moments: every row in feature mode, the
+  /// column's non-null rows in table mode.
+  int64_t RowsOf(uint32_t key) const;
 
   Options options_;
   /// Total rows seen (feature mode denominators include implicit zeros;
   /// table mode tracks per-column counts separately in `column_counts_`).
   int64_t total_rows_ = 0;
-  std::unordered_map<uint32_t, Moments> stats_;
-  std::unordered_map<uint32_t, int64_t> column_counts_;
+  FlatKeyMap<Moments> stats_;
+  FlatKeyMap<int64_t> column_counts_;
   bool table_mode_seen_ = false;
   uint64_t stats_serial_;
 };

@@ -14,9 +14,13 @@ namespace serving {
 /// request needs, frozen at publish time.
 ///
 /// The triple is *deep-frozen*: the pipeline is a Clone() of the live one
-/// (own component statistics, own plan cache, own scratch pool — nothing
-/// mutable is reachable from the trainer's copy), and the model is a value
-/// copy of the live weights.  After construction nothing ever writes to a
+/// (own component statistics and plan cache; no statistic is reachable
+/// from the trainer's copy), and the model is a value copy of the live
+/// weights.  The clone shares the live pipeline's scratch pool, which holds
+/// only per-block buffers leased to one thread at a time and memos that
+/// check whose state they describe (Pipeline::Clone), so serving and
+/// training warm the same buffers without ever reading each other's
+/// statistics.  After construction nothing ever writes to a
 /// snapshot; readers only call the const transform/predict paths, which are
 /// safe to run from any number of threads concurrently (the plan cache and
 /// scratch pool carry their own internal locks, component drop counters are

@@ -13,6 +13,8 @@
 #include "src/io/serialization.h"
 #include "src/ml/prequential.h"
 #include "src/pipeline/one_hot_encoder.h"
+#include "src/serving/snapshot_publisher.h"
+#include "tests/testing/feature_data_test_util.h"
 #include "tests/testing/kernel_test_util.h"
 
 namespace cdpipe {
@@ -192,6 +194,42 @@ TEST(CheckpointTest, TaxiPipelineRoundTrip) {
     EXPECT_TRUE(features_a->data.features[r] == features_b->data.features[r]);
   }
   EXPECT_EQ(restored->model().bias(), original->model().bias());
+}
+
+TEST(CheckpointTest, SecondRestoreServesItsOwnStatistics) {
+  // Two restores with no update between them: each must publish its own
+  // statistics.  Every restored pipeline once reported the same state
+  // version, so the publisher took the second restore for a model-only
+  // refresh and kept serving the first restore's statistics.
+  CostModel cost;
+  auto manager = MakeManager(&cost, OptimizerKind::kAdam);
+  serving::SnapshotPublisher publisher;
+  manager->AttachPublisher(&publisher);
+
+  std::ostringstream after_one;
+  std::ostringstream after_twenty;
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(manager->OnlineStep(MakeChunk(i, 10 + i), nullptr, true).ok());
+    if (i == 0) {
+      ASSERT_TRUE(SaveCheckpoint(*manager, &after_one).ok());
+    }
+  }
+  ASSERT_TRUE(SaveCheckpoint(*manager, &after_twenty).ok());
+
+  std::istringstream first(after_one.str());
+  ASSERT_TRUE(LoadCheckpoint(&first, manager.get()).ok());
+  std::istringstream second(after_twenty.str());
+  ASSERT_TRUE(LoadCheckpoint(&second, manager.get()).ok());
+
+  const RawChunk probe = MakeChunk(100, 99);
+  const std::shared_ptr<const serving::ModelSnapshot> served =
+      publisher.Acquire();
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->pipeline_version, manager->pipeline().state_version());
+  const FeatureData live = manager->pipeline().Transform(probe).ValueOrDie();
+  EXPECT_EQ(
+      testing::HexFloatText(served->pipeline->Transform(probe).ValueOrDie()),
+      testing::HexFloatText(live));
 }
 
 TEST(OneHotCheckpointTest, DictionaryRoundTrip) {

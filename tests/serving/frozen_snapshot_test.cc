@@ -74,7 +74,7 @@ TEST(FrozenSnapshotTest, LiveResetDoesNotPerturbPublishedEpoch) {
       before);
 }
 
-TEST(FrozenSnapshotTest, SnapshotOwnsItsPlanCacheAndScratchPool) {
+TEST(FrozenSnapshotTest, SnapshotOwnsItsPlanCache) {
   ServingFixture fixture = MakeServingFixture();
   SnapshotPublisher publisher;
   publisher.PublishFrom(*fixture.pipeline, *fixture.model);
@@ -82,7 +82,8 @@ TEST(FrozenSnapshotTest, SnapshotOwnsItsPlanCacheAndScratchPool) {
   // A plan compiled for the snapshot must live in the snapshot's own cache:
   // plans point at the components they were compiled from, so a shared
   // cache would run the live pipeline's components (and statistics) on
-  // behalf of the frozen snapshot.
+  // behalf of the frozen snapshot.  (The scratch pool is shared on
+  // purpose: tests/serving/shared_scratch_test.cc.)
   EXPECT_NE(snapshot->pipeline->plan_cache(), fixture.pipeline->plan_cache());
   // Exercise the snapshot's plan to actually populate its cache.
   ASSERT_FALSE(

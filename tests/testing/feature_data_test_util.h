@@ -2,12 +2,15 @@
 #define CDPIPE_TESTS_TESTING_FEATURE_DATA_TEST_UTIL_H_
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/dataframe/chunk.h"
+#include "src/io/serialization.h"
 #include "src/ml/batch_view.h"
 
 namespace cdpipe {
@@ -33,6 +36,21 @@ inline FeatureData RandomSparseChunk(uint32_t dim, size_t rows, size_t nnz,
     chunk.labels.push_back(rng.NextUint64() % 2 == 0 ? 1.0 : -1.0);
   }
   return chunk;
+}
+
+/// `data` as text with every double a hexfloat: two FeatureData are
+/// bit-identical iff their texts are equal, and a failing comparison
+/// prints both.
+inline std::string HexFloatText(const FeatureData& data) {
+  std::ostringstream text;
+  Serializer out(&text);
+  out.WriteInt("dim", static_cast<int64_t>(data.dim));
+  out.WriteDoubleVector("labels", data.labels);
+  for (const SparseVector& x : data.features) {
+    out.WriteUint32Vector("indices", x.indices());
+    out.WriteDoubleVector("values", x.values());
+  }
+  return text.str();
 }
 
 /// References to every row of `data`, in order: the backing array of a
