@@ -771,7 +771,6 @@ class FixedLoadDynamicScheduler final : public Scheduler {
     inner_.OnPredictionLoad(qps, latency);
   }
 
-  std::string name() const override { return inner_.name() + "+fixed-load"; }
   bool ShouldTrain(double now_seconds) override {
     return inner_.ShouldTrain(now_seconds);
   }

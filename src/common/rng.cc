@@ -83,35 +83,6 @@ double Rng::NextGaussian(double mean, double stddev) {
 
 bool Rng::NextBernoulli(double p) { return NextDouble() < p; }
 
-double Rng::NextExponential(double rate) {
-  CDPIPE_CHECK_GT(rate, 0.0);
-  double u = 0.0;
-  do {
-    u = NextDouble();
-  } while (u <= 1e-300);
-  return -std::log(u) / rate;
-}
-
-int64_t Rng::NextPoisson(double mean) {
-  CDPIPE_CHECK_GE(mean, 0.0);
-  if (mean == 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth's algorithm.
-    const double l = std::exp(-mean);
-    int64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= NextDouble();
-    } while (p > l);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction; adequate for workload
-  // generation at large means.
-  const double x = NextGaussian(mean, std::sqrt(mean));
-  return x < 0.0 ? 0 : static_cast<int64_t>(x + 0.5);
-}
-
 int64_t Rng::NextInt(int64_t lo, int64_t hi) {
   CDPIPE_CHECK_LE(lo, hi);
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
@@ -147,7 +118,5 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   }
   return out;
 }
-
-Rng Rng::Fork() { return Rng(NextUint64()); }
 
 }  // namespace cdpipe

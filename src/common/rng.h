@@ -39,13 +39,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool NextBernoulli(double p);
 
-  /// Exponential with given rate (lambda > 0).
-  double NextExponential(double rate);
-
-  /// Poisson-distributed count (Knuth for small mean, normal approximation
-  /// for large mean).
-  int64_t NextPoisson(double mean);
-
   /// Uniform integer in [lo, hi] inclusive.
   int64_t NextInt(int64_t lo, int64_t hi);
 
@@ -64,9 +57,6 @@ class Rng {
   /// Returns fewer than k indices when k > n.  O(n) via reservoir when k is
   /// large relative to n, O(k) rejection otherwise.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
-
-  /// Derives an independent child generator (for per-worker streams).
-  Rng Fork();
 
  private:
   uint64_t s_[4];

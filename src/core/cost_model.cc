@@ -75,12 +75,6 @@ int64_t CostModel::TotalWork() const {
   return total;
 }
 
-double CostModel::TrainingSeconds() const {
-  return SecondsIn(CostPhase::kOnlineTraining) +
-         SecondsIn(CostPhase::kProactiveTraining) +
-         SecondsIn(CostPhase::kRetraining);
-}
-
 void CostModel::Reset() {
   for (size_t i = 0; i < kNumPhases; ++i) {
     seconds_[i].store(0.0, std::memory_order_relaxed);

@@ -55,9 +55,6 @@ class CostModel {
   double TotalSeconds() const;
   /// Total work units (sum over phases).
   int64_t TotalWork() const;
-  /// Training-only cost (online + proactive + retraining seconds).
-  double TrainingSeconds() const;
-
   void Reset();
 
   std::string ToString() const;

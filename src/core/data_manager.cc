@@ -29,16 +29,6 @@ DataManager::DataManager(ChunkStore::Options store_options,
 
 DataManager::~DataManager() = default;
 
-Result<ChunkId> DataManager::IngestRecords(std::vector<std::string> records,
-                                           int64_t event_time_seconds) {
-  RawChunk chunk;
-  chunk.id = next_id_;
-  chunk.event_time_seconds = event_time_seconds;
-  chunk.records = std::move(records);
-  CDPIPE_RETURN_NOT_OK(store_.PutRaw(std::move(chunk)));
-  return next_id_++;
-}
-
 Status DataManager::IngestChunk(RawChunk chunk) {
   if (chunk.id < next_id_) {
     return Status::InvalidArgument(
@@ -105,11 +95,6 @@ DataManager::SampleSet DataManager::Resolve(
               StrFormat("hits=%zu misses=%zu", out.materialized.size(),
                         out.to_rematerialize.size()));
   return out;
-}
-
-void DataManager::set_sampler(std::unique_ptr<Sampler> sampler) {
-  CDPIPE_CHECK(sampler != nullptr);
-  sampler_ = std::move(sampler);
 }
 
 void DataManager::EnablePrefetch(ExecutionEngine* engine) {

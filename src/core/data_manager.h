@@ -2,7 +2,6 @@
 #define CDPIPE_CORE_DATA_MANAGER_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -37,13 +36,8 @@ class DataManager {
               std::unique_ptr<Sampler> sampler);
   ~DataManager();
 
-  /// Discretization (workflow step 1): wraps `records` into a chunk with the
-  /// next timestamp id and appends it to the raw log.  Returns the id.
-  Result<ChunkId> IngestRecords(std::vector<std::string> records,
-                                int64_t event_time_seconds);
-
-  /// Appends an externally discretized chunk; its id must exceed all ids
-  /// ingested so far.
+  /// Discretization (workflow step 1): appends a discretized chunk to the
+  /// raw log; its id must exceed all ids ingested so far.
   Status IngestChunk(RawChunk chunk);
 
   /// Stores a transformed feature chunk (workflow step 2).
@@ -64,10 +58,6 @@ class DataManager {
 
   const ChunkStore& store() const { return store_; }
   ChunkStore& mutable_store() { return store_; }
-  const Sampler& sampler() const { return *sampler_; }
-
-  /// Swaps the sampling strategy (e.g. mid-experiment ablations).
-  void set_sampler(std::unique_ptr<Sampler> sampler);
 
   /// Attaches an async prefetcher running on `engine`'s async lane.  Only
   /// meaningful when the store's disk tier is configured; `engine` must

@@ -40,10 +40,6 @@ struct TrainerMetrics {
 }  // namespace
 
 ProactiveTrainer::ProactiveTrainer(PipelineManager* pipeline_manager,
-                                   ExecutionEngine* engine)
-    : ProactiveTrainer(pipeline_manager, engine, Options{}) {}
-
-ProactiveTrainer::ProactiveTrainer(PipelineManager* pipeline_manager,
                                    ExecutionEngine* engine, Options options)
     : pipeline_manager_(pipeline_manager),
       engine_(engine),

@@ -40,7 +40,6 @@ class ProactiveTrainer {
     bool degrade_on_failure = true;
   };
 
-  ProactiveTrainer(PipelineManager* pipeline_manager, ExecutionEngine* engine);
   ProactiveTrainer(PipelineManager* pipeline_manager, ExecutionEngine* engine,
                    Options options);
 

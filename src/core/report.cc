@@ -1,25 +1,8 @@
 #include "src/core/report.h"
 
-#include <ostream>
-
 #include "src/common/string_util.h"
 
 namespace cdpipe {
-
-std::string DeploymentReport::CurveToCsv() const {
-  std::string out =
-      "chunk_index,observations,cumulative_error,windowed_error,"
-      "cumulative_seconds,cumulative_work\n";
-  for (const PointRow& row : curve) {
-    out += StrFormat("%lld,%lld,%.6f,%.6f,%.4f,%lld\n",
-                     static_cast<long long>(row.chunk_index),
-                     static_cast<long long>(row.observations),
-                     row.cumulative_error, row.windowed_error,
-                     row.cumulative_seconds,
-                     static_cast<long long>(row.cumulative_work));
-  }
-  return out;
-}
 
 std::vector<DeploymentReport::PointRow> DeploymentReport::SampledCurve(
     size_t points) const {
@@ -90,10 +73,6 @@ std::string DeploymentReport::Summary() const {
                      static_cast<long long>(serving_shed()));
   }
   return out;
-}
-
-std::ostream& operator<<(std::ostream& os, const DeploymentReport& report) {
-  return os << report.Summary();
 }
 
 }  // namespace cdpipe

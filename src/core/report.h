@@ -2,7 +2,6 @@
 #define CDPIPE_CORE_REPORT_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -47,7 +46,7 @@ struct DeploymentReport {
   AdmissionController::Counters ingest;
   /// Per-run delta of the global metrics registry (counters and histogram
   /// buckets recorded during this Run; gauges hold end-of-run values).
-  /// Export with obs::ToJson / obs::ToPrometheusText.
+  /// Export with obs::ToPrometheusText.
   obs::MetricsSnapshot metrics;
 
   /// Measured by the replay loop and held nowhere else: per-chunk snapshot
@@ -129,17 +128,12 @@ struct DeploymentReport {
     return metrics.CounterValueOr("serving.shed", 0);
   }
 
-  /// Serializes the curve as CSV with a header row.
-  std::string CurveToCsv() const;
-
   /// Downsamples the curve to at most `points` rows (for compact figures).
   std::vector<PointRow> SampledCurve(size_t points) const;
 
   /// One-paragraph human-readable summary.
   std::string Summary() const;
 };
-
-std::ostream& operator<<(std::ostream& os, const DeploymentReport& report);
 
 }  // namespace cdpipe
 

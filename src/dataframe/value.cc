@@ -1,7 +1,6 @@
 #include "src/dataframe/value.h"
 
 #include "src/common/logging.h"
-#include "src/common/string_util.h"
 
 namespace cdpipe {
 
@@ -21,30 +20,15 @@ const char* ValueTypeName(ValueType type) {
   return "?";
 }
 
-ValueType Value::type() const {
-  if (std::holds_alternative<std::monostate>(data_)) return ValueType::kNull;
-  if (std::holds_alternative<double>(data_)) return ValueType::kDouble;
-  if (std::holds_alternative<int64_t>(data_)) {
-    return is_timestamp_ ? ValueType::kTimestamp : ValueType::kInt64;
-  }
-  return ValueType::kString;
-}
-
-double Value::double_value() const {
-  CDPIPE_CHECK(std::holds_alternative<double>(data_))
-      << "value is " << ValueTypeName(type()) << ", not double";
-  return std::get<double>(data_);
-}
-
 int64_t Value::int64_value() const {
   CDPIPE_CHECK(std::holds_alternative<int64_t>(data_))
-      << "value is " << ValueTypeName(type()) << ", not int64/timestamp";
+      << "value is not an int64 or timestamp";
   return std::get<int64_t>(data_);
 }
 
 const std::string& Value::string_value() const {
   CDPIPE_CHECK(std::holds_alternative<std::string>(data_))
-      << "value is " << ValueTypeName(type()) << ", not string";
+      << "value is not a string";
   return std::get<std::string>(data_);
 }
 
@@ -54,23 +38,8 @@ Result<double> Value::AsDouble() const {
     return static_cast<double>(std::get<int64_t>(data_));
   }
   return Status::FailedPrecondition(std::string("cannot widen ") +
-                                    ValueTypeName(type()) + " to double");
-}
-
-std::string Value::ToString() const {
-  switch (type()) {
-    case ValueType::kNull:
-      return "null";
-    case ValueType::kDouble:
-      return StrFormat("%g", std::get<double>(data_));
-    case ValueType::kInt64:
-      return std::to_string(std::get<int64_t>(data_));
-    case ValueType::kTimestamp:
-      return FormatDateTime(std::get<int64_t>(data_));
-    case ValueType::kString:
-      return std::get<std::string>(data_);
-  }
-  return "?";
+                                    (is_null() ? "null" : "string") +
+                                    " to double");
 }
 
 }  // namespace cdpipe

@@ -23,9 +23,8 @@ const char* ValueTypeName(ValueType type);
 /// A single cell of a row: missing, numeric, timestamp, or string.
 ///
 /// Missing values are first-class (the MissingValueImputer component exists
-/// because of them).  Numeric accessors perform no implicit conversion
-/// between int64 and double except through `AsDouble()`, which is what the
-/// feature-extraction components use.
+/// because of them).  Numeric cells are read through `AsDouble()`, which
+/// widens int64 and timestamp payloads.
 class Value {
  public:
   /// Missing value.
@@ -45,7 +44,6 @@ class Value {
   Value(Value&&) noexcept = default;
   Value& operator=(Value&&) noexcept = default;
 
-  ValueType type() const;
   bool is_null() const { return std::holds_alternative<std::monostate>(data_); }
   bool is_numeric() const {
     return std::holds_alternative<double>(data_) ||
@@ -53,16 +51,14 @@ class Value {
   }
 
   /// Typed accessors; CHECK-fail on type mismatch (programmer error —
-  /// pipelines validate schemas up front).
-  double double_value() const;
+  /// pipelines validate schemas up front).  `int64_value` reads int64 and
+  /// timestamp cells.
   int64_t int64_value() const;
   const std::string& string_value() const;
 
   /// Numeric value widened to double.  Returns FailedPrecondition for null
   /// or string cells.
   Result<double> AsDouble() const;
-
-  std::string ToString() const;
 
   friend bool operator==(const Value& a, const Value& b) {
     return a.is_timestamp_ == b.is_timestamp_ && a.data_ == b.data_;

@@ -7,18 +7,6 @@
 
 namespace cdpipe {
 
-const char* DriftStateName(DriftState state) {
-  switch (state) {
-    case DriftState::kStable:
-      return "stable";
-    case DriftState::kWarning:
-      return "warning";
-    case DriftState::kDrift:
-      return "drift";
-  }
-  return "?";
-}
-
 PageHinkleyDetector::PageHinkleyDetector(Options options)
     : options_(options) {
   CDPIPE_CHECK_GT(options_.lambda, 0.0);
@@ -111,17 +99,6 @@ void DdmDetector::Reset() {
   min_p_plus_s_ = 1e300;
   min_p_ = 0.0;
   min_s_ = 0.0;
-}
-
-std::unique_ptr<DriftDetector> MakeDriftDetector(DriftDetectorKind kind) {
-  switch (kind) {
-    case DriftDetectorKind::kPageHinkley:
-      return std::make_unique<PageHinkleyDetector>();
-    case DriftDetectorKind::kDdm:
-      return std::make_unique<DdmDetector>();
-  }
-  CDPIPE_CHECK(false) << "unknown drift detector kind";
-  return nullptr;
 }
 
 }  // namespace cdpipe

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 namespace cdpipe {
 
@@ -19,13 +18,9 @@ enum class DriftState {
   kDrift,       ///< change confirmed; the deployed model is stale
 };
 
-const char* DriftStateName(DriftState state);
-
 class DriftDetector {
  public:
   virtual ~DriftDetector() = default;
-
-  virtual std::string name() const = 0;
 
   /// Feeds one error observation and returns the detector state.
   virtual DriftState Observe(double error) = 0;
@@ -60,7 +55,6 @@ class PageHinkleyDetector final : public DriftDetector {
   PageHinkleyDetector() : PageHinkleyDetector(Options()) {}
   explicit PageHinkleyDetector(Options options);
 
-  std::string name() const override { return "page-hinkley"; }
   DriftState Observe(double error) override;
   DriftState state() const override { return state_; }
   int64_t observations() const override { return count_; }
@@ -99,7 +93,6 @@ class DdmDetector final : public DriftDetector {
   DdmDetector() : DdmDetector(Options()) {}
   explicit DdmDetector(Options options);
 
-  std::string name() const override { return "ddm"; }
   DriftState Observe(double error) override;
   DriftState state() const override { return state_; }
   int64_t observations() const override { return count_; }
@@ -121,10 +114,6 @@ class DdmDetector final : public DriftDetector {
   double min_s_ = 0.0;
   double min_p_ = 0.0;
 };
-
-enum class DriftDetectorKind { kPageHinkley, kDdm };
-
-std::unique_ptr<DriftDetector> MakeDriftDetector(DriftDetectorKind kind);
 
 }  // namespace cdpipe
 

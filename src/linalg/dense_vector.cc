@@ -1,47 +1,16 @@
 #include "src/linalg/dense_vector.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/common/logging.h"
-#include "src/common/string_util.h"
-#include "src/linalg/sparse_vector.h"
 
 namespace cdpipe {
-
-void DenseVector::Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
 void DenseVector::Axpy(double alpha, const DenseVector& other) {
   CDPIPE_CHECK_EQ(dim(), other.dim());
   for (size_t i = 0; i < data_.size(); ++i) {
     data_[i] += alpha * other.data_[i];
   }
-}
-
-void DenseVector::Axpy(double alpha, const SparseVector& other) {
-  const auto& idx = other.indices();
-  const auto& val = other.values();
-  for (size_t k = 0; k < idx.size(); ++k) {
-    CDPIPE_CHECK_LT(idx[k], data_.size());
-    data_[idx[k]] += alpha * val[k];
-  }
-}
-
-void DenseVector::Scale(double alpha) {
-  for (double& v : data_) v *= alpha;
-}
-
-double DenseVector::Dot(const DenseVector& other) const {
-  CDPIPE_CHECK_EQ(dim(), other.dim());
-  double acc = 0.0;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    acc += data_[i] * other.data_[i];
-  }
-  return acc;
-}
-
-double DenseVector::Dot(const SparseVector& other) const {
-  return other.Dot(*this);
 }
 
 double DenseVector::L2NormSquared() const {
@@ -51,23 +20,5 @@ double DenseVector::L2NormSquared() const {
 }
 
 double DenseVector::L2Norm() const { return std::sqrt(L2NormSquared()); }
-
-double DenseVector::L1Norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += std::abs(v);
-  return acc;
-}
-
-std::string DenseVector::ToString(size_t max_elements) const {
-  std::string out = "[";
-  const size_t n = std::min(max_elements, data_.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (i > 0) out += ", ";
-    out += StrFormat("%g", data_[i]);
-  }
-  if (n < data_.size()) out += StrFormat(", ... (%zu total)", data_.size());
-  out += "]";
-  return out;
-}
 
 }  // namespace cdpipe

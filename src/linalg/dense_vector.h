@@ -2,12 +2,9 @@
 #define CDPIPE_LINALG_DENSE_VECTOR_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace cdpipe {
-
-class SparseVector;
 
 /// A contiguous double vector with the handful of BLAS-1 style operations the
 /// training loops need.  Kept deliberately small: this library is not a
@@ -37,27 +34,15 @@ class DenseVector {
 
   /// Grows (zero-filling) or shrinks to `dim`.
   void Resize(size_t dim) { data_.resize(dim, 0.0); }
-  void Fill(double v);
 
   /// this += alpha * other.  Dimensions must match.
   void Axpy(double alpha, const DenseVector& other);
-  /// this += alpha * sparse other.  `other`'s indices must be < dim().
-  void Axpy(double alpha, const SparseVector& other);
-
-  /// this *= alpha.
-  void Scale(double alpha);
-
-  double Dot(const DenseVector& other) const;
-  double Dot(const SparseVector& other) const;
 
   double L2NormSquared() const;
   double L2Norm() const;
-  double L1Norm() const;
 
   /// Memory footprint in bytes (used by the storage accounting).
   size_t ByteSize() const { return data_.size() * sizeof(double); }
-
-  std::string ToString(size_t max_elements = 16) const;
 
  private:
   std::vector<double> data_;

@@ -1,11 +1,8 @@
 #include "src/linalg/sparse_vector.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/logging.h"
-#include "src/common/string_util.h"
-#include "src/linalg/dense_vector.h"
 
 namespace cdpipe {
 
@@ -100,89 +97,10 @@ SparseVector SparseVector::FromUnsortedInto(
   return out;
 }
 
-Result<SparseVector> SparseVector::WithDim(uint32_t new_dim) const {
-  if (!indices_.empty() && indices_.back() >= new_dim) {
-    return Status::OutOfRange("sparse index " + std::to_string(indices_.back()) +
-                              " >= rebranded dim " + std::to_string(new_dim));
-  }
-  SparseVector out(new_dim);
-  out.indices_ = indices_;
-  out.values_ = values_;
-  return out;
-}
-
-void SparseVector::PushBack(uint32_t index, double value) {
-  CDPIPE_CHECK_LT(index, dim_);
-  CDPIPE_CHECK(indices_.empty() || index > indices_.back())
-      << "PushBack index " << index << " not greater than last "
-      << (indices_.empty() ? 0 : indices_.back());
-  indices_.push_back(index);
-  values_.push_back(value);
-}
-
 double SparseVector::Get(uint32_t index) const {
   auto it = std::lower_bound(indices_.begin(), indices_.end(), index);
   if (it == indices_.end() || *it != index) return 0.0;
   return values_[static_cast<size_t>(it - indices_.begin())];
-}
-
-void SparseVector::Scale(double alpha) {
-  for (double& v : values_) v *= alpha;
-}
-
-double SparseVector::Dot(const DenseVector& dense) const {
-  double acc = 0.0;
-  for (size_t k = 0; k < indices_.size(); ++k) {
-    CDPIPE_CHECK_LT(indices_[k], dense.dim());
-    acc += values_[k] * dense[indices_[k]];
-  }
-  return acc;
-}
-
-double SparseVector::Dot(const SparseVector& other) const {
-  double acc = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < indices_.size() && j < other.indices_.size()) {
-    if (indices_[i] < other.indices_[j]) {
-      ++i;
-    } else if (indices_[i] > other.indices_[j]) {
-      ++j;
-    } else {
-      acc += values_[i] * other.values_[j];
-      ++i;
-      ++j;
-    }
-  }
-  return acc;
-}
-
-double SparseVector::L2NormSquared() const {
-  double acc = 0.0;
-  for (double v : values_) acc += v * v;
-  return acc;
-}
-
-double SparseVector::L2Norm() const { return std::sqrt(L2NormSquared()); }
-
-DenseVector SparseVector::ToDense() const {
-  DenseVector out(dim_);
-  for (size_t k = 0; k < indices_.size(); ++k) {
-    out[indices_[k]] = values_[k];
-  }
-  return out;
-}
-
-std::string SparseVector::ToString(size_t max_elements) const {
-  std::string out = StrFormat("(dim=%u, nnz=%zu) {", dim_, nnz());
-  const size_t n = std::min(max_elements, indices_.size());
-  for (size_t k = 0; k < n; ++k) {
-    if (k > 0) out += ", ";
-    out += StrFormat("%u:%g", indices_[k], values_[k]);
-  }
-  if (n < indices_.size()) out += ", ...";
-  out += "}";
-  return out;
 }
 
 }  // namespace cdpipe

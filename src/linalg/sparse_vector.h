@@ -2,14 +2,11 @@
 #define CDPIPE_LINALG_SPARSE_VECTOR_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/status.h"
 
 namespace cdpipe {
-
-class DenseVector;
 
 /// Sorted-coordinate sparse vector.  Indices are strictly increasing
 /// uint32_t; a nominal dimension bounds them.  This is the feature
@@ -77,23 +74,8 @@ class SparseVector {
   const std::vector<uint32_t>& indices() const { return indices_; }
   const std::vector<double>& values() const { return values_; }
 
-  /// Copy of this vector with the nominal dimension rebranded to `new_dim`
-  /// after a bounds check (every stored index must be < new_dim; since
-  /// indices are sorted only the last one is inspected).  This is the cheap
-  /// way to widen mixed-dim chunks: one copy of the already-validated
-  /// arrays instead of round-tripping them through FromSorted's per-entry
-  /// re-validation.  Returns OutOfRange when shrinking below a stored index.
-  Result<SparseVector> WithDim(uint32_t new_dim) const;
-
-  /// Appends an entry with index greater than all current indices.
-  /// CHECK-fails on out-of-order or out-of-range appends (programmer error).
-  void PushBack(uint32_t index, double value);
-
   /// Value at `index` (0.0 when absent); O(log nnz).
   double Get(uint32_t index) const;
-
-  /// In-place scale of the stored values.
-  void Scale(double alpha);
 
   /// Applies `f(index, value) -> new_value` to every stored entry.
   template <typename F>
@@ -103,20 +85,10 @@ class SparseVector {
     }
   }
 
-  double Dot(const DenseVector& dense) const;
-  double Dot(const SparseVector& other) const;
-  double L2NormSquared() const;
-  double L2Norm() const;
-
-  /// Converts to a dense vector of dimension dim().
-  DenseVector ToDense() const;
-
   /// Memory footprint in bytes (index + value arrays).
   size_t ByteSize() const {
     return indices_.size() * (sizeof(uint32_t) + sizeof(double));
   }
-
-  std::string ToString(size_t max_elements = 16) const;
 
   friend bool operator==(const SparseVector& a, const SparseVector& b) {
     return a.dim_ == b.dim_ && a.indices_ == b.indices_ &&

@@ -16,38 +16,22 @@ double MisclassificationRate::Value() const {
   return static_cast<double>(errors_) / static_cast<double>(count_);
 }
 
+double MisclassificationRate::ValueOf(double mass, int64_t count) const {
+  if (count == 0) return 0.0;
+  return mass / static_cast<double>(count);
+}
+
 void Rmse::Add(double prediction, double label) {
   ++count_;
   const double diff = prediction - label;
   sum_squared_error_ += diff * diff;
 }
 
-double Rmse::Value() const {
-  if (count_ == 0) return 0.0;
-  return std::sqrt(sum_squared_error_ / static_cast<double>(count_));
-}
+double Rmse::Value() const { return ValueOf(sum_squared_error_, count_); }
 
-void Rmsle::Add(double prediction, double label) {
-  ++count_;
-  const double p = prediction > 0.0 ? prediction : 0.0;
-  const double y = label > 0.0 ? label : 0.0;
-  const double diff = std::log1p(p) - std::log1p(y);
-  sum_squared_error_ += diff * diff;
-}
-
-double Rmsle::Value() const {
-  if (count_ == 0) return 0.0;
-  return std::sqrt(sum_squared_error_ / static_cast<double>(count_));
-}
-
-void MeanAbsoluteError::Add(double prediction, double label) {
-  ++count_;
-  sum_abs_error_ += std::abs(prediction - label);
-}
-
-double MeanAbsoluteError::Value() const {
-  if (count_ == 0) return 0.0;
-  return sum_abs_error_ / static_cast<double>(count_);
+double Rmse::ValueOf(double mass, int64_t count) const {
+  if (count == 0) return 0.0;
+  return std::sqrt(mass / static_cast<double>(count));
 }
 
 }  // namespace cdpipe

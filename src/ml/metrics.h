@@ -20,11 +20,14 @@ class Metric {
   virtual double Value() const = 0;
   virtual int64_t Count() const = 0;
   /// Sum of the additive per-example error signal underlying the metric
-  /// (error count for misclassification, sum of squared errors for
-  /// RMSE/RMSLE, sum of absolute errors for MAE).  Differences of this mass
-  /// across a chunk give the chunk's mean error signal — the input of the
-  /// drift detectors.
+  /// (error count for misclassification, sum of squared errors for RMSE).
+  /// Differences of this mass across a chunk give the chunk's mean error
+  /// signal — the input of the drift detectors.
   virtual double AggregateMass() const { return Value() * Count(); }
+  /// The metric over `count` observations whose summed mass is `mass`; 0
+  /// when `count` is 0.  Pooling two metrics' masses and counts gives the
+  /// metric of their union, which averaging their values does not for RMSE.
+  virtual double ValueOf(double mass, int64_t count) const = 0;
   virtual void Reset() = 0;
   virtual std::unique_ptr<Metric> Clone() const = 0;
 };
@@ -38,6 +41,7 @@ class MisclassificationRate final : public Metric {
   void Add(double prediction, double label) override;
   double Value() const override;
   int64_t Count() const override { return count_; }
+  double ValueOf(double mass, int64_t count) const override;
   void Reset() override { count_ = errors_ = 0; }
   std::unique_ptr<Metric> Clone() const override {
     return std::make_unique<MisclassificationRate>(*this);
@@ -58,6 +62,7 @@ class Rmse final : public Metric {
   double Value() const override;
   int64_t Count() const override { return count_; }
   double AggregateMass() const override { return sum_squared_error_; }
+  double ValueOf(double mass, int64_t count) const override;
   void Reset() override {
     count_ = 0;
     sum_squared_error_ = 0.0;
@@ -69,49 +74,6 @@ class Rmse final : public Metric {
  private:
   int64_t count_ = 0;
   double sum_squared_error_ = 0.0;
-};
-
-/// Root mean squared logarithmic error over raw-space (non-negative)
-/// predictions and labels: sqrt(mean((log1p(p) - log1p(y))^2)).  Negative
-/// predictions are clamped to 0, matching the Kaggle evaluation.
-class Rmsle final : public Metric {
- public:
-  std::string name() const override { return "rmsle"; }
-  void Add(double prediction, double label) override;
-  double Value() const override;
-  int64_t Count() const override { return count_; }
-  double AggregateMass() const override { return sum_squared_error_; }
-  void Reset() override {
-    count_ = 0;
-    sum_squared_error_ = 0.0;
-  }
-  std::unique_ptr<Metric> Clone() const override {
-    return std::make_unique<Rmsle>(*this);
-  }
-
- private:
-  int64_t count_ = 0;
-  double sum_squared_error_ = 0.0;
-};
-
-/// Mean absolute error.
-class MeanAbsoluteError final : public Metric {
- public:
-  std::string name() const override { return "mae"; }
-  void Add(double prediction, double label) override;
-  double Value() const override;
-  int64_t Count() const override { return count_; }
-  void Reset() override {
-    count_ = 0;
-    sum_abs_error_ = 0.0;
-  }
-  std::unique_ptr<Metric> Clone() const override {
-    return std::make_unique<MeanAbsoluteError>(*this);
-  }
-
- private:
-  int64_t count_ = 0;
-  double sum_abs_error_ = 0.0;
 };
 
 }  // namespace cdpipe

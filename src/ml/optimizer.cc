@@ -33,7 +33,6 @@ class SgdOptimizer final : public Optimizer {
  public:
   explicit SgdOptimizer(const OptimizerOptions& options) : options_(options) {}
 
-  OptimizerKind kind() const override { return OptimizerKind::kSgd; }
   std::string name() const override { return "sgd"; }
 
   void Step(const std::vector<GradEntry>& grad, double bias_grad,
@@ -70,7 +69,6 @@ class MomentumOptimizer final : public Optimizer {
   explicit MomentumOptimizer(const OptimizerOptions& options)
       : options_(options) {}
 
-  OptimizerKind kind() const override { return OptimizerKind::kMomentum; }
   std::string name() const override { return "momentum"; }
 
   void Step(const std::vector<GradEntry>& grad, double bias_grad,
@@ -140,7 +138,6 @@ class AdamOptimizer final : public Optimizer {
   explicit AdamOptimizer(const OptimizerOptions& options)
       : options_(options) {}
 
-  OptimizerKind kind() const override { return OptimizerKind::kAdam; }
   std::string name() const override { return "adam"; }
 
   void Step(const std::vector<GradEntry>& grad, double bias_grad,
@@ -212,7 +209,6 @@ class RmspropOptimizer final : public Optimizer {
   explicit RmspropOptimizer(const OptimizerOptions& options)
       : options_(options) {}
 
-  OptimizerKind kind() const override { return OptimizerKind::kRmsprop; }
   std::string name() const override { return "rmsprop"; }
 
   void Step(const std::vector<GradEntry>& grad, double bias_grad,
@@ -269,7 +265,6 @@ class AdadeltaOptimizer final : public Optimizer {
   explicit AdadeltaOptimizer(const OptimizerOptions& options)
       : options_(options) {}
 
-  OptimizerKind kind() const override { return OptimizerKind::kAdadelta; }
   std::string name() const override { return "adadelta"; }
 
   void Step(const std::vector<GradEntry>& grad, double bias_grad,

@@ -44,7 +44,6 @@ class Optimizer {
  public:
   virtual ~Optimizer() = default;
 
-  virtual OptimizerKind kind() const = 0;
   virtual std::string name() const = 0;
 
   /// Applies one update step.  `grad` holds the regularized mini-batch

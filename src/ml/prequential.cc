@@ -34,17 +34,12 @@ void PrequentialEvaluator::Observe(double prediction, double label) {
 
 double PrequentialEvaluator::WindowedValue() const {
   if (window_ == 0) return metric_->Value();
-  // Blend the two half-windows by their observation counts.
-  const int64_t n_prev = window_previous_->Count();
-  const int64_t n_cur = window_current_->Count();
-  if (n_prev + n_cur == 0) return metric_->Value();
-  const double weighted = window_previous_->Value() * n_prev +
-                          window_current_->Value() * n_cur;
-  return weighted / static_cast<double>(n_prev + n_cur);
-}
-
-void PrequentialEvaluator::RecordPoint() {
-  curve_.push_back(Point{metric_->Count(), metric_->Value(), WindowedValue()});
+  // The metric over both half-windows' pooled error mass and count.
+  const int64_t count = window_previous_->Count() + window_current_->Count();
+  if (count == 0) return metric_->Value();
+  return metric_->ValueOf(
+      window_previous_->AggregateMass() + window_current_->AggregateMass(),
+      count);
 }
 
 }  // namespace cdpipe

@@ -1,9 +1,8 @@
 #ifndef CDPIPE_ML_PREQUENTIAL_H_
 #define CDPIPE_ML_PREQUENTIAL_H_
 
+#include <cstddef>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "src/ml/metrics.h"
 
@@ -19,12 +18,6 @@ namespace cdpipe {
 /// which the cumulative curve smooths out).
 class PrequentialEvaluator {
  public:
-  struct Point {
-    int64_t observations = 0;
-    double cumulative = 0.0;
-    double windowed = 0.0;
-  };
-
   /// `window` = 0 disables the sliding-window metric.
   explicit PrequentialEvaluator(std::unique_ptr<Metric> metric,
                                 size_t window = 0);
@@ -41,23 +34,14 @@ class PrequentialEvaluator {
   /// window is disabled or not yet full).
   double WindowedValue() const;
 
-  /// Appends the current state to the recorded curve; called by deployment
-  /// drivers once per chunk.
-  void RecordPoint();
-  const std::vector<Point>& curve() const { return curve_; }
-
-  const std::string metric_name() const { return metric_->name(); }
-
  private:
   std::unique_ptr<Metric> metric_;
-  std::unique_ptr<Metric> window_metric_template_;
   size_t window_;
   /// Two half-open window metrics rotated every `window_`/2 observations —
   /// O(1) approximation of a sliding window without storing observations.
   std::unique_ptr<Metric> window_current_;
   std::unique_ptr<Metric> window_previous_;
   int64_t window_fill_ = 0;
-  std::vector<Point> curve_;
 };
 
 }  // namespace cdpipe

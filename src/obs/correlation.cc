@@ -8,22 +8,6 @@ thread_local CorrelationId current_correlation;  // {0, -1} by default
 
 }  // namespace
 
-std::string CorrelationId::ToString() const {
-  std::string out;
-  if (deployment > 0) {
-    out = "d" + std::to_string(deployment);
-  } else {
-    out = "-";
-  }
-  out += '/';
-  if (entity >= 0) {
-    out += std::to_string(entity);
-  } else {
-    out += '-';
-  }
-  return out;
-}
-
 CorrelationScope::CorrelationScope(CorrelationId id)
     : previous_(current_correlation) {
   current_correlation = id;

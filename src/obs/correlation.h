@@ -2,7 +2,6 @@
 #define CDPIPE_OBS_CORRELATION_H_
 
 #include <cstdint>
-#include <string>
 
 namespace cdpipe {
 namespace obs {
@@ -27,10 +26,6 @@ struct CorrelationId {
   }
 
   bool empty() const { return deployment == 0 && entity < 0; }
-
-  /// "d<deployment>/<entity>", with "-" for missing halves (e.g. "d1/42",
-  /// "d1/-", "-/42").
-  std::string ToString() const;
 };
 
 /// RAII thread-local correlation scope.  Code that knows which deployment /

@@ -39,23 +39,6 @@ std::string PrometheusEscapeHelp(const std::string& help) {
   return out;
 }
 
-std::string PrometheusEscapeLabelValue(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 namespace {
 
 void AppendHelp(const std::string& prom_name, const std::string& help,
@@ -103,52 +86,6 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
                      static_cast<unsigned long long>(h.hist.total_count)) +
            "\n";
   }
-  return out;
-}
-
-std::string ToJson(const MetricsSnapshot& snapshot) {
-  // Metric names are code-controlled identifiers (letters, digits, dots,
-  // underscores), so plain quoting is safe.
-  std::string out = "{\"counters\":{";
-  for (size_t i = 0; i < snapshot.counters.size(); ++i) {
-    const auto& c = snapshot.counters[i];
-    if (i > 0) out += ',';
-    out += "\"" + c.name + "\":" +
-           StrFormat("%lld", static_cast<long long>(c.value));
-  }
-  out += "},\"gauges\":{";
-  for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    const auto& g = snapshot.gauges[i];
-    if (i > 0) out += ',';
-    out += "\"" + g.name + "\":" + FormatDouble(g.value);
-  }
-  out += "},\"histograms\":{";
-  for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const auto& h = snapshot.histograms[i];
-    if (i > 0) out += ',';
-    out += "\"" + h.name + "\":{";
-    out += "\"count\":" +
-           StrFormat("%llu",
-                     static_cast<unsigned long long>(h.hist.total_count));
-    out += ",\"sum\":" + FormatDouble(h.hist.sum);
-    out += ",\"mean\":" + FormatDouble(h.hist.Mean());
-    out += ",\"p50\":" + FormatDouble(h.hist.P50());
-    out += ",\"p95\":" + FormatDouble(h.hist.P95());
-    out += ",\"p99\":" + FormatDouble(h.hist.P99());
-    out += ",\"buckets\":[";
-    for (size_t b = 0; b < h.hist.counts.size(); ++b) {
-      if (b > 0) out += ',';
-      const std::string le = b < h.hist.upper_bounds.size()
-                                 ? FormatDouble(h.hist.upper_bounds[b])
-                                 : "\"+Inf\"";
-      out += "[" + le + "," +
-             StrFormat("%llu",
-                       static_cast<unsigned long long>(h.hist.counts[b])) +
-             "]";
-    }
-    out += "]}";
-  }
-  out += "}}";
   return out;
 }
 

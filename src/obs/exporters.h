@@ -16,19 +16,11 @@ std::string PrometheusName(const std::string& name);
 /// `\\` and newline becomes `\n`.
 std::string PrometheusEscapeHelp(const std::string& help);
 
-/// Escapes a label value: backslash, double quote, and newline.
-std::string PrometheusEscapeLabelValue(const std::string& value);
-
 /// Prometheus text exposition format (version 0.0.4): one `# TYPE` line per
 /// metric (preceded by `# HELP` when the registry has help text), cumulative
 /// `_bucket{le="..."}` series plus `_sum`/`_count` for histograms.  Suitable
 /// for a /metrics endpoint or a textfile collector.
 std::string ToPrometheusText(const MetricsSnapshot& snapshot);
-
-/// Machine-readable JSON snapshot:
-///   {"counters":{...},"gauges":{...},
-///    "histograms":{name:{count,sum,mean,p50,p95,p99,buckets:[[le,n],...]}}}
-std::string ToJson(const MetricsSnapshot& snapshot);
 
 }  // namespace obs
 }  // namespace cdpipe

@@ -68,11 +68,6 @@ std::vector<SubsystemHealth> HealthRegistry::Snapshot(
   return out;
 }
 
-size_t HealthRegistry::NumSubsystems() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return heartbeats_.size();
-}
-
 std::string HealthToJson(const std::vector<SubsystemHealth>& subsystems,
                          bool ready) {
   std::string out =

@@ -94,8 +94,6 @@ class HealthRegistry {
   std::vector<SubsystemHealth> Snapshot(double stall_deadline_seconds,
                                         int64_t now_us) const;
 
-  size_t NumSubsystems() const;
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Heartbeat>> heartbeats_;

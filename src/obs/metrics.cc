@@ -211,10 +211,5 @@ void MetricsRegistry::ResetValues() {
   for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
-size_t MetricsRegistry::NumMetrics() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
-}
-
 }  // namespace obs
 }  // namespace cdpipe

@@ -61,9 +61,6 @@ struct HistogramSnapshot {
   /// (the first bucket interpolates from 0, the overflow bucket is clamped
   /// to the last finite bound).  Returns 0 for an empty histogram.
   double Quantile(double q) const;
-  double P50() const { return Quantile(0.50); }
-  double P95() const { return Quantile(0.95); }
-  double P99() const { return Quantile(0.99); }
 };
 
 /// Fixed-bucket histogram with lock-free recording: bucket lookup is a
@@ -163,8 +160,6 @@ class MetricsRegistry {
   /// Zeroes every registered metric (pointers stay valid).  For tests and
   /// long-lived processes that export deltas themselves.
   void ResetValues();
-
-  size_t NumMetrics() const;
 
  private:
   mutable std::mutex mu_;

@@ -192,11 +192,6 @@ Status Tracer::WriteChromeTrace(const std::string& path) const {
   return Status::OK();
 }
 
-void Tracer::SetDumpPath(std::string path) {
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  dump_path_ = std::move(path);
-}
-
 std::string Tracer::dump_path() const {
   std::lock_guard<std::mutex> lock(registry_mu_);
   return dump_path_;

@@ -62,8 +62,7 @@ class Tracer {
   std::string ToChromeTraceJson() const;
   Status WriteChromeTrace(const std::string& path) const;
 
-  /// Where the automatic exit dump goes ("" = no dump).
-  void SetDumpPath(std::string path);
+  /// Where the automatic exit dump goes: $CDPIPE_TRACE ("" = no dump).
   std::string dump_path() const;
 
   /// Events currently held across all thread buffers (post-overwrite).

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/string_util.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
@@ -28,8 +27,6 @@ class FilterTableStage final : public fusion::FusedStage {
 
   FilterTableStage(const AnomalyFilter* filter, std::vector<CompiledRule> rules)
       : filter_(filter), rules_(std::move(rules)) {}
-
-  const char* label() const override { return "anomaly_filter"; }
 
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::TableBlock& table = ctx.scratch->table;
@@ -59,15 +56,6 @@ class FilterTableStage final : public fusion::FusedStage {
 
 AnomalyFilter::AnomalyFilter(std::string rule_name, std::vector<Rule> rules)
     : rule_name_(std::move(rule_name)), rules_(std::move(rules)) {}
-
-std::unique_ptr<AnomalyFilter> AnomalyFilter::KeepInRange(
-    const std::string& column, double min, double max) {
-  std::vector<Rule> rules;
-  rules.push_back(Rule{column, min, max, /*min_exclusive=*/false,
-                       /*max_exclusive=*/false});
-  return std::make_unique<AnomalyFilter>(
-      StrFormat("%s in [%g, %g]", column.c_str(), min, max), std::move(rules));
-}
 
 Status AnomalyFilter::Fuse(fusion::PlanBuilder* plan) {
   if (plan->repr() != fusion::PlanBuilder::Repr::kTable) {

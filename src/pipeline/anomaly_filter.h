@@ -34,15 +34,7 @@ class AnomalyFilter : public PipelineComponent {
   /// Keeps rows satisfying every rule.
   AnomalyFilter(std::string rule_name, std::vector<Rule> rules);
 
-  /// Keeps rows whose numeric `column` lies within [min, max] (inclusive);
-  /// null cells are dropped as anomalous.
-  static std::unique_ptr<AnomalyFilter> KeepInRange(const std::string& column,
-                                                    double min, double max);
-
   std::string name() const override { return "anomaly_filter(" + rule_name_ + ")"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kDataTransformation;
-  }
 
   Status Fuse(fusion::PlanBuilder* plan) override;
   std::unique_ptr<PipelineComponent> Clone() const override;

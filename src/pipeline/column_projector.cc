@@ -20,7 +20,7 @@ Status ColumnProjector::Fuse(fusion::PlanBuilder* plan) {
   // downstream components compile against the projected schema and the
   // stage itself does no per-row work at all.
   CDPIPE_RETURN_NOT_OK(plan->Project(columns_));
-  plan->AddElidedStage("column_projector");
+  plan->AddElidedStage();
   return Status::OK();
 }
 

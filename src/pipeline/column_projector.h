@@ -16,9 +16,6 @@ class ColumnProjector : public PipelineComponent {
   explicit ColumnProjector(std::vector<std::string> columns);
 
   std::string name() const override { return "column_projector"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kFeatureSelection;
-  }
 
   Status Fuse(fusion::PlanBuilder* plan) override;
   std::unique_ptr<PipelineComponent> Clone() const override;

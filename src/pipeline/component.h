@@ -14,18 +14,6 @@ namespace fusion {
 class PlanBuilder;
 }  // namespace fusion
 
-/// Component classes from Table 1 of the paper.  The class determines the
-/// unit of work and the size complexity of the output (all our components
-/// are O(p) in the input size; one-hot encoding stays O(p) because it emits
-/// sparse vectors, see §3.2.1).
-enum class ComponentKind {
-  kDataTransformation,  ///< per-row filtering or mapping
-  kFeatureSelection,    ///< per-column selection
-  kFeatureExtraction,   ///< per-column generation of new columns
-};
-
-const char* ComponentKindName(ComponentKind kind);
-
 /// A stage of a deployed machine learning pipeline.
 ///
 /// Per §4.3 of the paper, every component implements two operations, both
@@ -43,24 +31,19 @@ const char* ComponentKindName(ComponentKind kind);
 ///    queries (train/serve consistency) and evicted feature chunks can be
 ///    re-materialized at any later time.
 ///
-/// Components whose statistics cannot be maintained incrementally (exact
-/// percentiles, PCA, ...) are outside the platform's contract (§3.1); the
-/// `supports_online_statistics` flag exists so such a component can be
-/// rejected at pipeline construction time.
+/// Each component belongs to one of the component classes of Table 1 (data
+/// transformation, feature selection, feature extraction); its class
+/// comment names which.  Components whose statistics cannot be maintained
+/// incrementally (exact percentiles, PCA, ...) are outside the platform's
+/// contract (§3.1): every stateful component here has an update kernel.
 class PipelineComponent {
  public:
   virtual ~PipelineComponent() = default;
 
   virtual std::string name() const = 0;
-  virtual ComponentKind kind() const = 0;
 
   /// True when the component maintains statistics (is stateful).
   virtual bool is_stateful() const { return false; }
-
-  /// True when the statistics can be folded in incrementally.  Stateless
-  /// components trivially support this.  The Pipeline refuses stateful
-  /// components that return false here.
-  virtual bool supports_online_statistics() const { return true; }
 
   /// Contributes this component's kernels to a plan under construction:
   /// resolves columns against the plan's schema and appends an update
@@ -78,9 +61,6 @@ class PipelineComponent {
   /// NoOptimization baseline (which recomputes statistics on throwaway
   /// clones).
   virtual std::unique_ptr<PipelineComponent> Clone() const = 0;
-
-  /// One-line human-readable summary of the statistics (for reports).
-  virtual std::string DescribeState() const { return "(stateless)"; }
 
   /// Checkpointing: persists / restores the component's statistics.
   /// Stateless components have nothing to save.  Configuration is NOT

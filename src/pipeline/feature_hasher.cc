@@ -39,8 +39,6 @@ class HashVecStage final : public fusion::FusedStage {
  public:
   explicit HashVecStage(const FeatureHasher* hasher) : hasher_(hasher) {}
 
-  const char* label() const override { return "feature_hasher"; }
-
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::ExecScratch& s = *ctx.scratch;
     fusion::VecBlock& vec = s.vec;

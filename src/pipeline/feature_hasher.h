@@ -14,6 +14,8 @@ namespace cdpipe {
 /// appear over time.  Stateless, hence trivially compatible with online
 /// statistics computation; output stays sparse, preserving the O(p) storage
 /// bound of §3.2.1.
+///
+/// Feature extraction (Table 1).
 class FeatureHasher : public PipelineComponent {
  public:
   struct Options {
@@ -29,9 +31,6 @@ class FeatureHasher : public PipelineComponent {
   explicit FeatureHasher(Options options);
 
   std::string name() const override { return "feature_hasher"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kFeatureExtraction;
-  }
 
   Status Fuse(fusion::PlanBuilder* plan) override;
   std::unique_ptr<PipelineComponent> Clone() const override;

@@ -46,10 +46,7 @@ namespace {
 /// per block, but touches no data.
 class ElidedStage final : public FusedStage {
  public:
-  ElidedStage(const char* label, PlanBuilder::Repr repr)
-      : label_(label), repr_(repr) {}
-
-  const char* label() const override { return label_; }
+  explicit ElidedStage(PlanBuilder::Repr repr) : repr_(repr) {}
 
   Status Run(ExecContext& ctx) const override {
     ctx.rows_scanned += repr_ == PlanBuilder::Repr::kTable
@@ -60,7 +57,6 @@ class ElidedStage final : public FusedStage {
   }
 
  private:
-  const char* label_;
   PlanBuilder::Repr repr_;
 };
 
@@ -71,8 +67,6 @@ class ElidedStage final : public FusedStage {
 /// FromSortedUnchecked; debug builds re-assert the invariant there.
 class EmitVecStage final : public FusedStage {
  public:
-  const char* label() const override { return "emit_features"; }
-
   Status Run(ExecContext& ctx) const override {
     const VecBlock& vec = ctx.scratch->vec;
     FeatureData& out = *ctx.out;
@@ -169,8 +163,8 @@ void PlanBuilder::AddUpdateStage(std::unique_ptr<FusedStage> stage) {
   stages_.push_back(Stage{std::move(stage), /*update=*/true});
 }
 
-void PlanBuilder::AddElidedStage(const char* label) {
-  AddStage(std::make_unique<ElidedStage>(label, repr_));
+void PlanBuilder::AddElidedStage() {
+  AddStage(std::make_unique<ElidedStage>(repr_));
   ++compile_elided_;
 }
 
@@ -234,18 +228,6 @@ Status FusedPlan::Execute(const std::vector<std::string>& records,
   if (rows_scanned != nullptr) *rows_scanned += ctx.rows_scanned;
   if (ctx.stages_elided > 0) CountStagesElided(ctx.stages_elided);
   return Status::OK();
-}
-
-std::string FusedPlan::ToString() const {
-  std::string out = StrFormat("FusedPlan[fp=%016llx]{",
-                              static_cast<unsigned long long>(
-                                  stats_.fingerprint));
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    if (i > 0) out += " -> ";
-    out += stages_[i].kernel->label();
-  }
-  out += "}";
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -229,7 +229,6 @@ struct ExecContext {
 class FusedStage {
  public:
   virtual ~FusedStage() = default;
-  virtual const char* label() const = 0;
   virtual Status Run(ExecContext& ctx) const = 0;
 };
 
@@ -239,18 +238,16 @@ class FusedStage {
 template <typename Fn>
 class FnStage final : public FusedStage {
  public:
-  FnStage(const char* label, Fn fn) : label_(label), fn_(std::move(fn)) {}
-  const char* label() const override { return label_; }
+  explicit FnStage(Fn fn) : fn_(std::move(fn)) {}
   Status Run(ExecContext& ctx) const override { return fn_(ctx); }
 
  private:
-  const char* label_;
   Fn fn_;
 };
 
 template <typename Fn>
-std::unique_ptr<FusedStage> MakeStage(const char* label, Fn fn) {
-  return std::make_unique<FnStage<Fn>>(label, std::move(fn));
+std::unique_ptr<FusedStage> MakeStage(Fn fn) {
+  return std::make_unique<FnStage<Fn>>(std::move(fn));
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +293,7 @@ class PlanBuilder {
   /// Accounting-only stage: counts its scan and one elision per block, does
   /// no per-row work.  Used for provably no-op components (projections,
   /// imputers with nothing configured).
-  void AddElidedStage(const char* label);
+  void AddElidedStage();
 
  private:
   friend class FusedPlan;
@@ -348,8 +345,6 @@ class FusedPlan {
                  size_t* rows_scanned, bool update = false) const;
 
   const Stats& stats() const { return stats_; }
-
-  std::string ToString() const;
 
  private:
   /// The stages of one component, [previous segment's end, end).

@@ -64,8 +64,6 @@ class LibSvmParseStage final : public fusion::FusedStage {
  public:
   explicit LibSvmParseStage(const InputParser* parser) : parser_(parser) {}
 
-  const char* label() const override { return "parse_libsvm"; }
-
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::ExecScratch& s = *ctx.scratch;
     fusion::VecBlock& vec = s.vec;
@@ -115,8 +113,6 @@ class LibSvmParseStage final : public fusion::FusedStage {
 class CsvParseStage final : public fusion::FusedStage {
  public:
   explicit CsvParseStage(const InputParser* parser) : parser_(parser) {}
-
-  const char* label() const override { return "parse_csv"; }
 
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::ExecScratch& s = *ctx.scratch;

@@ -25,6 +25,8 @@ namespace cdpipe {
 /// Malformed records are dropped (and counted) unless `strict` is set, in
 /// which case parsing fails with InvalidArgument.  Dropping is the right
 /// deployment behaviour: one bad record must not stall the platform.
+///
+/// Data transformation (Table 1).
 class InputParser : public PipelineComponent {
  public:
   enum class Format { kLibSvm, kCsv };
@@ -45,9 +47,6 @@ class InputParser : public PipelineComponent {
   explicit InputParser(Options options);
 
   std::string name() const override { return "input_parser"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kDataTransformation;
-  }
 
   Status Fuse(fusion::PlanBuilder* plan) override;
   std::unique_ptr<PipelineComponent> Clone() const override;

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/string_util.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
@@ -20,8 +19,6 @@ class ImputeVecStage final : public fusion::FusedStage {
  public:
   explicit ImputeVecStage(const MissingValueImputer* imputer)
       : imputer_(imputer) {}
-
-  const char* label() const override { return "missing_value_imputer"; }
 
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::VecBlock& vec = ctx.scratch->vec;
@@ -58,8 +55,6 @@ class ImputeTableStage final : public fusion::FusedStage {
                    std::vector<size_t> slots)
       : imputer_(imputer), slots_(std::move(slots)) {}
 
-  const char* label() const override { return "missing_value_imputer"; }
-
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::TableBlock& table = ctx.scratch->table;
     ctx.rows_scanned += table.live_rows;
@@ -95,7 +90,7 @@ Status MissingValueImputer::Fuse(fusion::PlanBuilder* plan) {
   using Repr = fusion::PlanBuilder::Repr;
   if (plan->repr() == Repr::kVec) {
     plan->AddUpdateStage(fusion::MakeStage(
-        "missing_value_imputer.update", [this](fusion::ExecContext& ctx) {
+        [this](fusion::ExecContext& ctx) {
           const fusion::VecBlock& vec = ctx.scratch->vec;
           ctx.rows_scanned += vec.num_rows();
           for (const auto& [index, value] : vec.entries) {
@@ -124,7 +119,7 @@ Status MissingValueImputer::Fuse(fusion::PlanBuilder* plan) {
     slots.push_back(slot);
   }
   plan->AddUpdateStage(fusion::MakeStage(
-      "missing_value_imputer.update", [this, slots](fusion::ExecContext& ctx) {
+      [this, slots](fusion::ExecContext& ctx) {
         const fusion::TableBlock& table = ctx.scratch->table;
         ctx.rows_scanned += table.live_rows;
         for (size_t c = 0; c < slots.size(); ++c) {
@@ -139,7 +134,7 @@ Status MissingValueImputer::Fuse(fusion::PlanBuilder* plan) {
         return Status::OK();
       }));
   if (slots.empty()) {
-    plan->AddElidedStage("missing_value_imputer");
+    plan->AddElidedStage();
   } else {
     plan->AddStage(std::make_unique<ImputeTableStage>(this, std::move(slots)));
   }
@@ -152,10 +147,6 @@ std::unique_ptr<PipelineComponent> MissingValueImputer::Clone() const {
   auto out = std::make_unique<MissingValueImputer>(options_);
   out->stats_ = stats_;
   return out;
-}
-
-std::string MissingValueImputer::DescribeState() const {
-  return StrFormat("means tracked for %zu dimensions", stats_.size());
 }
 
 Status MissingValueImputer::SaveState(Serializer* out) const {

@@ -18,6 +18,8 @@ namespace cdpipe {
 /// participates in online statistics computation (§3.1): its update kernel
 /// folds each arriving chunk into per-dimension (count, sum) accumulators
 /// and its transform kernel reads them without rescanning history.
+///
+/// Data transformation (Table 1).
 class MissingValueImputer : public PipelineComponent {
  public:
   struct Options {
@@ -31,15 +33,11 @@ class MissingValueImputer : public PipelineComponent {
   explicit MissingValueImputer(Options options);
 
   std::string name() const override { return "missing_value_imputer"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kDataTransformation;
-  }
   bool is_stateful() const override { return true; }
 
   Status Fuse(fusion::PlanBuilder* plan) override;
   void Reset() override;
   std::unique_ptr<PipelineComponent> Clone() const override;
-  std::string DescribeState() const override;
   Status SaveState(Serializer* out) const override;
   Status LoadState(Deserializer* in) override;
 

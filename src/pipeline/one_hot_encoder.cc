@@ -37,8 +37,6 @@ class OneHotVecStage final : public fusion::FusedStage {
         label_column_(std::move(label_column)),
         dim_(dim) {}
 
-  const char* label() const override { return "one_hot_encoder"; }
-
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::TableBlock& table = ctx.scratch->table;
     fusion::VecBlock& vec = ctx.scratch->vec;
@@ -150,7 +148,7 @@ Status OneHotEncoder::Fuse(fusion::PlanBuilder* plan) {
   std::vector<size_t> cat_slots;
   for (const OneHotVecStage::CatSlot& cat : cats) cat_slots.push_back(cat.slot);
   plan->AddUpdateStage(fusion::MakeStage(
-      "one_hot_encoder.update", [this, cat_slots](fusion::ExecContext& ctx) {
+      [this, cat_slots](fusion::ExecContext& ctx) {
         const fusion::TableBlock& table = ctx.scratch->table;
         ctx.rows_scanned += table.live_rows;
         for (size_t c = 0; c < cat_slots.size(); ++c) {
@@ -253,16 +251,6 @@ Status OneHotEncoder::LoadState(Deserializer* in) {
   }
   dictionaries_ = std::move(dictionaries);
   return Status::OK();
-}
-
-std::string OneHotEncoder::DescribeState() const {
-  std::string out = "dictionaries:";
-  for (size_t c = 0; c < dictionaries_.size(); ++c) {
-    out += StrFormat(" %s=%zu/%u", options_.categorical_columns[c].name.c_str(),
-                     dictionaries_[c].size(),
-                     options_.categorical_columns[c].max_cardinality);
-  }
-  return out;
 }
 
 }  // namespace cdpipe

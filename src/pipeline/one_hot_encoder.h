@@ -25,6 +25,8 @@ namespace cdpipe {
 ///
 /// Output is sparse: each row has |numeric| + |categorical| non-zeros, which
 /// is what keeps one-hot encoding O(p) instead of O(p²) (§3.2.1).
+///
+/// Feature extraction (Table 1).
 class OneHotEncoder : public PipelineComponent {
  public:
   struct CategoricalColumn {
@@ -42,15 +44,11 @@ class OneHotEncoder : public PipelineComponent {
   explicit OneHotEncoder(Options options);
 
   std::string name() const override { return "one_hot_encoder"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kFeatureExtraction;
-  }
   bool is_stateful() const override { return true; }
 
   Status Fuse(fusion::PlanBuilder* plan) override;
   void Reset() override;
   std::unique_ptr<PipelineComponent> Clone() const override;
-  std::string DescribeState() const override;
   Status SaveState(Serializer* out) const override;
   Status LoadState(Deserializer* in) override;
 

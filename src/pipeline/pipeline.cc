@@ -62,12 +62,6 @@ Status Pipeline::AddComponent(std::unique_ptr<PipelineComponent> component) {
   if (component == nullptr) {
     return Status::InvalidArgument("component must not be null");
   }
-  if (component->is_stateful() && !component->supports_online_statistics()) {
-    return Status::FailedPrecondition(
-        "component '" + component->name() +
-        "' keeps statistics that cannot be computed incrementally; the "
-        "platform does not support such components (paper, section 3.1)");
-  }
   components_.push_back(std::move(component));
   AdvanceStateVersion();
   // Structure changed: any cached plan is for a different pipeline.
@@ -164,11 +158,6 @@ std::unique_ptr<Pipeline> Pipeline::Clone() const {
   }
   out->scratch_pool_ = scratch_pool_;
   return out;
-}
-
-void Pipeline::Reset() {
-  AdvanceStateVersion();
-  for (const auto& component : components_) component->Reset();
 }
 
 Status Pipeline::SaveState(Serializer* out) const {

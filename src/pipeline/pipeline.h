@@ -55,9 +55,7 @@ class Pipeline {
     return *this;
   }
 
-  /// Appends a component.  Fails with FailedPrecondition if the component is
-  /// stateful but does not support online statistics computation (§3.1: the
-  /// platform does not support such components).
+  /// Appends a component; fails on a null one.
   Status AddComponent(std::unique_ptr<PipelineComponent> component);
 
   size_t num_components() const { return components_.size(); }
@@ -99,9 +97,6 @@ class Pipeline {
   /// nothing one pipeline leaves in a scratch can be read by another.
   std::unique_ptr<Pipeline> Clone() const;
 
-  /// Resets the statistics of every component.
-  void Reset();
-
   std::string ToString() const;
 
   /// Checkpointing: persists / restores the statistics of every component.
@@ -112,7 +107,7 @@ class Pipeline {
 
   /// Statistics version: a process-unique value (fusion::NextStatsSerial)
   /// redrawn before anything that may mutate component state (online
-  /// updates, reset, checkpoint restore) and drawn afresh by every
+  /// updates, checkpoint restore) and drawn afresh by every
   /// construction and clone.  Equal versions therefore mean the same
   /// pipeline in the same state; snapshot publishers compare it to decide
   /// whether a frozen copy is still exact.

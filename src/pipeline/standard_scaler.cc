@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/string_util.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
@@ -21,8 +20,6 @@ class ScaleVecStage final : public fusion::FusedStage {
  public:
   ScaleVecStage(const StandardScaler* scaler, bool with_mean)
       : scaler_(scaler), with_mean_(with_mean) {}
-
-  const char* label() const override { return "standard_scaler"; }
 
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::VecBlock& vec = ctx.scratch->vec;
@@ -88,8 +85,6 @@ class ScaleTableStage final : public fusion::FusedStage {
  public:
   ScaleTableStage(const StandardScaler* scaler, std::vector<size_t> slots)
       : scaler_(scaler), slots_(std::move(slots)) {}
-
-  const char* label() const override { return "standard_scaler"; }
 
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::TableBlock& table = ctx.scratch->table;
@@ -181,7 +176,7 @@ Status StandardScaler::Fuse(fusion::PlanBuilder* plan) {
   using Repr = fusion::PlanBuilder::Repr;
   if (plan->repr() == Repr::kVec) {
     plan->AddUpdateStage(fusion::MakeStage(
-        "standard_scaler.update", [this](fusion::ExecContext& ctx) {
+        [this](fusion::ExecContext& ctx) {
           const fusion::VecBlock& vec = ctx.scratch->vec;
           ctx.rows_scanned += vec.num_rows();
           total_rows_ += static_cast<int64_t>(vec.num_rows());
@@ -212,7 +207,7 @@ Status StandardScaler::Fuse(fusion::PlanBuilder* plan) {
     slots.push_back(slot);
   }
   plan->AddUpdateStage(fusion::MakeStage(
-      "standard_scaler.update", [this, slots](fusion::ExecContext& ctx) {
+      [this, slots](fusion::ExecContext& ctx) {
         const fusion::TableBlock& table = ctx.scratch->table;
         ctx.rows_scanned += table.live_rows;
         table_mode_seen_ = true;
@@ -233,7 +228,7 @@ Status StandardScaler::Fuse(fusion::PlanBuilder* plan) {
         return Status::OK();
       }));
   if (slots.empty()) {
-    plan->AddElidedStage("standard_scaler");
+    plan->AddElidedStage();
   } else {
     plan->AddStage(std::make_unique<ScaleTableStage>(this, std::move(slots)));
   }
@@ -309,11 +304,6 @@ Status StandardScaler::LoadState(Deserializer* in) {
   column_counts_ = std::move(column_counts);
   stats_serial_ = fusion::NextStatsSerial();
   return Status::OK();
-}
-
-std::string StandardScaler::DescribeState() const {
-  return StrFormat("moments for %zu dimensions over %lld rows", stats_.size(),
-                   static_cast<long long>(total_rows_));
 }
 
 }  // namespace cdpipe

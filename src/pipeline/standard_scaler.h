@@ -26,6 +26,8 @@ namespace cdpipe {
 ///
 /// Dimensions with σ < 1e-12 pass through unscaled (constant features carry
 /// no information; dividing by ~0 would explode them).
+///
+/// Data transformation (Table 1).
 class StandardScaler : public PipelineComponent {
  public:
   struct Options {
@@ -42,15 +44,11 @@ class StandardScaler : public PipelineComponent {
   explicit StandardScaler(Options options);
 
   std::string name() const override { return "standard_scaler"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kDataTransformation;
-  }
   bool is_stateful() const override { return true; }
 
   Status Fuse(fusion::PlanBuilder* plan) override;
   void Reset() override;
   std::unique_ptr<PipelineComponent> Clone() const override;
-  std::string DescribeState() const override;
   Status SaveState(Serializer* out) const override;
   Status LoadState(Deserializer* in) override;
 

@@ -33,8 +33,6 @@ class ExtractTaxiStage final : public fusion::FusedStage {
 
   explicit ExtractTaxiStage(Slots slots) : slots_(slots) {}
 
-  const char* label() const override { return "taxi_feature_extractor"; }
-
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::TableBlock& table = ctx.scratch->table;
     ctx.rows_scanned += table.live_rows;

@@ -67,9 +67,6 @@ class TaxiFeatureExtractor : public PipelineComponent {
   explicit TaxiFeatureExtractor(Options options);
 
   std::string name() const override { return "taxi_feature_extractor"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kFeatureExtraction;
-  }
 
   Status Fuse(fusion::PlanBuilder* plan) override;
   std::unique_ptr<PipelineComponent> Clone() const override;

@@ -24,8 +24,6 @@ class AssembleVecStage final : public fusion::FusedStage {
         dim_(dim),
         add_intercept_(add_intercept) {}
 
-  const char* label() const override { return "vector_assembler"; }
-
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::TableBlock& table = ctx.scratch->table;
     fusion::VecBlock& vec = ctx.scratch->vec;

@@ -13,6 +13,8 @@ namespace cdpipe {
 /// numeric columns into a feature vector (index i = i-th configured column)
 /// and pulls the label from `label_column`.  Optionally adds a constant
 /// intercept feature as the last dimension.  Stateless.
+///
+/// Feature selection (Table 1).
 class VectorAssembler : public PipelineComponent {
  public:
   struct Options {
@@ -25,9 +27,6 @@ class VectorAssembler : public PipelineComponent {
   explicit VectorAssembler(Options options);
 
   std::string name() const override { return "vector_assembler"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kFeatureSelection;
-  }
 
   Status Fuse(fusion::PlanBuilder* plan) override;
   std::unique_ptr<PipelineComponent> Clone() const override;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/string_util.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
@@ -19,8 +18,6 @@ class ZScoreTableStage final : public fusion::FusedStage {
   ZScoreTableStage(const ZScoreAnomalyDetector* detector,
                    std::vector<size_t> slots)
       : detector_(detector), slots_(std::move(slots)) {}
-
-  const char* label() const override { return "zscore_anomaly_detector"; }
 
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::TableBlock& table = ctx.scratch->table;
@@ -77,7 +74,6 @@ Status ZScoreAnomalyDetector::Fuse(fusion::PlanBuilder* plan) {
     slots.push_back(slot);
   }
   plan->AddUpdateStage(fusion::MakeStage(
-      "zscore_anomaly_detector.update",
       [this, slots](fusion::ExecContext& ctx) {
         const fusion::TableBlock& table = ctx.scratch->table;
         ctx.rows_scanned += table.live_rows;
@@ -111,17 +107,6 @@ std::unique_ptr<PipelineComponent> ZScoreAnomalyDetector::Clone() const {
   out->stats_ = stats_;
   out->dropped_.store(dropped_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
-  return out;
-}
-
-std::string ZScoreAnomalyDetector::DescribeState() const {
-  std::string out = StrFormat("threshold=%.1f sigma;", options_.threshold);
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    out += StrFormat(" %s: n=%lld mean=%.3g sd=%.3g",
-                     options_.columns[c].c_str(),
-                     static_cast<long long>(stats_[c].count), stats_[c].mean,
-                     std::sqrt(stats_[c].Variance()));
-  }
   return out;
 }
 

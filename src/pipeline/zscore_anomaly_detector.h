@@ -22,6 +22,8 @@ namespace cdpipe {
 /// computation (§3.1) and checkpointing.  Until `min_observations` values
 /// have been seen for a column, that column never votes to drop a row (a
 /// cold detector must not discard the data it needs to calibrate).
+///
+/// Data transformation (Table 1).
 class ZScoreAnomalyDetector : public PipelineComponent {
  public:
   struct Options {
@@ -33,15 +35,11 @@ class ZScoreAnomalyDetector : public PipelineComponent {
   explicit ZScoreAnomalyDetector(Options options);
 
   std::string name() const override { return "zscore_anomaly_detector"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kDataTransformation;
-  }
   bool is_stateful() const override { return true; }
 
   Status Fuse(fusion::PlanBuilder* plan) override;
   void Reset() override;
   std::unique_ptr<PipelineComponent> Clone() const override;
-  std::string DescribeState() const override;
   Status SaveState(Serializer* out) const override;
   Status LoadState(Deserializer* in) override;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/logging.h"
-#include "src/common/string_util.h"
 
 namespace cdpipe {
 
@@ -33,10 +32,6 @@ std::vector<ChunkId> UniformSampler::Sample(
 
 WindowSampler::WindowSampler(size_t window_size) : window_size_(window_size) {
   CDPIPE_CHECK_GT(window_size_, 0u);
-}
-
-std::string WindowSampler::name() const {
-  return StrFormat("window-based(w=%zu)", window_size_);
 }
 
 std::vector<ChunkId> WindowSampler::Sample(

@@ -2,7 +2,6 @@
 #define CDPIPE_SAMPLING_SAMPLER_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -27,25 +26,15 @@ class Sampler {
  public:
   virtual ~Sampler() = default;
 
-  virtual SamplerKind kind() const = 0;
-  virtual std::string name() const = 0;
-
   virtual std::vector<ChunkId> Sample(const std::vector<ChunkId>& live_ids,
                                       size_t sample_size, Rng* rng) const = 0;
-
-  virtual std::unique_ptr<Sampler> Clone() const = 0;
 };
 
 /// Uniform sampling without replacement over all live chunks.
 class UniformSampler final : public Sampler {
  public:
-  SamplerKind kind() const override { return SamplerKind::kUniform; }
-  std::string name() const override { return "uniform"; }
   std::vector<ChunkId> Sample(const std::vector<ChunkId>& live_ids,
                               size_t sample_size, Rng* rng) const override;
-  std::unique_ptr<Sampler> Clone() const override {
-    return std::make_unique<UniformSampler>(*this);
-  }
 };
 
 /// Uniform sampling restricted to the `window_size` most recent chunks.
@@ -53,15 +42,8 @@ class WindowSampler final : public Sampler {
  public:
   explicit WindowSampler(size_t window_size);
 
-  SamplerKind kind() const override { return SamplerKind::kWindow; }
-  std::string name() const override;
   std::vector<ChunkId> Sample(const std::vector<ChunkId>& live_ids,
                               size_t sample_size, Rng* rng) const override;
-  std::unique_ptr<Sampler> Clone() const override {
-    return std::make_unique<WindowSampler>(*this);
-  }
-
-  size_t window_size() const { return window_size_; }
 
  private:
   size_t window_size_;
@@ -73,13 +55,8 @@ class WindowSampler final : public Sampler {
 /// reservoir scheme (keys u^(1/w), take the s largest).
 class TimeBasedSampler final : public Sampler {
  public:
-  SamplerKind kind() const override { return SamplerKind::kTime; }
-  std::string name() const override { return "time-based"; }
   std::vector<ChunkId> Sample(const std::vector<ChunkId>& live_ids,
                               size_t sample_size, Rng* rng) const override;
-  std::unique_ptr<Sampler> Clone() const override {
-    return std::make_unique<TimeBasedSampler>(*this);
-  }
 };
 
 /// Factory from kind; `window_size` only used by the window sampler.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
-#include "src/common/string_util.h"
 #include "src/obs/metrics.h"
 
 namespace cdpipe {
@@ -46,10 +45,6 @@ StaticScheduler::StaticScheduler(double interval_seconds)
   CDPIPE_CHECK_GT(interval_seconds_, 0.0);
 }
 
-std::string StaticScheduler::name() const {
-  return StrFormat("static(%.3fs)", interval_seconds_);
-}
-
 bool StaticScheduler::ShouldTrain(double now_seconds) {
   if (!initialized_) {
     next_due_ = now_seconds + interval_seconds_;
@@ -71,10 +66,6 @@ void StaticScheduler::OnTrainingCompleted(double start_seconds,
 DynamicScheduler::DynamicScheduler(Options options) : options_(options) {
   CDPIPE_CHECK_GE(options_.slack, 1.0);
   CDPIPE_CHECK_GT(options_.min_interval_seconds, 0.0);
-}
-
-std::string DynamicScheduler::name() const {
-  return StrFormat("dynamic(S=%.2f)", options_.slack);
 }
 
 bool DynamicScheduler::ShouldTrain(double now_seconds) {

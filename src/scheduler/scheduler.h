@@ -2,7 +2,6 @@
 #define CDPIPE_SCHEDULER_SCHEDULER_H_
 
 #include <memory>
-#include <string>
 
 #include "src/common/status.h"
 
@@ -43,8 +42,6 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  virtual std::string name() const = 0;
-
   /// True when a proactive training should run at time `now_seconds`.
   virtual bool ShouldTrain(double now_seconds) = 0;
 
@@ -68,12 +65,9 @@ class StaticScheduler final : public Scheduler {
  public:
   explicit StaticScheduler(double interval_seconds);
 
-  std::string name() const override;
   bool ShouldTrain(double now_seconds) override;
   void OnTrainingCompleted(double start_seconds,
                            double duration_seconds) override;
-
-  double interval_seconds() const { return interval_seconds_; }
 
  private:
   double interval_seconds_;
@@ -104,7 +98,6 @@ class DynamicScheduler final : public Scheduler {
 
   explicit DynamicScheduler(Options options);
 
-  std::string name() const override;
   bool ShouldTrain(double now_seconds) override;
   void OnTrainingCompleted(double start_seconds,
                            double duration_seconds) override;

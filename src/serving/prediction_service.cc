@@ -146,13 +146,6 @@ Result<PredictionService::Response> PredictionService::Predict(
   return future.get();
 }
 
-Result<PredictionService::Response> PredictionService::PredictRecord(
-    const std::string& record) {
-  RawChunk chunk;
-  chunk.records.push_back(record);
-  return Predict(chunk);
-}
-
 Result<PredictionService::Response> PredictionService::PredictWith(
     SnapshotReader* reader, const RawChunk& chunk) const {
   return ServeOne(reader, chunk,

@@ -95,9 +95,6 @@ class PredictionService {
   /// published yet, or the service stops before the request is served.
   Result<Response> Predict(const RawChunk& chunk);
 
-  /// Single-record convenience wrapper over Predict.
-  Result<Response> PredictRecord(const std::string& record);
-
   /// Inline request path against a caller-owned reader: same metrics,
   /// span, fault sites, and response shape as the queued path, but
   /// executed on the calling thread with no queue hop.  This is what the

@@ -26,15 +26,6 @@ TEST(CostModelTest, AccumulatesPerPhase) {
   EXPECT_EQ(cost.TotalWork(), 100);
 }
 
-TEST(CostModelTest, TrainingSecondsSumsTrainingPhases) {
-  CostModel cost;
-  cost.AddSeconds(CostPhase::kOnlineTraining, 1.0);
-  cost.AddSeconds(CostPhase::kProactiveTraining, 2.0);
-  cost.AddSeconds(CostPhase::kRetraining, 4.0);
-  cost.AddSeconds(CostPhase::kPrediction, 100.0);  // not training
-  EXPECT_DOUBLE_EQ(cost.TrainingSeconds(), 7.0);
-}
-
 TEST(CostModelTest, ResetClearsEverything) {
   CostModel cost;
   cost.AddSeconds(CostPhase::kPrediction, 1.0);

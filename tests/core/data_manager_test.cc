@@ -20,14 +20,20 @@ DataManager MakeManager(size_t max_materialized = SIZE_MAX) {
   return DataManager(store, MakeSampler(SamplerKind::kUniform));
 }
 
+// Appends a one-record chunk under the manager's next id.
+Status Ingest(DataManager* manager, int64_t event_time_seconds) {
+  RawChunk chunk;
+  chunk.id = manager->next_id();
+  chunk.event_time_seconds = event_time_seconds;
+  chunk.records = {"r"};
+  return manager->IngestChunk(std::move(chunk));
+}
+
 TEST(DataManagerTest, IngestAssignsSequentialIds) {
   DataManager manager = MakeManager();
-  auto id0 = manager.IngestRecords({"a"}, 0);
-  auto id1 = manager.IngestRecords({"b"}, 60);
-  ASSERT_TRUE(id0.ok());
-  ASSERT_TRUE(id1.ok());
-  EXPECT_EQ(*id0, 0);
-  EXPECT_EQ(*id1, 1);
+  ASSERT_TRUE(Ingest(&manager, 0).ok());
+  EXPECT_EQ(manager.next_id(), 1);
+  ASSERT_TRUE(Ingest(&manager, 60).ok());
   EXPECT_EQ(manager.next_id(), 2);
   EXPECT_EQ(manager.store().num_raw(), 2u);
 }
@@ -54,7 +60,7 @@ TEST(DataManagerTest, SampleOnEmptyStoreFails) {
 TEST(DataManagerTest, SampleSplitsByMaterialization) {
   DataManager manager = MakeManager(/*max_materialized=*/2);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(manager.IngestRecords({"r"}, i * 60).ok());
+    ASSERT_TRUE(Ingest(&manager, i * 60).ok());
     ASSERT_TRUE(manager.StoreFeatures(MakeFeatures(i)).ok());
   }
   // Chunks 0,1 evicted; 2,3 materialized.
@@ -77,27 +83,12 @@ TEST(DataManagerTest, SampleSplitsByMaterialization) {
 TEST(DataManagerTest, SampleSmallerThanStore) {
   DataManager manager = MakeManager();
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(manager.IngestRecords({"r"}, i).ok());
+    ASSERT_TRUE(Ingest(&manager, i).ok());
   }
   Rng rng(3);
   auto sample = manager.SampleForTraining(4, &rng);
   ASSERT_TRUE(sample.ok());
   EXPECT_EQ(sample->num_chunks(), 4u);
-}
-
-TEST(DataManagerTest, SetSamplerSwitchesStrategy) {
-  DataManager manager = MakeManager();
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(manager.IngestRecords({"r"}, i).ok());
-  }
-  manager.set_sampler(std::make_unique<WindowSampler>(5));
-  EXPECT_EQ(manager.sampler().kind(), SamplerKind::kWindow);
-  Rng rng(4);
-  auto sample = manager.SampleForTraining(3, &rng);
-  ASSERT_TRUE(sample.ok());
-  for (const RawChunk* chunk : sample->to_rematerialize) {
-    EXPECT_GE(chunk->id, 95);
-  }
 }
 
 }  // namespace

@@ -227,12 +227,7 @@ TEST_F(DeploymentIntegrationTest, ReportSerialization) {
                               std::move(p.model), std::move(p.optimizer),
                               std::move(p.metric));
   DeploymentReport report = RunStrategy(&deployment, bootstrap_, stream_);
-  const std::string csv = report.CurveToCsv();
-  EXPECT_NE(csv.find("chunk_index,"), std::string::npos);
-  // Header + one line per chunk.
-  EXPECT_EQ(static_cast<size_t>(
-                std::count(csv.begin(), csv.end(), '\n')),
-            kStreamChunks + 1);
+  EXPECT_EQ(report.curve.size(), kStreamChunks);
   auto sampled = report.SampledCurve(10);
   EXPECT_EQ(sampled.size(), 10u);
   EXPECT_EQ(sampled.front().chunk_index, report.curve.front().chunk_index);

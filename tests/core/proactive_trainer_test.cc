@@ -98,7 +98,8 @@ class ProactiveTrainerTest : public ::testing::Test {
 };
 
 TEST_F(ProactiveTrainerTest, IterationOverMaterializedSample) {
-  ProactiveTrainer trainer(manager_.get(), &engine_);
+  ProactiveTrainer trainer(manager_.get(), &engine_,
+                           ProactiveTrainer::Options());
   RawChunk raw = MakeChunk(0);
   FeatureChunk features = Materialize(raw);
   DataManager::SampleSet sample;
@@ -113,7 +114,8 @@ TEST_F(ProactiveTrainerTest, IterationOverMaterializedSample) {
 }
 
 TEST_F(ProactiveTrainerTest, IterationRematerializesEvictedChunks) {
-  ProactiveTrainer trainer(manager_.get(), &engine_);
+  ProactiveTrainer trainer(manager_.get(), &engine_,
+                           ProactiveTrainer::Options());
   RawChunk raw0 = MakeChunk(0);
   RawChunk raw1 = MakeChunk(1);
   FeatureChunk features = Materialize(raw0);
@@ -131,7 +133,8 @@ TEST_F(ProactiveTrainerTest, IterationRematerializesEvictedChunks) {
 TEST_F(ProactiveTrainerTest, EachIterationIsOneSgdStep) {
   // Iterations of proactive training are conditionally independent: each
   // one is exactly one optimizer step regardless of spacing (§3.3).
-  ProactiveTrainer trainer(manager_.get(), &engine_);
+  ProactiveTrainer trainer(manager_.get(), &engine_,
+                           ProactiveTrainer::Options());
   RawChunk raw = MakeChunk(0);
   FeatureChunk features = Materialize(raw);
   DataManager::SampleSet sample;
@@ -145,7 +148,8 @@ TEST_F(ProactiveTrainerTest, EachIterationIsOneSgdStep) {
 }
 
 TEST_F(ProactiveTrainerTest, EmptySampleIsNoOp) {
-  ProactiveTrainer trainer(manager_.get(), &engine_);
+  ProactiveTrainer trainer(manager_.get(), &engine_,
+                           ProactiveTrainer::Options());
   DataManager::SampleSet sample;
   ASSERT_TRUE(trainer.RunIteration(sample).ok());
   EXPECT_EQ(MetricsSinceStart().proactive_iterations(), 1);
@@ -154,7 +158,8 @@ TEST_F(ProactiveTrainerTest, EmptySampleIsNoOp) {
 
 TEST_F(ProactiveTrainerTest, ParallelRematerializationMatchesSerial) {
   ExecutionEngine parallel_engine(4);
-  ProactiveTrainer serial(manager_.get(), &engine_);
+  ProactiveTrainer serial(manager_.get(), &engine_,
+                          ProactiveTrainer::Options());
   RawChunk raw0 = MakeChunk(0);
   RawChunk raw1 = MakeChunk(1);
   RawChunk raw2 = MakeChunk(2);
@@ -163,7 +168,8 @@ TEST_F(ProactiveTrainerTest, ParallelRematerializationMatchesSerial) {
   ASSERT_TRUE(serial.RunIteration(sample).ok());
   const double weights_after_serial = manager_->model().weights().L2Norm();
 
-  ProactiveTrainer parallel(manager_.get(), &parallel_engine);
+  ProactiveTrainer parallel(manager_.get(), &parallel_engine,
+                            ProactiveTrainer::Options());
   ASSERT_TRUE(parallel.RunIteration(sample).ok());
   // Both ran one iteration over the same merged batch; weights moved again
   // but the mechanism is identical.

@@ -1,7 +1,5 @@
 #include "src/core/report.h"
 
-#include <sstream>
-
 #include <gtest/gtest.h>
 
 namespace cdpipe {
@@ -24,23 +22,6 @@ DeploymentReport MakeReport(size_t points) {
   report.final_error = report.curve.empty() ? 0.0
                                             : report.curve.back().cumulative_error;
   return report;
-}
-
-TEST(ReportTest, CsvHasHeaderAndOneRowPerPoint) {
-  DeploymentReport report = MakeReport(5);
-  const std::string csv = report.CurveToCsv();
-  EXPECT_EQ(csv.rfind("chunk_index,observations,", 0), 0u);
-  size_t lines = 0;
-  for (char c : csv) lines += c == '\n';
-  EXPECT_EQ(lines, 6u);
-}
-
-TEST(ReportTest, CsvOfEmptyCurveIsJustHeader) {
-  DeploymentReport report = MakeReport(0);
-  const std::string csv = report.CurveToCsv();
-  size_t lines = 0;
-  for (char c : csv) lines += c == '\n';
-  EXPECT_EQ(lines, 1u);
 }
 
 TEST(ReportTest, SampledCurveKeepsEndpoints) {
@@ -73,13 +54,6 @@ TEST(ReportTest, SummaryMentionsStrategyAndMetric) {
   EXPECT_NE(summary.find("test-strategy"), std::string::npos);
   EXPECT_NE(summary.find("misclassification"), std::string::npos);
   EXPECT_NE(summary.find("proactive=7"), std::string::npos);
-}
-
-TEST(ReportTest, StreamOperatorWritesSummary) {
-  DeploymentReport report = MakeReport(1);
-  std::ostringstream os;
-  os << report;
-  EXPECT_EQ(os.str(), report.Summary());
 }
 
 }  // namespace

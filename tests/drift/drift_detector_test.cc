@@ -7,16 +7,12 @@
 namespace cdpipe {
 namespace {
 
-TEST(DriftStateTest, Names) {
-  EXPECT_STREQ(DriftStateName(DriftState::kStable), "stable");
-  EXPECT_STREQ(DriftStateName(DriftState::kWarning), "warning");
-  EXPECT_STREQ(DriftStateName(DriftState::kDrift), "drift");
-}
+enum class DetectorKind { kPageHinkley, kDdm };
 
-class DetectorKindTest : public ::testing::TestWithParam<DriftDetectorKind> {
+class DetectorKindTest : public ::testing::TestWithParam<DetectorKind> {
  protected:
   std::unique_ptr<DriftDetector> Make() {
-    if (GetParam() == DriftDetectorKind::kPageHinkley) {
+    if (GetParam() == DetectorKind::kPageHinkley) {
       PageHinkleyDetector::Options options;
       options.lambda = 15.0;
       options.delta = 0.03;
@@ -116,8 +112,8 @@ TEST_P(DetectorKindTest, CloneIsIndependent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, DetectorKindTest,
-                         ::testing::Values(DriftDetectorKind::kPageHinkley,
-                                           DriftDetectorKind::kDdm));
+                         ::testing::Values(DetectorKind::kPageHinkley,
+                                           DetectorKind::kDdm));
 
 TEST(PageHinkleyTest, StatisticGrowsUnderShift) {
   PageHinkleyDetector detector;
@@ -151,12 +147,6 @@ TEST(DdmTest, FractionalSignalsAveraged) {
   EXPECT_NEAR(detector.ErrorRate(), 0.2, 1e-9);
   for (int i = 0; i < 10; ++i) detector.Observe(0.7);
   EXPECT_GT(detector.ErrorRate(), 0.2);
-}
-
-TEST(MakeDriftDetectorTest, Factory) {
-  EXPECT_EQ(MakeDriftDetector(DriftDetectorKind::kPageHinkley)->name(),
-            "page-hinkley");
-  EXPECT_EQ(MakeDriftDetector(DriftDetectorKind::kDdm)->name(), "ddm");
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/linalg/sparse_vector.h"
-
 namespace cdpipe {
 namespace {
 
@@ -30,13 +28,6 @@ TEST(DenseVectorTest, ResizeZeroFills) {
   EXPECT_DOUBLE_EQ(v[3], 0.0);
 }
 
-TEST(DenseVectorTest, FillAndScale) {
-  DenseVector v(3);
-  v.Fill(2.0);
-  v.Scale(-0.5);
-  for (size_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(v[i], -1.0);
-}
-
 TEST(DenseVectorTest, AxpyDense) {
   DenseVector v(std::vector<double>{1, 2, 3});
   DenseVector u(std::vector<double>{1, 1, 1});
@@ -46,42 +37,15 @@ TEST(DenseVectorTest, AxpyDense) {
   EXPECT_DOUBLE_EQ(v[2], 5.0);
 }
 
-TEST(DenseVectorTest, AxpySparse) {
-  DenseVector v(std::vector<double>{1, 2, 3, 4});
-  SparseVector s =
-      SparseVector::FromUnsorted(4, {{0, 1.0}, {3, -2.0}});
-  v.Axpy(3.0, s);
-  EXPECT_DOUBLE_EQ(v[0], 4.0);
-  EXPECT_DOUBLE_EQ(v[1], 2.0);
-  EXPECT_DOUBLE_EQ(v[2], 3.0);
-  EXPECT_DOUBLE_EQ(v[3], -2.0);
-}
-
-TEST(DenseVectorTest, DotDenseAndSparse) {
-  DenseVector v(std::vector<double>{1, 2, 3});
-  DenseVector u(std::vector<double>{4, 5, 6});
-  EXPECT_DOUBLE_EQ(v.Dot(u), 32.0);
-  SparseVector s = SparseVector::FromUnsorted(3, {{1, 2.0}});
-  EXPECT_DOUBLE_EQ(v.Dot(s), 4.0);
-}
-
 TEST(DenseVectorTest, Norms) {
   DenseVector v(std::vector<double>{3, -4});
   EXPECT_DOUBLE_EQ(v.L2NormSquared(), 25.0);
   EXPECT_DOUBLE_EQ(v.L2Norm(), 5.0);
-  EXPECT_DOUBLE_EQ(v.L1Norm(), 7.0);
 }
 
 TEST(DenseVectorTest, ByteSize) {
   DenseVector v(10);
   EXPECT_EQ(v.ByteSize(), 80u);
-}
-
-TEST(DenseVectorTest, ToStringTruncates) {
-  DenseVector v(100, 1.0);
-  const std::string s = v.ToString(4);
-  EXPECT_NE(s.find("..."), std::string::npos);
-  EXPECT_NE(s.find("100 total"), std::string::npos);
 }
 
 }  // namespace

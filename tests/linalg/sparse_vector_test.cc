@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/rng.h"
-#include "src/linalg/dense_vector.h"
-
 namespace cdpipe {
 namespace {
 
@@ -14,7 +11,6 @@ TEST(SparseVectorTest, EmptyVector) {
   EXPECT_EQ(v.nnz(), 0u);
   EXPECT_TRUE(v.empty());
   EXPECT_DOUBLE_EQ(v.Get(3), 0.0);
-  EXPECT_DOUBLE_EQ(v.L2Norm(), 0.0);
 }
 
 TEST(SparseVectorTest, FromSortedValid) {
@@ -48,17 +44,9 @@ TEST(SparseVectorTest, FromUnsortedSortsAndMerges) {
   EXPECT_EQ(v.indices()[1], 5u);
 }
 
-TEST(SparseVectorTest, PushBackAppends) {
-  SparseVector v(16);
-  v.PushBack(3, 1.5);
-  v.PushBack(9, -2.0);
-  EXPECT_EQ(v.nnz(), 2u);
-  EXPECT_DOUBLE_EQ(v.Get(9), -2.0);
-}
-
 TEST(SparseVectorTest, ScaleAndTransform) {
   SparseVector v = SparseVector::FromUnsorted(4, {{0, 1.0}, {2, 2.0}});
-  v.Scale(3.0);
+  v.TransformValues([](uint32_t, double value) { return 3.0 * value; });
   EXPECT_DOUBLE_EQ(v.Get(0), 3.0);
   EXPECT_DOUBLE_EQ(v.Get(2), 6.0);
   v.TransformValues([](uint32_t index, double value) {
@@ -66,36 +54,6 @@ TEST(SparseVectorTest, ScaleAndTransform) {
   });
   EXPECT_DOUBLE_EQ(v.Get(0), 3.0);
   EXPECT_DOUBLE_EQ(v.Get(2), -6.0);
-}
-
-TEST(SparseVectorTest, DotWithDense) {
-  SparseVector v = SparseVector::FromUnsorted(3, {{0, 1.0}, {2, 2.0}});
-  DenseVector d(std::vector<double>{10, 20, 30});
-  EXPECT_DOUBLE_EQ(v.Dot(d), 70.0);
-}
-
-TEST(SparseVectorTest, DotSparseSparse) {
-  SparseVector a = SparseVector::FromUnsorted(10, {{1, 2.0}, {5, 3.0}});
-  SparseVector b =
-      SparseVector::FromUnsorted(10, {{5, 4.0}, {7, 1.0}, {1, 1.0}});
-  EXPECT_DOUBLE_EQ(a.Dot(b), 14.0);
-  EXPECT_DOUBLE_EQ(b.Dot(a), 14.0);
-}
-
-TEST(SparseVectorTest, DotDisjointIsZero) {
-  SparseVector a = SparseVector::FromUnsorted(10, {{1, 2.0}});
-  SparseVector b = SparseVector::FromUnsorted(10, {{2, 3.0}});
-  EXPECT_DOUBLE_EQ(a.Dot(b), 0.0);
-}
-
-TEST(SparseVectorTest, ToDenseRoundTrip) {
-  SparseVector v = SparseVector::FromUnsorted(5, {{1, 2.0}, {4, -1.0}});
-  DenseVector d = v.ToDense();
-  EXPECT_EQ(d.dim(), 5u);
-  EXPECT_DOUBLE_EQ(d[0], 0.0);
-  EXPECT_DOUBLE_EQ(d[1], 2.0);
-  EXPECT_DOUBLE_EQ(d[4], -1.0);
-  EXPECT_DOUBLE_EQ(v.Dot(v), d.Dot(d));
 }
 
 TEST(SparseVectorTest, EqualityOperator) {
@@ -108,66 +66,10 @@ TEST(SparseVectorTest, EqualityOperator) {
   EXPECT_FALSE(a == d);
 }
 
-TEST(SparseVectorTest, WithDimWidensWithoutTouchingEntries) {
-  SparseVector v = SparseVector::FromUnsorted(8, {{1, 2.0}, {6, -1.0}});
-  auto wide = v.WithDim(32);
-  ASSERT_TRUE(wide.ok());
-  EXPECT_EQ(wide->dim(), 32u);
-  EXPECT_EQ(wide->nnz(), 2u);
-  EXPECT_DOUBLE_EQ(wide->Get(1), 2.0);
-  EXPECT_DOUBLE_EQ(wide->Get(6), -1.0);
-  EXPECT_EQ(v.dim(), 8u);  // original untouched
-}
-
-TEST(SparseVectorTest, WithDimRejectsShrinkBelowMaxIndex) {
-  SparseVector v = SparseVector::FromUnsorted(8, {{1, 2.0}, {6, -1.0}});
-  auto narrow = v.WithDim(6);
-  ASSERT_FALSE(narrow.ok());
-  EXPECT_EQ(narrow.status().code(), StatusCode::kOutOfRange);
-  EXPECT_TRUE(v.WithDim(7).ok());  // max index 6 < 7 is fine
-}
-
-TEST(SparseVectorTest, WithDimOnEmptyAllowsAnyDim) {
-  SparseVector v(16);
-  auto zero = v.WithDim(0);
-  ASSERT_TRUE(zero.ok());
-  EXPECT_EQ(zero->dim(), 0u);
-  auto wide = v.WithDim(1000);
-  ASSERT_TRUE(wide.ok());
-  EXPECT_EQ(wide->dim(), 1000u);
-  EXPECT_EQ(wide->nnz(), 0u);
-}
-
 TEST(SparseVectorTest, ByteSizeCountsBothArrays) {
   SparseVector v = SparseVector::FromUnsorted(100, {{1, 1.0}, {2, 2.0}});
   EXPECT_EQ(v.ByteSize(), 2 * (sizeof(uint32_t) + sizeof(double)));
 }
-
-// Property check: sparse-sparse dot equals dense-dense dot on random data.
-class SparseDotPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SparseDotPropertyTest, MatchesDenseDot) {
-  Rng rng(GetParam());
-  constexpr uint32_t kDim = 64;
-  auto random_sparse = [&]() {
-    std::vector<std::pair<uint32_t, double>> entries;
-    const size_t nnz = 1 + rng.NextBounded(20);
-    for (size_t i = 0; i < nnz; ++i) {
-      entries.emplace_back(static_cast<uint32_t>(rng.NextBounded(kDim)),
-                           rng.NextGaussian());
-    }
-    return SparseVector::FromUnsorted(kDim, std::move(entries));
-  };
-  for (int trial = 0; trial < 50; ++trial) {
-    SparseVector a = random_sparse();
-    SparseVector b = random_sparse();
-    EXPECT_NEAR(a.Dot(b), a.ToDense().Dot(b.ToDense()), 1e-9);
-    EXPECT_NEAR(a.L2NormSquared(), a.ToDense().L2NormSquared(), 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SparseDotPropertyTest,
-                         ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace
 }  // namespace cdpipe

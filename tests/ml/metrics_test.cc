@@ -39,40 +39,6 @@ TEST(RmseTest, PerfectPredictionsGiveZero) {
   EXPECT_DOUBLE_EQ(metric.Value(), 0.0);
 }
 
-TEST(RmsleTest, MatchesClosedForm) {
-  Rmsle metric;
-  metric.Add(std::expm1(2.0), std::expm1(1.0));
-  // log1p of both: 2 and 1 -> error 1.
-  EXPECT_NEAR(metric.Value(), 1.0, 1e-12);
-}
-
-TEST(RmsleTest, ClampsNegativePredictions) {
-  Rmsle metric;
-  metric.Add(-5.0, 0.0);  // clamp to 0 -> error 0
-  EXPECT_DOUBLE_EQ(metric.Value(), 0.0);
-}
-
-TEST(RmsleEqualsRmseInLogSpace, Property) {
-  // RMSE over log1p-space values equals RMSLE over raw-space values — the
-  // identity the Taxi pipeline relies on.
-  Rmse log_space;
-  Rmsle raw_space;
-  const double preds[] = {10.0, 300.0, 4000.0};
-  const double labels[] = {12.0, 250.0, 5000.0};
-  for (int i = 0; i < 3; ++i) {
-    log_space.Add(std::log1p(preds[i]), std::log1p(labels[i]));
-    raw_space.Add(preds[i], labels[i]);
-  }
-  EXPECT_NEAR(log_space.Value(), raw_space.Value(), 1e-12);
-}
-
-TEST(MaeTest, MeanAbsoluteError) {
-  MeanAbsoluteError metric;
-  metric.Add(1.0, 4.0);
-  metric.Add(2.0, 1.0);
-  EXPECT_DOUBLE_EQ(metric.Value(), 2.0);
-}
-
 template <typename M>
 void CheckResetAndClone() {
   M metric;
@@ -91,15 +57,11 @@ void CheckResetAndClone() {
 TEST(MetricCommonTest, ResetAndCloneForAllMetrics) {
   CheckResetAndClone<MisclassificationRate>();
   CheckResetAndClone<Rmse>();
-  CheckResetAndClone<Rmsle>();
-  CheckResetAndClone<MeanAbsoluteError>();
 }
 
 TEST(MetricCommonTest, Names) {
   EXPECT_EQ(MisclassificationRate().name(), "misclassification");
   EXPECT_EQ(Rmse().name(), "rmse");
-  EXPECT_EQ(Rmsle().name(), "rmsle");
-  EXPECT_EQ(MeanAbsoluteError().name(), "mae");
 }
 
 }  // namespace

@@ -222,7 +222,6 @@ TEST(OptimizerTest, KindNamesAndFactory) {
        {OptimizerKind::kSgd, OptimizerKind::kMomentum, OptimizerKind::kAdam,
         OptimizerKind::kRmsprop, OptimizerKind::kAdadelta}) {
     auto opt = MakeOptimizer(OptionsFor(kind));
-    EXPECT_EQ(opt->kind(), kind);
     EXPECT_EQ(opt->name(), OptimizerKindName(kind));
   }
 }

@@ -14,7 +14,6 @@ TEST(PrequentialTest, CumulativeTracksMetric) {
   eval.Observe(-1.0, 1.0);
   EXPECT_EQ(eval.Count(), 2);
   EXPECT_DOUBLE_EQ(eval.CumulativeValue(), 0.5);
-  EXPECT_EQ(eval.metric_name(), "misclassification");
 }
 
 TEST(PrequentialTest, WindowDisabledFallsBackToCumulative) {
@@ -41,17 +40,15 @@ TEST(PrequentialTest, WindowedSeesRecentDegradation) {
   EXPECT_GT(eval.WindowedValue(), 0.6);  // drift visible in the window
 }
 
-TEST(PrequentialTest, RecordPointBuildsCurve) {
-  PrequentialEvaluator eval(std::make_unique<Rmse>());
-  eval.Observe(1.0, 2.0);
-  eval.RecordPoint();
-  eval.Observe(2.0, 2.0);
-  eval.RecordPoint();
-  ASSERT_EQ(eval.curve().size(), 2u);
-  EXPECT_EQ(eval.curve()[0].observations, 1);
-  EXPECT_EQ(eval.curve()[1].observations, 2);
-  EXPECT_DOUBLE_EQ(eval.curve()[0].cumulative, 1.0);
-  EXPECT_NEAR(eval.curve()[1].cumulative, std::sqrt(0.5), 1e-12);
+TEST(PrequentialTest, WindowedRmseIsRmseOfTheWindow) {
+  // Window 4 rotates its half-windows after 3 observations: three errors of
+  // 2 land in the previous half, one error of 0 in the current one.  The
+  // window's RMSE is sqrt((3 * 4 + 0) / 4), not the count-weighted mean of
+  // the halves' RMSEs (1.5).
+  PrequentialEvaluator eval(std::make_unique<Rmse>(), 4);
+  for (int i = 0; i < 3; ++i) eval.Observe(2.0, 0.0);
+  eval.Observe(1.0, 1.0);
+  EXPECT_DOUBLE_EQ(eval.WindowedValue(), std::sqrt(3.0));
 }
 
 TEST(PrequentialTest, EmptyEvaluatorIsZero) {

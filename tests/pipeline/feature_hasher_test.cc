@@ -128,7 +128,6 @@ TEST(FeatureHasherTest, RejectsTableBatch) {
 TEST(FeatureHasherTest, StatelessContract) {
   FeatureHasher hasher;
   EXPECT_FALSE(hasher.is_stateful());
-  EXPECT_EQ(hasher.kind(), ComponentKind::kFeatureExtraction);
   auto clone = hasher.Clone();
   EXPECT_EQ(static_cast<FeatureHasher*>(clone.get())->output_dim(),
             hasher.output_dim());

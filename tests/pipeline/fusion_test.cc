@@ -1,6 +1,5 @@
 #include "src/pipeline/fusion/fusion.h"
 
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,6 +21,7 @@
 #include "src/pipeline/vector_assembler.h"
 #include "src/pipeline/zscore_anomaly_detector.h"
 #include "tests/spec/pipeline_spec.h"
+#include "tests/testing/feature_data_test_util.h"
 
 // Unit coverage for the planner itself: plan-cache hit/miss accounting,
 // compile errors, compile-time elision, per-component timing, and the
@@ -46,24 +46,6 @@ std::unique_ptr<Pipeline> SmallUrlPipeline() {
   config.raw_dim = 1000;
   config.hash_bits = 6;
   return MakeUrlPipeline(config);
-}
-
-bool BitEqual(const FeatureData& a, const FeatureData& b) {
-  if (a.dim != b.dim || a.num_rows() != b.num_rows()) return false;
-  if (std::memcmp(a.labels.data(), b.labels.data(),
-                  a.labels.size() * sizeof(double)) != 0) {
-    return false;
-  }
-  for (size_t r = 0; r < a.num_rows(); ++r) {
-    if (a.features[r].indices() != b.features[r].indices()) return false;
-    const auto& av = a.features[r].values();
-    const auto& bv = b.features[r].values();
-    if (av.size() != bv.size() ||
-        std::memcmp(av.data(), bv.data(), av.size() * sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 TEST(SchemaFingerprintTest, SensitiveToNameTypeAndOrder) {
@@ -107,23 +89,6 @@ TEST(PlanCacheTest, MissCompileThenHit) {
   EXPECT_EQ(cache->compiles(), 1u);
 }
 
-TEST(PlanCacheTest, ResetKeepsPlanAndReadsFreshStatistics) {
-  auto pipeline = SmallUrlPipeline();
-  auto fresh = SmallUrlPipeline();
-  RawChunk chunk = MakeChunk(0, {"+1 3:1.0", "-1 5:2.0", "+1 3:nan"});
-  ASSERT_TRUE(pipeline->UpdateAndTransform(chunk).ok());
-  const uint64_t version_before = pipeline->state_version();
-
-  pipeline->Reset();
-  EXPECT_GT(pipeline->state_version(), version_before);
-  // Kernels read statistics when a block starts, so the cached plan sees
-  // the reset statistics: the output equals a never-trained pipeline's.
-  FeatureData after = std::move(pipeline->Transform(chunk)).ValueOrDie();
-  EXPECT_TRUE(
-      BitEqual(std::move(fresh->Transform(chunk)).ValueOrDie(), after));
-  EXPECT_EQ(pipeline->plan_cache()->compiles(), 1u);
-}
-
 TEST(PlanCacheTest, LoadStateKeepsPlanAndReadsRestoredStatistics) {
   auto pipeline = SmallUrlPipeline();
   RawChunk chunk = MakeChunk(0, {"+1 3:1.0", "-1 5:2.0", "+1 3:nan"});
@@ -136,12 +101,12 @@ TEST(PlanCacheTest, LoadStateKeepsPlanAndReadsRestoredStatistics) {
   // Move the statistics on, then restore the saved ones.
   ASSERT_TRUE(
       pipeline->UpdateAndTransform(MakeChunk(1, {"+1 3:50", "-1 5:-9"})).ok());
-  ASSERT_FALSE(
-      BitEqual(before, std::move(pipeline->Transform(chunk)).ValueOrDie()));
+  ASSERT_FALSE(testing::FeatureDataBitEqual(
+      before, std::move(pipeline->Transform(chunk)).ValueOrDie()));
   Deserializer in(&state);
   ASSERT_TRUE(pipeline->LoadState(&in).ok());
-  EXPECT_TRUE(
-      BitEqual(before, std::move(pipeline->Transform(chunk)).ValueOrDie()));
+  EXPECT_TRUE(testing::FeatureDataBitEqual(
+      before, std::move(pipeline->Transform(chunk)).ValueOrDie()));
   EXPECT_EQ(pipeline->plan_cache()->compiles(), 1u);
 }
 
@@ -158,7 +123,10 @@ TEST(PlanCacheTest, CompileErrorsAreReturnedNotCached) {
   ASSERT_TRUE(
       pipeline.AddComponent(std::make_unique<InputParser>(parser)).ok());
   ASSERT_TRUE(
-      pipeline.AddComponent(AnomalyFilter::KeepInRange("missing", 0.0, 1.0))
+      pipeline
+          .AddComponent(std::make_unique<AnomalyFilter>(
+              "missing",
+              std::vector<AnomalyFilter::Rule>{{"missing", 0.0, 1.0}}))
           .ok());
   VectorAssembler::Options assembler;
   assembler.feature_columns = {"x"};
@@ -290,7 +258,7 @@ TEST(FusionParityTest, DroppedCountersMatchInterpreted) {
   ASSERT_TRUE(reference.UpdateAndTransform(chunks[0]).ok());
   FeatureData a = std::move(pipeline->Transform(chunks[1])).ValueOrDie();
   FeatureData b = std::move(reference.Transform(chunks[1])).ValueOrDie();
-  EXPECT_TRUE(BitEqual(b, a));
+  EXPECT_TRUE(testing::FeatureDataBitEqual(b, a));
   size_t filter_drops = 0;
   for (size_t i = 0; i < pipeline->num_components(); ++i) {
     EXPECT_EQ(spec::CounterOf(pipeline->component(i)),
@@ -340,8 +308,8 @@ TEST(FusionParityTest, ZScoreDropsAndElisionMatchInterpreted) {
       "pipeline.stages_elided", "");
   const int64_t elided_before = elided->Value();
   FeatureData cold = std::move(pipeline->Transform(probe)).ValueOrDie();
-  EXPECT_TRUE(
-      BitEqual(std::move(reference.Transform(probe)).ValueOrDie(), cold));
+  EXPECT_TRUE(testing::FeatureDataBitEqual(
+      std::move(reference.Transform(probe)).ValueOrDie(), cold));
   EXPECT_EQ(cold.num_rows(), 3u);
   EXPECT_EQ(detector.num_dropped(), 0u);
   EXPECT_GT(elided->Value(), elided_before)
@@ -353,8 +321,8 @@ TEST(FusionParityTest, ZScoreDropsAndElisionMatchInterpreted) {
   ASSERT_TRUE(pipeline->UpdateAndTransform(warmup).ok());
   ASSERT_TRUE(reference.UpdateAndTransform(warmup).ok());
   FeatureData warm = std::move(pipeline->Transform(probe)).ValueOrDie();
-  EXPECT_TRUE(
-      BitEqual(std::move(reference.Transform(probe)).ValueOrDie(), warm));
+  EXPECT_TRUE(testing::FeatureDataBitEqual(
+      std::move(reference.Transform(probe)).ValueOrDie(), warm));
   EXPECT_EQ(warm.num_rows(), 2u);
   EXPECT_EQ(detector.num_dropped(), reference.stage(1).dropped);
   EXPECT_EQ(detector.num_dropped(), 1u);

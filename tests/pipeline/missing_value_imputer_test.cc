@@ -109,8 +109,6 @@ TEST(ImputerTest, CloneCopiesStatistics) {
 TEST(ImputerTest, IsStatefulAndSupportsOnlineStatistics) {
   MissingValueImputer imputer;
   EXPECT_TRUE(imputer.is_stateful());
-  EXPECT_TRUE(imputer.supports_online_statistics());
-  EXPECT_EQ(imputer.kind(), ComponentKind::kDataTransformation);
 }
 
 }  // namespace

@@ -134,8 +134,6 @@ TEST(OneHotEncoderTest, ResetAndClone) {
 TEST(OneHotEncoderTest, StatefulContract) {
   OneHotEncoder encoder(BaseOptions());
   EXPECT_TRUE(encoder.is_stateful());
-  EXPECT_TRUE(encoder.supports_online_statistics());
-  EXPECT_EQ(encoder.kind(), ComponentKind::kFeatureExtraction);
 }
 
 }  // namespace

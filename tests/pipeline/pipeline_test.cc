@@ -30,32 +30,6 @@ TEST(PipelineTest, RejectsNullComponent) {
   EXPECT_FALSE(pipeline.AddComponent(nullptr).ok());
 }
 
-// A stateful component whose statistics cannot be maintained incrementally
-// (e.g. an exact-percentile scaler); the platform must refuse it (§3.1).
-class NonIncrementalComponent : public PipelineComponent {
- public:
-  std::string name() const override { return "exact_percentile"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kDataTransformation;
-  }
-  bool is_stateful() const override { return true; }
-  bool supports_online_statistics() const override { return false; }
-  Status Fuse(fusion::PlanBuilder*) override {
-    return Status::Unimplemented("exact percentiles have no block kernel");
-  }
-  std::unique_ptr<PipelineComponent> Clone() const override {
-    return std::make_unique<NonIncrementalComponent>(*this);
-  }
-};
-
-TEST(PipelineTest, RejectsNonIncrementalStatefulComponent) {
-  Pipeline pipeline;
-  Status status =
-      pipeline.AddComponent(std::make_unique<NonIncrementalComponent>());
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-}
-
 TEST(PipelineTest, UrlPipelineEndToEnd) {
   auto pipeline = SmallUrlPipeline();
   EXPECT_EQ(pipeline->num_components(), 4u);
@@ -156,18 +130,6 @@ TEST(PipelineTest, CloneIsDeepIncludingStatistics) {
   auto original_again = pipeline->Transform(MakeChunk({"+1 3:2.0"}));
   ASSERT_TRUE(original_again.ok());
   EXPECT_TRUE(original_out->features[0] == original_again->features[0]);
-}
-
-TEST(PipelineTest, ResetRestoresInitialBehaviour) {
-  auto pipeline = SmallUrlPipeline();
-  auto fresh = pipeline->Transform(MakeChunk({"+1 3:2.0"}));
-  ASSERT_TRUE(fresh.ok());
-  ASSERT_TRUE(
-      pipeline->UpdateAndTransform(MakeChunk({"+1 3:9.0", "+1 3:1.0"})).ok());
-  pipeline->Reset();
-  auto reset_out = pipeline->Transform(MakeChunk({"+1 3:2.0"}));
-  ASSERT_TRUE(reset_out.ok());
-  EXPECT_TRUE(fresh->features[0] == reset_out->features[0]);
 }
 
 TEST(PipelineTest, ToStringListsComponents) {

@@ -141,7 +141,6 @@ TEST(ScalerTest, CloneIsIndependent) {
 TEST(ScalerTest, ContractFlags) {
   StandardScaler scaler;
   EXPECT_TRUE(scaler.is_stateful());
-  EXPECT_TRUE(scaler.supports_online_statistics());
 }
 
 }  // namespace

@@ -131,7 +131,6 @@ TEST(TaxiFeatureExtractorTest, MissingColumnErrors) {
 TEST(TaxiFeatureExtractorTest, StatelessContract) {
   TaxiFeatureExtractor extractor;
   EXPECT_FALSE(extractor.is_stateful());
-  EXPECT_EQ(extractor.kind(), ComponentKind::kFeatureExtraction);
   EXPECT_NE(extractor.Clone(), nullptr);
 }
 

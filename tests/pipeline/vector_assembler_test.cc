@@ -91,7 +91,6 @@ TEST(VectorAssemblerTest, EmptyTableGivesEmptyFeatures) {
 TEST(VectorAssemblerTest, ContractAndClone) {
   VectorAssembler assembler(BaseOptions(true));
   EXPECT_FALSE(assembler.is_stateful());
-  EXPECT_EQ(assembler.kind(), ComponentKind::kFeatureSelection);
   auto clone = assembler.Clone();
   EXPECT_EQ(static_cast<VectorAssembler*>(clone.get())->output_dim(), 3u);
 }

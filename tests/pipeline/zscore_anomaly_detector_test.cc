@@ -163,8 +163,6 @@ TEST(ZScoreDetectorTest, ResetAndCloneAndContract) {
   detector.Reset();
   EXPECT_EQ(detector.CountOf(0), 0);
   EXPECT_TRUE(detector.is_stateful());
-  EXPECT_TRUE(detector.supports_online_statistics());
-  EXPECT_EQ(detector.kind(), ComponentKind::kDataTransformation);
 }
 
 }  // namespace

@@ -61,12 +61,6 @@ TEST(StaticSchedulerTest, FiresEveryInterval) {
   EXPECT_TRUE(scheduler.ShouldTrain(20.0));
 }
 
-TEST(StaticSchedulerTest, NameShowsInterval) {
-  StaticScheduler scheduler(5.0);
-  EXPECT_EQ(scheduler.name(), "static(5.000s)");
-  EXPECT_DOUBLE_EQ(scheduler.interval_seconds(), 5.0);
-}
-
 TEST(DynamicSchedulerTest, Formula6) {
   DynamicScheduler scheduler(DynamicScheduler::Options{.slack = 2.0});
   scheduler.OnPredictionLoad(/*qps=*/100.0, /*latency=*/0.01);
@@ -105,11 +99,6 @@ TEST(DynamicSchedulerTest, SchedulingCycle) {
   // Next due at 1 + 2 + 1*2*1 = 5.
   EXPECT_FALSE(scheduler.ShouldTrain(4.9));
   EXPECT_TRUE(scheduler.ShouldTrain(5.0));
-}
-
-TEST(DynamicSchedulerTest, NameShowsSlack) {
-  DynamicScheduler scheduler(DynamicScheduler::Options{.slack = 1.25});
-  EXPECT_EQ(scheduler.name(), "dynamic(S=1.25)");
 }
 
 }  // namespace

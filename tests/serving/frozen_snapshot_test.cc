@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/io/serialization.h"
 #include "src/serving/snapshot_publisher.h"
 #include "tests/serving/serving_test_util.h"
 
@@ -62,13 +63,22 @@ TEST(FrozenSnapshotTest, LiveModelUpdatesDoNotPerturbPublishedEpoch) {
 
 TEST(FrozenSnapshotTest, LiveResetDoesNotPerturbPublishedEpoch) {
   ServingFixture fixture = MakeServingFixture();
+  std::stringstream early_state;
+  Serializer out(&early_state);
+  ASSERT_TRUE(fixture.pipeline->SaveState(&out).ok());
+  for (size_t i = 1; i < fixture.chunks.size(); ++i) {
+    ASSERT_TRUE(
+        fixture.pipeline->UpdateAndTransform(fixture.chunks[i]).ok());
+  }
   SnapshotPublisher publisher;
   publisher.PublishFrom(*fixture.pipeline, *fixture.model);
   std::shared_ptr<const ModelSnapshot> snapshot = publisher.Acquire();
   const std::vector<double> before =
       SerialScores(*snapshot->pipeline, *snapshot->model, fixture.probe);
 
-  fixture.pipeline->Reset();
+  // Reset the live statistics to the earlier checkpoint.
+  Deserializer in(&early_state);
+  ASSERT_TRUE(fixture.pipeline->LoadState(&in).ok());
   EXPECT_EQ(
       SerialScores(*snapshot->pipeline, *snapshot->model, fixture.probe),
       before);

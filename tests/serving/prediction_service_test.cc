@@ -93,8 +93,9 @@ TEST(PredictionServiceTest, SingleRecordPredictionMatchesBatchRow) {
   // is preserved and no probe row is dropped by the URL pipeline).
   ASSERT_EQ(batch->scores.size(), fixture.probe.num_rows());
   for (size_t r = 0; r < fixture.probe.num_rows(); ++r) {
-    Result<PredictionService::Response> one =
-        service.PredictRecord(fixture.probe.records[r]);
+    RawChunk single;
+    single.records.push_back(fixture.probe.records[r]);
+    Result<PredictionService::Response> one = service.Predict(single);
     ASSERT_TRUE(one.ok());
     ASSERT_EQ(one->scores.size(), 1u);
     EXPECT_EQ(one->scores[0], batch->scores[r]) << "row " << r;

@@ -5,7 +5,6 @@
 // threads) and the NoOptimization path.  Features, labels, rows_scanned
 // and the malformed / dropped counters must all agree exactly.
 
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -30,30 +29,11 @@
 #include "src/pipeline/vector_assembler.h"
 #include "src/pipeline/zscore_anomaly_detector.h"
 #include "tests/spec/pipeline_spec.h"
+#include "tests/testing/feature_data_test_util.h"
 
 namespace cdpipe {
 namespace spec {
 namespace {
-
-bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
-
-void ExpectBitEqual(const FeatureData& expected, const FeatureData& actual,
-                    const std::string& context) {
-  EXPECT_EQ(expected.dim, actual.dim) << context;
-  ASSERT_EQ(expected.num_rows(), actual.num_rows()) << context;
-  EXPECT_TRUE(BitEqual(expected.labels, actual.labels)) << context;
-  for (size_t r = 0; r < expected.num_rows(); ++r) {
-    ASSERT_EQ(expected.features[r].indices(), actual.features[r].indices())
-        << context << " row " << r;
-    ASSERT_TRUE(
-        BitEqual(expected.features[r].values(), actual.features[r].values()))
-        << context << " row " << r;
-  }
-}
 
 void Add(Pipeline* pipeline, std::unique_ptr<PipelineComponent> component) {
   CDPIPE_CHECK(pipeline->AddComponent(std::move(component)).ok());
@@ -318,9 +298,9 @@ TEST_P(SpecDifferentialTest, PlanMatchesSpecOnRandomChunks) {
       FeatureData online =
           std::move(pipeline->UpdateAndTransform(chunk, &plan_scans))
               .ValueOrDie();
-      ExpectBitEqual(std::move(spec.UpdateAndTransform(chunk, &spec_scans))
-                         .ValueOrDie(),
-                     online, at + " online");
+      EXPECT_TRUE(testing::FeatureDataBitEqual(
+          std::move(spec.UpdateAndTransform(chunk, &spec_scans)).ValueOrDie(),
+          online, at + " online"));
       EXPECT_EQ(plan_scans, spec_scans) << at << " online";
       ExpectCountersEqual(*pipeline, spec, at + " online");
 
@@ -336,9 +316,9 @@ TEST_P(SpecDifferentialTest, PlanMatchesSpecOnRandomChunks) {
         FeatureData pure =
             std::move(pipeline->Transform(chunk, engine, &plan_scans))
                 .ValueOrDie();
-        ExpectBitEqual(
+        EXPECT_TRUE(testing::FeatureDataBitEqual(
             std::move(spec.Transform(chunk, &spec_scans)).ValueOrDie(), pure,
-            path);
+            path));
         EXPECT_EQ(plan_scans, spec_scans) << path;
         ExpectCountersEqual(*pipeline, spec, path);
       }
@@ -349,10 +329,10 @@ TEST_P(SpecDifferentialTest, PlanMatchesSpecOnRandomChunks) {
           std::move(pipeline->TransformRecomputingStatistics(chunk,
                                                              &plan_scans))
               .ValueOrDie();
-      ExpectBitEqual(
+      EXPECT_TRUE(testing::FeatureDataBitEqual(
           std::move(spec.TransformRecomputingStatistics(chunk, &spec_scans))
               .ValueOrDie(),
-          recomputed, at + " recompute");
+          recomputed, at + " recompute"));
       EXPECT_EQ(plan_scans, spec_scans) << at << " recompute";
       ExpectCountersEqual(*pipeline, spec, at + " recompute");
     }

@@ -1,7 +1,10 @@
 #ifndef CDPIPE_TESTS_TESTING_FEATURE_DATA_TEST_UTIL_H_
 #define CDPIPE_TESTS_TESTING_FEATURE_DATA_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -53,6 +56,38 @@ inline std::string HexFloatText(const FeatureData& data) {
   return text.str();
 }
 
+/// Whether `actual` is bit-identical to `expected`: the same dim and
+/// labels, and per row the same indices and values.  Doubles compare as
+/// bytes, so NaN payloads and signed zeros count, which == does not see.
+/// A failure names `context` and the first row that differs.
+inline ::testing::AssertionResult FeatureDataBitEqual(
+    const FeatureData& expected, const FeatureData& actual,
+    const std::string& context = "") {
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+  };
+  if (expected.dim != actual.dim ||
+      expected.num_rows() != actual.num_rows()) {
+    return ::testing::AssertionFailure()
+           << context << ": dim " << expected.dim << " vs " << actual.dim
+           << ", rows " << expected.num_rows() << " vs " << actual.num_rows();
+  }
+  if (!same_bits(expected.labels, actual.labels)) {
+    return ::testing::AssertionFailure() << context << ": labels differ";
+  }
+  for (size_t r = 0; r < expected.num_rows(); ++r) {
+    if (expected.features[r].indices() != actual.features[r].indices() ||
+        !same_bits(expected.features[r].values(),
+                   actual.features[r].values())) {
+      return ::testing::AssertionFailure() << context << " row " << r;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// References to every row of `data`, in order: the backing array of a
 /// BatchView over it (keep it alive as long as the view).
 inline std::vector<BatchView::RowRef> RowsOf(const FeatureData& data) {
@@ -89,7 +124,10 @@ inline FeatureData MergeFeatureData(
         out.features.push_back(x);
       } else {
         // Widen the nominal dimension; indices are untouched.
-        out.features.push_back(std::move(x.WithDim(out.dim)).ValueOrDie());
+        out.features.push_back(
+            std::move(SparseVector::FromSorted(out.dim, x.indices(),
+                                               x.values()))
+                .ValueOrDie());
       }
       out.labels.push_back(part->labels[r]);
     }
