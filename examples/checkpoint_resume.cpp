@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   CostModel cost_a;
   auto manager = MakeManager(&cost_a);
   for (const RawChunk& chunk : generator.Generate(50)) {
-    auto features = manager->OnlineStep(chunk, nullptr, /*online_learn=*/true);
+    auto features = manager->OnlineStep(chunk, nullptr);
     if (!features.ok()) {
       std::fprintf(stderr, "online step failed: %s\n",
                    features.status().ToString().c_str());
@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
   // exactly — predictions, features, and post-update weights.
   bool identical = true;
   for (const RawChunk& chunk : generator.Generate(20)) {
-    auto a = manager->OnlineStep(chunk, nullptr, true);
-    auto b = resumed->OnlineStep(chunk, nullptr, true);
+    auto a = manager->OnlineStep(chunk, nullptr);
+    auto b = resumed->OnlineStep(chunk, nullptr);
     if (!a.ok() || !b.ok()) {
       std::fprintf(stderr, "resume diverged with an error\n");
       return 1;

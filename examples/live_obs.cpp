@@ -13,8 +13,10 @@
 //   curl http://127.0.0.1:$(cat /tmp/obs_port)/trace      # Chrome trace
 //
 // --port 0 binds an ephemeral port; the resolved port is printed on stdout
-// and written to --port_file (for scripted smoke tests).  The process exits
-// 0 after the deployment finished AND --serve_seconds elapsed.
+// and, once the initial training has journaled its bootstrap ingests,
+// written to --port_file (for scripted smoke tests: a client that waits for
+// the file finds events in /events).  The process exits 0 after the
+// deployment finished AND --serve_seconds elapsed.
 
 #include <chrono>
 #include <cstdio>
@@ -68,13 +70,6 @@ int main(int argc, char** argv) {
   }
   std::printf("obs server listening on http://127.0.0.1:%u\n", server.port());
   std::fflush(stdout);
-  if (port_file != nullptr) {
-    std::FILE* f = std::fopen(port_file, "w");
-    if (f != nullptr) {
-      std::fprintf(f, "%u\n", server.port());
-      std::fclose(f);
-    }
-  }
 
   // The workload: the quickstart deployment, instrumented end to end.
   UrlStreamGenerator::Config stream_config;
@@ -116,6 +111,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "initial training failed: %s\n",
                  init.ToString().c_str());
     return 1;
+  }
+  if (port_file != nullptr) {
+    std::FILE* f = std::fopen(port_file, "w");
+    if (f != nullptr) {
+      std::fprintf(f, "%u\n", server.port());
+      std::fclose(f);
+    }
   }
 
   const auto serve_until =

@@ -43,60 +43,56 @@ std::string_view StripWhitespace(std::string_view input) {
   return input.substr(begin, end - begin);
 }
 
-bool ParseDoubleFast(std::string_view input, double* out) {
+namespace {
+
+/// The text the numeric scanners convert: `input` without surrounding
+/// whitespace and one leading '+' (std::from_chars rejects an explicit
+/// sign; "+1" is the canonical positive label in libsvm files).
+std::string_view NumericText(std::string_view input) {
   input = StripWhitespace(input);
-  // std::from_chars rejects an explicit '+' sign; accept it here ("+1" is
-  // the canonical positive label in libsvm files).
   if (!input.empty() && input[0] == '+') input.remove_prefix(1);
+  return input;
+}
+
+/// The one numeric scanner: the whole of NumericText(input) must convert.
+template <typename T>
+bool ScanNumber(std::string_view input, T* out) {
+  input = NumericText(input);
   if (input.empty()) return false;
-  const char* begin = input.data();
-  const char* end = begin + input.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
+  const char* end = input.data() + input.size();
+  auto [ptr, ec] = std::from_chars(input.data(), end, *out);
   return ec == std::errc() && ptr == end;
+}
+
+/// ScanNumber with a Status naming `what` ("a double") on failure.
+template <typename T>
+Result<T> ParseNumber(std::string_view input, const char* what) {
+  T value{};
+  if (ScanNumber(input, &value)) return value;
+  const std::string_view text = NumericText(input);
+  if (text.empty()) {
+    return Status::InvalidArgument(std::string("empty string is not ") + what);
+  }
+  return Status::InvalidArgument(std::string("not ") + what + ": '" +
+                                 std::string(text) + "'");
+}
+
+}  // namespace
+
+bool ParseDoubleFast(std::string_view input, double* out) {
+  return ScanNumber(input, out);
 }
 
 bool ParseInt64Fast(std::string_view input, int64_t* out) {
-  input = StripWhitespace(input);
-  if (!input.empty() && input[0] == '+') input.remove_prefix(1);
-  if (input.empty()) return false;
-  const char* begin = input.data();
-  const char* end = begin + input.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end;
+  return ScanNumber(input, out);
 }
 
 Result<double> ParseDouble(std::string_view input) {
-  input = StripWhitespace(input);
-  if (!input.empty() && input[0] == '+') input.remove_prefix(1);
-  if (input.empty()) {
-    return Status::InvalidArgument("empty string is not a double");
-  }
-  double value = 0.0;
-  const char* begin = input.data();
-  const char* end = begin + input.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument("not a double: '" + std::string(input) +
-                                   "'");
-  }
-  return value;
+  return ParseNumber<double>(input, "a double");
 }
 
 Result<int64_t> ParseInt64(std::string_view input) {
-  input = StripWhitespace(input);
-  if (!input.empty() && input[0] == '+') input.remove_prefix(1);
-  if (input.empty()) {
-    return Status::InvalidArgument("empty string is not an int64");
-  }
-  int64_t value = 0;
-  const char* begin = input.data();
-  const char* end = begin + input.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument("not an int64: '" + std::string(input) +
-                                   "'");
-  }
-  return value;
+  return ParseNumber<int64_t>(input, "an int64");
 }
 
 namespace {
@@ -129,87 +125,81 @@ void CivilFromDays(int64_t z, int64_t* y, int64_t* m, int64_t* d) {
   *y = yy + (*m <= 2);
 }
 
-}  // namespace
+/// Where a datetime scan failed.
+enum class DateTimeFault { kNone, kShape, kField, kRange, kDay };
 
-Result<int64_t> ParseDateTime(std::string_view input) {
-  input = StripWhitespace(input);
-  // Expected: "YYYY-MM-DD hh:mm:ss" (19 chars).
+/// Digits-only field: the common case, without from_chars.
+bool ScanDigits(std::string_view text, int64_t* out) {
+  int64_t acc = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    acc = acc * 10 + (c - '0');
+  }
+  *out = acc;
+  return true;
+}
+
+/// The one datetime scanner: "YYYY-MM-DD hh:mm:ss" in the already stripped
+/// `input`, each field in ParseInt64's grammar.  On kField, `*bad_field`
+/// is the field that did not parse.
+DateTimeFault ScanDateTime(std::string_view input, int64_t* out,
+                           std::string_view* bad_field) {
   if (input.size() != 19 || input[4] != '-' || input[7] != '-' ||
       input[10] != ' ' || input[13] != ':' || input[16] != ':') {
-    return Status::InvalidArgument("not a datetime: '" + std::string(input) +
-                                   "'");
+    return DateTimeFault::kShape;
   }
-  auto field = [&](size_t pos, size_t len) -> Result<int64_t> {
-    return ParseInt64(input.substr(pos, len));
-  };
-  CDPIPE_ASSIGN_OR_RETURN(int64_t year, field(0, 4));
-  CDPIPE_ASSIGN_OR_RETURN(int64_t month, field(5, 2));
-  CDPIPE_ASSIGN_OR_RETURN(int64_t day, field(8, 2));
-  CDPIPE_ASSIGN_OR_RETURN(int64_t hour, field(11, 2));
-  CDPIPE_ASSIGN_OR_RETURN(int64_t minute, field(14, 2));
-  CDPIPE_ASSIGN_OR_RETURN(int64_t second, field(17, 2));
+  static constexpr size_t kFieldPos[6] = {0, 5, 8, 11, 14, 17};
+  int64_t field[6];
+  for (size_t k = 0; k < 6; ++k) {
+    const std::string_view text = input.substr(kFieldPos[k], k == 0 ? 4 : 2);
+    if (!ScanDigits(text, &field[k]) && !ParseInt64Fast(text, &field[k])) {
+      *bad_field = text;
+      return DateTimeFault::kField;
+    }
+  }
+  const auto [year, month, day, hour, minute, second] = field;
   static constexpr int kDaysInMonth[] = {31, 28, 31, 30, 31, 30,
                                          31, 31, 30, 31, 30, 31};
   if (month < 1 || month > 12 || day < 1 || hour > 23 || minute > 59 ||
       second > 59 || hour < 0 || minute < 0 || second < 0) {
-    return Status::InvalidArgument("datetime field out of range: '" +
-                                   std::string(input) + "'");
+    return DateTimeFault::kRange;
   }
   int64_t dim = kDaysInMonth[month - 1];
   if (month == 2 && IsLeapYear(year)) dim = 29;
-  if (day > dim) {
-    return Status::InvalidArgument("day out of range: '" + std::string(input) +
-                                   "'");
-  }
-  return DaysFromCivil(year, month, day) * 86400 + hour * 3600 + minute * 60 +
+  if (day > dim) return DateTimeFault::kDay;
+  *out = DaysFromCivil(year, month, day) * 86400 + hour * 3600 + minute * 60 +
          second;
+  return DateTimeFault::kNone;
+}
+
+}  // namespace
+
+Result<int64_t> ParseDateTime(std::string_view input) {
+  input = StripWhitespace(input);
+  int64_t seconds = 0;
+  std::string_view bad_field;
+  switch (ScanDateTime(input, &seconds, &bad_field)) {
+    case DateTimeFault::kNone:
+      return seconds;
+    case DateTimeFault::kShape:
+      return Status::InvalidArgument("not a datetime: '" +
+                                     std::string(input) + "'");
+    case DateTimeFault::kField:
+      return ParseInt64(bad_field).status();
+    case DateTimeFault::kRange:
+      return Status::InvalidArgument("datetime field out of range: '" +
+                                     std::string(input) + "'");
+    case DateTimeFault::kDay:
+      break;
+  }
+  return Status::InvalidArgument("day out of range: '" + std::string(input) +
+                                 "'");
 }
 
 bool ParseDateTimeFast(std::string_view input, int64_t* out) {
-  input = StripWhitespace(input);
-  if (input.size() != 19 || input[4] != '-' || input[7] != '-' ||
-      input[10] != ' ' || input[13] != ':' || input[16] != ':') {
-    return false;
-  }
-  bool all_digits = true;
-  auto field = [&](size_t pos, size_t len) -> int64_t {
-    int64_t acc = 0;
-    for (size_t i = 0; i < len; ++i) {
-      const char c = input[pos + i];
-      if (c < '0' || c > '9') {
-        all_digits = false;
-        return 0;
-      }
-      acc = acc * 10 + (c - '0');
-    }
-    return acc;
-  };
-  const int64_t year = field(0, 4);
-  const int64_t month = field(5, 2);
-  const int64_t day = field(8, 2);
-  const int64_t hour = field(11, 2);
-  const int64_t minute = field(14, 2);
-  const int64_t second = field(17, 2);
-  if (!all_digits) {
-    // Fields with signs or whitespace that ParseInt64 would accept: defer
-    // to the slow path so both variants accept the same grammar.
-    Result<int64_t> slow = ParseDateTime(input);
-    if (!slow.ok()) return false;
-    *out = *slow;
-    return true;
-  }
-  static constexpr int kDaysInMonth[] = {31, 28, 31, 30, 31, 30,
-                                         31, 31, 30, 31, 30, 31};
-  if (month < 1 || month > 12 || day < 1 || hour > 23 || minute > 59 ||
-      second > 59) {
-    return false;
-  }
-  int64_t dim = kDaysInMonth[month - 1];
-  if (month == 2 && IsLeapYear(year)) dim = 29;
-  if (day > dim) return false;
-  *out = DaysFromCivil(year, month, day) * 86400 + hour * 3600 + minute * 60 +
-         second;
-  return true;
+  std::string_view bad_field;
+  return ScanDateTime(StripWhitespace(input), out, &bad_field) ==
+         DateTimeFault::kNone;
 }
 
 std::string FormatDateTime(int64_t unix_seconds) {

@@ -21,26 +21,24 @@ void SplitStringInto(std::string_view input, char delimiter,
 /// Removes leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view input);
 
-/// Locale-independent numeric parsing.
-Result<double> ParseDouble(std::string_view input);
-Result<int64_t> ParseInt64(std::string_view input);
-
-/// Error-message-free variants for hot parse loops.  They accept exactly
-/// the same grammar and produce bit-identical values (same `from_chars`
-/// conversion), but report failure via the return value instead of
-/// building an error Status — parsers that drop malformed records per row
-/// should not pay for an allocation per cell.
+/// Locale-independent numeric parsing: `from_chars` over the input without
+/// surrounding whitespace and one leading '+'.  Failure is the return
+/// value — parsers that drop malformed records per row should not pay for
+/// an allocation per cell.
 bool ParseDoubleFast(std::string_view input, double* out);
 bool ParseInt64Fast(std::string_view input, int64_t* out);
 
-/// Parses "YYYY-MM-DD hh:mm:ss" into seconds since 1970-01-01 00:00:00 UTC
-/// (proleptic Gregorian, no leap seconds).  This is the format of NYC taxi
-/// trip records.
-Result<int64_t> ParseDateTime(std::string_view input);
+/// The same scanners, with a Status that names the failure.
+Result<double> ParseDouble(std::string_view input);
+Result<int64_t> ParseInt64(std::string_view input);
 
-/// Fast variant of ParseDateTime: same accepted grammar and identical
-/// result, failure as a bool (see ParseDoubleFast).
+/// Parses "YYYY-MM-DD hh:mm:ss" into seconds since 1970-01-01 00:00:00 UTC
+/// (proleptic Gregorian, no leap seconds); each field in ParseInt64's
+/// grammar.  This is the format of NYC taxi trip records.
 bool ParseDateTimeFast(std::string_view input, int64_t* out);
+
+/// The same scanner, with a Status that names the failure.
+Result<int64_t> ParseDateTime(std::string_view input);
 
 /// Inverse of ParseDateTime.
 std::string FormatDateTime(int64_t unix_seconds);
@@ -50,8 +48,7 @@ std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /// FNV-1a over `bytes` (64-bit offset basis / prime).  The integrity hash
-/// used by checkpoint trailers, spill-file trailers, and the fusion plan
-/// cache's schema fingerprints.
+/// of spill-file trailers.
 uint64_t Fnv1a64(std::string_view bytes);
 
 }  // namespace cdpipe

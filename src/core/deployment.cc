@@ -49,9 +49,7 @@ Deployment::Deployment(std::string strategy_name, Options options,
       pipeline_manager_(std::make_unique<PipelineManager>(
           std::move(pipeline), std::move(model), std::move(optimizer), &cost_,
           PipelineManager::Options{options_.online_statistics})),
-      trainer_(pipeline_manager_.get(), &engine_,
-               ProactiveTrainer::Options{options_.retry,
-                                         options_.degrade_on_failure}),
+      trainer_(pipeline_manager_.get(), &engine_, options_.retry),
       metric_prototype_(std::move(metric)),
       rng_(options_.seed) {
   CDPIPE_CHECK(metric_prototype_ != nullptr);
@@ -204,7 +202,7 @@ Status Deployment::ProcessStreamChunk(RunState* state, const RawChunk& chunk,
     // The store owns the canonical copy; process that one.
     stored = data_manager_.store().GetRaw(chunk.id);
     CDPIPE_CHECK(stored != nullptr);
-  } else if (options_.degrade_on_failure && IsRetryable(ingest_status)) {
+  } else if (IsRetryable(ingest_status)) {
     obs::Record(obs::Decision::kIngestFailed, {}, ingest_status);
     stored = &chunk;
   } else {
@@ -225,9 +223,7 @@ Status Deployment::ProcessStreamChunk(RunState* state, const RawChunk& chunk,
     const Status store_status =
         data_manager_.StoreFeatures(std::move(features));
     if (!store_status.ok()) {
-      if (!options_.degrade_on_failure || !IsRetryable(store_status)) {
-        return store_status;
-      }
+      if (!IsRetryable(store_status)) return store_status;
       obs::Record(obs::Decision::kStoreFeaturesFailed, {}, store_status);
     }
   } else if (ingest_status.ok() && degraded_admit) {

@@ -63,16 +63,13 @@ class Deployment {
     size_t engine_threads = 1;
     /// Retry policy for transient failures (flaky engine tasks, storage
     /// hiccups, failed re-materializations).  Applied by the execution
-    /// engine to parallel tasks and by the deployment loop to ingest.
+    /// engine to parallel tasks and by the deployment loop to ingest.  A
+    /// transient failure that survives its retries degrades instead of
+    /// aborting the run — an unstorable feature chunk stays unmaterialized,
+    /// an unrecoverable sampled chunk is skipped — with a recorded warning,
+    /// counted in `DeploymentReport::degraded_events`.  Logic errors
+    /// (duplicate ids, schema mismatches) still abort.
     RetryPolicy retry;
-    /// Graceful degradation: keep the run alive when a transient failure
-    /// survives its retries — an unstorable feature chunk stays
-    /// unmaterialized, an unrecoverable sampled chunk is skipped — with a
-    /// recorded warning, counted in `DeploymentReport::degraded_events`.
-    /// Logic errors (duplicate ids, schema mismatches) still abort.
-    /// Disabled, every failure propagates, matching the pre-robustness
-    /// behavior.
-    bool degrade_on_failure = true;
     /// Staleness bound K for overload publish gating: while the ingest
     /// admission controller reports kOverloaded, per-chunk snapshot
     /// republishes are skipped — serving keeps answering from the last

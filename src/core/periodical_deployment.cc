@@ -28,21 +28,14 @@ Status PeriodicalDeployment::AfterChunk(size_t stream_index,
   // Velox-style error-threshold trigger (see PeriodicalOptions).
   if (periodical_options_.retrain_error_threshold > 0.0 &&
       outcome.rows > 0) {
-    const double alpha = periodical_options_.error_smoothing;
-    if (!smoothed_error_initialized_) {
-      smoothed_error_ = outcome.mean_error_signal;
-      smoothed_error_initialized_ = true;
-    } else {
-      smoothed_error_ =
-          alpha * outcome.mean_error_signal + (1.0 - alpha) * smoothed_error_;
-    }
+    smoothed_error_.Observe(outcome.mean_error_signal);
     const bool cooled_down =
         last_retrain_chunk_ < 0 ||
         static_cast<int64_t>(stream_index) - last_retrain_chunk_ >=
             static_cast<int64_t>(
                 periodical_options_.min_chunks_between_retrains);
-    if (smoothed_error_ > periodical_options_.retrain_error_threshold &&
-        cooled_down) {
+    if (cooled_down && smoothed_error_.value() >
+                           periodical_options_.retrain_error_threshold) {
       due = true;
     }
   }

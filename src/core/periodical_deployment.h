@@ -7,6 +7,7 @@
 
 #include "src/core/deployment.h"
 #include "src/ml/trainer.h"
+#include "src/scheduler/scheduler.h"
 
 namespace cdpipe {
 
@@ -39,11 +40,10 @@ class PeriodicalDeployment final : public Deployment {
     /// Velox-style triggering (paper §6: "Velox monitors the error rate of
     /// the model ... once the error rate exceeds a predefined threshold,
     /// Velox initiates a retraining"): when > 0, a retraining also fires as
-    /// soon as the smoothed per-chunk prequential error exceeds this
-    /// threshold, independent of the fixed interval.
+    /// soon as the per-chunk prequential error, smoothed by an EWMA with
+    /// factor 0.2, exceeds this threshold, independent of the fixed
+    /// interval.
     double retrain_error_threshold = 0.0;
-    /// EWMA factor for the smoothed error signal the threshold tests.
-    double error_smoothing = 0.2;
     /// Cool-down so a slow-to-recover error cannot trigger back-to-back
     /// retrainings.
     size_t min_chunks_between_retrains = 10;
@@ -63,8 +63,7 @@ class PeriodicalDeployment final : public Deployment {
   Status Retrain();
 
   PeriodicalOptions periodical_options_;
-  double smoothed_error_ = 0.0;
-  bool smoothed_error_initialized_ = false;
+  EwmaTracker smoothed_error_;
   int64_t last_retrain_chunk_ = -1;
 };
 

@@ -23,15 +23,12 @@ PipelineManager::PipelineManager(std::unique_ptr<Pipeline> pipeline,
 }
 
 Result<FeatureChunk> PipelineManager::OnlineStep(
-    const RawChunk& chunk, PrequentialEvaluator* evaluator,
-    bool online_learn) {
+    const RawChunk& chunk, PrequentialEvaluator* evaluator) {
   CDPIPE_ASSIGN_OR_RETURN(FeatureChunk out, PreprocessChunk(chunk));
   if (evaluator != nullptr) {
     EvaluateFeatures(out.data, evaluator);
   }
-  if (online_learn) {
-    CDPIPE_RETURN_NOT_OK(OnlineUpdate(out.data));
-  }
+  CDPIPE_RETURN_NOT_OK(OnlineUpdate(out.data));
   return out;
 }
 

@@ -38,20 +38,20 @@ class PipelineManager {
   ///   1. update every component's statistics and transform the chunk
   ///      (preprocessing cost),
   ///   2. prequential test-then-train: evaluate the *current* model on the
-  ///      transformed rows (prediction cost), feeding `evaluator`,
-  ///   3. if `online_learn`, apply one online SGD update over the chunk
-  ///      (online-training cost).
+  ///      transformed rows (prediction cost), feeding `evaluator` when it
+  ///      is non-null,
+  ///   3. apply one online SGD update over the chunk (online-training
+  ///      cost).
   /// Returns the materialized feature chunk for storage.
   Result<FeatureChunk> OnlineStep(const RawChunk& chunk,
-                                  PrequentialEvaluator* evaluator,
-                                  bool online_learn);
+                                  PrequentialEvaluator* evaluator);
 
   /// The three phases of OnlineStep, exposed individually so the serving
   /// tier can interleave a snapshot publish between them (serve-then-train:
   /// publish after the statistics update, evaluate through the prediction
   /// service against that snapshot, then apply the online SGD update).
-  /// `OnlineStep(c, e, l)` ≡ `PreprocessChunk(c)` + `EvaluateFeatures(f,
-  /// e)` + (if l) `OnlineUpdate(f)` — bit-identical, same cost accounting.
+  /// `OnlineStep(c, e)` ≡ `PreprocessChunk(c)` + `EvaluateFeatures(f, e)` +
+  /// `OnlineUpdate(f)` — bit-identical, same cost accounting.
   Result<FeatureChunk> PreprocessChunk(const RawChunk& chunk);
   void EvaluateFeatures(const FeatureData& features,
                         PrequentialEvaluator* evaluator);

@@ -40,10 +40,8 @@ struct TrainerMetrics {
 }  // namespace
 
 ProactiveTrainer::ProactiveTrainer(PipelineManager* pipeline_manager,
-                                   ExecutionEngine* engine, Options options)
-    : pipeline_manager_(pipeline_manager),
-      engine_(engine),
-      options_(options) {
+                                   ExecutionEngine* engine, RetryPolicy retry)
+    : pipeline_manager_(pipeline_manager), engine_(engine), retry_(retry) {
   CDPIPE_CHECK(pipeline_manager_ != nullptr);
   CDPIPE_CHECK(engine_ != nullptr);
 }
@@ -102,24 +100,21 @@ Result<std::vector<const FeatureData*>> ProactiveTrainer::Rebuild(
   const obs::CorrelationId base_corr = obs::CorrelationScope::Current();
 
   // Each chunk writes only its own slot, so failed chunks are identified
-  // after the fan-out and handled individually instead of aborting the
+  // after the fan-out (by `rebuilt_ok`, which makes the fan-out's own
+  // status redundant) and handled individually instead of aborting the
   // whole step on the first error.
   rebuilt->assign(num_remat, FeatureChunk{});
   std::vector<char> rebuilt_ok(num_remat, 0);
-  const Status engine_status =
-      engine_->ParallelFor(num_remat, [&](size_t i) -> Status {
-        obs::CorrelationScope scope(base_corr.deployment,
-                                    sample.to_rematerialize[i]->id);
-        CDPIPE_ASSIGN_OR_RETURN(
-            (*rebuilt)[i],
-            pipeline_manager_->Rematerialize(*sample.to_rematerialize[i]));
-        rebuilt_ok[i] = 1;
-        obs::Record(obs::Decision::kRecompute);
-        return Status::OK();
-      });
-  if (!engine_status.ok() && !options_.degrade_on_failure) {
-    return engine_status;
-  }
+  (void)engine_->ParallelFor(num_remat, [&](size_t i) -> Status {
+    obs::CorrelationScope scope(base_corr.deployment,
+                                sample.to_rematerialize[i]->id);
+    CDPIPE_ASSIGN_OR_RETURN(
+        (*rebuilt)[i],
+        pipeline_manager_->Rematerialize(*sample.to_rematerialize[i]));
+    rebuilt_ok[i] = 1;
+    obs::Record(obs::Decision::kRecompute);
+    return Status::OK();
+  });
   // Degradation, step 1: chunks that failed in the fan-out (including
   // tasks the engine's retry policy gave up on) get one fallback
   // recomputation from the raw chunk on the caller's thread.  The engine
@@ -133,7 +128,7 @@ Result<std::vector<const FeatureData*>> ProactiveTrainer::Rebuild(
     const obs::CorrelationId chunk_corr{base_corr.deployment,
                                         sample.to_rematerialize[i]->id};
     const Status fallback = RetryWithBackoff(
-        options_.retry, "proactive.rematerialize_fallback", [&]() -> Status {
+        retry_, "proactive.rematerialize_fallback", [&]() -> Status {
           Result<FeatureChunk> chunk = pipeline_manager_->Rematerialize(
               *sample.to_rematerialize[i], engine_);
           if (!chunk.ok()) return chunk.status();
@@ -144,7 +139,6 @@ Result<std::vector<const FeatureData*>> ProactiveTrainer::Rebuild(
     if (fallback.ok()) {
       obs::Record(obs::Decision::kRecomputeFallback, chunk_corr);
     } else {
-      if (!options_.degrade_on_failure) return fallback;
       obs::Record(obs::Decision::kChunkSkipped, chunk_corr, {}, fallback);
     }
   }
@@ -162,9 +156,8 @@ Result<std::vector<const FeatureData*>> ProactiveTrainer::Rebuild(
 
 Status ProactiveTrainer::RunStep(const char* op_name, obs::Decision skipped,
                                  const std::function<Status()>& step) {
-  const Status status = RetryWithBackoff(options_.retry, op_name, step);
-  if (status.ok()) return status;
-  if (!options_.degrade_on_failure || !IsRetryable(status)) return status;
+  const Status status = RetryWithBackoff(retry_, op_name, step);
+  if (status.ok() || !IsRetryable(status)) return status;
   obs::Record(skipped, {}, status);
   return Status::OK();
 }

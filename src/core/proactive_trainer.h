@@ -18,7 +18,11 @@ namespace cdpipe {
 /// materialized and evicted ones, and this trainer rebuilds the evicted
 /// ones (dynamic materialization, §3.2) — in parallel when the execution
 /// engine has more than one thread — and runs the strategy's step over the
-/// result under one retry-and-degrade contract.  The proactive step
+/// result under one retry-and-degrade contract: a chunk that cannot be
+/// re-materialized even after retries and a serial fallback is skipped
+/// with a recorded warning (`training.chunks_skipped`) instead of aborting
+/// the run; likewise a training step that keeps failing transiently is
+/// skipped (`training.iterations_degraded`).  The proactive step
 /// (`RunIteration`) is exactly one iteration of mini-batch SGD; the
 /// periodical step is a full BatchTrainer pass (PeriodicalDeployment).
 ///
@@ -27,21 +31,10 @@ namespace cdpipe {
 /// can run at arbitrary times without any warm-up.
 class ProactiveTrainer {
  public:
-  struct Options {
-    /// Applied to the serial re-materialization fallback and to the
-    /// training step (the engine applies its own policy to parallel tasks).
-    RetryPolicy retry;
-    /// Graceful degradation: when a chunk cannot be re-materialized even
-    /// after retries and a serial fallback, skip it with a recorded warning
-    /// (`training.chunks_skipped`) instead of aborting the run; likewise a
-    /// training step that keeps failing transiently is skipped
-    /// (`training.iterations_degraded`).  Disabled, any failure
-    /// propagates.
-    bool degrade_on_failure = true;
-  };
-
+  /// `retry` applies to the serial re-materialization fallback and to the
+  /// training step (the engine applies its own policy to parallel tasks).
   ProactiveTrainer(PipelineManager* pipeline_manager, ExecutionEngine* engine,
-                   Options options);
+                   RetryPolicy retry);
 
   /// One proactive iteration over a resolved sample: `Rebuild`, then one
   /// mini-batch SGD step over the whole sample (`RunStep`).
@@ -64,10 +57,10 @@ class ProactiveTrainer {
 
   /// Runs one training step under the retry policy.  `step` must be safe to
   /// re-run after a failure: it may commit state only once it succeeds.
-  /// When a transient failure outlasts the retries and the trainer
-  /// degrades, the step is skipped — recorded as the `skipped` decision
-  /// (counted in `training.iterations_degraded`) — and OK is returned;
-  /// otherwise the failure propagates.
+  /// When a transient failure outlasts the retries, the step is skipped —
+  /// recorded as the `skipped` decision (counted in
+  /// `training.iterations_degraded`) — and OK is returned; a failure that
+  /// cannot be retried propagates.
   Status RunStep(const char* op_name, obs::Decision skipped,
                  const std::function<Status()>& step);
 
@@ -79,7 +72,7 @@ class ProactiveTrainer {
  private:
   PipelineManager* pipeline_manager_;
   ExecutionEngine* engine_;
-  Options options_;
+  RetryPolicy retry_;
   double last_duration_seconds_ = 0.0;
 };
 

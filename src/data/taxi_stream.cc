@@ -112,12 +112,12 @@ std::vector<RawChunk> TaxiStreamGenerator::Generate(size_t n) {
 
 std::shared_ptr<const Schema> TaxiRawSchema() {
   return std::move(Schema::Make({
-                       Field{"pickup_datetime", ValueType::kTimestamp},
-                       Field{"dropoff_datetime", ValueType::kTimestamp},
-                       Field{"pickup_lon", ValueType::kDouble},
-                       Field{"pickup_lat", ValueType::kDouble},
-                       Field{"dropoff_lon", ValueType::kDouble},
-                       Field{"dropoff_lat", ValueType::kDouble},
+                       Field{kTaxiPickupDatetime, ValueType::kTimestamp},
+                       Field{kTaxiDropoffDatetime, ValueType::kTimestamp},
+                       Field{kTaxiPickupLon, ValueType::kDouble},
+                       Field{kTaxiPickupLat, ValueType::kDouble},
+                       Field{kTaxiDropoffLon, ValueType::kDouble},
+                       Field{kTaxiDropoffLat, ValueType::kDouble},
                        Field{"passenger_count", ValueType::kInt64},
                    }))
       .ValueOrDie();

@@ -2,6 +2,22 @@
 
 namespace cdpipe {
 
+const char* ValueTypeName(ValueType type) {
+  switch (type) {
+    case ValueType::kNull:
+      return "null";
+    case ValueType::kDouble:
+      return "double";
+    case ValueType::kInt64:
+      return "int64";
+    case ValueType::kTimestamp:
+      return "timestamp";
+    case ValueType::kString:
+      return "string";
+  }
+  return "?";
+}
+
 Schema::Schema(std::vector<Field> fields) : fields_(std::move(fields)) {
   for (size_t i = 0; i < fields_.size(); ++i) {
     index_.emplace(fields_[i].name, i);

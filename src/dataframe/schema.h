@@ -7,9 +7,19 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/dataframe/value.h"
 
 namespace cdpipe {
+
+/// Column types understood by the pipeline components.
+enum class ValueType {
+  kNull = 0,   ///< missing value
+  kDouble,     ///< 64-bit float
+  kInt64,      ///< 64-bit integer
+  kTimestamp,  ///< seconds since the Unix epoch, stored as int64
+  kString,     ///< UTF-8 text / categorical value
+};
+
+const char* ValueTypeName(ValueType type);
 
 /// A named, typed column.
 struct Field {

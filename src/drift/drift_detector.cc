@@ -6,6 +6,15 @@
 #include "src/common/logging.h"
 
 namespace cdpipe {
+namespace {
+
+/// Page-Hinkley warns once its statistic crosses this fraction of lambda.
+constexpr double kWarningFraction = 0.5;
+/// DDM's warning and drift levels, in standard deviations above the minimum.
+constexpr double kDdmWarningSigmas = 2.0;
+constexpr double kDdmDriftSigmas = 3.0;
+
+}  // namespace
 
 PageHinkleyDetector::PageHinkleyDetector(Options options)
     : options_(options) {
@@ -34,7 +43,7 @@ DriftState PageHinkleyDetector::Observe(double error) {
     Reset();
     drifts_ = drifts;
     state_ = DriftState::kDrift;
-  } else if (statistic > options_.warning_fraction * options_.lambda) {
+  } else if (statistic > kWarningFraction * options_.lambda) {
     state_ = DriftState::kWarning;
   } else {
     state_ = DriftState::kStable;
@@ -51,9 +60,7 @@ void PageHinkleyDetector::Reset() {
   // drifts_ survives reset: it is a lifetime counter.
 }
 
-DdmDetector::DdmDetector(Options options) : options_(options) {
-  CDPIPE_CHECK_GT(options_.drift_sigmas, options_.warning_sigmas);
-}
+DdmDetector::DdmDetector(Options options) : options_(options) {}
 
 DriftState DdmDetector::Observe(double error) {
   ++count_;
@@ -72,7 +79,7 @@ DriftState DdmDetector::Observe(double error) {
     min_p_ = p;
     min_s_ = s;
   }
-  if (p + s > min_p_ + options_.drift_sigmas * min_s_) {
+  if (p + s > min_p_ + kDdmDriftSigmas * min_s_) {
     state_ = DriftState::kDrift;
     ++drifts_;
     // Auto-reset: restart the Bernoulli estimate from the new concept.
@@ -80,7 +87,7 @@ DriftState DdmDetector::Observe(double error) {
     Reset();
     drifts_ = drifts;
     state_ = DriftState::kDrift;
-  } else if (p + s > min_p_ + options_.warning_sigmas * min_s_) {
+  } else if (p + s > min_p_ + kDdmWarningSigmas * min_s_) {
     state_ = DriftState::kWarning;
   } else {
     state_ = DriftState::kStable;

@@ -40,14 +40,13 @@ class DriftDetector {
 /// Page-Hinkley test: detects an increase of the mean of the error signal.
 /// Maintains m_t = Σ (e_i - ē_i - δ) and fires when m_t - min(m_t) > λ.
 /// δ absorbs tolerated noise, λ sets the detection threshold; larger λ means
-/// fewer false alarms but slower detection.
+/// fewer false alarms but slower detection.  Warns once the statistic
+/// crosses λ / 2.
 class PageHinkleyDetector final : public DriftDetector {
  public:
   struct Options {
     double delta = 0.005;     ///< tolerated per-observation drift
     double lambda = 50.0;     ///< detection threshold
-    /// Emit kWarning when the statistic crosses this fraction of lambda.
-    double warning_fraction = 0.5;
     /// Observations to ignore while the baseline mean stabilizes.
     int64_t burn_in = 30;
   };
@@ -85,8 +84,6 @@ class PageHinkleyDetector final : public DriftDetector {
 class DdmDetector final : public DriftDetector {
  public:
   struct Options {
-    double warning_sigmas = 2.0;
-    double drift_sigmas = 3.0;
     int64_t min_observations = 30;
   };
 

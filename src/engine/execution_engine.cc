@@ -139,17 +139,12 @@ Status ExecutionEngine::ParallelFor(
 }
 
 Status ExecutionEngine::ParallelForRange(
-    size_t count, size_t grain,
-    const std::function<Status(size_t, size_t)>& task) {
+    size_t count, const std::function<Status(size_t, size_t)>& task) {
   if (count == 0) return Status::OK();
-  size_t effective_grain = grain;
-  if (effective_grain == 0) {
-    effective_grain = std::max<size_t>(1, count / (num_threads() * 4));
-  }
-  effective_grain = std::min(effective_grain, count);
+  const size_t grain = std::max<size_t>(1, count / (num_threads() * 4));
   static obs::Gauge* grain_gauge =
       obs::MetricsRegistry::Global().GetGauge("engine.parallel_range_grain");
-  grain_gauge->Set(static_cast<double>(effective_grain));
+  grain_gauge->Set(static_cast<double>(grain));
 
   // Ranges are not retried (see set_retry_policy): the lambda only guards
   // against injected faults and escaping exceptions.
@@ -165,17 +160,17 @@ Status ExecutionEngine::ParallelForRange(
   };
 
   if (pool_ == nullptr) {
-    for (size_t begin = 0; begin < count; begin += effective_grain) {
+    for (size_t begin = 0; begin < count; begin += grain) {
       CDPIPE_RETURN_NOT_OK(
-          run_range(begin, std::min(begin + effective_grain, count)));
+          run_range(begin, std::min(begin + grain, count)));
     }
     return Status::OK();
   }
   std::mutex mutex;
   Status first_error = Status::OK();
   size_t first_error_begin = SIZE_MAX;
-  for (size_t begin = 0; begin < count; begin += effective_grain) {
-    const size_t end = std::min(begin + effective_grain, count);
+  for (size_t begin = 0; begin < count; begin += grain) {
+    const size_t end = std::min(begin + grain, count);
     pool_->Submit([&, begin, end] {
       Status st = run_range(begin, end);
       if (!st.ok()) {

@@ -55,16 +55,16 @@ class ExecutionEngine {
   Status ParallelFor(size_t count, const std::function<Status(size_t)>& task);
 
   /// Blocked-range variant: runs `task(begin, end)` over contiguous blocks
-  /// of at most `grain` indices covering [0, count).  One heap-allocated
-  /// std::function is submitted per *block*, not per element, which
-  /// amortizes the enqueue cost when elements are cheap (per-shard gradient
-  /// accumulation, per-row transforms).  `grain == 0` picks a grain that
-  /// yields ~4 blocks per worker.  Blocks must be independent; any returned
-  /// error aborts with the failure of the lowest `begin`.  Single-threaded
-  /// engines run the blocks inline, in order, stopping at the first error.
-  Status ParallelForRange(
-      size_t count, size_t grain,
-      const std::function<Status(size_t, size_t)>& task);
+  /// covering [0, count), each of max(1, count / (4 * num_threads()))
+  /// indices (the last may be shorter) — about four blocks per worker.  One
+  /// heap-allocated std::function is submitted per *block*, not per
+  /// element, which amortizes the enqueue cost when elements are cheap
+  /// (per-shard gradient accumulation).  Blocks must be independent; any
+  /// returned error aborts with the failure of the lowest `begin`.
+  /// Single-threaded engines run the blocks inline, in order, stopping at
+  /// the first error.
+  Status ParallelForRange(size_t count,
+                          const std::function<Status(size_t, size_t)>& task);
 
   /// Enqueues `task` on the engine's *async lane*: one dedicated FIFO
   /// worker, lazily created on first use and separate from the ParallelFor

@@ -184,7 +184,7 @@ Status LinearModel::ComputeGradient(const BatchView& batch,
   };
   if (engine != nullptr && engine->num_threads() > 1 && num_shards > 1) {
     CDPIPE_RETURN_NOT_OK(engine->ParallelForRange(
-        num_shards, /*grain=*/0, [&](size_t begin, size_t end) -> Status {
+        num_shards, [&](size_t begin, size_t end) -> Status {
           for (size_t s = begin; s < end; ++s) run_shard(s);
           return Status::OK();
         }));

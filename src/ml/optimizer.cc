@@ -24,6 +24,11 @@ const char* OptimizerKindName(OptimizerKind kind) {
 
 namespace {
 
+constexpr double kMomentum = 0.9;   ///< momentum: velocity retention
+constexpr double kAdamBeta1 = 0.9;
+constexpr double kAdamBeta2 = 0.999;
+constexpr double kEpsilon = 1e-6;   ///< adam / rmsprop / adadelta
+
 /// Grows `v` (zero-filled) so that `v[index]` is valid.
 void EnsureSize(std::vector<double>* v, size_t index) {
   if (v->size() <= index) v->resize(index + 1, 0.0);
@@ -38,9 +43,7 @@ class SgdOptimizer final : public Optimizer {
   void Step(const std::vector<GradEntry>& grad, double bias_grad,
             DenseVector* weights, double* bias) override {
     ++step_;
-    const double eta =
-        options_.learning_rate /
-        (1.0 + options_.decay * static_cast<double>(step_ - 1));
+    const double eta = options_.learning_rate;
     for (const GradEntry& g : grad) {
       (*weights)[g.index] -= eta * g.value;
     }
@@ -74,7 +77,7 @@ class MomentumOptimizer final : public Optimizer {
   void Step(const std::vector<GradEntry>& grad, double bias_grad,
             DenseVector* weights, double* bias) override {
     ++step_;
-    const double gamma = options_.momentum;
+    const double gamma = kMomentum;
     const double eta = options_.learning_rate;
     for (const GradEntry& g : grad) {
       EnsureSize(&velocity_, g.index);
@@ -84,7 +87,7 @@ class MomentumOptimizer final : public Optimizer {
       // series in closed form, then the fresh update.
       const double skipped =
           static_cast<double>(step_ - 1) - last_step_[g.index];
-      if (skipped > 0.0 && velocity_[g.index] != 0.0 && gamma > 0.0) {
+      if (skipped > 0.0 && velocity_[g.index] != 0.0) {
         const double geo =
             gamma * (1.0 - std::pow(gamma, skipped)) / (1.0 - gamma);
         (*weights)[g.index] -= geo * velocity_[g.index];
@@ -143,8 +146,8 @@ class AdamOptimizer final : public Optimizer {
   void Step(const std::vector<GradEntry>& grad, double bias_grad,
             DenseVector* weights, double* bias) override {
     ++step_;
-    const double b1 = options_.beta1;
-    const double b2 = options_.beta2;
+    const double b1 = kAdamBeta1;
+    const double b2 = kAdamBeta2;
     // Bias correction uses the global step (LazyAdam treatment of sparse
     // gradients: untouched moments are left as-is).
     const double correction1 =
@@ -152,7 +155,7 @@ class AdamOptimizer final : public Optimizer {
     const double correction2 =
         1.0 - std::pow(b2, static_cast<double>(step_));
     const double eta = options_.learning_rate;
-    const double eps = options_.epsilon;
+    const double eps = kEpsilon;
     for (const GradEntry& g : grad) {
       EnsureSize(&m_, g.index);
       EnsureSize(&v_, g.index);
@@ -216,7 +219,7 @@ class RmspropOptimizer final : public Optimizer {
     ++step_;
     const double rho = options_.rho;
     const double eta = options_.learning_rate;
-    const double eps = options_.epsilon;
+    const double eps = kEpsilon;
     for (const GradEntry& g : grad) {
       EnsureSize(&mean_square_, g.index);
       mean_square_[g.index] =
@@ -271,7 +274,7 @@ class AdadeltaOptimizer final : public Optimizer {
             DenseVector* weights, double* bias) override {
     ++step_;
     const double rho = options_.rho;
-    const double eps = options_.epsilon;
+    const double eps = kEpsilon;
     for (const GradEntry& g : grad) {
       EnsureSize(&accum_grad_, g.index);
       EnsureSize(&accum_update_, g.index);

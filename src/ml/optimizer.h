@@ -21,7 +21,7 @@ struct GradEntry {
 
 /// Learning-rate adaptation strategies from §2.1 of the paper.
 enum class OptimizerKind {
-  kSgd,       ///< constant / decaying global rate
+  kSgd,       ///< constant global rate
   kMomentum,  ///< Qian 1999
   kAdam,      ///< Kingma & Ba 2014
   kRmsprop,   ///< Tieleman & Hinton 2012
@@ -71,16 +71,13 @@ class Optimizer {
 };
 
 /// Hyperparameters shared by the factory below; unused fields are ignored
-/// by optimizers that do not need them.
+/// by optimizers that do not need them.  The rest are constants: momentum
+/// keeps 0.9 of its velocity, Adam uses beta1 = 0.9 and beta2 = 0.999, and
+/// Adam, RMSProp and AdaDelta add epsilon = 1e-6 to their denominators.
 struct OptimizerOptions {
   OptimizerKind kind = OptimizerKind::kAdam;
   double learning_rate = 0.01;   ///< sgd / momentum / adam / rmsprop
-  double decay = 0.0;            ///< sgd: eta_t = eta / (1 + decay * t)
-  double momentum = 0.9;         ///< momentum: velocity retention
-  double beta1 = 0.9;            ///< adam
-  double beta2 = 0.999;          ///< adam
   double rho = 0.95;             ///< rmsprop / adadelta: decay of E[g^2]
-  double epsilon = 1e-6;
 };
 
 /// Creates an optimizer from options.

@@ -1,12 +1,12 @@
 #include "src/obs/event_journal.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
+#include "src/obs/exporters.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -36,23 +36,6 @@ void SpinAcquire(std::atomic<uint32_t>* guard) {
 
 void Release(std::atomic<uint32_t>* guard) {
   guard->store(0, std::memory_order_release);
-}
-
-/// JSON string escape for detail strings (same rules as the tracer's).
-std::string JsonEscape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 Counter* JournalDroppedCounter() {
@@ -121,20 +104,7 @@ EventJournal::EventJournal(size_t capacity)
       slots_(std::make_unique<Slot[]>(std::max<size_t>(1, capacity))) {}
 
 EventJournal& EventJournal::Global() {
-  static EventJournal* journal = [] {
-    size_t capacity = kDefaultCapacity;
-    if (const char* env = std::getenv("CDPIPE_JOURNAL_CAPACITY");
-        env != nullptr && env[0] != '\0') {
-      const long parsed = std::atol(env);
-      if (parsed > 0) capacity = static_cast<size_t>(parsed);
-    }
-    auto* instance = new EventJournal(capacity);
-    if (const char* env = std::getenv("CDPIPE_JOURNAL");
-        env != nullptr && std::strcmp(env, "off") == 0) {
-      instance->Disable();
-    }
-    return instance;
-  }();
+  static EventJournal* journal = new EventJournal();
   return *journal;
 }
 

@@ -89,9 +89,8 @@ class EventJournal {
 
   /// The process-wide journal every instrumented subsystem appends to.
   /// Enabled by default (events are per chunk / per step, not per row —
-  /// the cost is a handful of relaxed atomics).  CDPIPE_JOURNAL=off
-  /// disables it at startup; CDPIPE_JOURNAL_CAPACITY overrides the ring
-  /// size.
+  /// the cost is a handful of relaxed atomics), holding kDefaultCapacity
+  /// events.
   static EventJournal& Global();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }

@@ -39,6 +39,21 @@ std::string PrometheusEscapeHelp(const std::string& help) {
   return out;
 }
 
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += StrFormat("\\u%04x", c);
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 namespace {
 
 void AppendHelp(const std::string& prom_name, const std::string& help,

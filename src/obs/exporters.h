@@ -2,6 +2,7 @@
 #define CDPIPE_OBS_EXPORTERS_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/obs/metrics.h"
 
@@ -15,6 +16,10 @@ std::string PrometheusName(const std::string& name);
 /// Escapes `# HELP` text per the text exposition format: backslash becomes
 /// `\\` and newline becomes `\n`.
 std::string PrometheusEscapeHelp(const std::string& help);
+
+/// Escapes `s` for the inside of a JSON string literal: a quote or
+/// backslash gets a backslash, and a byte below 0x20 becomes `\u00XX`.
+std::string JsonEscape(std::string_view s);
 
 /// Prometheus text exposition format (version 0.0.4): one `# TYPE` line per
 /// metric (preceded by `# HELP` when the registry has help text), cumulative

@@ -38,9 +38,12 @@ std::string HttpResponse(int status, const char* reason,
   return out;
 }
 
-/// Parses "n=K" out of a raw query string; returns fallback when absent or
-/// malformed.
-size_t ParseEventCount(const std::string& query, size_t fallback) {
+/// Event count for /events without a valid ?n=.
+constexpr size_t kDefaultEvents = 100;
+
+/// Parses "n=K" out of a raw query string; returns kDefaultEvents when
+/// absent or malformed.
+size_t ParseEventCount(const std::string& query) {
   size_t pos = 0;
   while (pos < query.size()) {
     size_t end = query.find('&', pos);
@@ -49,11 +52,11 @@ size_t ParseEventCount(const std::string& query, size_t fallback) {
     if (param.rfind("n=", 0) == 0) {
       const long parsed = std::atol(param.c_str() + 2);
       if (parsed > 0) return static_cast<size_t>(parsed);
-      return fallback;
+      return kDefaultEvents;
     }
     pos = end + 1;
   }
-  return fallback;
+  return kDefaultEvents;
 }
 
 }  // namespace
@@ -243,7 +246,7 @@ std::string ObsServer::RouteGet(const std::string& path_and_query) {
                         NotReadyReason(subsystems, ingest_overloaded));
   }
   if (path == "/events") {
-    const size_t n = ParseEventCount(query, options_.default_events);
+    const size_t n = ParseEventCount(query);
     return HttpResponse(200, "OK", "application/json",
                         options_.journal->TailToJson(n));
   }

@@ -37,8 +37,6 @@ class ObsServer {
     /// Stall deadline used by /readyz (kept in sync with the watchdog's
     /// when one is attached).
     double stall_deadline_seconds = 5.0;
-    /// Default event count for /events without ?n=.
-    size_t default_events = 100;
     /// Sources; null = the process-wide instances.
     MetricsRegistry* metrics = nullptr;
     EventJournal* journal = nullptr;

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "src/common/string_util.h"
+#include "src/obs/exporters.h"
 #include "src/obs/metrics.h"
 
 namespace cdpipe {
@@ -24,23 +25,6 @@ void CopyName(char* dst, size_t dst_size, const char* src) {
   dst[dst_size - 1] = '\0';
 }
 
-/// JSON string escape for span names (quotes/backslashes/control chars).
-std::string JsonEscape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += StrFormat("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 Tracer::Tracer() {
@@ -49,14 +33,6 @@ Tracer::Tracer() {
       env != nullptr && env[0] != '\0') {
     dump_path_ = env;
     Enable();
-  }
-  if (const char* env = std::getenv("CDPIPE_TRACE_RING");
-      env != nullptr && env[0] != '\0') {
-    const long parsed = std::atol(env);
-    if (parsed > 0) {
-      ring_capacity_.store(static_cast<size_t>(parsed),
-                           std::memory_order_relaxed);
-    }
   }
 }
 
@@ -165,7 +141,7 @@ std::string Tracer::ToChromeTraceJson() const {
         "{\"ph\":\"X\",\"pid\":1,\"tid\":%u,\"name\":\"%s\",\"cat\":\"%s\","
         "\"ts\":%lld,\"dur\":%lld",
         events[i].first, JsonEscape(e.name).c_str(),
-        JsonEscape(category.c_str()).c_str(),
+        JsonEscape(category).c_str(),
         static_cast<long long>(e.start_us),
         static_cast<long long>(e.duration_us));
     if (e.deployment != 0 || e.entity >= 0) {

@@ -73,8 +73,7 @@ class Tracer {
   void Clear();
 
   /// Ring capacity for buffers created after the call (existing buffers are
-  /// unchanged).  Also configurable at startup via the CDPIPE_TRACE_RING
-  /// environment variable.
+  /// unchanged; the initial capacity is 65536 events).
   void SetRingCapacityForNewThreads(size_t capacity);
   size_t ring_capacity_for_new_threads() const {
     return ring_capacity_.load(std::memory_order_relaxed);

@@ -13,6 +13,10 @@
 namespace cdpipe {
 namespace {
 
+/// Mixes every hash; a constant, so a raw index maps to the same bucket
+/// and sign in every hasher of a given width.
+constexpr uint64_t kHashSeed = 0x5bd1e995;
+
 /// 64-bit finalizer from MurmurHash3; good avalanche behaviour for integer
 /// keys at negligible cost.
 uint64_t MixHash(uint64_t key, uint64_t seed) {
@@ -34,7 +38,7 @@ uint64_t MixHash(uint64_t key, uint64_t seed) {
 /// three-way collisions or NaN values fall back to the sorted collapse.
 /// The bucket/sign memo lives in the per-thread scratch and persists
 /// across blocks, chunks, and plans (it depends only on the hasher's
-/// immutable config).
+/// bits).
 class HashVecStage final : public fusion::FusedStage {
  public:
   explicit HashVecStage(const FeatureHasher* hasher) : hasher_(hasher) {}
@@ -46,15 +50,12 @@ class HashVecStage final : public fusion::FusedStage {
     const uint32_t in_dim = vec.dim;
     const uint32_t out_dim = hasher_->output_dim();
     const size_t total_nnz = vec.entries.size();
-    const FeatureHasher::Options& opt = hasher_->options();
+    const uint32_t bits = hasher_->options().bits;
 
     const bool use_memo = in_dim <= (1u << 20) && total_nnz >= in_dim / 16;
     fusion::HasherMemo& memo = s.hasher_memo;
-    if (use_memo &&
-        !memo.Matches(opt.seed, opt.bits, opt.signed_hash, in_dim)) {
-      memo.seed = opt.seed;
-      memo.bits = opt.bits;
-      memo.signed_hash = opt.signed_hash;
+    if (use_memo && !memo.Matches(bits, in_dim)) {
+      memo.bits = bits;
       memo.dim = in_dim;
       memo.packed.assign(in_dim, 0);
     }
@@ -198,14 +199,13 @@ FeatureHasher::FeatureHasher(Options options) : options_(options) {
 }
 
 uint32_t FeatureHasher::BucketOf(uint32_t index) const {
-  return static_cast<uint32_t>(MixHash(index, options_.seed)) &
+  return static_cast<uint32_t>(MixHash(index, kHashSeed)) &
          (output_dim() - 1);
 }
 
 double FeatureHasher::SignOf(uint32_t index) const {
-  if (!options_.signed_hash) return 1.0;
   // An independent bit of the mixed hash decides the sign.
-  return (MixHash(index, options_.seed ^ 0x9E3779B97F4A7C15ULL) & 1u) != 0
+  return (MixHash(index, kHashSeed ^ 0x9E3779B97F4A7C15ULL) & 1u) != 0
              ? 1.0
              : -1.0;
 }

@@ -9,9 +9,10 @@
 namespace cdpipe {
 
 /// The hashing trick: maps a high-dimensional sparse feature space into
-/// 2^`bits` buckets with a signed hash, so the model's weight vector has a
-/// fixed, bounded dimension regardless of how many raw features exist or
-/// appear over time.  Stateless, hence trivially compatible with online
+/// 2^`bits` buckets with a signed hash (each value is multiplied by a ±1
+/// hash sign, which reduces collision bias), so the model's weight vector
+/// has a fixed, bounded dimension regardless of how many raw features exist
+/// or appear over time.  Stateless, hence trivially compatible with online
 /// statistics computation; output stays sparse, preserving the O(p) storage
 /// bound of §3.2.1.
 ///
@@ -21,10 +22,6 @@ class FeatureHasher : public PipelineComponent {
   struct Options {
     /// Output dimension is 2^bits.
     uint32_t bits = 18;
-    /// Mixes the hash; two hashers with different seeds are independent.
-    uint64_t seed = 0x5bd1e995;
-    /// Multiply each value by a ±1 hash sign (reduces collision bias).
-    bool signed_hash = true;
   };
 
   FeatureHasher() : FeatureHasher(Options()) {}
@@ -40,7 +37,7 @@ class FeatureHasher : public PipelineComponent {
 
   /// Bucket for a raw feature index (exposed for tests).
   uint32_t BucketOf(uint32_t index) const;
-  /// Sign for a raw feature index; +1.0 when signed hashing is off.
+  /// Sign (±1.0) for a raw feature index.
   double SignOf(uint32_t index) const;
 
  private:

@@ -1,31 +1,14 @@
 #include "src/pipeline/fusion/fusion.h"
 
+#include <atomic>
 #include <utility>
 
-#include "src/common/string_util.h"
-#include "src/obs/decision.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/pipeline/component.h"
 
 namespace cdpipe {
 namespace fusion {
-
-uint64_t SchemaFingerprint(const Schema& schema) {
-  // FNV-1a over (name bytes, 0, type byte, 0) per field, in order.
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint8_t byte) {
-    h ^= byte;
-    h *= 1099511628211ULL;
-  };
-  for (const Field& field : schema.fields()) {
-    for (char c : field.name) mix(static_cast<uint8_t>(c));
-    mix(0);
-    mix(static_cast<uint8_t>(field.type));
-    mix(0);
-  }
-  return h;
-}
 
 uint64_t NextStatsSerial() {
   static std::atomic<uint64_t> next{1};
@@ -173,9 +156,8 @@ void PlanBuilder::AddElidedStage() {
 // ---------------------------------------------------------------------------
 
 Result<std::shared_ptr<const FusedPlan>> FusedPlan::Compile(
-    const std::vector<PipelineComponent*>& components,
-    const Schema& entry_schema) {
-  PlanBuilder builder(entry_schema);
+    const std::vector<PipelineComponent*>& components) {
+  PlanBuilder builder;
   auto plan = std::shared_ptr<FusedPlan>(new FusedPlan());
   std::string chain;
   for (PipelineComponent* component : components) {
@@ -197,7 +179,6 @@ Result<std::shared_ptr<const FusedPlan>> FusedPlan::Compile(
   }
   builder.AddStage(std::make_unique<EmitVecStage>());
   plan->stages_ = std::move(builder.stages_);
-  plan->stats_.fingerprint = SchemaFingerprint(entry_schema);
   plan->stats_.stages = plan->stages_.size();
   plan->stats_.compile_elided = builder.compile_elided_;
   return std::shared_ptr<const FusedPlan>(std::move(plan));
@@ -250,56 +231,6 @@ void ScratchPool::Release(std::unique_ptr<ExecScratch> scratch) {
   if (scratch == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   free_.push_back(std::move(scratch));
-}
-
-// ---------------------------------------------------------------------------
-// PlanCache
-// ---------------------------------------------------------------------------
-
-Result<std::shared_ptr<const FusedPlan>> PlanCache::GetOrCompile(
-    const std::vector<std::unique_ptr<PipelineComponent>>& components,
-    const Schema& entry_schema) {
-  static obs::Counter* hit_counter = obs::MetricsRegistry::Global().GetCounter(
-      "pipeline.plan_cache_hits", "Fused-plan cache hits");
-  static obs::Counter* miss_counter =
-      obs::MetricsRegistry::Global().GetCounter(
-          "pipeline.plan_cache_misses",
-          "Fused-plan cache misses (first use or structure change)");
-
-  const uint64_t fingerprint = SchemaFingerprint(entry_schema);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(fingerprint);
-    if (it != entries_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      hit_counter->Increment();
-      return it->second;
-    }
-  }
-  // Compile outside the lock: compilation only reads component
-  // configuration.  A concurrent duplicate compile is benign — last writer
-  // wins with an identical plan.
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  miss_counter->Increment();
-  std::vector<PipelineComponent*> chain;
-  chain.reserve(components.size());
-  for (const auto& component : components) chain.push_back(component.get());
-  CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const FusedPlan> plan,
-                          FusedPlan::Compile(chain, entry_schema));
-  compiles_.fetch_add(1, std::memory_order_relaxed);
-  obs::Record(obs::Decision::kPlanCompile,
-              StrFormat("fp=%016llx stages=%zu elided=%zu",
-                        static_cast<unsigned long long>(
-                            plan->stats().fingerprint),
-                        plan->stats().stages, plan->stats().compile_elided));
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_[fingerprint] = plan;
-  return plan;
-}
-
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
 }
 
 }  // namespace fusion

@@ -1,13 +1,11 @@
 #ifndef CDPIPE_PIPELINE_FUSION_FUSION_H_
 #define CDPIPE_PIPELINE_FUSION_FUSION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,7 +23,7 @@ class Histogram;
 
 /// Pipeline "compiler": the one execution path of every transform.
 ///
-/// Given a deployed pipeline and the schema of the chunks it will see, the
+/// Given a deployed pipeline, whose entry is always raw text records, the
 /// planner asks every component to contribute its *block kernels* to a
 /// FusedPlan: a short, pre-resolved program that takes a range of raw
 /// records straight to FeatureData without materializing anything between
@@ -40,8 +38,8 @@ class Histogram;
 /// transform kernel, so the transform sees the statistics including the
 /// current block — the paper's online statistics computation (§3.1).
 /// Transform kernels read statistics when their block starts, never at
-/// compile time, so one plan per (entry schema, pipeline structure) serves
-/// the online path, re-materialization and serving alike.
+/// compile time, so one plan per pipeline structure serves the online
+/// path, re-materialization and serving alike.
 ///
 /// Compilation is all-or-nothing and its errors are the pipeline's errors:
 /// a misconfigured component (unknown or non-numeric column, a kernel
@@ -50,11 +48,6 @@ class Histogram;
 namespace fusion {
 
 class PlanBuilder;
-
-/// Order-sensitive fingerprint of (field name, field type) pairs — the plan
-/// cache key that captures "what shape of chunk does this plan expect".
-/// FNV-1a, stable across processes.
-uint64_t SchemaFingerprint(const Schema& schema);
 
 /// A fresh process-unique statistics serial.  Components whose kernels
 /// memoize statistics-derived values take a new serial on every statistics
@@ -136,24 +129,21 @@ struct VecBlock {
 };
 
 /// Hash memo persisted across blocks, chunks, and plans: the bucket/sign
-/// of a raw feature index depends only on the hasher's immutable config,
-/// so the lazily filled array stays valid for the lifetime of the scratch.
-/// One packed word per raw index — set flag, sign flag, bucket — so a
-/// lookup costs a single cache line, not three (the memo is far larger
-/// than L1/L2 and lookups are random).
+/// of a raw feature index depends only on the hasher's bits (its seed is a
+/// constant), so the lazily filled array stays valid for the lifetime of
+/// the scratch.  One packed word per raw index — set flag, sign flag,
+/// bucket — so a lookup costs a single cache line, not three (the memo is
+/// far larger than L1/L2 and lookups are random).
 struct HasherMemo {
   static constexpr uint64_t kSet = uint64_t{1} << 63;
   static constexpr uint64_t kNegative = uint64_t{1} << 62;
 
-  uint64_t seed = 0;
   uint32_t bits = 0;
-  bool signed_hash = false;
   uint32_t dim = 0;
   std::vector<uint64_t> packed;
 
-  bool Matches(uint64_t s, uint32_t b, bool sgn, uint32_t d) const {
-    return !packed.empty() && seed == s && bits == b && signed_hash == sgn &&
-           dim == d;
+  bool Matches(uint32_t b, uint32_t d) const {
+    return !packed.empty() && bits == b && dim == d;
   }
 };
 
@@ -168,7 +158,7 @@ struct StatsMemo {
 
   uint64_t serial = 0;
   std::vector<double> sd;
-  /// Parallel to `sd`, sized only for scalers that subtract the mean.
+  /// Parallel to `sd`, sized only in table mode (which subtracts the mean).
   std::vector<double> mean;
   /// Keys filled under `serial`.
   std::vector<uint32_t> filled;
@@ -261,11 +251,7 @@ class PlanBuilder {
  public:
   enum class Repr { kRaw, kTable, kVec };
 
-  explicit PlanBuilder(const Schema& entry_schema)
-      : entry_schema_(&entry_schema) {}
-
   Repr repr() const { return repr_; }
-  const Schema& entry_schema() const { return *entry_schema_; }
 
   // --- table state ---
   /// Logical schema of the simulated table (valid when repr()==kTable).
@@ -303,7 +289,6 @@ class PlanBuilder {
     bool update = false;
   };
 
-  const Schema* entry_schema_;
   Repr repr_ = Repr::kRaw;
   std::shared_ptr<const Schema> schema_;
   /// Logical field index -> physical slot.
@@ -316,22 +301,20 @@ class PlanBuilder {
   size_t compile_elided_ = 0;
 };
 
-/// A compiled, immutable execution plan for one pipeline structure and one
-/// entry schema.  The plan borrows the components it was compiled from.
+/// A compiled, immutable execution plan for one pipeline structure.  The
+/// plan borrows the components it was compiled from.
 class FusedPlan {
  public:
   struct Stats {
-    uint64_t fingerprint = 0;
     size_t stages = 0;
     size_t compile_elided = 0;
   };
 
-  /// Compiles `components` against `entry_schema`.  The components must
-  /// outlive the plan.  Fails with the offending component's status, or
-  /// FailedPrecondition when the chain does not end vectorized.
+  /// Compiles `components`, starting from raw records.  The components
+  /// must outlive the plan.  Fails with the offending component's status,
+  /// or FailedPrecondition when the chain does not end vectorized.
   static Result<std::shared_ptr<const FusedPlan>> Compile(
-      const std::vector<PipelineComponent*>& components,
-      const Schema& entry_schema);
+      const std::vector<PipelineComponent*>& components);
 
   /// Processes records [begin, end) through every stage into `*out`.
   /// `update` selects the online path: update kernels run too, mutating
@@ -386,36 +369,6 @@ class ScratchLease {
  private:
   ScratchPool* pool_;
   std::unique_ptr<ExecScratch> scratch_;
-};
-
-/// Plan cache keyed by entry-schema fingerprint.  Plans do not depend on
-/// statistics, so an entry stays valid until the pipeline's structure
-/// changes (the owner then calls Clear).  Compile failures are returned,
-/// not cached.  Thread-safe: Transform runs concurrently on engine workers.
-class PlanCache {
- public:
-  /// The cached plan for `entry_schema`, compiling on a miss.
-  Result<std::shared_ptr<const FusedPlan>> GetOrCompile(
-      const std::vector<std::unique_ptr<PipelineComponent>>& components,
-      const Schema& entry_schema);
-
-  void Clear();
-
-  // Introspection (tests / reports); process-wide counterparts live in the
-  // metrics registry as pipeline.plan_cache_hits / _misses /
-  // pipeline.fused_plans.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t compiles() const {
-    return compiles_.load(std::memory_order_relaxed);
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const FusedPlan>> entries_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> compiles_{0};
 };
 
 /// Adds `n` to the process-wide pipeline.stages_elided counter (called once

@@ -81,10 +81,11 @@ class LibSvmParseStage final : public fusion::FusedStage {
     for (size_t r = ctx.begin; r < ctx.end; ++r) {
       const std::string_view line = (*ctx.records)[r];
       double label = 0.0;
-      CDPIPE_ASSIGN_OR_RETURN(
-          InputParser::RowVerdict verdict,
-          parser_->ParseLibSvmRecord(line, &s.row_entries, &label, &s.tokens));
-      if (verdict == InputParser::RowVerdict::kMalformed) continue;
+      if (parser_->ParseLibSvmRecord(line, &s.row_entries, &label,
+                                     &s.tokens) ==
+          InputParser::RowVerdict::kMalformed) {
+        continue;
+      }
       SparseVector::SortAndCombineInto(&s.row_entries);
       // Indices are < dim by the parser contract (both scan and token paths
       // reject out-of-range indices), so the collapsed row appends as one
@@ -131,10 +132,10 @@ class CsvParseStage final : public fusion::FusedStage {
     size_t appended = 0;
     for (size_t r = ctx.begin; r < ctx.end; ++r) {
       const std::string_view line = (*ctx.records)[r];
-      CDPIPE_ASSIGN_OR_RETURN(
-          InputParser::RowVerdict verdict,
-          parser_->ParseCsvRecord(line, &s.tokens, &cells));
-      if (verdict == InputParser::RowVerdict::kMalformed) continue;
+      if (parser_->ParseCsvRecord(line, &s.tokens, &cells) ==
+          InputParser::RowVerdict::kMalformed) {
+        continue;
+      }
       for (size_t i = 0; i < num_fields; ++i) {
         fusion::BlockColumn& col = table.cols[i];
         const InputParser::CsvCell& cell = cells[i];
@@ -177,7 +178,7 @@ InputParser::InputParser(Options options) : options_(std::move(options)) {
   }
 }
 
-Result<InputParser::RowVerdict> InputParser::ParseLibSvmRecord(
+InputParser::RowVerdict InputParser::ParseLibSvmRecord(
     std::string_view line, std::vector<std::pair<uint32_t, double>>* entries,
     double* label, std::vector<std::string_view>* tokens) const {
   entries->clear();
@@ -228,28 +229,19 @@ Result<InputParser::RowVerdict> InputParser::ParseLibSvmRecord(
     entries->emplace_back(static_cast<uint32_t>(*index), value);
   }
   if (bad) {
-    if (options_.strict) {
-      return Status::InvalidArgument("malformed libsvm record: '" +
-                                     std::string(line) + "'");
-    }
     malformed_.fetch_add(1, std::memory_order_relaxed);
     return RowVerdict::kMalformed;
   }
   return RowVerdict::kOk;
 }
 
-Result<InputParser::RowVerdict> InputParser::ParseCsvRecord(
+InputParser::RowVerdict InputParser::ParseCsvRecord(
     std::string_view line, std::vector<std::string_view>* fields,
     std::vector<CsvCell>* cells) const {
   const Schema& schema = *options_.csv_schema;
   const size_t num_fields = schema.num_fields();
-  SplitStringInto(line, options_.delimiter, fields);
+  SplitStringInto(line, ',', fields);
   if (fields->size() != num_fields) {
-    if (options_.strict) {
-      return Status::InvalidArgument(
-          "csv record has " + std::to_string(fields->size()) +
-          " fields, schema expects " + std::to_string(num_fields));
-    }
     malformed_.fetch_add(1, std::memory_order_relaxed);
     return RowVerdict::kMalformed;
   }
@@ -281,10 +273,6 @@ Result<InputParser::RowVerdict> InputParser::ParseCsvRecord(
     }
   }
   if (bad) {
-    if (options_.strict) {
-      return Status::InvalidArgument("malformed csv record: '" +
-                                     std::string(line) + "'");
-    }
     malformed_.fetch_add(1, std::memory_order_relaxed);
     return RowVerdict::kMalformed;
   }
@@ -293,10 +281,8 @@ Result<InputParser::RowVerdict> InputParser::ParseCsvRecord(
 
 Status InputParser::Fuse(fusion::PlanBuilder* plan) {
   // The parser reads the raw records themselves, so it must sit at the
-  // raw entry and the entry schema must be the single "raw" string column.
-  const Schema& entry = plan->entry_schema();
-  if (plan->repr() != fusion::PlanBuilder::Repr::kRaw ||
-      entry.num_fields() != 1 || entry.field(0).type != ValueType::kString) {
+  // raw entry.
+  if (plan->repr() != fusion::PlanBuilder::Repr::kRaw) {
     return Status::FailedPrecondition(
         "input_parser expects raw records (is it the first component?)");
   }

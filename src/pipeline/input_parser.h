@@ -19,12 +19,11 @@ namespace cdpipe {
 ///    dataset's representation.  Produces vectorized rows directly (labels
 ///    are mapped to ±1 for classifiers).  A value spelled `nan` is parsed as
 ///    a missing value, to be filled by the MissingValueImputer.
-///  - **Csv**: delimiter-separated fields parsed against a target schema —
-///    the Taxi dataset's representation.  Produces table rows.
+///  - **Csv**: comma-separated fields parsed against a target schema — the
+///    Taxi dataset's representation.  Produces table rows.
 ///
-/// Malformed records are dropped (and counted) unless `strict` is set, in
-/// which case parsing fails with InvalidArgument.  Dropping is the right
-/// deployment behaviour: one bad record must not stall the platform.
+/// Malformed records are dropped and counted (`num_malformed`): one bad
+/// record must not stall the platform.
 ///
 /// Data transformation (Table 1).
 class InputParser : public PipelineComponent {
@@ -39,9 +38,6 @@ class InputParser : public PipelineComponent {
     bool binarize_labels = true;
     /// Csv: target schema (field order matches column order).
     std::shared_ptr<const Schema> csv_schema;
-    char delimiter = ',';
-    /// Fail on malformed records instead of dropping them.
-    bool strict = false;
   };
 
   explicit InputParser(Options options);
@@ -58,7 +54,7 @@ class InputParser : public PipelineComponent {
     return malformed_.load(std::memory_order_relaxed);
   }
 
-  /// Outcome for one record on the drop-malformed path.
+  /// Outcome for one record: parsed, or malformed (dropped).
   enum class RowVerdict { kOk, kMalformed };
 
   /// One CSV cell parsed into its typed slot, pending the verdict on the
@@ -73,18 +69,19 @@ class InputParser : public PipelineComponent {
   /// Per-row libsvm kernel of the parse stage: parses `line` into
   /// uncollapsed (index, value) entries plus the (possibly binarized)
   /// label, using `*tokens` as reusable scratch.
-  /// Counts a malformed record and returns kMalformed — or InvalidArgument
-  /// in strict mode.  Indices are validated against feature_dim.
-  Result<RowVerdict> ParseLibSvmRecord(
+  /// Counts a malformed record and returns kMalformed.  Indices are
+  /// validated against feature_dim.
+  RowVerdict ParseLibSvmRecord(
       std::string_view line, std::vector<std::pair<uint32_t, double>>* entries,
       double* label, std::vector<std::string_view>* tokens) const;
 
-  /// Per-row CSV kernel of the parse stage: splits `line` on the delimiter
-  /// into `*fields` and parses each against the csv schema into `*cells`
-  /// (which must be presized to the schema's field count).
-  Result<RowVerdict> ParseCsvRecord(std::string_view line,
-                                    std::vector<std::string_view>* fields,
-                                    std::vector<CsvCell>* cells) const;
+  /// Per-row CSV kernel of the parse stage: splits `line` on commas into
+  /// `*fields` and parses each against the csv schema into `*cells` (which
+  /// must be presized to the schema's field count).  Counts a malformed
+  /// record and returns kMalformed.
+  RowVerdict ParseCsvRecord(std::string_view line,
+                            std::vector<std::string_view>* fields,
+                            std::vector<CsvCell>* cells) const;
 
  private:
   Options options_;

@@ -4,7 +4,9 @@
 #include <iterator>
 #include <utility>
 
+#include "src/common/string_util.h"
 #include "src/engine/execution_engine.h"
+#include "src/obs/decision.h"
 
 namespace cdpipe {
 namespace {
@@ -20,13 +22,6 @@ constexpr size_t kMaxTransformShards = 64;
 size_t NumTransformShards(size_t rows) {
   return std::clamp(rows / kMinRowsPerTransformShard, size_t{1},
                     kMaxTransformShards);
-}
-
-/// The pipeline's entry schema: a single string column named "raw".
-const std::shared_ptr<const Schema>& RawSchema() {
-  static const std::shared_ptr<const Schema> kRawSchema =
-      std::move(Schema::Make({Field{"raw", ValueType::kString}})).ValueOrDie();
-  return kRawSchema;
 }
 
 struct ShardOutput {
@@ -64,16 +59,25 @@ Status Pipeline::AddComponent(std::unique_ptr<PipelineComponent> component) {
   }
   components_.push_back(std::move(component));
   AdvanceStateVersion();
-  // Structure changed: any cached plan is for a different pipeline.
-  plan_cache_->Clear();
+  // Structure changed: the compiled plan is for a different pipeline.
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  plan_.reset();
   return Status::OK();
 }
 
 Result<std::shared_ptr<const fusion::FusedPlan>> Pipeline::Plan() const {
-  if (plan_cache_ == nullptr) {
-    return Status::FailedPrecondition("pipeline was moved from");
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  if (plan_ == nullptr) {
+    std::vector<PipelineComponent*> chain;
+    chain.reserve(components_.size());
+    for (const auto& component : components_) chain.push_back(component.get());
+    CDPIPE_ASSIGN_OR_RETURN(plan_, fusion::FusedPlan::Compile(chain));
+    ++plan_compiles_;
+    obs::Record(obs::Decision::kPlanCompile,
+                StrFormat("stages=%zu elided=%zu", plan_->stats().stages,
+                          plan_->stats().compile_elided));
   }
-  return plan_cache_->GetOrCompile(components_, *RawSchema());
+  return plan_;
 }
 
 Result<FeatureData> Pipeline::ExecuteSerial(const fusion::FusedPlan& plan,
@@ -147,7 +151,7 @@ Result<FeatureData> Pipeline::TransformRecomputingStatistics(
     }
   }
   CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const fusion::FusedPlan> plan,
-                          fusion::FusedPlan::Compile(bound, *RawSchema()));
+                          fusion::FusedPlan::Compile(bound));
   return ExecuteSerial(*plan, chunk, rows_scanned, /*update=*/true);
 }
 

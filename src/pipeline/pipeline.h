@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -38,24 +39,8 @@ class Pipeline {
 
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
-  // Manual moves: the statistics version is an atomic (non-movable); the
-  // plan cache and scratch pool move by pointer.
-  Pipeline(Pipeline&& other) noexcept
-      : components_(std::move(other.components_)),
-        state_version_(
-            other.state_version_.load(std::memory_order_relaxed)),
-        plan_cache_(std::move(other.plan_cache_)),
-        scratch_pool_(std::move(other.scratch_pool_)) {}
-  Pipeline& operator=(Pipeline&& other) noexcept {
-    components_ = std::move(other.components_);
-    state_version_.store(other.state_version_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    plan_cache_ = std::move(other.plan_cache_);
-    scratch_pool_ = std::move(other.scratch_pool_);
-    return *this;
-  }
 
-  /// Appends a component; fails on a null one.
+  /// Appends a component; fails on a null one.  Drops the compiled plan.
   Status AddComponent(std::unique_ptr<PipelineComponent> component);
 
   size_t num_components() const { return components_.size(); }
@@ -89,11 +74,11 @@ class Pipeline {
       const RawChunk& chunk, size_t* rows_scanned = nullptr) const;
 
   /// Deep copy of the pipeline including component statistics (warm
-  /// start).  The clone compiles its own plans (plans borrow components)
+  /// start).  The clone compiles its own plan (plans borrow components)
   /// but shares this pipeline's scratch pool, so its first transform runs
   /// on warm buffers: a scratch holds only per-block buffers and memos
   /// that validate themselves (the hasher memo keys on the hasher's
-  /// config, the scaler memo on a process-unique statistics serial), so
+  /// bits, the scaler memo on a process-unique statistics serial), so
   /// nothing one pipeline leaves in a scratch can be read by another.
   std::unique_ptr<Pipeline> Clone() const;
 
@@ -115,12 +100,18 @@ class Pipeline {
     return state_version_.load(std::memory_order_acquire);
   }
 
-  /// Plan-cache introspection (tests, reports).  Never null on a live
-  /// pipeline.
-  const fusion::PlanCache* plan_cache() const { return plan_cache_.get(); }
+  /// Plans this pipeline has compiled: one on first use and one after each
+  /// AddComponent that a transform follows.  Plans do not depend on
+  /// statistics, so updates, clones' transforms and LoadState never
+  /// recompile.
+  uint64_t plan_compiles() const {
+    std::lock_guard<std::mutex> lock(plan_mu_);
+    return plan_compiles_;
+  }
 
  private:
-  /// The compiled plan for this pipeline's structure (cached).
+  /// The compiled plan for this pipeline's structure, compiled on first
+  /// use.  Compile failures are returned, not kept.
   Result<std::shared_ptr<const fusion::FusedPlan>> Plan() const;
 
   /// Runs `plan` over the whole chunk as one block.
@@ -135,8 +126,10 @@ class Pipeline {
 
   std::vector<std::unique_ptr<PipelineComponent>> components_;
   std::atomic<uint64_t> state_version_{fusion::NextStatsSerial()};
-  std::unique_ptr<fusion::PlanCache> plan_cache_ =
-      std::make_unique<fusion::PlanCache>();
+  /// Guards the plan: Transform runs concurrently on engine workers.
+  mutable std::mutex plan_mu_;
+  mutable std::shared_ptr<const fusion::FusedPlan> plan_;
+  mutable uint64_t plan_compiles_ = 0;
   /// Shared by this pipeline and every Clone() made from it (see Clone).
   std::shared_ptr<fusion::ScratchPool> scratch_pool_ =
       std::make_shared<fusion::ScratchPool>();

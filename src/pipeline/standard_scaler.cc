@@ -12,14 +12,13 @@ namespace {
 
 constexpr double kMinStdDev = StandardScaler::kMinStdDev;
 
-/// Feature-mode transform kernel.  σ (and the mean, when subtracted) per
-/// key is memoized in the per-thread scratch for the scaler's current
+/// Feature-mode transform kernel: divides each entry by its key's σ.  σ
+/// per key is memoized in the per-thread scratch for the scaler's current
 /// statistics serial, so each key costs one lookup + sqrt per statistics
 /// state rather than one per entry.
 class ScaleVecStage final : public fusion::FusedStage {
  public:
-  ScaleVecStage(const StandardScaler* scaler, bool with_mean)
-      : scaler_(scaler), with_mean_(with_mean) {}
+  explicit ScaleVecStage(const StandardScaler* scaler) : scaler_(scaler) {}
 
   Status Run(fusion::ExecContext& ctx) const override {
     fusion::VecBlock& vec = ctx.scratch->vec;
@@ -32,47 +31,28 @@ class ScaleVecStage final : public fusion::FusedStage {
     if (dim > (1u << 20)) {
       for (auto& entry : vec.entries) {
         const double sd = scaler_->StdDevOf(entry.first);
-        const double centered =
-            with_mean_ ? entry.second - scaler_->MeanOf(entry.first)
-                       : entry.second;
-        entry.second = sd > kMinStdDev ? centered / sd : centered;
+        if (sd > kMinStdDev) entry.second = entry.second / sd;
       }
       return Status::OK();
     }
     fusion::StatsMemo& memo = ctx.scratch->scaler_memo;
     memo.Bind(scaler_->stats_serial(), dim);
-    if (!with_mean_) {
-      // σ alone decides the scale: 8 bytes per key keeps the random
-      // lookups cache-resident at typical hashed dims.
-      for (auto& entry : vec.entries) {
-        double sd = memo.sd[entry.first];
-        if (sd == fusion::StatsMemo::kUnfilled) {
-          sd = scaler_->StdDevOf(entry.first);
-          memo.sd[entry.first] = sd;
-          memo.filled.push_back(entry.first);
-        }
-        if (sd > kMinStdDev) entry.second = entry.second / sd;
-      }
-      return Status::OK();
-    }
-    if (memo.mean.size() != dim) memo.mean.resize(dim);
+    // 8 bytes per key keeps the random lookups cache-resident at typical
+    // hashed dims.
     for (auto& entry : vec.entries) {
       double sd = memo.sd[entry.first];
       if (sd == fusion::StatsMemo::kUnfilled) {
         sd = scaler_->StdDevOf(entry.first);
         memo.sd[entry.first] = sd;
-        memo.mean[entry.first] = scaler_->MeanOf(entry.first);
         memo.filled.push_back(entry.first);
       }
-      const double centered = entry.second - memo.mean[entry.first];
-      entry.second = sd > kMinStdDev ? centered / sd : centered;
+      if (sd > kMinStdDev) entry.second = entry.second / sd;
     }
     return Status::OK();
   }
 
  private:
   const StandardScaler* scaler_;
-  bool with_mean_;
 };
 
 /// Table-mode transform kernel: (x - μ) / σ per configured column.  μ and
@@ -189,7 +169,7 @@ Status StandardScaler::Fuse(fusion::PlanBuilder* plan) {
           stats_serial_ = fusion::NextStatsSerial();
           return Status::OK();
         }));
-    plan->AddStage(std::make_unique<ScaleVecStage>(this, options_.with_mean));
+    plan->AddStage(std::make_unique<ScaleVecStage>(this));
     return Status::OK();
   }
   if (plan->repr() != Repr::kTable) {

@@ -18,9 +18,9 @@ namespace cdpipe {
 ///
 ///  - **Feature mode** (sparse vectors): per-dimension moments are
 ///    accumulated counting implicit zeros (sum and sum-of-squares over
-///    stored entries, total row count over all rows).  By default values are
-///    only divided by σ (`with_mean=false`), which preserves sparsity — the
-///    standard treatment for high-dimensional sparse data such as URL.
+///    stored entries, total row count over all rows).  Values are only
+///    divided by σ, never centred, which preserves sparsity — the standard
+///    treatment for high-dimensional sparse data such as URL.
 ///  - **Table mode**: per-column Welford accumulators over the configured
 ///    numeric columns; cells become (x-μ)/σ.
 ///
@@ -33,8 +33,6 @@ class StandardScaler : public PipelineComponent {
   struct Options {
     /// Table mode: columns to standardize.  Ignored in feature mode.
     std::vector<std::string> columns;
-    /// Feature mode only: also subtract the mean (destroys sparsity).
-    bool with_mean = false;
   };
 
   /// Dimensions with σ below this pass through undivided (see class doc).

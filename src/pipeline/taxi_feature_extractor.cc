@@ -1,7 +1,6 @@
 #include "src/pipeline/taxi_feature_extractor.h"
 
 #include <cmath>
-#include <utility>
 
 #include "src/common/status.h"
 #include "src/pipeline/fusion/fusion.h"
@@ -147,25 +146,19 @@ TaxiDerivedRow DeriveTaxiRow(int64_t pickup_seconds, int64_t dropoff_seconds,
   return out;
 }
 
-TaxiFeatureExtractor::TaxiFeatureExtractor(Options options)
-    : options_(std::move(options)) {}
-
 Status TaxiFeatureExtractor::Fuse(fusion::PlanBuilder* plan) {
   if (plan->repr() != fusion::PlanBuilder::Repr::kTable) {
     return Status::FailedPrecondition(
         "taxi_feature_extractor expects a table batch");
   }
   ExtractTaxiStage::Slots slots;
-  CDPIPE_ASSIGN_OR_RETURN(slots.pickup_dt,
-                          plan->SlotOf(options_.pickup_datetime_column));
+  CDPIPE_ASSIGN_OR_RETURN(slots.pickup_dt, plan->SlotOf(kTaxiPickupDatetime));
   CDPIPE_ASSIGN_OR_RETURN(slots.dropoff_dt,
-                          plan->SlotOf(options_.dropoff_datetime_column));
-  CDPIPE_ASSIGN_OR_RETURN(slots.plat, plan->SlotOf(options_.pickup_lat_column));
-  CDPIPE_ASSIGN_OR_RETURN(slots.plon, plan->SlotOf(options_.pickup_lon_column));
-  CDPIPE_ASSIGN_OR_RETURN(slots.dlat,
-                          plan->SlotOf(options_.dropoff_lat_column));
-  CDPIPE_ASSIGN_OR_RETURN(slots.dlon,
-                          plan->SlotOf(options_.dropoff_lon_column));
+                          plan->SlotOf(kTaxiDropoffDatetime));
+  CDPIPE_ASSIGN_OR_RETURN(slots.plat, plan->SlotOf(kTaxiPickupLat));
+  CDPIPE_ASSIGN_OR_RETURN(slots.plon, plan->SlotOf(kTaxiPickupLon));
+  CDPIPE_ASSIGN_OR_RETURN(slots.dlat, plan->SlotOf(kTaxiDropoffLat));
+  CDPIPE_ASSIGN_OR_RETURN(slots.dlon, plan->SlotOf(kTaxiDropoffLon));
   for (size_t dt : {slots.pickup_dt, slots.dropoff_dt}) {
     const ValueType t = plan->SlotDeclaredType(dt);
     if (t == ValueType::kDouble || t == ValueType::kString) {
@@ -192,7 +185,7 @@ Status TaxiFeatureExtractor::Fuse(fusion::PlanBuilder* plan) {
 }
 
 std::unique_ptr<PipelineComponent> TaxiFeatureExtractor::Clone() const {
-  return std::make_unique<TaxiFeatureExtractor>(options_);
+  return std::make_unique<TaxiFeatureExtractor>();
 }
 
 }  // namespace cdpipe

@@ -9,6 +9,15 @@
 
 namespace cdpipe {
 
+/// The raw taxi columns the extractor reads; `TaxiRawSchema()` names its
+/// fields with these.
+inline constexpr const char* kTaxiPickupDatetime = "pickup_datetime";
+inline constexpr const char* kTaxiDropoffDatetime = "dropoff_datetime";
+inline constexpr const char* kTaxiPickupLat = "pickup_lat";
+inline constexpr const char* kTaxiPickupLon = "pickup_lon";
+inline constexpr const char* kTaxiDropoffLat = "dropoff_lat";
+inline constexpr const char* kTaxiDropoffLon = "dropoff_lon";
+
 /// Haversine distance in kilometers between two (lat, lon) points given in
 /// degrees.
 double HaversineKm(double lat1, double lon1, double lat2, double lon2);
@@ -54,27 +63,10 @@ TaxiDerivedRow DeriveTaxiRow(int64_t pickup_seconds, int64_t dropoff_seconds,
 /// Stateless feature extraction (Table 1): new columns, linear output size.
 class TaxiFeatureExtractor : public PipelineComponent {
  public:
-  struct Options {
-    std::string pickup_datetime_column = "pickup_datetime";
-    std::string dropoff_datetime_column = "dropoff_datetime";
-    std::string pickup_lat_column = "pickup_lat";
-    std::string pickup_lon_column = "pickup_lon";
-    std::string dropoff_lat_column = "dropoff_lat";
-    std::string dropoff_lon_column = "dropoff_lon";
-  };
-
-  TaxiFeatureExtractor() : TaxiFeatureExtractor(Options()) {}
-  explicit TaxiFeatureExtractor(Options options);
-
   std::string name() const override { return "taxi_feature_extractor"; }
 
   Status Fuse(fusion::PlanBuilder* plan) override;
   std::unique_ptr<PipelineComponent> Clone() const override;
-
-  const Options& options() const { return options_; }
-
- private:
-  Options options_;
 };
 
 }  // namespace cdpipe

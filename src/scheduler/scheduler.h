@@ -7,8 +7,9 @@
 
 namespace cdpipe {
 
-/// Exponentially-weighted moving average used for the rate/latency signals
-/// the dynamic scheduler consumes.
+/// Exponentially-weighted moving average, seeded with the first observation:
+/// the rate/latency signals the dynamic scheduler consumes and the smoothed
+/// error of the periodical deployment's Velox-style retrain trigger.
 class EwmaTracker {
  public:
   explicit EwmaTracker(double alpha = 0.2) : alpha_(alpha) {}

@@ -14,7 +14,7 @@ namespace serving {
 /// request needs, frozen at publish time.
 ///
 /// The triple is *deep-frozen*: the pipeline is a Clone() of the live one
-/// (own component statistics and plan cache; no statistic is reachable
+/// (own component statistics and compiled plan; no statistic is reachable
 /// from the trainer's copy), and the model is a value copy of the live
 /// weights.  The clone shares the live pipeline's scratch pool, which holds
 /// only per-block buffers leased to one thread at a time and memos that
@@ -22,8 +22,8 @@ namespace serving {
 /// training warm the same buffers without ever reading each other's
 /// statistics.  After construction nothing ever writes to a
 /// snapshot; readers only call the const transform/predict paths, which are
-/// safe to run from any number of threads concurrently (the plan cache and
-/// scratch pool carry their own internal locks, component drop counters are
+/// safe to run from any number of threads concurrently (the compiled plan
+/// and scratch pool sit behind their own locks, component drop counters are
 /// atomics, and statistics are never touched outside Update — which is
 /// never called on a snapshot).
 ///

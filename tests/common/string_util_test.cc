@@ -137,18 +137,33 @@ TEST(FastParseTest, AgreesWithResultVariants) {
     const bool ok = ParseInt64Fast(text, &fast);
     Result<int64_t> slow = ParseInt64(text);
     EXPECT_EQ(ok, slow.ok()) << "'" << text << "'";
-    if (ok && slow.ok()) EXPECT_EQ(fast, *slow) << "'" << text << "'";
+    if (ok && slow.ok()) {
+      EXPECT_EQ(fast, *slow) << "'" << text << "'";
+    }
   }
   for (const char* text :
        {"2015-01-01 00:00:00", "2016-02-29 12:34:56", "2015-02-29 12:00:00",
         "2015-13-01 00:00:00", "2015-01-01 24:00:00", "2015-01-01", "",
-        " 2015-06-15 08:30:00 "}) {
+        " 2015-06-15 08:30:00 ", "2015-+1-01 00:00:00", "2015- 1-01 00:00:00",
+        "2015--1-01 00:00:00"}) {
     int64_t fast = 0;
     const bool ok = ParseDateTimeFast(text, &fast);
     Result<int64_t> slow = ParseDateTime(text);
     EXPECT_EQ(ok, slow.ok()) << "'" << text << "'";
-    if (ok && slow.ok()) EXPECT_EQ(fast, *slow) << "'" << text << "'";
+    if (ok && slow.ok()) {
+      EXPECT_EQ(fast, *slow) << "'" << text << "'";
+    }
   }
+  // Datetime fields take ParseInt64's grammar: a '+' or a blank before a
+  // digit parses, and a negative month is out of range.  The row-at-a-time
+  // spec parses through these functions too, so this is the grammar it
+  // shares with the compiled plan.
+  int64_t seconds = 0;
+  EXPECT_TRUE(ParseDateTimeFast("2015-+1-01 00:00:00", &seconds));
+  EXPECT_EQ(seconds, 1420070400);
+  EXPECT_TRUE(ParseDateTimeFast("2015- 1-01 00:00:00", &seconds));
+  EXPECT_EQ(seconds, 1420070400);
+  EXPECT_FALSE(ParseDateTimeFast("2015--1-01 00:00:00", &seconds));
 }
 
 }  // namespace

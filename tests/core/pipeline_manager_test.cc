@@ -38,8 +38,8 @@ TEST(PipelineManagerTest, OnlineStepProducesFeatureChunk) {
   CostModel cost;
   auto manager = MakeManager(&cost);
   PrequentialEvaluator eval(std::make_unique<MisclassificationRate>());
-  auto features = manager->OnlineStep(
-      MakeChunk(3, {"+1 3:1.0", "-1 7:2.0"}), &eval, /*online_learn=*/true);
+  auto features =
+      manager->OnlineStep(MakeChunk(3, {"+1 3:1.0", "-1 7:2.0"}), &eval);
   ASSERT_TRUE(features.ok()) << features.status().ToString();
   EXPECT_EQ(features->origin_id, 3);
   EXPECT_EQ(features->num_rows(), 2u);
@@ -51,25 +51,12 @@ TEST(PipelineManagerTest, OnlineStepProducesFeatureChunk) {
   EXPECT_EQ(manager->optimizer().step_count(), 1);
 }
 
-TEST(PipelineManagerTest, OnlineStepWithoutLearning) {
-  CostModel cost;
-  auto manager = MakeManager(&cost);
-  auto features = manager->OnlineStep(MakeChunk(0, {"+1 3:1.0"}),
-                                      /*evaluator=*/nullptr,
-                                      /*online_learn=*/false);
-  ASSERT_TRUE(features.ok());
-  EXPECT_EQ(manager->optimizer().step_count(), 0);
-  EXPECT_EQ(cost.WorkIn(CostPhase::kOnlineTraining), 0);
-  EXPECT_EQ(cost.WorkIn(CostPhase::kPrediction), 0);
-}
-
 TEST(PipelineManagerTest, RematerializeIsPureAndCosted) {
   CostModel cost;
   auto manager = MakeManager(&cost);
-  ASSERT_TRUE(manager
-                  ->OnlineStep(MakeChunk(0, {"+1 3:2.0", "+1 3:6.0"}),
-                               nullptr, false)
-                  .ok());
+  ASSERT_TRUE(
+      manager->OnlineStep(MakeChunk(0, {"+1 3:2.0", "+1 3:6.0"}), nullptr)
+          .ok());
   RawChunk probe = MakeChunk(1, {"+1 3:2.0"});
   auto first = manager->Rematerialize(probe);
   ASSERT_TRUE(first.ok());

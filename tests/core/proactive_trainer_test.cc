@@ -98,8 +98,7 @@ class ProactiveTrainerTest : public ::testing::Test {
 };
 
 TEST_F(ProactiveTrainerTest, IterationOverMaterializedSample) {
-  ProactiveTrainer trainer(manager_.get(), &engine_,
-                           ProactiveTrainer::Options());
+  ProactiveTrainer trainer(manager_.get(), &engine_, RetryPolicy());
   RawChunk raw = MakeChunk(0);
   FeatureChunk features = Materialize(raw);
   DataManager::SampleSet sample;
@@ -114,8 +113,7 @@ TEST_F(ProactiveTrainerTest, IterationOverMaterializedSample) {
 }
 
 TEST_F(ProactiveTrainerTest, IterationRematerializesEvictedChunks) {
-  ProactiveTrainer trainer(manager_.get(), &engine_,
-                           ProactiveTrainer::Options());
+  ProactiveTrainer trainer(manager_.get(), &engine_, RetryPolicy());
   RawChunk raw0 = MakeChunk(0);
   RawChunk raw1 = MakeChunk(1);
   FeatureChunk features = Materialize(raw0);
@@ -133,8 +131,7 @@ TEST_F(ProactiveTrainerTest, IterationRematerializesEvictedChunks) {
 TEST_F(ProactiveTrainerTest, EachIterationIsOneSgdStep) {
   // Iterations of proactive training are conditionally independent: each
   // one is exactly one optimizer step regardless of spacing (§3.3).
-  ProactiveTrainer trainer(manager_.get(), &engine_,
-                           ProactiveTrainer::Options());
+  ProactiveTrainer trainer(manager_.get(), &engine_, RetryPolicy());
   RawChunk raw = MakeChunk(0);
   FeatureChunk features = Materialize(raw);
   DataManager::SampleSet sample;
@@ -148,8 +145,7 @@ TEST_F(ProactiveTrainerTest, EachIterationIsOneSgdStep) {
 }
 
 TEST_F(ProactiveTrainerTest, EmptySampleIsNoOp) {
-  ProactiveTrainer trainer(manager_.get(), &engine_,
-                           ProactiveTrainer::Options());
+  ProactiveTrainer trainer(manager_.get(), &engine_, RetryPolicy());
   DataManager::SampleSet sample;
   ASSERT_TRUE(trainer.RunIteration(sample).ok());
   EXPECT_EQ(MetricsSinceStart().proactive_iterations(), 1);
@@ -158,8 +154,7 @@ TEST_F(ProactiveTrainerTest, EmptySampleIsNoOp) {
 
 TEST_F(ProactiveTrainerTest, ParallelRematerializationMatchesSerial) {
   ExecutionEngine parallel_engine(4);
-  ProactiveTrainer serial(manager_.get(), &engine_,
-                          ProactiveTrainer::Options());
+  ProactiveTrainer serial(manager_.get(), &engine_, RetryPolicy());
   RawChunk raw0 = MakeChunk(0);
   RawChunk raw1 = MakeChunk(1);
   RawChunk raw2 = MakeChunk(2);
@@ -169,7 +164,7 @@ TEST_F(ProactiveTrainerTest, ParallelRematerializationMatchesSerial) {
   const double weights_after_serial = manager_->model().weights().L2Norm();
 
   ProactiveTrainer parallel(manager_.get(), &parallel_engine,
-                            ProactiveTrainer::Options());
+                            RetryPolicy());
   ASSERT_TRUE(parallel.RunIteration(sample).ok());
   // Both ran one iteration over the same merged batch; weights moved again
   // but the mechanism is identical.

@@ -75,21 +75,22 @@ TEST(ExecutionEngineTest, ZeroTasksIsOk) {
 TEST(ExecutionEngineTest, RangeSingleThreadedRunsBlocksInOrder) {
   ExecutionEngine engine(1);
   std::vector<std::pair<size_t, size_t>> blocks;
-  Status status = engine.ParallelForRange(10, 3, [&](size_t begin, size_t end) {
+  // One worker: blocks of max(1, 10 / 4) = 2 indices.
+  Status status = engine.ParallelForRange(10, [&](size_t begin, size_t end) {
     blocks.push_back({begin, end});
     return Status::OK();
   });
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(blocks, (std::vector<std::pair<size_t, size_t>>{
-                        {0, 3}, {3, 6}, {6, 9}, {9, 10}}));
+                        {0, 2}, {2, 4}, {4, 6}, {6, 8}, {8, 10}}));
 }
 
 TEST(ExecutionEngineTest, RangeCoversEveryIndexExactlyOnce) {
   ExecutionEngine engine(4);
   std::vector<std::atomic<int>> hits(1000);
-  // grain 0 = auto: pick a block size from count and thread count.
-  Status status = engine.ParallelForRange(1000, 0, [&](size_t begin,
-                                                       size_t end) {
+  // The block size follows from count and thread count.
+  Status status = engine.ParallelForRange(1000, [&](size_t begin,
+                                                    size_t end) {
     EXPECT_LT(begin, end);
     for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
     return Status::OK();
@@ -98,24 +99,10 @@ TEST(ExecutionEngineTest, RangeCoversEveryIndexExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ExecutionEngineTest, RangeGrainLargerThanCountIsOneBlock) {
-  ExecutionEngine engine(4);
-  int calls = 0;
-  Status status =
-      engine.ParallelForRange(7, 100, [&](size_t begin, size_t end) {
-        ++calls;
-        EXPECT_EQ(begin, 0u);
-        EXPECT_EQ(end, 7u);
-        return Status::OK();
-      });
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(calls, 1);
-}
-
 TEST(ExecutionEngineTest, RangeZeroCountIsOk) {
   ExecutionEngine engine(2);
   EXPECT_TRUE(engine
-                  .ParallelForRange(0, 4,
+                  .ParallelForRange(0,
                                     [](size_t, size_t) {
                                       return Status::Internal("never");
                                     })
@@ -124,8 +111,9 @@ TEST(ExecutionEngineTest, RangeZeroCountIsOk) {
 
 TEST(ExecutionEngineTest, RangeErrorReportsLowestBlock) {
   ExecutionEngine engine(4);
+  // Blocks of max(1, 40 / 16) = 2 indices.
   Status status =
-      engine.ParallelForRange(40, 5, [&](size_t begin, size_t) -> Status {
+      engine.ParallelForRange(40, [&](size_t begin, size_t) -> Status {
         if (begin == 10 || begin == 30) {
           return Status::Internal("begin" + std::to_string(begin));
         }
@@ -139,13 +127,13 @@ TEST(ExecutionEngineTest, RangeSingleThreadedStopsAtFirstError) {
   ExecutionEngine engine(1);
   int blocks_run = 0;
   Status status =
-      engine.ParallelForRange(20, 4, [&](size_t begin, size_t) -> Status {
+      engine.ParallelForRange(20, [&](size_t begin, size_t) -> Status {
         ++blocks_run;
-        if (begin == 8) return Status::Internal("stop");
+        if (begin == 10) return Status::Internal("stop");
         return Status::OK();
       });
   EXPECT_FALSE(status.ok());
-  EXPECT_EQ(blocks_run, 3);  // blocks [0,4) [4,8) [8,12), then abort
+  EXPECT_EQ(blocks_run, 3);  // blocks [0,5) [5,10) [10,15), then abort
 }
 
 }  // namespace

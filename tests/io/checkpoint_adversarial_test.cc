@@ -52,7 +52,7 @@ class CheckpointAdversarialTest : public ::testing::Test {
   void SetUp() override {
     writer_ = MakeManager(&writer_cost_);
     for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(writer_->OnlineStep(MakeChunk(i, 20 + i), nullptr, true).ok());
+      ASSERT_TRUE(writer_->OnlineStep(MakeChunk(i, 20 + i), nullptr).ok());
     }
     std::ostringstream buffer;
     ASSERT_TRUE(SaveCheckpoint(*writer_, &buffer).ok());
@@ -60,7 +60,7 @@ class CheckpointAdversarialTest : public ::testing::Test {
 
     reader_ = MakeManager(&reader_cost_);
     for (int i = 0; i < 2; ++i) {
-      ASSERT_TRUE(reader_->OnlineStep(MakeChunk(i, 50 + i), nullptr, true).ok());
+      ASSERT_TRUE(reader_->OnlineStep(MakeChunk(i, 50 + i), nullptr).ok());
     }
     reader_weights_before_ = reader_->model().weights().values();
     reader_steps_before_ = reader_->optimizer().step_count();

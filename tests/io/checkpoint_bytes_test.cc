@@ -58,7 +58,7 @@ std::string CheckpointAfter(PipelineManager* manager,
                          manager->mutable_optimizer(), &rng)
                   .ok());
   for (const RawChunk& chunk : stream) {
-    EXPECT_TRUE(manager->OnlineStep(chunk, nullptr, true).ok());
+    EXPECT_TRUE(manager->OnlineStep(chunk, nullptr).ok());
   }
   std::ostringstream bytes;
   EXPECT_TRUE(SaveCheckpoint(*manager, &bytes).ok());

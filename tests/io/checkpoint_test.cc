@@ -60,7 +60,7 @@ TEST_P(CheckpointRoundTripTest, RestoredManagerContinuesIdentically) {
   // Accumulate nontrivial state: statistics + several optimizer steps.
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(
-        original->OnlineStep(MakeChunk(i, 10 + i), nullptr, true).ok());
+        original->OnlineStep(MakeChunk(i, 10 + i), nullptr).ok());
   }
 
   std::ostringstream buffer;
@@ -93,8 +93,8 @@ TEST_P(CheckpointRoundTripTest, RestoredManagerContinuesIdentically) {
   // ...and the *next* training step produces identical weights (optimizer
   // adaptation state restored bit-exactly).
   RawChunk next = MakeChunk(101, 123);
-  ASSERT_TRUE(original->OnlineStep(next, nullptr, true).ok());
-  ASSERT_TRUE(restored->OnlineStep(next, nullptr, true).ok());
+  ASSERT_TRUE(original->OnlineStep(next, nullptr).ok());
+  ASSERT_TRUE(restored->OnlineStep(next, nullptr).ok());
   EXPECT_EQ(restored->model().weights().values(),
             original->model().weights().values());
   EXPECT_EQ(restored->model().bias(), original->model().bias());
@@ -132,7 +132,7 @@ TEST(CheckpointTest, FileRoundTrip) {
   const std::string path = "/tmp/cdpipe_checkpoint_test.ckpt";
   CostModel cost_a;
   auto original = MakeManager(&cost_a, OptimizerKind::kAdam);
-  ASSERT_TRUE(original->OnlineStep(MakeChunk(0, 1), nullptr, true).ok());
+  ASSERT_TRUE(original->OnlineStep(MakeChunk(0, 1), nullptr).ok());
   ASSERT_TRUE(SaveCheckpointToFile(*original, path).ok());
 
   CostModel cost_b;
@@ -167,7 +167,7 @@ TEST(CheckpointTest, TaxiPipelineRoundTrip) {
   TaxiStreamGenerator generator(config);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(
-        original->OnlineStep(generator.NextChunk(), nullptr, true).ok());
+        original->OnlineStep(generator.NextChunk(), nullptr).ok());
   }
 
   std::ostringstream buffer;
@@ -209,7 +209,7 @@ TEST(CheckpointTest, SecondRestoreServesItsOwnStatistics) {
   std::ostringstream after_one;
   std::ostringstream after_twenty;
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(manager->OnlineStep(MakeChunk(i, 10 + i), nullptr, true).ok());
+    ASSERT_TRUE(manager->OnlineStep(MakeChunk(i, 10 + i), nullptr).ok());
     if (i == 0) {
       ASSERT_TRUE(SaveCheckpoint(*manager, &after_one).ok());
     }

@@ -26,37 +26,21 @@ TEST(SgdOptimizerTest, PlainStep) {
   EXPECT_EQ(opt->step_count(), 1);
 }
 
-TEST(SgdOptimizerTest, DecaySchedule) {
-  OptimizerOptions options = OptionsFor(OptimizerKind::kSgd, 1.0);
-  options.decay = 1.0;  // eta_t = 1 / (1 + (t-1))
-  auto opt = MakeOptimizer(options);
-  DenseVector w(1);
-  double bias = 0.0;
-  opt->Step({{0, 1.0}}, 0.0, &w, &bias);  // eta = 1
-  EXPECT_DOUBLE_EQ(w[0], -1.0);
-  opt->Step({{0, 1.0}}, 0.0, &w, &bias);  // eta = 0.5
-  EXPECT_DOUBLE_EQ(w[0], -1.5);
-}
-
 TEST(MomentumOptimizerTest, VelocityAccumulates) {
-  OptimizerOptions options = OptionsFor(OptimizerKind::kMomentum, 1.0);
-  options.momentum = 0.5;
-  auto opt = MakeOptimizer(options);
+  auto opt = MakeOptimizer(OptionsFor(OptimizerKind::kMomentum, 1.0));
   DenseVector w(1);
   double bias = 0.0;
   opt->Step({{0, 1.0}}, 0.0, &w, &bias);  // v = 1, w = -1
   EXPECT_DOUBLE_EQ(w[0], -1.0);
-  opt->Step({{0, 1.0}}, 0.0, &w, &bias);  // v = 1.5, w = -2.5
-  EXPECT_DOUBLE_EQ(w[0], -2.5);
+  opt->Step({{0, 1.0}}, 0.0, &w, &bias);  // v = 1.9, w = -2.9
+  EXPECT_DOUBLE_EQ(w[0], -2.9);
 }
 
 TEST(MomentumOptimizerTest, LazyCatchupMatchesDenseUpdates) {
   // Coordinate 1 gets gradient only at steps 1 and 4; a dense momentum
   // implementation would keep pushing it by the decaying velocity at steps
   // 2 and 3.  The lazy implementation must produce the same weight.
-  OptimizerOptions options = OptionsFor(OptimizerKind::kMomentum, 0.1);
-  options.momentum = 0.9;
-  auto lazy = MakeOptimizer(options);
+  auto lazy = MakeOptimizer(OptionsFor(OptimizerKind::kMomentum, 0.1));
   DenseVector w_lazy(2);
   double b_lazy = 0.0;
   lazy->Step({{0, 1.0}, {1, 2.0}}, 0.0, &w_lazy, &b_lazy);

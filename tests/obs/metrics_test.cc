@@ -298,6 +298,13 @@ TEST(ExportersTest, HelpTextEscaping) {
   EXPECT_EQ(PrometheusEscapeHelp("back\\slash"), "back\\\\slash");
 }
 
+TEST(ExportersTest, JsonEscape) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(JsonEscape("back\\slash"), "back\\\\slash");
+  EXPECT_EQ(JsonEscape("a\x01" "b"), "a\\u0001b");
+}
+
 TEST(ExportersTest, HelpLinesPrecedeTypeLines) {
   MetricsRegistry registry;
   registry.GetCounter("helped.counter", "Counts things.\nSecond line \\ ok");

@@ -23,7 +23,7 @@ TEST(ColumnProjectorTest, SelectsAndReorders) {
   ColumnProjector projector({"c", "a"});
   // The projection rewires the plan's logical schema...
   const std::shared_ptr<const Schema> schema = TestSchema();
-  fusion::PlanBuilder builder(*schema);
+  fusion::PlanBuilder builder;
   ASSERT_TRUE(builder.BeginTable(schema).ok());
   ASSERT_TRUE(projector.Fuse(&builder).ok());
   ASSERT_EQ(builder.schema().num_fields(), 2u);

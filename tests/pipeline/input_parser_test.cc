@@ -96,15 +96,6 @@ TEST(InputParserLibSvmTest, DropsMalformedRecords) {
   EXPECT_EQ(harness.parser().num_malformed(), 3u);
 }
 
-TEST(InputParserLibSvmTest, StrictModeFailsOnMalformed) {
-  InputParser::Options options;
-  options.feature_dim = 10;
-  options.strict = true;
-  KernelHarness harness(options, nullptr);
-  EXPECT_EQ(harness.Transform({"garbage"}).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(InputParserLibSvmTest, RejectsNonTableInput) {
   // A parser anywhere but at the raw entry has no records to parse.
   InputParser::Options options;
@@ -151,20 +142,6 @@ TEST(InputParserCsvTest, DropsWrongArityAndBadValues) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_rows(), 1u);
   EXPECT_EQ(harness.parser().num_malformed(), 3u);
-}
-
-TEST(InputParserCsvTest, CustomDelimiter) {
-  InputParser::Options options;
-  options.format = InputParser::Format::kCsv;
-  options.csv_schema =
-      std::move(Schema::Make({Field{"a", ValueType::kDouble},
-                              Field{"b", ValueType::kDouble}}))
-          .ValueOrDie();
-  options.delimiter = ';';
-  auto result = KernelHarness(options, nullptr, {"a"}, "b").Transform(
-      {"1.0;2.0"});
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result->labels[0], 2.0);
 }
 
 TEST(InputParserTest, CloneKeepsConfigurationAndCounters) {

@@ -37,16 +37,6 @@ TEST(ScalerFeatureModeTest, ScalesByStdDevWithoutCentering) {
                    3.0);
 }
 
-TEST(ScalerFeatureModeTest, WithMeanCenters) {
-  StandardScaler::Options options;
-  options.with_mean = true;
-  StandardScaler scaler(options);
-  KernelHarness harness = KernelHarness::LibSvm(&scaler, 4);
-  Checked(harness.Update({"0 0:2.0", "0", "0", "0 0:2.0"}));
-  EXPECT_DOUBLE_EQ(Checked(harness.Transform({"0 0:3.0"})).features[0].Get(0),
-                   2.0);
-}
-
 TEST(ScalerFeatureModeTest, ConstantDimensionPassesThrough) {
   StandardScaler scaler;
   KernelHarness harness = KernelHarness::LibSvm(&scaler, 4);

@@ -53,7 +53,6 @@ std::unique_ptr<Deployment> MakeScenarioDeployment(const Scenario& scenario) {
   options.store = scenario.store;
   options.engine_threads = scenario.engine_threads;
   options.retry = scenario.retry;
-  options.degrade_on_failure = scenario.degrade_on_failure;
   options.publish_staleness_bound_chunks =
       scenario.publish_staleness_bound_chunks;
   const UrlPipelineConfig config = PipeConfig();

@@ -51,7 +51,6 @@ struct Scenario {
   size_t engine_threads = 1;
   ChunkStore::Options store;
   RetryPolicy retry;
-  bool degrade_on_failure = true;
   uint64_t seed = 3;
   size_t proactive_every_chunks = 3;
   size_t sample_chunks = 5;

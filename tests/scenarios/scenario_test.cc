@@ -204,20 +204,6 @@ TEST(ScenarioTest, ShortReadsShrinkTheStreamNotTheRun) {
             full.report.curve.back().observations);
 }
 
-TEST(ScenarioTest, DegradationDisabledPropagatesTheFailure) {
-  Scenario scenario;
-  scenario.name = "strict-mode";
-  scenario.degrade_on_failure = false;
-  scenario.retry = RetryPolicy::None();
-  scenario.faults = {
-      {"chunk_store.put_raw", FaultRule::FirstN(1)},
-  };
-
-  const ScenarioResult result = RunScenario(scenario);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status.code(), StatusCode::kUnavailable);
-}
-
 TEST(ScenarioTest, CorruptCheckpointLoadFailsCleanlyThenRecovers) {
   // Run a healthy deployment, checkpoint it, then script the load fault:
   // the first load attempt fails with the injected error, state stays

@@ -201,7 +201,7 @@ TEST(ServingScenarioTest, CheckpointRestoreMidServe) {
   PrequentialEvaluator evaluator(std::make_unique<MisclassificationRate>(),
                                  1000);
   for (const RawChunk& chunk : chunks) {
-    ASSERT_TRUE(manager.OnlineStep(chunk, &evaluator, true).ok());
+    ASSERT_TRUE(manager.OnlineStep(chunk, &evaluator).ok());
   }
   std::ostringstream checkpoint;
   ASSERT_TRUE(SaveCheckpoint(manager, &checkpoint).ok());
@@ -243,8 +243,7 @@ TEST(ServingScenarioTest, CheckpointRestoreMidServe) {
   for (int round = 0; round < 5; ++round) {
     std::istringstream reader(checkpoint.str());
     ASSERT_TRUE(LoadCheckpoint(&reader, &manager).ok());
-    ASSERT_TRUE(manager.OnlineStep(chunks[round % chunks.size()], &evaluator,
-                                   true)
+    ASSERT_TRUE(manager.OnlineStep(chunks[round % chunks.size()], &evaluator)
                     .ok());
     manager.PublishSnapshot();
   }

@@ -4,8 +4,8 @@
 // DataManager::Resolve and rebuild evicted chunks through the trainer's
 // fan-out, so they must complete every recoverable fault script with the
 // fault-free schedule (and, when nothing was lost, the fault-free model),
-// journal a recompute or a skip for every miss, stay bit-identical across
-// engine threads and storage tiers, and propagate faults in strict mode.
+// journal a recompute or a skip for every miss, and stay bit-identical
+// across engine threads and storage tiers.
 
 #include <gtest/gtest.h>
 
@@ -249,16 +249,6 @@ TEST_P(StrategyScenarioTest, RangeTaskOutageSkipsTheShardedStepOnly) {
   }
   EXPECT_EQ(result.report.metrics.CounterValueOr("proactive.rows_trained", 0),
             journaled_rows);
-}
-
-TEST_P(StrategyScenarioTest, StrictModePropagatesARematerializationFault) {
-  Scenario scenario =
-      Probe({{"pipeline.rematerialize", FaultRule::FirstN(1)}});
-  scenario.degrade_on_failure = false;
-  scenario.retry = RetryPolicy::None();
-  const ScenarioResult result = RunScenario(scenario);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status.code(), StatusCode::kUnavailable);
 }
 
 TEST_P(StrategyScenarioTest, ThreadCountDoesNotChangeResults) {

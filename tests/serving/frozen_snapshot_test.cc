@@ -32,7 +32,7 @@ TEST(FrozenSnapshotTest, LiveStatisticsUpdatesDoNotPerturbPublishedEpoch) {
 
   // Hammer the live pipeline: every remaining chunk updates scaler means,
   // one-hot dictionaries, anomaly statistics, and bumps the statistics
-  // version (invalidating the live plan cache).
+  // version.
   for (size_t i = 1; i < fixture.chunks.size(); ++i) {
     ASSERT_TRUE(
         fixture.pipeline->UpdateAndTransform(fixture.chunks[i]).ok());
@@ -89,17 +89,19 @@ TEST(FrozenSnapshotTest, SnapshotOwnsItsPlanCache) {
   SnapshotPublisher publisher;
   publisher.PublishFrom(*fixture.pipeline, *fixture.model);
   std::shared_ptr<const ModelSnapshot> snapshot = publisher.Acquire();
-  // A plan compiled for the snapshot must live in the snapshot's own cache:
-  // plans point at the components they were compiled from, so a shared
-  // cache would run the live pipeline's components (and statistics) on
-  // behalf of the frozen snapshot.  (The scratch pool is shared on
+  // A plan compiled for the snapshot must belong to the snapshot's own
+  // pipeline: plans point at the components they were compiled from, so a
+  // shared plan would run the live pipeline's components (and statistics)
+  // on behalf of the frozen snapshot.  (The scratch pool is shared on
   // purpose: tests/serving/shared_scratch_test.cc.)
-  EXPECT_NE(snapshot->pipeline->plan_cache(), fixture.pipeline->plan_cache());
-  // Exercise the snapshot's plan to actually populate its cache.
+  EXPECT_NE(snapshot->pipeline.get(), fixture.pipeline.get());
+  const uint64_t live_compiles = fixture.pipeline->plan_compiles();
+  // Exercise the snapshot's plan to actually compile it.
   ASSERT_FALSE(
       SerialScores(*snapshot->pipeline, *snapshot->model, fixture.probe)
           .empty());
-  EXPECT_EQ(snapshot->pipeline->plan_cache()->compiles(), 1u);
+  EXPECT_EQ(snapshot->pipeline->plan_compiles(), 1u);
+  EXPECT_EQ(fixture.pipeline->plan_compiles(), live_compiles);
 }
 
 TEST(FrozenSnapshotTest, SharedPipelineEpochsStayIndependentOfLiveModel) {

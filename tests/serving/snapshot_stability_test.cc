@@ -1,7 +1,7 @@
 // TSan-verified bit-stability of concurrent serving: N reader threads
 // hammer the prediction service while the trainer publishes epochs at max
 // rate.  Every response must be internally consistent (one epoch's
-// pipeline statistics + model weights + plan cache), its scores must be
+// pipeline statistics + model weights + compiled plan), its scores must be
 // bit-identical to a serial predict against the state published as that
 // epoch, and no reader may ever observe an epoch regression or a torn
 // snapshot.

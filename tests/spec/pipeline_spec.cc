@@ -36,15 +36,6 @@ std::vector<std::pair<uint32_t, double>> Collapse(
   return out;
 }
 
-Status Malformed(bool strict, std::string_view line, size_t* dropped) {
-  if (strict) {
-    return Status::InvalidArgument("malformed record: '" + std::string(line) +
-                                   "'");
-  }
-  ++*dropped;
-  return Status::OK();
-}
-
 class ParserSpec final : public Stage {
  public:
   explicit ParserSpec(InputParser::Options options)
@@ -62,7 +53,7 @@ class ParserSpec final : public Stage {
       if (ok) {
         out.rows.push_back(std::move(record));
       } else {
-        CDPIPE_RETURN_NOT_OK(Malformed(options_.strict, line, &dropped));
+        ++dropped;
       }
     }
     *batch = std::move(out);
@@ -104,8 +95,7 @@ class ParserSpec final : public Stage {
 
   bool ParseCsv(std::string_view line, Record* record) const {
     const Schema& schema = *options_.csv_schema;
-    const std::vector<std::string_view> fields =
-        SplitString(line, options_.delimiter);
+    const std::vector<std::string_view> fields = SplitString(line, ',');
     if (fields.size() != schema.num_fields()) return false;
     for (size_t i = 0; i < fields.size(); ++i) {
       const std::string_view text = StripWhitespace(fields[i]);
@@ -242,7 +232,7 @@ class ScalerSpec final : public Stage {
     for (Record& row : batch->rows) {
       if (batch->vectorized) {
         for (auto& [index, value] : row.entries) {
-          value = Scale(index, value, options_.with_mean, rows_);
+          value = Scale(index, value, /*center=*/false, rows_);
         }
         continue;
       }
@@ -250,7 +240,7 @@ class ScalerSpec final : public Stage {
         Value& cell = row.cells.at(options_.columns[c]);
         if (cell.is_null()) continue;
         const uint32_t key = static_cast<uint32_t>(c);
-        cell = Value::Double(Scale(key, Num(cell), /*with_mean=*/true,
+        cell = Value::Double(Scale(key, Num(cell), /*center=*/true,
                                    column_counts_[key]));
       }
     }
@@ -264,7 +254,7 @@ class ScalerSpec final : public Stage {
     sum_squares += value * value;
   }
 
-  double Scale(uint32_t key, double value, bool with_mean, int64_t n) const {
+  double Scale(uint32_t key, double value, bool center, int64_t n) const {
     double mean = 0.0;
     double sd = 0.0;
     auto it = moments_.find(key);
@@ -274,7 +264,7 @@ class ScalerSpec final : public Stage {
           it->second.second / static_cast<double>(n) - mean * mean;
       sd = std::sqrt(var > 0.0 ? var : 0.0);
     }
-    const double centered = with_mean ? value - mean : value;
+    const double centered = center ? value - mean : value;
     return sd > StandardScaler::kMinStdDev ? centered / sd : centered;
   }
 
@@ -475,18 +465,15 @@ class ZScoreSpec final : public Stage {
 
 class TaxiSpec final : public Stage {
  public:
-  explicit TaxiSpec(TaxiFeatureExtractor::Options options)
-      : options_(std::move(options)) {}
-
   Status Transform(Batch* batch) override {
     std::vector<Record> kept;
     for (Record& row : batch->rows) {
-      const Value& pickup = row.cells.at(options_.pickup_datetime_column);
-      const Value& dropoff = row.cells.at(options_.dropoff_datetime_column);
-      const Value& plat = row.cells.at(options_.pickup_lat_column);
-      const Value& plon = row.cells.at(options_.pickup_lon_column);
-      const Value& dlat = row.cells.at(options_.dropoff_lat_column);
-      const Value& dlon = row.cells.at(options_.dropoff_lon_column);
+      const Value& pickup = row.cells.at(kTaxiPickupDatetime);
+      const Value& dropoff = row.cells.at(kTaxiDropoffDatetime);
+      const Value& plat = row.cells.at(kTaxiPickupLat);
+      const Value& plon = row.cells.at(kTaxiPickupLon);
+      const Value& dlat = row.cells.at(kTaxiDropoffLat);
+      const Value& dlon = row.cells.at(kTaxiDropoffLon);
       if (pickup.is_null() || dropoff.is_null() || plat.is_null() ||
           plon.is_null() || dlat.is_null() || dlon.is_null()) {
         continue;  // no endpoints, no trip (not counted as a drop)
@@ -507,9 +494,6 @@ class TaxiSpec final : public Stage {
     batch->rows = std::move(kept);
     return Status::OK();
   }
-
- private:
-  TaxiFeatureExtractor::Options options_;
 };
 
 class ProjectorSpec final : public Stage {
@@ -584,8 +568,8 @@ Result<std::unique_ptr<Stage>> SpecOf(const PipelineComponent& component) {
           dynamic_cast<const ZScoreAnomalyDetector*>(&component)) {
     return std::unique_ptr<Stage>(new ZScoreSpec(c->options()));
   }
-  if (const auto* c = dynamic_cast<const TaxiFeatureExtractor*>(&component)) {
-    return std::unique_ptr<Stage>(new TaxiSpec(c->options()));
+  if (dynamic_cast<const TaxiFeatureExtractor*>(&component) != nullptr) {
+    return std::unique_ptr<Stage>(new TaxiSpec());
   }
   if (const auto* c = dynamic_cast<const ColumnProjector*>(&component)) {
     return std::unique_ptr<Stage>(new ProjectorSpec(c->columns()));

@@ -21,8 +21,8 @@
 
 #include "src/common/status.h"
 #include "src/dataframe/chunk.h"
-#include "src/dataframe/value.h"
 #include "src/pipeline/pipeline.h"
+#include "tests/spec/value.h"
 
 namespace cdpipe {
 namespace spec {

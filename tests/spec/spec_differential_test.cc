@@ -111,7 +111,7 @@ Fixture HashedFixture() {
   return f;
 }
 
-/// libsvm -> imputer -> centering scaler -> 8-bucket hasher.
+/// libsvm -> imputer -> scaler -> 8-bucket hasher.
 Fixture SparseFixture() {
   Fixture f;
   f.name = "sparse";
@@ -123,9 +123,7 @@ Fixture SparseFixture() {
     MissingValueImputer::Options imputer;
     imputer.default_value = -2.5;
     Add(p.get(), std::make_unique<MissingValueImputer>(imputer));
-    StandardScaler::Options scaler;
-    scaler.with_mean = true;
-    Add(p.get(), std::make_unique<StandardScaler>(scaler));
+    Add(p.get(), std::make_unique<StandardScaler>());
     FeatureHasher::Options hasher;
     hasher.bits = 3;
     Add(p.get(), std::make_unique<FeatureHasher>(hasher));
@@ -135,7 +133,7 @@ Fixture SparseFixture() {
   return f;
 }
 
-/// The URL deployment pipeline (non-centering scaler, signed hashing).
+/// The URL deployment pipeline.
 Fixture UrlFixture() {
   Fixture f = SparseFixture();
   f.name = "url";
@@ -337,7 +335,7 @@ TEST_P(SpecDifferentialTest, PlanMatchesSpecOnRandomChunks) {
       ExpectCountersEqual(*pipeline, spec, at + " recompute");
     }
     // One compiled plan served every path of every chunk.
-    EXPECT_EQ(pipeline->plan_cache()->compiles(), 1u) << fixture.name;
+    EXPECT_EQ(pipeline->plan_compiles(), 1u) << fixture.name;
   }
 }
 

@@ -78,14 +78,11 @@ class KernelHarness {
  private:
   Result<FeatureData> Run(const std::vector<std::string>& records,
                           bool update, size_t* rows_scanned) {
-    static const std::shared_ptr<const Schema> kRawSchema =
-        std::move(Schema::Make({Field{"raw", ValueType::kString}}))
-            .ValueOrDie();
     std::vector<PipelineComponent*> chain = {parser_.get()};
     if (component_ != nullptr) chain.push_back(component_);
     if (sink_ != nullptr) chain.push_back(sink_.get());
     CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const fusion::FusedPlan> plan,
-                            fusion::FusedPlan::Compile(chain, *kRawSchema));
+                            fusion::FusedPlan::Compile(chain));
     FeatureData out;
     CDPIPE_RETURN_NOT_OK(plan->Execute(records, 0, records.size(), &scratch_,
                                        &out, rows_scanned, update));
