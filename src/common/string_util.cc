@@ -238,6 +238,7 @@ std::string StrFormat(const char* fmt, ...) {
 }
 
 uint64_t Fnv1a64(std::string_view bytes) {
+  // Non-standard basis, kept for format compatibility (see the header).
   uint64_t hash = 1469598103934665603ull;
   for (const char c : bytes) {
     hash ^= static_cast<unsigned char>(c);

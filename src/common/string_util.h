@@ -47,8 +47,11 @@ std::string FormatDateTime(int64_t unix_seconds);
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// FNV-1a over `bytes` (64-bit offset basis / prime).  The integrity hash
-/// of spill-file trailers.
+/// The FNV-1a loop over `bytes` with the 64-bit FNV prime, but started
+/// from 1469598103934665603: the standard offset basis
+/// 14695981039346656037 with its last digit dropped.  So this is not
+/// standard FNV-1a; the basis stays because the spill-file and checkpoint
+/// trailers, whose committed bytes the format tests pin, are this hash.
 uint64_t Fnv1a64(std::string_view bytes);
 
 }  // namespace cdpipe

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/common/string_util.h"
 #include "src/io/serialization.h"
 #include "src/obs/decision.h"
 #include "src/testing/fault_injector.h"
@@ -13,18 +14,6 @@ namespace cdpipe {
 namespace {
 constexpr char kMagic[] = "cdpipe-checkpoint";
 constexpr int64_t kVersion = 2;
-
-// FNV-1a over the serialized payload.  The hash is appended as the final
-// `checksum` line, so any truncation or bit flip in the body is detected
-// before a single byte of deployed state is mutated.
-int64_t Fnv1a(const std::string& bytes) {
-  uint64_t hash = 1469598103934665603ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return static_cast<int64_t>(hash);
-}
 
 }  // namespace
 
@@ -44,8 +33,11 @@ Status SaveCheckpoint(const PipelineManager& manager, std::ostream* os) {
 
   const std::string payload = buffer.str();
   *os << payload;
+  // Fnv1a64 of the payload as the final `checksum` line, so any truncation
+  // or bit flip in the body is detected before a single byte of deployed
+  // state is mutated.
   Serializer trailer(os);
-  trailer.WriteInt("checksum", Fnv1a(payload));
+  trailer.WriteInt("checksum", static_cast<int64_t>(Fnv1a64(payload)));
   if (!trailer.ok()) return Status::IoError("checkpoint write failed");
   obs::Record(obs::Decision::kCheckpointSave);
   return Status::OK();
@@ -84,7 +76,7 @@ Status LoadCheckpoint(std::istream* is, PipelineManager* manager) {
       contents.substr(payload_size, end - payload_size));
   Deserializer trailer(&trailer_stream);
   CDPIPE_ASSIGN_OR_RETURN(int64_t expected, trailer.ReadInt("checksum"));
-  if (expected != Fnv1a(payload)) {
+  if (expected != static_cast<int64_t>(Fnv1a64(payload))) {
     return Status::InvalidArgument(
         "checkpoint checksum mismatch (truncated or corrupt)");
   }

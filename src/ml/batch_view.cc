@@ -19,8 +19,8 @@ Result<std::vector<BatchView::RowRef>> BatchView::CollectRows(
   std::vector<RowRef> rows;
   rows.reserve(total_rows);
   for (const FeatureData* chunk : chunks) {
-    for (uint32_t r = 0; r < chunk->num_rows(); ++r) {
-      rows.push_back(RowRef{chunk, r});
+    for (size_t r = 0; r < chunk->num_rows(); ++r) {
+      rows.push_back(RowRef{&chunk->features[r], chunk->labels[r]});
     }
   }
   if (max_dim != nullptr) *max_dim = dim;

@@ -21,18 +21,24 @@ namespace cdpipe {
 /// as LinearModel::Predict already guard out-of-range indices.
 ///
 /// Ownership / lifetime: a BatchView owns nothing.  It borrows (a) the
-/// FeatureData chunks behind the row references and (b) the RowRef array
-/// itself.  Both must outlive the view; in practice views live for one
-/// SGD step inside a single call frame.  Rows are *not* re-validated per
-/// step — collect them through CollectRows (which validates each chunk
-/// once) or from chunks the pipeline already validated.
+/// SparseVector rows of the FeatureData chunks behind the references and
+/// (b) the RowRef array itself.  Both must outlive the view, and the
+/// chunks' `features` vectors must not reallocate while refs point into
+/// them; in practice views live for one SGD step inside a single call
+/// frame.  Rows are *not* re-validated per step — collect them through
+/// CollectRows (which validates each chunk once).
 class BatchView {
  public:
-  /// One borrowed example: a row of a materialized feature chunk.
+  /// One borrowed example: the row's SparseVector, one hop from the ref,
+  /// and a copy of its label, so a shuffled epoch loads no chunk header or
+  /// label array (see DESIGN.md, "Training-path performance").
   struct RowRef {
-    const FeatureData* chunk = nullptr;
-    uint32_t row = 0;
+    const SparseVector* row = nullptr;
+    double label = 0.0;
   };
+  // A shuffled epoch index holds one ref per history row; wider refs cost
+  // peak memory on every retrain.
+  static_assert(sizeof(RowRef) == 16, "RowRef is a pointer and a label");
 
   BatchView() = default;
 
@@ -56,14 +62,8 @@ class BatchView {
   size_t num_rows() const { return num_rows_; }
   bool empty() const { return num_rows_ == 0; }
 
-  const SparseVector& feature(size_t i) const {
-    const RowRef& ref = rows_[i];
-    return ref.chunk->features[ref.row];
-  }
-  double label(size_t i) const {
-    const RowRef& ref = rows_[i];
-    return ref.chunk->labels[ref.row];
-  }
+  const SparseVector& feature(size_t i) const { return *rows_[i].row; }
+  double label(size_t i) const { return rows_[i].label; }
 
  private:
   uint32_t dim_ = 0;

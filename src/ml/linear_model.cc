@@ -19,6 +19,14 @@ namespace {
 constexpr size_t kMinRowsPerGradShard = 256;
 constexpr size_t kMaxGradShards = 64;
 
+/// Rows between the gradient loop and its software prefetch.  A shuffled
+/// epoch visits rows in random order over a history larger than the
+/// caches, so every row would stall on its SparseVector header and then on
+/// its entry arrays.  At row r the loop prefetches row r+2d's header and
+/// row r+d's arrays (that header was prefetched d rows earlier), so both
+/// misses overlap the arithmetic of the rows in between.
+constexpr size_t kPrefetchRows = 8;
+
 size_t NumGradShards(size_t rows) {
   return std::clamp(rows / kMinRowsPerGradShard, size_t{1}, kMaxGradShards);
 }
@@ -168,6 +176,14 @@ Status LinearModel::ComputeGradient(const BatchView& batch,
     GradAccumulator& accum = GradAccumulator::Scratch(batch.dim());
     double bias_sum = 0.0;
     for (size_t r = begin; r < end; ++r) {
+      if (r + 2 * kPrefetchRows < rows) {
+        __builtin_prefetch(&batch.feature(r + 2 * kPrefetchRows));
+      }
+      if (r + kPrefetchRows < rows) {
+        const SparseVector& ahead = batch.feature(r + kPrefetchRows);
+        __builtin_prefetch(ahead.indices().data());
+        __builtin_prefetch(ahead.values().data());
+      }
       const SparseVector& x = batch.feature(r);
       const LossGrad lg = EvalLoss(options_.loss, Predict(x), batch.label(r));
       const auto& idx = x.indices();
@@ -236,12 +252,8 @@ void LinearModel::ApplyGradient(const std::vector<GradEntry>& grad,
 
 Status LinearModel::Update(const FeatureData& batch, Optimizer* optimizer) {
   if (batch.num_rows() == 0) return Status::OK();
-  CDPIPE_RETURN_NOT_OK(batch.Validate());
-  std::vector<BatchView::RowRef> rows;
-  rows.reserve(batch.num_rows());
-  for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-    rows.push_back(BatchView::RowRef{&batch, r});
-  }
+  CDPIPE_ASSIGN_OR_RETURN(const std::vector<BatchView::RowRef> rows,
+                          BatchView::CollectRows({&batch}, nullptr));
   return Update(BatchView(batch.dim, rows), optimizer);
 }
 

@@ -21,8 +21,9 @@ namespace cdpipe {
 /// reached.
 ///
 /// Mini-batches are zero-copy BatchViews into the input chunks: the shuffled
-/// epoch index holds (chunk, row) references and each batch is a subrange of
-/// it, so no sparse row is ever copied or dim-widened on the training path.
+/// epoch index holds one {row pointer, label} reference per example and each
+/// batch is a subrange of it, so no sparse row is ever copied or dim-widened
+/// on the training path.
 class BatchTrainer {
  public:
   struct Options {

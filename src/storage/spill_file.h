@@ -22,7 +22,8 @@ namespace cdpipe {
 ///   0x00                  fixed: no null bitmap
 ///   mode                  1 byte: 0 raw, 1 dictionary, 2 tokenized
 ///   records               the mode's payload (below)
-///   checksum              8-byte little-endian FNV-1a over everything above
+///   checksum              8-byte little-endian Fnv1a64 over everything
+///                         above (FNV-1a, non-standard offset basis)
 ///
 /// Record modes.  The writer encodes every eligible mode and keeps the
 /// smallest; on equal size the lower mode byte wins.

@@ -19,7 +19,8 @@ obs::Counter* InjectedCounter() {
 }
 
 /// FNV-1a over the site name; mixed into the rule seed so two sites armed
-/// with the same seed still draw independent streams.
+/// with the same seed still draw independent streams.  Standard offset
+/// basis, unlike Fnv1a64: the fault streams are seeded from this value.
 uint64_t HashSite(const std::string& site) {
   uint64_t h = 0xCBF29CE484222325ULL;
   for (char c : site) {

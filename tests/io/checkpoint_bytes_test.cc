@@ -1,5 +1,5 @@
 // Pins the checkpoint bytes of the two paper deployments: the length and
-// FNV-1a of SaveCheckpoint's output after a bootstrap (statistics folded
+// Fnv1a64 hash of SaveCheckpoint's output after a bootstrap (statistics folded
 // in, one BatchTrainer pass) plus 20 online stream chunks at seed 42, with
 // the bench scenarios' pipeline, stream and optimizer settings.  The
 // scenario fingerprints compare two runs of one build; these compare every
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/common/string_util.h"
 #include "src/core/pipeline_manager.h"
 #include "src/data/taxi_stream.h"
 #include "src/data/url_stream.h"
@@ -28,15 +29,6 @@ namespace {
 
 constexpr uint64_t kSeed = 42;
 constexpr size_t kStreamChunks = 20;
-
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t hash = 1469598103934665603ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 /// Folds `bootstrap` into the statistics, trains one BatchTrainer pass on
 /// it (Deployment::InitialTrain's protocol), runs `stream` online, and
@@ -96,7 +88,7 @@ TEST(CheckpointBytesTest, UrlAfterBootstrapAndTwentyChunks) {
       &cost);
   const std::string bytes = CheckpointAfter(&manager, bootstrap, stream);
   EXPECT_EQ(bytes.size(), 150127u);
-  EXPECT_EQ(Fnv1a(bytes), 12357051226724771962u);
+  EXPECT_EQ(Fnv1a64(bytes), 12357051226724771962u);
 }
 
 TEST(CheckpointBytesTest, TaxiAfterBootstrapAndTwentyChunks) {
@@ -118,7 +110,7 @@ TEST(CheckpointBytesTest, TaxiAfterBootstrapAndTwentyChunks) {
       &cost);
   const std::string bytes = CheckpointAfter(&manager, bootstrap, stream);
   EXPECT_EQ(bytes.size(), 1857u);
-  EXPECT_EQ(Fnv1a(bytes), 7534303592616646929u);
+  EXPECT_EQ(Fnv1a64(bytes), 7534303592616646929u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "src/ml/batch_view.h"
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,15 @@ TEST(BatchViewTest, CollectRowsFlattensChunkThenRowOrder) {
   auto rows = BatchView::CollectRows({&a, &b}, nullptr);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 3u);
+  // Each ref points at its chunk's own SparseVector (zero-copy) and
+  // carries that row's label.
+  const std::vector<std::pair<const FeatureData*, size_t>> expected = {
+      {&a, 0}, {&a, 1}, {&b, 0}};
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const auto [chunk, r] = expected[i];
+    EXPECT_EQ((*rows)[i].row, &chunk->features[r]) << "ref " << i;
+    EXPECT_EQ((*rows)[i].label, chunk->labels[r]) << "ref " << i;
+  }
   const BatchView view(4, *rows);
   EXPECT_EQ(view.num_rows(), 3u);
   EXPECT_FALSE(view.empty());
@@ -85,6 +95,8 @@ TEST(BatchViewTest, SubrangeConstructionSlicesRowArray) {
   ASSERT_EQ(batch.num_rows(), 3u);
   EXPECT_DOUBLE_EQ(batch.label(0), 2.0);
   EXPECT_DOUBLE_EQ(batch.label(2), 4.0);
+  EXPECT_EQ(&batch.feature(0), &a.features[1]);
+  EXPECT_EQ(&batch.feature(2), &a.features[3]);
 }
 
 }  // namespace

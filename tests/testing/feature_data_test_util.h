@@ -91,12 +91,10 @@ inline ::testing::AssertionResult FeatureDataBitEqual(
 /// References to every row of `data`, in order: the backing array of a
 /// BatchView over it (keep it alive as long as the view).
 inline std::vector<BatchView::RowRef> RowsOf(const FeatureData& data) {
-  std::vector<BatchView::RowRef> rows;
-  rows.reserve(data.num_rows());
-  for (uint32_t r = 0; r < data.num_rows(); ++r) {
-    rows.push_back(BatchView::RowRef{&data, r});
-  }
-  return rows;
+  Result<std::vector<BatchView::RowRef>> rows =
+      BatchView::CollectRows({&data}, nullptr);
+  CDPIPE_CHECK(rows.ok()) << rows.status().ToString();
+  return std::move(rows).value();
 }
 
 /// Merges feature chunks (possibly with different nominal dims, e.g. when a
