@@ -86,14 +86,14 @@ uint64_t PipelineManager::PublishSnapshot() {
 }
 
 Result<FeatureChunk> PipelineManager::Rematerialize(
-    const RawChunk& chunk, ExecutionEngine* engine) const {
+    const RawChunk& chunk) const {
   CostModel::ScopedTimer timer(cost_, CostPhase::kMaterialization,
                                "pipeline.rematerialize_chunk");
   CDPIPE_FAULT_POINT("pipeline.rematerialize");
   size_t rows_scanned = 0;
   Result<FeatureData> features =
       options_.online_statistics
-          ? pipeline_->Transform(chunk, engine, &rows_scanned)
+          ? pipeline_->Transform(chunk, &rows_scanned)
           : pipeline_->TransformRecomputingStatistics(chunk, &rows_scanned);
   cost_->AddWork(CostPhase::kMaterialization,
                  static_cast<int64_t>(rows_scanned));
@@ -106,11 +106,11 @@ Result<FeatureChunk> PipelineManager::Rematerialize(
 }
 
 Result<FeatureData> PipelineManager::TransformForInference(
-    const RawChunk& queries, ExecutionEngine* engine) const {
+    const RawChunk& queries) const {
   CostModel::ScopedTimer timer(cost_, CostPhase::kPrediction);
   size_t rows_scanned = 0;
   CDPIPE_ASSIGN_OR_RETURN(FeatureData features,
-                          pipeline_->Transform(queries, engine, &rows_scanned));
+                          pipeline_->Transform(queries, &rows_scanned));
   cost_->AddWork(CostPhase::kPrediction, static_cast<int64_t>(rows_scanned));
   return features;
 }

@@ -73,22 +73,12 @@ class PipelineManager {
   /// Re-materializes an evicted feature chunk (transform-only; statistics
   /// untouched).  Under `online_statistics == false` this also pays the
   /// statistics-recomputation scans.  Cost lands in kMaterialization.
-  ///
-  /// When `engine` is non-null the transform is sharded across its workers
-  /// with a fixed-order merge (bit-identical to the serial result).  Pass
-  /// the engine ONLY from the caller thread — the pool does not nest, so
-  /// call sites already running inside an engine task must leave it null.
-  /// The statistics-recomputation path (`online_statistics == false`)
-  /// always runs serially: its per-component scratch Update is a stateful
-  /// whole-chunk scan that cannot be sharded.
-  Result<FeatureChunk> Rematerialize(const RawChunk& chunk,
-                                     ExecutionEngine* engine = nullptr) const;
+  /// Safe to call from engine workers, one chunk per task.
+  Result<FeatureChunk> Rematerialize(const RawChunk& chunk) const;
 
   /// Transforms prediction queries and scores them (no statistics update,
   /// no label use beyond returning them for the caller's evaluation).
-  /// `engine` follows the same contract as in Rematerialize.
-  Result<FeatureData> TransformForInference(
-      const RawChunk& queries, ExecutionEngine* engine = nullptr) const;
+  Result<FeatureData> TransformForInference(const RawChunk& queries) const;
 
   /// One proactive mini-batch SGD iteration over borrowed rows (cost
   /// recorded under `phase`): no merged FeatureData is ever materialized.

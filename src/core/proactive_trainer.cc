@@ -117,11 +117,9 @@ Result<std::vector<const FeatureData*>> ProactiveTrainer::Rebuild(
   });
   // Degradation, step 1: chunks that failed in the fan-out (including
   // tasks the engine's retry policy gave up on) get one fallback
-  // recomputation from the raw chunk on the caller's thread.  The engine
-  // pool is drained at this point, so the fallback may shard the transform
-  // across it (the fan-out tasks above must not: the pool does not nest).
-  // Step 2: chunks that still fail are dropped from this step with a
-  // recorded warning — a smaller sample is strictly better than an aborted
+  // recomputation from the raw chunk on the caller's thread.  Step 2:
+  // chunks that still fail are dropped from this step with a recorded
+  // warning — a smaller sample is strictly better than an aborted
   // deployment run.
   for (size_t i = 0; i < num_remat; ++i) {
     if (rebuilt_ok[i]) continue;
@@ -129,8 +127,8 @@ Result<std::vector<const FeatureData*>> ProactiveTrainer::Rebuild(
                                         sample.to_rematerialize[i]->id};
     const Status fallback = RetryWithBackoff(
         retry_, "proactive.rematerialize_fallback", [&]() -> Status {
-          Result<FeatureChunk> chunk = pipeline_manager_->Rematerialize(
-              *sample.to_rematerialize[i], engine_);
+          Result<FeatureChunk> chunk =
+              pipeline_manager_->Rematerialize(*sample.to_rematerialize[i]);
           if (!chunk.ok()) return chunk.status();
           (*rebuilt)[i] = std::move(chunk).value();
           rebuilt_ok[i] = 1;

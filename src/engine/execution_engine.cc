@@ -1,9 +1,9 @@
 #include "src/engine/execution_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <mutex>
+#include <utility>
 
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
@@ -26,66 +26,13 @@ ExecutionEngine::ExecutionEngine(size_t num_threads) {
   }
 }
 
-ExecutionEngine::~ExecutionEngine() {
-  if (async_ == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(async_->mu);
-    async_->stop = true;
-  }
-  async_->wake.notify_all();
-  async_->worker.join();
-}
-
 void ExecutionEngine::SubmitAsync(std::function<void()> task) {
-  if (async_ == nullptr) {
-    async_ = std::make_unique<AsyncLane>();
-    async_->worker = std::thread([this] { AsyncWorkerLoop(); });
-  }
-  {
-    std::lock_guard<std::mutex> lock(async_->mu);
-    async_->queue.push_back(std::move(task));
-  }
-  async_->wake.notify_one();
+  if (async_ == nullptr) async_ = std::make_unique<ThreadPool>(1);
+  async_->Submit(std::move(task));
 }
 
 void ExecutionEngine::DrainAsync() {
-  if (async_ == nullptr) return;
-  std::unique_lock<std::mutex> lock(async_->mu);
-  async_->drained.wait(lock, [this] {
-    return async_->queue.empty() && async_->in_flight == 0;
-  });
-}
-
-void ExecutionEngine::AsyncWorkerLoop() {
-  static obs::Counter* exceptions =
-      obs::MetricsRegistry::Global().GetCounter("engine.async_exceptions");
-  std::unique_lock<std::mutex> lock(async_->mu);
-  while (true) {
-    async_->wake.wait(lock, [this] {
-      return async_->stop || !async_->queue.empty();
-    });
-    if (async_->queue.empty()) {
-      if (async_->stop) return;
-      continue;
-    }
-    std::function<void()> task = std::move(async_->queue.front());
-    async_->queue.pop_front();
-    ++async_->in_flight;
-    lock.unlock();
-    try {
-      task();
-    } catch (...) {
-      // Async tasks are best-effort background work (prefetch); an escaping
-      // exception must never take the worker down.  The consumer observes
-      // the failure through the task's own deposited state.
-      exceptions->Increment();
-    }
-    lock.lock();
-    --async_->in_flight;
-    if (async_->queue.empty() && async_->in_flight == 0) {
-      async_->drained.notify_all();
-    }
-  }
+  if (async_ != nullptr) async_->Wait();
 }
 
 size_t ExecutionEngine::num_threads() const {

@@ -1,13 +1,8 @@
 #ifndef CDPIPE_ENGINE_EXECUTION_ENGINE_H_
 #define CDPIPE_ENGINE_EXECUTION_ENGINE_H_
 
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "src/common/retry.h"
 #include "src/common/status.h"
@@ -27,8 +22,6 @@ namespace cdpipe {
 class ExecutionEngine {
  public:
   explicit ExecutionEngine(size_t num_threads = 1);
-  /// Joins the async lane (after draining queued work).
-  ~ExecutionEngine();
 
   ExecutionEngine(const ExecutionEngine&) = delete;
   ExecutionEngine& operator=(const ExecutionEngine&) = delete;
@@ -66,14 +59,15 @@ class ExecutionEngine {
   Status ParallelForRange(size_t count,
                           const std::function<Status(size_t, size_t)>& task);
 
-  /// Enqueues `task` on the engine's *async lane*: one dedicated FIFO
-  /// worker, lazily created on first use and separate from the ParallelFor
-  /// pool — background IO (spill prefetch) never competes with training
-  /// fan-out or perturbs the "engine.task" fault accounting.  Tasks run in
-  /// submission order; an escaping exception is contained and counted
-  /// (`engine.async_exceptions` metric), never propagated.  Available on
-  /// single-threaded engines too: async overlap does not change what any
-  /// task computes, so determinism is preserved.
+  /// Enqueues `task` on the engine's *async lane*: a one-thread ThreadPool
+  /// (one FIFO worker), lazily created on first use and separate from the
+  /// ParallelFor pool — background IO (spill prefetch) never competes with
+  /// training fan-out or perturbs the "engine.task" fault accounting.  Tasks
+  /// run in submission order; an escaping exception is contained and
+  /// counted by the pool (`thread_pool.task_exceptions`), never propagated.
+  /// Available on single-threaded engines too: async overlap does not
+  /// change what any task computes, so determinism is preserved.  The
+  /// engine's destructor runs every queued task before it returns.
   void SubmitAsync(std::function<void()> task);
 
   /// Blocks until every async task submitted so far has finished.  Safe to
@@ -85,22 +79,9 @@ class ExecutionEngine {
   /// conversion, transient-retry loop.
   Status RunTask(const std::function<Status(size_t)>& task, size_t index);
 
-  /// The async lane's worker state (see SubmitAsync).
-  struct AsyncLane {
-    std::mutex mu;
-    std::condition_variable wake;   ///< worker: queue non-empty or stopping
-    std::condition_variable drained;  ///< waiters: queue empty + idle
-    std::deque<std::function<void()>> queue;
-    size_t in_flight = 0;  ///< tasks popped but not yet finished
-    bool stop = false;
-    std::thread worker;
-  };
-
-  void AsyncWorkerLoop();
-
   std::unique_ptr<ThreadPool> pool_;  // null when single-threaded
   RetryPolicy retry_policy_ = RetryPolicy::None();
-  std::unique_ptr<AsyncLane> async_;  // null until first SubmitAsync
+  std::unique_ptr<ThreadPool> async_;  // null until first SubmitAsync
 };
 
 }  // namespace cdpipe

@@ -36,9 +36,6 @@ uint64_t MixHash(uint64_t key, uint64_t seed) {
 /// or collide at most pairwise take a dense accumulator instead of the
 /// sort (a two-way IEEE sum is commutative, hence order-insensitive); only
 /// three-way collisions or NaN values fall back to the sorted collapse.
-/// The bucket/sign memo lives in the per-thread scratch and persists
-/// across blocks, chunks, and plans (it depends only on the hasher's
-/// bits).
 class HashVecStage final : public fusion::FusedStage {
  public:
   explicit HashVecStage(const FeatureHasher* hasher) : hasher_(hasher) {}
@@ -47,18 +44,8 @@ class HashVecStage final : public fusion::FusedStage {
     fusion::ExecScratch& s = *ctx.scratch;
     fusion::VecBlock& vec = s.vec;
     ctx.rows_scanned += vec.num_rows();
-    const uint32_t in_dim = vec.dim;
     const uint32_t out_dim = hasher_->output_dim();
     const size_t total_nnz = vec.entries.size();
-    const uint32_t bits = hasher_->options().bits;
-
-    const bool use_memo = in_dim <= (1u << 20) && total_nnz >= in_dim / 16;
-    fusion::HasherMemo& memo = s.hasher_memo;
-    if (use_memo && !memo.Matches(bits, in_dim)) {
-      memo.bits = bits;
-      memo.dim = in_dim;
-      memo.packed.assign(in_dim, 0);
-    }
 
     // Dense accumulator state.  `acc` cells are gated by the occupancy
     // bitmap, so stale values are never read; the bitmaps themselves hold
@@ -77,18 +64,6 @@ class HashVecStage final : public fusion::FusedStage {
     }
 
     auto hash_of = [&](uint32_t index) -> std::pair<uint32_t, double> {
-      if (use_memo) {
-        uint64_t word = memo.packed[index];
-        if ((word & fusion::HasherMemo::kSet) == 0) {
-          word = fusion::HasherMemo::kSet | hasher_->BucketOf(index);
-          if (hasher_->SignOf(index) < 0.0) {
-            word |= fusion::HasherMemo::kNegative;
-          }
-          memo.packed[index] = word;
-        }
-        return {static_cast<uint32_t>(word),
-                (word & fusion::HasherMemo::kNegative) != 0 ? -1.0 : 1.0};
-      }
       return {hasher_->BucketOf(index), hasher_->SignOf(index)};
     };
 
@@ -169,8 +144,7 @@ class HashVecStage final : public fusion::FusedStage {
       }
       if (sorted_path) {
         // The reference collapse: hash in input order, sort the raw-order
-        // (bucket, signed value) list, sum duplicates left to right.  Memo
-        // hits make the re-hash of a bailed row cheap.
+        // (bucket, signed value) list, sum duplicates left to right.
         row.clear();
         for (uint32_t k = start; k < stop; ++k) {
           const auto [bucket, sign] = hash_of(vec.entries[k].first);

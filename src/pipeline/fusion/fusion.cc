@@ -185,13 +185,10 @@ Result<std::shared_ptr<const FusedPlan>> FusedPlan::Compile(
 }
 
 Status FusedPlan::Execute(const std::vector<std::string>& records,
-                          size_t begin, size_t end, ExecScratch* scratch,
-                          FeatureData* out, size_t* rows_scanned,
-                          bool update) const {
+                          ExecScratch* scratch, FeatureData* out,
+                          size_t* rows_scanned, bool update) const {
   ExecContext ctx;
   ctx.records = &records;
-  ctx.begin = begin;
-  ctx.end = end;
   ctx.scratch = scratch;
   ctx.out = out;
   size_t s = 0;

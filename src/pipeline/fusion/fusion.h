@@ -25,7 +25,7 @@ class Histogram;
 ///
 /// Given a deployed pipeline, whose entry is always raw text records, the
 /// planner asks every component to contribute its *block kernels* to a
-/// FusedPlan: a short, pre-resolved program that takes a range of raw
+/// FusedPlan: a short, pre-resolved program that takes a chunk's raw
 /// records straight to FeatureData without materializing anything between
 /// components.  Column dispatch (schema lookups, column type resolution)
 /// happens once at compile time instead of once per chunk per component;
@@ -128,25 +128,6 @@ struct VecBlock {
   size_t num_rows() const { return row_end.size(); }
 };
 
-/// Hash memo persisted across blocks, chunks, and plans: the bucket/sign
-/// of a raw feature index depends only on the hasher's bits (its seed is a
-/// constant), so the lazily filled array stays valid for the lifetime of
-/// the scratch.  One packed word per raw index — set flag, sign flag,
-/// bucket — so a lookup costs a single cache line, not three (the memo is
-/// far larger than L1/L2 and lookups are random).
-struct HasherMemo {
-  static constexpr uint64_t kSet = uint64_t{1} << 63;
-  static constexpr uint64_t kNegative = uint64_t{1} << 62;
-
-  uint32_t bits = 0;
-  uint32_t dim = 0;
-  std::vector<uint64_t> packed;
-
-  bool Matches(uint32_t b, uint32_t d) const {
-    return !packed.empty() && bits == b && dim == d;
-  }
-};
-
 /// Lazily filled memo of statistics-derived values (the scaler's σ and
 /// mean per key), valid for one statistics serial (NextStatsSerial).  On
 /// the online path statistics move every chunk, so rebinding to a new
@@ -182,7 +163,6 @@ struct StatsMemo {
 struct ExecScratch {
   VecBlock vec;
   TableBlock table;
-  HasherMemo hasher_memo;
   StatsMemo scaler_memo;
   // Reusable small buffers for per-row work.
   std::vector<std::string_view> tokens;
@@ -200,8 +180,6 @@ struct ExecScratch {
 /// Everything a stage needs while processing one block.
 struct ExecContext {
   const std::vector<std::string>* records = nullptr;
-  size_t begin = 0;
-  size_t end = 0;
   ExecScratch* scratch = nullptr;
   FeatureData* out = nullptr;
   /// (row x component) scans: every kernel, update or transform, counts
@@ -209,8 +187,6 @@ struct ExecContext {
   size_t rows_scanned = 0;
   /// Stages that did provably no per-row work on this block.
   size_t stages_elided = 0;
-
-  size_t raw_rows() const { return end - begin; }
 };
 
 /// One compiled kernel.  Immutable after compile; Run mutates the
@@ -316,16 +292,16 @@ class FusedPlan {
   static Result<std::shared_ptr<const FusedPlan>> Compile(
       const std::vector<PipelineComponent*>& components);
 
-  /// Processes records [begin, end) through every stage into `*out`.
+  /// Processes `records` through every stage into `*out`.
   /// `update` selects the online path: update kernels run too, mutating
   /// component statistics, so such a call must be exclusive with every
   /// other Execute on the same components.  Transform-only calls may run
   /// concurrently.  `scratch` must be exclusively owned by the caller.
   /// Each component's kernels are one obs::Phase, pipeline.component.<name>,
   /// timed into its transform_seconds histogram.
-  Status Execute(const std::vector<std::string>& records, size_t begin,
-                 size_t end, ExecScratch* scratch, FeatureData* out,
-                 size_t* rows_scanned, bool update = false) const;
+  Status Execute(const std::vector<std::string>& records,
+                 ExecScratch* scratch, FeatureData* out, size_t* rows_scanned,
+                 bool update = false) const;
 
   const Stats& stats() const { return stats_; }
 
@@ -345,7 +321,7 @@ class FusedPlan {
 };
 
 /// Free list of ExecScratch buffers shared by the (few) concurrent
-/// transform shards of one pipeline.
+/// transforms of one pipeline and its clones.
 class ScratchPool {
  public:
   std::unique_ptr<ExecScratch> Acquire();

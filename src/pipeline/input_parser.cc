@@ -74,12 +74,11 @@ class LibSvmParseStage final : public fusion::FusedStage {
     vec.labels.clear();
     vec.saw_nan = false;
     vec.nan_rows.clear();
-    const size_t rows = ctx.raw_rows();
+    const size_t rows = ctx.records->size();
     vec.row_end.reserve(rows);
     vec.labels.reserve(rows);
     ctx.rows_scanned += rows;
-    for (size_t r = ctx.begin; r < ctx.end; ++r) {
-      const std::string_view line = (*ctx.records)[r];
+    for (const std::string& line : *ctx.records) {
       double label = 0.0;
       if (parser_->ParseLibSvmRecord(line, &s.row_entries, &label,
                                      &s.tokens) ==
@@ -125,13 +124,12 @@ class CsvParseStage final : public fusion::FusedStage {
       table.cols[i].Reset(schema.field(i).type);
     }
     // Cell scratch is per Run, not per stage: one plan is shared by
-    // concurrent shards.
+    // concurrent transforms.
     std::vector<InputParser::CsvCell> cells(num_fields);
-    const size_t rows = ctx.raw_rows();
+    const size_t rows = ctx.records->size();
     ctx.rows_scanned += rows;
     size_t appended = 0;
-    for (size_t r = ctx.begin; r < ctx.end; ++r) {
-      const std::string_view line = (*ctx.records)[r];
+    for (const std::string& line : *ctx.records) {
       if (parser_->ParseCsvRecord(line, &s.tokens, &cells) ==
           InputParser::RowVerdict::kMalformed) {
         continue;

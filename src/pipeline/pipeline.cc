@@ -1,58 +1,11 @@
 #include "src/pipeline/pipeline.h"
 
-#include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "src/common/string_util.h"
-#include "src/engine/execution_engine.h"
 #include "src/obs/decision.h"
 
 namespace cdpipe {
-namespace {
-
-/// Rows per transform shard / maximum shard fan-out for the parallel pure
-/// path.  As with the gradient shards in linear_model.cc, the shard count
-/// is a function of the row count ONLY (never the worker count) and shard
-/// outputs are concatenated in ascending shard order, so serial and
-/// parallel runs produce bit-identical features.
-constexpr size_t kMinRowsPerTransformShard = 256;
-constexpr size_t kMaxTransformShards = 64;
-
-size_t NumTransformShards(size_t rows) {
-  return std::clamp(rows / kMinRowsPerTransformShard, size_t{1},
-                    kMaxTransformShards);
-}
-
-struct ShardOutput {
-  FeatureData features;
-  size_t scanned = 0;
-};
-
-/// Fixed-order merge: concatenates shard outputs in ascending shard order.
-Result<FeatureData> MergeShardOutputs(std::vector<ShardOutput> shards,
-                                      size_t* rows_scanned) {
-  FeatureData merged;
-  merged.dim = shards.empty() ? 0 : shards[0].features.dim;
-  size_t total = 0;
-  for (const ShardOutput& s : shards) total += s.features.num_rows();
-  merged.features.reserve(total);
-  merged.labels.reserve(total);
-  for (ShardOutput& s : shards) {
-    if (s.features.dim != merged.dim) {
-      return Status::Internal("transform shards disagree on feature dim");
-    }
-    std::move(s.features.features.begin(), s.features.features.end(),
-              std::back_inserter(merged.features));
-    merged.labels.insert(merged.labels.end(), s.features.labels.begin(),
-                         s.features.labels.end());
-    if (rows_scanned != nullptr) *rows_scanned += s.scanned;
-  }
-  return merged;
-}
-
-}  // namespace
-
 Status Pipeline::AddComponent(std::unique_ptr<PipelineComponent> component) {
   if (component == nullptr) {
     return Status::InvalidArgument("component must not be null");
@@ -80,14 +33,13 @@ Result<std::shared_ptr<const fusion::FusedPlan>> Pipeline::Plan() const {
   return plan_;
 }
 
-Result<FeatureData> Pipeline::ExecuteSerial(const fusion::FusedPlan& plan,
-                                            const RawChunk& chunk,
-                                            size_t* rows_scanned,
-                                            bool update) const {
+Result<FeatureData> Pipeline::Execute(const fusion::FusedPlan& plan,
+                                      const RawChunk& chunk,
+                                      size_t* rows_scanned, bool update) const {
   FeatureData out;
   fusion::ScratchLease lease(scratch_pool_.get());
-  CDPIPE_RETURN_NOT_OK(plan.Execute(chunk.records, 0, chunk.records.size(),
-                                    lease.get(), &out, rows_scanned, update));
+  CDPIPE_RETURN_NOT_OK(
+      plan.Execute(chunk.records, lease.get(), &out, rows_scanned, update));
   return out;
 }
 
@@ -97,38 +49,16 @@ Result<FeatureData> Pipeline::UpdateAndTransform(const RawChunk& chunk,
   AdvanceStateVersion();
   CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const fusion::FusedPlan> plan,
                           Plan());
-  // One block: every update kernel must see the whole chunk before the
-  // transform kernel after it runs, so the online path never shards.
-  return ExecuteSerial(*plan, chunk, rows_scanned, /*update=*/true);
+  // One block: every update kernel sees the whole chunk before the
+  // transform kernel after it runs.
+  return Execute(*plan, chunk, rows_scanned, /*update=*/true);
 }
 
 Result<FeatureData> Pipeline::Transform(const RawChunk& chunk,
-                                        ExecutionEngine* engine,
                                         size_t* rows_scanned) const {
   CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const fusion::FusedPlan> plan,
                           Plan());
-  const size_t rows = chunk.records.size();
-  const size_t num_shards = NumTransformShards(rows);
-  if (engine == nullptr || engine->num_threads() <= 1 || num_shards <= 1) {
-    return ExecuteSerial(*plan, chunk, rows_scanned, /*update=*/false);
-  }
-  // Shard boundaries depend on the row count only: the first `remainder`
-  // shards take one extra row.
-  const size_t base = rows / num_shards;
-  const size_t remainder = rows % num_shards;
-  std::vector<ShardOutput> shards(num_shards);
-  CDPIPE_RETURN_NOT_OK(
-      engine->ParallelFor(num_shards, [&](size_t s) -> Status {
-        const size_t begin = s * base + std::min(s, remainder);
-        const size_t end = begin + base + (s < remainder ? 1 : 0);
-        ShardOutput& out = shards[s];
-        out.scanned = 0;  // overwritten wholesale: the task is
-        out.features = FeatureData{};  // retry-idempotent
-        fusion::ScratchLease lease(scratch_pool_.get());
-        return plan->Execute(chunk.records, begin, end, lease.get(),
-                             &out.features, &out.scanned);
-      }));
-  return MergeShardOutputs(std::move(shards), rows_scanned);
+  return Execute(*plan, chunk, rows_scanned, /*update=*/false);
 }
 
 Result<FeatureData> Pipeline::TransformRecomputingStatistics(
@@ -152,7 +82,7 @@ Result<FeatureData> Pipeline::TransformRecomputingStatistics(
   }
   CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const fusion::FusedPlan> plan,
                           fusion::FusedPlan::Compile(bound));
-  return ExecuteSerial(*plan, chunk, rows_scanned, /*update=*/true);
+  return Execute(*plan, chunk, rows_scanned, /*update=*/true);
 }
 
 std::unique_ptr<Pipeline> Pipeline::Clone() const {

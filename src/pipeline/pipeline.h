@@ -15,8 +15,6 @@
 
 namespace cdpipe {
 
-class ExecutionEngine;
-
 /// An ordered sequence of pipeline components ending in a vectorizing stage,
 /// i.e. the full preprocessing part of a deployed ML pipeline.  The model is
 /// deliberately *not* part of this class — it is attached by the
@@ -54,15 +52,11 @@ class Pipeline {
   Result<FeatureData> UpdateAndTransform(const RawChunk& chunk,
                                          size_t* rows_scanned = nullptr);
 
-  /// Pure path: transform kernels only.  Used for prediction queries and
-  /// dynamic re-materialization.  With a multi-threaded `engine` the chunk
-  /// is split into row-range shards whose count is a function of the row
-  /// count ONLY (mirroring the sharded gradient path in linear_model.cc),
-  /// and the per-shard outputs are concatenated in shard order — the result
-  /// is bit-identical to the serial call for any engine thread count.  Must
-  /// not be called from inside an engine task (the pool does not nest).
+  /// Pure path: transform kernels only, over the whole chunk as one block.
+  /// Used for prediction queries and dynamic re-materialization.  Safe to
+  /// call concurrently (each call leases its own scratch), which is how the
+  /// re-materialization fan-out runs one chunk per engine worker.
   Result<FeatureData> Transform(const RawChunk& chunk,
-                                ExecutionEngine* engine = nullptr,
                                 size_t* rows_scanned = nullptr) const;
 
   /// The NoOptimization baseline (§5.4): processes the chunk as if online
@@ -76,9 +70,8 @@ class Pipeline {
   /// Deep copy of the pipeline including component statistics (warm
   /// start).  The clone compiles its own plan (plans borrow components)
   /// but shares this pipeline's scratch pool, so its first transform runs
-  /// on warm buffers: a scratch holds only per-block buffers and memos
-  /// that validate themselves (the hasher memo keys on the hasher's
-  /// bits, the scaler memo on a process-unique statistics serial), so
+  /// on warm buffers: a scratch holds only per-block buffers and the
+  /// scaler memo, which keys on a process-unique statistics serial, so
   /// nothing one pipeline leaves in a scratch can be read by another.
   std::unique_ptr<Pipeline> Clone() const;
 
@@ -115,9 +108,9 @@ class Pipeline {
   Result<std::shared_ptr<const fusion::FusedPlan>> Plan() const;
 
   /// Runs `plan` over the whole chunk as one block.
-  Result<FeatureData> ExecuteSerial(const fusion::FusedPlan& plan,
-                                    const RawChunk& chunk,
-                                    size_t* rows_scanned, bool update) const;
+  Result<FeatureData> Execute(const fusion::FusedPlan& plan,
+                              const RawChunk& chunk, size_t* rows_scanned,
+                              bool update) const;
 
   /// Draws a fresh state version, before any statistic moves.
   void AdvanceStateVersion() {

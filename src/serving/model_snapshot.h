@@ -17,8 +17,8 @@ namespace serving {
 /// (own component statistics and compiled plan; no statistic is reachable
 /// from the trainer's copy), and the model is a value copy of the live
 /// weights.  The clone shares the live pipeline's scratch pool, which holds
-/// only per-block buffers leased to one thread at a time and memos that
-/// check whose state they describe (Pipeline::Clone), so serving and
+/// only per-block buffers leased to one thread at a time and a memo that
+/// checks whose state it describes (Pipeline::Clone), so serving and
 /// training warm the same buffers without ever reading each other's
 /// statistics.  After construction nothing ever writes to a
 /// snapshot; readers only call the const transform/predict paths, which are

@@ -194,7 +194,7 @@ Result<PredictionService::Response> PredictionService::ServeOne(
     }
     size_t rows_scanned = 0;
     Result<FeatureData> features =
-        snapshot->pipeline->Transform(chunk, nullptr, &rows_scanned);
+        snapshot->pipeline->Transform(chunk, &rows_scanned);
     if (!features.ok()) return features.status();
     Response response;
     response.epoch = snapshot->epoch;

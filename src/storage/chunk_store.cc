@@ -21,7 +21,6 @@ namespace {
 /// reflect the most recent writer.
 struct StoreMetrics {
   obs::Counter* features_inserted;
-  obs::Counter* features_rematerialized;
   obs::Counter* memory_hits;
   obs::Counter* disk_hits;
   obs::Counter* spill_corrupt;
@@ -39,8 +38,6 @@ struct StoreMetrics {
       StoreMetrics m;
       m.features_inserted =
           registry.GetCounter("chunk_store.features_inserted");
-      m.features_rematerialized =
-          registry.GetCounter("chunk_store.features_rematerialized");
       m.memory_hits = registry.GetCounter("chunk_store.memory_hits");
       m.disk_hits = registry.GetCounter("chunk_store.disk_hits");
       m.spill_corrupt =
@@ -63,7 +60,7 @@ struct StoreMetrics {
 ChunkStore::ChunkStore(Options options) : options_(std::move(options)) {}
 
 ChunkStore::~ChunkStore() {
-  for (const auto& [id, entry] : spilled_) {
+  for (const auto& [id, entry] : disk_) {
     std::remove(entry.path.c_str());
   }
 }
@@ -73,21 +70,20 @@ Status ChunkStore::PutRaw(RawChunk chunk) {
   // PutRaw; recycle the pinned staging area before anything else.
   pinned_.clear();
   CDPIPE_FAULT_POINT("chunk_store.put_raw");
-  if (!raw_order_.empty() && chunk.id <= raw_order_.back()) {
+  // The newest chunk is never spilled, so the memory tier holds it.
+  if (!memory_.empty() && chunk.id <= memory_.rbegin()->first) {
     return Status::InvalidArgument(
         "raw chunk ids must be strictly increasing: got " +
         std::to_string(chunk.id) + " after " +
-        std::to_string(raw_order_.back()));
+        std::to_string(memory_.rbegin()->first));
   }
   const ChunkId id = chunk.id;
   const size_t records = chunk.records.size();
   raw_bytes_ += chunk.ByteSize();
-  raw_order_.push_back(id);
-  memory_order_.push_back(id);
-  raw_.emplace(id, std::move(chunk));
+  memory_.emplace_hint(memory_.end(), id, std::move(chunk));
   ++counters_.raw_inserted;
   if (options_.max_raw_chunks > 0) {
-    while (raw_order_.size() > options_.max_raw_chunks) DropOldestRaw();
+    while (num_raw() > options_.max_raw_chunks) DropOldestRaw();
   }
   if (spilling_enabled()) MaybeSpillOverBudget();
   UpdateResidencyGauges();
@@ -106,33 +102,18 @@ Status ChunkStore::PutFeatures(FeatureChunk chunk) {
   if (options_.max_materialized_chunks == 0) {
     return Status::OK();  // materialization disabled (rate 0.0)
   }
-  auto it = features_.find(chunk.origin_id);
-  if (it != features_.end()) {
-    // Replacement (re-materialization refresh): position in the eviction
-    // order is unchanged — age is defined by creation timestamp, not access.
-    feature_bytes_ -= it->second.ByteSize();
-    feature_bytes_ += chunk.ByteSize();
-    it->second = std::move(chunk);
-    ++counters_.features_rematerialized;
-    StoreMetrics::Get().features_rematerialized->Increment();
-    UpdateResidencyGauges();
-    return Status::OK();
+  const ChunkId id = chunk.origin_id;
+  if (!features_.empty() && id <= features_.rbegin()->first) {
+    return Status::InvalidArgument(
+        "feature chunk ids must be strictly increasing: got " +
+        std::to_string(id) + " after " +
+        std::to_string(features_.rbegin()->first));
   }
   feature_bytes_ += chunk.ByteSize();
-  // Keep materialized_order_ sorted by id: chunks normally arrive in order,
-  // but re-materialized older chunks may be re-inserted out of order.
-  const ChunkId id = chunk.origin_id;
-  if (materialized_order_.empty() || id > materialized_order_.back()) {
-    materialized_order_.push_back(id);
-  } else {
-    auto pos = std::lower_bound(materialized_order_.begin(),
-                                materialized_order_.end(), id);
-    materialized_order_.insert(pos, id);
-  }
-  features_.emplace(id, std::move(chunk));
+  features_.emplace_hint(features_.end(), id, std::move(chunk));
   ++counters_.features_inserted;
   StoreMetrics::Get().features_inserted->Increment();
-  while (materialized_order_.size() > options_.max_materialized_chunks) {
+  while (features_.size() > options_.max_materialized_chunks) {
     EvictOldestMaterialized();
   }
   UpdateResidencyGauges();
@@ -140,18 +121,22 @@ Status ChunkStore::PutFeatures(FeatureChunk chunk) {
 }
 
 std::vector<ChunkId> ChunkStore::LiveIds() const {
-  return std::vector<ChunkId>(raw_order_.begin(), raw_order_.end());
+  std::vector<ChunkId> ids;
+  ids.reserve(num_raw());
+  for (const auto& [id, entry] : disk_) ids.push_back(id);
+  for (const auto& [id, chunk] : memory_) ids.push_back(id);
+  return ids;
 }
 
 const RawChunk* ChunkStore::GetRaw(ChunkId id) const {
-  auto it = raw_.find(id);
-  return it != raw_.end() ? &it->second : nullptr;
+  auto it = memory_.find(id);
+  return it != memory_.end() ? &it->second : nullptr;
 }
 
 const RawChunk* ChunkStore::FetchRaw(ChunkId id) {
   if (const RawChunk* in_memory = GetRaw(id)) return in_memory;
-  auto spill_it = spilled_.find(id);
-  if (spill_it == spilled_.end()) return nullptr;
+  auto spill_it = disk_.find(id);
+  if (spill_it == disk_.end()) return nullptr;
   const std::string path = spill_it->second.path;
 
   // Prefer the prefetch stage: consume a staged load, or ride out one that
@@ -227,12 +212,7 @@ const FeatureChunk* ChunkStore::GetFeatures(ChunkId id) const {
 bool ChunkStore::Evict(ChunkId id) {
   auto it = features_.find(id);
   if (it == features_.end()) return false;
-  feature_bytes_ -= it->second.ByteSize();
-  features_.erase(it);
-  auto pos = std::find(materialized_order_.begin(), materialized_order_.end(),
-                       id);
-  CDPIPE_CHECK(pos != materialized_order_.end());
-  materialized_order_.erase(pos);
+  EraseFeatures(it);
   ++counters_.evictions;
   obs::Record(obs::Decision::kEvictFeatures,
               obs::CorrelationScope::WithEntity(id));
@@ -282,8 +262,8 @@ void ChunkStore::DropStalePrefetches(const std::vector<ChunkId>& keep) {
 }
 
 std::optional<std::string> ChunkStore::BeginPrefetch(ChunkId id) {
-  auto spill_it = spilled_.find(id);
-  if (spill_it == spilled_.end()) return std::nullopt;
+  auto spill_it = disk_.find(id);
+  if (spill_it == disk_.end()) return std::nullopt;
   std::lock_guard<std::mutex> lock(tier_mu_);
   auto [slot_it, inserted] = prefetched_.try_emplace(id);
   if (!inserted) return std::nullopt;  // already staged or in flight
@@ -334,58 +314,57 @@ void ChunkStore::PrefetchLoad(ChunkId id, const std::string& path) {
   tier_cv_.notify_all();
 }
 
-void ChunkStore::EvictOldestMaterialized() {
-  CDPIPE_CHECK(!materialized_order_.empty());
-  const ChunkId victim = materialized_order_.front();
-  materialized_order_.pop_front();
-  auto it = features_.find(victim);
-  CDPIPE_CHECK(it != features_.end());
+void ChunkStore::EraseFeatures(
+    std::map<ChunkId, FeatureChunk>::iterator it) {
   feature_bytes_ -= it->second.ByteSize();
+  features_.erase(it);
+}
+
+void ChunkStore::EvictOldestMaterialized() {
+  CDPIPE_CHECK(!features_.empty());
+  const ChunkId victim = features_.begin()->first;
   // Only the content goes; the identifier and the reference to the raw
   // chunk survive implicitly (the raw chunk is still in the log).
-  features_.erase(it);
+  EraseFeatures(features_.begin());
   ++counters_.evictions;
   obs::Record(obs::Decision::kEvictFeaturesLru,
               obs::CorrelationScope::WithEntity(victim));
 }
 
 void ChunkStore::DropOldestRaw() {
-  CDPIPE_CHECK(!raw_order_.empty());
-  const ChunkId victim = raw_order_.front();
-  raw_order_.pop_front();
-  auto raw_it = raw_.find(victim);
-  if (raw_it != raw_.end()) {
-    raw_bytes_ -= raw_it->second.ByteSize();
-    raw_.erase(raw_it);
-    // The memory tier is the newest suffix of the log, so an in-memory
-    // victim is necessarily the memory tier's oldest entry too.
-    CDPIPE_CHECK(!memory_order_.empty() && memory_order_.front() == victim);
-    memory_order_.pop_front();
-  } else {
-    auto spill_it = spilled_.find(victim);
-    CDPIPE_CHECK(spill_it != spilled_.end());
+  ChunkId victim = 0;
+  if (!disk_.empty()) {
+    auto spill_it = disk_.begin();
+    victim = spill_it->first;
     disk_bytes_ -= static_cast<size_t>(spill_it->second.file_bytes);
     std::remove(spill_it->second.path.c_str());
-    spilled_.erase(spill_it);
+    disk_.erase(spill_it);
+  } else {
+    CDPIPE_CHECK(!memory_.empty());
+    auto raw_it = memory_.begin();
+    victim = raw_it->first;
+    raw_bytes_ -= raw_it->second.ByteSize();
+    memory_.erase(raw_it);
   }
   ++counters_.raw_dropped;
   obs::Record(obs::Decision::kEvictRaw,
               obs::CorrelationScope::WithEntity(victim));
-  RemoveFeaturesFor(victim);
+  // A feature chunk must never outlive its raw chunk.
+  auto feat_it = features_.find(victim);
+  if (feat_it != features_.end()) EraseFeatures(feat_it);
 }
 
 void ChunkStore::MaybeSpillOverBudget() {
   // Spill coldest-first until the budget holds, but never the chunk that
   // was just inserted: the deployment loop reads it back right away.
-  while (raw_bytes_ > options_.memory_budget_bytes &&
-         memory_order_.size() > 1) {
-    if (!SpillChunk(memory_order_.front())) break;
+  while (raw_bytes_ > options_.memory_budget_bytes && memory_.size() > 1) {
+    if (!SpillChunk(memory_.begin()->first)) break;
   }
 }
 
 bool ChunkStore::SpillChunk(ChunkId id) {
-  auto raw_it = raw_.find(id);
-  CDPIPE_CHECK(raw_it != raw_.end());
+  auto raw_it = memory_.find(id);
+  CDPIPE_CHECK(raw_it != memory_.end());
   const std::string path = StrFormat("%s/chunk_%lld.spill",
                                      options_.spill_dir.c_str(),
                                      static_cast<long long>(id));
@@ -406,12 +385,10 @@ bool ChunkStore::SpillChunk(ChunkId id) {
   entry.path = path;
   entry.file_bytes = written->bytes_written;
   entry.raw_bytes = chunk_bytes;
-  spilled_.emplace(id, std::move(entry));
+  disk_.emplace_hint(disk_.end(), id, std::move(entry));
   raw_bytes_ -= chunk_bytes;
   disk_bytes_ += static_cast<size_t>(written->bytes_written);
-  raw_.erase(raw_it);
-  CDPIPE_CHECK(!memory_order_.empty() && memory_order_.front() == id);
-  memory_order_.pop_front();
+  memory_.erase(raw_it);
   ++counters_.chunks_spilled;
   counters_.spill_bytes_written += written->bytes_written;
   counters_.spill_raw_bytes += static_cast<int64_t>(chunk_bytes);
@@ -420,42 +397,28 @@ bool ChunkStore::SpillChunk(ChunkId id) {
 }
 
 void ChunkStore::DropSpilledChunk(ChunkId id, const Status& cause) {
-  auto spill_it = spilled_.find(id);
-  CDPIPE_CHECK(spill_it != spilled_.end());
+  auto spill_it = disk_.find(id);
+  CDPIPE_CHECK(spill_it != disk_.end());
   disk_bytes_ -= static_cast<size_t>(spill_it->second.file_bytes);
   std::remove(spill_it->second.path.c_str());
-  spilled_.erase(spill_it);
-  auto pos = std::find(raw_order_.begin(), raw_order_.end(), id);
-  CDPIPE_CHECK(pos != raw_order_.end());
-  raw_order_.erase(pos);
+  disk_.erase(spill_it);
   ++counters_.spilled_chunks_dropped;
   const obs::CorrelationId corr = obs::CorrelationScope::WithEntity(id);
   obs::Record(obs::Decision::kEvictRawCorrupt, corr);
   obs::Record(obs::Decision::kSpillCorruptDropped, corr, {}, cause);
-  RemoveFeaturesFor(id);
-}
-
-void ChunkStore::RemoveFeaturesFor(ChunkId id) {
   // A feature chunk must never outlive its raw chunk.
   auto feat_it = features_.find(id);
-  if (feat_it == features_.end()) return;
-  feature_bytes_ -= feat_it->second.ByteSize();
-  features_.erase(feat_it);
-  auto pos = std::find(materialized_order_.begin(),
-                       materialized_order_.end(), id);
-  CDPIPE_CHECK(pos != materialized_order_.end());
-  materialized_order_.erase(pos);
+  if (feat_it != features_.end()) EraseFeatures(feat_it);
 }
 
 void ChunkStore::UpdateResidencyGauges() const {
   const StoreMetrics& metrics = StoreMetrics::Get();
-  metrics.num_raw->Set(static_cast<double>(raw_order_.size()));
-  metrics.num_materialized->Set(
-      static_cast<double>(materialized_order_.size()));
+  metrics.num_raw->Set(static_cast<double>(num_raw()));
+  metrics.num_materialized->Set(static_cast<double>(features_.size()));
   metrics.raw_bytes->Set(static_cast<double>(raw_bytes_));
   metrics.feature_bytes->Set(static_cast<double>(feature_bytes_));
   metrics.disk_bytes->Set(static_cast<double>(disk_bytes_));
-  metrics.spill_files->Set(static_cast<double>(spilled_.size()));
+  metrics.spill_files->Set(static_cast<double>(disk_.size()));
 }
 
 }  // namespace cdpipe

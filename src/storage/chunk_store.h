@@ -4,7 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -20,7 +20,9 @@ namespace cdpipe {
 class CostModel;
 
 /// The platform's storage unit (paper §3.2, §4.2): an append-only log of
-/// raw data chunks plus a bounded cache of materialized feature chunks.
+/// raw data chunks plus a bounded, append-only cache of materialized
+/// feature chunks.  Both are ordered maps keyed by chunk id, so "oldest"
+/// is always the smallest key.
 ///
 /// Invariants:
 ///  - Raw chunks are always retained (up to the optional bound N; when N is
@@ -29,7 +31,9 @@ class CostModel;
 ///  - At most `max_materialized_chunks` (m) feature chunks are materialized;
 ///    inserting beyond m evicts the *oldest* materialized feature chunk,
 ///    keeping only its identifier and the reference to the raw chunk
-///    (§3.2: "similar to cache eviction").
+///    (§3.2: "similar to cache eviction").  Features are stored once per
+///    chunk, in id order: a re-materialized chunk feeds one proactive step
+///    and is not cached again (§3.2).
 ///  - A feature chunk's `origin_id` always refers to a live raw chunk.
 ///
 /// ## Two-tier raw storage
@@ -80,10 +84,6 @@ class ChunkStore {
     int64_t raw_inserted = 0;
     int64_t raw_dropped = 0;
     int64_t features_inserted = 0;
-    /// PutFeatures calls that replaced an already-materialized chunk (a
-    /// re-materialization refresh) — deliberately *not* counted as
-    /// insertions.
-    int64_t features_rematerialized = 0;
     int64_t evictions = 0;
     /// Sampled chunks found materialized, split by where the chunk's raw
     /// bytes live: `memory_hits` for memory-tier chunks, `disk_hits` for
@@ -157,23 +157,24 @@ class ChunkStore {
   Status PutRaw(RawChunk chunk);
 
   /// Stores the materialized features for an existing raw chunk; evicts the
-  /// oldest materialized feature chunk when over capacity.  Re-inserting
-  /// features for an already-materialized id replaces them (counts as a
-  /// re-materialization, not an insertion).
+  /// oldest materialized feature chunk when over capacity.  Ids must be
+  /// greater than every stored feature chunk's (InvalidArgument otherwise,
+  /// as in PutRaw): the cache is append-only.
   Status PutFeatures(FeatureChunk chunk);
 
-  size_t num_raw() const { return raw_order_.size(); }
-  size_t num_materialized() const { return materialized_order_.size(); }
-  size_t num_spilled() const { return spilled_.size(); }
+  size_t num_raw() const { return memory_.size() + disk_.size(); }
+  size_t num_materialized() const { return features_.size(); }
+  size_t num_spilled() const { return disk_.size(); }
 
-  /// Ids of all live raw chunks (both tiers), oldest first.
+  /// Ids of all live raw chunks, oldest first: the disk tier, then the
+  /// memory tier (always the newest suffix of the log).
   std::vector<ChunkId> LiveIds() const;
 
   bool Contains(ChunkId id) const {
-    return raw_.count(id) > 0 || spilled_.count(id) > 0;
+    return memory_.count(id) > 0 || disk_.count(id) > 0;
   }
   bool IsMaterialized(ChunkId id) const { return features_.count(id) > 0; }
-  bool IsSpilled(ChunkId id) const { return spilled_.count(id) > 0; }
+  bool IsSpilled(ChunkId id) const { return disk_.count(id) > 0; }
 
   /// Null when the id is not resident in the memory tier (spilled, dropped,
   /// or never inserted).  Never touches disk.
@@ -252,6 +253,8 @@ class ChunkStore {
 
   void EvictOldestMaterialized();
   void DropOldestRaw();
+  /// Removes `it`'s feature chunk and its bytes.
+  void EraseFeatures(std::map<ChunkId, FeatureChunk>::iterator it);
   /// Spills memory-tier chunks, coldest first, until the budget holds (or
   /// only the newest chunk is left).  A failed write stops the pass.
   void MaybeSpillOverBudget();
@@ -261,19 +264,16 @@ class ChunkStore {
   /// Removes a corrupt spilled chunk entirely: file, log entry, features.
   /// `cause` is the decode failure the drop is logged with.
   void DropSpilledChunk(ChunkId id, const Status& cause);
-  void RemoveFeaturesFor(ChunkId id);
   /// Mirrors residency (counts/bytes) into the global metrics gauges.
   void UpdateResidencyGauges() const;
 
   Options options_;
   Counters counters_;
-  std::unordered_map<ChunkId, RawChunk> raw_;
-  std::unordered_map<ChunkId, FeatureChunk> features_;
-  /// Insertion (== timestamp) order; fronts are oldest.
-  std::deque<ChunkId> raw_order_;         ///< both tiers
-  std::deque<ChunkId> memory_order_;      ///< memory tier only
-  std::deque<ChunkId> materialized_order_;
-  std::unordered_map<ChunkId, SpillEntry> spilled_;
+  /// Keyed by chunk id (== creation timestamp), so begin() is the oldest.
+  /// Every disk-tier id is smaller than every memory-tier id.
+  std::map<ChunkId, SpillEntry> disk_;
+  std::map<ChunkId, RawChunk> memory_;
+  std::map<ChunkId, FeatureChunk> features_;
   size_t raw_bytes_ = 0;
   size_t feature_bytes_ = 0;
   size_t disk_bytes_ = 0;

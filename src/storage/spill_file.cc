@@ -20,10 +20,10 @@ constexpr size_t kTrailerSize = 8;
 constexpr std::string_view kColumnPrefix("\x01\x04", 2);
 constexpr std::string_view kNoNulls("\x00", 1);
 
-/// Record encodings, ordered by preference on equal size.
+/// Record encodings.  Byte 1 is retired (a whole-record dictionary, which
+/// the tokenized mode always beat) and reads as corrupt.
 enum class Mode : uint8_t {
   kRaw = 0,     ///< varint lengths + concatenated bytes
-  kDict = 1,    ///< distinct records (first-occurrence order) + codes
   kTokens = 2,  ///< space-separated tokens dictionary-coded per record
 };
 
@@ -76,7 +76,7 @@ bool TokenizeExact(std::string_view s, std::vector<std::string_view>* out) {
   }
 }
 
-/// Distinct values in first-occurrence order; the code of a value is its
+/// Distinct tokens in first-occurrence order; the code of a token is its
 /// slot.
 class Dictionary {
  public:
@@ -100,7 +100,8 @@ class Dictionary {
   std::vector<std::string_view> entries_;
 };
 
-/// Appends the mode byte and payload of the smallest eligible encoding.
+/// Appends the mode byte and payload of the smaller eligible encoding
+/// (raw on equal size).
 void EncodeRecords(const std::vector<std::string>& records, std::string* out) {
   std::string raw;
   {
@@ -111,18 +112,6 @@ void EncodeRecords(const std::vector<std::string>& records, std::string* out) {
     }
     raw.reserve(raw.size() + total);
     for (const std::string& r : records) raw.append(r);
-  }
-
-  std::string dict;
-  {
-    Dictionary dictionary;
-    std::vector<uint64_t> codes;
-    codes.reserve(records.size());
-    for (const std::string& r : records) {
-      codes.push_back(dictionary.Intern(r));
-    }
-    dictionary.AppendTo(&dict);
-    for (const uint64_t c : codes) PutVarint(c, &dict);
   }
 
   std::string tokens;
@@ -150,18 +139,9 @@ void EncodeRecords(const std::vector<std::string>& records, std::string* out) {
     }
   }
 
-  Mode mode = Mode::kRaw;
-  const std::string* payload = &raw;
-  if (dict.size() < payload->size()) {
-    mode = Mode::kDict;
-    payload = &dict;
-  }
-  if (tokens_ok && tokens.size() < payload->size()) {
-    mode = Mode::kTokens;
-    payload = &tokens;
-  }
-  out->push_back(static_cast<char>(mode));
-  out->append(*payload);
+  const bool use_tokens = tokens_ok && tokens.size() < raw.size();
+  out->push_back(static_cast<char>(use_tokens ? Mode::kTokens : Mode::kRaw));
+  out->append(use_tokens ? tokens : raw);
 }
 
 /// Bounds-checked cursor over a checksum-verified payload: a read that
@@ -250,18 +230,6 @@ const char* DecodeRecords(Cursor* in, size_t rows,
         std::string_view record;
         if (!in->Bytes(len, &record)) return "truncated record bytes";
         records->emplace_back(record);
-      }
-      return nullptr;
-    }
-    case Mode::kDict: {
-      std::vector<std::string_view> entries;
-      if (const char* error = ReadDictionary(in, &entries)) return error;
-      for (size_t i = 0; i < rows; ++i) {
-        uint64_t code = 0;
-        if (!in->Varint(&code) || code >= entries.size()) {
-          return "bad dictionary code";
-        }
-        records->emplace_back(entries[code]);
       }
       return nullptr;
     }

@@ -20,21 +20,21 @@ namespace cdpipe {
 ///   0x01 0x04             fixed: one column, of string type
 ///   num_records           varint
 ///   0x00                  fixed: no null bitmap
-///   mode                  1 byte: 0 raw, 1 dictionary, 2 tokenized
+///   mode                  1 byte: 0 raw, 2 tokenized (1 is retired)
 ///   records               the mode's payload (below)
 ///   checksum              8-byte little-endian Fnv1a64 over everything
 ///                         above (FNV-1a, non-standard offset basis)
 ///
-/// Record modes.  The writer encodes every eligible mode and keeps the
-/// smallest; on equal size the lower mode byte wins.
+/// Record modes.  The writer encodes both and keeps the smaller; on equal
+/// size raw wins.
 ///  - raw: one varint length per record, then the concatenated bytes;
-///  - dictionary: a varint entry count, the distinct records in
-///    first-occurrence order (varint length + bytes each), then one varint
-///    code per record;
-///  - tokenized: the same dictionary over space-separated tokens, then per
+///  - tokenized: a varint entry count, the distinct space-separated tokens
+///    in first-occurrence order (varint length + bytes each), then per
 ///    record a varint token count and that many varint codes.  Eligible
 ///    only when every record equals `join(' ', tokens)` — no leading,
 ///    trailing or double spaces.
+/// Mode byte 1 once named a whole-record dictionary, which the tokenized
+/// mode beat on every spill; a file carrying it now reads as corrupt.
 /// `SpillFileFormatTest` pins one file per mode byte for byte.
 ///
 /// Writes serialize fully in memory, land in `<path>.tmp`, and commit with

@@ -160,9 +160,7 @@ TEST(FusedPlanTest, CompileElidesProjectionAndExecutes) {
   fusion::ExecScratch scratch;
   FeatureData out;
   size_t rows_scanned = 0;
-  ASSERT_TRUE(
-      plan->Execute(records, 0, records.size(), &scratch, &out, &rows_scanned)
-          .ok());
+  ASSERT_TRUE(plan->Execute(records, &scratch, &out, &rows_scanned).ok());
   ASSERT_EQ(out.num_rows(), 2u);
   EXPECT_EQ(out.dim, 1u);
   EXPECT_DOUBLE_EQ(out.labels[0], 1.0);
@@ -203,7 +201,7 @@ TEST(FusionParityTest, RowsScannedMatchesInterpreted) {
 
   plan_scans = 0;
   spec_scans = 0;
-  ASSERT_TRUE(pipeline->Transform(chunk, nullptr, &plan_scans).ok());
+  ASSERT_TRUE(pipeline->Transform(chunk, &plan_scans).ok());
   ASSERT_TRUE(reference.Transform(chunk, &spec_scans).ok());
   EXPECT_EQ(plan_scans, 4u + 3u * 3u);
   EXPECT_EQ(plan_scans, spec_scans);

@@ -1,8 +1,7 @@
 // Differential test: the compiled block plan against the row-at-a-time
 // spec (tests/spec/pipeline_spec.h) on seeded random chunks — nulls, NaN
 // payloads, -0.0, malformed rows, unseen categories, filtered rows — for
-// the online path, the pure path (serial and engine-sharded at 1 and 4
-// threads) and the NoOptimization path.  Features, labels, rows_scanned
+// the online path, the pure path and the NoOptimization path.  Features, labels, rows_scanned
 // and the malformed / dropped counters must all agree exactly.
 
 #include <functional>
@@ -18,7 +17,6 @@
 #include "src/common/string_util.h"
 #include "src/data/taxi_stream.h"
 #include "src/data/url_stream.h"
-#include "src/engine/execution_engine.h"
 #include "src/pipeline/anomaly_filter.h"
 #include "src/pipeline/column_projector.h"
 #include "src/pipeline/feature_hasher.h"
@@ -273,10 +271,8 @@ class SpecDifferentialTest : public ::testing::TestWithParam<Fixture> {};
 
 TEST_P(SpecDifferentialTest, PlanMatchesSpecOnRandomChunks) {
   const Fixture& fixture = GetParam();
-  ExecutionEngine one_thread(1);
-  ExecutionEngine four_threads(4);
-  // Row counts include empty and single-row chunks and chunks large
-  // enough to split into several engine shards.
+  // Row counts include empty and single-row chunks and chunks larger than
+  // any a stream delivers.
   const size_t kRows[] = {0, 1, 37, 300, 700, 1100, 64, 513};
   for (uint64_t seed : {1, 2, 3}) {
     Rng rng(seed);
@@ -302,24 +298,15 @@ TEST_P(SpecDifferentialTest, PlanMatchesSpecOnRandomChunks) {
       EXPECT_EQ(plan_scans, spec_scans) << at << " online";
       ExpectCountersEqual(*pipeline, spec, at + " online");
 
-      for (ExecutionEngine* engine :
-           {static_cast<ExecutionEngine*>(nullptr), &one_thread,
-            &four_threads}) {
-        const std::string path =
-            at + " pure/" +
-            (engine == nullptr ? std::string("serial")
-                               : std::to_string(engine->num_threads()));
-        plan_scans = 0;
-        spec_scans = 0;
-        FeatureData pure =
-            std::move(pipeline->Transform(chunk, engine, &plan_scans))
-                .ValueOrDie();
-        EXPECT_TRUE(testing::FeatureDataBitEqual(
-            std::move(spec.Transform(chunk, &spec_scans)).ValueOrDie(), pure,
-            path));
-        EXPECT_EQ(plan_scans, spec_scans) << path;
-        ExpectCountersEqual(*pipeline, spec, path);
-      }
+      plan_scans = 0;
+      spec_scans = 0;
+      FeatureData pure =
+          std::move(pipeline->Transform(chunk, &plan_scans)).ValueOrDie();
+      EXPECT_TRUE(testing::FeatureDataBitEqual(
+          std::move(spec.Transform(chunk, &spec_scans)).ValueOrDie(), pure,
+          at + " pure"));
+      EXPECT_EQ(plan_scans, spec_scans) << at << " pure";
+      ExpectCountersEqual(*pipeline, spec, at + " pure");
 
       plan_scans = 0;
       spec_scans = 0;

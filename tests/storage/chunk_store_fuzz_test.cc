@@ -3,6 +3,7 @@
 // correct reference model (plain ordered containers).  Catches invariant
 // violations the unit tests' hand-picked sequences cannot.
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <set>
@@ -33,8 +34,11 @@ class ReferenceStore {
   bool PutFeatures(ChunkId id) {
     if (std::find(raw_.begin(), raw_.end(), id) == raw_.end()) return false;
     if (max_materialized_ == 0) return true;
-    if (materialized_.insert(id).second &&
-        materialized_.size() > max_materialized_) {
+    // Append-only: a stored id, or one older than the newest stored, is
+    // refused.
+    if (!materialized_.empty() && id <= *materialized_.rbegin()) return false;
+    materialized_.insert(id);
+    if (materialized_.size() > max_materialized_) {
       materialized_.erase(materialized_.begin());  // oldest id
     }
     return true;
@@ -105,9 +109,13 @@ TEST_P(ChunkStoreFuzzTest, MatchesReferenceModel) {
       ASSERT_TRUE(store.PutRaw(std::move(chunk)).ok());
       reference.PutRaw(next_id - 1);
     } else if (op < 8) {
-      // Materialize a random chunk id (possibly dead / already present).
+      // Materialize one of the newest ids, or any id (possibly dead,
+      // already present, or older than the newest stored).
+      const uint64_t span =
+          op < 6 ? std::min<uint64_t>(static_cast<uint64_t>(next_id), 4)
+                 : static_cast<uint64_t>(next_id);
       const ChunkId id =
-          static_cast<ChunkId>(rng.NextBounded(static_cast<uint64_t>(next_id)));
+          next_id - 1 - static_cast<ChunkId>(rng.NextBounded(span));
       const bool reference_ok = reference.PutFeatures(id);
       const Status status = store.PutFeatures(MakeFeatures(id));
       EXPECT_EQ(status.ok(), reference_ok) << "id " << id;

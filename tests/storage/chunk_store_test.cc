@@ -91,20 +91,25 @@ TEST(ChunkStoreTest, MaterializationDisabledStoresNothing) {
   EXPECT_FALSE(store.IsMaterialized(0));
 }
 
-TEST(ChunkStoreTest, ReinsertReplacesWithoutEviction) {
+// The cache is append-only: a stored id, or one older than the newest
+// stored, is refused as in PutRaw — also once it has been evicted.
+TEST(ChunkStoreTest, FeatureIdsMustIncrease) {
   ChunkStore::Options options;
   options.max_materialized_chunks = 2;
   ChunkStore store(options);
-  ASSERT_TRUE(store.PutRaw(MakeRaw(0)).ok());
-  ASSERT_TRUE(store.PutRaw(MakeRaw(1)).ok());
-  ASSERT_TRUE(store.PutFeatures(MakeFeatures(0)).ok());
-  ASSERT_TRUE(store.PutFeatures(MakeFeatures(1)).ok());
-  FeatureChunk replacement = MakeFeatures(0);
-  replacement.data.labels[0] = -1.0;
-  ASSERT_TRUE(store.PutFeatures(std::move(replacement)).ok());
+  for (ChunkId id : {3, 5, 7, 9}) ASSERT_TRUE(store.PutRaw(MakeRaw(id)).ok());
+  ASSERT_TRUE(store.PutFeatures(MakeFeatures(5)).ok());
+  EXPECT_EQ(store.PutFeatures(MakeFeatures(5)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.PutFeatures(MakeFeatures(3)).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(store.PutFeatures(MakeFeatures(7)).ok());
+  ASSERT_TRUE(store.PutFeatures(MakeFeatures(9)).ok());  // evicts 5
+  EXPECT_FALSE(store.IsMaterialized(5));
+  EXPECT_EQ(store.PutFeatures(MakeFeatures(5)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.counters().features_inserted, 3);
   EXPECT_EQ(store.num_materialized(), 2u);
-  EXPECT_EQ(store.counters().evictions, 0);
-  EXPECT_DOUBLE_EQ(store.GetFeatures(0)->data.labels[0], -1.0);
 }
 
 TEST(ChunkStoreTest, BoundedRawDropsOldestAndItsFeatures) {
@@ -169,21 +174,21 @@ TEST(ChunkStoreTest, EmptyMuIsZero) {
   EXPECT_DOUBLE_EQ(store.counters().EmpiricalMu(), 0.0);
 }
 
-// Regression: refreshing the features of an already-materialized chunk must
-// count as a re-materialization, not a second insertion — otherwise the
-// insertion counter inflates and μ-accounting drifts from reality.
+// A re-materialized chunk feeds one proactive step and is not cached again
+// (§3.2): putting its features back is refused, and neither the insertion
+// count nor the cached features move.
 TEST(ChunkStoreTest, RematerializationIsNotAnInsertion) {
   ChunkStore store;
   ASSERT_TRUE(store.PutRaw(MakeRaw(0)).ok());
   ASSERT_TRUE(store.PutFeatures(MakeFeatures(0)).ok());
+  FeatureChunk replacement = MakeFeatures(0);
+  replacement.data.labels[0] = -1.0;
+  EXPECT_EQ(store.PutFeatures(std::move(replacement)).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(store.counters().features_inserted, 1);
-  EXPECT_EQ(store.counters().features_rematerialized, 0);
-
-  ASSERT_TRUE(store.PutFeatures(MakeFeatures(0)).ok());
-  EXPECT_EQ(store.counters().features_inserted, 1);
-  EXPECT_EQ(store.counters().features_rematerialized, 1);
   EXPECT_EQ(store.num_materialized(), 1u);
   EXPECT_EQ(store.counters().evictions, 0);
+  EXPECT_DOUBLE_EQ(store.GetFeatures(0)->data.labels[0], 1.0);
 }
 
 TEST(ChunkStoreTest, EmpiricalMuMatchesAnalyticalUnderUniformSampling) {

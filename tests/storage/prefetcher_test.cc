@@ -220,14 +220,20 @@ TEST_F(PrefetcherTest, ManyWindowsUnderMultiThreadedEngine) {
   EXPECT_GT(counters.prefetch_hits + counters.disk_loads, 0);
 }
 
-TEST_F(PrefetcherTest, AsyncExceptionsAreCountedOnTheEngineMetric) {
+// The async lane is a one-thread ThreadPool: an escaping exception is
+// counted on the pool's metric, and the worker survives to run the next
+// task.
+TEST_F(PrefetcherTest, AsyncExceptionsAreCountedOnThePoolMetric) {
   obs::Counter* exceptions =
-      obs::MetricsRegistry::Global().GetCounter("engine.async_exceptions");
+      obs::MetricsRegistry::Global().GetCounter("thread_pool.task_exceptions");
   const int64_t before = exceptions->Value();
   ExecutionEngine engine(1);
+  bool ran_after = false;
   engine.SubmitAsync([] { throw std::runtime_error("boom"); });
+  engine.SubmitAsync([&ran_after] { ran_after = true; });
   engine.DrainAsync();
   EXPECT_EQ(exceptions->Value(), before + 1);
+  EXPECT_TRUE(ran_after);
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ std::string Header(ChunkId id, int64_t event_time_seconds, uint64_t rows) {
          Varint(rows) + std::string(1, '\0');
 }
 
-constexpr char kRaw = 0, kDict = 1, kTokens = 2;
+constexpr char kRaw = 0, kTokens = 2;
 
 /// The mode byte of `file`, the spill file of `chunk`.
 char ModeOf(const std::string& file, const RawChunk& chunk) {
@@ -79,6 +79,14 @@ std::string Hex(const std::string& bytes) {
   for (const unsigned char c : bytes) {
     out.push_back(kDigits[c >> 4]);
     out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+std::string Unhex(const std::string& hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
   }
   return out;
 }
@@ -177,10 +185,6 @@ RawChunk SampleChunk(ChunkId id) {
 
 // Distinct records with a double space: raw mode.
 RawChunk RawModeChunk() { return Chunk(7, -3600, {"x,1", "y,2", "z  3"}); }
-// Repeated records: dictionary mode.
-RawChunk DictModeChunk() {
-  return Chunk(300, 1420070400, {"cash", "cash", "card", "cash"});
-}
 // Distinct records over a shared vocabulary: tokenized mode.
 RawChunk TokensModeChunk() {
   return Chunk(-2, 0,
@@ -327,14 +331,6 @@ TEST_F(SpillFileFormatTest, EachModeIsPinnedByteForByte) {
        "030304"                          // lengths
        "782c31" "792c32" "7a202033"      // "x,1" "y,2" "z  3"
        "cd6eb439b660db48"},              // FNV-1a
-      {DictModeChunk(), kDict,
-       "43445350494c4c31"
-       "d804" "80b8a4ca0a"               // id 300, event time 1420070400
-       "0104" "04" "00"
-       "01"                              // mode: dictionary
-       "02" "0463617368" "0463617264"    // {"cash", "card"}
-       "00000100"                        // codes
-       "0f7201f4cc7ebf8c"},
       {TokensModeChunk(), kTokens,
        "43445350494c4c31"
        "03" "00"                         // id -2, event time 0
@@ -356,6 +352,28 @@ TEST_F(SpillFileFormatTest, EachModeIsPinnedByteForByte) {
     EXPECT_EQ(Hex(bytes), c.hex);
     ExpectRoundTrip(c.chunk);
   }
+}
+
+// Mode byte 1 was a whole-record dictionary.  The tokenized mode beat it
+// on every spill, so it was retired: this file, which the writer once
+// produced for {"cash", "cash", "card", "cash"}, carries a valid checksum
+// and now reads as corrupt.
+TEST_F(SpillFileFormatTest, RetiredDictionaryModeIsCorrupt) {
+  const std::string file = Unhex(
+      "43445350494c4c31"
+      "d804" "80b8a4ca0a"                // id 300, event time 1420070400
+      "0104" "04" "00"
+      "01"                               // mode: dictionary (retired)
+      "02" "0463617368" "0463617264"     // {"cash", "card"}
+      "00000100"                         // codes
+      "0f7201f4cc7ebf8c");
+  ASSERT_EQ(Seal(Unseal(file)), file);
+  Result<RawChunk> loaded = ReadBytes(file, 300);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("unknown record mode"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 // --- Round trips through each mode. ---
@@ -383,10 +401,10 @@ TEST_F(SpillFileCodecTest, RepetitiveRecordsDictionaryCompress) {
   }
   const RawChunk chunk = Chunk(4, 240, records);
   const std::string bytes = Written(chunk);
-  // 200 rows of ~8 bytes each raw; the dictionary must beat that by a wide
-  // margin.
+  // 200 rows of ~8 bytes each raw; the tokenized mode's dictionary must
+  // beat that by a wide margin.
   EXPECT_LT(bytes.size(), 500u);
-  EXPECT_EQ(ModeOf(bytes, chunk), kDict);
+  EXPECT_EQ(ModeOf(bytes, chunk), kTokens);
   ExpectRoundTrip(chunk);
 }
 
@@ -431,13 +449,12 @@ TEST_F(SpillFileCodecTest, ExtremeIdsAndEventTimesRoundTrip) {
 // --- Decoder corpus: every payload below carries a valid trailer. ---
 
 const RawChunk& ModeSample(int i) {
-  static const RawChunk samples[] = {RawModeChunk(), DictModeChunk(),
-                                     TokensModeChunk()};
+  static const RawChunk samples[] = {RawModeChunk(), TokensModeChunk()};
   return samples[i];
 }
 
 TEST_F(SpillFileAdversarialTest, EveryTruncationFailsCleanly) {
-  for (int m = 0; m < 3; ++m) {
+  for (int m = 0; m < 2; ++m) {
     const RawChunk& chunk = ModeSample(m);
     const std::string payload = Unseal(Written(chunk));
     for (size_t cut = 0; cut < payload.size(); ++cut) {
@@ -461,7 +478,7 @@ TEST_F(SpillFileAdversarialTest, SingleBitFlipsNeverCrash) {
   // rejected; a flip in a record byte legitimately decodes to different
   // bytes.  The invariant is a clean status either way — no throw, no
   // crash, no out-of-bounds read (ASan-enforced in CI).
-  for (int m = 0; m < 3; ++m) {
+  for (int m = 0; m < 2; ++m) {
     const RawChunk& chunk = ModeSample(m);
     const std::string payload = Unseal(Written(chunk));
     for (size_t byte = 0; byte < payload.size(); ++byte) {
@@ -501,22 +518,19 @@ TEST_F(SpillFileAdversarialTest, ImplausibleRowCountIsRejectedBeforeAlloc) {
 }
 
 TEST_F(SpillFileAdversarialTest, ImplausibleDictionarySizeIsRejected) {
-  for (const char mode : {kDict, kTokens}) {
-    ExpectCorruptPayload(
-        Header(0, 0, 1) + mode + Varint(uint64_t{1} << 60) + '\0', 0);
-  }
+  ExpectCorruptPayload(
+      Header(0, 0, 1) + kTokens + Varint(uint64_t{1} << 60) + '\0', 0);
 }
 
 TEST_F(SpillFileAdversarialTest, DictionaryCodeOutOfRangeIsRejected) {
-  // A one-entry dictionary; a record (or token) code points past it.
+  // A one-entry token dictionary; a token code points past it.
   const std::string dictionary = std::string("\x01\x01") + "a";
-  ExpectCorruptPayload(
-      Header(0, 0, 2) + kDict + dictionary + std::string("\x00\x01", 2), 0);
-  ExpectCorruptPayload(
-      Header(0, 0, 1) + kDict + dictionary + Varint(~uint64_t{0}), 0);
   ExpectCorruptPayload(Header(0, 0, 1) + kTokens + dictionary +
                            std::string("\x02\x00\x05", 3),
                        0);
+  ExpectCorruptPayload(
+      Header(0, 0, 1) + kTokens + dictionary + '\x01' + Varint(~uint64_t{0}),
+      0);
 }
 
 TEST_F(SpillFileAdversarialTest, UnknownModeByteIsRejected) {
@@ -555,7 +569,7 @@ TEST_F(SpillFileAdversarialTest, BadHeaderBytesAreRejected) {
 }
 
 TEST_F(SpillFileAdversarialTest, TrailingBytesAreRejected) {
-  for (int m = 0; m < 3; ++m) {
+  for (int m = 0; m < 2; ++m) {
     const RawChunk& chunk = ModeSample(m);
     ExpectCorruptPayload(Unseal(Written(chunk)) + '\0', chunk.id);
   }

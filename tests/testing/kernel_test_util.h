@@ -84,8 +84,8 @@ class KernelHarness {
     CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const fusion::FusedPlan> plan,
                             fusion::FusedPlan::Compile(chain));
     FeatureData out;
-    CDPIPE_RETURN_NOT_OK(plan->Execute(records, 0, records.size(), &scratch_,
-                                       &out, rows_scanned, update));
+    CDPIPE_RETURN_NOT_OK(
+        plan->Execute(records, &scratch_, &out, rows_scanned, update));
     return out;
   }
 
