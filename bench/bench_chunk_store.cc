@@ -12,7 +12,7 @@
 // bench/compare.py; rows are <dataset>/<metric> and
 // deployment/<budget>/<metric>.  The interesting figures: MB/s through the
 // spill encoder, the sync-load latency the trainer pays on a prefetch miss,
-// the staged-load latency when the prefetcher got there first, and
+// the staged-load latency when ChunkStore::Prefetch got there first, and
 // bytes-on-disk / bytes-in-memory.
 
 #include <cstdio>
@@ -26,7 +26,6 @@
 #include "src/data/url_stream.h"
 #include "src/engine/execution_engine.h"
 #include "src/storage/chunk_store.h"
-#include "src/storage/prefetcher.h"
 #include "src/storage/spill_file.h"
 
 namespace cdpipe {
@@ -113,7 +112,6 @@ void RunDataset(const std::string& dataset, const std::string& dir,
     options.spill_dir = dir;
     ExecutionEngine engine(1);
     ChunkStore store(options);
-    Prefetcher prefetcher(&store, &engine);
     ChunkId next_id = 0;
     for (const RawChunk& chunk : stream) {
       if (!store.PutRaw(WithId(chunk, next_id++)).ok()) std::abort();
@@ -142,8 +140,8 @@ void RunDataset(const std::string& dataset, const std::string& dir,
     const double sync_us =
         sync_watch.ElapsedSeconds() * 1e6 / static_cast<double>(sync_loads);
 
-    // Staged loads: the prefetcher reads ahead, the consumer only moves a
-    // pointer out of the slot.  Loop control is wall-clock (the prefetch IO
+    // Staged loads: the async lane reads ahead, the consumer only collects
+    // a finished future.  Loop control is wall-clock (the prefetch IO
     // dominates each round); only the consume side is timed.
     int64_t staged_loads = 0;
     double staged_seconds = 0.0;
@@ -155,8 +153,8 @@ void RunDataset(const std::string& dataset, const std::string& dir,
             spilled_ids[static_cast<size_t>(staged_loads + i) %
                         spilled_ids.size()]);
       }
-      prefetcher.Schedule(window);
-      prefetcher.Drain();
+      store.Prefetch(window, &engine);
+      engine.DrainAsync();
       Stopwatch consume;
       for (const ChunkId id : window) {
         if (store.FetchRaw(id) == nullptr) std::abort();
@@ -204,7 +202,7 @@ void RunDataset(const std::string& dataset, const std::string& dir,
 /// onto disk at decreasing memory budgets.  The interesting claims: the
 /// numbers (final error, μ totals) do not move — only where bytes live
 /// does — and the wall-clock overhead of the disk tier stays small
-/// because the prefetcher stages the sampler's picks.
+/// because prefetching stages the sampler's picks.
 void RunDeploymentSweep(const std::string& dir, double scale,
                         ResultSet* results) {
   const UrlScenario scenario(scale);
@@ -228,8 +226,8 @@ void RunDeploymentSweep(const std::string& dir, double scale,
   for (const Point& point : points) {
     RunOverrides overrides;
     // Bounded materialization keeps the feature cache from absorbing every
-    // sample, so proactive training actually walks the raw tiers (and the
-    // prefetcher earns its keep).  Same bound in every row — only the
+    // sample, so proactive training actually walks the raw tiers (and
+    // prefetching earns its keep).  Same bound in every row — only the
     // budget moves.
     overrides.max_materialized_chunks = 16;
     if (point.divisor > 0) {

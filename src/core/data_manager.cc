@@ -7,7 +7,6 @@
 #include "src/obs/correlation.h"
 #include "src/obs/decision.h"
 #include "src/obs/health.h"
-#include "src/storage/prefetcher.h"
 #include "src/testing/fault_injector.h"
 
 namespace cdpipe {
@@ -26,8 +25,6 @@ DataManager::DataManager(ChunkStore::Options store_options,
     : store_(store_options), sampler_(std::move(sampler)) {
   CDPIPE_CHECK(sampler_ != nullptr);
 }
-
-DataManager::~DataManager() = default;
 
 Status DataManager::IngestChunk(RawChunk chunk) {
   if (chunk.id < next_id_) {
@@ -99,30 +96,19 @@ DataManager::SampleSet DataManager::Resolve(
 
 void DataManager::EnablePrefetch(ExecutionEngine* engine) {
   CDPIPE_CHECK(engine != nullptr);
-  prefetcher_ = std::make_unique<Prefetcher>(&store_, engine);
+  prefetch_engine_ = engine;
 }
 
-void DataManager::DisablePrefetch() { prefetcher_.reset(); }
+void DataManager::DisablePrefetch() { prefetch_engine_ = nullptr; }
 
 void DataManager::PrefetchForNextSample(size_t sample_size,
                                         size_t chunks_ahead, const Rng& rng) {
-  if (prefetcher_ == nullptr || !store_.spilling_enabled()) return;
-  // The live-id list at the next sample: today's chunks plus the
-  // `chunks_ahead` consecutive ids about to be ingested, trimmed to the
-  // retention bound from the front exactly as the store will trim it.
-  std::vector<ChunkId> future = store_.LiveIds();
-  future.reserve(future.size() + chunks_ahead);
-  for (size_t i = 0; i < chunks_ahead; ++i) {
-    future.push_back(next_id_ + static_cast<ChunkId>(i));
-  }
-  const size_t max_raw = store_.options().max_raw_chunks;
-  if (max_raw > 0 && future.size() > max_raw) {
-    future.erase(future.begin(),
-                 future.begin() + static_cast<ptrdiff_t>(future.size() -
-                                                         max_raw));
-  }
+  if (prefetch_engine_ == nullptr || !store_.spilling_enabled()) return;
   Rng clone = rng;
-  prefetcher_->Schedule(sampler_->Sample(future, sample_size, &clone));
+  store_.Prefetch(
+      sampler_->Sample(store_.LiveIdsAfterPuts(next_id_, chunks_ahead),
+                       sample_size, &clone),
+      prefetch_engine_);
 }
 
 }  // namespace cdpipe

@@ -13,7 +13,6 @@
 namespace cdpipe {
 
 class ExecutionEngine;
-class Prefetcher;
 
 /// The platform's data manager (paper §4.2): discretizes incoming training
 /// data into timestamped chunks, stores raw and feature chunks, and serves
@@ -34,7 +33,6 @@ class DataManager {
 
   DataManager(ChunkStore::Options store_options,
               std::unique_ptr<Sampler> sampler);
-  ~DataManager();
 
   /// Discretization (workflow step 1): appends a discretized chunk to the
   /// raw log; its id must exceed all ids ingested so far.
@@ -59,22 +57,21 @@ class DataManager {
   const ChunkStore& store() const { return store_; }
   ChunkStore& mutable_store() { return store_; }
 
-  /// Attaches an async prefetcher running on `engine`'s async lane.  Only
-  /// meaningful when the store's disk tier is configured; `engine` must
-  /// outlive this manager.
+  /// Stages spilled chunks on `engine`'s async lane from now on (see
+  /// PrefetchForNextSample).  Only meaningful when the store's disk tier is
+  /// configured; `engine` must stay alive while prefetching is enabled.
   void EnablePrefetch(ExecutionEngine* engine);
-  /// Drains and destroys the prefetcher.  Must run while the engine passed
-  /// to EnablePrefetch is still alive.
+  /// Makes PrefetchForNextSample a no-op again.  Loads already queued run
+  /// to completion on the lane; they hold no pointer into this manager.
   void DisablePrefetch();
-  bool prefetch_enabled() const { return prefetcher_ != nullptr; }
 
   /// Predicts the chunk ids the *next* SampleForTraining call will draw —
   /// the sampler is deterministic and `*rng` is cloned, not consumed — and
-  /// stages the spilled ones in the background.  `chunks_ahead` is how many
-  /// not-yet-ingested chunks will arrive before that sample (their ids are
-  /// the next consecutive timestamps).  No-op without a prefetcher or disk
-  /// tier.  Purely an overlap optimization: results are bit-identical with
-  /// or without it.
+  /// stages the spilled ones in the background (ChunkStore::Prefetch).
+  /// `chunks_ahead` is how many not-yet-ingested chunks will arrive before
+  /// that sample (their ids are the next consecutive timestamps).  No-op
+  /// unless prefetching is enabled and the disk tier configured.  Purely an
+  /// overlap optimization: results are bit-identical with or without it.
   void PrefetchForNextSample(size_t sample_size, size_t chunks_ahead,
                              const Rng& rng);
 
@@ -84,9 +81,7 @@ class DataManager {
   ChunkStore store_;
   std::unique_ptr<Sampler> sampler_;
   ChunkId next_id_ = 0;
-  /// Declared after store_: its destructor drains the async loads that
-  /// touch the store.
-  std::unique_ptr<Prefetcher> prefetcher_;
+  ExecutionEngine* prefetch_engine_ = nullptr;  ///< null: no prefetching
 };
 
 }  // namespace cdpipe

@@ -55,19 +55,12 @@ Deployment::Deployment(std::string strategy_name, Options options,
   CDPIPE_CHECK(metric_prototype_ != nullptr);
   engine_.set_retry_policy(options_.retry);
   data_manager_.mutable_store().set_cost_model(&cost_);
-  // A configured disk tier gets the async prefetcher: the strategy hooks
-  // predict the next sample's chunk ids and stage the spilled ones on the
-  // engine's async lane while the trainer works.
+  // A configured disk tier gets prefetching: the strategy hooks predict
+  // the next sample's chunk ids and stage the spilled ones on the engine's
+  // async lane while the trainer works.
   if (data_manager_.store().spilling_enabled()) {
     data_manager_.EnablePrefetch(&engine_);
   }
-}
-
-Deployment::~Deployment() {
-  // The prefetcher's destructor drains the engine's async lane; detach it
-  // here while the engine member is still alive (members are destroyed in
-  // reverse declaration order: engine_ before data_manager_).
-  data_manager_.DisablePrefetch();
 }
 
 Status Deployment::InitialTrain(const std::vector<RawChunk>& bootstrap,
@@ -381,6 +374,10 @@ Result<DeploymentReport> Deployment::RunImpl(
     }
   }
   active_admission_ = nullptr;
+  // The last strategy hook may have staged loads that are still running;
+  // they charge the cost model and count corrupt files, so let them finish
+  // before the report reads either.
+  engine_.DrainAsync();
   if (!replay_status.ok()) return replay_status;
 
   report.cost = cost_;

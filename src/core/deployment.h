@@ -85,7 +85,7 @@ class Deployment {
              std::unique_ptr<LinearModel> model,
              std::unique_ptr<Optimizer> optimizer,
              std::unique_ptr<Metric> metric);
-  virtual ~Deployment();
+  virtual ~Deployment() = default;
 
   Deployment(const Deployment&) = delete;
   Deployment& operator=(const Deployment&) = delete;

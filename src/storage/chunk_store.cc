@@ -1,12 +1,14 @@
 #include "src/storage/chunk_store.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
 #include "src/core/cost_model.h"
+#include "src/engine/execution_engine.h"
 #include "src/obs/correlation.h"
 #include "src/obs/decision.h"
 #include "src/obs/metrics.h"
@@ -54,6 +56,33 @@ struct StoreMetrics {
     return metrics;
   }
 };
+
+/// Reads and decodes one spill file, charging the read to `cost` and
+/// counting a corrupt file in `corrupt_detected`: the one place a corrupt
+/// file is counted.  Runs on the owner's thread or on an async lane, so it
+/// touches nothing of the store.
+Result<RawChunk> LoadSpill(const std::string& path, ChunkId id,
+                           CostModel* cost,
+                           std::atomic<int64_t>* corrupt_detected) {
+  Result<RawChunk> loaded = [&]() -> Result<RawChunk> {
+    CostModel::ScopedTimer timer(cost, CostPhase::kDiskLoad,
+                                 "storage.disk_load");
+    // A throwing read (injected fault, filesystem surprise) degrades like
+    // any other read failure instead of unwinding the caller.
+    try {
+      return ReadRawChunkSpill(path, id);
+    } catch (const std::exception& e) {
+      return Status::Internal(std::string("disk load threw: ") + e.what());
+    } catch (...) {
+      return Status::Internal("disk load threw a non-std exception");
+    }
+  }();
+  if (!loaded.ok() && loaded.status().code() == StatusCode::kInvalidArgument) {
+    corrupt_detected->fetch_add(1, std::memory_order_relaxed);
+    StoreMetrics::Get().spill_corrupt->Increment();
+  }
+  return loaded;
+}
 
 }  // namespace
 
@@ -128,6 +157,20 @@ std::vector<ChunkId> ChunkStore::LiveIds() const {
   return ids;
 }
 
+std::vector<ChunkId> ChunkStore::LiveIdsAfterPuts(ChunkId first_id,
+                                                  size_t count) const {
+  std::vector<ChunkId> ids = LiveIds();
+  for (size_t i = 0; i < count; ++i) {
+    ids.push_back(first_id + static_cast<ChunkId>(i));
+  }
+  // PutRaw drops the oldest chunk while more than N are live.
+  const size_t bound = options_.max_raw_chunks;
+  if (bound > 0 && ids.size() > bound) {
+    ids.erase(ids.begin(), ids.end() - static_cast<ptrdiff_t>(bound));
+  }
+  return ids;
+}
+
 const RawChunk* ChunkStore::GetRaw(ChunkId id) const {
   auto it = memory_.find(id);
   return it != memory_.end() ? &it->second : nullptr;
@@ -137,62 +180,34 @@ const RawChunk* ChunkStore::FetchRaw(ChunkId id) {
   if (const RawChunk* in_memory = GetRaw(id)) return in_memory;
   auto spill_it = disk_.find(id);
   if (spill_it == disk_.end()) return nullptr;
-  const std::string path = spill_it->second.path;
 
-  // Prefer the prefetch stage: consume a staged load, or ride out one that
-  // is still in flight (still cheaper than starting over).
-  {
-    std::unique_lock<std::mutex> lock(tier_mu_);
-    auto slot_it = prefetched_.find(id);
-    if (slot_it != prefetched_.end()) {
-      tier_cv_.wait(lock, [&] {
-        return slot_it->second.state != PrefetchSlot::State::kLoading;
-      });
-      PrefetchSlot slot = std::move(slot_it->second);
-      prefetched_.erase(slot_it);
-      lock.unlock();
-      if (slot.state == PrefetchSlot::State::kReady) {
-        pinned_.push_back(std::move(slot.chunk));
-        ++counters_.prefetch_hits;
-        obs::Record(obs::Decision::kPrefetchHit,
-                    obs::CorrelationScope::WithEntity(id));
-        return pinned_.back().get();
-      }
-      // The worker already observed (and counted) the corruption; drop the
-      // chunk without a pointless second read.
-      if (slot.corrupt) {
-        DropSpilledChunk(id, slot.status);
-        UpdateResidencyGauges();
-        return nullptr;
-      }
-      // Contained prefetch failure (injected exception, transient IO): fall
-      // through to the synchronous path below and try the disk directly.
-    }
+  // Prefer a staged load: collect it, waiting while it is in flight rather
+  // than reading the file a second time.  After a failure other than
+  // corruption (injected exception, transient IO), read the file directly.
+  Result<RawChunk> loaded = Status::NotFound("not staged");
+  bool from_stage = false;
+  if (auto staged_it = staged_.find(id); staged_it != staged_.end()) {
+    loaded = staged_it->second.get();
+    staged_.erase(staged_it);
+    from_stage = loaded.ok() ||
+                 loaded.status().code() == StatusCode::kInvalidArgument;
   }
-
-  Result<RawChunk> loaded = [&]() -> Result<RawChunk> {
-    CostModel::ScopedTimer timer(cost_, CostPhase::kDiskLoad,
-                                 "storage.disk_load");
-    // A throwing read (injected fault, filesystem surprise) degrades like
-    // any other read failure instead of unwinding the deployment loop.
-    try {
-      return ReadRawChunkSpill(path, id);
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("disk load threw: ") + e.what());
-    }
-  }();
+  if (!from_stage) {
+    loaded =
+        LoadSpill(spill_it->second.path, id, cost_, corrupt_detected_.get());
+  }
   if (loaded.ok()) {
     pinned_.push_back(std::make_unique<RawChunk>(std::move(loaded).value()));
-    ++counters_.disk_loads;
-    obs::Record(obs::Decision::kDiskLoad,
-                obs::CorrelationScope::WithEntity(id));
+    ++(from_stage ? counters_.prefetch_hits : counters_.disk_loads);
+    obs::Record(
+        from_stage ? obs::Decision::kPrefetchHit : obs::Decision::kDiskLoad,
+        obs::CorrelationScope::WithEntity(id));
     return pinned_.back().get();
   }
   if (loaded.status().code() == StatusCode::kInvalidArgument) {
-    // Corrupt or truncated file: this chunk's bytes are gone.  Drop it
-    // entirely (recompute-from-nothing) so the sampler stops seeing it.
-    corrupt_detected_.fetch_add(1, std::memory_order_relaxed);
-    StoreMetrics::Get().spill_corrupt->Increment();
+    // Corrupt or truncated file, already counted where it was decoded: this
+    // chunk's bytes are gone.  Drop it entirely (recompute-from-nothing) so
+    // the sampler stops seeing it.
     DropSpilledChunk(id, loaded.status());
     UpdateResidencyGauges();
     return nullptr;
@@ -238,80 +253,41 @@ void ChunkStore::RecordSampleAccess(ChunkId id) {
 ChunkStore::Counters ChunkStore::counters() const {
   Counters snapshot = counters_;
   snapshot.spill_corrupt_detected =
-      corrupt_detected_.load(std::memory_order_relaxed);
+      corrupt_detected_->load(std::memory_order_relaxed);
   return snapshot;
 }
 
 void ChunkStore::ResetCounters() {
   counters_ = Counters{};
-  corrupt_detected_.store(0, std::memory_order_relaxed);
+  corrupt_detected_->store(0, std::memory_order_relaxed);
   UpdateResidencyGauges();
 }
 
-void ChunkStore::DropStalePrefetches(const std::vector<ChunkId>& keep) {
-  std::lock_guard<std::mutex> lock(tier_mu_);
-  for (auto it = prefetched_.begin(); it != prefetched_.end();) {
+size_t ChunkStore::Prefetch(const std::vector<ChunkId>& ids,
+                            ExecutionEngine* engine) {
+  for (auto it = staged_.begin(); it != staged_.end();) {
     const bool wanted =
-        std::find(keep.begin(), keep.end(), it->first) != keep.end();
-    if (wanted || it->second.state == PrefetchSlot::State::kLoading) {
-      ++it;
-    } else {
-      it = prefetched_.erase(it);
-    }
+        std::find(ids.begin(), ids.end(), it->first) != ids.end();
+    const bool done = it->second.wait_for(std::chrono::seconds(0)) ==
+                      std::future_status::ready;
+    it = wanted || !done ? std::next(it) : staged_.erase(it);
   }
-}
-
-std::optional<std::string> ChunkStore::BeginPrefetch(ChunkId id) {
-  auto spill_it = disk_.find(id);
-  if (spill_it == disk_.end()) return std::nullopt;
-  std::lock_guard<std::mutex> lock(tier_mu_);
-  auto [slot_it, inserted] = prefetched_.try_emplace(id);
-  if (!inserted) return std::nullopt;  // already staged or in flight
-  slot_it->second.state = PrefetchSlot::State::kLoading;
-  return spill_it->second.path;
-}
-
-void ChunkStore::PrefetchLoad(ChunkId id, const std::string& path) {
-  std::unique_ptr<RawChunk> chunk;
-  Status status;
-  // A throwing fault rule on spill.read must not escape: an abandoned
-  // kLoading slot would deadlock the consumer.
-  try {
-    CostModel::ScopedTimer timer(cost_, CostPhase::kDiskLoad,
-                                 "storage.disk_load");
-    Result<RawChunk> loaded = ReadRawChunkSpill(path, id);
-    if (loaded.ok()) {
-      chunk = std::make_unique<RawChunk>(std::move(loaded).value());
-    } else {
-      status = loaded.status();
-    }
-  } catch (const std::exception& e) {
-    status = Status::Internal(std::string("prefetch threw: ") + e.what());
-  } catch (...) {
-    status = Status::Internal("prefetch threw a non-std exception");
+  size_t submitted = 0;
+  for (const ChunkId id : ids) {
+    auto spill_it = disk_.find(id);
+    if (spill_it == disk_.end() || staged_.count(id) > 0) continue;
+    // The load owns copies of what it uses, not a pointer to the store,
+    // so the store may be gone by the time the lane runs it.
+    auto load = std::make_shared<std::packaged_task<Result<RawChunk>()>>(
+        [path = spill_it->second.path, id, cost = cost_,
+         corrupt_detected = corrupt_detected_] {
+          return LoadSpill(path, id, cost, corrupt_detected.get());
+        });
+    staged_.emplace(id, load->get_future());
+    engine->SubmitAsync([load] { (*load)(); });
+    ++submitted;
   }
-  const bool corrupt =
-      !status.ok() && status.code() == StatusCode::kInvalidArgument;
-  if (corrupt) {
-    corrupt_detected_.fetch_add(1, std::memory_order_relaxed);
-    StoreMetrics::Get().spill_corrupt->Increment();
-  }
-  {
-    std::lock_guard<std::mutex> lock(tier_mu_);
-    auto it = prefetched_.find(id);
-    if (it != prefetched_.end() &&
-        it->second.state == PrefetchSlot::State::kLoading) {
-      if (chunk != nullptr) {
-        it->second.state = PrefetchSlot::State::kReady;
-        it->second.chunk = std::move(chunk);
-      } else {
-        it->second.state = PrefetchSlot::State::kFailed;
-        it->second.status = status;
-        it->second.corrupt = corrupt;
-      }
-    }
-  }
-  tier_cv_.notify_all();
+  return submitted;
 }
 
 void ChunkStore::EraseFeatures(

@@ -2,14 +2,11 @@
 #define CDPIPE_STORAGE_CHUNK_STORE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -18,6 +15,7 @@
 namespace cdpipe {
 
 class CostModel;
+class ExecutionEngine;
 
 /// The platform's storage unit (paper §3.2, §4.2): an append-only log of
 /// raw data chunks plus a bounded, append-only cache of materialized
@@ -44,7 +42,7 @@ class CostModel;
 /// files on disk.  Spilled chunks stay fully live — sampleable, listed by
 /// `LiveIds()`, valid feature origins — the tier only changes where their
 /// bytes sit.  `GetRaw` answers from memory only; `FetchRaw` additionally
-/// loads from disk, preferring chunks staged by the async prefetcher.
+/// loads from disk, preferring loads that `Prefetch` staged.
 /// Because the in-memory set is always the newest suffix of the log, tier
 /// residency is a deterministic function of the insertion sequence, which
 /// is what makes the per-tier μ analysis in tests closed-form.
@@ -56,9 +54,10 @@ class CostModel;
 /// (`spilled_chunks_dropped`): recompute-from-nothing, exactly as if the
 /// retention bound had dropped it.
 ///
-/// Threading: the store is single-writer like before — every mutation runs
-/// on the owner's thread — except the prefetch staging area, which one
-/// background worker fills through `PrefetchLoad` under `tier_mu_`.
+/// Threading: one thread owns the store and makes every call.  A staged
+/// load runs on an engine's async lane but touches only its spill file, the
+/// cost model it charges and the shared corruption count; the owner
+/// collects its outcome through a future.
 ///
 /// The store also keeps the hit/miss counters from which the empirical
 /// materialization utilization rate μ (§3.2.2) is computed, split by the
@@ -97,7 +96,7 @@ class ChunkStore {
     int64_t chunks_spilled = 0;   ///< spill files written
     int64_t spill_failures = 0;   ///< spill writes that degraded to memory
     int64_t disk_loads = 0;       ///< synchronous loads from disk
-    int64_t prefetch_hits = 0;    ///< loads served by the prefetch stage
+    int64_t prefetch_hits = 0;    ///< loads collected from Prefetch
     int64_t spill_corrupt_detected = 0;  ///< checksum/decode failures seen
     int64_t spilled_chunks_dropped = 0;  ///< chunks dropped as corrupt
     int64_t spill_bytes_written = 0;     ///< encoded bytes on disk
@@ -125,7 +124,7 @@ class ChunkStore {
                              static_cast<double>(total)
                        : 0.0;
     }
-    /// Fraction of disk-tier loads that the prefetcher had already staged.
+    /// Fraction of disk-tier loads that Prefetch had already staged.
     double PrefetchHitRate() const {
       const int64_t total = prefetch_hits + disk_loads;
       return total > 0 ? static_cast<double>(prefetch_hits) /
@@ -142,8 +141,9 @@ class ChunkStore {
 
   ChunkStore() : ChunkStore(Options()) {}
   explicit ChunkStore(Options options);
-  /// Deletes this store's spill files.  The owner must stop the prefetch
-  /// worker first (Prefetcher's destructor drains it).
+  /// Deletes this store's spill files.  Loads still queued on an async lane
+  /// may outlive the store: they hold no pointer to it, and a load whose
+  /// file is gone fails without effect.
   ~ChunkStore();
 
   ChunkStore(const ChunkStore&) = delete;
@@ -169,6 +169,10 @@ class ChunkStore {
   /// Ids of all live raw chunks, oldest first: the disk tier, then the
   /// memory tier (always the newest suffix of the log).
   std::vector<ChunkId> LiveIds() const;
+  /// What LiveIds() will return once `count` more chunks with consecutive
+  /// ids from `first_id` are put: today's ids plus theirs, less the oldest
+  /// ones the retention bound N will have dropped.
+  std::vector<ChunkId> LiveIdsAfterPuts(ChunkId first_id, size_t count) const;
 
   bool Contains(ChunkId id) const {
     return memory_.count(id) > 0 || disk_.count(id) > 0;
@@ -179,8 +183,9 @@ class ChunkStore {
   /// Null when the id is not resident in the memory tier (spilled, dropped,
   /// or never inserted).  Never touches disk.
   const RawChunk* GetRaw(ChunkId id) const;
-  /// Like GetRaw, but loads spilled chunks from disk — from the prefetch
-  /// stage when the prefetcher got there first, synchronously otherwise.
+  /// Like GetRaw, but loads spilled chunks from disk: collects a staged
+  /// load (waiting while it is in flight), or reads synchronously when
+  /// nothing was staged or the staged read failed without corruption.
   /// The returned pointer stays valid until the next PutRaw.  Null when the
   /// id is dead, when the spill file is corrupt (the chunk is then dropped
   /// and counted), or when the read failed (the chunk stays live for a
@@ -199,7 +204,7 @@ class ChunkStore {
   void RecordSampleAccess(ChunkId id);
 
   /// Snapshot of the counters (by value: the corruption count is shared
-  /// with the prefetch worker).
+  /// with the staged loads).
   Counters counters() const;
   void ResetCounters();
 
@@ -213,26 +218,19 @@ class ChunkStore {
     return options_.memory_budget_bytes > 0 && !options_.spill_dir.empty();
   }
 
-  /// Charges spill/disk-load wall time to `model` (unset = untimed).
+  /// Charges spill/disk-load wall time to `model` (unset = untimed).  Staged
+  /// loads charge it from the async lane, so it must outlive them.
   void set_cost_model(CostModel* model) { cost_ = model; }
 
-  // --- Prefetch protocol (see storage/prefetcher.h). ---
-
-  /// Drops staged/failed prefetch slots that were never consumed and are
-  /// not in `keep` (the incoming lookahead window — their staged bytes are
-  /// about to be wanted).  In-flight loads always survive.  Called by the
-  /// prefetcher before scheduling a new window.
-  void DropStalePrefetches(const std::vector<ChunkId>& keep);
-  /// Owner thread: when `id` is spilled and not already staged or loading,
-  /// registers an in-flight slot and returns the file to load; nullopt
-  /// otherwise.
-  std::optional<std::string> BeginPrefetch(ChunkId id);
-  /// Prefetch worker: loads `path` and deposits the outcome into `id`'s
-  /// slot.  Never throws; a corrupt file is counted here (the consumer
-  /// drops the chunk without re-reading it).
-  void PrefetchLoad(ChunkId id, const std::string& path);
-
-  const Options& options() const { return options_; }
+  /// Stages the spilled chunks among `ids`: submits one load per spilled id
+  /// that is not already staged to `engine`'s async lane, so that the disk
+  /// read overlaps the owner's work and FetchRaw finds the bytes ready.
+  /// First drops the finished loads of an earlier call that `ids` no longer
+  /// lists (the lookahead window moved on); loads still in flight stay.
+  /// Memory-resident and dead ids are ignored.  Returns the number of loads
+  /// submitted.  Staging never changes what FetchRaw returns, only when the
+  /// disk is read.
+  size_t Prefetch(const std::vector<ChunkId>& ids, ExecutionEngine* engine);
 
  private:
   /// Where a spilled chunk's bytes went and what they cost in memory.
@@ -240,15 +238,6 @@ class ChunkStore {
     std::string path;
     int64_t file_bytes = 0;
     size_t raw_bytes = 0;
-  };
-
-  /// One prefetched (or in-flight) disk load.
-  struct PrefetchSlot {
-    enum class State { kLoading, kReady, kFailed };
-    State state = State::kLoading;
-    std::unique_ptr<RawChunk> chunk;
-    Status status;
-    bool corrupt = false;
   };
 
   void EvictOldestMaterialized();
@@ -282,12 +271,12 @@ class ChunkStore {
   /// Disk loads pinned for the caller; recycled at the next PutRaw.
   std::vector<std::unique_ptr<RawChunk>> pinned_;
 
-  /// Guards the prefetch staging area (the only state the worker touches).
-  mutable std::mutex tier_mu_;
-  std::condition_variable tier_cv_;
-  std::unordered_map<ChunkId, PrefetchSlot> prefetched_;
-  /// Corruption observations from either thread; composed into counters().
-  std::atomic<int64_t> corrupt_detected_{0};
+  /// Loads submitted by Prefetch and not yet collected by FetchRaw.
+  std::map<ChunkId, std::future<Result<RawChunk>>> staged_;
+  /// Corrupt files detected by synchronous and staged loads alike; shared
+  /// with the queued loads so that they never point into the store.
+  std::shared_ptr<std::atomic<int64_t>> corrupt_detected_ =
+      std::make_shared<std::atomic<int64_t>>(0);
 };
 
 }  // namespace cdpipe

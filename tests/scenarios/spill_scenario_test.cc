@@ -2,15 +2,20 @@
 // must be bit-identical to the RAM-only control (spilling changes where
 // bytes live, never what is computed), degrade cleanly under injected
 // spill-write failures, survive corrupt spill files with exact drop
-// accounting, and contain prefetch exceptions.
+// accounting, contain prefetch exceptions, and count every staged read of
+// a run in that run's report.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/data/url_stream.h"
+#include "src/ml/optimizer.h"
 #include "tests/scenarios/scenario_runner.h"
 
 namespace cdpipe {
@@ -165,9 +170,9 @@ TEST_F(SpillScenarioTest, CorruptSpillFilesAreDroppedWithExactAccounting) {
   EXPECT_GT(result.report.storage.spill_corrupt_detected, 0);
   EXPECT_EQ(result.report.storage.spill_corrupt_detected,
             result.report.faults_injected());
-  // A detection only becomes a drop when the corrupt load is consumed; a
-  // corrupted *prefetch* whose slot goes stale is detected but the file —
-  // which the fault never touched — reads fine next time.
+  // A detection only becomes a drop when the corrupt load is collected; a
+  // corrupted staged load that the next window drops is detected but the
+  // file — which the fault never touched — reads fine next time.
   EXPECT_GT(result.report.storage.spilled_chunks_dropped, 0);
   EXPECT_LE(result.report.storage.spilled_chunks_dropped,
             result.report.storage.spill_corrupt_detected);
@@ -175,8 +180,8 @@ TEST_F(SpillScenarioTest, CorruptSpillFilesAreDroppedWithExactAccounting) {
 }
 
 TEST_F(SpillScenarioTest, ThrowingPrefetchReadIsContained) {
-  // Satellite scenario: an exception escaping a prefetch task is contained
-  // (the worker survives, the slot is deposited as failed) and the sample
+  // Satellite scenario: an exception thrown by a staged read is contained
+  // (the lane survives, the load returns a failed status) and the sample
   // path falls back to a synchronous load.
   Scenario scenario = SpillScenario(3, 1);
   scenario.store.max_materialized_chunks = 3;  // force disk reads
@@ -189,6 +194,65 @@ TEST_F(SpillScenarioTest, ThrowingPrefetchReadIsContained) {
   // Chunks were never dropped: read failures keep them live for retry.
   EXPECT_EQ(result.report.storage.spilled_chunks_dropped, 0);
   EXPECT_EQ(result.report.storage.spill_corrupt_detected, 0);
+}
+
+/// Stages the next sample after the final chunk, as ContinuousDeployment
+/// does whenever the stream length is a multiple of its cadence, but first
+/// parks the async lane behind a sleeping task: the staged reads are still
+/// queued when the hook returns and Run assembles its report.
+class FinalWindowDeployment final : public Deployment {
+ public:
+  FinalWindowDeployment(Options options, size_t num_chunks)
+      : Deployment("final_window", std::move(options),
+                   MakeUrlPipeline(PipeConfig()),
+                   std::make_unique<LinearModel>(
+                       MakeUrlModelOptions(PipeConfig())),
+                   MakeOptimizer(OptimizerOptions{}),
+                   std::make_unique<MisclassificationRate>()),
+        num_chunks_(num_chunks) {}
+
+ protected:
+  Status AfterChunk(size_t stream_index, const RawChunk& /*chunk*/,
+                    const ChunkOutcome& /*outcome*/) override {
+    if (stream_index + 1 < num_chunks_) return Status::OK();
+    engine().SubmitAsync(
+        [] { std::this_thread::sleep_for(std::chrono::milliseconds(200)); });
+    data_manager().PrefetchForNextSample(/*sample_size=*/5,
+                                         /*chunks_ahead=*/3, rng());
+    return Status::OK();
+  }
+
+ private:
+  static UrlPipelineConfig PipeConfig() {
+    UrlPipelineConfig config;
+    config.raw_dim = 1000;
+    config.hash_bits = 7;
+    return config;
+  }
+
+  size_t num_chunks_;
+};
+
+TEST_F(SpillScenarioTest, FinalPrefetchWindowIsCountedInTheReport) {
+  // Every read of the final window is corrupted, so each one is exactly one
+  // injection and one detection, and each charges disk-load seconds.  The
+  // run reads nothing else from disk.
+  const Scenario scenario = SpillScenario(3, 1);
+  Deployment::Options options;
+  options.store = scenario.store;
+  ScopedFaultScript script({{"spill.corrupt", FaultRule::EveryN(1)}});
+  Result<DeploymentReport> report = Status::Internal("not run");
+  {
+    FinalWindowDeployment deployment(options, scenario.num_chunks);
+    report = deployment.Run(MakeScenarioStream(scenario.num_chunks));
+  }  // the engine's destructor finishes whatever the lane still holds
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const int64_t reads =
+      FaultInjector::Global().StatsFor("spill.corrupt").triggers;
+  ASSERT_GT(reads, 0);
+  EXPECT_EQ(report->storage.spill_corrupt_detected, reads);
+  EXPECT_EQ(report->faults_injected(), reads);
+  EXPECT_GT(report->cost.SecondsIn(CostPhase::kDiskLoad), 0.0);
 }
 
 TEST_F(SpillScenarioTest, BoundedMaterializationSpillRunCompletes) {

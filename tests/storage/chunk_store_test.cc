@@ -128,6 +128,28 @@ TEST(ChunkStoreTest, BoundedRawDropsOldestAndItsFeatures) {
   EXPECT_EQ(store.counters().raw_dropped, 1);
 }
 
+TEST(ChunkStoreTest, LiveIdsAfterPutsPredictsTheRetentionBound) {
+  // The next sample is staged from this prediction; it must equal LiveIds()
+  // once the chunks are really put, whether or not N drops some.
+  for (const size_t bound : {0, 3, 5}) {
+    ChunkStore::Options options;
+    options.max_raw_chunks = bound;
+    ChunkStore store(options);
+    for (ChunkId id : {0, 1, 2, 3}) ASSERT_TRUE(store.PutRaw(MakeRaw(id)).ok());
+    for (const size_t count : {0, 1, 2, 4}) {
+      const ChunkId first = store.LiveIds().back() + 1;
+      const std::vector<ChunkId> predicted =
+          store.LiveIdsAfterPuts(first, count);
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_TRUE(
+            store.PutRaw(MakeRaw(first + static_cast<ChunkId>(i))).ok());
+      }
+      EXPECT_EQ(predicted, store.LiveIds())
+          << "bound " << bound << ", " << count << " puts";
+    }
+  }
+}
+
 TEST(ChunkStoreTest, SampleAccessCountsHitsAndMisses) {
   ChunkStore::Options options;
   options.max_materialized_chunks = 1;

@@ -1,15 +1,17 @@
-// Prefetcher tests: async staging on the engine's async lane, consumption
-// through FetchRaw, stale-slot recycling, and containment of injected
-// failures (including throwing faults).  These run the real worker thread,
-// so they double as the TSan target for the tier_mu_/tier_cv_ protocol.
-
-#include "src/storage/prefetcher.h"
+// Staged disk loads (ChunkStore::Prefetch on the engine's async lane):
+// consumption through FetchRaw, stale-window recycling, containment of
+// injected failures (including throwing faults), and a store destroyed
+// before its engine while loads are still queued.  These run the real lane
+// thread, so they double as the TSan target for the staged futures.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/engine/execution_engine.h"
@@ -31,6 +33,26 @@ RawChunk MakeRaw(ChunkId id) {
   chunk.records = {std::string(kChunkBytes, 'p')};
   return chunk;
 }
+
+/// Occupies the engine's one-thread async lane until Release() or its own
+/// destruction, so the loads submitted meanwhile stay queued.  Declare it
+/// after the engine: the engine's destructor waits for the lane.
+class ParkedLane {
+ public:
+  explicit ParkedLane(ExecutionEngine* engine) {
+    engine->SubmitAsync([released = released_] {
+      while (!released->load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  ~ParkedLane() { Release(); }
+  void Release() { released_->store(true); }
+
+ private:
+  std::shared_ptr<std::atomic<bool>> released_ =
+      std::make_shared<std::atomic<bool>>(false);
+};
 
 class PrefetcherTest : public ::testing::Test {
  protected:
@@ -58,18 +80,14 @@ class PrefetcherTest : public ::testing::Test {
 };
 
 TEST_F(PrefetcherTest, StagedLoadIsConsumedAsPrefetchHit) {
-  // Declaration order = reverse destruction order: the prefetcher drains
-  // its loads before the store or engine can die.
   ExecutionEngine engine(1);
   ChunkStore store(SpillOptions(2));
-  Prefetcher prefetcher(&store, &engine);
   for (ChunkId id = 0; id < 6; ++id) {
     ASSERT_TRUE(store.PutRaw(MakeRaw(id)).ok());
   }
   ASSERT_TRUE(store.IsSpilled(0));
-  prefetcher.Schedule({0, 1});
-  EXPECT_EQ(prefetcher.stats().scheduled, 2);
-  prefetcher.Drain();
+  EXPECT_EQ(store.Prefetch({0, 1}, &engine), 2u);
+  engine.DrainAsync();
 
   const RawChunk* loaded = store.FetchRaw(0);
   ASSERT_NE(loaded, nullptr);
@@ -83,74 +101,82 @@ TEST_F(PrefetcherTest, StagedLoadIsConsumedAsPrefetchHit) {
 TEST_F(PrefetcherTest, MemoryResidentIdsAreIgnored) {
   ExecutionEngine engine(1);
   ChunkStore store(SpillOptions(2));
-  Prefetcher prefetcher(&store, &engine);
   for (ChunkId id = 0; id < 4; ++id) {
     ASSERT_TRUE(store.PutRaw(MakeRaw(id)).ok());
   }
-  // ids 2,3 are memory-resident, 99 is dead: nothing to schedule for them.
-  prefetcher.Schedule({2, 3, 99});
-  EXPECT_EQ(prefetcher.stats().scheduled, 0);
+  // ids 2,3 are memory-resident, 99 is dead: nothing to stage for them.
+  EXPECT_EQ(store.Prefetch({2, 3, 99}, &engine), 0u);
 }
 
 TEST_F(PrefetcherTest, DuplicateScheduleIsDeduplicated) {
   ExecutionEngine engine(1);
   ChunkStore store(SpillOptions(2));
-  Prefetcher prefetcher(&store, &engine);
   for (ChunkId id = 0; id < 6; ++id) {
     ASSERT_TRUE(store.PutRaw(MakeRaw(id)).ok());
   }
-  prefetcher.Schedule({0, 0, 1});
-  prefetcher.Drain();
-  // A second window re-listing staged ids must not enqueue new loads: the
+  EXPECT_EQ(store.Prefetch({0, 0, 1}, &engine), 2u);
+  engine.DrainAsync();
+  // A second window re-listing staged ids must not submit new loads: the
   // staged bytes are exactly what the consumer is about to want.
-  prefetcher.Schedule({0, 1});
-  prefetcher.Drain();
-  EXPECT_EQ(prefetcher.stats().scheduled, 2);
+  EXPECT_EQ(store.Prefetch({0, 1}, &engine), 0u);
 }
 
 TEST_F(PrefetcherTest, FetchBlocksOnInFlightLoadInsteadOfRereading) {
-  // Schedule without draining: FetchRaw may catch the load mid-flight and
-  // must wait for the deposit rather than issue a second read.
+  // The loads queue behind a sleeping task, so FetchRaw catches chunk 2's
+  // load before it ran and must wait for it rather than read the file
+  // itself.
   ExecutionEngine engine(1);
   ChunkStore store(SpillOptions(2));
-  Prefetcher prefetcher(&store, &engine);
   for (ChunkId id = 0; id < 8; ++id) {
     ASSERT_TRUE(store.PutRaw(MakeRaw(id)).ok());
   }
-  prefetcher.Schedule({0, 1, 2, 3});
+  engine.SubmitAsync(
+      [] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
+  EXPECT_EQ(store.Prefetch({0, 1, 2, 3}, &engine), 4u);
   const RawChunk* loaded = store.FetchRaw(2);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->id, 2);
-  prefetcher.Drain();
+  engine.DrainAsync();
   const ChunkStore::Counters counters = store.counters();
-  EXPECT_EQ(counters.prefetch_hits + counters.disk_loads, 1);
+  EXPECT_EQ(counters.prefetch_hits, 1);
+  EXPECT_EQ(counters.disk_loads, 0);
 }
 
 TEST_F(PrefetcherTest, StaleSlotsAreDroppedOnReschedule) {
   ExecutionEngine engine(1);
   ChunkStore store(SpillOptions(2));
-  Prefetcher prefetcher(&store, &engine);
   for (ChunkId id = 0; id < 6; ++id) {
     ASSERT_TRUE(store.PutRaw(MakeRaw(id)).ok());
   }
-  prefetcher.Schedule({0});
-  prefetcher.Drain();
-  // The next window doesn't include 0: its staged slot is recycled and a
-  // fresh schedule for 0 enqueues a new load.
-  prefetcher.Schedule({1});
-  prefetcher.Drain();
-  prefetcher.Schedule({0});
-  prefetcher.Drain();
-  EXPECT_EQ(prefetcher.stats().scheduled, 3);
+  EXPECT_EQ(store.Prefetch({0}, &engine), 1u);
+  engine.DrainAsync();
+  // The next window doesn't include 0: its finished load is recycled and
+  // a later window listing 0 submits a new one.
+  EXPECT_EQ(store.Prefetch({1}, &engine), 1u);
+  engine.DrainAsync();
+  EXPECT_EQ(store.Prefetch({0}, &engine), 1u);
+  engine.DrainAsync();
+
+  // A load still in flight survives a window that drops it: listing its id
+  // again submits nothing, and FetchRaw collects it.
+  ParkedLane parked(&engine);
+  EXPECT_EQ(store.Prefetch({2}, &engine), 1u);
+  EXPECT_EQ(store.Prefetch({3}, &engine), 1u);
+  EXPECT_EQ(store.Prefetch({2}, &engine), 0u);
+  parked.Release();
+  ASSERT_NE(store.FetchRaw(2), nullptr);
+  engine.DrainAsync();
+  const ChunkStore::Counters counters = store.counters();
+  EXPECT_EQ(counters.prefetch_hits, 1);
+  EXPECT_EQ(counters.disk_loads, 0);
 }
 
 TEST_F(PrefetcherTest, ThrowingPrefetchIsContainedAndFallsBackToSync) {
-  // The satellite scenario: a throwing fault on the async read must neither
-  // kill the worker nor wedge FetchRaw — the sample path falls back to a
-  // synchronous load, which succeeds once the rule is exhausted.
+  // A throwing fault on the async read must neither kill the lane nor
+  // wedge FetchRaw — the sample path falls back to a synchronous load,
+  // which succeeds once the rule is exhausted.
   ExecutionEngine engine(1);
   ChunkStore store(SpillOptions(2));
-  Prefetcher prefetcher(&store, &engine);
   for (ChunkId id = 0; id < 6; ++id) {
     ASSERT_TRUE(store.PutRaw(MakeRaw(id)).ok());
   }
@@ -158,8 +184,8 @@ TEST_F(PrefetcherTest, ThrowingPrefetchIsContainedAndFallsBackToSync) {
     testing::FaultRule rule = testing::FaultRule::FirstN(1);
     rule.throws = true;
     testing::ScopedFaultScript script({{"spill.read", rule}});
-    prefetcher.Schedule({0});
-    prefetcher.Drain();
+    EXPECT_EQ(store.Prefetch({0}, &engine), 1u);
+    engine.DrainAsync();
   }
   const RawChunk* loaded = store.FetchRaw(0);
   ASSERT_NE(loaded, nullptr);
@@ -173,15 +199,14 @@ TEST_F(PrefetcherTest, ThrowingPrefetchIsContainedAndFallsBackToSync) {
 TEST_F(PrefetcherTest, CorruptFileDetectedByWorkerDropsChunkOnConsume) {
   ExecutionEngine engine(1);
   ChunkStore store(SpillOptions(2));
-  Prefetcher prefetcher(&store, &engine);
   for (ChunkId id = 0; id < 6; ++id) {
     ASSERT_TRUE(store.PutRaw(MakeRaw(id)).ok());
   }
   testing::ScopedFaultScript script(
       {{"spill.corrupt", testing::FaultRule::FirstN(1)}});
-  prefetcher.Schedule({0});
-  prefetcher.Drain();
-  // The worker observed the corruption; the consumer drops the chunk
+  EXPECT_EQ(store.Prefetch({0}, &engine), 1u);
+  engine.DrainAsync();
+  // The staged read observed the corruption; the consumer drops the chunk
   // without a second read and without double counting.
   EXPECT_EQ(store.FetchRaw(0), nullptr);
   const ChunkStore::Counters counters = store.counters();
@@ -193,12 +218,10 @@ TEST_F(PrefetcherTest, CorruptFileDetectedByWorkerDropsChunkOnConsume) {
 }
 
 TEST_F(PrefetcherTest, ManyWindowsUnderMultiThreadedEngine) {
-  // Stress the staging protocol: overlapping windows, consumes racing the
-  // worker.  (The async lane is a single worker even when the ParallelFor
-  // pool is wider.)
+  // Overlapping windows, consumes racing the lane.  (The async lane is a
+  // single worker even when the ParallelFor pool is wider.)
   ExecutionEngine engine(4);
   ChunkStore store(SpillOptions(4));
-  Prefetcher prefetcher(&store, &engine);
   ChunkId next = 0;
   for (; next < 16; ++next) {
     ASSERT_TRUE(store.PutRaw(MakeRaw(next)).ok());
@@ -208,16 +231,37 @@ TEST_F(PrefetcherTest, ManyWindowsUnderMultiThreadedEngine) {
     for (ChunkId id = round % 8; id < (round % 8) + 4; ++id) {
       window.push_back(id);
     }
-    prefetcher.Schedule(window);
+    store.Prefetch(window, &engine);
     // Consume one mid-flight...
     (void)store.FetchRaw(window[round % window.size()]);
     // ...and keep the log growing, which recycles pinned loads.
     ASSERT_TRUE(store.PutRaw(MakeRaw(next++)).ok());
   }
-  prefetcher.Drain();
+  engine.DrainAsync();
   const ChunkStore::Counters counters = store.counters();
   EXPECT_EQ(counters.spill_corrupt_detected, 0);
   EXPECT_GT(counters.prefetch_hits + counters.disk_loads, 0);
+}
+
+TEST_F(PrefetcherTest, StoreDestroyedBeforeEngineWithLoadsQueued) {
+  // The loads hold no pointer into the store, so the store may die while
+  // they wait on the lane; they then read deleted files and fail quietly.
+  testing::ScopedFaultScript script(
+      {{"spill.read", testing::FaultRule::Never()}});
+  ExecutionEngine engine(1);
+  ParkedLane parked(&engine);
+  {
+    ChunkStore store(SpillOptions(2));
+    for (ChunkId id = 0; id < 8; ++id) {
+      ASSERT_TRUE(store.PutRaw(MakeRaw(id)).ok());
+    }
+    EXPECT_EQ(store.Prefetch({0, 1, 2, 3}, &engine), 4u);
+  }
+  EXPECT_TRUE(fs::is_empty(dir_));
+  parked.Release();
+  engine.DrainAsync();
+  EXPECT_EQ(
+      testing::FaultInjector::Global().StatsFor("spill.read").invocations, 4);
 }
 
 // The async lane is a one-thread ThreadPool: an escaping exception is
