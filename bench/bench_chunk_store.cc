@@ -166,15 +166,11 @@ void RunDataset(const std::string& dataset, const std::string& dir,
     const double staged_us =
         staged_seconds * 1e6 / static_cast<double>(staged_loads);
 
-    const ChunkStore::Counters counters = store.counters();
     std::printf(
-        "%-6s disk-load latency      %10.1f us sync  %8.1f us staged  "
-        "(prefetch hit rate %.2f)\n",
-        dataset.c_str(), sync_us, staged_us, counters.PrefetchHitRate());
+        "%-6s disk-load latency      %10.1f us sync  %8.1f us staged\n",
+        dataset.c_str(), sync_us, staged_us);
     results->AddReported(dataset + "/sync_load_latency", sync_us, "us");
     results->AddReported(dataset + "/staged_load_latency", staged_us, "us");
-    results->AddReported(dataset + "/prefetch_hit_rate",
-                         counters.PrefetchHitRate(), "frac");
     results->AddReported(dataset + "/disk_bytes_per_chunk",
                          store.DiskBytes() / store.num_spilled(), "bytes");
   }

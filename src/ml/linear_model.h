@@ -18,8 +18,8 @@ namespace cdpipe {
 class ExecutionEngine;
 
 /// A generalized linear model trained with mini-batch SGD: linear SVM
-/// (hinge loss), logistic regression, or least-squares linear regression,
-/// with L2 regularization.
+/// (hinge loss) or least-squares linear regression, with L2
+/// regularization.
 ///
 /// The paper's deployment platform (§4.4) requires the model to expose an
 /// `Update` method that computes a gradient over a mini-batch and applies it

@@ -1,7 +1,5 @@
 #include "src/ml/loss.h"
 
-#include <cmath>
-
 namespace cdpipe {
 
 const char* LossKindName(LossKind kind) {
@@ -10,19 +8,8 @@ const char* LossKindName(LossKind kind) {
       return "squared";
     case LossKind::kHinge:
       return "hinge";
-    case LossKind::kLogistic:
-      return "logistic";
   }
   return "?";
-}
-
-double Sigmoid(double x) {
-  if (x >= 0) {
-    const double z = std::exp(-x);
-    return 1.0 / (1.0 + z);
-  }
-  const double z = std::exp(x);
-  return z / (1.0 + z);
 }
 
 LossGrad EvalLoss(LossKind kind, double pred, double label) {
@@ -35,14 +22,6 @@ LossGrad EvalLoss(LossKind kind, double pred, double label) {
       const double margin = label * pred;
       if (margin >= 1.0) return {0.0, 0.0};
       return {1.0 - margin, -label};
-    }
-    case LossKind::kLogistic: {
-      const double margin = label * pred;
-      // log(1 + e^{-m}) computed stably.
-      const double loss =
-          margin > 0 ? std::log1p(std::exp(-margin))
-                     : -margin + std::log1p(std::exp(margin));
-      return {loss, -label * Sigmoid(-margin)};
     }
   }
   return {};

@@ -5,13 +5,11 @@
 
 namespace cdpipe {
 
-/// Loss functions for SGD-trained linear models.  Classification losses
-/// (hinge, logistic) expect labels in {-1, +1}; squared loss is for
-/// regression.
+/// Loss functions for SGD-trained linear models.  Hinge loss expects
+/// labels in {-1, +1}; squared loss is for regression.
 enum class LossKind {
-  kSquared,   ///< 0.5 (p - y)^2            — linear regression
-  kHinge,     ///< max(0, 1 - y p)          — linear SVM
-  kLogistic,  ///< log(1 + exp(-y p))       — logistic regression
+  kSquared,  ///< 0.5 (p - y)^2            — linear regression
+  kHinge,    ///< max(0, 1 - y p)          — linear SVM
 };
 
 const char* LossKindName(LossKind kind);
@@ -24,9 +22,6 @@ struct LossGrad {
 
 /// Evaluates the loss and its gradient for one example.
 LossGrad EvalLoss(LossKind kind, double pred, double label);
-
-/// Logistic sigmoid with guarded exponentials.
-double Sigmoid(double x);
 
 }  // namespace cdpipe
 

@@ -11,11 +11,6 @@ void MisclassificationRate::Add(double prediction, double label) {
   if (predicted_positive != actual_positive) ++errors_;
 }
 
-double MisclassificationRate::Value() const {
-  if (count_ == 0) return 0.0;
-  return static_cast<double>(errors_) / static_cast<double>(count_);
-}
-
 double MisclassificationRate::ValueOf(double mass, int64_t count) const {
   if (count == 0) return 0.0;
   return mass / static_cast<double>(count);
@@ -26,8 +21,6 @@ void Rmse::Add(double prediction, double label) {
   const double diff = prediction - label;
   sum_squared_error_ += diff * diff;
 }
-
-double Rmse::Value() const { return ValueOf(sum_squared_error_, count_); }
 
 double Rmse::ValueOf(double mass, int64_t count) const {
   if (count == 0) return 0.0;

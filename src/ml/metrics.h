@@ -17,13 +17,13 @@ class Metric {
   virtual std::string name() const = 0;
   virtual void Add(double prediction, double label) = 0;
   /// Current aggregate value; 0 before any observation.
-  virtual double Value() const = 0;
+  double Value() const { return ValueOf(AggregateMass(), Count()); }
   virtual int64_t Count() const = 0;
   /// Sum of the additive per-example error signal underlying the metric
   /// (error count for misclassification, sum of squared errors for RMSE).
   /// Differences of this mass across a chunk give the chunk's mean error
   /// signal — the input of the drift detectors.
-  virtual double AggregateMass() const { return Value() * Count(); }
+  virtual double AggregateMass() const = 0;
   /// The metric over `count` observations whose summed mass is `mass`; 0
   /// when `count` is 0.  Pooling two metrics' masses and counts gives the
   /// metric of their union, which averaging their values does not for RMSE.
@@ -39,8 +39,10 @@ class MisclassificationRate final : public Metric {
  public:
   std::string name() const override { return "misclassification"; }
   void Add(double prediction, double label) override;
-  double Value() const override;
   int64_t Count() const override { return count_; }
+  double AggregateMass() const override {
+    return static_cast<double>(errors_);
+  }
   double ValueOf(double mass, int64_t count) const override;
   void Reset() override { count_ = errors_ = 0; }
   std::unique_ptr<Metric> Clone() const override {
@@ -59,7 +61,6 @@ class Rmse final : public Metric {
  public:
   std::string name() const override { return "rmse"; }
   void Add(double prediction, double label) override;
-  double Value() const override;
   int64_t Count() const override { return count_; }
   double AggregateMass() const override { return sum_squared_error_; }
   double ValueOf(double mass, int64_t count) const override;

@@ -34,31 +34,6 @@ TEST(HingeLossTest, InsideMarginPenalized) {
   EXPECT_DOUBLE_EQ(lg.dloss_dpred, 1.0);
 }
 
-TEST(LogisticLossTest, ValueMatchesClosedForm) {
-  const double p = 0.7;
-  const double y = 1.0;
-  LossGrad lg = EvalLoss(LossKind::kLogistic, p, y);
-  EXPECT_NEAR(lg.loss, std::log(1.0 + std::exp(-y * p)), 1e-12);
-  EXPECT_NEAR(lg.dloss_dpred, -y * Sigmoid(-y * p), 1e-12);
-}
-
-TEST(LogisticLossTest, StableForExtremeMargins) {
-  LossGrad lg = EvalLoss(LossKind::kLogistic, 1000.0, 1.0);
-  EXPECT_NEAR(lg.loss, 0.0, 1e-12);
-  EXPECT_TRUE(std::isfinite(lg.dloss_dpred));
-  lg = EvalLoss(LossKind::kLogistic, -1000.0, 1.0);
-  EXPECT_NEAR(lg.loss, 1000.0, 1e-9);
-  EXPECT_NEAR(lg.dloss_dpred, -1.0, 1e-9);
-  EXPECT_TRUE(std::isfinite(lg.loss));
-}
-
-TEST(SigmoidTest, SymmetryAndRange) {
-  EXPECT_DOUBLE_EQ(Sigmoid(0.0), 0.5);
-  EXPECT_NEAR(Sigmoid(5.0) + Sigmoid(-5.0), 1.0, 1e-12);
-  EXPECT_GT(Sigmoid(100.0), 0.999);
-  EXPECT_LT(Sigmoid(-100.0), 0.001);
-}
-
 // Property: the analytic gradient matches a central finite difference.
 class LossGradientPropertyTest : public ::testing::TestWithParam<LossKind> {};
 
@@ -83,13 +58,11 @@ TEST_P(LossGradientPropertyTest, MatchesFiniteDifference) {
 
 INSTANTIATE_TEST_SUITE_P(AllLosses, LossGradientPropertyTest,
                          ::testing::Values(LossKind::kSquared,
-                                           LossKind::kHinge,
-                                           LossKind::kLogistic));
+                                           LossKind::kHinge));
 
 TEST(LossKindTest, Names) {
   EXPECT_STREQ(LossKindName(LossKind::kSquared), "squared");
   EXPECT_STREQ(LossKindName(LossKind::kHinge), "hinge");
-  EXPECT_STREQ(LossKindName(LossKind::kLogistic), "logistic");
 }
 
 }  // namespace

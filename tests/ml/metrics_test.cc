@@ -26,6 +26,15 @@ TEST(MisclassificationTest, MarginZeroCountsAsPositive) {
   EXPECT_DOUBLE_EQ(metric.Value(), 0.5);
 }
 
+TEST(MisclassificationTest, AggregateMassIsTheErrorCount) {
+  // (15 / 22) * 22 is 14.999999999999998; the mass is the count itself, so
+  // a chunk's mass difference is a whole number of errors.
+  MisclassificationRate metric;
+  for (int i = 0; i < 22; ++i) metric.Add(1.0, i < 15 ? -1.0 : 1.0);
+  EXPECT_EQ(metric.AggregateMass(), 15.0);
+  EXPECT_EQ(metric.Value(), 15.0 / 22.0);
+}
+
 TEST(RmseTest, MatchesClosedForm) {
   Rmse metric;
   metric.Add(1.0, 3.0);  // err 2

@@ -110,8 +110,7 @@ std::string ParamName(const ::testing::TestParamInfo<GradientCase>& info) {
 // 17000 rows: the 64-shard cap (17000 / 256 = 66).
 INSTANTIATE_TEST_SUITE_P(
     LossesAndShards, GradientSpecTest,
-    ::testing::Combine(::testing::Values(LossKind::kSquared, LossKind::kHinge,
-                                         LossKind::kLogistic),
+    ::testing::Combine(::testing::Values(LossKind::kSquared, LossKind::kHinge),
                        ::testing::Values(size_t{1}, size_t{8}, size_t{16},
                                          size_t{17}, size_t{200}, size_t{1000},
                                          size_t{17000}),
