@@ -28,7 +28,6 @@
 
 #include "bench/bench_common.h"
 #include "src/common/stopwatch.h"
-#include "src/obs/event_journal.h"
 #include "src/obs/health.h"
 #include "src/obs/obs_server.h"
 
@@ -107,11 +106,11 @@ int Main(int argc, char** argv) {
   std::thread(([] {})).join();
 
   // With --obs=1 the full observability plane runs alongside the timed
-  // loops: journal enabled, watchdog polling, HTTP server accepting.
+  // loops: watchdog polling, HTTP server accepting (the journal is always
+  // on).
   std::unique_ptr<obs::Watchdog> watchdog;
   std::unique_ptr<obs::ObsServer> server;
   if (obs_on) {
-    obs::EventJournal::Global().Enable();
     watchdog = std::make_unique<obs::Watchdog>();
     watchdog->Start();
     server = std::make_unique<obs::ObsServer>();

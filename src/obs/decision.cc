@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <utility>
 
 #include "src/obs/metrics.h"
 
@@ -17,25 +16,10 @@ constexpr std::optional<LogLevel> kWarning = LogLevel::kWarning;
 constexpr std::optional<LogLevel> kError = LogLevel::kError;
 
 constexpr DecisionSpec kSpecs[] = {
-#define CDPIPE_OBS_DECISION_SPEC(name, kind, detail, counter, level) \
-  {EventKind::k##kind, detail, counter, k##level},
+#define CDPIPE_OBS_DECISION_SPEC(name, kind, detail, counter, help, level) \
+  {kind, detail, counter, help, k##level},
     CDPIPE_OBS_DECISIONS(CDPIPE_OBS_DECISION_SPEC)
 #undef CDPIPE_OBS_DECISION_SPEC
-};
-
-/// Exporter `# HELP` text of the decision counters that have one.
-constexpr std::pair<const char*, const char*> kCounterHelp[] = {
-    {"ingest.admitted", "Chunks admitted into the ingest queue"},
-    {"ingest.shed", "Chunks dropped by admission control"},
-    {"ingest.pressure_changes", "Ingest load-state transitions"},
-    {"proactive.iterations_deferred",
-     "Proactive iterations deferred while the ingest queue was loaded"},
-    {"serving.eval_fallbacks",
-     "Serve-eval requests that fell back to the in-loop evaluate"},
-    {"serving.publishes", "Serving snapshot epochs published"},
-    {"serving.shed",
-     "Prediction requests dropped at a full queue (admission timeout)"},
-    {"pipeline.fused_plans", "Fused plans compiled"},
 };
 
 constexpr size_t kCount = static_cast<size_t>(Decision::kNumDecisions);
@@ -48,11 +32,8 @@ const std::array<Counter*, kCount>& DecisionCounters() {
     std::array<Counter*, kCount> out{};
     for (size_t i = 0; i < kCount; ++i) {
       if (kSpecs[i].counter != nullptr) {
-        out[i] = registry.GetCounter(kSpecs[i].counter);
+        out[i] = registry.GetCounter(kSpecs[i].counter, kSpecs[i].help);
       }
-    }
-    for (const auto& [counter, help] : kCounterHelp) {
-      registry.SetHelp(counter, help);
     }
     return out;
   }();
@@ -90,7 +71,7 @@ void Record(EventJournal& journal, Decision decision, CorrelationId corr,
   const DecisionSpec& spec = kSpecs[index];
   char buffer[sizeof(JournalEvent::detail)];
   const char* detail = JoinDetail(spec.detail, why, buffer);
-  journal.Append(spec.kind, corr, detail);
+  journal.Append(decision, corr, detail);
   if (Counter* counter = DecisionCounters()[index]) {
     counter->Increment();
   }
@@ -100,7 +81,7 @@ void Record(EventJournal& journal, Decision decision, CorrelationId corr,
   }
   internal::LogMessage line(*spec.level, where.file_name(),
                             static_cast<int>(where.line()));
-  line << EventKindName(spec.kind);
+  line << spec.kind;
   if (detail[0] != '\0') line << ' ' << detail;
   if (corr.deployment != 0) line << " deployment=" << corr.deployment;
   if (corr.entity >= 0) line << " entity=" << corr.entity;

@@ -15,69 +15,86 @@ namespace cdpipe {
 namespace obs {
 
 /// Every decision the system records, each declared once:
-///   X(name, journal kind, fixed detail, counter, log level).
-/// A record journals the kind with the fixed detail followed by the
-/// record's `why` (DESIGN.md lists each decision's), adds one to the
-/// counter (nullptr: none; several decisions may share one) and logs one
-/// line at the level (NotLogged: never).
+///   X(name, journal kind, fixed detail, counter, counter help, log level).
+/// A record journals the decision, which /events shows as its kind with
+/// the fixed detail followed by the record's `why` (DESIGN.md lists each
+/// decision's), adds one to the counter (nullptr: none; several decisions
+/// may share one, and one of them gives its exporter `# HELP` text) and
+/// logs one line at the level (NotLogged: never).
 // clang-format off
 #define CDPIPE_OBS_DECISIONS(X)                                               \
-  X(Ingest, Ingest, "", "chunk_store.raw_inserted", NotLogged)                \
-  X(MaterializeHit, MaterializeHit, "", "chunk_store.sample_hits", NotLogged) \
-  X(MaterializeMiss, MaterializeMiss, "", "chunk_store.sample_misses",        \
+  X(Ingest, "ingest", "", "chunk_store.raw_inserted", nullptr, NotLogged)     \
+  X(MaterializeHit, "materialize_hit", "", "chunk_store.sample_hits",         \
+    nullptr, NotLogged)                                                       \
+  X(MaterializeMiss, "materialize_miss", "", "chunk_store.sample_misses",     \
+    nullptr, NotLogged)                                                       \
+  X(Sample, "sample", "", nullptr, nullptr, NotLogged)                        \
+  X(SampleChunkUnavailable, "degrade", "sample_chunk_unavailable",            \
+    "chunk_store.sample_misses", nullptr, NotLogged)                          \
+  X(EvictFeatures, "evict", "features", "chunk_store.evictions", nullptr,     \
     NotLogged)                                                                \
-  X(Sample, Sample, "", nullptr, NotLogged)                                   \
-  X(SampleChunkUnavailable, Degrade, "sample_chunk_unavailable", nullptr,     \
+  X(EvictFeaturesLru, "evict", "features_lru", "chunk_store.evictions",       \
+    nullptr, NotLogged)                                                       \
+  X(EvictRaw, "evict", "raw", "chunk_store.raw_dropped", nullptr, NotLogged)  \
+  X(EvictRawCorrupt, "evict", "raw_corrupt", nullptr, nullptr, NotLogged)     \
+  X(Spill, "spill", "", "chunk_store.chunks_spilled", nullptr, NotLogged)     \
+  X(SpillWriteFailed, "degrade", "spill_write_failed",                        \
+    "chunk_store.spill_failures", nullptr, NotLogged)                         \
+  X(DiskLoad, "disk_load", "", "chunk_store.disk_loads", nullptr, NotLogged)  \
+  X(PrefetchHit, "prefetch_hit", "", "chunk_store.prefetch_hits", nullptr,    \
     NotLogged)                                                                \
-  X(EvictFeatures, Evict, "features", "chunk_store.evictions", NotLogged)     \
-  X(EvictFeaturesLru, Evict, "features_lru", "chunk_store.evictions",         \
+  X(SpillReadFailed, "degrade", "spill_read_failed", nullptr, nullptr,        \
     NotLogged)                                                                \
-  X(EvictRaw, Evict, "raw", "chunk_store.raw_dropped", NotLogged)             \
-  X(EvictRawCorrupt, Evict, "raw_corrupt", nullptr, NotLogged)                \
-  X(Spill, Spill, "", "chunk_store.chunks_spilled", NotLogged)                \
-  X(SpillWriteFailed, Degrade, "spill_write_failed",                          \
-    "chunk_store.spill_failures", NotLogged)                                  \
-  X(DiskLoad, DiskLoad, "", "chunk_store.disk_loads", NotLogged)              \
-  X(PrefetchHit, PrefetchHit, "", "chunk_store.prefetch_hits", NotLogged)     \
-  X(SpillReadFailed, Degrade, "spill_read_failed", nullptr, NotLogged)        \
-  X(SpillCorruptDropped, Degrade, "spill_corrupt_dropped", nullptr, Warning)  \
-  X(Recompute, Recompute, "", "training.chunks_rematerialized", NotLogged)    \
-  X(RecomputeFallback, Recompute, "fallback",                                 \
-    "training.chunks_rematerialized", NotLogged)                              \
-  X(ChunkSkipped, Degrade, "chunk_skipped", "training.chunks_skipped",        \
-    Warning)                                                                  \
-  X(TrainStep, TrainStep, "", nullptr, NotLogged)                             \
-  X(SgdStepSkipped, Degrade, "sgd_step_skipped",                              \
-    "training.iterations_degraded", Warning)                                  \
-  X(Retrain, TrainStep, "retrain", "deployment.retrainings", NotLogged)       \
-  X(RetrainSkipped, Degrade, "retrain_skipped",                               \
-    "training.iterations_degraded", Warning)                                  \
-  X(ProactiveDeferred, Degrade, "proactive_deferred",                         \
-    "proactive.iterations_deferred", Info)                                    \
-  X(DriftTrigger, DriftTrigger, "", "deployment.drift_events", NotLogged)     \
-  X(IngestFailed, Degrade, "ingest_failed", "deployment.ingest_failed",       \
-    Warning)                                                                  \
-  X(StoreFeaturesFailed, Degrade, "store_features_failed",                    \
-    "deployment.store_features_failed", Warning)                              \
-  X(ServeEvalFallback, Degrade, "serving_eval_fallback",                      \
-    "serving.eval_fallbacks", Warning)                                        \
-  X(DegradedAdmit, Degrade, "degraded_admit_skip_materialize", nullptr,       \
+  X(SpillCorruptDropped, "degrade", "spill_corrupt_dropped", nullptr,         \
+    nullptr, Warning)                                                         \
+  X(Recompute, "recompute", "", "training.chunks_rematerialized", nullptr,    \
     NotLogged)                                                                \
-  X(Admit, Admit, "", "ingest.admitted", NotLogged)                           \
-  X(ShedOldest, Shed, "reason=oldest", "ingest.shed", Info)                   \
-  X(ShedNewest, Shed, "reason=newest", "ingest.shed", Info)                   \
-  X(ShedTimeout, Shed, "reason=timeout", "ingest.shed", Info)                 \
-  X(PressureChange, PressureChange, "", "ingest.pressure_changes", Info)      \
-  X(SnapshotPublish, SnapshotPublish, "", "serving.publishes", NotLogged)     \
-  X(SnapshotSwap, SnapshotSwap, "", nullptr, NotLogged)                       \
-  X(ServingShed, Shed, "reason=serving_timeout", "serving.shed", Info)        \
-  X(Retry, Retry, "", "retry.attempts", Warning)                              \
-  X(RetryExhausted, RetryExhausted, "", "retry.exhausted", Error)             \
-  X(PlanCompile, PlanCompile, "", "pipeline.fused_plans", NotLogged)          \
-  X(CheckpointSave, Checkpoint, "save", nullptr, NotLogged)                   \
-  X(CheckpointLoad, Checkpoint, "load", nullptr, NotLogged)                   \
-  X(Stall, Stall, "", "obs.stalls", Warning)                                  \
-  X(Recover, Recover, "", "obs.recoveries", Info)
+  X(RecomputeFallback, "recompute", "fallback",                               \
+    "training.chunks_rematerialized", nullptr, NotLogged)                     \
+  X(ChunkSkipped, "degrade", "chunk_skipped", "training.chunks_skipped",      \
+    nullptr, Warning)                                                         \
+  X(TrainStep, "train_step", "", nullptr, nullptr, NotLogged)                 \
+  X(SgdStepSkipped, "degrade", "sgd_step_skipped",                            \
+    "training.iterations_degraded", nullptr, Warning)                         \
+  X(Retrain, "train_step", "retrain", "deployment.retrainings", nullptr,      \
+    NotLogged)                                                                \
+  X(RetrainSkipped, "degrade", "retrain_skipped",                             \
+    "training.iterations_degraded", nullptr, Warning)                         \
+  X(ProactiveDeferred, "degrade", "proactive_deferred",                       \
+    "proactive.iterations_deferred",                                          \
+    "Proactive iterations deferred while the ingest queue was loaded", Info)  \
+  X(DriftTrigger, "drift_trigger", "", "deployment.drift_events", nullptr,    \
+    NotLogged)                                                                \
+  X(IngestFailed, "degrade", "ingest_failed", "deployment.ingest_failed",     \
+    nullptr, Warning)                                                         \
+  X(StoreFeaturesFailed, "degrade", "store_features_failed",                  \
+    "deployment.store_features_failed", nullptr, Warning)                     \
+  X(ServeEvalFallback, "degrade", "serving_eval_fallback",                    \
+    "serving.eval_fallbacks",                                                 \
+    "Serve-eval requests that fell back to the in-loop evaluate", Warning)    \
+  X(DegradedAdmit, "degrade", "degraded_admit_skip_materialize", nullptr,     \
+    nullptr, NotLogged)                                                       \
+  X(Admit, "admit", "", "ingest.admitted",                                    \
+    "Chunks admitted into the ingest queue", NotLogged)                       \
+  X(ShedOldest, "shed", "reason=oldest", "ingest.shed",                       \
+    "Chunks dropped by admission control", Info)                              \
+  X(ShedNewest, "shed", "reason=newest", "ingest.shed", nullptr, Info)        \
+  X(ShedTimeout, "shed", "reason=timeout", "ingest.shed", nullptr, Info)      \
+  X(PressureChange, "pressure_change", "", "ingest.pressure_changes",         \
+    "Ingest load-state transitions", Info)                                    \
+  X(SnapshotPublish, "snapshot_publish", "", "serving.publishes",             \
+    "Serving snapshot epochs published", NotLogged)                           \
+  X(SnapshotSwap, "snapshot_swap", "", nullptr, nullptr, NotLogged)           \
+  X(ServingShed, "shed", "reason=serving_timeout", "serving.shed",            \
+    "Prediction requests dropped at a full queue (admission timeout)", Info)  \
+  X(Retry, "retry", "", "retry.attempts", nullptr, Warning)                   \
+  X(RetryExhausted, "retry_exhausted", "", "retry.exhausted", nullptr, Error) \
+  X(PlanCompile, "plan_compile", "", "pipeline.fused_plans",                  \
+    "Fused plans compiled", NotLogged)                                        \
+  X(CheckpointSave, "checkpoint", "save", nullptr, nullptr, NotLogged)        \
+  X(CheckpointLoad, "checkpoint", "load", nullptr, nullptr, NotLogged)        \
+  X(Stall, "stall", "", "obs.stalls", nullptr, Warning)                       \
+  X(Recover, "recover", "", "obs.recoveries", nullptr, Info)
 // clang-format on
 
 enum class Decision : uint8_t {
@@ -89,9 +106,10 @@ enum class Decision : uint8_t {
 
 /// One decision's declaration, as listed in CDPIPE_OBS_DECISIONS.
 struct DecisionSpec {
-  EventKind kind;
+  const char* kind;
   const char* detail;
   const char* counter;
+  const char* help;
   std::optional<LogLevel> level;
 };
 

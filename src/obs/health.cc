@@ -57,12 +57,13 @@ std::vector<SubsystemHealth> HealthRegistry::Snapshot(
     health.last_beat_us = heartbeat->last_beat_us();
     health.beats = heartbeat->beats();
     health.busy = heartbeat->busy();
-    if (health.last_beat_us >= 0) {
+    const bool beat = health.last_beat_us != -1;
+    if (beat) {
       health.age_seconds =
           static_cast<double>(now_us - health.last_beat_us) * 1e-6;
     }
-    health.stalled = health.busy > 0 && health.last_beat_us >= 0 &&
-                     health.age_seconds > stall_deadline_seconds;
+    health.stalled =
+        health.busy > 0 && beat && health.age_seconds > stall_deadline_seconds;
     out.push_back(std::move(health));
   }
   return out;
@@ -155,12 +156,10 @@ void Watchdog::PollOnce() {
     const bool was_stalled = stalled_.count(subsystem.name) > 0;
     if (subsystem.stalled && !was_stalled) {
       stalled_.insert(subsystem.name);
-      stall_events_.fetch_add(1, std::memory_order_relaxed);
       Record(*options_.journal, Decision::kStall, CorrelationId{},
              subsystem.name);
     } else if (!subsystem.stalled && was_stalled) {
       stalled_.erase(subsystem.name);
-      recover_events_.fetch_add(1, std::memory_order_relaxed);
       Record(*options_.journal, Decision::kRecover, CorrelationId{},
              subsystem.name);
     }

@@ -148,14 +148,6 @@ class Watchdog {
   /// False while any subsystem is stalled.  Mirrored into the `obs.ready`
   /// gauge (1/0).
   bool ready() const { return ready_.load(std::memory_order_relaxed); }
-  /// Stall transitions observed since construction (never reset; a
-  /// recovered subsystem that stalls again counts twice).
-  int64_t stall_events() const {
-    return stall_events_.load(std::memory_order_relaxed);
-  }
-  int64_t recover_events() const {
-    return recover_events_.load(std::memory_order_relaxed);
-  }
 
   const Options& options() const { return options_; }
 
@@ -164,8 +156,6 @@ class Watchdog {
 
   Options options_;
   std::atomic<bool> ready_{true};
-  std::atomic<int64_t> stall_events_{0};
-  std::atomic<int64_t> recover_events_{0};
 
   std::mutex mu_;  ///< guards stalled_ and the thread lifecycle
   std::set<std::string> stalled_;

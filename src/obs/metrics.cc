@@ -177,11 +177,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return slot.get();
 }
 
-void MetricsRegistry::SetHelp(const std::string& name, std::string help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  help_[name] = std::move(help);
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto help_for = [this](const std::string& name) {

@@ -152,9 +152,6 @@ class MetricsRegistry {
                           std::vector<double> upper_bounds = {},
                           const char* help = nullptr);
 
-  /// Sets or replaces a metric's help text independently of registration.
-  void SetHelp(const std::string& name, std::string help);
-
   MetricsSnapshot Snapshot() const;
 
   /// Zeroes every registered metric (pointers stay valid).  For tests and

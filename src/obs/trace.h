@@ -4,13 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/obs/correlation.h"
+#include "src/obs/event_ring.h"
 #include "src/obs/metrics.h"
 
 namespace cdpipe {
@@ -26,24 +25,29 @@ struct TraceEvent {
   /// Correlation captured from the recording thread's CorrelationScope;
   /// emitted as Chrome-trace "args" so spans join up with journal events.
   uint32_t deployment = 0;  ///< 0 = none
+  /// The recording thread's id in the span ring: the Chrome-trace "tid".
+  uint32_t producer = 0;
   int64_t entity = -1;      ///< chunk id / step seq, -1 = none
+  uint64_t seq = 0;         ///< the recording thread's span count
 };
 
 /// Process-wide span recorder.  Disabled by default: the enabled check is a
-/// single relaxed atomic load, so leaving instrumentation in hot paths is
-/// free.  When enabled (programmatically or via the CDPIPE_TRACE environment
-/// variable, whose value is the output path), every span goes into a
-/// per-thread ring buffer — threads never contend with each other; the only
-/// lock is the buffer's own mutex, uncontended except while a dump snapshots
-/// it.  `WriteChromeTrace` emits a JSON file loadable in chrome://tracing
-/// (or https://ui.perfetto.dev).  When CDPIPE_TRACE is set, the trace is
-/// also dumped automatically at process exit.
+/// single atomic load, so leaving instrumentation in hot paths is free.
+/// When enabled (programmatically or via the CDPIPE_TRACE environment
+/// variable, whose value is the output path), every span goes into one
+/// drop-oldest EventRing of kRingCapacity spans, allocated by the first
+/// Enable() and freed with the tracer at exit; nothing is allocated while
+/// tracing is off.  `WriteChromeTrace` emits a JSON file loadable in
+/// chrome://tracing (or https://ui.perfetto.dev).  When CDPIPE_TRACE is
+/// set, the trace is also dumped automatically at process exit.
 class Tracer {
  public:
+  static constexpr size_t kRingCapacity = 1u << 16;
+
   static Tracer& Global();
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void Enable() { enabled_.store(true, std::memory_order_relaxed); }
+  bool enabled() const { return enabled_.load(std::memory_order_acquire); }
+  void Enable();
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
 
   /// Microseconds since the tracer epoch (first use), steady clock.
@@ -51,9 +55,9 @@ class Tracer {
   /// `time` on the NowMicros timebase.
   static int64_t ToMicros(std::chrono::steady_clock::time_point time);
 
-  /// Appends a completed span to the calling thread's ring buffer.  When the
-  /// ring is full the oldest events are overwritten (counted as dropped and
-  /// reflected in the `obs.trace_dropped` counter).
+  /// Appends a completed span to the ring (a no-op before the first
+  /// Enable()).  When the ring is full the oldest span is overwritten and
+  /// counted in the `obs.trace_dropped` counter.
   void RecordComplete(const char* name, int64_t start_us, int64_t duration_us,
                       CorrelationId corr = CorrelationId{});
 
@@ -63,46 +67,24 @@ class Tracer {
   Status WriteChromeTrace(const std::string& path) const;
 
   /// Where the automatic exit dump goes: $CDPIPE_TRACE ("" = no dump).
-  std::string dump_path() const;
+  const std::string& dump_path() const { return dump_path_; }
 
-  /// Events currently held across all thread buffers (post-overwrite).
+  /// Spans currently held in the ring (post-overwrite).
   size_t NumBufferedEvents() const;
-  uint64_t NumDroppedEvents() const;
 
-  /// Drops all buffered events (buffers stay registered).  Tests only.
+  /// Drops all buffered spans.  Tests only.
   void Clear();
-
-  /// Ring capacity for buffers created after the call (existing buffers are
-  /// unchanged; the initial capacity is 65536 events).
-  void SetRingCapacityForNewThreads(size_t capacity);
-  size_t ring_capacity_for_new_threads() const {
-    return ring_capacity_.load(std::memory_order_relaxed);
-  }
 
   ~Tracer();
 
  private:
-  struct ThreadBuffer {
-    mutable std::mutex mu;
-    std::vector<TraceEvent> ring;  ///< sized to capacity on first event
-    size_t capacity = 0;
-    size_t next = 0;       ///< write cursor
-    bool wrapped = false;  ///< ring has overwritten at least once
-    uint64_t dropped = 0;
-    uint32_t tid = 0;      ///< stable small id for the trace output
-  };
-
   Tracer();
-  ThreadBuffer* BufferForThisThread();
-  void AppendEventsLocked(const ThreadBuffer& buffer,
-                          std::vector<std::pair<uint32_t, TraceEvent>>* out)
-      const;
 
   std::atomic<bool> enabled_{false};
-  std::atomic<size_t> ring_capacity_{1u << 16};
-  std::atomic<uint32_t> next_tid_{1};
-  mutable std::mutex registry_mu_;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
+  std::once_flag ring_allocated_;
+  /// Published (release) before `enabled_` turns on, so a thread that sees
+  /// tracing on also sees the ring.
+  std::atomic<EventRing<TraceEvent>*> ring_{nullptr};
   std::string dump_path_;
 };
 
@@ -110,7 +92,7 @@ class Tracer {
 /// of clock reads it records a span named `name` into the global tracer
 /// (when tracing is on) and observes the phase's seconds into `histogram`
 /// (when given).  With tracing off and no histogram the whole cost is one
-/// relaxed atomic load, cheap enough for per-chunk and per-component use.
+/// atomic load, cheap enough for per-chunk and per-component use.
 /// The span carries the thread's CorrelationScope.  `name` must outlive
 /// the phase; a null name records no span.  A phase that ends through an
 /// error return is recorded like any other.

@@ -126,7 +126,6 @@ Result<PredictionService::Response> PredictionService::Predict(
                    slot_free)) {
       // Same shed vocabulary as the ingest queue: `serving.shed` counts
       // requests dropped instead of queued, journaled as a kShed event.
-      requests_shed_.fetch_add(1, std::memory_order_relaxed);
       lock.unlock();
       obs::Record(
           obs::Decision::kServingShed,
@@ -209,13 +208,11 @@ Result<PredictionService::Response> PredictionService::ServeOne(
     return response;
   }();
   const double latency = phase.Stop();
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
   metrics.requests->Increment();
   if (result.ok()) {
     result->latency_seconds = latency;
     metrics.records->Add(static_cast<int64_t>(result->scores.size()));
   } else {
-    request_errors_.fetch_add(1, std::memory_order_relaxed);
     metrics.errors->Increment();
   }
   return result;

@@ -103,20 +103,6 @@ class PredictionService {
   Result<Response> PredictWith(SnapshotReader* reader,
                                const RawChunk& chunk) const;
 
-  /// Requests answered (ok or error) since construction.
-  uint64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
-  }
-  /// Requests that returned a non-OK status.
-  uint64_t request_errors() const {
-    return request_errors_.load(std::memory_order_relaxed);
-  }
-  /// Requests shed at a full queue after the admission timeout (these never
-  /// reach a worker and are not counted in requests_served).
-  uint64_t requests_shed() const {
-    return requests_shed_.load(std::memory_order_relaxed);
-  }
-
   const Options& options() const { return options_; }
 
  private:
@@ -142,11 +128,8 @@ class PredictionService {
   std::vector<std::thread> workers_;
   std::atomic<bool> running_{false};
   // Mutable: the inline request path (PredictWith / ServeOne) is logically
-  // const — it never touches service state beyond these counters.
+  // const — it never touches service state beyond this id counter.
   mutable std::atomic<int64_t> next_request_id_{0};
-  mutable std::atomic<uint64_t> requests_served_{0};
-  mutable std::atomic<uint64_t> request_errors_{0};
-  mutable std::atomic<uint64_t> requests_shed_{0};
   /// Peak queue depth (guarded by mu_, exported as a gauge).
   size_t queue_high_watermark_ = 0;
 };

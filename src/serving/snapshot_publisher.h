@@ -56,11 +56,9 @@ class SnapshotPublisher {
   /// (takes the refresh lock); request loops go through SnapshotReader.
   std::shared_ptr<const ModelSnapshot> Acquire() const;
 
-  /// Latest published epoch (0 before the first publish).  Lock-free.
+  /// Latest published epoch (0 before the first publish).  Epochs are dense
+  /// from 1, so this also counts the publishes.  Lock-free.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
-  /// Total epochs published (== epoch(): epochs are dense from 1).
-  uint64_t publishes() const { return epoch(); }
 
  private:
   mutable std::mutex mu_;  ///< guards current_ (swap and slow-path copy)

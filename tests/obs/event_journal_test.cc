@@ -42,15 +42,15 @@ TEST(CorrelationScopeTest, IsPerThread) {
 
 TEST(EventJournalTest, AppendAndTailRoundTrip) {
   EventJournal journal(16);
-  journal.Append(EventKind::kIngest, CorrelationId{1, 5}, "records=100");
-  journal.Append(EventKind::kSample, CorrelationId{1, -1}, "hits=3 misses=1");
+  journal.Append(Decision::kIngest, CorrelationId{1, 5}, "records=100");
+  journal.Append(Decision::kSample, CorrelationId{1, -1}, "hits=3 misses=1");
 
   const std::vector<JournalEvent> tail = journal.Tail(10);
   ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0].kind, EventKind::kIngest);
+  EXPECT_EQ(tail[0].decision, Decision::kIngest);
   EXPECT_EQ(tail[0].corr, (CorrelationId{1, 5}));
   EXPECT_STREQ(tail[0].detail, "records=100");
-  EXPECT_EQ(tail[1].kind, EventKind::kSample);
+  EXPECT_EQ(tail[1].decision, Decision::kSample);
   EXPECT_GE(tail[1].timestamp_us, tail[0].timestamp_us);
   EXPECT_EQ(journal.TotalAppended(), 2u);
   EXPECT_EQ(journal.TotalDropped(), 0u);
@@ -72,26 +72,16 @@ TEST(EventJournalTest, PicksUpCorrelationScope) {
   ASSERT_EQ(tail.size(), 3u);
   EXPECT_EQ(tail[0].corr, (CorrelationId{3, 33}));
   EXPECT_STREQ(tail[0].detail, "rows=64");
-  EXPECT_EQ(tail[1].kind, EventKind::kDegrade);
+  EXPECT_EQ(tail[1].decision, Decision::kProactiveDeferred);
   EXPECT_STREQ(tail[1].detail, "proactive_deferred state=overloaded");
   EXPECT_TRUE(tail[2].corr.empty());
   EXPECT_STREQ(tail[2].detail, "engine");
 }
 
-TEST(EventJournalTest, DisableSuppressesAppends) {
-  EventJournal journal(16);
-  journal.Disable();
-  journal.Append(EventKind::kIngest, CorrelationId{}, "while-disabled");
-  EXPECT_EQ(journal.TotalAppended(), 0u);
-  journal.Enable();
-  journal.Append(EventKind::kIngest, CorrelationId{}, "while-enabled");
-  EXPECT_EQ(journal.TotalAppended(), 1u);
-}
-
 TEST(EventJournalTest, WrapDropsOldestWithExactAccounting) {
   EventJournal journal(4);
   for (int i = 0; i < 10; ++i) {
-    journal.Append(EventKind::kIngest, CorrelationId{1, i}, "");
+    journal.Append(Decision::kIngest, CorrelationId{1, i}, "");
   }
   EXPECT_EQ(journal.TotalAppended(), 10u);
   EXPECT_EQ(journal.TotalDropped(), 6u);
@@ -107,7 +97,7 @@ TEST(EventJournalTest, WrapDropsOldestWithExactAccounting) {
 TEST(EventJournalTest, TruncatesLongDetail) {
   EventJournal journal(4);
   const std::string long_detail(200, 'd');
-  journal.Append(EventKind::kIngest, CorrelationId{}, long_detail.c_str());
+  journal.Append(Decision::kIngest, CorrelationId{}, long_detail.c_str());
   const std::vector<JournalEvent> tail = journal.Tail(1);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(std::strlen(tail[0].detail), sizeof(tail[0].detail) - 1);
@@ -115,7 +105,7 @@ TEST(EventJournalTest, TruncatesLongDetail) {
 
 TEST(EventJournalTest, TailToJsonShape) {
   EventJournal journal(8);
-  journal.Append(EventKind::kMaterializeMiss, CorrelationId{2, 7},
+  journal.Append(Decision::kMaterializeMiss, CorrelationId{2, 7},
                  "quote\"back\\slash");
   const std::string json = journal.TailToJson(8);
   EXPECT_EQ(json.rfind("{\"appended\":1,\"dropped\":0,\"capacity\":8,", 0), 0u)
@@ -130,22 +120,69 @@ TEST(EventJournalTest, TailToJsonShape) {
 TEST(EventJournalTest, ClearResetsState) {
   EventJournal journal(4);
   for (int i = 0; i < 6; ++i) {
-    journal.Append(EventKind::kEvict, CorrelationId{}, "");
+    journal.Append(Decision::kEvictFeatures, CorrelationId{}, "");
   }
   journal.Clear();
   EXPECT_EQ(journal.TotalAppended(), 0u);
   EXPECT_EQ(journal.TotalDropped(), 0u);
   EXPECT_TRUE(journal.Tail(10).empty());
-  journal.Append(EventKind::kIngest, CorrelationId{}, "fresh");
+  journal.Append(Decision::kIngest, CorrelationId{}, "fresh");
   EXPECT_EQ(journal.Tail(10).size(), 1u);
 }
 
+// Each decision's journal kind, as /events and the log lines print it.
+// These strings are what operators grep for: they must not change when the
+// decision table is edited.
 TEST(EventJournalTest, EventKindNamesAreStable) {
-  EXPECT_STREQ(EventKindName(EventKind::kIngest), "ingest");
-  EXPECT_STREQ(EventKindName(EventKind::kMaterializeHit), "materialize_hit");
-  EXPECT_STREQ(EventKindName(EventKind::kDriftTrigger), "drift_trigger");
-  EXPECT_STREQ(EventKindName(EventKind::kStall), "stall");
-  EXPECT_STREQ(EventKindName(EventKind::kRecover), "recover");
+  const std::map<Decision, std::string> kinds = {
+      {Decision::kIngest, "ingest"},
+      {Decision::kMaterializeHit, "materialize_hit"},
+      {Decision::kMaterializeMiss, "materialize_miss"},
+      {Decision::kSample, "sample"},
+      {Decision::kSampleChunkUnavailable, "degrade"},
+      {Decision::kEvictFeatures, "evict"},
+      {Decision::kEvictFeaturesLru, "evict"},
+      {Decision::kEvictRaw, "evict"},
+      {Decision::kEvictRawCorrupt, "evict"},
+      {Decision::kSpill, "spill"},
+      {Decision::kSpillWriteFailed, "degrade"},
+      {Decision::kDiskLoad, "disk_load"},
+      {Decision::kPrefetchHit, "prefetch_hit"},
+      {Decision::kSpillReadFailed, "degrade"},
+      {Decision::kSpillCorruptDropped, "degrade"},
+      {Decision::kRecompute, "recompute"},
+      {Decision::kRecomputeFallback, "recompute"},
+      {Decision::kChunkSkipped, "degrade"},
+      {Decision::kTrainStep, "train_step"},
+      {Decision::kSgdStepSkipped, "degrade"},
+      {Decision::kRetrain, "train_step"},
+      {Decision::kRetrainSkipped, "degrade"},
+      {Decision::kProactiveDeferred, "degrade"},
+      {Decision::kDriftTrigger, "drift_trigger"},
+      {Decision::kIngestFailed, "degrade"},
+      {Decision::kStoreFeaturesFailed, "degrade"},
+      {Decision::kServeEvalFallback, "degrade"},
+      {Decision::kDegradedAdmit, "degrade"},
+      {Decision::kAdmit, "admit"},
+      {Decision::kShedOldest, "shed"},
+      {Decision::kShedNewest, "shed"},
+      {Decision::kShedTimeout, "shed"},
+      {Decision::kPressureChange, "pressure_change"},
+      {Decision::kSnapshotPublish, "snapshot_publish"},
+      {Decision::kSnapshotSwap, "snapshot_swap"},
+      {Decision::kServingShed, "shed"},
+      {Decision::kRetry, "retry"},
+      {Decision::kRetryExhausted, "retry_exhausted"},
+      {Decision::kPlanCompile, "plan_compile"},
+      {Decision::kCheckpointSave, "checkpoint"},
+      {Decision::kCheckpointLoad, "checkpoint"},
+      {Decision::kStall, "stall"},
+      {Decision::kRecover, "recover"},
+  };
+  ASSERT_EQ(kinds.size(), static_cast<size_t>(Decision::kNumDecisions));
+  for (const auto& [decision, kind] : kinds) {
+    EXPECT_EQ(SpecOf(decision).kind, kind) << static_cast<int>(decision);
+  }
 }
 
 // Multi-producer correctness: no lost appends, exact drop accounting, and
@@ -162,7 +199,7 @@ TEST(EventJournalTest, MultiProducerNoLostUpdates) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&journal, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        journal.Append(EventKind::kIngest, CorrelationId{1, t}, "mp");
+        journal.Append(Decision::kIngest, CorrelationId{1, t}, "mp");
       }
     });
   }
@@ -204,7 +241,7 @@ TEST(EventJournalTest, MultiProducerWrapKeepsAccountingExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&journal] {
       for (int i = 0; i < kPerThread; ++i) {
-        journal.Append(EventKind::kEvict, CorrelationId{}, "wrap");
+        journal.Append(Decision::kEvictFeatures, CorrelationId{}, "wrap");
       }
     });
   }
@@ -227,7 +264,7 @@ TEST(EventJournalTest, SustainedOverloadManyWrapsKeepsDenseSeqSuffix) {
   constexpr int kAppends = 10000;  // 1250 full wraps
   EventJournal journal(kCapacity);
   for (int i = 0; i < kAppends; ++i) {
-    journal.Append(EventKind::kIngest, CorrelationId{1, i}, "overload");
+    journal.Append(Decision::kIngest, CorrelationId{1, i}, "overload");
   }
 
   EXPECT_EQ(journal.TotalAppended(), static_cast<uint64_t>(kAppends));
@@ -259,7 +296,7 @@ TEST(EventJournalTest, SustainedMultiProducerOverloadHasNoSeqGaps) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&journal] {
       for (int i = 0; i < kPerThread; ++i) {
-        journal.Append(EventKind::kIngest, CorrelationId{}, "mp-overload");
+        journal.Append(Decision::kIngest, CorrelationId{}, "mp-overload");
       }
     });
   }
@@ -294,7 +331,7 @@ TEST(EventJournalTest, ConcurrentReadersSeeConsistentEvents) {
   std::thread writer([&] {
     int64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      journal.Append(EventKind::kIngest, CorrelationId{1, i % 97},
+      journal.Append(Decision::kIngest, CorrelationId{1, i % 97},
                      "payload-with-fixed-text");
       ++i;
     }
@@ -302,7 +339,7 @@ TEST(EventJournalTest, ConcurrentReadersSeeConsistentEvents) {
   std::thread reader([&] {
     for (int pass = 0; pass < 200; ++pass) {
       for (const JournalEvent& e : journal.Tail(32)) {
-        ASSERT_EQ(e.kind, EventKind::kIngest);
+        ASSERT_EQ(e.decision, Decision::kIngest);
         ASSERT_EQ(e.corr.deployment, 1u);
         ASSERT_STREQ(e.detail, "payload-with-fixed-text");
       }

@@ -6,7 +6,9 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/obs/decision.h"
 #include "src/obs/event_journal.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace cdpipe {
@@ -36,6 +38,22 @@ TEST(HeartbeatTest, WorkScopeTracksBusyCount) {
   EXPECT_EQ(heartbeat.busy(), 0);
   EXPECT_EQ(heartbeat.beats(), 4u);  // two BeginWork + two EndWork
   Heartbeat::WorkScope null_scope(nullptr);  // must be a safe no-op
+}
+
+// ctest runs each test in its own process, so this beat is the process's
+// first reading of the obs clock.  It must read >= 0 and, once the deadline
+// passes, stall like any later beat.
+TEST(HeartbeatTest, FirstBeatOfTheProcessStallsPastTheDeadline) {
+  HealthRegistry registry;
+  Heartbeat* engine = registry.GetHeartbeat("engine");
+  engine->BeginWork();
+  EXPECT_GE(engine->last_beat_us(), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const std::vector<SubsystemHealth> snapshot =
+      registry.Snapshot(/*stall_deadline_seconds=*/0.001, Tracer::NowMicros());
+  ASSERT_EQ(snapshot.size(), 1u);
+  EXPECT_TRUE(snapshot[0].stalled) << snapshot[0].last_beat_us;
+  engine->EndWork();
 }
 
 TEST(HealthRegistryTest, ReturnsStablePointers) {
@@ -101,7 +119,13 @@ TEST(HealthToJsonTest, EmitsReadyFlagAndSubsystems) {
   EXPECT_EQ(HealthToJson({}, true), "{\"ready\":true,\"subsystems\":[]}");
 }
 
+int64_t GlobalCount(const char* counter) {
+  return MetricsRegistry::Global().GetCounter(counter)->Value();
+}
+
 TEST(WatchdogTest, DetectsStallAndRecovery) {
+  const int64_t stalls = GlobalCount("obs.stalls");
+  const int64_t recoveries = GlobalCount("obs.recoveries");
   HealthRegistry registry;
   EventJournal journal(64);
   Watchdog::Options options;
@@ -117,30 +141,31 @@ TEST(WatchdogTest, DetectsStallAndRecovery) {
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   watchdog.PollOnce();
   EXPECT_FALSE(watchdog.ready());
-  EXPECT_EQ(watchdog.stall_events(), 1);
+  EXPECT_EQ(GlobalCount("obs.stalls") - stalls, 1);
 
   // A second poll while still stalled must not double-count.
   watchdog.PollOnce();
-  EXPECT_EQ(watchdog.stall_events(), 1);
+  EXPECT_EQ(GlobalCount("obs.stalls") - stalls, 1);
 
   // The stall event names the subsystem.
   std::vector<JournalEvent> events = journal.Tail(10);
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, EventKind::kStall);
+  EXPECT_EQ(events[0].decision, Decision::kStall);
   EXPECT_STREQ(events[0].detail, "engine");
 
   // Progress resumes: readiness flips back and a recover event is logged.
   engine->Beat();
   watchdog.PollOnce();
   EXPECT_TRUE(watchdog.ready());
-  EXPECT_EQ(watchdog.recover_events(), 1);
+  EXPECT_EQ(GlobalCount("obs.recoveries") - recoveries, 1);
   events = journal.Tail(10);
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[1].kind, EventKind::kRecover);
+  EXPECT_EQ(events[1].decision, Decision::kRecover);
   engine->EndWork();
 }
 
 TEST(WatchdogTest, BackgroundThreadPollsOnItsOwn) {
+  const int64_t stalls = GlobalCount("obs.stalls");
   HealthRegistry registry;
   EventJournal journal(64);
   Watchdog::Options options;
@@ -161,7 +186,7 @@ TEST(WatchdogTest, BackgroundThreadPollsOnItsOwn) {
   EXPECT_FALSE(watchdog.ready());
   watchdog.Stop();
   trainer->EndWork();
-  EXPECT_GE(watchdog.stall_events(), 1);
+  EXPECT_GE(GlobalCount("obs.stalls") - stalls, 1);
 }
 
 }  // namespace

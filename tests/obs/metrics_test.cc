@@ -326,14 +326,10 @@ TEST(ExportersTest, HelpLinesPrecedeTypeLines) {
             std::string::npos);
   EXPECT_EQ(text.find("# HELP cdpipe_plain_counter"), std::string::npos);
 
-  // First non-empty help wins; SetHelp overrides.
+  // First non-empty help wins.
   registry.GetCounter("helped.counter", "different help");
   EXPECT_NE(ToPrometheusText(registry.Snapshot())
                 .find("# HELP cdpipe_helped_counter Counts things."),
-            std::string::npos);
-  registry.SetHelp("helped.counter", "replaced");
-  EXPECT_NE(ToPrometheusText(registry.Snapshot())
-                .find("# HELP cdpipe_helped_counter replaced\n"),
             std::string::npos);
 }
 

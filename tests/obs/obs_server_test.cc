@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "gtest/gtest.h"
+#include "src/obs/decision.h"
 #include "src/obs/event_journal.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
@@ -146,7 +147,7 @@ TEST_F(ObsServerTest, ReadyzFollowsAttachedWatchdog) {
 
 TEST_F(ObsServerTest, RoutesEventsWithCountParameter) {
   for (int i = 0; i < 5; ++i) {
-    journal_.Append(EventKind::kIngest, CorrelationId{1, i}, "e2e");
+    journal_.Append(Decision::kIngest, CorrelationId{1, i}, "e2e");
   }
   ObsServer server(options_);
   const std::string all =
@@ -175,7 +176,7 @@ TEST_F(ObsServerTest, RejectsUnknownPathAndMethod) {
 }
 
 TEST_F(ObsServerTest, ServesOverRealSockets) {
-  journal_.Append(EventKind::kTrainStep, CorrelationId{1, 1}, "rows=10");
+  journal_.Append(Decision::kTrainStep, CorrelationId{1, 1}, "rows=10");
   metrics_.GetCounter("socket.test")->Increment();
   ObsServer server(options_);
   ASSERT_TRUE(server.Start().ok());

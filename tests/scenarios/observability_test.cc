@@ -8,11 +8,14 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "src/obs/decision.h"
 #include "src/obs/event_journal.h"
 #include "src/obs/health.h"
+#include "src/obs/metrics.h"
 #include "src/obs/obs_server.h"
 #include "tests/scenarios/scenario_runner.h"
 
@@ -21,14 +24,18 @@ namespace testing {
 namespace {
 
 using obs::EventJournal;
-using obs::EventKind;
 using obs::JournalEvent;
 
+/// The journal kind /events prints for `e`.
+std::string_view KindOf(const JournalEvent& e) {
+  return obs::SpecOf(e.decision).kind;
+}
+
 std::vector<JournalEvent> EventsOfKind(const std::vector<JournalEvent>& all,
-                                       EventKind kind) {
+                                       std::string_view kind) {
   std::vector<JournalEvent> out;
   for (const JournalEvent& e : all) {
-    if (e.kind == kind) out.push_back(e);
+    if (KindOf(e) == kind) out.push_back(e);
   }
   return out;
 }
@@ -53,12 +60,12 @@ void ExpectCausallyOrderedChunkStory(ScenarioStrategy strategy) {
       << "run must fit in the default ring";
 
   const std::vector<JournalEvent> ingests =
-      EventsOfKind(events, EventKind::kIngest);
+      EventsOfKind(events, "ingest");
   const std::vector<JournalEvent> train_steps =
-      EventsOfKind(events, EventKind::kTrainStep);
+      EventsOfKind(events, "train_step");
   ASSERT_FALSE(ingests.empty());
   ASSERT_FALSE(train_steps.empty());
-  EXPECT_FALSE(EventsOfKind(events, EventKind::kSample).empty());
+  EXPECT_FALSE(EventsOfKind(events, "sample").empty());
 
   // Every event of the run is attributed to the same (single) deployment.
   const uint32_t deployment = ingests.front().corr.deployment;
@@ -79,9 +86,8 @@ void ExpectCausallyOrderedChunkStory(ScenarioStrategy strategy) {
   }
   size_t chains_checked = 0;
   for (const JournalEvent& e : events) {
-    if (e.kind != EventKind::kMaterializeHit &&
-        e.kind != EventKind::kMaterializeMiss &&
-        e.kind != EventKind::kRecompute) {
+    if (KindOf(e) != "materialize_hit" && KindOf(e) != "materialize_miss" &&
+        KindOf(e) != "recompute") {
       continue;
     }
     auto it = ingest_ts.find(e.corr.entity);
@@ -133,6 +139,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ObservabilityScenarioTest, WatchdogCatchesInjectedEngineStall) {
+  obs::Counter* stall_count =
+      obs::MetricsRegistry::Global().GetCounter("obs.stalls");
+  obs::Counter* recover_count =
+      obs::MetricsRegistry::Global().GetCounter("obs.recoveries");
+  const int64_t stalls_before = stall_count->Value();
+  const int64_t recoveries_before = recover_count->Value();
   EventJournal& journal = EventJournal::Global();
   journal.Clear();
 
@@ -155,18 +167,18 @@ TEST(ObservabilityScenarioTest, WatchdogCatchesInjectedEngineStall) {
       << "the slow-task site never fired; the stall was not exercised";
 
   // The watchdog must have seen the engine go busy-but-silent mid-run.
-  EXPECT_GE(watchdog.stall_events(), 1);
+  EXPECT_GE(stall_count->Value() - stalls_before, 1);
   // And once the delayed task finished, the engine recovered.
   for (int i = 0; i < 100 && !watchdog.ready(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(watchdog.ready());
-  EXPECT_GE(watchdog.recover_events(), 1);
+  EXPECT_GE(recover_count->Value() - recoveries_before, 1);
   watchdog.Stop();
 
   const std::vector<JournalEvent> events = journal.Tail(journal.capacity());
   const std::vector<JournalEvent> stalls =
-      EventsOfKind(events, EventKind::kStall);
+      EventsOfKind(events, "stall");
   ASSERT_FALSE(stalls.empty());
   // The engine is where the delay is injected; subsystems blocked on it
   // (deployment, trainer) may legitimately report stalled as well.

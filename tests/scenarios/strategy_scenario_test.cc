@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/decision.h"
 #include "src/obs/event_journal.h"
 #include "tests/scenarios/scenario_runner.h"
 
@@ -24,8 +25,8 @@ namespace testing {
 namespace {
 
 namespace fs = std::filesystem;
+using obs::Decision;
 using obs::EventJournal;
-using obs::EventKind;
 using obs::JournalEvent;
 
 class StrategyScenarioTest
@@ -68,11 +69,11 @@ class StrategyScenarioTest
     std::map<int64_t, int> misses;
     std::map<int64_t, int> resolved;
     for (const JournalEvent& e : journal.Tail(journal.capacity())) {
-      const bool miss = e.kind == EventKind::kMaterializeMiss;
+      const bool miss = e.decision == Decision::kMaterializeMiss;
       const bool rebuilt_or_skipped =
-          e.kind == EventKind::kRecompute ||
-          (e.kind == EventKind::kDegrade &&
-           std::string(e.detail) == "chunk_skipped");
+          e.decision == Decision::kRecompute ||
+          e.decision == Decision::kRecomputeFallback ||
+          e.decision == Decision::kChunkSkipped;
       if (!miss && !rebuilt_or_skipped) continue;
       EXPECT_NE(e.corr.deployment, 0u) << "uncorrelated " << e.detail;
       (miss ? misses : resolved)[e.corr.entity] += 1;
@@ -239,7 +240,7 @@ TEST_P(StrategyScenarioTest, RangeTaskOutageSkipsTheShardedStepOnly) {
   int64_t journaled_rows = 0;
   for (const JournalEvent& e :
        EventJournal::Global().Tail(EventJournal::Global().capacity())) {
-    if (e.kind == EventKind::kTrainStep &&
+    if (e.decision == Decision::kTrainStep &&
         std::string(e.detail).rfind("rows=", 0) == 0) {
       journaled_rows += std::stoll(e.detail + 5);
     }

@@ -23,6 +23,12 @@ using serving_test::MakeServingFixture;
 using serving_test::SerialScores;
 using serving_test::ServingFixture;
 
+/// The global registry's `counter`: tests read the service's request counts
+/// as its growth over the test.
+int64_t GlobalCount(const char* counter) {
+  return obs::MetricsRegistry::Global().GetCounter(counter)->Value();
+}
+
 TEST(PredictionServiceTest, UnavailableBeforeStart) {
   SnapshotPublisher publisher;
   PredictionService service(&publisher, PredictionService::Options{});
@@ -34,6 +40,7 @@ TEST(PredictionServiceTest, UnavailableBeforeStart) {
 }
 
 TEST(PredictionServiceTest, UnavailableBeforeFirstPublish) {
+  const int64_t errors = GlobalCount("serving.errors");
   SnapshotPublisher publisher;
   PredictionService service(&publisher, PredictionService::Options{});
   ASSERT_TRUE(service.Start().ok());
@@ -42,7 +49,7 @@ TEST(PredictionServiceTest, UnavailableBeforeFirstPublish) {
   Result<PredictionService::Response> response = service.Predict(chunk);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(service.request_errors(), 1u);
+  EXPECT_EQ(GlobalCount("serving.errors") - errors, 1);
   service.Stop();
 }
 
@@ -104,6 +111,8 @@ TEST(PredictionServiceTest, SingleRecordPredictionMatchesBatchRow) {
 }
 
 TEST(PredictionServiceTest, ConcurrentClientsUnderTinyQueueAllAnswered) {
+  const int64_t requests = GlobalCount("serving.requests");
+  const int64_t errors = GlobalCount("serving.errors");
   ServingFixture fixture = MakeServingFixture();
   SnapshotPublisher publisher;
   publisher.PublishFrom(*fixture.pipeline, *fixture.model);
@@ -133,9 +142,9 @@ TEST(PredictionServiceTest, ConcurrentClientsUnderTinyQueueAllAnswered) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GE(service.requests_served(),
-            static_cast<uint64_t>(kClients * kRequestsPerClient));
-  EXPECT_EQ(service.request_errors(), 0u);
+  EXPECT_GE(GlobalCount("serving.requests") - requests,
+            kClients * kRequestsPerClient);
+  EXPECT_EQ(GlobalCount("serving.errors") - errors, 0);
   service.Stop();
 }
 
@@ -151,8 +160,9 @@ TEST(PredictionServiceTest, AdmissionTimeoutShedsInsteadOfBlocking) {
   PredictionService service(&publisher, options);
   ASSERT_TRUE(service.Start().ok());
 
-  const int64_t shed_counter_before =
-      obs::MetricsRegistry::Global().GetCounter("serving.shed")->Value();
+  const int64_t shed = GlobalCount("serving.shed");
+  const int64_t requests = GlobalCount("serving.requests");
+  const int64_t errors = GlobalCount("serving.errors");
   const std::vector<double> expected =
       SerialScores(*fixture.pipeline, *fixture.model, fixture.probe);
 
@@ -186,20 +196,19 @@ TEST(PredictionServiceTest, AdmissionTimeoutShedsInsteadOfBlocking) {
   service.Stop();
 
   EXPECT_EQ(wrong.load(), 0);
-  EXPECT_GT(service.requests_shed(), 0u);
-  // Unified backpressure accounting: the service-level counter, the
-  // serving.shed metric, and the observed rejections all agree.
-  EXPECT_EQ(service.requests_shed(), shed_count.load());
-  EXPECT_EQ(
-      obs::MetricsRegistry::Global().GetCounter("serving.shed")->Value() -
-          shed_counter_before,
-      static_cast<int64_t>(shed_count.load()));
-  EXPECT_GE(service.requests_served(), ok_count.load());
+  EXPECT_GT(shed_count.load(), 0u);
+  // Unified backpressure accounting: the serving.shed metric and the
+  // observed rejections agree.
+  EXPECT_EQ(GlobalCount("serving.shed") - shed,
+            static_cast<int64_t>(shed_count.load()));
+  EXPECT_GE(GlobalCount("serving.requests") - requests,
+            static_cast<int64_t>(ok_count.load()));
   // Sheds are rejections, not errors.
-  EXPECT_EQ(service.request_errors(), 0u);
+  EXPECT_EQ(GlobalCount("serving.errors") - errors, 0);
 }
 
 TEST(PredictionServiceTest, NegativeTimeoutPreservesBlockingBehavior) {
+  const int64_t shed = GlobalCount("serving.shed");
   ServingFixture fixture = MakeServingFixture();
   SnapshotPublisher publisher;
   publisher.PublishFrom(*fixture.pipeline, *fixture.model);
@@ -226,10 +235,11 @@ TEST(PredictionServiceTest, NegativeTimeoutPreservesBlockingBehavior) {
   service.Stop();
 
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(service.requests_shed(), 0u);
+  EXPECT_EQ(GlobalCount("serving.shed") - shed, 0);
 }
 
 TEST(PredictionServiceTest, InjectedFaultIsCountedAsRequestError) {
+  const int64_t errors = GlobalCount("serving.errors");
   ServingFixture fixture = MakeServingFixture();
   SnapshotPublisher publisher;
   publisher.PublishFrom(*fixture.pipeline, *fixture.model);
@@ -244,7 +254,7 @@ TEST(PredictionServiceTest, InjectedFaultIsCountedAsRequestError) {
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
   }
-  EXPECT_EQ(service.request_errors(), 1u);
+  EXPECT_EQ(GlobalCount("serving.errors") - errors, 1);
   // The loop recovers: the next request is healthy.
   Result<PredictionService::Response> ok_response =
       service.Predict(fixture.probe);
