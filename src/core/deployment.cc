@@ -102,7 +102,9 @@ void Deployment::AttachServing(serving::SnapshotPublisher* publisher,
                                bool serve_evaluation) {
   serving_publisher_ = publisher;
   serving_service_ = service;
-  serve_evaluation_ = serve_evaluation && service != nullptr;
+  // Serve-eval reads through serve_reader_, which needs a publisher.
+  serve_evaluation_ =
+      serve_evaluation && service != nullptr && publisher != nullptr;
   pipeline_manager_->AttachPublisher(publisher);
   serve_reader_ =
       publisher != nullptr
@@ -118,23 +120,28 @@ Result<FeatureChunk> Deployment::RunOnlinePath(
   // chunk against that snapshot — through the prediction service when
   // routed — and only then apply the online SGD update.  Publishing at
   // this exact point is what makes the served evaluation bit-identical to
-  // the in-loop one: a pure Transform after UpdateAndTransform of the same
-  // chunk reproduces its features exactly, and the snapshot model is the
-  // same pre-update model the in-loop evaluate uses.  Without a publisher
-  // the publish is a no-op and this is the plain online step.
+  // the in-loop one: the snapshot's pipeline is frozen from the statistics
+  // that produced `features`, so the service scores `features` themselves
+  // (a pure Transform of the chunk would reproduce them exactly), and the
+  // snapshot model is the same pre-update model the in-loop evaluate
+  // uses.  Without a publisher the publish is a no-op and this is the
+  // plain online step.
   CDPIPE_ASSIGN_OR_RETURN(FeatureChunk features,
                           pipeline_manager_->PreprocessChunk(chunk));
   // Overload gating: keep serving from the previously published epoch
   // instead of paying the per-chunk publish (the served evaluation then
-  // sees a model at most `publish_staleness_bound_chunks` chunks old).
+  // sees a model at most `publish_staleness_bound_chunks` chunks old, and
+  // that epoch's pipeline transforms the chunk itself).
   if (!gate_publish) pipeline_manager_->PublishSnapshot();
   bool evaluated = false;
-  if (serve_evaluation_ && evaluator != nullptr &&
-      serving_service_ != nullptr) {
+  if (serve_evaluation_ && evaluator != nullptr) {
+    // Like EvaluateFeatures, one timer covers predicting and observing.
+    CostModel::ScopedTimer timer(&cost_, CostPhase::kPrediction);
     Result<serving::PredictionService::Response> response =
-        serving_service_->PredictWith(serve_reader_.get(), chunk);
+        serving_service_->PredictWith(
+            serve_reader_.get(), chunk, features.data,
+            pipeline_manager_->pipeline().state_version());
     if (response.ok()) {
-      CostModel::ScopedTimer timer(&cost_, CostPhase::kPrediction);
       for (size_t r = 0; r < response->scores.size(); ++r) {
         evaluator->Observe(response->scores[r], response->true_labels[r]);
       }

@@ -124,13 +124,20 @@ class Deployment {
   /// SGD — when `serve_evaluation` is set), and after checkpoint restores
   /// / redeployments; strategies publish after their own training steps.
   ///
-  /// With `serve_evaluation` true and a non-null `service`, the prequential
-  /// evaluate step of every chunk routes through the prediction service
-  /// against the just-published snapshot (serve-then-train).  Because the
-  /// snapshot is published after the chunk's statistics update and before
-  /// its online SGD update, the served scores are bit-identical to the
-  /// in-loop evaluate path.  A failed serving request (injected fault,
-  /// stopped service) falls back to the in-loop path — accounted in
+  /// With `serve_evaluation` true and both `publisher` and `service`
+  /// non-null, the prequential evaluate step of every chunk routes through
+  /// the prediction service against the just-published snapshot
+  /// (serve-then-train); otherwise evaluation stays in the loop.  Because
+  /// the snapshot is published after the chunk's statistics update and
+  /// before its online SGD update, the served scores are bit-identical to
+  /// the in-loop evaluate path.  The request hands the service the
+  /// features the online path already computed and the statistics version
+  /// they came from; a snapshot frozen at that version scores them as
+  /// they are, so the chunk is transformed once, and only an older epoch
+  /// (a gated publish) transforms it again.  A fresh snapshot's pipeline
+  /// therefore first transforms on the first client request that reads
+  /// its epoch.  A failed serving request (injected fault, stopped
+  /// service) falls back to the in-loop path — accounted in
   /// `serving.eval_fallbacks` and `DeploymentReport::degraded_events` —
   /// so the quality curve never loses observations.
   void AttachServing(serving::SnapshotPublisher* publisher,

@@ -42,7 +42,8 @@ struct ModelSnapshot {
   /// The live pipeline's statistics version at publish time.  Lets the
   /// publisher share one pipeline clone across consecutive epochs whose
   /// statistics did not change (model-only republish after a proactive
-  /// step).
+  /// step), and lets a serve-eval request score the features the online
+  /// path computed under these statistics instead of transforming again.
   uint64_t pipeline_version = 0;
   /// Publish instant on the Tracer::NowMicros timebase.
   int64_t published_us = 0;

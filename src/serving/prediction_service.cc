@@ -151,6 +151,14 @@ Result<PredictionService::Response> PredictionService::PredictWith(
                   next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1);
 }
 
+Result<PredictionService::Response> PredictionService::PredictWith(
+    SnapshotReader* reader, const RawChunk& chunk, const FeatureData& features,
+    uint64_t pipeline_version) const {
+  return ServeOne(reader, chunk,
+                  next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1,
+                  &features, pipeline_version);
+}
+
 void PredictionService::WorkerLoop() {
   obs::Heartbeat* heartbeat =
       obs::HealthRegistry::Global().GetHeartbeat("serving");
@@ -180,7 +188,8 @@ void PredictionService::WorkerLoop() {
 }
 
 Result<PredictionService::Response> PredictionService::ServeOne(
-    SnapshotReader* reader, const RawChunk& chunk, int64_t request_id) const {
+    SnapshotReader* reader, const RawChunk& chunk, int64_t request_id,
+    const FeatureData* online, uint64_t online_version) const {
   obs::CorrelationScope corr(options_.deployment_id, request_id);
   ServingMetrics& metrics = Metrics();
   obs::Phase phase("serving.request", metrics.latency);
@@ -191,19 +200,24 @@ Result<PredictionService::Response> PredictionService::ServeOne(
     if (snapshot == nullptr) {
       return Status::Unavailable("serving: no snapshot published yet");
     }
-    size_t rows_scanned = 0;
-    Result<FeatureData> features =
-        snapshot->pipeline->Transform(chunk, &rows_scanned);
-    if (!features.ok()) return features.status();
     Response response;
     response.epoch = snapshot->epoch;
     response.request_id = request_id;
-    snapshot->model->PredictBatch(*features, &response.scores);
+    if (online != nullptr && snapshot->pipeline_version == online_version) {
+      // Frozen from the statistics that produced `online`: the snapshot's
+      // transform of `chunk` would be `online`, bit for bit.
+      snapshot->model->PredictBatch(*online, &response.scores);
+      response.true_labels = online->labels;
+    } else {
+      CDPIPE_ASSIGN_OR_RETURN(FeatureData features,
+                              snapshot->pipeline->Transform(chunk));
+      snapshot->model->PredictBatch(features, &response.scores);
+      response.true_labels = std::move(features.labels);
+    }
     response.labels.reserve(response.scores.size());
     for (double score : response.scores) {
       response.labels.push_back(score >= 0.0 ? 1.0 : -1.0);
     }
-    response.true_labels = std::move(features->labels);
     response.rows_dropped = chunk.num_rows() - response.scores.size();
     return response;
   }();

@@ -98,10 +98,23 @@ class PredictionService {
   /// Inline request path against a caller-owned reader: same metrics,
   /// span, fault sites, and response shape as the queued path, but
   /// executed on the calling thread with no queue hop.  This is what the
-  /// closed-loop bench readers and the deployment's serve-then-train
-  /// evaluate call — and what the workers themselves run per request.
+  /// closed-loop bench readers call — and what the workers themselves run
+  /// per request.
   Result<Response> PredictWith(SnapshotReader* reader,
                                const RawChunk& chunk) const;
+
+  /// The deployment's serve-then-train request: `features` are what the
+  /// online path produced from `chunk` while the live pipeline was at
+  /// statistics version `pipeline_version`.  When the snapshot that
+  /// answers was frozen at that version, its pipeline would reproduce
+  /// `features` bit for bit, so the request scores them with the
+  /// snapshot's model instead of transforming `chunk` again.  Any other
+  /// snapshot (an older epoch, as when overload gating skipped the
+  /// chunk's publish) transforms `chunk` like a client request.  Metrics,
+  /// span, fault sites and response shape are the inline path's.
+  Result<Response> PredictWith(SnapshotReader* reader, const RawChunk& chunk,
+                               const FeatureData& features,
+                               uint64_t pipeline_version) const;
 
   const Options& options() const { return options_; }
 
@@ -113,8 +126,13 @@ class PredictionService {
   };
 
   void WorkerLoop();
+  /// Answers one request from `reader`'s snapshot.  `online`, when
+  /// non-null, holds `chunk`'s features at statistics version
+  /// `online_version` (see the four-argument PredictWith).
   Result<Response> ServeOne(SnapshotReader* reader, const RawChunk& chunk,
-                            int64_t request_id) const;
+                            int64_t request_id,
+                            const FeatureData* online = nullptr,
+                            uint64_t online_version = 0) const;
 
   const SnapshotPublisher* publisher_;
   Options options_;

@@ -87,6 +87,37 @@ TEST(PredictionServiceTest, QueuedPredictionMatchesSerialReference) {
   service.Stop();
 }
 
+TEST(PredictionServiceTest, ServeEvalScoresGivenFeaturesOnlyAtSnapshotVersion) {
+  const int64_t requests = GlobalCount("serving.requests");
+  ServingFixture fixture = MakeServingFixture();
+  SnapshotPublisher publisher;
+  publisher.PublishFrom(*fixture.pipeline, *fixture.model);
+  const uint64_t version = fixture.pipeline->state_version();
+  PredictionService service(&publisher, PredictionService::Options{});
+  SnapshotReader reader(&publisher);
+
+  // Another chunk's features stand in for the probe's, so the scores show
+  // which path answered: the reuse keys on the version alone.
+  const FeatureData other =
+      fixture.pipeline->Transform(fixture.chunks[1]).ValueOrDie();
+  std::vector<double> other_scores;
+  fixture.model->PredictBatch(other, &other_scores);
+  Result<PredictionService::Response> reused =
+      service.PredictWith(&reader, fixture.probe, other, version);
+  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+  EXPECT_EQ(reused->epoch, 1u);
+  EXPECT_EQ(reused->scores, other_scores);
+  EXPECT_EQ(reused->true_labels, other.labels);
+
+  // Features of any other version: the snapshot transforms the chunk.
+  Result<PredictionService::Response> transformed =
+      service.PredictWith(&reader, fixture.probe, other, version + 1);
+  ASSERT_TRUE(transformed.ok()) << transformed.status().ToString();
+  EXPECT_EQ(transformed->scores,
+            SerialScores(*fixture.pipeline, *fixture.model, fixture.probe));
+  EXPECT_EQ(GlobalCount("serving.requests") - requests, 2);
+}
+
 TEST(PredictionServiceTest, SingleRecordPredictionMatchesBatchRow) {
   ServingFixture fixture = MakeServingFixture();
   SnapshotPublisher publisher;
