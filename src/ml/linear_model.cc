@@ -1,6 +1,7 @@
 #include "src/ml/linear_model.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
@@ -31,73 +32,70 @@ size_t NumGradShards(size_t rows) {
   return std::clamp(rows / kMinRowsPerGradShard, size_t{1}, kMaxGradShards);
 }
 
-/// Dense-scratch sparse accumulator: O(1) adds into a dense value array
-/// with a touched-index list, replacing the hash-map + final sort of the
-/// previous implementation.  "Touched" tracks every coordinate present in
-/// the batch even when its partial sum is 0.0 (zero-loss rows), because the
-/// lazy L2 term applies to all touched coordinates.
+/// Dense-scratch sparse accumulator: a dense sums array plus an occupancy
+/// bitmap of one bit per coordinate in 64-bit words.  Add sets the
+/// coordinate's bit and adds into its sum; Drain walks the nonzero words in
+/// ascending order, emits each set coordinate with its sum, and zeroes every
+/// sum and word it emits, so the scratch is empty again after every use.  A
+/// set bit marks a coordinate present in the batch even when its partial sum
+/// is 0.0 (zero-loss rows), because the lazy L2 term applies to all touched
+/// coordinates.
 ///
-/// Scratch instances are reused across mini-batches (one per thread, see
-/// Scratch()): Reset clears only the coordinates the previous batch
-/// touched, so steady-state cost is O(touched) per batch instead of an
-/// O(dim) allocation + zero-fill.
+/// One scratch per thread (see Scratch()), reused across mini-batches: a
+/// use costs O(adds + dim / 64), with no allocation once the arrays have
+/// grown to the widest dim seen.
 class GradAccumulator {
  public:
-  GradAccumulator() = default;
-
-  /// Clears previous contents (sparsely) and grows scratch to `dim`.
-  void Reset(uint32_t dim) {
-    for (uint32_t index : touched_) {
-      sums_[index] = 0.0;
-      touched_flag_[index] = 0;
-    }
-    touched_.clear();
-    if (sums_.size() < dim) {
-      sums_.resize(dim, 0.0);
-      touched_flag_.resize(dim, 0);
-    }
-  }
-
-  void Add(uint32_t index, double value) {
-    if (!touched_flag_[index]) {
-      touched_flag_[index] = 1;
-      touched_.push_back(index);
-    }
-    sums_[index] += value;
-  }
-
-  /// Touched (index, partial-sum) entries sorted by index.  When the batch
-  /// touched a large fraction of `dim`, an ordered scan of the flag array
-  /// beats the O(t log t) sort; both emit the identical entry sequence.
-  std::vector<GradEntry> ExtractSorted(uint32_t dim) {
-    std::vector<GradEntry> out;
-    out.reserve(touched_.size());
-    if (touched_.size() >= dim / 8) {
-      for (uint32_t index = 0; index < dim; ++index) {
-        if (touched_flag_[index]) out.push_back(GradEntry{index, sums_[index]});
-      }
-    } else {
-      std::sort(touched_.begin(), touched_.end());
-      for (uint32_t index : touched_) {
-        out.push_back(GradEntry{index, sums_[index]});
-      }
-    }
-    return out;
-  }
-
-  /// Per-thread reusable scratch, reset to `dim` and empty.  Callers must
-  /// finish with one scratch (ExtractSorted) before acquiring it again on
-  /// the same thread.
+  /// The calling thread's scratch, sized for `dim` and empty.  A use must
+  /// Drain before the next Scratch call on the same thread; what a use
+  /// interrupted by an exception left behind (ParallelForRange catches
+  /// one thrown mid-shard) is cleared here.
   static GradAccumulator& Scratch(uint32_t dim) {
     thread_local GradAccumulator scratch;
-    scratch.Reset(dim);
+    if (scratch.in_use_) {
+      scratch.num_words_ = scratch.words_.size();
+      scratch.Drain();
+    }
+    scratch.num_words_ = (size_t{dim} + 63) / 64;
+    if (scratch.words_.size() < scratch.num_words_) {
+      scratch.words_.resize(scratch.num_words_, 0);
+      scratch.sums_.resize(scratch.num_words_ * 64, 0.0);
+    }
+    scratch.in_use_ = true;
     return scratch;
   }
 
+  void Add(uint32_t index, double value) {
+    words_[index >> 6] |= uint64_t{1} << (index & 63);
+    sums_[index] += value;
+  }
+
+  /// Touched (index, partial-sum) entries in ascending index order.
+  std::vector<GradEntry> Drain() {
+    size_t touched = 0;
+    for (size_t w = 0; w < num_words_; ++w) {
+      touched += std::popcount(words_[w]);
+    }
+    std::vector<GradEntry> out;
+    out.reserve(touched);
+    for (size_t w = 0; w < num_words_; ++w) {
+      for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        const uint32_t index =
+            static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
+        out.push_back(GradEntry{index, sums_[index]});
+        sums_[index] = 0.0;
+      }
+      words_[w] = 0;
+    }
+    in_use_ = false;
+    return out;
+  }
+
  private:
-  std::vector<double> sums_;
-  std::vector<uint8_t> touched_flag_;
-  std::vector<uint32_t> touched_;
+  std::vector<double> sums_;     ///< 0.0 wherever the bit is clear
+  std::vector<uint64_t> words_;  ///< bit i % 64 of word i / 64: i touched
+  size_t num_words_ = 0;         ///< words covering the current use's dim
+  bool in_use_ = false;          ///< between Scratch() and Drain()
 };
 
 struct GradShard {
@@ -195,7 +193,7 @@ Status LinearModel::ComputeGradient(const BatchView& batch,
       }
       bias_sum += lg.dloss_dpred;
     }
-    shards[s].entries = accum.ExtractSorted(batch.dim());
+    shards[s].entries = accum.Drain();
     shards[s].bias_sum = bias_sum;
   };
   if (engine != nullptr && engine->num_threads() > 1 && num_shards > 1) {
@@ -214,14 +212,14 @@ Status LinearModel::ComputeGradient(const BatchView& batch,
   // shard order, so the result does not depend on execution interleaving.
   // A single shard needs no merge pass (re-adding into zeroed scratch is
   // the identity), so its entries are taken as-is — same values bit for
-  // bit.
-  obs::Phase merge("ml.grad_merge", metrics.grad_merge_seconds);
+  // bit — and only a real merge opens the ml.grad_merge phase.
   std::vector<GradEntry> merged_entries;
   double bias_accum = 0.0;
   if (num_shards == 1) {
     merged_entries = std::move(shards[0].entries);
     bias_accum = shards[0].bias_sum;
   } else {
+    obs::Phase merge("ml.grad_merge", metrics.grad_merge_seconds);
     GradAccumulator& merged = GradAccumulator::Scratch(batch.dim());
     for (const GradShard& shard : shards) {
       for (const GradEntry& entry : shard.entries) {
@@ -229,7 +227,7 @@ Status LinearModel::ComputeGradient(const BatchView& batch,
       }
       bias_accum += shard.bias_sum;
     }
-    merged_entries = merged.ExtractSorted(batch.dim());
+    merged_entries = merged.Drain();
   }
   const double inv_n = 1.0 / static_cast<double>(rows);
   grad->reserve(merged_entries.size());

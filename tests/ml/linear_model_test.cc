@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/obs/metrics.h"
 #include "tests/spec/gradient_spec.h"
 #include "tests/testing/feature_data_test_util.h"
 
@@ -229,6 +230,24 @@ TEST(LinearModelTest, DimMismatchFailsPrecondition) {
   Status status = GradientOf(model, batch, &grad, &bias_grad);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(LinearModelTest, GradMergePhaseTimesMultiShardGradientsOnly) {
+  // 200 rows are one shard, with nothing to merge; 1,000 rows are 3 shards
+  // (256 rows each at least), merged once.
+  obs::Histogram* merges = obs::MetricsRegistry::Global().GetHistogram(
+      "model.grad_merge_seconds");
+  LinearModel model(RegressionOptions(64));
+  for (const auto& [rows, expected_merges] :
+       {std::pair<size_t, uint64_t>{200, 0}, {1000, 1}}) {
+    const FeatureData batch = testing::RandomSparseChunk(64, rows, 4, 5);
+    const uint64_t before = merges->TotalCount();
+    std::vector<GradEntry> grad;
+    double bias_grad = 0.0;
+    ASSERT_TRUE(GradientOf(model, batch, &grad, &bias_grad).ok());
+    EXPECT_EQ(merges->TotalCount() - before, expected_merges)
+        << rows << " rows";
+  }
 }
 
 TEST(LinearModelTest, ToStringMentionsLossAndDim) {
